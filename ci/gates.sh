@@ -49,6 +49,20 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 4: one coordinator. Every door (chip, service, cluster) describes
+# its shards as a topology and calls `coord::coordinate`, which is the only
+# place that picks a time model and runs its loop. A `SimMode` match arm or
+# a call into either loop anywhere else (tests aside) would be a second
+# coordinator, free to drift from the equivalence suites.
+hits=$(grep -rnE 'SimMode::[A-Za-z_]+[[:space:]]*=>|drive_cluster\(|drive_event\(' \
+  --include='*.rs' ./crates/*/src ./src ./examples ./perfbench/src 2>/dev/null \
+  | grep -v 'crates/lac-sim/src/coord\.rs' || true)
+if [ -n "$hits" ]; then
+  echo "SimMode dispatched outside the coordinator (crates/lac-sim/src/coord.rs):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

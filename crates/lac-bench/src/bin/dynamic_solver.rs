@@ -27,12 +27,13 @@ use lac_bench::{emit_json, f, json_mode, table};
 use lac_kernels::{
     DdpJob, IpddpFleet, IpddpParams, IpmJob, IppmmParams, IppmmWorkload, KernelReport,
 };
-use lac_sim::dynamic::run_dynamic;
 use lac_sim::{
-    ChipConfig, ChipJob, ClusterConfig, LacCluster, LacConfig, LacEngine, LacService, Scheduler,
-    SimError, TenantConfig,
+    ChipConfig, ChipJob, ClusterConfig, DynamicGraph, DynamicOutcome, LacCluster, LacConfig,
+    LacEngine, LacService, Scheduler, SimError, TenantConfig, TenantId,
 };
-use lac_traffic::{run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, OpenLoopConfig};
+use lac_traffic::{
+    run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, OpenLoopBackend, OpenLoopConfig,
+};
 
 const POLICIES: [(Scheduler, &str); 3] = [
     (Scheduler::Fifo, "fifo"),
@@ -96,6 +97,37 @@ impl ChipJob for KernelJob {
     }
 }
 
+/// Serve one request to convergence as a closed batch (one arrival due at
+/// tick 0); returns its outcome and the rounds it took.
+fn solve<J: ChipJob>(
+    backend: &mut impl OpenLoopBackend<J>,
+    tenant: TenantId,
+    request: DynamicGraph<J>,
+    sched: Scheduler,
+) -> (DynamicOutcome<J::Output>, u64) {
+    let mut request = Some(request);
+    let cfg = OpenLoopConfig {
+        sched,
+        ..OpenLoopConfig::default()
+    };
+    let batch = ArrivalTrace::batch(&[1]);
+    let report = run_open_loop_dynamic(
+        backend,
+        &batch,
+        &[tenant],
+        |_| request.take().expect("one arrival"),
+        cfg,
+    )
+    .expect("dynamic run");
+    let rounds = report.rounds;
+    let done = report
+        .completed
+        .into_iter()
+        .next()
+        .expect("the request converged");
+    (done.outcome, rounds)
+}
+
 fn main() {
     let mut rows = Vec::new();
     let mut points = Vec::new();
@@ -109,9 +141,7 @@ fn main() {
             let mut svc: LacService<IpmJob> =
                 LacService::new(ChipConfig::new(cores, LacConfig::default()));
             let t = svc.add_tenant(TenantConfig::new("qp"));
-            let run =
-                run_dynamic(&mut svc, vec![(t, qp.dynamic())], sched).expect("dynamic QP run");
-            let out = &run.outcomes[0];
+            let out = &solve(&mut svc, t, qp.dynamic(), sched).0;
             qp.check(out).expect("device QP matches linalg-ref");
             assert_eq!(
                 out.iterations(),
@@ -150,13 +180,11 @@ fn main() {
     // ---- Scene 2: IPDDP fleet, policies + cluster parity. ----------------
     let fleet = IpddpFleet::demo();
     let mut fleet_base: Option<Vec<Vec<KernelReport>>> = None;
-    let mut fleet_rounds = 0usize;
+    let mut fleet_rounds = 0u64;
     for (sched, sched_name) in POLICIES {
         let mut svc: LacService<DdpJob> = LacService::new(ChipConfig::new(4, LacConfig::default()));
         let t = svc.add_tenant(TenantConfig::new("ddp"));
-        let run =
-            run_dynamic(&mut svc, vec![(t, fleet.dynamic())], sched).expect("dynamic fleet run");
-        let out = &run.outcomes[0];
+        let (ref out, rounds) = solve(&mut svc, t, fleet.dynamic(), sched);
         fleet.check(out).expect("device fleet matches linalg-ref");
         match &fleet_base {
             None => fleet_base = Some(out.segments.clone()),
@@ -165,7 +193,7 @@ fn main() {
                 "{sched_name}: fleet outputs changed with scheduling"
             ),
         }
-        fleet_rounds = run.rounds;
+        fleet_rounds = rounds;
         // The fleet drains: the last sweep's segment is smaller than the
         // first (members converge non-uniformly).
         let first = out.segments.first().map(Vec::len).unwrap_or(0);
@@ -202,26 +230,21 @@ fn main() {
             ChipConfig::new(2, LacConfig::default()),
         ));
         let t = cluster.add_tenant(TenantConfig::new("ddp"));
-        let run = run_dynamic(
-            &mut cluster,
-            vec![(t, fleet.dynamic())],
-            Scheduler::FairShare,
-        )
-        .expect("cluster fleet run");
+        let (out, rounds) = solve(&mut cluster, t, fleet.dynamic(), Scheduler::FairShare);
         assert_eq!(
-            Some(&run.outcomes[0].segments),
+            Some(&out.segments),
             fleet_base.as_ref(),
             "cluster and service dynamic runs must agree bitwise"
         );
-        assert_eq!(run.rounds, fleet_rounds, "same segment count, same rounds");
+        assert_eq!(rounds, fleet_rounds, "same segment count, same rounds");
         let clock = cluster.session().clock_cycles;
         rows.push(vec![
             "ipddp-cluster".into(),
             "2x2".into(),
             "fair-share".into(),
-            format!("{}", run.outcomes[0].iterations()),
-            format!("{}", run.outcomes[0].jobs),
-            format!("{}", run.outcomes[0].appended_cost),
+            format!("{}", out.iterations()),
+            format!("{}", out.jobs),
+            format!("{}", out.appended_cost),
             format!("{clock}"),
         ]);
         points.push(Json::obj([
@@ -229,7 +252,7 @@ fn main() {
             ("chips", Json::from(2usize)),
             ("cores", Json::from(2usize)),
             ("policy", Json::from("fair-share")),
-            ("sweeps", Json::from(run.outcomes[0].iterations())),
+            ("sweeps", Json::from(out.iterations())),
             ("clock_cycles", Json::from(clock)),
         ]));
     }

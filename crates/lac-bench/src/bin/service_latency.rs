@@ -5,7 +5,7 @@
 //! Requests are minted by `lac_kernels::SolverStream` — every arrival is
 //! one small interior-point factorization chain (CHOL → TRSM fan-out →
 //! SYRK) with operands salted by `(tenant, index)` — and replayed by
-//! `lac_traffic::run_open_loop` against a `LacCluster` from a seeded
+//! `lac_traffic::run_open_loop_dynamic` against a `LacCluster` from a seeded
 //! Poisson `ArrivalTrace`. Load is expressed relative to one chip's
 //! capacity: `2.0x` offers twice what a single chip can serve, so its
 //! queue (and tail) grows with the trace while four chips stay ahead.
@@ -30,11 +30,15 @@ use lac_bench::json::Json;
 use lac_bench::{emit_json, f, json_mode, table};
 use lac_kernels::{KernelReport, SolverJob, SolverLoopParams, SolverStream};
 use lac_sim::{
-    ChipConfig, ClusterConfig, LacChip, LacCluster, LacConfig, Scheduler, TenantConfig, TenantId,
+    ChipConfig, ClusterConfig, DynamicGraph, LacChip, LacCluster, LacConfig, Scheduler,
+    TenantConfig, TenantId,
 };
 use lac_traffic::{
-    run_open_loop, Arrival, ArrivalProcess, ArrivalTrace, OpenLoopConfig, OpenLoopReport,
+    run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, DynamicOpenLoopReport,
+    OpenLoopConfig,
 };
+
+type Report = DynamicOpenLoopReport<KernelReport>;
 
 const CORES_PER_CHIP: usize = 2;
 const CHIPS_SWEEP: [usize; 3] = [1, 2, 4];
@@ -83,7 +87,7 @@ fn replay(
     trace: &ArrivalTrace,
     slo_boost: bool,
     max_round_cost: Option<u64>,
-) -> OpenLoopReport<KernelReport> {
+) -> Report {
     let (mut c, ids) = cluster(chips, configs);
     let s = stream();
     let cfg = OpenLoopConfig {
@@ -91,11 +95,11 @@ fn replay(
         slo_boost,
         max_round_cost,
     };
-    let report = run_open_loop(
+    let report = run_open_loop_dynamic(
         &mut c,
         trace,
         &ids,
-        |a: &Arrival| s.request(a.tenant, a.index).graph().graph,
+        |a: &Arrival| DynamicGraph::fixed(s.request(a.tenant, a.index).graph().graph),
         cfg,
     )
     .expect("hazard-free open-loop replay");
@@ -104,22 +108,22 @@ fn replay(
 }
 
 /// Every request's outputs against its own independent reference chain.
-fn check_outputs(report: &OpenLoopReport<KernelReport>) {
+fn check_outputs(report: &Report) {
     let s = stream();
     for c in &report.completed {
         s.request(c.arrival.tenant, c.arrival.index)
-            .check_graph(&c.outputs)
+            .check_graph(&c.outcome.segments[0])
             .expect("streamed outputs match linalg-ref");
     }
 }
 
 /// Outputs keyed by request identity — the bit-equality projection
 /// (latencies legitimately differ across policies; outputs never do).
-fn output_bits(report: &OpenLoopReport<KernelReport>) -> Vec<(Arrival, Vec<KernelReport>)> {
+fn output_bits(report: &Report) -> Vec<(Arrival, Vec<Vec<KernelReport>>)> {
     let mut v: Vec<_> = report
         .completed
         .iter()
-        .map(|c| (c.arrival, c.outputs.clone()))
+        .map(|c| (c.arrival, c.outcome.segments.clone()))
         .collect();
     v.sort_by_key(|(a, _)| (a.tenant, a.index));
     v

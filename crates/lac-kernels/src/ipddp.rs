@@ -658,8 +658,24 @@ impl ChipJob for DdpJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_sim::dynamic::run_dynamic;
     use lac_sim::{ChipConfig, LacConfig, LacService, Scheduler, TenantConfig};
+    use lac_traffic::{run_open_loop_dynamic, ArrivalTrace, OpenLoopConfig};
+
+    /// Serve the fleet to convergence on a fresh `cores`-core service, as
+    /// a closed batch of one.
+    fn solve(fleet: &IpddpFleet, cores: usize, sched: Scheduler) -> DynamicOutcome<KernelReport> {
+        let mut svc: LacService<DdpJob> =
+            LacService::new(ChipConfig::new(cores, LacConfig::default()));
+        let t = svc.add_tenant(TenantConfig::new("ddp"));
+        let cfg = OpenLoopConfig {
+            sched,
+            ..OpenLoopConfig::default()
+        };
+        let batch = ArrivalTrace::batch(&[1]);
+        let mut report =
+            run_open_loop_dynamic(&mut svc, &batch, &[t], |_| fleet.dynamic(), cfg).unwrap();
+        report.completed.remove(0).outcome
+    }
 
     #[test]
     fn reference_members_converge_non_uniformly() {
@@ -683,11 +699,8 @@ mod tests {
             horizon: 8,
             ..IpddpParams::default()
         });
-        let mut svc: LacService<DdpJob> = LacService::new(ChipConfig::new(3, LacConfig::default()));
-        let t = svc.add_tenant(TenantConfig::new("ddp"));
-        let run = run_dynamic(&mut svc, vec![(t, fleet.dynamic())], Scheduler::FairShare).unwrap();
-        fleet.check(&run.outcomes[0]).unwrap();
-        let out = &run.outcomes[0];
+        let out = &solve(&fleet, 3, Scheduler::FairShare);
+        fleet.check(out).unwrap();
         assert!(out.iterations() >= 5);
         // Segments shrink as members converge: the last sweep holds
         // fewer jobs than the first.
@@ -709,18 +722,9 @@ mod tests {
             Scheduler::LeastLoaded,
             Scheduler::FairShare,
         ] {
-            let mut svc: LacService<DdpJob> =
-                LacService::new(ChipConfig::new(2, LacConfig::default()));
-            let t = svc.add_tenant(TenantConfig::new("ddp"));
-            let run = run_dynamic(&mut svc, vec![(t, fleet.dynamic())], sched).unwrap();
-            fleet.check(&run.outcomes[0]).unwrap();
-            shapes.push(
-                run.outcomes[0]
-                    .segments
-                    .iter()
-                    .map(|s| s.len())
-                    .collect::<Vec<_>>(),
-            );
+            let out = solve(&fleet, 2, sched);
+            fleet.check(&out).unwrap();
+            shapes.push(out.segments.iter().map(|s| s.len()).collect::<Vec<_>>());
         }
         assert!(shapes.windows(2).all(|s| s[0] == s[1]), "{shapes:?}");
     }

@@ -354,8 +354,8 @@ impl IppmmWorkload {
     /// The solve as a dynamic request: the initial iteration's segment
     /// plus the continuation that appends one segment per iteration until
     /// the closing job's [`Details::Ipm`] output says converged (or the
-    /// iteration cap is hit). Submit through
-    /// [`lac_sim::dynamic::run_dynamic`] or the open-loop dynamic driver.
+    /// iteration cap is hit). Serve it with `lac_traffic`'s
+    /// `run_open_loop_dynamic`.
     pub fn dynamic(&self) -> DynamicGraph<IpmJob> {
         let problem = Arc::new(self.problem());
         let n = problem.n;
@@ -721,8 +721,29 @@ impl ChipJob for IpmJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_sim::dynamic::run_dynamic;
     use lac_sim::{ChipConfig, LacConfig, LacService, Scheduler, TenantConfig};
+    use lac_traffic::{run_open_loop_dynamic, ArrivalTrace, OpenLoopConfig};
+
+    /// Serve one solve to convergence on a fresh `cores`-core service, as
+    /// a closed batch of one.
+    fn solve(w: &IppmmWorkload, cores: usize, sched: Scheduler) -> DynamicOutcome<KernelReport> {
+        let mut svc: LacService<IpmJob> =
+            LacService::new(ChipConfig::new(cores, LacConfig::default()));
+        let t = svc.add_tenant(TenantConfig::new("qp"));
+        let cfg = OpenLoopConfig {
+            sched,
+            ..OpenLoopConfig::default()
+        };
+        let mut report = run_open_loop_dynamic(
+            &mut svc,
+            &ArrivalTrace::batch(&[1]),
+            &[t],
+            |_| w.dynamic(),
+            cfg,
+        )
+        .unwrap();
+        report.completed.remove(0).outcome
+    }
 
     #[test]
     fn reference_converges_to_the_planted_kkt_point() {
@@ -745,10 +766,7 @@ mod tests {
     #[test]
     fn dynamic_solve_converges_and_checks_out() {
         let w = IppmmWorkload::demo();
-        let mut svc: LacService<IpmJob> = LacService::new(ChipConfig::new(2, LacConfig::default()));
-        let t = svc.add_tenant(TenantConfig::new("qp"));
-        let run = run_dynamic(&mut svc, vec![(t, w.dynamic())], Scheduler::FairShare).unwrap();
-        let out = &run.outcomes[0];
+        let out = &solve(&w, 2, Scheduler::FairShare);
         w.check(out).unwrap();
         assert!(out.iterations() >= 5, "convergence took real iterations");
         assert!(out.iterations() < w.params.max_iters);
@@ -770,13 +788,10 @@ mod tests {
             Scheduler::CriticalPath,
             Scheduler::FairShare,
         ] {
-            let mut svc: LacService<IpmJob> =
-                LacService::new(ChipConfig::new(3, LacConfig::default()));
-            let t = svc.add_tenant(TenantConfig::new("qp"));
-            let run = run_dynamic(&mut svc, vec![(t, w.dynamic())], sched).unwrap();
-            w.check(&run.outcomes[0]).unwrap();
-            counts.push(run.outcomes[0].iterations());
-            outputs.push(run.outcomes[0].segments.clone());
+            let out = solve(&w, 3, sched);
+            w.check(&out).unwrap();
+            counts.push(out.iterations());
+            outputs.push(out.segments);
         }
         assert!(counts.windows(2).all(|c| c[0] == c[1]), "{counts:?}");
         assert!(

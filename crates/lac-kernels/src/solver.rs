@@ -636,7 +636,7 @@ impl SolverFleet {
 }
 
 /// A streaming solver client for the open-loop traffic layer
-/// (`lac_traffic::run_open_loop`): every arrival becomes one small,
+/// (`lac_traffic::run_open_loop_dynamic`): every arrival becomes one small,
 /// independently-salted solver chain.
 ///
 /// Where [`SolverFleet`] fuses many loops into *one* closed-loop

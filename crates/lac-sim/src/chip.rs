@@ -33,11 +33,11 @@
 
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
+use crate::coord::{coordinate, CoordRun, Hints, SimMode, Topology, Workers};
 use crate::engine::LacEngine;
 use crate::error::SimError;
-use crate::event::{drive_event_graph, SimMode};
 use crate::isa::Program;
-use crate::service::{drive, plan_wave, run_one, Done, GraphRun, JobGraph};
+use crate::service::{plan_wave, GraphRun, JobGraph};
 use crate::stats::ExecStats;
 
 /// One unit of schedulable work: a job knows how to run itself on a core's
@@ -208,7 +208,7 @@ pub struct ChipConfig {
     pub mem_words_per_core: Option<usize>,
     /// Which coordinator drives graph runs: lock-step waves (the
     /// default, the compatibility mode) or the discrete-event core (see
-    /// [`crate::event`]). Outputs are bit-identical either way; clocks
+    /// [`crate::coord`]). Outputs are bit-identical either way; clocks
     /// may differ.
     pub sim_mode: SimMode,
 }
@@ -236,6 +236,11 @@ impl ChipConfig {
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
         self.sim_mode = mode;
         self
+    }
+
+    /// The chip as a coordinator topology: one chip, no links.
+    pub(crate) fn topology(&self) -> Topology {
+        Topology::chip(self.cores, self.sim_mode)
     }
 
     /// Shard `core`'s share of the budget, if one is set: `total / cores`
@@ -471,52 +476,15 @@ impl LacChip {
         graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
-        let cores = self.shards.len();
-        let mode = self.cfg.sim_mode;
-        let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
-        let abort = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<Done<J::Output>>();
-            let mut txs = Vec::with_capacity(cores);
-            for (core, eng) in self.shards.iter_mut().enumerate() {
-                let (tx, rx) = std::sync::mpsc::channel::<usize>();
-                txs.push(tx);
-                let done_tx = done_tx.clone();
-                let abort = &abort;
-                scope.spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let outcome = run_one(eng, &graph.jobs[job], abort);
-                        if done_tx.send(Done { core, job, outcome }).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            let dispatch = |core: usize, job| txs[core].send(job).expect("chip worker hung up");
-            let collect = || done_rx.recv().expect("chip worker hung up");
-            match mode {
-                SimMode::Wave => drive(
-                    &costs,
-                    &graph.parents,
-                    &graph.children,
-                    sched,
-                    cores,
-                    dispatch,
-                    collect,
-                ),
-                SimMode::Event => drive_event_graph(
-                    &costs,
-                    &graph.parents,
-                    &graph.children,
-                    sched,
-                    cores,
-                    dispatch,
-                    collect,
-                ),
-            }
-            // `txs` drop here, closing the submission channels; the scoped
-            // workers drain and exit, and the scope joins them.
-        })
+        let hints = Hints::of(graph);
+        let shards = self.shards.iter_mut().collect();
+        coordinate(
+            &self.cfg.topology(),
+            hints.plan(graph, sched),
+            &mut [false],
+            Workers::Scoped(shards, &|job| &graph.jobs[job]),
+        )
+        .map(CoordRun::into_graph_run)
     }
 }
 

@@ -31,7 +31,7 @@
 //!   — which is what keeps cluster runs reproducible bit-for-bit.
 //! * **[`LacCluster`]** — owns the chips and coordinates execution with
 //!   the same deterministic wave machinery as the chip/service layers
-//!   ([`plan_wave`] per chip per wave), plus
+//!   ([`crate::plan_wave`] per chip per wave), plus
 //!   transfer-aware readiness: a child whose parent completed on another
 //!   chip becomes ready only after the modeled transfer elapses on the
 //!   simulated clock. When every core would idle waiting on a link, the
@@ -59,17 +59,15 @@
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, LacChip, Scheduler};
 use crate::compile::ProgramCache;
+use crate::coord::{coordinate, CoordRun, Hints, Plan, SimMode, Topology, Workers};
 use crate::error::{HazardKind, SimError};
-use crate::event::{drive_event, EventRun, EventTopology, SimMode};
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::service::{
-    admit, cap_banked_credit, collect_wave, critical_paths, drain_inflight, plan_wave,
-    plan_wave_tenanted_slo, run_one, settle_round, Done, FusedPool, GraphCompletion, GraphTicket,
-    JobGraph, JobId, PendingGraph, Rejected, TenantConfig, TenantDelta, TenantId, TenantSession,
+    admit, drain_inflight, settle_round, FusedPool, GraphCompletion, GraphTicket, JobGraph, JobId,
+    PendingGraph, Rejected, TenantConfig, TenantId, TenantSession,
 };
 use crate::stats::ExecStats;
-use crate::trace::{EventLog, TraceEvent};
-use std::sync::atomic::AtomicBool;
+use crate::trace::EventLog;
 
 /// Static configuration of a cluster: N chips plus the inter-chip link
 /// model.
@@ -88,7 +86,7 @@ pub struct ClusterConfig {
     pub hop_latency_cycles: u64,
     /// Which coordinator drives cluster runs: lock-step waves (the
     /// default, the compatibility mode) or the discrete-event core (see
-    /// [`crate::event`]), which overlaps cut-edge transfers with compute
+    /// [`crate::coord`]), which overlaps cut-edge transfers with compute
     /// and models per-link contention. Outputs are bit-identical either
     /// way; clocks may differ.
     pub sim_mode: SimMode,
@@ -137,6 +135,17 @@ impl ClusterConfig {
     /// `hop_latency + ⌈words / link_bandwidth⌉` cycles.
     pub fn transfer_cycles(&self, words: u64) -> u64 {
         self.hop_latency_cycles + words.div_ceil(self.link_words_per_cycle.max(1))
+    }
+
+    /// The cluster as a coordinator topology: its chips' core counts plus
+    /// the link model.
+    pub(crate) fn topology(&self) -> Topology {
+        Topology {
+            cores_per_chip: self.chips.iter().map(|c| c.cores).collect(),
+            link_words_per_cycle: self.link_words_per_cycle,
+            hop_latency_cycles: self.hop_latency_cycles,
+            mode: self.sim_mode,
+        }
     }
 }
 
@@ -400,6 +409,9 @@ pub struct ClusterRound<T> {
     /// `wave_end_cycles[max(wave_of)]` past the round's start — the
     /// sojourn-time anchor the open-loop traffic layer reads.
     pub wave_end_cycles: Vec<u64>,
+    /// Per chip, per core: simulated cycles spent idle (see
+    /// [`ClusterRun::idle_per_core`]).
+    pub idle_per_core: Vec<Vec<u64>>,
     /// Every cross-chip payload movement of the round.
     pub transfers: Vec<Transfer>,
     /// Per-chip and cluster-wide meters.
@@ -423,571 +435,6 @@ pub struct ClusterSession {
     pub transferred_words: u64,
     /// Modeled link cycles charged over the lifetime.
     pub transfer_cycles: u64,
-}
-
-/// What the tenant-aware cluster coordinator hands back to the public
-/// doors.
-struct ClusterMultiRun<T> {
-    outputs: Vec<T>,
-    assignment: Vec<(usize, usize)>,
-    wave_of: Vec<usize>,
-    waves: usize,
-    wave_ends: Vec<u64>,
-    idle_per_core: Vec<Vec<u64>>,
-    transfers: Vec<Transfer>,
-    stats: ClusterStats,
-    per_tenant: Vec<TenantDelta>,
-    events: EventLog,
-}
-
-/// Apply every scheduled fault whose tick is due by `base + clock` (see
-/// [`FaultPlan`] for the fault model): mark the chip dead, revoke the
-/// jobs it completed in the wave that just retired (`wave_completed`),
-/// and requeue every uncompleted job it owned onto the surviving chips —
-/// least remaining load first (ties to the lower chip index), jobs in id
-/// order. A requeued job whose parent completed *in an earlier wave* on
-/// a different chip pays one fresh modeled transfer to move the parent's
-/// durable output to its new home; parents completing in the current
-/// wave charge their edge through the normal release path afterwards,
-/// against the updated placement, so no edge is ever double-charged.
-///
-/// Called at wave boundaries only (after a wave's collection, at the top
-/// of the loop after a fast-forward, and before the first wave), which
-/// is what keeps fault handling bit-deterministic. Errors with
-/// [`HazardKind::AllChipsDead`] when a kill leaves no survivor.
-#[allow(clippy::too_many_arguments)] // the fault's full requeue context
-fn apply_due_faults<T>(
-    cfg: &ClusterConfig,
-    faults: &[FaultEvent],
-    applied: &mut [bool],
-    dead: &mut [bool],
-    base: u64,
-    clock: u64,
-    chip_of: &mut [usize],
-    costs: &[u64],
-    transfer_words: &[u64],
-    parents: &[Vec<usize>],
-    completed_mask: &[bool],
-    assignment: &[(usize, usize)],
-    in_wave: &mut [bool],
-    outputs: &mut [Option<T>],
-    wave_completed: &mut Vec<usize>,
-    ready_at: &mut [u64],
-    transfers: &mut Vec<Transfer>,
-    transferred_words: &mut u64,
-    transfer_cycles: &mut u64,
-    wave_events_start: usize,
-    events: &mut EventLog,
-) -> Result<(), SimError> {
-    let n = costs.len();
-    let chips = dead.len();
-    for (i, f) in faults.iter().enumerate() {
-        if f.tick > base + clock {
-            break; // sorted by tick: nothing further is due
-        }
-        if applied[i] {
-            continue;
-        }
-        applied[i] = true;
-        if dead[f.chip] {
-            continue; // killing a dead chip is a no-op
-        }
-        dead[f.chip] = true;
-        events.push(TraceEvent::Fault {
-            chip: f.chip,
-            tick: clock,
-        });
-        if dead.iter().all(|&d| d) {
-            return Err(SimError {
-                cycle: (base + clock) as usize,
-                pe: None,
-                kind: HazardKind::AllChipsDead { chips },
-            });
-        }
-        // Revoke the dying chip's in-flight wave: the work ran (and
-        // stays metered — the energy was burned) but its outputs are
-        // discarded and its children are not released.
-        wave_completed.retain(|&j| {
-            if assignment[j].0 != f.chip {
-                return true;
-            }
-            outputs[j] = None;
-            // The planner leaves dispatched jobs in `pending` until the
-            // end-of-wave sweep removes the `in_wave` ones — clearing the
-            // flag keeps the revoked job queued without duplicating it.
-            in_wave[j] = false;
-            for ev in events.events_mut()[wave_events_start..].iter_mut() {
-                if let TraceEvent::Job { job, discarded, .. } = ev {
-                    if *job == j {
-                        *discarded = true;
-                    }
-                }
-            }
-            false
-        });
-        // Requeue every uncompleted job off the dead chip, balancing by
-        // remaining cost over the survivors.
-        let mut load = vec![0u64; chips];
-        for j in 0..n {
-            if outputs[j].is_none() && !dead[chip_of[j]] {
-                load[chip_of[j]] += costs[j].max(1);
-            }
-        }
-        for j in 0..n {
-            if chip_of[j] != f.chip || outputs[j].is_some() {
-                continue;
-            }
-            let target = (0..chips)
-                .filter(|&c| !dead[c])
-                .min_by_key(|&c| (load[c], c))
-                .expect("a survivor exists");
-            load[target] += costs[j].max(1);
-            chip_of[j] = target;
-            events.push(TraceEvent::Requeue {
-                job: j,
-                from_chip: f.chip,
-                to_chip: target,
-                tick: clock,
-            });
-            // Completed parents' outputs are durable (the coordinator's
-            // results store); moving one to the job's new home costs one
-            // fresh hop when they sit on different chips.
-            for &p in &parents[j] {
-                if completed_mask[p] && chip_of[p] != target {
-                    let words = transfer_words[p].max(1);
-                    let cycles = cfg.transfer_cycles(words);
-                    transfers.push(Transfer {
-                        parent: JobId::from_index(p),
-                        child: JobId::from_index(j),
-                        from_chip: chip_of[p],
-                        to_chip: target,
-                        words,
-                        cycles,
-                    });
-                    *transferred_words += words;
-                    *transfer_cycles += cycles;
-                    ready_at[j] = ready_at[j].max(clock + cycles);
-                    events.push(TraceEvent::Transfer {
-                        parent: p,
-                        child: j,
-                        from_chip: chip_of[p],
-                        to_chip: target,
-                        words,
-                        start: clock,
-                        end: clock + cycles,
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The deterministic cluster coordinator: per wave, plan each chip's
-/// ready jobs with the chip's own core count, dispatch, collect, advance
-/// the shared simulated clock by the slowest bucket anywhere, then
-/// release children — delaying any child whose parent ran on another chip
-/// by the modeled transfer. A wave with no ready jobs but pending
-/// transfers fast-forwards the clock to the next arrival (a transfer
-/// stall). Everything is planned from cost hints, the partition and the
-/// transfer model, so runs are bit-identical across reruns and host
-/// interleavings; with one chip and no cut edges this is exactly the
-/// single-chip wave loop.
-///
-/// Fault injection: `faults` (kills on the session clock, `base` =
-/// session clock at run start) is honored at wave boundaries through
-/// [`apply_due_faults`] — `chip_of` and `dead` are updated in place as
-/// chips die and their jobs requeue. The run's [`EventLog`] records job
-/// spans, transfers, faults, requeues and idle fast-forwards, all on the
-/// run-relative simulated clock.
-#[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
-fn drive_cluster<T>(
-    cfg: &ClusterConfig,
-    costs: &[u64],
-    transfer_words: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    chip_of: &mut [usize],
-    dead: &mut [bool],
-    faults: &[FaultEvent],
-    base: u64,
-    tenant_of: &[usize],
-    weights: &[u64],
-    usage: &mut [u64],
-    boost: &[u64],
-    sched: Scheduler,
-    mut dispatch: impl FnMut(usize, usize),
-    mut collect: impl FnMut() -> Done<T>,
-) -> Result<ClusterMultiRun<T>, SimError> {
-    let n = costs.len();
-    let chips = cfg.chips.len();
-    let cores_per_chip: Vec<usize> = cfg.chips.iter().map(|c| c.cores).collect();
-    // Global core index = chip_base[chip] + core-within-chip.
-    let mut chip_base = vec![0usize; chips];
-    for c in 1..chips {
-        chip_base[c] = chip_base[c - 1] + cores_per_chip[c - 1];
-    }
-    let total_cores = cfg.total_cores();
-
-    let priority = critical_paths(costs, children);
-    let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
-    // Jobs whose parents all completed, waiting for `ready_at` (transfer
-    // arrival) and a planner slot. Kept sorted by job id.
-    let mut pending: Vec<usize> = (0..n).filter(|&j| indegree[j] == 0).collect();
-    let mut ready_at = vec![0u64; n];
-
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut assignment = vec![(0usize, 0usize); n];
-    let mut wave_of = vec![0usize; n];
-    let mut dispatch_slot = vec![(0usize, 0usize); n]; // (global core, bucket position)
-    let mut per_core = vec![ExecStats::default(); total_cores];
-    let mut jobs_per_core = vec![0u64; total_cores];
-    let mut idle_per_core = vec![0u64; total_cores];
-    let mut per_tenant = vec![TenantDelta::default(); weights.len()];
-    let mut job_cycles = vec![0u64; n];
-    let mut in_wave = vec![false; n];
-    let mut completed_mask = vec![false; n];
-    let mut applied = vec![false; faults.len()];
-    let mut transfers: Vec<Transfer> = Vec::new();
-    let mut transferred_words = 0u64;
-    let mut transfer_cycles = 0u64;
-    let mut transfer_stall_cycles = 0u64;
-    let mut clock = 0u64;
-    let mut waves = 0usize;
-    let mut wave_ends: Vec<u64> = Vec::new();
-    let mut events = EventLog::new();
-
-    while !pending.is_empty() {
-        // Faults due before any wave runs (at run start, or during a
-        // fast-forward gap) fire here; nothing is in flight, so there is
-        // nothing to revoke.
-        let mut no_wave: Vec<usize> = Vec::new();
-        apply_due_faults(
-            cfg,
-            faults,
-            &mut applied,
-            dead,
-            base,
-            clock,
-            chip_of,
-            costs,
-            transfer_words,
-            parents,
-            &completed_mask,
-            &assignment,
-            &mut in_wave,
-            &mut outputs,
-            &mut no_wave,
-            &mut ready_at,
-            &mut transfers,
-            &mut transferred_words,
-            &mut transfer_cycles,
-            events.len(),
-            &mut events,
-        )?;
-
-        let ready: Vec<usize> = pending
-            .iter()
-            .copied()
-            .filter(|&j| ready_at[j] <= clock)
-            .collect();
-        if ready.is_empty() {
-            // Every pending job is waiting on an in-flight transfer:
-            // fast-forward to the earliest arrival — clamped to the next
-            // scheduled fault, so a kill falling inside the gap still
-            // fires at its own tick. The whole cluster idles through.
-            let next_ready = pending.iter().map(|&j| ready_at[j]).min().unwrap();
-            let next_fault = faults
-                .iter()
-                .zip(applied.iter())
-                .filter(|(f, &a)| !a && !dead[f.chip] && f.tick > base + clock)
-                .map(|(f, _)| f.tick - base)
-                .min();
-            let next = next_fault.map_or(next_ready, |ft| next_ready.min(ft));
-            let gap = next - clock;
-            for idle in idle_per_core.iter_mut() {
-                *idle += gap;
-            }
-            transfer_stall_cycles += gap;
-            events.push(TraceEvent::IdleFastForward {
-                start: clock,
-                end: next,
-            });
-            clock = next;
-            continue;
-        }
-
-        // Plan chip by chip in chip order; FairShare usage is charged as
-        // each chip's buckets are fixed, so later chips see earlier
-        // chips' picks — one global deficit account, deterministically.
-        in_wave.iter_mut().for_each(|w| *w = false);
-        let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); total_cores];
-        let mut dispatched = 0usize;
-        for chip in 0..chips {
-            if dead[chip] {
-                continue; // requeue keeps dead chips out of chip_of too
-            }
-            let chip_ready: Vec<usize> = ready
-                .iter()
-                .copied()
-                .filter(|&j| chip_of[j] == chip)
-                .collect();
-            if chip_ready.is_empty() {
-                continue;
-            }
-            let buckets = match sched {
-                Scheduler::FairShare => plan_wave_tenanted_slo(
-                    &chip_ready,
-                    costs,
-                    &priority,
-                    tenant_of,
-                    usage,
-                    weights,
-                    boost,
-                    cores_per_chip[chip],
-                ),
-                _ => plan_wave(sched, &chip_ready, costs, &priority, cores_per_chip[chip]),
-            };
-            for (core, bucket) in buckets.iter().enumerate() {
-                let g = chip_base[chip] + core;
-                for (pos, &j) in bucket.iter().enumerate() {
-                    assignment[j] = (chip, core);
-                    wave_of[j] = waves;
-                    in_wave[j] = true;
-                    dispatch_slot[j] = (g, pos);
-                    by_core[g].push(j);
-                    let t = tenant_of[j];
-                    per_tenant[t].wait_cycles += clock - ready_at[j];
-                    per_tenant[t].cost_dispatched += costs[j].max(1);
-                    usage[t] += costs[j].max(1);
-                    dispatch(g, j);
-                    dispatched += 1;
-                }
-            }
-        }
-        waves += 1;
-        let wave_start = clock;
-
-        let mut wave_cycles = vec![0u64; total_cores];
-        // Same failure and metering semantics as `drive_multi`, by
-        // construction: both coordinators collect through the shared
-        // `collect_wave` (cores indexed globally here).
-        let mut completed = collect_wave(
-            dispatched,
-            &mut collect,
-            &dispatch_slot,
-            tenant_of,
-            &mut wave_cycles,
-            &mut per_core,
-            &mut jobs_per_core,
-            &mut per_tenant,
-            &mut outputs,
-            &mut job_cycles,
-        )?;
-
-        let span = wave_cycles.iter().copied().max().unwrap_or(0);
-        for c in 0..total_cores {
-            idle_per_core[c] += span - wave_cycles[c];
-        }
-        clock += span;
-        wave_ends.push(clock);
-
-        // Log the wave's job spans: a core runs its bucket in position
-        // order, so starts are prefix sums of the per-job busy cycles.
-        let wave_events_start = events.len();
-        for bucket in &by_core {
-            let mut t = wave_start;
-            for &j in bucket {
-                let (chip, core) = assignment[j];
-                events.push(TraceEvent::Job {
-                    job: j,
-                    tenant: tenant_of[j],
-                    chip,
-                    core,
-                    start: t,
-                    end: t + job_cycles[j],
-                    discarded: false,
-                });
-                t += job_cycles[j];
-            }
-        }
-
-        // A kill whose tick fell inside this wave fires now, at the
-        // boundary: it discards the dying chip's slice of the wave and
-        // requeues its jobs before any child is released.
-        apply_due_faults(
-            cfg,
-            faults,
-            &mut applied,
-            dead,
-            base,
-            clock,
-            chip_of,
-            costs,
-            transfer_words,
-            parents,
-            &completed_mask,
-            &assignment,
-            &mut in_wave,
-            &mut outputs,
-            &mut completed,
-            &mut ready_at,
-            &mut transfers,
-            &mut transferred_words,
-            &mut transfer_cycles,
-            wave_events_start,
-            &mut events,
-        )?;
-
-        // Release children; a cross-chip edge delays the child by the
-        // modeled transfer and records the charge (exactly once per cut
-        // edge on the fault-free path — a parent completes exactly once;
-        // requeues may re-charge an edge to the child's new home).
-        completed.sort_unstable();
-        for &j in &completed {
-            completed_mask[j] = true;
-            for &child in &children[j] {
-                let arrival = if chip_of[child] != chip_of[j] {
-                    let words = transfer_words[j].max(1);
-                    let cycles = cfg.transfer_cycles(words);
-                    transfers.push(Transfer {
-                        parent: JobId::from_index(j),
-                        child: JobId::from_index(child),
-                        from_chip: chip_of[j],
-                        to_chip: chip_of[child],
-                        words,
-                        cycles,
-                    });
-                    transferred_words += words;
-                    transfer_cycles += cycles;
-                    events.push(TraceEvent::Transfer {
-                        parent: j,
-                        child,
-                        from_chip: chip_of[j],
-                        to_chip: chip_of[child],
-                        words,
-                        start: clock,
-                        end: clock + cycles,
-                    });
-                    clock + cycles
-                } else {
-                    clock
-                };
-                ready_at[child] = ready_at[child].max(arrival);
-                indegree[child] -= 1;
-                if indegree[child] == 0 {
-                    pending.push(child);
-                }
-            }
-        }
-        // Undispatched ready jobs (the quantum-capped policy's backlog)
-        // stay pending; newly released children and fault-revoked jobs
-        // joined them above (revocation clears `in_wave`).
-        pending.retain(|&j| !in_wave[j]);
-        pending.sort_unstable();
-    }
-
-    let mut aggregate = ExecStats::default();
-    for s in &per_core {
-        aggregate.merge(s);
-    }
-    let outputs: Vec<T> = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
-        .collect();
-
-    let mut per_chip = Vec::with_capacity(chips);
-    let mut idle_nested = Vec::with_capacity(chips);
-    for chip in 0..chips {
-        let range = chip_base[chip]..chip_base[chip] + cores_per_chip[chip];
-        let chip_cores: Vec<ExecStats> = per_core[range.clone()].to_vec();
-        let mut chip_aggregate = ExecStats::default();
-        for s in &chip_cores {
-            chip_aggregate.merge(s);
-        }
-        per_chip.push(ChipStats {
-            per_core: chip_cores,
-            jobs_per_core: jobs_per_core[range.clone()].to_vec(),
-            makespan_cycles: clock,
-            aggregate: chip_aggregate,
-        });
-        idle_nested.push(idle_per_core[range].to_vec());
-    }
-
-    Ok(ClusterMultiRun {
-        outputs,
-        assignment,
-        wave_of,
-        waves,
-        wave_ends,
-        idle_per_core: idle_nested,
-        transfers,
-        stats: ClusterStats {
-            per_chip,
-            makespan_cycles: clock,
-            transferred_words,
-            transfer_cycles,
-            transfer_stall_cycles,
-            aggregate,
-        },
-        per_tenant,
-        events,
-    })
-}
-
-/// Package an event-mode run into the shape the cluster doors consume:
-/// split the flat per-core stats back into per-chip [`ChipStats`] (every
-/// chip reports the cluster makespan, exactly like wave mode), and read
-/// the sorted distinct completion ticks as the wave clock. Event-mode
-/// `transfer_stall_cycles` are the all-cores-idle gaps the heap hopped
-/// over; per core, `busy + idle + stall = makespan`.
-fn package_event_run<T>(cfg: &ClusterConfig, run: EventRun<T>) -> ClusterMultiRun<T> {
-    let chips = cfg.chips.len();
-    let mut chip_base = vec![0usize; chips];
-    for c in 1..chips {
-        chip_base[c] = chip_base[c - 1] + cfg.chips[c - 1].cores;
-    }
-    let mut aggregate = ExecStats::default();
-    for s in &run.per_core {
-        aggregate.merge(s);
-    }
-    let mut per_chip = Vec::with_capacity(chips);
-    let mut idle_nested = Vec::with_capacity(chips);
-    for (chip, &base) in chip_base.iter().enumerate() {
-        let range = base..base + cfg.chips[chip].cores;
-        let chip_cores: Vec<ExecStats> = run.per_core[range.clone()].to_vec();
-        let mut chip_aggregate = ExecStats::default();
-        for s in &chip_cores {
-            chip_aggregate.merge(s);
-        }
-        per_chip.push(ChipStats {
-            per_core: chip_cores,
-            jobs_per_core: run.jobs_per_core[range.clone()].to_vec(),
-            makespan_cycles: run.makespan,
-            aggregate: chip_aggregate,
-        });
-        idle_nested.push(run.idle_per_core[range].to_vec());
-    }
-    ClusterMultiRun {
-        outputs: run.outputs,
-        assignment: run.assignment,
-        wave_of: run.wave_of,
-        waves: run.wave_ends.len(),
-        wave_ends: run.wave_ends,
-        idle_per_core: idle_nested,
-        transfers: run.transfers,
-        stats: ClusterStats {
-            per_chip,
-            makespan_cycles: run.makespan,
-            transferred_words: run.transferred_words,
-            transfer_cycles: run.transfer_cycles,
-            transfer_stall_cycles: run.stall_cycles,
-            aggregate,
-        },
-        per_tenant: run.per_tenant,
-        events: run.events,
-    }
 }
 
 /// A multi-chip deployment: N [`LacChip`]s behind one deterministic
@@ -1113,9 +560,10 @@ impl<J: ChipJob> LacCluster<J> {
         self.dead.iter().filter(|&&d| !d).count()
     }
 
-    /// Partition over the *alive* chips only, then remap onto real chip
-    /// indices — a dead chip never receives new work. Errors with
-    /// [`HazardKind::AllChipsDead`] when no chip survives.
+    /// Partition `costs` (cost hints, zero counting as 1) over the *alive*
+    /// chips only, then remap onto real chip indices — a dead chip never
+    /// receives new work. Errors with [`HazardKind::AllChipsDead`] when no
+    /// chip survives to take a job.
     fn partition_alive(
         &self,
         costs: &[u64],
@@ -1124,13 +572,21 @@ impl<J: ChipJob> LacCluster<J> {
         let chips = self.chips.len();
         let alive: Vec<usize> = (0..chips).filter(|&c| !self.dead[c]).collect();
         if alive.is_empty() {
+            if costs.is_empty() {
+                return Ok(Partition {
+                    chip_of: Vec::new(),
+                    cut_edges: Vec::new(),
+                    chip_cost: vec![0; chips],
+                });
+            }
             return Err(SimError {
                 cycle: self.session.clock_cycles as usize,
                 pe: None,
                 kind: HazardKind::AllChipsDead { chips },
             });
         }
-        let part = partition_costs(self.partitioner, costs, parents, alive.len());
+        let costs: Vec<u64> = costs.iter().map(|&c| c.max(1)).collect();
+        let part = partition_costs(self.partitioner, &costs, parents, alive.len());
         if alive.len() == chips {
             return Ok(part);
         }
@@ -1192,42 +648,24 @@ impl<J: ChipJob> LacCluster<J> {
         graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<ClusterRun<J::Output>, SimError> {
-        let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
-        let transfer_words: Vec<u64> = graph.jobs.iter().map(|j| j.transfer_words()).collect();
-        let partition = self.partition_alive(
-            &costs.iter().map(|&c| c.max(1)).collect::<Vec<_>>(),
-            &graph.parents,
-        )?;
-        let tenant_of = vec![0usize; costs.len()];
-        let mut usage = [0u64];
-        let mut chip_of = partition.chip_of.clone();
-        let run = self.run_scoped(
-            |job| &graph.jobs[job],
-            &costs,
-            &transfer_words,
-            &graph.parents,
-            &graph.children,
-            &mut chip_of,
-            &tenant_of,
-            &[1],
-            &mut usage,
-            &[u64::MAX],
-            sched,
-        )?;
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += 1;
-        self.session.transferred_words += run.stats.transferred_words;
-        self.session.transfer_cycles += run.stats.transfer_cycles;
+        let hints = Hints::of(graph);
+        let plan = hints.plan(graph, sched);
+        let partition = self.partition_alive(plan.costs, plan.parents)?;
+        let plan = Plan {
+            chip_of: partition.chip_of.clone(),
+            ..plan
+        };
+        let (run, stats, idle_per_core) = self.run_plan(plan, 1, &|job| &graph.jobs[job])?;
         Ok(ClusterRun {
             outputs: run.outputs,
             partition,
             assignment: run.assignment,
             wave_of: run.wave_of,
-            waves: run.waves,
+            waves: run.wave_ends.len(),
             wave_end_cycles: run.wave_ends,
-            idle_per_core: run.idle_per_core,
+            idle_per_core,
             transfers: run.transfers,
-            stats: run.stats,
+            stats,
             events: run.events,
         })
     }
@@ -1313,212 +751,91 @@ impl<J: ChipJob> LacCluster<J> {
             self.tenants.len(),
             "one boost slack per registered tenant"
         );
-        let pending = std::mem::take(&mut self.pending);
-        let chips = self.chips.len();
-        if pending.is_empty() {
-            return Ok(ClusterRound {
-                graphs: Vec::new(),
-                partition: Partition {
-                    chip_of: Vec::new(),
-                    cut_edges: Vec::new(),
-                    chip_cost: vec![0; chips],
-                },
-                waves: 0,
-                wave_end_cycles: Vec::new(),
-                transfers: Vec::new(),
-                stats: ClusterStats {
-                    per_chip: self
-                        .cfg
-                        .chips
-                        .iter()
-                        .map(|c| ChipStats {
-                            per_core: vec![ExecStats::default(); c.cores],
-                            jobs_per_core: vec![0; c.cores],
-                            makespan_cycles: 0,
-                            aggregate: ExecStats::default(),
-                        })
-                        .collect(),
-                    makespan_cycles: 0,
-                    transferred_words: 0,
-                    transfer_cycles: 0,
-                    transfer_stall_cycles: 0,
-                    aggregate: ExecStats::default(),
-                },
-                events: EventLog::new(),
+        let pool = FusedPool::new(std::mem::take(&mut self.pending));
+        let (weights, usage) = pool.fair_share(&self.tenants);
+        let job_of = |job: usize| {
+            let (g, local) = pool.owner[job];
+            &pool.graphs[g].jobs[local]
+        };
+        let done = self
+            .partition_alive(&pool.costs, &pool.parents)
+            .and_then(|partition| {
+                let plan = Plan {
+                    chip_of: partition.chip_of.clone(),
+                    ..pool.plan(sched, &weights, boost, usage)
+                };
+                let graphs = pool.graphs.len() as u64;
+                Ok((partition, self.run_plan(plan, graphs, &job_of)?))
             });
-        }
-
-        let pool = FusedPool::new(pending);
-        let partition = match self.partition_alive(
-            &pool.costs.iter().map(|&c| c.max(1)).collect::<Vec<_>>(),
-            &pool.parents,
-        ) {
-            Ok(p) => p,
+        let (partition, (run, stats, idle_per_core)) = match done {
+            Ok(done) => done,
             Err(e) => {
                 drain_inflight(&mut self.tenants, &pool);
                 return Err(e);
             }
         };
-        let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
-        let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
-        cap_banked_credit(&mut usage, &weights, &pool.backlog(self.tenants.len()));
-
-        let mut chip_of = partition.chip_of.clone();
-        let run = self.run_scoped(
-            |job| {
-                let (g, local) = pool.owner[job];
-                &pool.graphs[g].jobs[local]
-            },
-            &pool.costs,
-            &pool.transfer_words,
-            &pool.parents,
-            &pool.children,
-            &mut chip_of,
-            &pool.tenant_of,
-            &weights,
-            &mut usage,
-            boost,
-            sched,
-        );
-        let run = match run {
-            Ok(run) => run,
-            Err(e) => {
-                drain_inflight(&mut self.tenants, &pool);
-                return Err(e);
-            }
-        };
-
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += pool.graphs.len() as u64;
-        self.session.transferred_words += run.stats.transferred_words;
-        self.session.transfer_cycles += run.stats.transfer_cycles;
         settle_round(&mut self.tenants, &pool, &run.per_tenant);
-
-        // Flatten (chip, core) to global core indices for the shared
-        // GraphCompletion shape.
-        let mut chip_base = vec![0usize; chips];
-        for c in 1..chips {
-            chip_base[c] = chip_base[c - 1] + self.cfg.chips[c - 1].cores;
-        }
-        let global: Vec<usize> = run
-            .assignment
-            .iter()
-            .map(|&(chip, core)| chip_base[chip] + core)
-            .collect();
-        let completions = pool.completions(run.outputs, &global, &run.wave_of);
+        let cores = run.global_cores(&self.cfg.topology());
         Ok(ClusterRound {
-            graphs: completions,
+            graphs: pool.completions(run.outputs, &cores, &run.wave_of),
             partition,
-            waves: run.waves,
+            waves: run.wave_ends.len(),
             wave_end_cycles: run.wave_ends,
+            idle_per_core,
             transfers: run.transfers,
-            stats: run.stats,
+            stats,
             events: run.events,
         })
     }
 
-    /// Spawn one scoped worker per core per chip and drive the fused job
-    /// pool through [`drive_cluster`]. `job_of` resolves a pool index to
-    /// the job to run (identity for [`LacCluster::run_graph`], the owner
-    /// map for rounds). `chip_of` is mutable because a fault requeues
-    /// jobs off the dead chip in place; chips killed during the run stay
-    /// marked in `self.dead` for every later round.
-    #[allow(clippy::too_many_arguments)] // mirrors the coordinator it feeds
-    fn run_scoped<'j>(
+    /// Coordinate `plan` over every core of every chip (one scoped worker
+    /// each), honoring the fault plan on the session clock; chips killed
+    /// during the run stay dead for every later run. On success the run of
+    /// `graphs` graphs folds into the session, and its flat per-core meters
+    /// come back split per chip as [`ClusterStats`] plus idle cycles.
+    #[allow(clippy::type_complexity)] // the run plus its per-chip view
+    fn run_plan<'j>(
         &mut self,
-        job_of: impl Fn(usize) -> &'j J + Sync,
-        costs: &[u64],
-        transfer_words: &[u64],
-        parents: &[Vec<usize>],
-        children: &[Vec<usize>],
-        chip_of: &mut [usize],
-        tenant_of: &[usize],
-        weights: &[u64],
-        usage: &mut [u64],
-        boost: &[u64],
-        sched: Scheduler,
-    ) -> Result<ClusterMultiRun<J::Output>, SimError>
+        plan: Plan<'_>,
+        graphs: u64,
+        job_of: &(dyn Fn(usize) -> &'j J + Sync),
+    ) -> Result<(CoordRun<J::Output>, ClusterStats, Vec<Vec<u64>>), SimError>
     where
         J: 'j,
     {
-        let faults: Vec<FaultEvent> = self.fault_plan.kills().to_vec();
-        let base = self.session.clock_cycles;
-        let cfg = &self.cfg;
-        let chips = &mut self.chips;
-        let dead = &mut self.dead;
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<Done<J::Output>>();
-            let mut txs = Vec::with_capacity(cfg.total_cores());
-            for chip in chips.iter_mut() {
-                for eng in chip.shards_mut().iter_mut() {
-                    let core = txs.len();
-                    let (tx, rx) = std::sync::mpsc::channel::<usize>();
-                    txs.push(tx);
-                    let done_tx = done_tx.clone();
-                    let abort = &abort;
-                    let job_of = &job_of;
-                    scope.spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let outcome = run_one(eng, job_of(job), abort);
-                            if done_tx.send(Done { core, job, outcome }).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-            }
-            let dispatch = |core: usize, job| txs[core].send(job).expect("cluster worker hung up");
-            let collect = || done_rx.recv().expect("cluster worker hung up");
-            match cfg.sim_mode {
-                SimMode::Wave => drive_cluster(
-                    cfg,
-                    costs,
-                    transfer_words,
-                    parents,
-                    children,
-                    chip_of,
-                    dead,
-                    &faults,
-                    base,
-                    tenant_of,
-                    weights,
-                    usage,
-                    boost,
-                    sched,
-                    dispatch,
-                    collect,
-                ),
-                SimMode::Event => {
-                    let topo = EventTopology {
-                        cores_per_chip: cfg.chips.iter().map(|c| c.cores).collect(),
-                        link_words_per_cycle: cfg.link_words_per_cycle,
-                        hop_latency_cycles: cfg.hop_latency_cycles,
-                    };
-                    drive_event(
-                        &topo,
-                        costs,
-                        transfer_words,
-                        parents,
-                        children,
-                        chip_of,
-                        dead,
-                        &faults,
-                        base,
-                        tenant_of,
-                        weights,
-                        usage,
-                        boost,
-                        sched,
-                        dispatch,
-                        collect,
-                    )
-                    .map(|run| package_event_run(cfg, run))
-                }
-            }
-            // `txs` drop here; the scoped workers drain and the scope
-            // joins them.
-        })
+        let topo = self.cfg.topology();
+        let plan = Plan {
+            faults: self.fault_plan.kills(),
+            base: self.session.clock_cycles,
+            ..plan
+        };
+        let shards = self
+            .chips
+            .iter_mut()
+            .flat_map(|chip| chip.shards_mut().iter_mut())
+            .collect();
+        let run = coordinate(&topo, plan, &mut self.dead, Workers::Scoped(shards, job_of))?;
+        let mut aggregate = ExecStats::default();
+        for s in &run.per_core {
+            aggregate.merge(s);
+        }
+        let stats = ClusterStats {
+            per_chip: topo.chip_ranges().map(|r| run.chip_stats(r)).collect(),
+            makespan_cycles: run.makespan,
+            transferred_words: run.transferred_words,
+            transfer_cycles: run.transfer_cycles,
+            transfer_stall_cycles: run.stall_cycles,
+            aggregate,
+        };
+        let idle = topo
+            .chip_ranges()
+            .map(|r| run.idle_per_core[r].to_vec())
+            .collect();
+        self.session.clock_cycles += run.makespan;
+        self.session.graphs_run += graphs;
+        self.session.transferred_words += run.transferred_words;
+        self.session.transfer_cycles += run.transfer_cycles;
+        Ok((run, stats, idle))
     }
 }
 
@@ -1528,6 +845,15 @@ mod tests {
     use crate::chip::ProgramJob;
     use crate::config::LacConfig;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
+    use crate::service::LacService;
+    use crate::trace::TraceEvent;
+
+    const POLICIES: [Scheduler; 4] = [
+        Scheduler::Fifo,
+        Scheduler::LeastLoaded,
+        Scheduler::CriticalPath,
+        Scheduler::FairShare,
+    ];
 
     /// One external load + one MAC + `extra` idle cycles, with a chosen
     /// scheduler cost.
@@ -1612,33 +938,70 @@ mod tests {
 
     #[test]
     fn single_chip_cluster_is_bit_identical_to_the_chip_door() {
-        let cfg = ChipConfig::new(3, LacConfig::default()).with_bandwidth_budget(12);
-        for sched in [
-            Scheduler::Fifo,
-            Scheduler::LeastLoaded,
-            Scheduler::CriticalPath,
-            Scheduler::FairShare,
-        ] {
-            let mut cluster: LacCluster<ProgramJob> =
-                LacCluster::new(ClusterConfig::homogeneous(1, cfg));
-            let via_cluster = cluster.run_graph(&diamonds(3), sched).unwrap();
-            let mut chip = LacChip::new(cfg);
-            let via_chip = chip.run_graph(&diamonds(3), sched).unwrap();
-            assert_eq!(via_cluster.outputs, via_chip.outputs, "{sched:?}");
-            assert_eq!(
-                via_cluster.stats.per_chip[0].per_core,
-                via_chip.stats.per_core
-            );
-            assert_eq!(
-                via_cluster.stats.makespan_cycles,
-                via_chip.stats.makespan_cycles
-            );
-            assert_eq!(via_cluster.waves, via_chip.waves);
-            assert_eq!(via_cluster.stats.transferred_words, 0);
-            assert_eq!(via_cluster.stats.transfer_stall_cycles, 0);
-            // (chip, core) assignment collapses to the chip's core picks.
-            let cores: Vec<usize> = via_cluster.assignment.iter().map(|&(_, c)| c).collect();
-            assert_eq!(cores, via_chip.assignment);
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let cfg = ChipConfig::new(3, LacConfig::default())
+                .with_bandwidth_budget(12)
+                .with_sim_mode(mode);
+            for sched in POLICIES {
+                let mut cluster: LacCluster<ProgramJob> =
+                    LacCluster::new(ClusterConfig::homogeneous(1, cfg));
+                let via_cluster = cluster.run_graph(&diamonds(3), sched).unwrap();
+                let mut chip = LacChip::new(cfg);
+                let via_chip = chip.run_graph(&diamonds(3), sched).unwrap();
+                let ctx = format!("{mode:?} {sched:?}");
+                assert_eq!(via_cluster.outputs, via_chip.outputs, "{ctx}");
+                assert_eq!(via_cluster.stats.per_chip[0], via_chip.stats, "{ctx}");
+                assert_eq!(via_cluster.waves, via_chip.waves, "{ctx}");
+                assert_eq!(via_cluster.wave_end_cycles, via_chip.wave_end_cycles);
+                assert_eq!(via_cluster.idle_per_core[0], via_chip.idle_per_core);
+                assert_eq!(via_cluster.stats.transferred_words, 0);
+                assert_eq!(via_cluster.stats.transfer_stall_cycles, 0);
+                // (chip, core) assignment collapses to the chip's core picks.
+                let cores: Vec<usize> = via_cluster.assignment.iter().map(|&(_, c)| c).collect();
+                assert_eq!(cores, via_chip.assignment, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_chip_cluster_rounds_are_bit_identical_to_service_rounds() {
+        // Three weighted tenants, one of them under a deadline boost: the
+        // tenanted doors of a service and a one-chip cluster must agree on
+        // every clock and every meter, not just on outputs.
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let cfg = ChipConfig::new(2, LacConfig::default()).with_sim_mode(mode);
+            for sched in POLICIES {
+                let mut svc: LacService<ProgramJob> = LacService::new(cfg);
+                let mut cluster: LacCluster<ProgramJob> =
+                    LacCluster::new(ClusterConfig::homogeneous(1, cfg));
+                let mut tenants = Vec::new();
+                for w in 1..=3 {
+                    let t = TenantConfig::new(format!("t{w}")).with_weight(w);
+                    tenants.push((svc.add_tenant(t.clone()), cluster.add_tenant(t)));
+                }
+                for (k, &(ts, tc)) in tenants.iter().enumerate() {
+                    svc.enqueue(ts, diamonds(k + 1)).unwrap();
+                    cluster.enqueue(tc, diamonds(k + 1)).unwrap();
+                }
+                let boost = [u64::MAX, 40, u64::MAX];
+                let s = svc.run_admitted_boosted(sched, &boost).unwrap();
+                let c = cluster.run_admitted_boosted(sched, &boost).unwrap();
+                let ctx = format!("{mode:?} {sched:?}");
+                assert_eq!(s.graphs.len(), c.graphs.len(), "{ctx}");
+                for (gs, gc) in s.graphs.iter().zip(&c.graphs) {
+                    assert_eq!(gs.ticket, gc.ticket, "{ctx}");
+                    assert_eq!(gs.outputs, gc.outputs, "{ctx}");
+                    assert_eq!(gs.assignment, gc.assignment, "{ctx}");
+                    assert_eq!(gs.wave_of, gc.wave_of, "{ctx}");
+                }
+                assert_eq!(s.wave_end_cycles, c.wave_end_cycles, "{ctx}");
+                assert_eq!(s.idle_per_core, c.idle_per_core[0], "{ctx}");
+                assert_eq!(s.stats, c.stats.per_chip[0], "{ctx}");
+                assert_eq!(s.events, c.events, "{ctx}");
+                for &(ts, tc) in &tenants {
+                    assert_eq!(svc.tenant_session(ts), cluster.tenant_session(tc), "{ctx}");
+                }
+            }
         }
     }
 

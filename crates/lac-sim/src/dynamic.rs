@@ -5,7 +5,7 @@
 //! IP-PMM QP solve or an IPDDP trajectory optimization iterates *until a
 //! residual converges*, so the number of factorization rounds — the graph
 //! shape — is unknown when the first segment is submitted. This module
-//! closes that loop:
+//! describes such requests:
 //!
 //! * [`Continuation`] — the client's convergence test: after a submitted
 //!   segment completes, the continuation inspects that segment's outputs
@@ -13,36 +13,28 @@
 //!   segment or declare the request [`Continue::Done`].
 //! * [`DynamicGraph`] — an initial [`JobGraph`] paired with its
 //!   continuation: a request whose total shape is discovered round by
-//!   round.
-//! * [`ContinuationBackend`] — the *re-admission door*: the projection of
-//!   [`LacService`] / [`LacCluster`] the driver needs (tenant admission +
-//!   one serving round). Appended segments go back through the same
-//!   [`LacService::enqueue`] budget charge as the initial one — a graph
-//!   that grows can never sneak past its tenant's
-//!   [`crate::TenantConfig::max_inflight_cost`].
-//! * [`run_dynamic`] — the driver: admit pending segments in request
-//!   order, run one round, feed each completed segment to its
-//!   continuation, re-admit what grew, repeat until every request is
-//!   done. A segment bounced by admission backpressure retries after the
-//!   next round (in-flight cost drains); a segment that can *never* fit
-//!   (its cost alone exceeds the budget with nothing in flight) surfaces
-//!   as the typed [`DynamicError::BudgetExhausted`] instead of a
-//!   spin-forever deadlock.
+//!   round. [`DynamicGraph::fixed`] lifts a static graph into the same
+//!   shape.
+//! * [`DynamicOutcome`] — one request's accounting once it is done.
 //!
-//! **Determinism.** The driver admits in request order, rounds are the
-//! wave-synchronized deterministic rounds of the layers below, and a
-//! continuation is required to be a pure function of the outputs it is
-//! shown. A whole dynamic run — outputs, segment counts, iteration
-//! counts — is therefore a pure function of `(requests, tenant configs,
+//! The one driver that serves them is `lac_traffic::run_open_loop_dynamic`:
+//! it admits every segment through the tenant admission door
+//! ([`crate::LacService::enqueue`] / [`crate::LacCluster::enqueue`]), so a
+//! graph that grows can never sneak past its tenant's
+//! [`crate::TenantConfig::max_inflight_cost`], runs rounds, and feeds each
+//! completed segment to its continuation. A closed batch is a trace whose
+//! arrivals are all due at tick 0.
+//!
+//! **Determinism.** A continuation is required to be a pure function of
+//! the outputs it is shown, and rounds are the deterministic rounds of the
+//! layers below, so a whole dynamic run — outputs, segment counts,
+//! iteration counts — is a pure function of `(requests, tenant configs,
 //! cost hints)`: bit-identical across reruns, scheduler policies and
 //! backends (policies move *when* jobs run, never what they compute).
 //! `tests/dynamic_props.rs` property-tests exactly that.
 
-use crate::chip::{ChipJob, Scheduler};
-use crate::cluster::LacCluster;
-use crate::error::SimError;
-use crate::service::{GraphCompletion, GraphTicket, JobGraph, LacService, Rejected, TenantId};
-use std::collections::BTreeMap;
+use crate::chip::ChipJob;
+use crate::service::JobGraph;
 use std::fmt;
 
 /// A continuation's verdict on its just-completed segment.
@@ -129,9 +121,8 @@ impl<J: ChipJob> DynamicGraph<J> {
         )
     }
 
-    /// Split the request into its initial segment and continuation —
-    /// how drivers (this module's [`run_dynamic`], the open-loop dynamic
-    /// replay in `lac-traffic`) take it apart.
+    /// Split the request into its initial segment and continuation — how
+    /// the driver (`lac_traffic::run_open_loop_dynamic`) takes it apart.
     pub fn into_parts(self) -> (JobGraph<J>, Box<dyn Continuation<J>>) {
         (self.initial, self.cont)
     }
@@ -143,99 +134,6 @@ impl<J: ChipJob> fmt::Debug for DynamicGraph<J> {
             .field("initial_jobs", &self.initial.len())
             .field("initial_cost", &self.initial.total_cost())
             .finish_non_exhaustive()
-    }
-}
-
-/// The serving-backend projection the dynamic driver needs: the tenant
-/// admission door and the round door. Implemented for [`LacService`]
-/// (one chip, persistent workers) and [`LacCluster`] (N chips, modeled
-/// transfers), so one dynamic request replays identically against
-/// either.
-pub trait ContinuationBackend<J: ChipJob> {
-    /// Offer a segment through tenant `t`'s admission door, charging its
-    /// cost against the tenant's in-flight budget.
-    fn offer(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>>;
-    /// Run one wave-synchronized round over everything admitted and
-    /// return the per-graph completions in admission order.
-    fn run_round(&mut self, sched: Scheduler) -> Result<Vec<GraphCompletion<J::Output>>, SimError>;
-}
-
-impl<J: ChipJob + 'static> ContinuationBackend<J> for LacService<J> {
-    fn offer(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
-        self.enqueue(t, graph)
-    }
-
-    fn run_round(&mut self, sched: Scheduler) -> Result<Vec<GraphCompletion<J::Output>>, SimError> {
-        Ok(self.run_admitted(sched)?.graphs)
-    }
-}
-
-impl<J: ChipJob> ContinuationBackend<J> for LacCluster<J> {
-    fn offer(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
-        self.enqueue(t, graph)
-    }
-
-    fn run_round(&mut self, sched: Scheduler) -> Result<Vec<GraphCompletion<J::Output>>, SimError> {
-        Ok(self.run_admitted(sched)?.graphs)
-    }
-}
-
-/// Why a dynamic run stopped early.
-#[derive(Debug)]
-pub enum DynamicError {
-    /// A serving round failed (a hard simulation hazard).
-    Sim(SimError),
-    /// Typed backpressure turned terminal: a segment bounced off its
-    /// tenant's admission budget with *nothing* in flight, so the budget
-    /// can never drain and the segment can never be admitted. The classic
-    /// trigger is a continuation appending a segment whose cost alone
-    /// exceeds `max_inflight_cost`.
-    BudgetExhausted {
-        /// The tenant whose budget was exceeded.
-        tenant: TenantId,
-        /// Index of the starved request in the driver's request list.
-        request: usize,
-        /// The segment that could not be admitted (0 = the initial one).
-        segment: usize,
-        /// Total cost hint of the unadmittable segment.
-        graph_cost: u64,
-        /// The tenant's admission budget.
-        budget: u64,
-    },
-}
-
-impl fmt::Display for DynamicError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DynamicError::Sim(e) => write!(f, "dynamic round failed: {e}"),
-            DynamicError::BudgetExhausted {
-                request,
-                segment,
-                graph_cost,
-                budget,
-                ..
-            } => write!(
-                f,
-                "dynamic budget exhausted: request {request} segment {segment} \
-                 costs {graph_cost} but the tenant's admission budget is {budget} \
-                 with nothing left in flight"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DynamicError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DynamicError::Sim(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SimError> for DynamicError {
-    fn from(e: SimError) -> Self {
-        DynamicError::Sim(e)
     }
 }
 
@@ -260,324 +158,5 @@ impl<T> DynamicOutcome<T> {
     /// one-segment-per-iteration clients like IP-PMM).
     pub fn iterations(&self) -> usize {
         self.segments.len()
-    }
-}
-
-/// Everything one [`run_dynamic`] call produces.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DynamicRun<T> {
-    /// Per-request outcomes, in the request order given to the driver.
-    pub outcomes: Vec<DynamicOutcome<T>>,
-    /// Serving rounds the run took (segments of independent requests
-    /// share rounds).
-    pub rounds: usize,
-}
-
-/// Drive a set of dynamic requests to completion against a backend.
-///
-/// Each pass admits every request's pending segment in request order
-/// (bounced segments retry on the next pass, after in-flight cost has
-/// drained), runs one serving round, and feeds every completed segment
-/// to its request's continuation; segments the continuations append are
-/// re-admitted on the next pass. Independent requests' segments share
-/// rounds, so a fleet of dynamic solvers interleaves on the backend the
-/// same way a batch of static graphs would.
-///
-/// Graphs other callers admitted directly on the backend are served
-/// alongside and their completions ignored here.
-///
-/// # Errors
-///
-/// [`DynamicError::Sim`] on a hard simulation hazard, and
-/// [`DynamicError::BudgetExhausted`] when a segment bounces with nothing
-/// in flight (it can never be admitted) — typed backpressure, never a
-/// spin.
-pub fn run_dynamic<J: ChipJob, B: ContinuationBackend<J>>(
-    backend: &mut B,
-    requests: Vec<(TenantId, DynamicGraph<J>)>,
-    sched: Scheduler,
-) -> Result<DynamicRun<J::Output>, DynamicError> {
-    struct Req<J: ChipJob> {
-        tenant: TenantId,
-        cont: Box<dyn Continuation<J>>,
-        pending: Option<JobGraph<J>>,
-        segment: usize,
-        segments: Vec<Vec<J::Output>>,
-        jobs: usize,
-        total_cost: u64,
-        appended_cost: u64,
-        last_bounce: Option<(u64, u64)>,
-    }
-
-    let mut reqs: Vec<Req<J>> = requests
-        .into_iter()
-        .map(|(tenant, dg)| {
-            let (initial, cont) = dg.into_parts();
-            Req {
-                tenant,
-                cont,
-                pending: Some(initial),
-                segment: 0,
-                segments: Vec::new(),
-                jobs: 0,
-                total_cost: 0,
-                appended_cost: 0,
-                last_bounce: None,
-            }
-        })
-        .collect();
-    // Admission seq → request index, for routing completions back.
-    let mut inflight: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut rounds = 0usize;
-
-    loop {
-        // Admit pending segments in request order.
-        for (i, r) in reqs.iter_mut().enumerate() {
-            if let Some(g) = r.pending.take() {
-                let cost = g.total_cost();
-                let jobs = g.len();
-                match backend.offer(r.tenant, g) {
-                    Ok(ticket) => {
-                        r.jobs += jobs;
-                        r.total_cost += cost;
-                        if r.segment > 0 {
-                            r.appended_cost += cost;
-                        }
-                        inflight.insert(ticket.seq, i);
-                    }
-                    Err(rej) => {
-                        r.last_bounce = Some((rej.graph_cost, rej.budget));
-                        r.pending = Some(rej.graph);
-                    }
-                }
-            }
-        }
-
-        if inflight.is_empty() {
-            match reqs.iter().enumerate().find(|(_, r)| r.pending.is_some()) {
-                Some((i, r)) => {
-                    // Nothing in flight, so no budget can drain: a still-
-                    // bounced segment is permanently unadmittable.
-                    let (graph_cost, budget) = r
-                        .last_bounce
-                        .expect("a pending segment bounced at least once");
-                    return Err(DynamicError::BudgetExhausted {
-                        tenant: r.tenant,
-                        request: i,
-                        segment: r.segment,
-                        graph_cost,
-                        budget,
-                    });
-                }
-                None => break, // every request is done
-            }
-        }
-
-        let completions = backend.run_round(sched)?;
-        rounds += 1;
-        for c in completions {
-            // Completions of graphs admitted outside this driver are the
-            // caller's business; skip them.
-            let Some(i) = inflight.remove(&c.ticket.seq) else {
-                continue;
-            };
-            let r = &mut reqs[i];
-            match r.cont.next(r.segment, &c.outputs) {
-                Continue::Append(g) => {
-                    r.segments.push(c.outputs);
-                    r.segment += 1;
-                    r.pending = Some(g);
-                }
-                Continue::Done => {
-                    r.segments.push(c.outputs);
-                }
-            }
-        }
-    }
-
-    Ok(DynamicRun {
-        outcomes: reqs
-            .into_iter()
-            .map(|r| DynamicOutcome {
-                segments: r.segments,
-                jobs: r.jobs,
-                total_cost: r.total_cost,
-                appended_cost: r.appended_cost,
-            })
-            .collect(),
-        rounds,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::chip::{ChipConfig, ProgramJob, Scheduler};
-    use crate::config::LacConfig;
-    use crate::isa::ProgramBuilder;
-    use crate::service::TenantConfig;
-
-    fn idle_job(cost: u64) -> ProgramJob {
-        let cfg = LacConfig::default();
-        let mut b = ProgramBuilder::new(cfg.nr);
-        b.idle(8);
-        let mut j = ProgramJob::new(b.build());
-        j.cost = cost;
-        j
-    }
-
-    fn chain(jobs: usize, cost: u64) -> JobGraph<ProgramJob> {
-        let mut g = JobGraph::new();
-        let mut prev = None;
-        for _ in 0..jobs {
-            let id = match prev {
-                None => g.add(idle_job(cost)),
-                Some(p) => g.add_after(idle_job(cost), &[p]),
-            };
-            prev = Some(id);
-        }
-        g
-    }
-
-    /// A request that appends `extra` successor segments, then stops.
-    fn growing(extra: usize) -> DynamicGraph<ProgramJob> {
-        DynamicGraph::new(chain(2, 40), move |segment: usize, _: &[_]| {
-            if segment < extra {
-                Continue::Append(chain(1, 25))
-            } else {
-                Continue::Done
-            }
-        })
-    }
-
-    #[test]
-    fn appended_segments_run_and_are_charged() {
-        let mut svc: LacService<ProgramJob> =
-            LacService::new(ChipConfig::new(2, LacConfig::default()));
-        let t = svc.add_tenant(TenantConfig::new("dyn"));
-        let run = run_dynamic(&mut svc, vec![(t, growing(3))], Scheduler::FairShare).unwrap();
-        let out = &run.outcomes[0];
-        assert_eq!(out.segments.len(), 4, "initial + 3 appended");
-        assert_eq!(out.jobs, 2 + 3);
-        assert_eq!(out.total_cost, 2 * 40 + 3 * 25);
-        assert_eq!(out.appended_cost, 3 * 25);
-        assert_eq!(run.rounds, 4, "each segment needs its own round");
-        // The budget fully drained: nothing left in flight.
-        assert_eq!(svc.tenant_session(t).inflight_cost, 0);
-        assert_eq!(svc.tenant_session(t).cost_completed, out.total_cost);
-    }
-
-    #[test]
-    fn fixed_requests_take_one_segment() {
-        let mut svc: LacService<ProgramJob> =
-            LacService::new(ChipConfig::new(2, LacConfig::default()));
-        let t = svc.add_tenant(TenantConfig::new("fixed"));
-        let run = run_dynamic(
-            &mut svc,
-            vec![(t, DynamicGraph::fixed(chain(3, 10)))],
-            Scheduler::Fifo,
-        )
-        .unwrap();
-        assert_eq!(run.outcomes[0].segments.len(), 1);
-        assert_eq!(run.outcomes[0].appended_cost, 0);
-        assert_eq!(run.rounds, 1);
-    }
-
-    #[test]
-    fn bounced_segment_retries_after_budget_drains() {
-        let mut svc: LacService<ProgramJob> =
-            LacService::new(ChipConfig::new(1, LacConfig::default()));
-        // Budget fits one 80-cost chain at a time, so two growing
-        // requests must interleave through bounce-retry.
-        let t = svc.add_tenant(TenantConfig::new("tight").with_admission_budget(100));
-        let run = run_dynamic(
-            &mut svc,
-            vec![(t, growing(2)), (t, growing(2))],
-            Scheduler::FairShare,
-        )
-        .unwrap();
-        assert_eq!(run.outcomes.len(), 2);
-        for out in &run.outcomes {
-            assert_eq!(out.segments.len(), 3);
-        }
-        assert!(
-            svc.tenant_session(t).graphs_rejected > 0,
-            "backpressure engaged"
-        );
-        assert_eq!(svc.tenant_session(t).inflight_cost, 0);
-    }
-
-    #[test]
-    fn unadmittable_appended_segment_is_a_typed_error() {
-        let mut svc: LacService<ProgramJob> =
-            LacService::new(ChipConfig::new(1, LacConfig::default()));
-        let t = svc.add_tenant(TenantConfig::new("starved").with_admission_budget(90));
-        // The initial segment fits (80); the continuation appends one
-        // that can never fit (120 > 90).
-        let dg = DynamicGraph::new(chain(2, 40), move |segment: usize, _: &[_]| {
-            if segment == 0 {
-                Continue::Append(chain(3, 40))
-            } else {
-                Continue::Done
-            }
-        });
-        let err = run_dynamic(&mut svc, vec![(t, dg)], Scheduler::Fifo).unwrap_err();
-        match err {
-            DynamicError::BudgetExhausted {
-                segment,
-                graph_cost,
-                budget,
-                ..
-            } => {
-                assert_eq!(segment, 1);
-                assert_eq!(graph_cost, 120);
-                assert_eq!(budget, 90);
-            }
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        assert!(err.to_string().contains("budget"));
-    }
-
-    #[test]
-    fn service_and_cluster_dynamic_runs_agree() {
-        let run_on_service = || {
-            let mut svc: LacService<ProgramJob> =
-                LacService::new(ChipConfig::new(2, LacConfig::default()));
-            let t = svc.add_tenant(TenantConfig::new("a"));
-            run_dynamic(
-                &mut svc,
-                vec![(t, growing(2)), (t, growing(1))],
-                Scheduler::Fifo,
-            )
-            .unwrap()
-        };
-        let run_on_cluster = || {
-            let mut cl: LacCluster<ProgramJob> =
-                LacCluster::new(crate::cluster::ClusterConfig::homogeneous(
-                    2,
-                    ChipConfig::new(1, LacConfig::default()),
-                ));
-            let t = cl.add_tenant(TenantConfig::new("a"));
-            run_dynamic(
-                &mut cl,
-                vec![(t, growing(2)), (t, growing(1))],
-                Scheduler::Fifo,
-            )
-            .unwrap()
-        };
-        let s = run_on_service();
-        let c = run_on_cluster();
-        // Segment structure and costs agree across backends (ExecStats
-        // outputs differ in cycle accounting only for idle programs —
-        // compare the shape here; kernel-output bit-equality is proven in
-        // tests/dynamic_props.rs with real factorization jobs).
-        assert_eq!(s.outcomes.len(), c.outcomes.len());
-        for (a, b) in s.outcomes.iter().zip(&c.outcomes) {
-            assert_eq!(a.segments.len(), b.segments.len());
-            assert_eq!(a.jobs, b.jobs);
-            assert_eq!(a.total_cost, b.total_cost);
-            assert_eq!(a.appended_cost, b.appended_cost);
-        }
-        assert_eq!(run_on_service(), s, "warm rerun is bit-identical");
     }
 }

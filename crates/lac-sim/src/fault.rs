@@ -7,7 +7,7 @@
 //! open-loop traffic layer schedules arrivals on). Under the default
 //! wave coordinator the simulated clock only moves at wave boundaries
 //! and fast-forwards, so a kill is applied at the first wave boundary at
-//! or after its tick; under [`crate::event::SimMode::Event`] the kill is
+//! or after its tick; under [`crate::coord::SimMode::Event`] the kill is
 //! just another heap event and fires at its **exact** tick (faults order
 //! before transfer arrivals and job completions on the same tick, so the
 //! revocation set stays conservative). Either way fault handling is

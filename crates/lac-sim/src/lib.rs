@@ -26,14 +26,13 @@ pub mod chip;
 pub mod cluster;
 pub mod compile;
 pub mod config;
+pub mod coord;
 pub mod core;
 pub mod dynamic;
 pub mod engine;
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod isa;
-pub mod lap;
 pub mod service;
 pub mod stats;
 pub mod trace;
@@ -46,16 +45,12 @@ pub use cluster::{
 };
 pub use compile::{compile, CacheStats, CompiledProgram, FallbackReason, ProgramCache};
 pub use config::{ExecBackend, LacConfig};
-pub use dynamic::{
-    run_dynamic, Continuation, ContinuationBackend, Continue, DynamicError, DynamicGraph,
-    DynamicOutcome, DynamicRun,
-};
+pub use coord::SimMode;
+pub use dynamic::{Continuation, Continue, DynamicGraph, DynamicOutcome};
 pub use engine::{LacEngine, LacEngineBuilder};
 pub use error::SimError;
-pub use event::SimMode;
 pub use fault::{FaultEvent, FaultPlan};
 pub use isa::{CmpUpdate, ExtOp, PeInstr, Program, ProgramBuilder, Source, Step};
-pub use lap::{Lap, LapRunSummary};
 pub use service::{
     plan_wave, plan_wave_tenanted, plan_wave_tenanted_slo, GraphCompletion, GraphRun, GraphTicket,
     JobGraph, JobId, LacService, Rejected, ServiceRound, ServiceSession, TenantConfig, TenantId,

@@ -59,10 +59,11 @@
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, Scheduler};
 use crate::compile::ProgramCache;
+use crate::coord::{coordinate, run_one, CoordRun, Done, Hints, Plan, TenantDelta, Workers};
 use crate::engine::LacEngine;
 use crate::error::SimError;
-use crate::event::{drive_event_graph, drive_event_single, SimMode};
 use crate::stats::ExecStats;
+use crate::trace::EventLog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -388,59 +389,6 @@ pub fn plan_wave_tenanted_slo(
     buckets
 }
 
-/// How one dispatched job ended.
-pub(crate) enum JobOutcome<T> {
-    /// Output plus the job's session-stats delta.
-    Completed(T, ExecStats),
-    /// Skipped at the job boundary because a peer already failed.
-    Skipped,
-    /// The simulation rejected the schedule.
-    Failed(SimError),
-    /// The job itself panicked (caught so the worker can still report —
-    /// an unreported job would deadlock the coordinator's wave
-    /// collection). The coordinator re-raises after the wave drains.
-    Panicked(String),
-}
-
-/// What one worker reports back per dispatched job.
-pub(crate) struct Done<T> {
-    pub(crate) core: usize,
-    pub(crate) job: usize,
-    pub(crate) outcome: JobOutcome<T>,
-}
-
-/// Run one job on a worker's engine, honoring the shared abort flag and
-/// measuring the session delta. Shared by the scoped
-/// ([`crate::chip::LacChip::run_graph`]) and persistent ([`LacService`])
-/// back-ends. Never unwinds: every dispatched job must produce a report,
-/// or the coordinator would wait forever.
-pub(crate) fn run_one<J: ChipJob>(
-    eng: &mut LacEngine,
-    job: &J,
-    abort: &AtomicBool,
-) -> JobOutcome<J::Output> {
-    if abort.load(Ordering::Relaxed) {
-        return JobOutcome::Skipped;
-    }
-    let before = *eng.session_stats();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_on(eng))) {
-        Ok(Ok(out)) => JobOutcome::Completed(out, eng.session_stats().since(&before)),
-        Ok(Err(e)) => {
-            abort.store(true, Ordering::Relaxed);
-            JobOutcome::Failed(e)
-        }
-        Err(payload) => {
-            abort.store(true, Ordering::Relaxed);
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            JobOutcome::Panicked(msg)
-        }
-    }
-}
-
 /// Everything one graph submission produces.
 #[derive(Clone, Debug)]
 pub struct GraphRun<T> {
@@ -464,279 +412,6 @@ pub struct GraphRun<T> {
     /// Busy-cycle breakdown and aggregate; `makespan_cycles` is the sum of
     /// wave spans, so it *includes* dependency stalls.
     pub stats: ChipStats,
-}
-
-/// Per-tenant meter deltas of one [`drive_multi`] round.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TenantDelta {
-    /// Busy stats of this tenant's completed jobs.
-    pub(crate) busy: ExecStats,
-    /// Jobs this tenant completed.
-    pub(crate) jobs: u64,
-    /// Simulated cycles this tenant's jobs spent ready-but-undispatched
-    /// (dispatch clock minus ready clock, summed over jobs).
-    pub(crate) wait_cycles: u64,
-    /// Cost hints this tenant dispatched — the fair-share usage currency.
-    pub(crate) cost_dispatched: u64,
-}
-
-/// Everything one multi-tenant round produces (the tenant-aware superset
-/// of [`GraphRun`], which [`drive`] projects down to).
-pub(crate) struct MultiRun<T> {
-    pub(crate) outputs: Vec<T>,
-    pub(crate) assignment: Vec<usize>,
-    pub(crate) wave_of: Vec<usize>,
-    pub(crate) waves: usize,
-    pub(crate) wave_ends: Vec<u64>,
-    pub(crate) idle_per_core: Vec<u64>,
-    pub(crate) stats: ChipStats,
-    pub(crate) per_tenant: Vec<TenantDelta>,
-}
-
-/// Collect exactly `dispatched` job reports for one wave, folding
-/// completions into the per-core and per-tenant meters and `outputs`, and
-/// returning the completed job indices. Among observed failures, the job
-/// earliest by dispatch slot (core index, bucket position) wins, whatever
-/// order the host delivered the reports in; panics are re-raised first
-/// (they are harness bugs, not schedule rejections). Once this returns,
-/// nothing is in flight, so the backend stays usable. Shared by the
-/// chip/service coordinator ([`drive_multi`]) and the cluster coordinator
-/// (`crate::cluster`), so failure and metering semantics can never drift
-/// between deployment layers.
-///
-/// `job_cycles[j]` receives job `j`'s own busy cycles on completion —
-/// the per-job span the cluster coordinator's event log reconstructs
-/// start/end ticks from (a core runs its bucket in position order, so a
-/// job's start is the wave's start plus its bucket predecessors' spans).
-#[allow(clippy::too_many_arguments)] // the wave's full accounting context
-pub(crate) fn collect_wave<T>(
-    dispatched: usize,
-    mut collect: impl FnMut() -> Done<T>,
-    dispatch_slot: &[(usize, usize)],
-    tenant_of: &[usize],
-    wave_cycles: &mut [u64],
-    per_core: &mut [ExecStats],
-    jobs_per_core: &mut [u64],
-    per_tenant: &mut [TenantDelta],
-    outputs: &mut [Option<T>],
-    job_cycles: &mut [u64],
-) -> Result<Vec<usize>, SimError> {
-    let mut completed: Vec<usize> = Vec::with_capacity(dispatched);
-    let mut first_err: Option<((usize, usize), SimError)> = None;
-    let mut first_panic: Option<((usize, usize), String)> = None;
-    for _ in 0..dispatched {
-        let done = collect();
-        let slot = dispatch_slot[done.job];
-        match done.outcome {
-            JobOutcome::Completed(out, delta) => {
-                job_cycles[done.job] = delta.cycles;
-                wave_cycles[done.core] += delta.cycles;
-                per_core[done.core].merge(&delta);
-                jobs_per_core[done.core] += 1;
-                let t = tenant_of[done.job];
-                per_tenant[t].busy.merge(&delta);
-                per_tenant[t].jobs += 1;
-                outputs[done.job] = Some(out);
-                completed.push(done.job);
-            }
-            // Skipped at the job boundary after a peer's failure: no
-            // simulated work happened.
-            JobOutcome::Skipped => {}
-            JobOutcome::Failed(e) => {
-                if first_err.as_ref().is_none_or(|(s, _)| slot < *s) {
-                    first_err = Some((slot, e));
-                }
-            }
-            JobOutcome::Panicked(msg) => {
-                if first_panic.as_ref().is_none_or(|(s, _)| slot < *s) {
-                    first_panic = Some((slot, msg));
-                }
-            }
-        }
-    }
-    if let Some(((core, pos), msg)) = first_panic {
-        panic!("job panicked on core {core} (bucket position {pos}): {msg}");
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    Ok(completed)
-}
-
-/// The deterministic coordinator: plan waves, dispatch buckets through
-/// `dispatch`, collect exactly one [`Done`] per dispatched job via
-/// `collect`, advance the simulated clock, release children. Backend
-/// agnostic — `dispatch`/`collect` hide whether workers are scoped
-/// borrows or persistent threads.
-///
-/// Tenant-aware: `tenant_of` maps each job to a tenant, and `usage` (the
-/// accumulated fair-share deficit counters, indexed like `weights`) is
-/// charged as jobs dispatch — in place, so [`Scheduler::FairShare`]'s
-/// quantum waves see usage evolve *within* the round and the counters
-/// carry across rounds. The quantum-capped policy leaves undispatched
-/// ready jobs in the ready set for later waves; the full-dispatch
-/// policies drain it every wave, exactly as before.
-#[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
-pub(crate) fn drive_multi<T>(
-    costs: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    tenant_of: &[usize],
-    weights: &[u64],
-    usage: &mut [u64],
-    boost: &[u64],
-    sched: Scheduler,
-    cores: usize,
-    mut dispatch: impl FnMut(usize, usize),
-    mut collect: impl FnMut() -> Done<T>,
-) -> Result<MultiRun<T>, SimError> {
-    let n = costs.len();
-    let priority = critical_paths(costs, children);
-    let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
-    let mut ready: Vec<usize> = (0..n).filter(|&j| indegree[j] == 0).collect();
-
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut assignment = vec![0usize; n];
-    let mut wave_of = vec![0usize; n];
-    let mut ready_clock = vec![0u64; n];
-    let mut in_wave = vec![false; n];
-    let mut dispatch_slot = vec![(0usize, 0usize); n]; // (core, position in bucket)
-    let mut per_core = vec![ExecStats::default(); cores];
-    let mut jobs_per_core = vec![0u64; cores];
-    let mut idle_per_core = vec![0u64; cores];
-    let mut per_tenant = vec![TenantDelta::default(); weights.len()];
-    let mut job_cycles = vec![0u64; n];
-    let mut makespan = 0u64;
-    let mut waves = 0usize;
-    let mut wave_ends: Vec<u64> = Vec::new();
-
-    while !ready.is_empty() {
-        let buckets = match sched {
-            Scheduler::FairShare => plan_wave_tenanted_slo(
-                &ready, costs, &priority, tenant_of, usage, weights, boost, cores,
-            ),
-            _ => plan_wave(sched, &ready, costs, &priority, cores),
-        };
-        let mut dispatched = 0usize;
-        for (core, bucket) in buckets.iter().enumerate() {
-            for (pos, &j) in bucket.iter().enumerate() {
-                assignment[j] = core;
-                wave_of[j] = waves;
-                in_wave[j] = true;
-                dispatch_slot[j] = (core, pos);
-                let t = tenant_of[j];
-                per_tenant[t].wait_cycles += makespan - ready_clock[j];
-                per_tenant[t].cost_dispatched += costs[j].max(1);
-                usage[t] += costs[j].max(1);
-                dispatch(core, j);
-                dispatched += 1;
-            }
-        }
-        waves += 1;
-
-        let mut wave_cycles = vec![0u64; cores];
-        // (Which peers skipped vs ran after the abort flag rose is
-        // host-timing dependent, so with several failing jobs in one wave
-        // the observed failure set itself can vary; the slot rule in
-        // `collect_wave` picks deterministically among the observed.)
-        let completed = collect_wave(
-            dispatched,
-            &mut collect,
-            &dispatch_slot,
-            tenant_of,
-            &mut wave_cycles,
-            &mut per_core,
-            &mut jobs_per_core,
-            &mut per_tenant,
-            &mut outputs,
-            &mut job_cycles,
-        )?;
-
-        let span = wave_cycles.iter().copied().max().unwrap_or(0);
-        for c in 0..cores {
-            idle_per_core[c] += span - wave_cycles[c];
-        }
-        makespan += span;
-        wave_ends.push(makespan);
-
-        // Undispatched ready jobs (the quantum-capped policy's backlog)
-        // stay ready; children released by this wave join them.
-        let mut next: Vec<usize> = ready.iter().copied().filter(|&j| !in_wave[j]).collect();
-        for &j in &completed {
-            for &child in &children[j] {
-                indegree[child] -= 1;
-                if indegree[child] == 0 {
-                    ready_clock[child] = makespan;
-                    next.push(child);
-                }
-            }
-        }
-        next.sort_unstable();
-        ready = next;
-    }
-
-    let mut aggregate = ExecStats::default();
-    for s in &per_core {
-        aggregate.merge(s);
-    }
-    let outputs = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
-        .collect();
-    Ok(MultiRun {
-        outputs,
-        assignment,
-        wave_of,
-        waves,
-        wave_ends,
-        idle_per_core,
-        stats: ChipStats {
-            per_core,
-            jobs_per_core,
-            makespan_cycles: makespan,
-            aggregate,
-        },
-        per_tenant,
-    })
-}
-
-/// Single-tenant projection of [`drive_multi`]: every job belongs to one
-/// anonymous tenant with fresh usage — what [`LacChip::run_graph`]
-/// (`crate::chip`) and [`LacService::submit`] drive.
-pub(crate) fn drive<T>(
-    costs: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    sched: Scheduler,
-    cores: usize,
-    dispatch: impl FnMut(usize, usize),
-    collect: impl FnMut() -> Done<T>,
-) -> Result<GraphRun<T>, SimError> {
-    let tenant_of = vec![0usize; costs.len()];
-    let mut usage = [0u64];
-    let run = drive_multi(
-        costs,
-        parents,
-        children,
-        &tenant_of,
-        &[1],
-        &mut usage,
-        &[u64::MAX],
-        sched,
-        cores,
-        dispatch,
-        collect,
-    )?;
-    Ok(GraphRun {
-        outputs: run.outputs,
-        assignment: run.assignment,
-        wave_of: run.wave_of,
-        waves: run.waves,
-        wave_end_cycles: run.wave_ends,
-        idle_per_core: run.idle_per_core,
-        stats: run.stats,
-    })
 }
 
 /// Messages down a worker's submission channel. `job` indexes into
@@ -1015,13 +690,46 @@ impl<J: ChipJob> FusedPool<J> {
         pool
     }
 
-    /// Per-tenant pending cost of this round, indexed by tenant id.
-    pub(crate) fn backlog(&self, tenants: usize) -> Vec<u64> {
-        let mut backlog = vec![0u64; tenants];
+    /// The round's fair-share inputs: every tenant's weight, and its
+    /// usage so far with banked credit capped at its pending cost in this
+    /// pool (see [`cap_banked_credit`]).
+    pub(crate) fn fair_share(
+        &self,
+        tenants: &[(TenantConfig, TenantSession)],
+    ) -> (Vec<u64>, Vec<u64>) {
+        let weights: Vec<u64> = tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
+        let mut usage: Vec<u64> = tenants.iter().map(|(_, s)| s.cost_completed).collect();
+        let mut backlog = vec![0u64; tenants.len()];
         for (g, &cost) in self.graph_costs.iter().enumerate() {
             backlog[self.tickets[g].tenant.0] += cost;
         }
-        backlog
+        cap_banked_credit(&mut usage, &weights, &backlog);
+        (weights, usage)
+    }
+
+    /// The pool as a fault-free, single-chip run plan under `sched`;
+    /// cluster rounds override placement and faults.
+    pub(crate) fn plan<'a>(
+        &'a self,
+        sched: Scheduler,
+        weights: &'a [u64],
+        boost: &'a [u64],
+        usage: Vec<u64>,
+    ) -> Plan<'a> {
+        Plan {
+            costs: &self.costs,
+            transfer_words: &self.transfer_words,
+            parents: &self.parents,
+            children: &self.children,
+            tenant_of: &self.tenant_of,
+            weights,
+            boost,
+            faults: &[],
+            base: 0,
+            sched,
+            usage,
+            chip_of: vec![0; self.costs.len()],
+        }
     }
 
     /// Slice fused per-job vectors back into per-graph completions, in
@@ -1147,6 +855,10 @@ pub struct ServiceRound<T> {
     /// Merged busy breakdown; `makespan_cycles` is the round's simulated
     /// span with every admitted graph interleaved.
     pub stats: ChipStats,
+    /// The round's observability log (job spans per core and tenant, idle
+    /// fast-forwards) on the round-relative simulated clock — the same
+    /// log a cluster round returns (see [`EventLog::shift`] to rebase).
+    pub events: EventLog,
 }
 
 /// Lifetime meters of a [`LacService`], accumulated across every
@@ -1318,46 +1030,47 @@ impl<J: ChipJob + 'static> LacService<J> {
         graph: JobGraph<J>,
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
-        self.abort.store(false, Ordering::Relaxed);
-        let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
+        let hints = Hints::of(&graph);
         let graph = Arc::new(graph);
-        let dispatch = |core: usize, job: usize| {
+        let run = self
+            .run_plan(hints.plan(&graph, sched), |job| (Arc::clone(&graph), job))?
+            .into_graph_run();
+        self.record(&run.stats, 1);
+        Ok(run)
+    }
+
+    /// Coordinate `plan` on the persistent workers; `route` maps a pool
+    /// job to its graph and its index within that graph.
+    fn run_plan(
+        &self,
+        plan: Plan<'_>,
+        route: impl Fn(usize) -> (Arc<JobGraph<J>>, usize),
+    ) -> Result<CoordRun<J::Output>, SimError> {
+        self.abort.store(false, Ordering::Relaxed);
+        let dispatch = |core: usize, tag: usize| {
+            let (graph, job) = route(tag);
             self.txs[core]
-                .send(WorkerMsg::Run {
-                    graph: Arc::clone(&graph),
-                    job,
-                    tag: job,
-                })
+                .send(WorkerMsg::Run { graph, job, tag })
                 .expect("service worker hung up");
         };
         let collect = || self.done_rx.recv().expect("service worker hung up");
-        let run = match self.cfg.sim_mode {
-            SimMode::Wave => drive(
-                &costs,
-                &graph.parents,
-                &graph.children,
-                sched,
-                self.txs.len(),
-                dispatch,
-                collect,
-            )?,
-            SimMode::Event => drive_event_graph(
-                &costs,
-                &graph.parents,
-                &graph.children,
-                sched,
-                self.txs.len(),
-                dispatch,
-                collect,
-            )?,
-        };
+        coordinate::<J>(
+            &self.cfg.topology(),
+            plan,
+            &mut [false],
+            Workers::Persistent(&dispatch, &collect),
+        )
+    }
+
+    /// Fold a completed run of `graphs` graphs into the session meters:
+    /// one clock advance, however many graphs ran interleaved.
+    fn record(&mut self, stats: &ChipStats, graphs: u64) {
         for c in 0..self.session.per_core.len() {
-            self.session.per_core[c].merge(&run.stats.per_core[c]);
-            self.session.jobs_per_core[c] += run.stats.jobs_per_core[c];
+            self.session.per_core[c].merge(&stats.per_core[c]);
+            self.session.jobs_per_core[c] += stats.jobs_per_core[c];
         }
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += 1;
-        Ok(run)
+        self.session.clock_cycles += stats.makespan_cycles;
+        self.session.graphs_run += graphs;
     }
 
     /// Register a tenant on the multi-tenant submission door. Tenants are
@@ -1460,100 +1173,33 @@ impl<J: ChipJob + 'static> LacService<J> {
             self.tenants.len(),
             "one boost slack per registered tenant"
         );
-        let pending = std::mem::take(&mut self.pending);
-        let cores = self.txs.len();
-        if pending.is_empty() {
-            return Ok(ServiceRound {
-                graphs: Vec::new(),
-                waves: 0,
-                wave_end_cycles: Vec::new(),
-                idle_per_core: vec![0; cores],
-                stats: ChipStats {
-                    per_core: vec![ExecStats::default(); cores],
-                    jobs_per_core: vec![0; cores],
-                    makespan_cycles: 0,
-                    aggregate: ExecStats::default(),
-                },
-            });
-        }
-        self.abort.store(false, Ordering::Relaxed);
-
         // Fuse the admitted graphs into one job pool with per-job tenant
         // tags; the pool's owner map recovers each graph's slice
         // afterwards.
-        let pool = FusedPool::new(pending);
-
-        let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
-        let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
-        cap_banked_credit(&mut usage, &weights, &pool.backlog(self.tenants.len()));
-
-        let txs = &self.txs;
-        let done_rx = &self.done_rx;
-        let dispatch = |core: usize, job: usize| {
+        let pool = FusedPool::new(std::mem::take(&mut self.pending));
+        let (weights, usage) = pool.fair_share(&self.tenants);
+        let plan = pool.plan(sched, &weights, boost, usage);
+        let mut run = match self.run_plan(plan, |job| {
             let (g, local) = pool.owner[job];
-            txs[core]
-                .send(WorkerMsg::Run {
-                    graph: Arc::clone(&pool.graphs[g]),
-                    job: local,
-                    tag: job,
-                })
-                .expect("service worker hung up");
-        };
-        let collect = || done_rx.recv().expect("service worker hung up");
-        let run = match self.cfg.sim_mode {
-            SimMode::Wave => drive_multi(
-                &pool.costs,
-                &pool.parents,
-                &pool.children,
-                &pool.tenant_of,
-                &weights,
-                &mut usage,
-                boost,
-                sched,
-                cores,
-                dispatch,
-                collect,
-            ),
-            SimMode::Event => drive_event_single(
-                &pool.costs,
-                &pool.parents,
-                &pool.children,
-                &pool.tenant_of,
-                &weights,
-                &mut usage,
-                boost,
-                sched,
-                cores,
-                dispatch,
-                collect,
-            ),
-        };
-        let run = match run {
+            (Arc::clone(&pool.graphs[g]), local)
+        }) {
             Ok(run) => run,
             Err(e) => {
                 drain_inflight(&mut self.tenants, &pool);
                 return Err(e);
             }
         };
-
-        // Fold the round into the service session (one clock advance — the
-        // graphs ran interleaved) and the per-tenant meters.
-        for c in 0..cores {
-            self.session.per_core[c].merge(&run.stats.per_core[c]);
-            self.session.jobs_per_core[c] += run.stats.jobs_per_core[c];
-        }
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += pool.graphs.len() as u64;
         settle_round(&mut self.tenants, &pool, &run.per_tenant);
-
-        // Slice the fused outputs back into per-graph completions.
-        let completions = pool.completions(run.outputs, &run.assignment, &run.wave_of);
+        let events = std::mem::take(&mut run.events);
+        let run = run.into_graph_run();
+        self.record(&run.stats, pool.graphs.len() as u64);
         Ok(ServiceRound {
-            graphs: completions,
+            graphs: pool.completions(run.outputs, &run.assignment, &run.wave_of),
             waves: run.waves,
-            wave_end_cycles: run.wave_ends,
+            wave_end_cycles: run.wave_end_cycles,
             idle_per_core: run.idle_per_core,
             stats: run.stats,
+            events,
         })
     }
 

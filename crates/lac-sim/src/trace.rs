@@ -7,7 +7,7 @@
 //! and discard marks), inter-chip transfers, fault injections, requeues
 //! and idle fast-forwards. The log is part of the deterministic result —
 //! it is reconstructed purely from the schedule (the wave plan, or the
-//! event core's heap order under [`crate::event::SimMode::Event`]), the
+//! event core's heap order under [`crate::coord::SimMode::Event`]), the
 //! per-job busy cycles and the transfer model, never from host timing,
 //! so reruns produce bit-identical logs.
 //!

@@ -1,38 +1,51 @@
-//! The open-loop driver: replay an [`ArrivalTrace`] against a serving
-//! backend and account every request's sojourn time.
+//! The request driver: replay an [`ArrivalTrace`] of requests against a
+//! serving backend and account every request's sojourn time.
 //!
 //! Closed-loop benchmarking (submit a batch, measure its makespan) hides
 //! queueing: the next request conveniently waits for the previous one.
 //! Open-loop serving replays arrivals on their *own* clock — if the
 //! backend falls behind, the queue grows and sojourn times balloon,
-//! exactly like production. The driver here is the glue:
+//! exactly like production.
 //!
-//! 1. **Fast-forward** — with nothing admitted and the next arrival in
-//!    the future, advance the backend's simulated clock to it through
-//!    the `advance_idle` door (static energy keeps accruing; no busy
-//!    work is invented). This is an *event-horizon hop*: the next
+//! [`run_open_loop_dynamic`] is the one driver for every request shape.
+//! Each arrival becomes a [`DynamicGraph`]: an initial segment plus a
+//! continuation that decides, from each completed segment's outputs,
+//! whether the request grows (`lac_sim::dynamic`). A fixed graph is
+//! `DynamicGraph::fixed(graph)` — one segment, then done — and a closed
+//! batch is a trace whose arrivals are all due at tick 0
+//! ([`ArrivalTrace::batch`]), which the driver admits into its first
+//! round without inserting an idle cycle. Each pass:
+//!
+//! 1. **Fast-forward** — with nothing pending or admitted and the next
+//!    arrival in the future, advance the backend's simulated clock to it
+//!    through the `advance_idle` door (static energy keeps accruing; no
+//!    busy work is invented). This is an *event-horizon hop*: the next
 //!    arrival is the earliest event the idle backend can observe, so
 //!    jumping straight to it is exactly what the discrete-event core
-//!    (`lac_sim::SimMode::Event`) does with its heap inside a round —
-//!    the driver does the same hop between rounds, one layer up.
-//! 2. **Admit** — every arrival due by the current clock is stamped with
-//!    its `arrival_tick`, turned into a [`JobGraph`] by the caller's
-//!    factory, and offered to the tenant's admission door. Bounced
-//!    graphs (deterministic backpressure) retry in arrival order before
-//!    new work.
+//!    (`lac_sim::SimMode::Event`) does with its heap inside a round — the
+//!    driver does the same hop between rounds, one layer up.
+//! 2. **Admit** — pending work first (graphs bounced by deterministic
+//!    backpressure and freshly appended segments, oldest arrival first),
+//!    then every arrival due by now, stamped with its `arrival_tick`. Each
+//!    graph is offered to its tenant's admission door and charged against
+//!    the tenant's budget, so a request that grows can never sneak past
+//!    it; admission stops at the first bounce, so a newer arrival never
+//!    overtakes an older one.
 //! 3. **Serve** — one `run_admitted` round executes everything admitted.
 //!    Tenants with a deadline SLO get a boost equal to their *deadline
 //!    slack* (earliest pending arrival's deadline minus now): the
 //!    fair-share planner serves boosted tenants least-slack-first,
 //!    preemption-free ([`lac_sim::plan_wave_tenanted_slo`]).
-//! 4. **Account** — each completed graph's sojourn (completion tick −
-//!    arrival tick, via the round's `wave_end_cycles`) lands in its
-//!    tenant's [`LatencyHistogram`].
+//! 4. **Account** — each completed segment goes to its continuation. An
+//!    appended segment waits for the next admission pass; a finished
+//!    request's sojourn (its *final* segment's completion tick − arrival
+//!    tick, via the round's `wave_end_cycles`) lands in its tenant's
+//!    [`LatencyHistogram`].
 //!
 //! Every step is a pure function of the trace, the configs and the cost
-//! hints, so a whole open-loop run is bit-identical across reruns — and
-//! its *outputs* are bit-identical across scheduler policies and
-//! backends too (scheduling moves latencies, never results).
+//! hints, so a whole replay is bit-identical across reruns — and its
+//! *outputs*, segment counts included, are bit-identical across scheduler
+//! policies and backends too (scheduling moves latencies, never results).
 //!
 //! Failures are typed, never panics: a graph that can *never* fit its
 //! tenant's admission budget surfaces as
@@ -49,20 +62,31 @@ use lac_sim::{
     ClusterRound, EventLog, GraphCompletion, GraphTicket, JobGraph, LacCluster, LacService,
     Rejected, Scheduler, ServiceRound, SimError, TenantId, TraceEvent,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
-/// Why an open-loop replay stopped early.
+/// Why a replay stopped early.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OpenLoopError {
     /// The backend failed a serving round (a hard simulation hazard).
     Sim(SimError),
-    /// Admission wedged permanently: every due graph bounced with nothing
-    /// in flight, so no budget can ever drain. The classic trigger is a
-    /// graph whose cost alone exceeds its tenant's admission budget.
+    /// Admission wedged permanently: the oldest pending graph bounced with
+    /// nothing in flight, so no budget can ever drain. The classic
+    /// trigger is a graph — or an appended segment — whose cost alone
+    /// exceeds its tenant's admission budget.
     AdmissionDeadlock {
-        /// Bounced submissions stuck in the retry queue.
+        /// Graphs stuck waiting for admission.
         bounced: usize,
+        /// The tenant whose budget the oldest of them bounced off.
+        tenant: TenantId,
+        /// The arrival of the starved request.
+        arrival: Arrival,
+        /// The segment that could not be admitted (0 = the initial one).
+        segment: usize,
+        /// Total cost hint of that segment.
+        graph_cost: u64,
+        /// The tenant's admission budget.
+        budget: u64,
     },
     /// A round's `wave_end_cycles` was shorter than the waves its
     /// completions reference — the backend broke the
@@ -80,10 +104,19 @@ impl fmt::Display for OpenLoopError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OpenLoopError::Sim(e) => write!(f, "serving round failed: {e}"),
-            OpenLoopError::AdmissionDeadlock { bounced } => write!(
+            OpenLoopError::AdmissionDeadlock {
+                bounced,
+                arrival,
+                segment,
+                graph_cost,
+                budget,
+                ..
+            } => write!(
                 f,
-                "open-loop deadlock: a graph's cost alone exceeds its tenant's \
-                 admission budget ({bounced} bounced, nothing in flight)"
+                "open-loop deadlock: request {}/{} segment {segment} costs {graph_cost} \
+                 but its tenant's admission budget is {budget} with nothing in flight \
+                 ({bounced} bounced)",
+                arrival.tenant, arrival.index
             ),
             OpenLoopError::TruncatedWaveClock { last_wave, waves } => write!(
                 f,
@@ -119,9 +152,9 @@ pub struct RoundOutcome<T> {
     /// Simulated clock at the end of each wave, relative to the round's
     /// start.
     pub wave_end_cycles: Vec<u64>,
-    /// The round's event log, on the round-relative clock (empty for
-    /// backends that don't trace). The driver rebases it onto the session
-    /// clock and merges it into [`OpenLoopReport::events`].
+    /// The round's event log, on the round-relative clock. The driver
+    /// rebases it onto the session clock and merges it into
+    /// [`DynamicOpenLoopReport::events`].
     pub events: EventLog,
 }
 
@@ -173,7 +206,7 @@ impl<J: ChipJob + 'static> OpenLoopBackend<J> for LacService<J> {
         Ok(RoundOutcome {
             completions: round.graphs,
             wave_end_cycles: round.wave_end_cycles,
-            events: EventLog::new(),
+            events: round.events,
         })
     }
 
@@ -245,8 +278,8 @@ pub struct OpenLoopConfig {
     /// slowest; a quantum trades a little throughput for shorter rounds
     /// and a flatter tail. At least one graph is always admitted into an
     /// empty round, so a quantum can never deadlock the replay. `None`
-    /// (the default) admits everything due — bit-identical to the
-    /// pre-quantum driver. Output bits never change either way.
+    /// (the default) admits everything due. Output bits never change
+    /// either way.
     pub max_round_cost: Option<u64>,
 }
 
@@ -260,19 +293,6 @@ impl Default for OpenLoopConfig {
     }
 }
 
-/// One served request: its arrival, when it completed, and its outputs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompletedRequest<T> {
-    /// The arrival that spawned the graph.
-    pub arrival: Arrival,
-    /// Absolute completion tick on the backend clock.
-    pub completion_tick: u64,
-    /// Sojourn: completion minus arrival, in simulated cycles.
-    pub sojourn_cycles: u64,
-    /// The graph's job outputs, in the graph's submission order.
-    pub outputs: Vec<T>,
-}
-
 /// One tenant's latency accounting over a whole open-loop run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantLatency {
@@ -282,205 +302,6 @@ pub struct TenantLatency {
     pub deadline_cycles: Option<u64>,
     /// Completed requests whose sojourn exceeded the deadline.
     pub deadline_misses: u64,
-}
-
-/// Everything one open-loop replay produces.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OpenLoopReport<T> {
-    /// Every served request, in completion order (rounds in clock order,
-    /// admission order within a round).
-    pub completed: Vec<CompletedRequest<T>>,
-    /// Per trace stream (tenant index): sojourn histogram and SLO meters.
-    pub per_tenant: Vec<TenantLatency>,
-    /// Serving rounds the replay took.
-    pub rounds: u64,
-    /// Backend clock when the last request completed (absolute).
-    pub final_clock: u64,
-    /// The replay's merged event log on the backend's session clock:
-    /// each round's log rebased by the round's start tick, plus the
-    /// driver's own idle fast-forwards. Empty events between rounds mean
-    /// the backend doesn't trace (the single-chip [`LacService`]);
-    /// cluster backends record job spans, transfers, faults and
-    /// requeues. Export with [`lac_sim::EventLog::to_chrome_trace`].
-    pub events: EventLog,
-}
-
-/// Replay `trace` against `backend`: `tenants[s]` is the registered
-/// tenant id serving trace stream `s`, and `make_graph` turns each
-/// arrival into the graph to run (the per-request work — e.g. one small
-/// solver chain from `lac_kernels::SolverStream`).
-///
-/// Runs until every arrival is served. A graph bounced by admission
-/// backpressure retries, in arrival order, before newer work each round;
-/// if a bounced graph can never fit (its cost alone exceeds the tenant's
-/// budget with nothing in flight), the driver returns
-/// [`OpenLoopError::AdmissionDeadlock`] rather than spin. The replay is a
-/// pure function of `(trace, tenant configs, cfg, cost hints)`: reruns
-/// are bit-identical, and output bits are additionally identical across
-/// policies, backends and [`OpenLoopConfig::max_round_cost`] settings.
-pub fn run_open_loop<J: ChipJob, B: OpenLoopBackend<J>>(
-    backend: &mut B,
-    trace: &ArrivalTrace,
-    tenants: &[TenantId],
-    mut make_graph: impl FnMut(&Arrival) -> JobGraph<J>,
-    cfg: OpenLoopConfig,
-) -> Result<OpenLoopReport<J::Output>, OpenLoopError> {
-    assert_eq!(
-        tenants.len(),
-        trace.streams(),
-        "one registered tenant per trace stream"
-    );
-    // The trace's tick 0 is "now": arrivals land at base + tick, so a
-    // warm backend (non-zero clock) replays the same trace consistently.
-    let base = backend.clock();
-    let arrivals = trace.arrivals();
-
-    let mut per_tenant: Vec<TenantLatency> = tenants
-        .iter()
-        .map(|&t| TenantLatency {
-            hist: LatencyHistogram::new(),
-            deadline_cycles: backend.deadline_of(t),
-            deadline_misses: 0,
-        })
-        .collect();
-    let mut completed_reqs: Vec<CompletedRequest<J::Output>> = Vec::new();
-    // Admitted-but-unserved: admission seq → arrival position.
-    let mut inflight: BTreeMap<u64, usize> = BTreeMap::new();
-    // Bounced submissions, retried in arrival order.
-    let mut bounced: VecDeque<(usize, JobGraph<J>)> = VecDeque::new();
-    let mut next = 0usize;
-    let mut rounds = 0u64;
-    let mut events = EventLog::new();
-
-    while next < arrivals.len() || !bounced.is_empty() || !inflight.is_empty() {
-        let clock = backend.clock();
-
-        // Fast-forward an idle backend to the next arrival.
-        if inflight.is_empty() && bounced.is_empty() {
-            let due = base + arrivals[next].tick;
-            if due > clock {
-                backend.advance_idle(due - clock);
-                events.push(TraceEvent::IdleFastForward {
-                    start: clock,
-                    end: due,
-                });
-                continue;
-            }
-        }
-
-        // The round's admitted-cost quantum: once `max_round_cost` is
-        // reached (and something is in flight — at least one graph always
-        // enters an empty round, the no-deadlock guarantee), further work
-        // defers to the next round, still in arrival order.
-        let mut round_cost = 0u64;
-        let quantum_full = |round_cost: u64, inflight: &BTreeMap<u64, usize>| {
-            cfg.max_round_cost.is_some_and(|q| round_cost >= q) && !inflight.is_empty()
-        };
-
-        // Retry bounced graphs first (their budgets may have drained).
-        while let Some((pos, graph)) = bounced.pop_front() {
-            if quantum_full(round_cost, &inflight) {
-                bounced.push_front((pos, graph));
-                break;
-            }
-            let cost = graph.total_cost();
-            match backend.enqueue(tenants[arrivals[pos].tenant], graph) {
-                Ok(ticket) => {
-                    round_cost += cost;
-                    inflight.insert(ticket.seq, pos);
-                }
-                Err(r) => {
-                    bounced.push_front((pos, r.graph));
-                    break;
-                }
-            }
-        }
-        // Admit everything due by now, in arrival order (bounced work
-        // above keeps its head start).
-        while next < arrivals.len()
-            && base + arrivals[next].tick <= clock
-            && bounced.is_empty()
-            && !quantum_full(round_cost, &inflight)
-        {
-            let a = &arrivals[next];
-            let graph = make_graph(a);
-            let cost = graph.total_cost();
-            match backend.enqueue(tenants[a.tenant], graph) {
-                Ok(ticket) => {
-                    round_cost += cost;
-                    inflight.insert(ticket.seq, next);
-                }
-                Err(r) => bounced.push_back((next, r.graph)),
-            }
-            next += 1;
-        }
-
-        if inflight.is_empty() {
-            if !bounced.is_empty() {
-                // Nothing admitted and every due graph bounced. With
-                // nothing in flight the budgets cannot drain further —
-                // this is permanent, not backpressure.
-                return Err(OpenLoopError::AdmissionDeadlock {
-                    bounced: bounced.len(),
-                });
-            }
-            continue; // no arrivals were due yet; fast-forward next pass
-        }
-
-        // Deadline slack per backend tenant: earliest pending arrival's
-        // deadline minus now (u64::MAX = unboosted).
-        let mut boost = vec![u64::MAX; backend.num_tenants()];
-        if cfg.slo_boost {
-            for &pos in inflight.values() {
-                let a = &arrivals[pos];
-                if let Some(d) = per_tenant[a.tenant].deadline_cycles {
-                    let slack = (base + a.tick).saturating_add(d).saturating_sub(clock);
-                    let slot = &mut boost[tenants[a.tenant].index()];
-                    *slot = (*slot).min(slack);
-                }
-            }
-        }
-
-        let outcome = backend.run_boosted(cfg.sched, &boost)?;
-        rounds += 1;
-        let mut round_events = outcome.events;
-        round_events.shift(clock);
-        events.extend(round_events);
-        for completion in outcome.completions {
-            let pos = inflight
-                .remove(&completion.ticket.seq)
-                .expect("round completed a graph the driver never admitted");
-            let a = arrivals[pos];
-            let last_wave = completion.wave_of.iter().copied().max().unwrap_or(0);
-            let done = clock
-                + outcome.wave_end_cycles.get(last_wave).copied().ok_or(
-                    OpenLoopError::TruncatedWaveClock {
-                        last_wave,
-                        waves: outcome.wave_end_cycles.len(),
-                    },
-                )?;
-            let sojourn = done - (base + a.tick);
-            let meters = &mut per_tenant[a.tenant];
-            meters.hist.record(sojourn);
-            if meters.deadline_cycles.is_some_and(|d| sojourn > d) {
-                meters.deadline_misses += 1;
-            }
-            completed_reqs.push(CompletedRequest {
-                arrival: a,
-                completion_tick: done,
-                sojourn_cycles: sojourn,
-                outputs: completion.outputs,
-            });
-        }
-    }
-
-    Ok(OpenLoopReport {
-        completed: completed_reqs,
-        per_tenant,
-        rounds,
-        final_clock: backend.clock(),
-        events,
-    })
 }
 
 /// One served *dynamic* request: its arrival, when its **final** segment
@@ -500,7 +321,7 @@ pub struct DynamicCompleted<T> {
     pub outcome: DynamicOutcome<T>,
 }
 
-/// Everything one dynamic open-loop replay produces.
+/// Everything one replay produces.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DynamicOpenLoopReport<T> {
     /// Every served request, in final-completion order.
@@ -512,7 +333,10 @@ pub struct DynamicOpenLoopReport<T> {
     pub rounds: u64,
     /// Backend clock when the last request completed (absolute).
     pub final_clock: u64,
-    /// The replay's merged event log (see [`OpenLoopReport::events`]).
+    /// The replay's merged event log on the backend's session clock:
+    /// each round's log rebased by the round's start tick, plus the
+    /// driver's own idle fast-forwards. Export with
+    /// [`lac_sim::EventLog::to_chrome_trace`].
     pub events: EventLog,
 }
 
@@ -523,16 +347,12 @@ struct DynReq<J: ChipJob> {
     outcome: DynamicOutcome<J::Output>,
 }
 
-/// Replay `trace` against `backend` where each arrival is a
-/// **convergence-driven** request: `make_request` yields a
-/// [`DynamicGraph`] whose continuation decides, from each completed
-/// segment's outputs, whether to append a successor segment
-/// (`lac_sim::dynamic`). The open-loop analogue of
-/// [`lac_sim::dynamic::run_dynamic`], and the dynamic analogue of
-/// [`run_open_loop`] — the fixed-graph driver is untouched and
-/// bit-compatible with its committed baselines.
-///
-/// Differences from the fixed driver:
+/// Replay `trace` against `backend`: `tenants[s]` is the registered
+/// tenant id serving trace stream `s`, and `make_request` turns each
+/// arrival into the request to serve — a [`DynamicGraph`] whose
+/// continuation decides, from each completed segment's outputs, whether
+/// to append a successor segment. Pass `|a| DynamicGraph::fixed(make(a))`
+/// for fixed graphs, and an [`ArrivalTrace::batch`] for a closed batch.
 ///
 /// * **Sojourn** is measured to the request's *final* segment — time to
 ///   convergence, not time to first result.
@@ -542,14 +362,14 @@ struct DynReq<J: ChipJob> {
 ///   arrival position, merges bounced graphs and appended segments so
 ///   continuations of older arrivals always go first and new arrivals
 ///   never overtake them.
-/// * **Deadlock** keeps the same shape: if everything pending bounced
-///   with nothing in flight, budgets can never drain and the driver
-///   returns [`OpenLoopError::AdmissionDeadlock`].
+/// * **Deadlock**: if the oldest pending graph bounced with nothing in
+///   flight, budgets can never drain and the driver returns
+///   [`OpenLoopError::AdmissionDeadlock`] rather than spin.
 ///
-/// Like the fixed driver, the replay is a pure function of `(trace,
-/// tenant configs, cfg, cost hints)`; outputs — including every
-/// request's *segment count* — are bit-identical across policies,
-/// backends and reruns.
+/// The replay is a pure function of `(trace, tenant configs, cfg, cost
+/// hints)`; outputs — including every request's *segment count* — are
+/// bit-identical across policies, backends, reruns and
+/// [`OpenLoopConfig::max_round_cost`] settings.
 pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
     backend: &mut B,
     trace: &ArrivalTrace,
@@ -606,6 +426,10 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
             cfg.max_round_cost.is_some_and(|q| round_cost >= q) && !inflight.is_empty()
         };
 
+        // The bounce that stopped admission this pass: (arrival position,
+        // graph cost, budget).
+        let mut bounce: Option<(usize, u64, u64)> = None;
+
         // Admit pending work first (bounced graphs whose budgets may have
         // drained, and appended segments), oldest arrival first.
         while let Some((&pos, _)) = pending.iter().next() {
@@ -624,6 +448,7 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
                     inflight.insert(ticket.seq, pos);
                 }
                 Err(r) => {
+                    bounce = Some((pos, r.graph_cost, r.budget));
                     pending.insert(pos, r.graph);
                     break;
                 }
@@ -656,6 +481,7 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
                     inflight.insert(ticket.seq, next);
                 }
                 Err(r) => {
+                    bounce = Some((next, r.graph_cost, r.budget));
                     pending.insert(next, r.graph);
                 }
             }
@@ -664,11 +490,17 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
         }
 
         if inflight.is_empty() {
-            if !pending.is_empty() {
+            if let Some((pos, graph_cost, budget)) = bounce {
                 // Nothing in flight and the oldest pending graph bounced:
                 // no budget can ever drain, so this is permanent.
+                let arrival = arrivals[pos];
                 return Err(OpenLoopError::AdmissionDeadlock {
                     bounced: pending.len(),
+                    tenant: tenants[arrival.tenant],
+                    arrival,
+                    segment: reqs[&pos].segment,
+                    graph_cost,
+                    budget,
                 });
             }
             continue; // no arrivals were due yet; fast-forward next pass
@@ -746,7 +578,11 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
 mod tests {
     use super::*;
     use crate::trace::ArrivalProcess;
-    use lac_sim::{ChipConfig, ClusterConfig, LacConfig, ProgramBuilder, ProgramJob, TenantConfig};
+    use lac_sim::{
+        ChipConfig, ClusterConfig, ExecStats, LacConfig, ProgramBuilder, ProgramJob, TenantConfig,
+    };
+
+    type Report = DynamicOpenLoopReport<ExecStats>;
 
     /// A tiny deterministic job: one idle program with a chosen cost.
     fn idle_job(extra: usize, cost: u64) -> ProgramJob {
@@ -758,13 +594,14 @@ mod tests {
         j
     }
 
-    /// Two jobs in a chain per arrival, salted by the arrival identity.
-    fn request(a: &Arrival) -> JobGraph<ProgramJob> {
+    /// Two jobs in a chain per arrival, salted by the arrival identity —
+    /// a fixed one-segment request.
+    fn request(a: &Arrival) -> DynamicGraph<ProgramJob> {
         let mut g = JobGraph::new();
         let salt = (a.index as usize + a.tenant) % 4;
         let first = g.add(idle_job(salt, 40 + 10 * a.tenant as u64));
         g.add_after(idle_job(salt + 1, 30), &[first]);
-        g
+        DynamicGraph::fixed(g)
     }
 
     fn demo_trace() -> ArrivalTrace {
@@ -782,23 +619,46 @@ mod tests {
         )
     }
 
+    /// A service with the demo trace's two tenants.
+    fn demo_service(cores: usize) -> (LacService<ProgramJob>, Vec<TenantId>) {
+        let mut svc = LacService::new(ChipConfig::new(cores, LacConfig::default()));
+        let ids = vec![
+            svc.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
+            svc.add_tenant(TenantConfig::new("batch")),
+        ];
+        (svc, ids)
+    }
+
+    /// Outputs keyed by request identity — latencies legitimately differ
+    /// across backends and policies, outputs never do.
+    fn outs(r: &Report) -> Vec<(Arrival, Vec<Vec<ExecStats>>)> {
+        let mut v: Vec<_> = r
+            .completed
+            .iter()
+            .map(|c| (c.arrival, c.outcome.segments.clone()))
+            .collect();
+        v.sort_by_key(|(a, _)| (a.tenant, a.index));
+        v
+    }
+
+    fn jobs_logged(r: &Report) -> usize {
+        r.events.count(|e| matches!(e, TraceEvent::Job { .. }))
+    }
+
     #[test]
     fn service_replay_serves_every_arrival_deterministically() {
         let trace = demo_trace();
         let run = || {
-            let mut svc: LacService<ProgramJob> =
-                LacService::new(ChipConfig::new(2, LacConfig::default()));
-            let ids = vec![
-                svc.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
-                svc.add_tenant(TenantConfig::new("batch")),
-            ];
-            run_open_loop(&mut svc, &trace, &ids, request, OpenLoopConfig::default()).unwrap()
+            let (mut svc, ids) = demo_service(2);
+            run_open_loop_dynamic(&mut svc, &trace, &ids, request, OpenLoopConfig::default())
+                .unwrap()
         };
         let a = run();
         let b = run();
         assert_eq!(a, b, "open-loop replays must be bit-identical");
         assert_eq!(a.completed.len(), trace.len());
         assert_eq!(a.per_tenant[0].hist.count() as usize, trace.count_for(0));
+        assert_eq!(jobs_logged(&a), 2 * trace.len(), "every job logged");
         let last_arrival = trace.arrivals().last().unwrap().tick;
         assert!(
             a.final_clock >= last_arrival,
@@ -810,13 +670,8 @@ mod tests {
     #[test]
     fn cluster_and_service_outputs_agree_bitwise() {
         let trace = demo_trace();
-        let mut svc: LacService<ProgramJob> =
-            LacService::new(ChipConfig::new(2, LacConfig::default()));
-        let svc_ids = vec![
-            svc.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
-            svc.add_tenant(TenantConfig::new("batch")),
-        ];
-        let s = run_open_loop(
+        let (mut svc, svc_ids) = demo_service(2);
+        let s = run_open_loop_dynamic(
             &mut svc,
             &trace,
             &svc_ids,
@@ -833,7 +688,7 @@ mod tests {
             cluster.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
             cluster.add_tenant(TenantConfig::new("batch")),
         ];
-        let c = run_open_loop(
+        let c = run_open_loop_dynamic(
             &mut cluster,
             &trace,
             &cl_ids,
@@ -841,23 +696,12 @@ mod tests {
             OpenLoopConfig::default(),
         )
         .unwrap();
-
-        // Outputs are backend- and placement-independent; latencies are
-        // not (different wave shapes), so compare outputs only.
-        let outs = |r: &OpenLoopReport<lac_sim::ExecStats>| {
-            let mut v: Vec<_> = r
-                .completed
-                .iter()
-                .map(|c| (c.arrival, c.outputs.clone()))
-                .collect();
-            v.sort_by_key(|(a, _)| (a.tenant, a.index));
-            v
-        };
         assert_eq!(outs(&s), outs(&c));
     }
 
-    #[test]
-    fn admission_backpressure_retries_and_completes() {
+    /// A trace of bursts against a budget that fits one request (cost
+    /// 40 + 30) but not two, on one core.
+    fn tight_replay() -> (Report, LacService<ProgramJob>, TenantId) {
         let trace = ArrivalTrace::generate(
             3,
             8_000,
@@ -867,39 +711,23 @@ mod tests {
                 mean_gap_off: 1_000.0,
             }],
         );
-        let mut svc: LacService<ProgramJob> =
-            LacService::new(ChipConfig::new(1, LacConfig::default()));
-        // Budget fits one request (cost 40 + 30) but not two.
-        let ids = vec![svc.add_tenant(TenantConfig::new("tight").with_admission_budget(100))];
+        let mut svc = LacService::new(ChipConfig::new(1, LacConfig::default()));
+        let t = svc.add_tenant(TenantConfig::new("tight").with_admission_budget(100));
         let report =
-            run_open_loop(&mut svc, &trace, &ids, request, OpenLoopConfig::default()).unwrap();
+            run_open_loop_dynamic(&mut svc, &trace, &[t], request, OpenLoopConfig::default())
+                .unwrap();
         assert_eq!(report.completed.len(), trace.len(), "bounced work retried");
-        assert!(
-            svc.tenant_session(ids[0]).graphs_rejected > 0,
-            "backpressure engaged"
-        );
+        (report, svc, t)
     }
 
     #[test]
-    fn bounced_work_is_served_in_arrival_order() {
-        // Same setup as above: a budget that fits one request at a time
-        // forces every burst through the bounce-retry path. Requests of a
-        // stream must still complete in arrival order — a newer arrival
-        // never overtakes an older bounced one.
-        let trace = ArrivalTrace::generate(
-            3,
-            8_000,
-            &[ArrivalProcess::OnOff {
-                mean_gap_on: 10.0,
-                mean_burst: 10.0,
-                mean_gap_off: 1_000.0,
-            }],
+    fn admission_backpressure_retries_in_arrival_order() {
+        let (report, svc, t) = tight_replay();
+        assert!(
+            svc.tenant_session(t).graphs_rejected > 0,
+            "backpressure engaged"
         );
-        let mut svc: LacService<ProgramJob> =
-            LacService::new(ChipConfig::new(1, LacConfig::default()));
-        let ids = vec![svc.add_tenant(TenantConfig::new("tight").with_admission_budget(100))];
-        let report =
-            run_open_loop(&mut svc, &trace, &ids, request, OpenLoopConfig::default()).unwrap();
+        // A newer arrival never overtakes an older bounced one.
         let indices: Vec<u64> = report.completed.iter().map(|c| c.arrival.index).collect();
         let mut sorted = indices.clone();
         sorted.sort_unstable();
@@ -914,22 +742,34 @@ mod tests {
             LacService::new(ChipConfig::new(1, LacConfig::default()));
         // Budget 50 can never admit a cost-70 request, even empty.
         let ids = vec![svc.add_tenant(TenantConfig::new("starved").with_admission_budget(50))];
-        let err =
-            run_open_loop(&mut svc, &trace, &ids, request, OpenLoopConfig::default()).unwrap_err();
+        let err = run_open_loop_dynamic(&mut svc, &trace, &ids, request, OpenLoopConfig::default())
+            .unwrap_err();
         match err {
-            OpenLoopError::AdmissionDeadlock { bounced } => assert!(bounced >= 1),
-            other => panic!("expected AdmissionDeadlock, got {other:?}"),
+            OpenLoopError::AdmissionDeadlock {
+                bounced,
+                tenant,
+                arrival,
+                segment,
+                graph_cost,
+                budget,
+            } => {
+                assert_eq!(bounced, 1);
+                assert_eq!(tenant, ids[0]);
+                assert_eq!(arrival, trace.arrivals()[0], "the first arrival starves");
+                assert_eq!((segment, graph_cost, budget), (0, 70, 50));
+            }
+            ref other => panic!("expected AdmissionDeadlock, got {other:?}"),
         }
         // The error carries a readable message and chains nothing.
         assert!(err.to_string().contains("deadlock"));
     }
 
-    /// A backend that delegates to [`LacService`] but drops the last
-    /// wave-end entry — modeling a backend that violates the
+    /// A backend that delegates to [`LacService`] but lets a test tap
+    /// every round outcome — to record it, or to break the
     /// [`OpenLoopBackend::run_boosted`] wave-clock contract.
-    struct TruncatingBackend(LacService<ProgramJob>);
+    struct Tap<F>(LacService<ProgramJob>, F);
 
-    impl OpenLoopBackend<ProgramJob> for TruncatingBackend {
+    impl<F: FnMut(&mut RoundOutcome<ExecStats>)> OpenLoopBackend<ProgramJob> for Tap<F> {
         fn enqueue(
             &mut self,
             t: TenantId,
@@ -941,9 +781,9 @@ mod tests {
             &mut self,
             sched: Scheduler,
             boost: &[u64],
-        ) -> Result<RoundOutcome<lac_sim::ExecStats>, SimError> {
+        ) -> Result<RoundOutcome<ExecStats>, SimError> {
             let mut out = OpenLoopBackend::run_boosted(&mut self.0, sched, boost)?;
-            out.wave_end_cycles.clear();
+            (self.1)(&mut out);
             Ok(out)
         }
         fn clock(&self) -> u64 {
@@ -964,10 +804,12 @@ mod tests {
     fn truncated_wave_clock_is_a_typed_error_not_a_zero_sojourn() {
         let trace =
             ArrivalTrace::generate(7, 2_000, &[ArrivalProcess::Poisson { mean_gap: 500.0 }]);
-        let mut backend =
-            TruncatingBackend(LacService::new(ChipConfig::new(1, LacConfig::default())));
+        let mut backend = Tap(
+            LacService::new(ChipConfig::new(1, LacConfig::default())),
+            |out: &mut RoundOutcome<ExecStats>| out.wave_end_cycles.clear(),
+        );
         let ids = vec![backend.0.add_tenant(TenantConfig::new("t"))];
-        let err = run_open_loop(
+        let err = run_open_loop_dynamic(
             &mut backend,
             &trace,
             &ids,
@@ -981,53 +823,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_quantum_changes_latency_never_bits() {
-        let trace = demo_trace();
-        let run = |max_round_cost: Option<u64>| {
-            let mut svc: LacService<ProgramJob> =
-                LacService::new(ChipConfig::new(2, LacConfig::default()));
-            let ids = vec![
-                svc.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
-                svc.add_tenant(TenantConfig::new("batch")),
-            ];
-            let cfg = OpenLoopConfig {
-                max_round_cost,
-                ..OpenLoopConfig::default()
-            };
-            run_open_loop(&mut svc, &trace, &ids, request, cfg).unwrap()
-        };
-        let unbounded = run(None);
-        let quantized = run(Some(100));
-        assert_eq!(quantized.completed.len(), trace.len(), "everything served");
-        assert!(
-            quantized.rounds >= unbounded.rounds,
-            "a quantum can only split rounds, never merge them"
-        );
-        // Output bits are identical; only latencies may move.
-        let outs = |r: &OpenLoopReport<lac_sim::ExecStats>| {
-            let mut v: Vec<_> = r
-                .completed
-                .iter()
-                .map(|c| (c.arrival, c.outputs.clone()))
-                .collect();
-            v.sort_by_key(|(a, _)| (a.tenant, a.index));
-            v
-        };
-        assert_eq!(outs(&unbounded), outs(&quantized));
-        // Reruns under a quantum stay bit-identical end to end.
-        assert_eq!(run(Some(100)), quantized);
-    }
-
-    /// A dynamic request that appends `extra` one-job segments after its
-    /// initial graph — segment count decided from its own outputs (each
-    /// job's stats are non-empty, proving the continuation saw them).
+    /// A request that appends `extra` one-job segments after its initial
+    /// graph — segment count decided from its own outputs (each job's
+    /// stats are non-empty, proving the continuation saw them).
     fn dynamic_request(a: &Arrival, extra: usize) -> DynamicGraph<ProgramJob> {
         let mut g = JobGraph::new();
         let salt = (a.index as usize + a.tenant) % 4;
         g.add(idle_job(salt, 40 + 10 * a.tenant as u64));
         let mut left = extra;
-        DynamicGraph::new(g, move |_seg, outputs: &[lac_sim::ExecStats]| {
+        DynamicGraph::new(g, move |_seg, outputs: &[ExecStats]| {
             assert!(!outputs.is_empty());
             if left == 0 {
                 return Continue::Done;
@@ -1037,6 +841,73 @@ mod tests {
             g.add(idle_job(1, 30));
             Continue::Append(g)
         })
+    }
+
+    #[test]
+    fn closed_batch_starts_at_once_and_clocks_its_rounds() {
+        // Three growing requests due at tick 0: no idle cycle precedes
+        // the first round, appended work is charged, and the clock is
+        // exactly the sum of the rounds' makespans.
+        let mut spans = Vec::new();
+        let mut backend = Tap(
+            LacService::new(ChipConfig::new(2, LacConfig::default())),
+            |out: &mut RoundOutcome<ExecStats>| {
+                spans.push(*out.wave_end_cycles.last().expect("a non-empty round"))
+            },
+        );
+        let t = backend.0.add_tenant(TenantConfig::new("batch"));
+        let report = run_open_loop_dynamic(
+            &mut backend,
+            &ArrivalTrace::batch(&[3]),
+            &[t],
+            |a| dynamic_request(a, a.index as usize + 1),
+            OpenLoopConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.completed.len(), 3);
+        for c in &report.completed {
+            let extra = c.arrival.index as usize + 1;
+            assert_eq!(c.outcome.segments.len(), extra + 1);
+            assert_eq!(c.outcome.appended_cost, 30 * extra as u64);
+            assert_eq!(c.sojourn_cycles, c.completion_tick, "due at tick 0");
+        }
+        assert_eq!(report.rounds, 4, "the longest request needs four rounds");
+        assert_eq!(
+            report
+                .events
+                .count(|e| matches!(e, TraceEvent::IdleFastForward { .. })),
+            0,
+            "a tick-0 batch inserts no idle cycle"
+        );
+        let Tap(svc, _) = backend;
+        assert_eq!(spans.len() as u64, report.rounds);
+        assert_eq!(report.final_clock, spans.iter().sum::<u64>());
+        assert_eq!(svc.session().clock_cycles, report.final_clock);
+        assert_eq!(svc.tenant_session(t).inflight_cost, 0);
+    }
+
+    #[test]
+    fn round_quantum_changes_latency_never_bits() {
+        let trace = demo_trace();
+        let run = |max_round_cost: Option<u64>| {
+            let (mut svc, ids) = demo_service(2);
+            let cfg = OpenLoopConfig {
+                max_round_cost,
+                ..OpenLoopConfig::default()
+            };
+            run_open_loop_dynamic(&mut svc, &trace, &ids, request, cfg).unwrap()
+        };
+        let unbounded = run(None);
+        let quantized = run(Some(100));
+        assert_eq!(quantized.completed.len(), trace.len(), "everything served");
+        assert!(
+            quantized.rounds >= unbounded.rounds,
+            "a quantum can only split rounds, never merge them"
+        );
+        // Output bits are identical; only latencies may move.
+        assert_eq!(outs(&unbounded), outs(&quantized));
+        // Reruns under a quantum stay bit-identical end to end.
+        assert_eq!(run(Some(100)), quantized);
     }
 
     #[test]
@@ -1111,8 +982,6 @@ mod tests {
 
     #[test]
     fn dynamic_unadmittable_segment_is_a_typed_deadlock() {
-        let trace =
-            ArrivalTrace::generate(7, 2_000, &[ArrivalProcess::Poisson { mean_gap: 600.0 }]);
         let mut svc: LacService<ProgramJob> =
             LacService::new(ChipConfig::new(1, LacConfig::default()));
         // Budget 45 admits the cost-40 initial graph but can never admit
@@ -1120,12 +989,12 @@ mod tests {
         let ids = vec![svc.add_tenant(TenantConfig::new("starved").with_admission_budget(45))];
         let err = run_open_loop_dynamic(
             &mut svc,
-            &trace,
+            &ArrivalTrace::batch(&[1]),
             &ids,
             |_| {
                 let mut g = JobGraph::new();
                 g.add(idle_job(0, 40));
-                DynamicGraph::new(g, |_seg, _out: &[lac_sim::ExecStats]| {
+                DynamicGraph::new(g, |_seg, _out: &[ExecStats]| {
                     let mut g = JobGraph::new();
                     g.add(idle_job(1, 70));
                     Continue::Append(g)
@@ -1134,10 +1003,16 @@ mod tests {
             OpenLoopConfig::default(),
         )
         .unwrap_err();
-        assert!(
-            matches!(err, OpenLoopError::AdmissionDeadlock { .. }),
-            "{err:?}"
-        );
+        match err {
+            OpenLoopError::AdmissionDeadlock {
+                segment,
+                graph_cost,
+                budget,
+                ..
+            } => assert_eq!((segment, graph_cost, budget), (1, 70, 45)),
+            other => panic!("expected AdmissionDeadlock, got {other:?}"),
+        }
+        assert_eq!(svc.tenant_session(ids[0]).inflight_cost, 0);
     }
 
     #[test]
@@ -1151,7 +1026,7 @@ mod tests {
             cluster.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
             cluster.add_tenant(TenantConfig::new("batch")),
         ];
-        let report = run_open_loop(
+        let report = run_open_loop_dynamic(
             &mut cluster,
             &trace,
             &ids,
@@ -1159,9 +1034,11 @@ mod tests {
             OpenLoopConfig::default(),
         )
         .unwrap();
-        use lac_sim::TraceEvent;
-        let jobs = report.events.count(|e| matches!(e, TraceEvent::Job { .. }));
-        assert_eq!(jobs, 2 * trace.len(), "every job of every request logged");
+        assert_eq!(
+            jobs_logged(&report),
+            2 * trace.len(),
+            "every job of every request logged"
+        );
         assert!(
             report
                 .events

@@ -18,24 +18,24 @@
 //!   with deterministic [`LatencyHistogram::p50`] /
 //!   [`LatencyHistogram::p99`] / [`LatencyHistogram::p999`] in simulated
 //!   cycles (≤ 12.5 % bucket granularity), exact merge.
-//! * [`run_open_loop`] — the open-loop driver: it walks a trace against
-//!   an [`OpenLoopBackend`] (a `LacService` or a `LacCluster`),
-//!   fast-forwarding the simulated clock to the next arrival through the
-//!   backend's `advance_idle` door, enqueueing each due arrival through
-//!   the tenant admission door, running rounds, and charging each
-//!   completed request's sojourn to its tenant's histogram. Tenants with
-//!   a [`lac_sim::TenantConfig::with_deadline`] SLO get a preemption-free
-//!   priority boost (least deadline slack first) layered on the
-//!   fair-share scheduler — which reorders *when* jobs run but, because
-//!   outputs are placement-independent, never changes output bits.
-//! * [`run_open_loop_dynamic`] — the same replay for
-//!   *convergence-driven* requests: each arrival is a
-//!   [`lac_sim::dynamic::DynamicGraph`] whose continuation appends
-//!   segments until its residual converges. Continuations of live
-//!   requests re-admit **before** younger arrivals (arrival order is
-//!   preserved), appended segments are charged against the tenant's
-//!   admission budget like any fresh graph, and the sojourn clock runs
-//!   to the *final* segment — convergence time, not first-segment time.
+//! * [`run_open_loop_dynamic`] — the one request driver: it walks a
+//!   trace against an [`OpenLoopBackend`] (a `LacService` or a
+//!   `LacCluster`), fast-forwarding the simulated clock to the next
+//!   arrival through the backend's `advance_idle` door, enqueueing each
+//!   due request through the tenant admission door, running rounds, and
+//!   charging each finished request's sojourn to its tenant's histogram.
+//!   Every request is a [`lac_sim::dynamic::DynamicGraph`] whose
+//!   continuation may append segments until its residual converges;
+//!   continuations of live requests re-admit **before** younger arrivals,
+//!   appended segments are charged against the tenant's admission budget
+//!   like any fresh graph, and the sojourn clock runs to the *final*
+//!   segment. Fixed graphs are `DynamicGraph::fixed`, and a closed batch
+//!   is an [`ArrivalTrace::batch`] whose arrivals are all due at tick 0.
+//!   Tenants with a [`lac_sim::TenantConfig::with_deadline`] SLO get a
+//!   preemption-free priority boost (least deadline slack first) layered
+//!   on the fair-share scheduler — which reorders *when* jobs run but,
+//!   because outputs are placement-independent, never changes output
+//!   bits.
 //!
 //! Everything here is planned from ticks, cost hints and seeds — never
 //! host timing — so open-loop runs are bit-identical across reruns,
@@ -47,9 +47,8 @@ pub mod hist;
 pub mod trace;
 
 pub use driver::{
-    run_open_loop, run_open_loop_dynamic, CompletedRequest, DynamicCompleted,
-    DynamicOpenLoopReport, OpenLoopBackend, OpenLoopConfig, OpenLoopError, OpenLoopReport,
-    RoundOutcome, TenantLatency,
+    run_open_loop_dynamic, DynamicCompleted, DynamicOpenLoopReport, OpenLoopBackend,
+    OpenLoopConfig, OpenLoopError, RoundOutcome, TenantLatency,
 };
 pub use hist::LatencyHistogram;
 pub use trace::{Arrival, ArrivalProcess, ArrivalTrace};

@@ -200,8 +200,9 @@ impl ArrivalTrace {
     /// JSON). Validates every invariant [`ArrivalTrace::generate`]
     /// guarantees, so a replayed trace is indistinguishable from a
     /// generated one: arrivals sorted by `(tick, tenant, index)`, ticks
-    /// in `[1, horizon]`, tenants within `streams`, and per-tenant
-    /// indices dense from 0.
+    /// in `[0, horizon]`, tenants within `streams`, and per-tenant
+    /// indices dense from 0. Tick 0 is "due at once" — a closed batch
+    /// (see [`ArrivalTrace::batch`]); generated traces start at tick 1.
     pub fn from_parts(
         arrivals: Vec<Arrival>,
         horizon: u64,
@@ -216,9 +217,9 @@ impl ArrivalTrace {
                     a.tenant
                 ));
             }
-            if a.tick < 1 || a.tick > horizon {
+            if a.tick > horizon {
                 return Err(format!(
-                    "arrival {i}: tick {} outside [1, {horizon}]",
+                    "arrival {i}: tick {} outside [0, {horizon}]",
                     a.tick
                 ));
             }
@@ -240,6 +241,25 @@ impl ArrivalTrace {
             horizon,
             streams,
         })
+    }
+
+    /// A closed batch: `requests[s]` arrivals on stream `s`, every one due
+    /// at tick 0, so the driver admits them all into its first round
+    /// without an idle gap — the closed-loop counterpart of a generated
+    /// trace.
+    pub fn batch(requests: &[usize]) -> Self {
+        let arrivals = requests
+            .iter()
+            .enumerate()
+            .flat_map(|(tenant, &n)| {
+                (0..n as u64).map(move |index| Arrival {
+                    tick: 0,
+                    tenant,
+                    index,
+                })
+            })
+            .collect();
+        Self::from_parts(arrivals, 0, requests.len()).expect("a batch is a valid trace")
     }
 
     /// All arrivals, sorted by `(tick, tenant, index)`.
@@ -338,6 +358,16 @@ mod tests {
             ArrivalTrace::from_parts(sparse, 50_000, 2).is_err(),
             "dense indices"
         );
+
+        // Tick 0 is a valid "due at once" arrival: a closed batch.
+        let batch = ArrivalTrace::batch(&[2, 1]);
+        let ticks: Vec<(u64, usize, u64)> = batch
+            .arrivals()
+            .iter()
+            .map(|a| (a.tick, a.tenant, a.index))
+            .collect();
+        assert_eq!(ticks, vec![(0, 0, 0), (0, 0, 1), (0, 1, 0)]);
+        assert_eq!((batch.horizon(), batch.streams()), (0, 2));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! ```
 
 use lap::lac_kernels::{Details, IpddpFleet};
-use lap::lac_sim::{run_dynamic, ChipConfig, LacConfig, LacService, Scheduler, TenantConfig};
+use lap::lac_sim::{ChipConfig, LacConfig, LacService, Scheduler, TenantConfig};
+use lap::lac_traffic::{run_open_loop_dynamic, ArrivalTrace, OpenLoopConfig};
 
 fn main() {
     let fleet = IpddpFleet::demo();
@@ -33,13 +34,20 @@ fn main() {
 
     let mut svc = LacService::new(ChipConfig::new(4, LacConfig::default()));
     let tenant = svc.add_tenant(TenantConfig::new("fleet"));
-    let run = run_dynamic(
+    // The fleet is one request in a closed batch: due at tick 0, served
+    // round after round until its continuation says every member is done.
+    let report = run_open_loop_dynamic(
         &mut svc,
-        vec![(tenant, fleet.dynamic())],
-        Scheduler::FairShare,
+        &ArrivalTrace::batch(&[1]),
+        &[tenant],
+        |_| fleet.dynamic(),
+        OpenLoopConfig {
+            sched: Scheduler::FairShare,
+            ..OpenLoopConfig::default()
+        },
     )
     .expect("hazard-free dynamic run");
-    let outcome = &run.outcomes[0];
+    let outcome = &report.completed[0].outcome;
     fleet
         .check(outcome)
         .expect("every trajectory matches linalg-ref");
@@ -83,7 +91,7 @@ fn main() {
          {} cost appended after submission, clock {} cycles",
         outcome.jobs,
         outcome.segments.len(),
-        run.rounds,
+        report.rounds,
         outcome.appended_cost,
         svc.session().clock_cycles
     );

@@ -18,9 +18,12 @@
 //! cargo run --release --example open_loop
 //! ```
 
+use lap::lac_kernels::KernelReport;
 use lap::lac_kernels::{SolverJob, SolverLoopParams, SolverStream};
-use lap::lac_sim::{ChipConfig, LacConfig, LacService, Scheduler, TenantConfig};
-use lap::lac_traffic::{run_open_loop, ArrivalProcess, ArrivalTrace, OpenLoopConfig};
+use lap::lac_sim::{ChipConfig, DynamicGraph, LacConfig, LacService, Scheduler, TenantConfig};
+use lap::lac_traffic::{
+    run_open_loop_dynamic, ArrivalProcess, ArrivalTrace, DynamicOpenLoopReport, OpenLoopConfig,
+};
 
 fn main() {
     // Every arrival becomes one small interior-point chain (CHOL → TRSM
@@ -78,11 +81,11 @@ fn main() {
             svc.add_tenant(TenantConfig::new("interactive").with_deadline(deadline)),
             svc.add_tenant(TenantConfig::new("batch").with_weight(4)),
         ];
-        run_open_loop(
+        run_open_loop_dynamic(
             &mut svc,
             &trace,
             &ids,
-            |a| stream.request(a.tenant, a.index).graph().graph,
+            |a| DynamicGraph::fixed(stream.request(a.tenant, a.index).graph().graph),
             OpenLoopConfig {
                 sched: Scheduler::FairShare,
                 slo_boost,
@@ -113,16 +116,16 @@ fn main() {
 
     // The boost trades batch tail for interactive tail — verify the
     // deal, and verify it never touched a single output bit.
-    let p99 = |r: &lap::lac_traffic::OpenLoopReport<_>, t: usize| r.per_tenant[t].hist.p99();
+    let p99 = |r: &DynamicOpenLoopReport<_>, t: usize| r.per_tenant[t].hist.p99();
     assert!(
         p99(&boosted, 0) <= p99(&plain, 0),
         "SLO boost must not worsen the interactive tail"
     );
-    let bits = |r: &lap::lac_traffic::OpenLoopReport<lap::lac_kernels::KernelReport>| {
+    let bits = |r: &DynamicOpenLoopReport<KernelReport>| {
         let mut v: Vec<_> = r
             .completed
             .iter()
-            .map(|c| (c.arrival, c.outputs.clone()))
+            .map(|c| (c.arrival, c.outcome.segments.clone()))
             .collect();
         v.sort_by_key(|(a, _)| (a.tenant, a.index));
         v
@@ -138,7 +141,7 @@ fn main() {
     for c in &boosted.completed {
         stream
             .request(c.arrival.tenant, c.arrival.index)
-            .check_graph(&c.outputs)
+            .check_graph(&c.outcome.segments[0])
             .expect("streamed outputs match linalg-ref");
     }
     println!(

@@ -29,11 +29,11 @@ pub use lac_traffic;
 pub use linalg_ref;
 
 // The continuation subsystem, flattened: the dynamic-graph API spans
-// three crates (trait + driver in `lac_sim::dynamic`, convergence-driven
-// clients in `lac_kernels`, the open-loop replay door in `lac_traffic`),
-// so the pieces a dynamic client touches are re-exported here together.
+// three crates (the request types in `lac_sim::dynamic`, convergence-driven
+// clients in `lac_kernels`, the one request driver in `lac_traffic`), so
+// the pieces a dynamic client touches are re-exported here together.
 pub use lac_kernels::{IpddpFleet, IpddpParams, IppmmParams, IppmmWorkload};
-pub use lac_sim::dynamic::{
-    run_dynamic, Continuation, Continue, DynamicGraph, DynamicOutcome, DynamicRun,
+pub use lac_sim::dynamic::{Continuation, Continue, DynamicGraph, DynamicOutcome};
+pub use lac_traffic::{
+    run_open_loop_dynamic, ArrivalTrace, DynamicCompleted, DynamicOpenLoopReport, OpenLoopConfig,
 };
-pub use lac_traffic::{run_open_loop_dynamic, DynamicCompleted, DynamicOpenLoopReport};

@@ -1,7 +1,10 @@
 //! Property tests for the continuation subsystem under real
 //! convergence-driven clients (`IppmmWorkload`, `IpddpFleet`).
 //!
-//! The claims under test are the contract `lac_sim::dynamic` documents:
+//! The claims under test are the contract `lac_sim::dynamic` documents,
+//! with every request served by the one driver
+//! (`lac_traffic::run_open_loop_dynamic`) as a closed batch — a trace
+//! whose arrivals are all due at tick 0:
 //!
 //! * **Bit-determinism** — a dynamic run's outputs, segment counts and
 //!   iteration counts are a pure function of the request, identical
@@ -12,7 +15,7 @@
 //!   in-flight cost never exceeds the budget, drains to zero, and the
 //!   completed-cost ledger adds up to what the outcomes report.
 //! * **Typed backpressure** — a segment that can never fit surfaces as
-//!   `DynamicError::BudgetExhausted`, not a hang.
+//!   `OpenLoopError::AdmissionDeadlock`, not a hang.
 
 // NB: the vendored proptest! shim's matcher does not accept `///` doc
 // comments on the test fns — use `//` comments inside the block.
@@ -21,23 +24,57 @@ mod common;
 
 use common::{qp, ALL_POLICIES};
 use lap::lac_kernels::{IpddpParams, IppmmWorkload, KernelReport};
-use lap::lac_sim::dynamic::{run_dynamic, DynamicError, DynamicRun};
 use lap::lac_sim::{
-    ChipConfig, ClusterConfig, FaultPlan, LacCluster, LacConfig, LacService, Scheduler,
-    TenantConfig,
+    ChipConfig, ChipJob, ClusterConfig, DynamicGraph, DynamicOutcome, FaultPlan, LacCluster,
+    LacConfig, LacService, Scheduler, TenantConfig, TenantId,
+};
+use lap::lac_traffic::{
+    run_open_loop_dynamic, ArrivalTrace, DynamicOpenLoopReport, OpenLoopBackend, OpenLoopConfig,
+    OpenLoopError,
 };
 use proptest::prelude::*;
 
-fn run_on_service(
-    w: &IppmmWorkload,
-    cores: usize,
+/// Every request's outcome, in request order, plus the rounds they took.
+type Served<T> = (Vec<DynamicOutcome<T>>, u64);
+
+/// Serve `requests` of tenant `t` to convergence as a closed batch.
+fn serve<J: ChipJob>(
+    backend: &mut impl OpenLoopBackend<J>,
+    t: TenantId,
+    requests: Vec<DynamicGraph<J>>,
     sched: Scheduler,
-) -> (DynamicRun<KernelReport>, u64) {
+) -> Result<Served<J::Output>, OpenLoopError> {
+    let batch = ArrivalTrace::batch(&[requests.len()]);
+    let mut requests: Vec<_> = requests.into_iter().map(Some).collect();
+    let cfg = OpenLoopConfig {
+        sched,
+        ..OpenLoopConfig::default()
+    };
+    let DynamicOpenLoopReport {
+        mut completed,
+        rounds,
+        ..
+    } = run_open_loop_dynamic(
+        backend,
+        &batch,
+        &[t],
+        |a| {
+            requests[a.index as usize]
+                .take()
+                .expect("one arrival per request")
+        },
+        cfg,
+    )?;
+    completed.sort_by_key(|c| c.arrival.index);
+    Ok((completed.into_iter().map(|c| c.outcome).collect(), rounds))
+}
+
+fn run_on_service(w: &IppmmWorkload, cores: usize, sched: Scheduler) -> Served<KernelReport> {
     let mut svc = LacService::new(ChipConfig::new(cores, LacConfig::default()));
     let t = svc.add_tenant(TenantConfig::new("qp"));
-    let run = run_dynamic(&mut svc, vec![(t, w.dynamic())], sched).expect("dynamic run");
+    let run = serve(&mut svc, t, vec![w.dynamic()], sched).expect("dynamic run");
     assert_eq!(svc.tenant_session(t).inflight_cost, 0);
-    (run, svc.tenant_session(t).cost_completed)
+    run
 }
 
 proptest! {
@@ -53,15 +90,15 @@ proptest! {
     ) {
         let w = qp(salt);
         let reference = w.reference().expect("reference IPM converges");
-        let (base, _) = run_on_service(&w, 2, Scheduler::Fifo);
-        w.check(&base.outcomes[0]).expect("device solve matches linalg-ref");
-        prop_assert_eq!(base.outcomes[0].iterations(), reference.iterations);
+        let base = run_on_service(&w, 2, Scheduler::Fifo);
+        w.check(&base.0[0]).expect("device solve matches linalg-ref");
+        prop_assert_eq!(base.0[0].iterations(), reference.iterations);
 
         // Policies and core counts move *when* jobs run, never what they
         // compute — or how many segments the continuation appends.
         for sched in ALL_POLICIES {
             for cores in [1usize, 3] {
-                let (run, _) = run_on_service(&w, cores, sched);
+                let run = run_on_service(&w, cores, sched);
                 prop_assert_eq!(&run, &base, "policy/core sweep diverged");
             }
         }
@@ -69,8 +106,8 @@ proptest! {
         // Warm rerun on one long-lived service: same bits again.
         let mut svc = LacService::new(ChipConfig::new(2, LacConfig::default()));
         let t = svc.add_tenant(TenantConfig::new("warm"));
-        let first = run_dynamic(&mut svc, vec![(t, w.dynamic())], Scheduler::FairShare).unwrap();
-        let second = run_dynamic(&mut svc, vec![(t, w.dynamic())], Scheduler::FairShare).unwrap();
+        let first = serve(&mut svc, t, vec![w.dynamic()], Scheduler::FairShare).unwrap();
+        let second = serve(&mut svc, t, vec![w.dynamic()], Scheduler::FairShare).unwrap();
         prop_assert_eq!(&first, &second, "warm rerun diverged");
         prop_assert_eq!(&first, &base);
 
@@ -80,9 +117,9 @@ proptest! {
             ChipConfig::new(1, LacConfig::default()),
         ));
         let t = cl.add_tenant(TenantConfig::new("cl"));
-        let clustered = run_dynamic(&mut cl, vec![(t, w.dynamic())], Scheduler::CriticalPath)
+        let clustered = serve(&mut cl, t, vec![w.dynamic()], Scheduler::CriticalPath)
             .expect("cluster dynamic run");
-        prop_assert_eq!(&clustered.outcomes, &base.outcomes, "cluster backend diverged");
+        prop_assert_eq!(&clustered.0, &base.0, "cluster backend diverged");
     }
 
     // Tenant cost accounting stays conserved while graphs grow: with a
@@ -100,13 +137,14 @@ proptest! {
         let t = svc.add_tenant(
             TenantConfig::new("tight").with_admission_budget(slots * segment_cost),
         );
-        let run = run_dynamic(
+        let (outcomes, _) = serve(
             &mut svc,
-            vec![(t, w.dynamic()), (t, w.dynamic())],
+            t,
+            vec![w.dynamic(), w.dynamic()],
             Scheduler::FairShare,
         )
         .expect("both solves fit one segment at a time");
-        for out in &run.outcomes {
+        for out in &outcomes {
             w.check(out).expect("interleaved solve matches linalg-ref");
             prop_assert_eq!(out.total_cost, out.iterations() as u64 * segment_cost);
             prop_assert_eq!(out.appended_cost, out.total_cost - segment_cost);
@@ -115,7 +153,7 @@ proptest! {
         prop_assert_eq!(s.inflight_cost, 0, "ledger must drain");
         prop_assert_eq!(
             s.cost_completed,
-            run.outcomes.iter().map(|o| o.total_cost).sum::<u64>()
+            outcomes.iter().map(|o| o.total_cost).sum::<u64>()
         );
         if slots == 1 {
             // One slot, two requests: admission control must have bounced.
@@ -140,13 +178,14 @@ proptest! {
                 cl.inject_faults(plan);
             }
             let t = cl.add_tenant(TenantConfig::new("faulted"));
-            run_dynamic(&mut cl, vec![(t, w.dynamic())], Scheduler::FairShare)
+            serve(&mut cl, t, vec![w.dynamic()], Scheduler::FairShare)
                 .expect("kill is survivable with one chip left")
+                .0
         };
         let clean = run(None);
         let killed = run(Some(FaultPlan::new().kill(1, kill_tick)));
-        prop_assert_eq!(&killed.outcomes, &clean.outcomes, "kill replay diverged");
-        w.check(&killed.outcomes[0]).expect("post-kill solve matches linalg-ref");
+        prop_assert_eq!(&killed, &clean, "kill replay diverged");
+        w.check(&killed[0]).expect("post-kill solve matches linalg-ref");
     }
 }
 
@@ -164,18 +203,20 @@ fn undersized_budget_is_typed_backpressure() {
     let mut svc = LacService::new(ChipConfig::new(2, LacConfig::default()));
     let t =
         svc.add_tenant(TenantConfig::new("starved").with_admission_budget(fleet.sweep_cost() / 2));
-    let err = run_dynamic(&mut svc, vec![(t, fleet.dynamic())], Scheduler::Fifo).unwrap_err();
+    let err = serve(&mut svc, t, vec![fleet.dynamic()], Scheduler::Fifo).unwrap_err();
     match err {
-        DynamicError::BudgetExhausted {
+        OpenLoopError::AdmissionDeadlock {
+            tenant,
             segment,
             graph_cost,
             budget,
             ..
         } => {
+            assert_eq!(tenant, t);
             assert_eq!(segment, 0, "the initial sweep already cannot fit");
             assert!(graph_cost > budget);
         }
-        other => panic!("expected BudgetExhausted, got {other:?}"),
+        other => panic!("expected AdmissionDeadlock, got {other:?}"),
     }
     assert_eq!(svc.tenant_session(t).inflight_cost, 0);
 }

@@ -24,10 +24,13 @@ use common::{check_exactly_once, policy, random_sized_dag, SizedJob};
 use lac_bench::json::Json;
 use lap::lac_power::ClusterEnergyModel;
 use lap::lac_sim::{
-    ChipConfig, ClusterConfig, ExecStats, FaultPlan, JobGraph, LacCluster, LacConfig, Scheduler,
-    TenantConfig, TraceEvent,
+    ChipConfig, ClusterConfig, DynamicGraph, ExecStats, FaultPlan, JobGraph, LacCluster, LacConfig,
+    Scheduler, TenantConfig, TraceEvent,
 };
-use lap::lac_traffic::{run_open_loop, Arrival, ArrivalProcess, ArrivalTrace, OpenLoopConfig};
+use lap::lac_traffic::{
+    run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, DynamicOpenLoopReport,
+    OpenLoopConfig,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -247,7 +250,7 @@ fn chrome_trace_parses_and_records_the_drill() {
 /// event log carries the fault on the absolute session clock.
 #[test]
 fn open_loop_replay_survives_chip_loss_with_identical_bits() {
-    let request = |a: &Arrival| -> JobGraph<SizedJob> {
+    let request = |a: &Arrival| -> DynamicGraph<SizedJob> {
         let mut g = JobGraph::new();
         let salt = (a.index as usize + a.tenant) % 4;
         let first = g.add(SizedJob {
@@ -263,7 +266,7 @@ fn open_loop_replay_survives_chip_loss_with_identical_bits() {
             },
             &[first],
         );
-        g
+        DynamicGraph::fixed(g)
     };
     let trace = ArrivalTrace::generate(11, 30_000, &[ArrivalProcess::Poisson { mean_gap: 400.0 }]);
     let replay = |fault: Option<FaultPlan>| {
@@ -275,7 +278,7 @@ fn open_loop_replay_survives_chip_loss_with_identical_bits() {
             cluster.inject_faults(p);
         }
         let ids = vec![cluster.add_tenant(TenantConfig::new("t"))];
-        let report = run_open_loop(
+        let report = run_open_loop_dynamic(
             &mut cluster,
             &trace,
             &ids,
@@ -291,11 +294,11 @@ fn open_loop_replay_survives_chip_loss_with_identical_bits() {
 
     assert!(cluster.dead_chips()[1]);
     assert_eq!(faulted.completed.len(), trace.len(), "every arrival served");
-    let outs = |r: &lap::lac_traffic::OpenLoopReport<ExecStats>| {
+    let outs = |r: &DynamicOpenLoopReport<ExecStats>| {
         let mut v: Vec<_> = r
             .completed
             .iter()
-            .map(|c| (c.arrival, c.outputs.clone()))
+            .map(|c| (c.arrival, c.outcome.segments.clone()))
             .collect();
         v.sort_by_key(|(a, _)| (a.tenant, a.index));
         v

@@ -14,11 +14,12 @@
 //!   configured mean rate within tolerance.
 
 use lap::lac_sim::{
-    ChipConfig, JobGraph, LacConfig, LacService, ProgramBuilder, ProgramJob, Scheduler,
-    TenantConfig,
+    ChipConfig, DynamicGraph, ExecStats, JobGraph, LacConfig, LacService, ProgramBuilder,
+    ProgramJob, Scheduler, TenantConfig,
 };
 use lap::lac_traffic::{
-    run_open_loop, Arrival, ArrivalProcess, ArrivalTrace, LatencyHistogram, OpenLoopConfig,
+    run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, DynamicOpenLoopReport,
+    LatencyHistogram, OpenLoopConfig,
 };
 use proptest::prelude::*;
 
@@ -31,7 +32,7 @@ fn hist_of(samples: &[u64]) -> LatencyHistogram {
 }
 
 /// A tiny two-job chain whose shape is salted by the arrival identity.
-fn request(a: &Arrival) -> JobGraph<ProgramJob> {
+fn request(a: &Arrival) -> DynamicGraph<ProgramJob> {
     let job = |extra: usize, cost: u64| {
         let cfg = LacConfig::default();
         let mut b = ProgramBuilder::new(cfg.nr);
@@ -43,7 +44,7 @@ fn request(a: &Arrival) -> JobGraph<ProgramJob> {
     let mut g = JobGraph::new();
     let first = g.add(job((a.index as usize) % 3, 30 + 20 * a.tenant as u64));
     g.add_after(job((a.tenant + 1) % 3, 25), &[first]);
-    g
+    DynamicGraph::fixed(g)
 }
 
 proptest! {
@@ -176,7 +177,7 @@ fn open_loop_replays_are_deterministic_across_policies() {
                 svc.add_tenant(TenantConfig::new("deadline").with_deadline(1_500)),
                 svc.add_tenant(TenantConfig::new("batch")),
             ];
-            run_open_loop(
+            run_open_loop_dynamic(
                 &mut svc,
                 &trace,
                 &ids,
@@ -200,11 +201,11 @@ fn open_loop_replays_are_deterministic_across_policies() {
         );
 
         // Across policies and SLO boosting, output bits never move.
-        let bits = |r: &lap::lac_traffic::OpenLoopReport<lap::lac_sim::ExecStats>| {
+        let bits = |r: &DynamicOpenLoopReport<ExecStats>| {
             let mut v: Vec<_> = r
                 .completed
                 .iter()
-                .map(|c| (c.arrival, c.outputs.clone()))
+                .map(|c| (c.arrival, c.outcome.segments.clone()))
                 .collect();
             v.sort_by_key(|(a, _)| (a.tenant, a.index));
             v
