@@ -45,7 +45,7 @@ pub(crate) fn cholesky_kernel_run(
 
 /// The `nr × nr` Cholesky microprogram — a pure function of the shape
 /// (mesh size, FPU depth `p`, inverse-square-root latency `q`).
-fn cholesky_kernel_program(nr: usize, p: usize, q: usize) -> lac_sim::Program {
+pub(crate) fn cholesky_kernel_program(nr: usize, p: usize, q: usize) -> lac_sim::Program {
     let addr = |i: usize, j: usize| if i >= j { j * nr + i } else { i * nr + j };
 
     let mut b = ProgramBuilder::new(nr);

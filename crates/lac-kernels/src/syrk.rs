@@ -150,7 +150,7 @@ pub(crate) fn syrk_run(
 
 /// The blocked-SYRK microprogram — a pure function of the shape (mesh
 /// size, FPU depth, operand layout and block parameters).
-fn syrk_program(
+pub(crate) fn syrk_program(
     nr: usize,
     p: usize,
     lay: &SyrkDataLayout,

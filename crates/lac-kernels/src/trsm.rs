@@ -66,7 +66,7 @@ pub(crate) fn trsm_stacked_run(
 
 /// The stacked-TRSM microprogram — a pure function of the shape (mesh
 /// size, FPU depth `p`, reciprocal latency `q`, stacked tile count `m`).
-fn trsm_stacked_program(nr: usize, p: usize, q: usize, m: usize) -> lac_sim::Program {
+pub(crate) fn trsm_stacked_program(nr: usize, p: usize, q: usize, m: usize) -> lac_sim::Program {
     let l_addr = |i: usize, j: usize| j * nr + i;
     let b_addr = |i: usize, j: usize| nr * nr + j * nr + i;
 

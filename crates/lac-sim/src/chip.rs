@@ -102,7 +102,7 @@ pub struct ProgramJob {
 impl ProgramJob {
     /// A job whose scheduler cost defaults to the program length.
     pub fn new(prog: Program) -> Self {
-        let cost = prog.steps.len() as u64;
+        let cost = prog.len() as u64;
         Self {
             prog,
             image: None,

@@ -38,12 +38,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::config::LacConfig;
 use crate::core::{ArenaLayout, ExternalMem, Lac};
 use crate::error::SimError;
-use crate::isa::{ExtOp, PeInstr, Program, Source, Step};
+use crate::isa::{ExtOp, MicroOp, PeInstr, Program, Source, Step};
 use crate::stats::ExecStats;
 use lac_fpu::{DivSqrtImpl, DivSqrtOp, Precision};
 
@@ -236,10 +236,10 @@ fn hash_instr(h: &mut WideHasher, pi: &PeInstr) {
 /// and idle steps contribute only their position in the count.
 pub(crate) fn hash_program(prog: &Program) -> u128 {
     let mut h = WideHasher::new();
-    h.write_usize(prog.nr);
-    h.write_usize(prog.steps.len());
-    for (t, step) in prog.steps.iter().enumerate() {
-        for op in &step.ext {
+    h.write_usize(prog.nr());
+    h.write_usize(prog.len());
+    for (t, step) in prog.steps().enumerate() {
+        for op in step.ext() {
             match *op {
                 ExtOp::Load { col, addr } => {
                     h.write_u8(0xe1);
@@ -255,14 +255,11 @@ pub(crate) fn hash_program(prog: &Program) -> u128 {
                 }
             }
         }
-        for (i, pi) in step.pes.iter().enumerate() {
-            if pi.is_nop() {
-                continue;
-            }
+        for (i, ops) in step.pes() {
             h.write_u8(0xd0);
             h.write_usize(t);
             h.write_usize(i);
-            hash_instr(&mut h, pi);
+            hash_instr(&mut h, &ops.to_instr());
         }
     }
     h.finish128()
@@ -310,9 +307,13 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// One key's entry: inserted under the table lock, compiled outside it by
+/// the first lookup; racing lookups wait on it instead of compiling again.
+type Slot = Arc<OnceLock<Arc<CompileOutcome>>>;
+
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: Mutex<HashMap<(u128, u64), Arc<CompileOutcome>>>,
+    map: Mutex<HashMap<(u128, u64), Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -369,26 +370,34 @@ impl ProgramCache {
         }
     }
 
-    /// Resolve `prog` under `cfg` to a memoized compile outcome,
-    /// compiling outside the lock on a miss.
+    /// Resolve `prog` under `cfg` to a memoized compile outcome. Each key
+    /// compiles once, outside the table lock; a lookup that races the
+    /// first one waits for its result and counts as a hit.
     pub(crate) fn lookup(&self, cfg: &LacConfig, prog: &Program) -> Arc<CompileOutcome> {
         let key = (prog.structural_hash(), config_fingerprint(cfg));
-        if let Some(hit) = self.inner.map.lock().unwrap().get(&key) {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        let outcome = Arc::new(match compile(cfg, prog) {
-            Ok(cp) => CompileOutcome::Compiled(Box::new(cp)),
-            Err(reason) => CompileOutcome::Fallback(reason),
+        let slot = Arc::clone(
+            self.inner
+                .map
+                .lock()
+                .expect("program cache poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut compiled = false;
+        let outcome = slot.get_or_init(|| {
+            compiled = true;
+            Arc::new(match compile(cfg, prog) {
+                Ok(cp) => CompileOutcome::Compiled(Box::new(cp)),
+                Err(reason) => CompileOutcome::Fallback(reason),
+            })
         });
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .map
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(outcome)
-            .clone()
+        let counter = if compiled {
+            &self.inner.misses
+        } else {
+            &self.inner.hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(outcome)
     }
 }
 
@@ -619,7 +628,7 @@ impl CompiledProgram {
 /// assert_eq!(cp.static_stats().rf_writes, 1);
 /// ```
 pub fn compile(cfg: &LacConfig, prog: &Program) -> Result<CompiledProgram, FallbackReason> {
-    assert_eq!(prog.nr, cfg.nr, "program/mesh dimension mismatch");
+    assert_eq!(prog.nr(), cfg.nr, "program/mesh dimension mismatch");
     Compiler::new(cfg, prog)?.run()
 }
 
@@ -741,19 +750,18 @@ impl<'a> Compiler<'a> {
         // region can start right after it).
         let mut consts = Vec::new();
         let mut const_bits = HashMap::new();
-        for step in &prog.steps {
-            for pi in &step.pes {
-                if pi.is_nop() {
-                    continue;
+        for step in prog.steps() {
+            for (_, ops) in step.pes() {
+                for op in ops.iter() {
+                    for_each_source(op, &mut |s| {
+                        if let Source::Const(v) = s {
+                            const_bits.entry(v.to_bits()).or_insert_with(|| {
+                                consts.push(v);
+                                consts.len() - 1
+                            });
+                        }
+                    });
                 }
-                for_each_source(pi, &mut |s| {
-                    if let Source::Const(v) = s {
-                        const_bits.entry(v.to_bits()).or_insert_with(|| {
-                            consts.push(v);
-                            consts.len() - 1
-                        });
-                    }
-                });
             }
         }
 
@@ -833,7 +841,7 @@ impl<'a> Compiler<'a> {
             sfu_counts: vec![0; npes],
             mac_latched: vec![false; npes],
             sfu_latched: vec![false; npes],
-            retires: vec![Vec::new(); prog.steps.len()],
+            retires: vec![Vec::new(); prog.len()],
             row_driven: vec![false; nr],
             col_driven: vec![false; nr],
             ports: vec![Ports::default(); npes],
@@ -844,8 +852,8 @@ impl<'a> Compiler<'a> {
     }
 
     fn run(mut self) -> Result<CompiledProgram, FallbackReason> {
-        for t in 0..self.prog.steps.len() {
-            let step = &self.prog.steps[t];
+        let prog = self.prog;
+        for (t, step) in prog.steps().enumerate() {
             self.compile_step(t, step)?;
         }
         let arena_words = self.temps_base + self.max_temps;
@@ -971,7 +979,7 @@ impl<'a> Compiler<'a> {
         is_fma: bool,
     ) -> Result<(), FallbackReason> {
         let retire = t + self.p - 1;
-        if retire >= self.prog.steps.len() {
+        if retire >= self.prog.len() {
             return Err(FallbackReason::PipelineCarryOut);
         }
         self.retires[retire].push(if is_fma {
@@ -1078,7 +1086,7 @@ impl<'a> Compiler<'a> {
     }
 
     /// One cycle of the walk, phase for phase in interpreter order.
-    fn compile_step(&mut self, t: usize, step: &Step) -> Result<(), FallbackReason> {
+    fn compile_step(&mut self, t: usize, step: Step<'_>) -> Result<(), FallbackReason> {
         use FallbackReason::*;
         let nr = self.nr;
         self.temp_count = 0;
@@ -1090,13 +1098,13 @@ impl<'a> Compiler<'a> {
 
         // Phase 0: external bandwidth.
         if let Some(limit) = self.cfg.ext_words_per_cycle {
-            if step.ext.len() > limit {
+            if step.ext().len() > limit {
                 return Err(WouldHazard);
             }
         }
 
         // Phase 1: external loads drive column buses…
-        for op in &step.ext {
+        for op in step.ext() {
             if let ExtOp::Load { col, addr } = *op {
                 self.min_mem_words = self.min_mem_words.max(addr + 1);
                 let addr = u32::try_from(addr).map_err(|_| Oversized)?;
@@ -1112,185 +1120,186 @@ impl<'a> Compiler<'a> {
         }
 
         // …then PE bus writers (non-bus sources only).
-        for r in 0..nr {
-            for c in 0..nr {
-                let instr = &step.pes[r * nr + c];
-                if let Some(src) = instr.row_write {
-                    let off = self.resolve(t, r, c, src, false)?;
-                    if self.row_driven[r] {
-                        return Err(WouldHazard);
+        for (idx, ops) in step.pes() {
+            let (r, c) = (idx / nr, idx % nr);
+            for op in ops.iter() {
+                match *op {
+                    MicroOp::RowWrite(src) => {
+                        let off = self.resolve(t, r, c, src, false)?;
+                        if self.row_driven[r] {
+                            return Err(WouldHazard);
+                        }
+                        self.row_driven[r] = true;
+                        self.stats.row_bus_transfers += 1;
+                        self.push_move(off, (self.row_bus + r) as u32);
                     }
-                    self.row_driven[r] = true;
-                    self.stats.row_bus_transfers += 1;
-                    self.push_move(off, (self.row_bus + r) as u32);
-                }
-                if let Some(src) = instr.col_write {
-                    let off = self.resolve(t, r, c, src, false)?;
-                    if self.col_driven[c] {
-                        return Err(WouldHazard);
+                    MicroOp::ColWrite(src) => {
+                        let off = self.resolve(t, r, c, src, false)?;
+                        if self.col_driven[c] {
+                            return Err(WouldHazard);
+                        }
+                        self.col_driven[c] = true;
+                        self.stats.col_bus_transfers += 1;
+                        self.push_move(off, (self.col_bus + c) as u32);
                     }
-                    self.col_driven[c] = true;
-                    self.stats.col_bus_transfers += 1;
-                    self.push_move(off, (self.col_bus + c) as u32);
+                    _ => {}
                 }
             }
         }
 
         // Phase 2: resolve datapath inputs, issue MAC/FMA/SFU, stage
         // commits — in the interpreter's exact (r, c) and field order.
-        for r in 0..nr {
-            for c in 0..nr {
-                let idx = r * nr + c;
-                let instr = &step.pes[idx];
+        for (idx, ops) in step.pes() {
+            let (r, c) = (idx / nr, idx % nr);
+            let (mac, fma, negate) = ops.product_flags();
+            if mac && fma {
+                return Err(WouldHazard);
+            }
+            let sfu_blocks =
+                self.cfg.divsqrt.blocks_mac() && self.has_sfu[idx] && self.sfu_busy(idx, t);
+            if sfu_blocks && (mac || fma) {
+                return Err(WouldHazard);
+            }
 
-                if instr.mac.is_some() && instr.fma.is_some() {
-                    return Err(WouldHazard);
-                }
-                let sfu_blocks =
-                    self.cfg.divsqrt.blocks_mac() && self.has_sfu[idx] && self.sfu_busy(idx, t);
-                if sfu_blocks && (instr.mac.is_some() || instr.fma.is_some()) {
-                    return Err(WouldHazard);
-                }
-
-                if let Some((sa, sb)) = instr.mac {
-                    let a = self.resolve(t, r, c, sa, true)?;
-                    let b = self.resolve(t, r, c, sb, true)?;
-                    let slot = self.pending_slot(t, idx);
-                    self.push_mac_issue(IssueRec {
-                        a,
-                        b,
-                        slot,
-                        negate: instr.negate_product,
-                    });
-                    self.schedule_mac_retire(t, idx, slot, false)?;
-                    self.stats.mac_ops += 1;
-                    any_issue = true;
-                }
-                if let Some((sa, sb, sc)) = instr.fma {
-                    let a = self.resolve(t, r, c, sa, true)?;
-                    let b = self.resolve(t, r, c, sb, true)?;
-                    let cv = self.resolve(t, r, c, sc, true)?;
-                    let slot = self.pending_slot(t, idx);
-                    self.push_fma_issue(FmaRec {
-                        a,
-                        b,
-                        c: cv,
-                        slot,
-                        negate: instr.negate_product,
-                    });
-                    self.schedule_mac_retire(t, idx, slot, true)?;
-                    self.stats.fma_ops += 1;
-                    any_issue = true;
-                }
-                if let Some(cmp) = instr.cmp_update {
-                    if cmp.val_reg >= self.cfg.rf_entries || cmp.tag_reg >= self.cfg.rf_entries {
-                        return Err(WouldHazard);
+            for op in ops.iter() {
+                match *op {
+                    MicroOp::RowWrite(_) | MicroOp::ColWrite(_) | MicroOp::NegateProduct => {}
+                    MicroOp::Mac(sa, sb) => {
+                        let a = self.resolve(t, r, c, sa, true)?;
+                        let b = self.resolve(t, r, c, sb, true)?;
+                        let slot = self.pending_slot(t, idx);
+                        self.push_mac_issue(IssueRec { a, b, slot, negate });
+                        self.schedule_mac_retire(t, idx, slot, false)?;
+                        self.stats.mac_ops += 1;
+                        any_issue = true;
                     }
-                    let value = self.resolve(t, r, c, cmp.value, true)?;
-                    self.stats.cmp_ops += 1;
-                    let flag = self.temp();
-                    let staged = self.temp();
-                    let ci = self.cmps.len() as u32;
-                    self.cmps.push(CmpRec {
-                        val: self.layout.rf(idx, cmp.val_reg) as u32,
-                        value,
-                        flag,
-                        staged,
-                        tag_dst: self.layout.rf(idx, cmp.tag_reg) as u32,
-                        tag: cmp.tag,
-                    });
-                    self.ops.push(COp::Cmp { idx: ci });
-                    self.commits.push(CommitRec::Cmp(ci));
-                }
-                if let Some(src) = instr.acc_load {
-                    if self.mac_busy(idx, t) {
-                        return Err(WouldHazard);
+                    MicroOp::Fma(sa, sb, sc) => {
+                        let a = self.resolve(t, r, c, sa, true)?;
+                        let b = self.resolve(t, r, c, sb, true)?;
+                        let cv = self.resolve(t, r, c, sc, true)?;
+                        let slot = self.pending_slot(t, idx);
+                        self.push_fma_issue(FmaRec {
+                            a,
+                            b,
+                            c: cv,
+                            slot,
+                            negate,
+                        });
+                        self.schedule_mac_retire(t, idx, slot, true)?;
+                        self.stats.fma_ops += 1;
+                        any_issue = true;
                     }
-                    let off = self.resolve(t, r, c, src, true)?;
-                    let off = self.staged(off);
-                    self.commits.push(CommitRec::AccLoad {
-                        pe: idx as u32,
-                        src: off,
-                    });
-                    self.stats.acc_accesses += 1;
-                }
-                if let Some((addr, src)) = instr.sram_a_write {
-                    if addr >= self.cfg.sram_a_words {
-                        return Err(WouldHazard);
-                    }
-                    let off = self.resolve(t, r, c, src, true)?;
-                    self.ports[idx].sram_a += 1;
-                    let off = self.staged(off);
-                    self.commits.push(CommitRec::Word {
-                        src: off,
-                        dst: self.layout.sram_a(idx, addr) as u32,
-                    });
-                    self.stats.sram_a_writes += 1;
-                }
-                if let Some((addr, src)) = instr.sram_b_write {
-                    if addr >= self.cfg.sram_b_words {
-                        return Err(WouldHazard);
-                    }
-                    let off = self.resolve(t, r, c, src, true)?;
-                    self.ports[idx].sram_b += 1;
-                    let off = self.staged(off);
-                    self.commits.push(CommitRec::Word {
-                        src: off,
-                        dst: self.layout.sram_b(idx, addr) as u32,
-                    });
-                    self.stats.sram_b_writes += 1;
-                }
-                if let Some((ridx, src)) = instr.reg_write {
-                    if ridx >= self.cfg.rf_entries {
-                        return Err(WouldHazard);
-                    }
-                    let off = self.resolve(t, r, c, src, true)?;
-                    let off = self.staged(off);
-                    self.commits.push(CommitRec::Word {
-                        src: off,
-                        dst: self.layout.rf(idx, ridx) as u32,
-                    });
-                    self.stats.rf_writes += 1;
-                }
-                if let Some((op, sa, sb)) = instr.sfu {
-                    let a = self.resolve(t, r, c, sa, true)?;
-                    let b = self.resolve(t, r, c, sb, true)?;
-                    let unit = match self.cfg.divsqrt {
-                        DivSqrtImpl::Software => idx,
-                        DivSqrtImpl::DiagonalPes => {
-                            if r != c {
-                                return Err(WouldHazard);
-                            }
-                            idx
+                    MicroOp::CmpUpdate(cmp) => {
+                        if cmp.val_reg >= self.cfg.rf_entries || cmp.tag_reg >= self.cfg.rf_entries
+                        {
+                            return Err(WouldHazard);
                         }
-                        DivSqrtImpl::Isolated => 0,
-                    };
-                    if !self.has_sfu[unit] || self.sfu_busy(unit, t) {
-                        return Err(WouldHazard);
+                        let value = self.resolve(t, r, c, cmp.value, true)?;
+                        self.stats.cmp_ops += 1;
+                        let flag = self.temp();
+                        let staged = self.temp();
+                        let ci = self.cmps.len() as u32;
+                        self.cmps.push(CmpRec {
+                            val: self.layout.rf(idx, cmp.val_reg) as u32,
+                            value,
+                            flag,
+                            staged,
+                            tag_dst: self.layout.rf(idx, cmp.tag_reg) as u32,
+                            tag: cmp.tag,
+                        });
+                        self.ops.push(COp::Cmp { idx: ci });
+                        self.commits.push(CommitRec::Cmp(ci));
                     }
-                    let lat = self.cfg.divsqrt.latency(op);
-                    let retire = t + lat - 1;
-                    if retire >= self.prog.steps.len() {
-                        return Err(PipelineCarryOut);
+                    MicroOp::AccLoad(src) => {
+                        if self.mac_busy(idx, t) {
+                            return Err(WouldHazard);
+                        }
+                        let off = self.resolve(t, r, c, src, true)?;
+                        let off = self.staged(off);
+                        self.commits.push(CommitRec::AccLoad {
+                            pe: idx as u32,
+                            src: off,
+                        });
+                        self.stats.acc_accesses += 1;
                     }
-                    let wide = op == DivSqrtOp::Sqrt
-                        && sa == Source::Acc
-                        && self.cfg.fpu.exponent_extension;
-                    let si = self.sfus.len() as u32;
-                    self.sfus.push(SfuRec {
-                        wide,
-                        op,
-                        a,
-                        b,
-                        pending: (self.sfu_pending + unit) as u32,
-                        pe: idx as u32,
-                    });
-                    self.ops.push(COp::SfuIssue { idx: si });
-                    self.retires[retire].push(RetireEvt::Sfu { unit: unit as u32 });
-                    self.sfu_busy_through[unit] = Some(retire);
-                    self.sfu_ready[unit] = self.sfu_ready[unit].min(t + lat);
-                    self.sfu_counts[unit] += 1;
-                    self.stats.sfu_ops += 1;
+                    MicroOp::SramAWrite(addr, src) => {
+                        if addr >= self.cfg.sram_a_words {
+                            return Err(WouldHazard);
+                        }
+                        let off = self.resolve(t, r, c, src, true)?;
+                        self.ports[idx].sram_a += 1;
+                        let off = self.staged(off);
+                        self.commits.push(CommitRec::Word {
+                            src: off,
+                            dst: self.layout.sram_a(idx, addr) as u32,
+                        });
+                        self.stats.sram_a_writes += 1;
+                    }
+                    MicroOp::SramBWrite(addr, src) => {
+                        if addr >= self.cfg.sram_b_words {
+                            return Err(WouldHazard);
+                        }
+                        let off = self.resolve(t, r, c, src, true)?;
+                        self.ports[idx].sram_b += 1;
+                        let off = self.staged(off);
+                        self.commits.push(CommitRec::Word {
+                            src: off,
+                            dst: self.layout.sram_b(idx, addr) as u32,
+                        });
+                        self.stats.sram_b_writes += 1;
+                    }
+                    MicroOp::RegWrite(ridx, src) => {
+                        if ridx >= self.cfg.rf_entries {
+                            return Err(WouldHazard);
+                        }
+                        let off = self.resolve(t, r, c, src, true)?;
+                        let off = self.staged(off);
+                        self.commits.push(CommitRec::Word {
+                            src: off,
+                            dst: self.layout.rf(idx, ridx) as u32,
+                        });
+                        self.stats.rf_writes += 1;
+                    }
+                    MicroOp::Sfu(op, sa, sb) => {
+                        let a = self.resolve(t, r, c, sa, true)?;
+                        let b = self.resolve(t, r, c, sb, true)?;
+                        let unit = match self.cfg.divsqrt {
+                            DivSqrtImpl::Software => idx,
+                            DivSqrtImpl::DiagonalPes => {
+                                if r != c {
+                                    return Err(WouldHazard);
+                                }
+                                idx
+                            }
+                            DivSqrtImpl::Isolated => 0,
+                        };
+                        if !self.has_sfu[unit] || self.sfu_busy(unit, t) {
+                            return Err(WouldHazard);
+                        }
+                        let lat = self.cfg.divsqrt.latency(op);
+                        let retire = t + lat - 1;
+                        if retire >= self.prog.len() {
+                            return Err(PipelineCarryOut);
+                        }
+                        let wide = op == DivSqrtOp::Sqrt
+                            && sa == Source::Acc
+                            && self.cfg.fpu.exponent_extension;
+                        let si = self.sfus.len() as u32;
+                        self.sfus.push(SfuRec {
+                            wide,
+                            op,
+                            a,
+                            b,
+                            pending: (self.sfu_pending + unit) as u32,
+                            pe: idx as u32,
+                        });
+                        self.ops.push(COp::SfuIssue { idx: si });
+                        self.retires[retire].push(RetireEvt::Sfu { unit: unit as u32 });
+                        self.sfu_busy_through[unit] = Some(retire);
+                        self.sfu_ready[unit] = self.sfu_ready[unit].min(t + lat);
+                        self.sfu_counts[unit] += 1;
+                        self.stats.sfu_ops += 1;
+                    }
                 }
             }
         }
@@ -1303,7 +1312,7 @@ impl<'a> Compiler<'a> {
         }
 
         // Phase 4: external stores capture column buses.
-        for op in &step.ext {
+        for op in step.ext() {
             if let ExtOp::Store { col, addr } = *op {
                 self.min_mem_words = self.min_mem_words.max(addr + 1);
                 let addr = u32::try_from(addr).map_err(|_| Oversized)?;
@@ -1359,41 +1368,26 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Visit every [`Source`] an instruction reads (constant-pool pre-scan).
-fn for_each_source(pi: &PeInstr, f: &mut impl FnMut(Source)) {
-    if let Some(s) = pi.row_write {
-        f(s);
-    }
-    if let Some(s) = pi.col_write {
-        f(s);
-    }
-    if let Some((a, b)) = pi.mac {
-        f(a);
-        f(b);
-    }
-    if let Some((a, b, c)) = pi.fma {
-        f(a);
-        f(b);
-        f(c);
-    }
-    if let Some(c) = pi.cmp_update {
-        f(c.value);
-    }
-    if let Some(s) = pi.acc_load {
-        f(s);
-    }
-    if let Some((_, s)) = pi.sram_a_write {
-        f(s);
-    }
-    if let Some((_, s)) = pi.sram_b_write {
-        f(s);
-    }
-    if let Some((_, s)) = pi.reg_write {
-        f(s);
-    }
-    if let Some((_, a, b)) = pi.sfu {
-        f(a);
-        f(b);
+/// Visit every [`Source`] a micro-op reads (constant-pool pre-scan).
+fn for_each_source(op: &MicroOp, f: &mut impl FnMut(Source)) {
+    match *op {
+        MicroOp::RowWrite(s)
+        | MicroOp::ColWrite(s)
+        | MicroOp::AccLoad(s)
+        | MicroOp::SramAWrite(_, s)
+        | MicroOp::SramBWrite(_, s)
+        | MicroOp::RegWrite(_, s) => f(s),
+        MicroOp::Mac(a, b) | MicroOp::Sfu(_, a, b) => {
+            f(a);
+            f(b);
+        }
+        MicroOp::Fma(a, b, c) => {
+            f(a);
+            f(b);
+            f(c);
+        }
+        MicroOp::CmpUpdate(c) => f(c.value),
+        MicroOp::NegateProduct => {}
     }
 }
 
@@ -1433,7 +1427,7 @@ impl Lac {
         prog: &Program,
         mem: &mut ExternalMem,
     ) -> Result<ExecStats, SimError> {
-        assert_eq!(prog.nr, self.cfg.nr, "program/mesh dimension mismatch");
+        assert_eq!(prog.nr(), self.cfg.nr, "program/mesh dimension mismatch");
         let outcome = self.program_cache().clone().lookup(self.config(), prog);
         match &*outcome {
             CompileOutcome::Fallback(_) => self.run_interpreted(prog, mem),
@@ -1784,6 +1778,28 @@ mod tests {
         a.run(&rebuilt, &mut m1).unwrap();
         assert_eq!(cache.stats().hits, 3); // +1 from the lookup above
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn racing_lookups_compile_once() {
+        let cfg = small_cfg();
+        let cache = ProgramCache::new();
+        let prog = mixed_program(&cfg);
+        let gate = std::sync::Barrier::new(4);
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        cache.lookup(&cfg, &prog)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(outcomes.iter().all(|o| Arc::ptr_eq(o, &outcomes[0])));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.misses, s.hits), (1, 1, 3));
     }
 
     #[test]

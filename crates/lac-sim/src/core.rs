@@ -12,7 +12,7 @@
 use crate::compile::ProgramCache;
 use crate::config::{ExecBackend, LacConfig};
 use crate::error::{HazardKind, SimError};
-use crate::isa::{ExtOp, Program, Source, Step};
+use crate::isa::{ExtOp, MicroOp, Program, Source, Step};
 use crate::stats::ExecStats;
 use lac_fpu::{DivSqrtImpl, MacUnit, SpecialFnUnit};
 
@@ -276,9 +276,9 @@ impl Lac {
         prog: &Program,
         mem: &mut ExternalMem,
     ) -> Result<ExecStats, SimError> {
-        assert_eq!(prog.nr, self.cfg.nr, "program/mesh dimension mismatch");
+        assert_eq!(prog.nr(), self.cfg.nr, "program/mesh dimension mismatch");
         let start = self.stats;
-        for (t, step) in prog.steps.iter().enumerate() {
+        for (t, step) in prog.steps().enumerate() {
             self.exec_step(t, step, mem)?;
         }
         Ok(self.stats.since(&start))
@@ -290,7 +290,12 @@ impl Lac {
         &mut self.stats
     }
 
-    fn exec_step(&mut self, t: usize, step: &Step, mem: &mut ExternalMem) -> Result<(), SimError> {
+    fn exec_step(
+        &mut self,
+        t: usize,
+        step: Step<'_>,
+        mem: &mut ExternalMem,
+    ) -> Result<(), SimError> {
         // The scratch buffers move out for the duration of the step so the
         // borrow checker lets `resolve` (&mut self) run while they are in
         // use; they move back afterwards, capacity intact.
@@ -303,7 +308,7 @@ impl Lac {
     fn exec_step_inner(
         &mut self,
         t: usize,
-        step: &Step,
+        step: Step<'_>,
         mem: &mut ExternalMem,
         scratch: &mut Scratch,
     ) -> Result<(), SimError> {
@@ -312,11 +317,11 @@ impl Lac {
 
         // --- external bandwidth check -----------------------------------
         if let Some(limit) = self.cfg.ext_words_per_cycle {
-            if step.ext.len() > limit {
+            if step.ext().len() > limit {
                 return Err(err(
                     None,
                     HazardKind::ExtBandwidthExceeded {
-                        used: step.ext.len(),
+                        used: step.ext().len(),
                         limit,
                     },
                 ));
@@ -336,7 +341,7 @@ impl Lac {
         col_bus.resize(nr, None);
 
         // External loads drive column buses.
-        for op in &step.ext {
+        for op in step.ext() {
             if let ExtOp::Load { col, addr } = *op {
                 if addr >= mem.len() {
                     return Err(err(
@@ -356,26 +361,28 @@ impl Lac {
             }
         }
 
-        #[allow(clippy::needless_range_loop)] // (r, c) index PEs and buses alike
-        for r in 0..nr {
-            for c in 0..nr {
-                let idx = r * nr + c;
-                let instr = &step.pes[idx];
-                if let Some(src) = instr.row_write {
-                    let v = self.resolve_nonbus(t, (r, c), src, &mut port_use[idx])?;
-                    if row_bus[r].is_some() {
-                        return Err(err(Some((r, c)), HazardKind::RowBusConflict { row: r }));
+        // Bus writers, live PEs in ascending index order.
+        for (idx, ops) in step.pes() {
+            let (r, c) = (idx / nr, idx % nr);
+            for op in ops.iter() {
+                match *op {
+                    MicroOp::RowWrite(src) => {
+                        let v = self.resolve_nonbus(t, (r, c), src, &mut port_use[idx])?;
+                        if row_bus[r].is_some() {
+                            return Err(err(Some((r, c)), HazardKind::RowBusConflict { row: r }));
+                        }
+                        row_bus[r] = Some(v);
+                        self.stats.row_bus_transfers += 1;
                     }
-                    row_bus[r] = Some(v);
-                    self.stats.row_bus_transfers += 1;
-                }
-                if let Some(src) = instr.col_write {
-                    let v = self.resolve_nonbus(t, (r, c), src, &mut port_use[idx])?;
-                    if col_bus[c].is_some() {
-                        return Err(err(Some((r, c)), HazardKind::ColBusConflict { col: c }));
+                    MicroOp::ColWrite(src) => {
+                        let v = self.resolve_nonbus(t, (r, c), src, &mut port_use[idx])?;
+                        if col_bus[c].is_some() {
+                            return Err(err(Some((r, c)), HazardKind::ColBusConflict { col: c }));
+                        }
+                        col_bus[c] = Some(v);
+                        self.stats.col_bus_transfers += 1;
                     }
-                    col_bus[c] = Some(v);
-                    self.stats.col_bus_transfers += 1;
+                    _ => {}
                 }
             }
         }
@@ -385,183 +392,205 @@ impl Lac {
         commits.clear();
         let mut any_issue = false;
 
-        for r in 0..nr {
-            for c in 0..nr {
-                let idx = r * nr + c;
-                let instr = &step.pes[idx];
-                let here = Some((r, c));
+        for (idx, ops) in step.pes() {
+            let (r, c) = (idx / nr, idx % nr);
+            let here = Some((r, c));
+            let (mac, fma, negate) = ops.product_flags();
 
-                if instr.mac.is_some() && instr.fma.is_some() {
-                    return Err(err(here, HazardKind::MacIssueConflict));
-                }
+            if mac && fma {
+                return Err(err(here, HazardKind::MacIssueConflict));
+            }
 
-                // Software divide/sqrt monopolizes the MAC.
-                let sfu_blocks = self.cfg.divsqrt.blocks_mac()
-                    && self.pes[idx].sfu.as_ref().is_some_and(|s| !s.idle());
-                if sfu_blocks && (instr.mac.is_some() || instr.fma.is_some()) {
-                    return Err(err(here, HazardKind::MacBusyWithSfu));
-                }
+            // Software divide/sqrt monopolizes the MAC.
+            let sfu_blocks = self.cfg.divsqrt.blocks_mac()
+                && self.pes[idx].sfu.as_ref().is_some_and(|s| !s.idle());
+            if sfu_blocks && (mac || fma) {
+                return Err(err(here, HazardKind::MacBusyWithSfu));
+            }
 
-                if let Some((sa, sb)) = instr.mac {
-                    let a = self.resolve(t, (r, c), sa, row_bus, col_bus, &mut port_use[idx])?;
-                    let b = self.resolve(t, (r, c), sb, row_bus, col_bus, &mut port_use[idx])?;
-                    self.pes[idx]
-                        .mac
-                        .issue_mac_signed(a, b, instr.negate_product)
-                        .map_err(|_| err(here, HazardKind::MacIssueConflict))?;
-                    self.stats.mac_ops += 1;
-                    any_issue = true;
-                }
-                if let Some((sa, sb, sc)) = instr.fma {
-                    let a = self.resolve(t, (r, c), sa, row_bus, col_bus, &mut port_use[idx])?;
-                    let b = self.resolve(t, (r, c), sb, row_bus, col_bus, &mut port_use[idx])?;
-                    let cv = self.resolve(t, (r, c), sc, row_bus, col_bus, &mut port_use[idx])?;
-                    self.pes[idx]
-                        .mac
-                        .issue_fma_signed(a, b, cv, instr.negate_product)
-                        .map_err(|_| err(here, HazardKind::MacIssueConflict))?;
-                    self.stats.fma_ops += 1;
-                    any_issue = true;
-                }
-                if let Some(cmp) = instr.cmp_update {
-                    if cmp.val_reg >= self.cfg.rf_entries || cmp.tag_reg >= self.cfg.rf_entries {
-                        return Err(err(
-                            here,
-                            HazardKind::RegOutOfRange {
-                                idx: cmp.val_reg.max(cmp.tag_reg),
-                                size: self.cfg.rf_entries,
-                            },
-                        ));
+            // Micro-ops come in field order, so this visits the controls
+            // in the fixed order that decides which hazard is reported.
+            for op in ops.iter() {
+                match *op {
+                    MicroOp::RowWrite(_) | MicroOp::ColWrite(_) | MicroOp::NegateProduct => {}
+                    MicroOp::Mac(sa, sb) => {
+                        let a =
+                            self.resolve(t, (r, c), sa, row_bus, col_bus, &mut port_use[idx])?;
+                        let b =
+                            self.resolve(t, (r, c), sb, row_bus, col_bus, &mut port_use[idx])?;
+                        self.pes[idx]
+                            .mac
+                            .issue_mac_signed(a, b, negate)
+                            .map_err(|_| err(here, HazardKind::MacIssueConflict))?;
+                        self.stats.mac_ops += 1;
+                        any_issue = true;
                     }
-                    let v =
-                        self.resolve(t, (r, c), cmp.value, row_bus, col_bus, &mut port_use[idx])?;
-                    let cur = self.state[self.layout.rf(idx, cmp.val_reg)];
-                    self.stats.cmp_ops += 1;
-                    if !lac_fpu::magnitude_ge(cur, v) {
-                        commits.push(Commit::Reg(idx, cmp.val_reg, v));
-                        commits.push(Commit::Reg(idx, cmp.tag_reg, cmp.tag));
-                        self.stats.rf_writes += 2;
+                    MicroOp::Fma(sa, sb, sc) => {
+                        let a =
+                            self.resolve(t, (r, c), sa, row_bus, col_bus, &mut port_use[idx])?;
+                        let b =
+                            self.resolve(t, (r, c), sb, row_bus, col_bus, &mut port_use[idx])?;
+                        let cv =
+                            self.resolve(t, (r, c), sc, row_bus, col_bus, &mut port_use[idx])?;
+                        self.pes[idx]
+                            .mac
+                            .issue_fma_signed(a, b, cv, negate)
+                            .map_err(|_| err(here, HazardKind::MacIssueConflict))?;
+                        self.stats.fma_ops += 1;
+                        any_issue = true;
                     }
-                }
-                if let Some(src) = instr.acc_load {
-                    if !self.pes[idx].mac.idle() {
-                        return Err(err(here, HazardKind::AccHazard));
-                    }
-                    let v = self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
-                    commits.push(Commit::AccLoad(idx, v));
-                    self.stats.acc_accesses += 1;
-                }
-                if let Some((addr, src)) = instr.sram_a_write {
-                    if addr >= self.cfg.sram_a_words {
-                        return Err(err(
-                            here,
-                            HazardKind::SramOutOfRange {
-                                which: 'A',
-                                addr,
-                                size: self.cfg.sram_a_words,
-                            },
-                        ));
-                    }
-                    let v = self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
-                    port_use[idx].sram_a += 1;
-                    commits.push(Commit::SramA(idx, addr, v));
-                    self.stats.sram_a_writes += 1;
-                }
-                if let Some((addr, src)) = instr.sram_b_write {
-                    if addr >= self.cfg.sram_b_words {
-                        return Err(err(
-                            here,
-                            HazardKind::SramOutOfRange {
-                                which: 'B',
-                                addr,
-                                size: self.cfg.sram_b_words,
-                            },
-                        ));
-                    }
-                    let v = self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
-                    port_use[idx].sram_b += 1;
-                    commits.push(Commit::SramB(idx, addr, v));
-                    self.stats.sram_b_writes += 1;
-                }
-                if let Some((ridx, src)) = instr.reg_write {
-                    if ridx >= self.cfg.rf_entries {
-                        return Err(err(
-                            here,
-                            HazardKind::RegOutOfRange {
-                                idx: ridx,
-                                size: self.cfg.rf_entries,
-                            },
-                        ));
-                    }
-                    let v = self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
-                    commits.push(Commit::Reg(idx, ridx, v));
-                    self.stats.rf_writes += 1;
-                }
-                if let Some((op, sa, sb)) = instr.sfu {
-                    let a = self.resolve(t, (r, c), sa, row_bus, col_bus, &mut port_use[idx])?;
-                    let b = self.resolve(t, (r, c), sb, row_bus, col_bus, &mut port_use[idx])?;
-                    let unit_idx = match self.cfg.divsqrt {
-                        DivSqrtImpl::Software => idx,
-                        DivSqrtImpl::DiagonalPes => {
-                            if r != c {
-                                return Err(err(here, HazardKind::SfuNotPresent));
-                            }
-                            idx
+                    MicroOp::CmpUpdate(cmp) => {
+                        if cmp.val_reg >= self.cfg.rf_entries || cmp.tag_reg >= self.cfg.rf_entries
+                        {
+                            return Err(err(
+                                here,
+                                HazardKind::RegOutOfRange {
+                                    idx: cmp.val_reg.max(cmp.tag_reg),
+                                    size: self.cfg.rf_entries,
+                                },
+                            ));
                         }
-                        // Isolated: the single shared unit lives at index 0;
-                        // any PE may feed it (operand rides the buses).
-                        DivSqrtImpl::Isolated => 0,
-                    };
-                    // Wide-accumulator square root (§A.2): with the exponent
-                    // extension, √acc is formed from the wide mantissa and a
-                    // halved exponent, so an out-of-range sum of squares
-                    // still yields a finite norm.
-                    let wide_sqrt = (op == lac_fpu::DivSqrtOp::Sqrt
-                        && sa == Source::Acc
-                        && self.cfg.fpu.exponent_extension)
-                        .then(|| self.pes[idx].mac.read_acc_sqrt());
-                    let unit = self.pes[unit_idx]
-                        .sfu
-                        .as_mut()
-                        .ok_or_else(|| err(here, HazardKind::SfuNotPresent))?;
-                    match wide_sqrt {
-                        Some(r) => unit
-                            .issue_precomputed(op, r)
-                            .map_err(|_| err(here, HazardKind::SfuBusy))?,
-                        None => unit
-                            .issue(op, a, b)
-                            .map_err(|_| err(here, HazardKind::SfuBusy))?,
+                        let v = self.resolve(
+                            t,
+                            (r, c),
+                            cmp.value,
+                            row_bus,
+                            col_bus,
+                            &mut port_use[idx],
+                        )?;
+                        let cur = self.state[self.layout.rf(idx, cmp.val_reg)];
+                        self.stats.cmp_ops += 1;
+                        if !lac_fpu::magnitude_ge(cur, v) {
+                            commits.push(Commit::Reg(idx, cmp.val_reg, v));
+                            commits.push(Commit::Reg(idx, cmp.tag_reg, cmp.tag));
+                            self.stats.rf_writes += 2;
+                        }
                     }
-                    self.stats.sfu_ops += 1;
+                    MicroOp::AccLoad(src) => {
+                        if !self.pes[idx].mac.idle() {
+                            return Err(err(here, HazardKind::AccHazard));
+                        }
+                        let v =
+                            self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
+                        commits.push(Commit::AccLoad(idx, v));
+                        self.stats.acc_accesses += 1;
+                    }
+                    MicroOp::SramAWrite(addr, src) => {
+                        if addr >= self.cfg.sram_a_words {
+                            return Err(err(
+                                here,
+                                HazardKind::SramOutOfRange {
+                                    which: 'A',
+                                    addr,
+                                    size: self.cfg.sram_a_words,
+                                },
+                            ));
+                        }
+                        let v =
+                            self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
+                        port_use[idx].sram_a += 1;
+                        commits.push(Commit::SramA(idx, addr, v));
+                        self.stats.sram_a_writes += 1;
+                    }
+                    MicroOp::SramBWrite(addr, src) => {
+                        if addr >= self.cfg.sram_b_words {
+                            return Err(err(
+                                here,
+                                HazardKind::SramOutOfRange {
+                                    which: 'B',
+                                    addr,
+                                    size: self.cfg.sram_b_words,
+                                },
+                            ));
+                        }
+                        let v =
+                            self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
+                        port_use[idx].sram_b += 1;
+                        commits.push(Commit::SramB(idx, addr, v));
+                        self.stats.sram_b_writes += 1;
+                    }
+                    MicroOp::RegWrite(ridx, src) => {
+                        if ridx >= self.cfg.rf_entries {
+                            return Err(err(
+                                here,
+                                HazardKind::RegOutOfRange {
+                                    idx: ridx,
+                                    size: self.cfg.rf_entries,
+                                },
+                            ));
+                        }
+                        let v =
+                            self.resolve(t, (r, c), src, row_bus, col_bus, &mut port_use[idx])?;
+                        commits.push(Commit::Reg(idx, ridx, v));
+                        self.stats.rf_writes += 1;
+                    }
+                    MicroOp::Sfu(op, sa, sb) => {
+                        let a =
+                            self.resolve(t, (r, c), sa, row_bus, col_bus, &mut port_use[idx])?;
+                        let b =
+                            self.resolve(t, (r, c), sb, row_bus, col_bus, &mut port_use[idx])?;
+                        let unit_idx = match self.cfg.divsqrt {
+                            DivSqrtImpl::Software => idx,
+                            DivSqrtImpl::DiagonalPes => {
+                                if r != c {
+                                    return Err(err(here, HazardKind::SfuNotPresent));
+                                }
+                                idx
+                            }
+                            // Isolated: the single shared unit lives at index 0;
+                            // any PE may feed it (operand rides the buses).
+                            DivSqrtImpl::Isolated => 0,
+                        };
+                        // Wide-accumulator square root (§A.2): with the exponent
+                        // extension, √acc is formed from the wide mantissa and a
+                        // halved exponent, so an out-of-range sum of squares
+                        // still yields a finite norm.
+                        let wide_sqrt = (op == lac_fpu::DivSqrtOp::Sqrt
+                            && sa == Source::Acc
+                            && self.cfg.fpu.exponent_extension)
+                            .then(|| self.pes[idx].mac.read_acc_sqrt());
+                        let unit = self.pes[unit_idx]
+                            .sfu
+                            .as_mut()
+                            .ok_or_else(|| err(here, HazardKind::SfuNotPresent))?;
+                        match wide_sqrt {
+                            Some(r) => unit
+                                .issue_precomputed(op, r)
+                                .map_err(|_| err(here, HazardKind::SfuBusy))?,
+                            None => unit
+                                .issue(op, a, b)
+                                .map_err(|_| err(here, HazardKind::SfuBusy))?,
+                        }
+                        self.stats.sfu_ops += 1;
+                    }
                 }
             }
         }
 
         // --- phase 3: port-count checks -----------------------------------
-        for r in 0..nr {
-            for c in 0..nr {
-                let idx = r * nr + c;
-                let u = &port_use[idx];
-                if u.sram_a > 1 {
-                    return Err(err(Some((r, c)), HazardKind::SramAPortConflict));
-                }
-                if u.sram_b > 2 {
-                    return Err(err(Some((r, c)), HazardKind::SramBPortConflict));
-                }
-                if u.rf_reads > 2 {
-                    return Err(err(
-                        Some((r, c)),
-                        HazardKind::RegOutOfRange {
-                            idx: usize::MAX, // sentinel: too many read ports
-                            size: self.cfg.rf_entries,
-                        },
-                    ));
-                }
+        // Only live PEs use ports.
+        for (idx, _) in step.pes() {
+            let here = Some((idx / nr, idx % nr));
+            let u = &port_use[idx];
+            if u.sram_a > 1 {
+                return Err(err(here, HazardKind::SramAPortConflict));
+            }
+            if u.sram_b > 2 {
+                return Err(err(here, HazardKind::SramBPortConflict));
+            }
+            if u.rf_reads > 2 {
+                return Err(err(
+                    here,
+                    HazardKind::RegOutOfRange {
+                        idx: usize::MAX, // sentinel: too many read ports
+                        size: self.cfg.rf_entries,
+                    },
+                ));
             }
         }
 
         // --- phase 4: external stores capture column buses ----------------
-        for op in &step.ext {
+        for op in step.ext() {
             if let ExtOp::Store { col, addr } = *op {
                 if addr >= mem.len() {
                     return Err(err(

@@ -13,8 +13,8 @@
 //! per cycle). Column buses are multiplexed with external-memory traffic.
 //! Control is fully static — "each PE implicitly knows when and where to
 //! communicate" (§3.2.3) — which we model by letting the kernel generators in
-//! `lac-kernels` emit a [`Program`]: one (possibly empty) micro-instruction
-//! per PE per cycle. The simulator executes the program, *enforcing* the
+//! `lac-kernels` emit a [`Program`]: per cycle, the micro-ops of every PE
+//! that is not idle. The simulator executes the program, *enforcing* the
 //! structural limits of the hardware (bus writers, SRAM ports, MAC issue
 //! width, accumulator read-after-write) and producing functional results plus
 //! the event counts ([`ExecStats`]) the power model converts to energy.
@@ -50,7 +50,7 @@ pub use dynamic::{Continuation, Continue, DynamicGraph, DynamicOutcome};
 pub use engine::{LacEngine, LacEngineBuilder};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan};
-pub use isa::{CmpUpdate, ExtOp, PeInstr, Program, ProgramBuilder, Source, Step};
+pub use isa::{CmpUpdate, ExtOp, MicroOp, PeInstr, PeOps, Program, ProgramBuilder, Source, Step};
 pub use service::{
     plan_wave, plan_wave_tenanted, plan_wave_tenanted_slo, GraphCompletion, GraphRun, GraphTicket,
     JobGraph, JobId, LacService, Rejected, ServiceRound, ServiceSession, TenantConfig, TenantId,

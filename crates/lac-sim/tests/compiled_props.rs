@@ -6,8 +6,8 @@
 
 use lac_fpu::{DivSqrtImpl, DivSqrtOp, FpuConfig, Precision};
 use lac_sim::{
-    CmpUpdate, ExecBackend, ExecStats, ExtOp, ExternalMem, Lac, LacConfig, Program, ProgramBuilder,
-    ProgramCache, SimError, Source,
+    CmpUpdate, ExecBackend, ExecStats, ExtOp, ExternalMem, Lac, LacConfig, MicroOp, PeInstr,
+    Program, ProgramBuilder, ProgramCache, SimError, Source,
 };
 use proptest::prelude::*;
 
@@ -217,6 +217,47 @@ fn build_program(rounds: &[(u8, u8, bool)], base: &LacConfig) -> Program {
     b.build()
 }
 
+/// A source chosen by `v` (every variant reachable).
+fn source(v: u8) -> Source {
+    match v % 9 {
+        0 => Source::RowBus,
+        1 => Source::ColBus,
+        2 => Source::SramA(v as usize),
+        3 => Source::SramB(v as usize),
+        4 => Source::Reg(v as usize % 4),
+        5 => Source::Acc,
+        6 => Source::MacResult,
+        7 => Source::SfuResult,
+        _ => Source::Const(v as f64 - 100.0),
+    }
+}
+
+/// An instruction with the fields `mask` selects set (bit `i` = the
+/// `i`-th field in declaration order); `mask == 0` or only the negate
+/// bit gives an idle PE.
+fn masked_instr(mask: u16, v: u8) -> PeInstr {
+    let s = |k: u8| source(v.wrapping_add(k.wrapping_mul(31)));
+    let on = |bit: u16| mask & (1 << bit) != 0;
+    PeInstr {
+        row_write: on(0).then(|| s(0)),
+        col_write: on(1).then(|| s(1)),
+        mac: on(2).then(|| (s(2), s(3))),
+        fma: on(3).then(|| (s(4), s(5), s(6))),
+        negate_product: on(4),
+        cmp_update: on(5).then(|| CmpUpdate {
+            value: s(7),
+            tag: v as f64,
+            val_reg: 0,
+            tag_reg: 1,
+        }),
+        acc_load: on(6).then(|| s(8)),
+        sram_a_write: on(7).then(|| (v as usize, s(9))),
+        sram_b_write: on(8).then(|| (v as usize / 2, s(10))),
+        reg_write: on(9).then(|| (v as usize % 4, s(11))),
+        sfu: on(10).then(|| (DivSqrtOp::Divide, s(12), s(13))),
+    }
+}
+
 fn image() -> Vec<f64> {
     (0..64).map(|i| (i as f64) * 0.5 - 3.0).collect()
 }
@@ -284,6 +325,73 @@ proptest! {
         let prog = b.build();
         let res = assert_identical(base, &prog, &image());
         prop_assert!(res.is_err(), "hazard did not fire");
+    }
+
+    // The packed store gives back exactly what the builder was given:
+    // per step, the non-idle instructions in ascending PE order, each as
+    // micro-ops in field order, and the transfers in push order; `len()`
+    // counts idle cycles too. A clone has the same content and hash.
+    #[test]
+    fn packed_steps_return_exactly_the_scheduled_instructions(
+        n in 1usize..24,
+        writes in prop::collection::vec(
+            ((any::<u8>(), any::<u8>()), any::<u16>(), any::<u8>(), any::<bool>()),
+            0..48,
+        ),
+        transfers in prop::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()),
+            0..12,
+        ),
+    ) {
+        let nr = 4;
+        let mut b = ProgramBuilder::new(nr);
+        for t in 0..n {
+            if t % 2 == 0 {
+                b.push_step();
+            } else {
+                b.idle(1);
+            }
+        }
+        let mut dense = vec![vec![PeInstr::default(); nr * nr]; n];
+        let mut ext = vec![Vec::new(); n];
+        for &((t, pe), mask, v, via_set) in &writes {
+            let (t, idx) = (t as usize % n, pe as usize % (nr * nr));
+            let instr = masked_instr(mask, v);
+            if via_set && dense[t][idx].is_nop() {
+                b.set_pe(t, idx / nr, idx % nr, instr.clone());
+            } else {
+                *b.pe_mut(t, idx / nr, idx % nr) = instr.clone();
+            }
+            dense[t][idx] = instr;
+        }
+        for &(t, col, addr, load) in &transfers {
+            let (col, addr) = (col as usize % nr, addr as usize);
+            let op = if load { ExtOp::Load { col, addr } } else { ExtOp::Store { col, addr } };
+            b.ext(t as usize % n, op);
+            ext[t as usize % n].push(op);
+        }
+        let prog = b.build();
+        prop_assert_eq!(prog.len(), n);
+        for (prog, label) in [(&prog, "built"), (&prog.clone(), "clone")] {
+            for (t, step) in prog.steps().enumerate() {
+                let expect: Vec<(usize, PeInstr)> = dense[t]
+                    .iter()
+                    .cloned()
+                    .enumerate()
+                    .filter(|(_, pi)| !pi.is_nop())
+                    .collect();
+                let got: Vec<(usize, PeInstr)> =
+                    step.pes().map(|(i, ops)| (i, ops.to_instr())).collect();
+                prop_assert_eq!(&got, &expect, "{} step {}", label, t);
+                for (i, ops) in step.pes() {
+                    let ops: Vec<MicroOp> = ops.iter().copied().collect();
+                    let fields: Vec<MicroOp> = dense[t][i].micro_ops().collect();
+                    prop_assert_eq!(ops, fields, "{} step {} PE {}", label, t, i);
+                }
+                prop_assert_eq!(step.ext(), &ext[t][..], "{} step {}", label, t);
+            }
+        }
+        prop_assert_eq!(prog.clone().structural_hash(), prog.structural_hash());
     }
 
     // A cache hit replays bit-identically to the cold compile: the same
