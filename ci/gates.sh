@@ -49,8 +49,9 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# Gate 4: one coordinator. Every door (chip, service, cluster) describes
-# its shards as a topology and calls `coord::coordinate`, which is the only
+# Gate 4: one coordinator. Every door (chip, cluster, and the service as a
+# one-chip cluster) describes its shards as a topology and calls
+# `coord::coordinate`, which is the only
 # place that picks a time model and runs its loop. A `SimMode` match arm or
 # a call into either loop anywhere else (tests aside) would be a second
 # coordinator, free to drift from the equivalence suites.
@@ -59,6 +60,21 @@ hits=$(grep -rnE 'SimMode::[A-Za-z_]+[[:space:]]*=>|drive_cluster\(|drive_event\
   | grep -v 'crates/lac-sim/src/coord\.rs' || true)
 if [ -n "$hits" ]; then
   echo "SimMode dispatched outside the coordinator (crates/lac-sim/src/coord.rs):"
+  echo "$hits"
+  fail=1
+fi
+
+# Gate 5: one worker pool. The coordinator's scoped workers (one per
+# borrowed shard, spawned inside `coord::coordinate`) are the only threads
+# that run jobs; every door — chip, service, cluster — reaches them through
+# that one call. A `thread::spawn` anywhere in library, example or bench
+# code would be a second pool with its own lifetime, channels and failure
+# handling. (Test-only `thread::scope` races in memo.rs and compile.rs are
+# not pools and stay allowed.)
+hits=$(grep -rnE 'thread::spawn' --include='*.rs' \
+  ./crates/*/src ./src ./examples ./perfbench/src 2>/dev/null || true)
+if [ -n "$hits" ]; then
+  echo "threads spawned outside the coordinator's scoped worker pool:"
   echo "$hits"
   fail=1
 fi

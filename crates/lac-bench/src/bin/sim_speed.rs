@@ -62,9 +62,9 @@ fn main() {
                 ..LacConfig::default()
             };
             let mut svc = LacService::new(ChipConfig::new(cores, cfg));
-            // Warmup: spin up the persistent workers, fault in the code
-            // paths, and (for the compiled backend) populate the
-            // service-wide compile cache outside the timed region.
+            // Warmup: fault in the code paths and (for the compiled
+            // backend) populate the service-wide compile cache outside
+            // the timed region.
             let warm = svc
                 .submit(w.graph().graph, Scheduler::CriticalPath)
                 .expect("warmup run");

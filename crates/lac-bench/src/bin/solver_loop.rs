@@ -1,6 +1,6 @@
 //! The dependency-graph service headline: an IPM-style solver loop
 //! (CHOL → stacked TRSM fan-out → SYRK updates, round k feeding round
-//! k+1) submitted as a `JobGraph` to a persistent `LacService`, swept
+//! k+1) submitted as a `JobGraph` to a long-lived `LacService`, swept
 //! over iterations × cores × scheduler policies.
 //!
 //! For every point the run is verified three ways before a row prints:
@@ -145,7 +145,7 @@ fn main() {
     if !json_mode() {
         table(
             "Solver loop — IPM-style CHOL→TRSM→SYRK rounds (n=16, 4 panels × 8 cols) \
-             as a JobGraph on a persistent LacService; outputs verified vs linalg-ref, \
+             as a JobGraph on a long-lived LacService; outputs verified vs linalg-ref, \
              bit-identical across policies/reruns; ≥1.5x @ 4 cores asserted",
             &[
                 "rounds", "cores", "policy", "makespan", "waves", "util", "speedup", "uJ/round",

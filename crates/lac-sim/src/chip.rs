@@ -7,8 +7,8 @@
 //! Production clients of such a chip — e.g. interior-point solvers whose
 //! iterations are chained Cholesky/TRSM/GEMM factorizations — submit
 //! *dependency graphs* of jobs, so the front door here is
-//! [`LacChip::run_graph`] (and, for long-lived submission sessions, the
-//! persistent [`crate::service::LacService`]):
+//! [`LacChip::run_graph`] (and, for long-lived multi-tenant sessions,
+//! [`crate::service::LacService`], the one-chip cluster door):
 //!
 //! * every shard is one [`LacEngine`] session (per-core architectural state
 //!   and meters persist across graph runs);
@@ -33,7 +33,7 @@
 
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
-use crate::coord::{coordinate, CoordRun, Hints, SimMode, Topology, Workers};
+use crate::coord::{coordinate, CoordRun, Hints, SimMode, Topology};
 use crate::engine::LacEngine;
 use crate::error::SimError;
 use crate::isa::Program;
@@ -357,9 +357,9 @@ impl ChipStats {
 /// A multi-core chip: `S` engine shards plus the scheduler-facing graph
 /// door, [`LacChip::run_graph`].
 ///
-/// `LacChip` borrows the calling thread and scoped workers per run; for a
-/// persistent submission service whose workers (and shards) outlive
-/// individual graphs, see [`crate::service::LacService`].
+/// `LacChip` borrows the calling thread and scoped workers per run (the
+/// coordinator's one worker pool); for tenants, admission and a service
+/// clock on top of one chip, see [`crate::service::LacService`].
 ///
 /// ```
 /// use lac_sim::{ChipConfig, JobGraph, LacChip, LacConfig, ProgramBuilder, ProgramJob, Scheduler};
@@ -477,12 +477,12 @@ impl LacChip {
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
         let hints = Hints::of(graph);
-        let shards = self.shards.iter_mut().collect();
         coordinate(
             &self.cfg.topology(),
             hints.plan(graph, sched),
             &mut [false],
-            Workers::Scoped(shards, &|job| &graph.jobs[job]),
+            self.shards.iter_mut().collect(),
+            &|job| &graph.jobs[job],
         )
         .map(CoordRun::into_graph_run)
     }

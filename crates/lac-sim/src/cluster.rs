@@ -30,7 +30,7 @@
 //!   function of the graph's cost hints and edges — never of host timing
 //!   — which is what keeps cluster runs reproducible bit-for-bit.
 //! * **[`LacCluster`]** — owns the chips and coordinates execution with
-//!   the same deterministic wave machinery as the chip/service layers
+//!   the same deterministic wave machinery as the chip layer
 //!   ([`crate::plan_wave`] per chip per wave), plus
 //!   transfer-aware readiness: a child whose parent completed on another
 //!   chip becomes ready only after the modeled transfer elapses on the
@@ -44,7 +44,8 @@
 //! bit-identical to [`LacChip::run_graph`], outputs and stats both (a
 //! property-tested invariant, see `tests/cluster_props.rs`).
 //!
-//! The multi-tenant front door mirrors [`crate::service::LacService`]:
+//! The cluster is also the stack's one multi-tenant front door
+//! ([`crate::service::LacService`] is this door on a one-chip cluster):
 //! tenants registered with [`LacCluster::add_tenant`] hold *cluster-wide*
 //! admission budgets ([`LacCluster::enqueue`] charges the same cost-hint
 //! currency whether the graph later lands on one chip or five), and
@@ -59,12 +60,12 @@
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, LacChip, Scheduler};
 use crate::compile::ProgramCache;
-use crate::coord::{coordinate, CoordRun, Hints, Plan, SimMode, Topology, Workers};
+use crate::coord::{coordinate, CoordRun, Hints, Plan, SimMode, Topology};
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultPlan;
 use crate::service::{
-    admit, drain_inflight, settle_round, FusedPool, GraphCompletion, GraphTicket, JobGraph, JobId,
-    PendingGraph, Rejected, TenantConfig, TenantId, TenantSession,
+    FusedPool, GraphCompletion, GraphTicket, JobGraph, JobId, PendingGraph, Rejected, TenantConfig,
+    TenantId, TenantSession,
 };
 use crate::stats::ExecStats;
 use crate::trace::EventLog;
@@ -78,8 +79,9 @@ pub struct ClusterConfig {
     pub chips: Vec<ChipConfig>,
     /// Inter-chip link bandwidth in words per simulated cycle. Every
     /// cross-chip dependency edge serializes its payload through this
-    /// rate (links are modeled as contention-free: each transfer sees the
-    /// full bandwidth).
+    /// rate. In [`SimMode::Wave`] links are contention-free (each transfer
+    /// sees the full bandwidth); in [`SimMode::Event`] transfers on one
+    /// directed link queue behind each other.
     pub link_words_per_cycle: u64,
     /// Fixed latency of one chip-to-chip hop, in simulated cycles, paid
     /// by every cross-chip edge regardless of payload size.
@@ -285,9 +287,10 @@ pub struct Transfer {
     pub to_chip: usize,
     /// Payload size, words ([`ChipJob::transfer_words`] of the parent).
     pub words: u64,
-    /// Modeled cycles ([`ClusterConfig::transfer_cycles`] of `words`)
-    /// between the parent's completion and the child's earliest
-    /// readiness.
+    /// Modeled cycles between the parent's completion and the child's
+    /// earliest readiness: [`ClusterConfig::transfer_cycles`] of `words`,
+    /// plus, in [`SimMode::Event`], the time the payload queued behind
+    /// earlier transfers on the same link.
     pub cycles: u64,
 }
 
@@ -441,11 +444,11 @@ pub struct ClusterSession {
 /// partition-and-coordinate front door, with cluster-wide multi-tenant
 /// admission.
 ///
-/// Like [`LacChip`] (and unlike the persistent
-/// [`crate::service::LacService`]), a cluster borrows the calling thread
-/// and scoped workers per run: one worker per core per chip, each owning
-/// its shard's [`crate::engine::LacEngine`] for the duration of the run. Shard state and
-/// session meters persist across runs — the chips are owned, not rebuilt.
+/// Like [`LacChip`], a cluster borrows the calling thread and scoped
+/// workers per run: one worker per core per chip, each owning its shard's
+/// [`crate::engine::LacEngine`] for the duration of the run. Shard state
+/// and session meters persist across runs — the chips are owned, not
+/// rebuilt.
 ///
 /// ```
 /// use lac_sim::{ChipConfig, ClusterConfig, JobGraph, LacCluster, LacConfig, Scheduler};
@@ -694,11 +697,15 @@ impl<J: ChipJob> LacCluster<J> {
         &self.tenants[t.index()].1
     }
 
+    /// Every tenant's busy stats in registration order — the shape
+    /// `lac_power::ChipEnergyModel::attribute` prices.
+    pub fn tenant_busy_stats(&self) -> Vec<ExecStats> {
+        self.tenants.iter().map(|(_, s)| s.busy).collect()
+    }
+
     /// Model a gap between rounds: every chip sits powered but idle for
     /// `cycles`. Only the cluster clock advances — the open-loop door the
-    /// traffic layer uses to fast-forward to the next arrival (the
-    /// cluster counterpart of
-    /// [`crate::service::LacService::advance_idle`]).
+    /// traffic layer uses to fast-forward to the next arrival.
     pub fn advance_idle(&mut self, cycles: u64) {
         self.session.clock_cycles += cycles;
     }
@@ -709,38 +716,86 @@ impl<J: ChipJob> LacCluster<J> {
         self.pending.len()
     }
 
-    /// Submit a graph through tenant `t`'s cluster-wide admission door —
-    /// identical deterministic-backpressure semantics to
-    /// [`crate::service::LacService::enqueue`] (it runs the same
-    /// admission function), with one budget covering all chips.
+    /// Total admitted-but-unrun cost currently queued, across tenants.
+    pub fn pending_cost(&self) -> u64 {
+        self.pending.iter().map(|p| p.cost).sum()
+    }
+
+    /// Submit a graph through tenant `t`'s cluster-wide admission door,
+    /// with one budget covering all chips.
+    ///
+    /// Admission is *deterministic backpressure*: the graph's total cost
+    /// hint is charged against the tenant's in-flight budget
+    /// ([`TenantConfig::max_inflight_cost`]); if it does not fit, the
+    /// graph is handed back in [`Rejected`] — a pure function of the
+    /// enqueue/run history, never of host timing — and the tenant's
+    /// rejection counter bumps. Admitted graphs wait (order-tagged by
+    /// [`GraphTicket::seq`]) for the next [`LacCluster::run_admitted`]
+    /// round; in-flight cost drains when their round completes.
     pub fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
-        let pending = admit(&mut self.tenants, &mut self.next_seq, t, graph)?;
-        let ticket = pending.ticket;
-        self.pending.push(pending);
+        let cost = graph.total_cost();
+        let (cfg, session) = &mut self.tenants[t.index()];
+        if let Some(budget) = cfg.max_inflight_cost {
+            if session.inflight_cost + cost > budget {
+                session.graphs_rejected += 1;
+                return Err(Rejected {
+                    graph,
+                    tenant: t,
+                    graph_cost: cost,
+                    inflight_cost: session.inflight_cost,
+                    budget,
+                });
+            }
+        }
+        session.inflight_cost += cost;
+        session.graphs_admitted += 1;
+        let ticket = GraphTicket {
+            tenant: t,
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
+        self.pending.push(PendingGraph {
+            ticket,
+            graph,
+            cost,
+        });
         Ok(ticket)
     }
 
     /// Run every admitted graph in one interleaved, sharded round: the
     /// graphs fuse into a single pool (edges never cross graphs), the
     /// pool is partitioned across chips, and execution interleaves
-    /// wave-by-wave under `sched` with the same fair-share deficits,
-    /// banked-credit cap and failure semantics as
-    /// [`crate::service::LacService::run_admitted`]. On success the round
-    /// folds into the cluster session and each tenant's
-    /// [`TenantSession`]; on error the round's graphs are dropped and
-    /// their in-flight cost drains.
+    /// wave-by-wave under `sched`, so one tenant's fan-out fills the
+    /// dependency stalls of another's serial spine. Under
+    /// [`Scheduler::FairShare`] each wave hands out at most one job per
+    /// core, picking by weight-normalized accumulated usage — the
+    /// deficits persist in [`TenantSession::cost_completed`], so fairness
+    /// holds across rounds, not just within one. Banked credit is capped
+    /// at the tenant's own backlog (the deficit-round-robin rule of
+    /// resetting an empty queue's counter): a tenant cannot sit idle for
+    /// a long time and then starve the others indefinitely.
+    ///
+    /// On success the round folds into the cluster session (its makespan
+    /// advances the clock once — the graphs ran concurrently) and into
+    /// each tenant's [`TenantSession`]; admitted cost drains. On a
+    /// simulation error the earliest observed failure is returned (see
+    /// [`LacCluster::run_graph`]), the round's graphs are dropped, their
+    /// in-flight cost drains, and neither the session nor the tenant
+    /// meters advance — `Err` means "the round did not complete".
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ClusterRound<J::Output>, SimError> {
         let boost = vec![u64::MAX; self.tenants.len()];
         self.run_admitted_boosted(sched, &boost)
     }
 
-    /// [`LacCluster::run_admitted`] with a per-tenant SLO boost —
-    /// identical semantics to
-    /// [`crate::service::LacService::run_admitted_boosted`]: `boost[t]` is
-    /// tenant `t`'s deadline slack in simulated cycles (`u64::MAX` =
-    /// unboosted), served least-slack-first by the fair-share planner on
-    /// every chip, without preemption and without changing any output
-    /// bits.
+    /// [`LacCluster::run_admitted`] with a per-tenant SLO boost:
+    /// `boost[t]` is tenant `t`'s current deadline slack in simulated
+    /// cycles (`u64::MAX` = unboosted). Under [`Scheduler::FairShare`] the
+    /// wave planner ([`crate::plan_wave_tenanted_slo`]) serves boosted
+    /// tenants first on every chip, least slack first, without preempting
+    /// running jobs; other policies ignore the boost. Because planning is
+    /// cost-hint-only and outputs are placement-independent, boosting
+    /// changes *when* jobs run — sojourn times, wave shapes — but never
+    /// the output bits.
     pub fn run_admitted_boosted(
         &mut self,
         sched: Scheduler,
@@ -767,14 +822,21 @@ impl<J: ChipJob> LacCluster<J> {
                 let graphs = pool.graphs.len() as u64;
                 Ok((partition, self.run_plan(plan, graphs, &job_of)?))
             });
-        let (partition, (run, stats, idle_per_core)) = match done {
-            Ok(done) => done,
-            Err(e) => {
-                drain_inflight(&mut self.tenants, &pool);
-                return Err(e);
-            }
-        };
-        settle_round(&mut self.tenants, &pool, &run.per_tenant);
+        // The round's admitted cost drains either way, so a failed round
+        // cannot pin its tenants' budgets; only a completed round counts
+        // its graphs and folds its tenant meters.
+        for (g, &cost) in pool.graph_costs.iter().enumerate() {
+            let session = &mut self.tenants[pool.tickets[g].tenant.index()].1;
+            session.inflight_cost -= cost;
+            session.graphs_completed += u64::from(done.is_ok());
+        }
+        let (partition, (run, stats, idle_per_core)) = done?;
+        for ((_, session), delta) in self.tenants.iter_mut().zip(&run.per_tenant) {
+            session.busy.merge(&delta.busy);
+            session.jobs_run += delta.jobs;
+            session.wait_cycles += delta.wait_cycles;
+            session.cost_completed += delta.cost_dispatched;
+        }
         let cores = run.global_cores(&self.cfg.topology());
         Ok(ClusterRound {
             graphs: pool.completions(run.outputs, &cores, &run.wave_of),
@@ -814,7 +876,7 @@ impl<J: ChipJob> LacCluster<J> {
             .iter_mut()
             .flat_map(|chip| chip.shards_mut().iter_mut())
             .collect();
-        let run = coordinate(&topo, plan, &mut self.dead, Workers::Scoped(shards, job_of))?;
+        let run = coordinate(&topo, plan, &mut self.dead, shards, job_of)?;
         let mut aggregate = ExecStats::default();
         for s in &run.per_core {
             aggregate.merge(s);
@@ -959,6 +1021,49 @@ mod tests {
                 // (chip, core) assignment collapses to the chip's core picks.
                 let cores: Vec<usize> = via_cluster.assignment.iter().map(|&(_, c)| c).collect();
                 assert_eq!(cores, via_chip.assignment, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn graph_run_keeps_the_cluster_event_log() {
+        // The chip and service doors return the log a one-chip cluster
+        // returns: one non-discarded span per job, and on every core the
+        // span lengths add up to that core's busy cycles.
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let cfg = ChipConfig::new(3, LacConfig::default()).with_sim_mode(mode);
+            let graph = diamonds(3);
+            let mut cluster: LacCluster<ProgramJob> =
+                LacCluster::new(ClusterConfig::homogeneous(1, cfg));
+            let via_cluster = cluster.run_graph(&graph, Scheduler::CriticalPath).unwrap();
+            let via_chip = LacChip::new(cfg)
+                .run_graph(&graph, Scheduler::CriticalPath)
+                .unwrap();
+            let via_service = LacService::new(cfg)
+                .submit(graph.clone(), Scheduler::CriticalPath)
+                .unwrap();
+            assert_eq!(via_chip.events, via_cluster.events, "{mode:?}");
+            assert_eq!(via_service.events, via_cluster.events, "{mode:?}");
+
+            let mut spans = vec![0usize; graph.len()];
+            let mut busy = vec![0u64; cfg.cores];
+            for e in via_chip.events.events() {
+                if let TraceEvent::Job {
+                    job,
+                    core,
+                    start,
+                    end,
+                    discarded: false,
+                    ..
+                } = *e
+                {
+                    spans[job] += 1;
+                    busy[core] += end - start;
+                }
+            }
+            assert!(spans.iter().all(|&n| n == 1), "{mode:?}: one span per job");
+            for (c, s) in via_chip.stats.per_core.iter().enumerate() {
+                assert_eq!(busy[c], s.cycles, "{mode:?} core {c}");
             }
         }
     }

@@ -1,15 +1,15 @@
 //! The coordinator: the one function every door of the stack calls.
 //!
-//! [`crate::chip::LacChip::run_graph`], [`crate::service::LacService`]'s
-//! `submit` and rounds, and [`crate::cluster::LacCluster`]'s `run_graph`
-//! and rounds all describe their shards as one `Topology` — a chip is a
-//! one-chip topology with no links and no faults, a cluster is N of them
-//! joined by links — and hand their job pool to `coordinate`. It picks
-//! the time model once ([`SimMode`]), feeds the workers (scoped threads
-//! over borrowed shards, or a service's persistent threads), collects every
-//! dispatch batch through one failure-slot routine and returns one result
-//! type, `CoordRun`. Failure and metering semantics therefore cannot
-//! drift between deployment layers.
+//! [`crate::chip::LacChip::run_graph`] and [`crate::cluster::LacCluster`]'s
+//! `run_graph` and rounds (which [`crate::service::LacService`] fronts as
+//! a one-chip cluster) all describe their shards as one `Topology` — a
+//! chip is a one-chip topology with no links and no faults, a cluster is
+//! N of them joined by links — and hand their job pool to `coordinate`.
+//! It spawns the stack's one worker pool (a scoped thread per borrowed
+//! shard, joined when the run returns), picks the time model once
+//! ([`SimMode`]), collects every dispatch batch through one failure-slot
+//! routine and returns one result type, `CoordRun`. Failure and metering
+//! semantics therefore cannot drift between deployment layers.
 //!
 //! Two time models share that door:
 //!
@@ -155,8 +155,8 @@ pub(crate) struct Plan<'a> {
     pub(crate) chip_of: Vec<usize>,
 }
 
-/// Per-job hints of one untenanted graph — the shape `run_graph` and
-/// `submit` coordinate: every job belongs to one anonymous tenant with
+/// Per-job hints of one untenanted graph — the shape the `run_graph`
+/// doors coordinate: every job belongs to one anonymous tenant with
 /// fresh usage.
 pub(crate) struct Hints {
     costs: Vec<u64>,
@@ -194,7 +194,7 @@ impl Hints {
 }
 
 /// How one dispatched job ended.
-pub(crate) enum JobOutcome<T> {
+enum JobOutcome<T> {
     /// Output plus the job's session-stats delta.
     Completed(T, ExecStats),
     /// Skipped at the job boundary because a peer already failed.
@@ -208,24 +208,19 @@ pub(crate) enum JobOutcome<T> {
 }
 
 /// What one worker reports back per dispatched job.
-pub(crate) struct Done<T> {
+struct Done<T> {
     /// Global core index the job ran on.
-    pub(crate) core: usize,
+    core: usize,
     /// Pool index of the job.
-    pub(crate) job: usize,
+    job: usize,
     /// How it ended.
-    pub(crate) outcome: JobOutcome<T>,
+    outcome: JobOutcome<T>,
 }
 
 /// Run one job on a worker's engine, honoring the shared abort flag and
-/// measuring the session delta. Shared by the scoped and the persistent
-/// (service) workers. Never unwinds: every dispatched job must produce a
-/// report, or the coordinator would wait forever.
-pub(crate) fn run_one<J: ChipJob>(
-    eng: &mut LacEngine,
-    job: &J,
-    abort: &AtomicBool,
-) -> JobOutcome<J::Output> {
+/// measuring the session delta. Never unwinds: every dispatched job must
+/// produce a report, or the coordinator would wait forever.
+fn run_one<J: ChipJob>(eng: &mut LacEngine, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
     if abort.load(Ordering::Relaxed) {
         return JobOutcome::Skipped;
     }
@@ -246,17 +241,6 @@ pub(crate) fn run_one<J: ChipJob>(
             JobOutcome::Panicked(msg)
         }
     }
-}
-
-/// Who runs the dispatched jobs.
-pub(crate) enum Workers<'w, 'j, J: ChipJob> {
-    /// Shards borrowed for one run (global core order) plus the pool-index
-    /// → job lookup: one scoped worker thread per shard, joined when the
-    /// run returns.
-    Scoped(Vec<&'w mut LacEngine>, &'w (dyn Fn(usize) -> &'j J + Sync)),
-    /// A service's persistent threads: `dispatch(core, job)` hands a pool
-    /// job to a core, `collect()` blocks for the next report.
-    Persistent(&'w dyn Fn(usize, usize), &'w dyn Fn() -> Done<J::Output>),
 }
 
 /// Per-tenant meter deltas of one run.
@@ -341,7 +325,7 @@ impl<T> CoordRun<T> {
             .collect()
     }
 
-    /// A one-chip run as the chip and service doors report it.
+    /// A one-chip run as the chip door reports it.
     pub(crate) fn into_graph_run(self) -> GraphRun<T> {
         let stats = self.chip_stats(0..self.per_core.len());
         GraphRun {
@@ -352,43 +336,29 @@ impl<T> CoordRun<T> {
             wave_end_cycles: self.wave_ends,
             idle_per_core: self.idle_per_core,
             stats,
+            events: self.events,
         }
     }
 }
 
-/// Coordinate one run of `plan` on `topo`: pick the time model, drive the
-/// workers, return the run. `dead` marks chips killed so far and is
-/// updated in place as faults fire (a dead chip stays dead for every
-/// later run).
+/// Coordinate one run of `plan` on `topo` over `shards` (global core
+/// order); `job_of` maps a pool index to its job. Spawns one scoped worker
+/// per shard, drives them with the time model's loop, and joins them when
+/// the run returns (dropping the submission channels stops them). `dead`
+/// marks chips killed so far and is updated in place as faults fire (a
+/// dead chip stays dead for every later run).
 ///
 /// On a simulation error the earliest *observed* failure by dispatch
 /// order (global core, then bucket position within a wave) is returned;
 /// peers stop at their next job boundary and nothing later dispatches. A
 /// panicking job is re-raised once its batch drains, so no worker dies.
-pub(crate) fn coordinate<J: ChipJob>(
+pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
     topo: &Topology,
     plan: Plan<'_>,
     dead: &mut [bool],
-    workers: Workers<'_, '_, J>,
-) -> Result<CoordRun<J::Output>, SimError> {
-    let drive =
-        |dispatch: &dyn Fn(usize, usize), collect: &dyn Fn() -> Done<J::Output>| match topo.mode {
-            SimMode::Wave => drive_cluster(topo, plan, dead, dispatch, collect),
-            SimMode::Event => drive_event(topo, plan, dead, dispatch, collect),
-        };
-    match workers {
-        Workers::Scoped(shards, job_of) => scoped(shards, job_of, drive),
-        Workers::Persistent(dispatch, collect) => drive(dispatch, collect),
-    }
-}
-
-/// Spawn one scoped worker per shard, run `drive` against them, and join
-/// them when it returns (dropping the submission channels stops them).
-fn scoped<'j, J: ChipJob, R>(
     shards: Vec<&mut LacEngine>,
     job_of: &(dyn Fn(usize) -> &'j J + Sync),
-    drive: impl FnOnce(&dyn Fn(usize, usize), &dyn Fn() -> Done<J::Output>) -> R,
-) -> R {
+) -> Result<CoordRun<J::Output>, SimError> {
     let abort = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let (done_tx, done_rx) = channel::<Done<J::Output>>();
@@ -411,10 +381,29 @@ fn scoped<'j, J: ChipJob, R>(
             })
             .collect();
         drive(
+            topo,
+            plan,
+            dead,
             &|core, job| txs[core].send(job).expect("worker hung up"),
             &|| done_rx.recv().expect("worker hung up"),
         )
     })
+}
+
+/// Run the time model's loop against a dispatch/collect pair:
+/// `dispatch(core, job)` hands a pool job to a core, `collect()` blocks
+/// for the next report.
+fn drive<T>(
+    topo: &Topology,
+    plan: Plan<'_>,
+    dead: &mut [bool],
+    dispatch: &dyn Fn(usize, usize),
+    collect: &dyn Fn() -> Done<T>,
+) -> Result<CoordRun<T>, SimError> {
+    match topo.mode {
+        SimMode::Wave => drive_cluster(topo, plan, dead, dispatch, collect),
+        SimMode::Event => drive_event(topo, plan, dead, dispatch, collect),
+    }
 }
 
 /// Per-core and per-tenant meters of one run.
@@ -1429,25 +1418,23 @@ mod tests {
         };
         let queue = RefCell::new(VecDeque::new());
         let mut dead = vec![false; topo.cores_per_chip.len()];
-        coordinate::<crate::chip::ProgramJob>(
+        drive(
             topo,
             plan,
             &mut dead,
-            Workers::Persistent(
-                &|core: usize, job: usize| queue.borrow_mut().push_back((core, job)),
-                &|| {
-                    let (core, job) = queue.borrow_mut().pop_front().expect("a dispatched job");
-                    let delta = ExecStats {
-                        cycles: costs[job],
-                        ..Default::default()
-                    };
-                    Done {
-                        core,
-                        job,
-                        outcome: JobOutcome::Completed(delta, delta),
-                    }
-                },
-            ),
+            &|core, job| queue.borrow_mut().push_back((core, job)),
+            &|| {
+                let (core, job) = queue.borrow_mut().pop_front().expect("a dispatched job");
+                let delta = ExecStats {
+                    cycles: costs[job],
+                    ..Default::default()
+                };
+                Done {
+                    core,
+                    job,
+                    outcome: JobOutcome::Completed(delta, delta),
+                }
+            },
         )
     }
 

@@ -1,13 +1,13 @@
 //! The chip's submission-based front-end: [`JobGraph`] expresses DAGs of
-//! [`ChipJob`]s with dependencies, and [`LacService`] keeps one persistent
-//! worker thread per core alive across submissions — the production shape
+//! [`ChipJob`]s with dependencies, and [`LacService`] serves them on one
+//! chip whose shards stay warm across submissions — the production shape
 //! of the multi-core LAP, where a solver loop (e.g. the repeated
 //! Cholesky/TRSM/GEMM rounds of an interior-point method) submits graph
-//! after graph against the same warm shards.
+//! after graph against the same shards.
 //!
 //! The chip's original flat-queue door (removed once every call site had
-//! migrated) could only drain an order-free batch, and every call paid
-//! worker-pool setup and teardown. This module replaces it:
+//! migrated) could only drain an order-free batch. This module replaces
+//! it:
 //!
 //! * **[`JobGraph`]** — jobs are added in submission order and may depend
 //!   on previously added jobs (`add_after` / `add_dep`). Because an edge
@@ -27,13 +27,15 @@
 //!   cycles. The makespan is the sum of wave spans, so chip utilization
 //!   and the static/uncore terms of `lac-power`'s chip energy model see
 //!   dependency stalls, not just busy time.
-//! * **[`LacService`]** — owns the shards *inside* long-lived worker
-//!   threads (one per core, fed through `mpsc` channels — the submission
-//!   door) and accumulates a [`ServiceSession`]: per-core meters, a
-//!   service clock summing submission makespans (plus explicit
-//!   [`LacService::advance_idle`] gaps between batches), and graph/job
-//!   counts. `session().chip_stats()` prices the whole service lifetime
-//!   through `lac_power::ChipEnergyModel`, idle included.
+//! * **[`LacService`]** — the one-chip front of
+//!   [`LacCluster`]: every submission and
+//!   round runs through the cluster door (and so through the
+//!   coordinator's one scoped worker pool), and the service accumulates
+//!   a [`ServiceSession`]: per-core meters, a service clock summing
+//!   submission makespans (plus explicit [`LacService::advance_idle`]
+//!   gaps between batches), and graph/job counts.
+//!   `session().chip_stats()` prices the whole service lifetime through
+//!   `lac_power::ChipEnergyModel`, idle included.
 //! * **Multi-tenant streaming admission** — many clients ([`TenantId`]s
 //!   registered via [`LacService::add_tenant`]) hold concurrent
 //!   [`TenantSession`]s against one service. [`LacService::enqueue`]
@@ -58,16 +60,12 @@
 //! order, so shared-state workloads stay bit-deterministic.
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, Scheduler};
+use crate::cluster::{ClusterConfig, LacCluster};
 use crate::compile::ProgramCache;
-use crate::coord::{coordinate, run_one, CoordRun, Done, Hints, Plan, TenantDelta, Workers};
-use crate::engine::LacEngine;
+use crate::coord::Plan;
 use crate::error::SimError;
 use crate::stats::ExecStats;
 use crate::trace::EventLog;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Handle to a job added to a [`JobGraph`]; ids are dense and ordered by
 /// submission.
@@ -412,18 +410,10 @@ pub struct GraphRun<T> {
     /// Busy-cycle breakdown and aggregate; `makespan_cycles` is the sum of
     /// wave spans, so it *includes* dependency stalls.
     pub stats: ChipStats,
-}
-
-/// Messages down a worker's submission channel. `job` indexes into
-/// `graph`; `tag` is the coordinator-side job id reported back in
-/// [`Done`] (they differ when a round interleaves several graphs).
-enum WorkerMsg<J> {
-    Run {
-        graph: Arc<JobGraph<J>>,
-        job: usize,
-        tag: usize,
-    },
-    Shutdown,
+    /// The run's observability log (job spans per core, idle
+    /// fast-forwards) on the run-relative simulated clock — the same log
+    /// the cluster doors return.
+    pub events: EventLog,
 }
 
 /// A tenant of the multi-tenant service door: a client whose submissions
@@ -439,7 +429,7 @@ impl TenantId {
     }
 
     /// Crate-internal constructor (the cluster front door registers
-    /// tenants through the same dense-id scheme).
+    /// tenants).
     pub(crate) fn from_index(i: usize) -> Self {
         TenantId(i)
     }
@@ -583,52 +573,11 @@ impl<J> std::fmt::Debug for Rejected<J> {
     }
 }
 
-/// One admitted graph waiting for the next round (shared by the service
-/// and cluster front doors).
+/// One admitted graph waiting for the next round.
 pub(crate) struct PendingGraph<J> {
     pub(crate) ticket: GraphTicket,
     pub(crate) graph: JobGraph<J>,
     pub(crate) cost: u64,
-}
-
-/// The shared admission decision: charge `graph`'s total cost hint against
-/// tenant `t`'s in-flight budget, bouncing over-budget submissions with
-/// deterministic backpressure. Both the single-chip [`LacService::enqueue`]
-/// and the multi-chip [`crate::cluster::LacCluster::enqueue`] front doors
-/// run exactly this function, so admission behaves identically at every
-/// deployment scale.
-pub(crate) fn admit<J: ChipJob>(
-    tenants: &mut [(TenantConfig, TenantSession)],
-    next_seq: &mut u64,
-    t: TenantId,
-    graph: JobGraph<J>,
-) -> Result<PendingGraph<J>, Rejected<J>> {
-    let cost = graph.total_cost();
-    let (cfg, session) = &mut tenants[t.0];
-    if let Some(budget) = cfg.max_inflight_cost {
-        if session.inflight_cost + cost > budget {
-            session.graphs_rejected += 1;
-            return Err(Rejected {
-                graph,
-                tenant: t,
-                graph_cost: cost,
-                inflight_cost: session.inflight_cost,
-                budget,
-            });
-        }
-    }
-    session.inflight_cost += cost;
-    session.graphs_admitted += 1;
-    let ticket = GraphTicket {
-        tenant: t,
-        seq: *next_seq,
-    };
-    *next_seq += 1;
-    Ok(PendingGraph {
-        ticket,
-        graph,
-        cost,
-    })
 }
 
 /// The admitted graphs of one round fused into a single job pool: jobs
@@ -645,7 +594,7 @@ pub(crate) struct FusedPool<J: ChipJob> {
     pub(crate) owner: Vec<(usize, usize)>,
     pub(crate) tickets: Vec<GraphTicket>,
     pub(crate) graph_costs: Vec<u64>,
-    pub(crate) graphs: Vec<Arc<JobGraph<J>>>,
+    pub(crate) graphs: Vec<JobGraph<J>>,
 }
 
 impl<J: ChipJob> FusedPool<J> {
@@ -685,7 +634,7 @@ impl<J: ChipJob> FusedPool<J> {
                 .extend(std::iter::repeat_n(p.ticket.tenant.0, p.graph.jobs.len()));
             pool.owner
                 .extend((0..p.graph.jobs.len()).map(|local| (g, local)));
-            pool.graphs.push(Arc::new(p.graph));
+            pool.graphs.push(p.graph);
         }
         pool
     }
@@ -757,43 +706,6 @@ impl<J: ChipJob> FusedPool<J> {
             completions[g].wave_of.push(wave_of[job]);
         }
         completions
-    }
-}
-
-/// Drain a round's admitted cost out of its tenants' in-flight meters —
-/// the error-path settlement: the round's graphs are gone, but their
-/// admitted cost must not pin the tenants' budgets forever. Shared by the
-/// service and cluster `run_admitted` doors.
-pub(crate) fn drain_inflight<J: ChipJob>(
-    tenants: &mut [(TenantConfig, TenantSession)],
-    pool: &FusedPool<J>,
-) {
-    for (g, &cost) in pool.graph_costs.iter().enumerate() {
-        tenants[pool.tickets[g].tenant.0].1.inflight_cost -= cost;
-    }
-}
-
-/// Fold a completed round into its tenants' lifetime meters: busy stats,
-/// job counts, wait cycles and fair-share usage from the round's
-/// [`TenantDelta`]s, plus per-graph completion counts and the in-flight
-/// drain. Shared by the service and cluster `run_admitted` doors, so
-/// tenant accounting behaves identically at every deployment scale.
-pub(crate) fn settle_round<J: ChipJob>(
-    tenants: &mut [(TenantConfig, TenantSession)],
-    pool: &FusedPool<J>,
-    per_tenant: &[TenantDelta],
-) {
-    for (t, delta) in per_tenant.iter().enumerate() {
-        let session = &mut tenants[t].1;
-        session.busy.merge(&delta.busy);
-        session.jobs_run += delta.jobs;
-        session.wait_cycles += delta.wait_cycles;
-        session.cost_completed += delta.cost_dispatched;
-    }
-    for (g, &cost) in pool.graph_costs.iter().enumerate() {
-        let session = &mut tenants[pool.tickets[g].tenant.0].1;
-        session.inflight_cost -= cost;
-        session.graphs_completed += 1;
     }
 }
 
@@ -901,14 +813,12 @@ impl ServiceSession {
     }
 }
 
-/// A persistent multi-core submission service: `S` worker threads, each
-/// owning one [`LacEngine`] shard for the service's whole lifetime, fed
-/// through `mpsc` submission channels. Submissions run dependency-aware
-/// [`JobGraph`]s; between submissions the shards stay warm (architectural
-/// state and session meters persist), which is the point — a solver loop
-/// submits round after round without paying pool setup/teardown.
-///
-/// Dropping the service shuts the workers down and joins them.
+/// A multi-core submission service: one chip whose shards stay warm
+/// across submissions (architectural state and session meters persist),
+/// so a solver loop submits round after round against the same engines.
+/// It is the one-chip front of [`LacCluster`]: every door delegates to a
+/// `LacCluster` built with [`ClusterConfig::homogeneous`]`(1, cfg)`, whose
+/// runs borrow the coordinator's scoped workers (one per core).
 ///
 /// ```
 /// use lac_sim::{ChipConfig, JobGraph, LacConfig, LacService, ProgramBuilder, ProgramJob, Scheduler};
@@ -938,80 +848,41 @@ impl ServiceSession {
 ///     first.stats.makespan_cycles + second.stats.makespan_cycles + 1_000
 /// );
 /// ```
-pub struct LacService<J: ChipJob + 'static> {
-    cfg: ChipConfig,
-    txs: Vec<Sender<WorkerMsg<J>>>,
-    done_rx: Receiver<Done<J::Output>>,
-    handles: Vec<JoinHandle<()>>,
-    abort: Arc<AtomicBool>,
+pub struct LacService<J: ChipJob> {
+    cluster: LacCluster<J>,
     session: ServiceSession,
-    tenants: Vec<(TenantConfig, TenantSession)>,
-    pending: Vec<PendingGraph<J>>,
-    next_seq: u64,
-    program_cache: ProgramCache,
 }
 
-impl<J: ChipJob + 'static> LacService<J> {
-    /// Build the shards (per-core bandwidth split per
-    /// [`ChipConfig::shard_config`]) and spawn one worker thread per core.
-    /// All workers share one compile cache, so a program fanned out across
-    /// cores compiles once (see [`LacService::program_cache`]).
+impl<J: ChipJob> LacService<J> {
+    /// Build the chip's shards (per-core bandwidth split per
+    /// [`ChipConfig::shard_config`]). All cores share one compile cache,
+    /// so a program fanned out across cores compiles once (see
+    /// [`LacService::program_cache`]).
     pub fn new(cfg: ChipConfig) -> Self {
-        assert!(cfg.cores >= 1, "a chip has at least one core");
-        cfg.assert_budget_conserved();
-        let program_cache = ProgramCache::new();
-        let abort = Arc::new(AtomicBool::new(false));
-        let (done_tx, done_rx) = channel::<Done<J::Output>>();
-        let mut txs = Vec::with_capacity(cfg.cores);
-        let mut handles = Vec::with_capacity(cfg.cores);
-        for core in 0..cfg.cores {
-            let mut b = LacEngine::builder()
-                .config(cfg.shard_config(core))
-                .program_cache(program_cache.clone());
-            if let Some(words) = cfg.mem_words_per_core {
-                b = b.mem_words(words);
-            }
-            let eng = b.build();
-            let (tx, rx) = channel::<WorkerMsg<J>>();
-            let done_tx = done_tx.clone();
-            let abort = Arc::clone(&abort);
-            handles.push(std::thread::spawn(move || {
-                service_worker(core, eng, rx, done_tx, abort)
-            }));
-            txs.push(tx);
-        }
         Self {
-            cfg,
-            txs,
-            done_rx,
-            handles,
-            abort,
+            cluster: LacCluster::new(ClusterConfig::homogeneous(1, cfg)),
             session: ServiceSession {
                 per_core: vec![ExecStats::default(); cfg.cores],
                 jobs_per_core: vec![0; cfg.cores],
                 clock_cycles: 0,
                 graphs_run: 0,
             },
-            tenants: Vec::new(),
-            pending: Vec::new(),
-            next_seq: 0,
-            program_cache,
         }
     }
 
     /// The underlying chip configuration.
     pub fn config(&self) -> &ChipConfig {
-        &self.cfg
+        &self.cluster.config().chips[0]
     }
 
-    /// The compile cache shared by every worker core of this service.
+    /// The compile cache shared by every core of this service.
     pub fn program_cache(&self) -> &ProgramCache {
-        &self.program_cache
+        self.cluster.program_cache()
     }
 
-    /// Number of worker cores.
+    /// Number of cores.
     pub fn num_cores(&self) -> usize {
-        self.txs.len()
+        self.config().cores
     }
 
     /// Run a job graph to completion under `sched` and fold its meters
@@ -1022,44 +893,27 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// [`LacChip::run_graph`](crate::chip::LacChip::run_graph) for the
     /// multi-failure caveat) is returned; peers stop at their next job
     /// boundary and no later wave is dispatched. Work that already
-    /// simulated stays metered in the worker shards but a failed
-    /// submission does not advance the service session — `Err` means "the
-    /// graph did not complete".
+    /// simulated stays metered in the shards but a failed submission does
+    /// not advance the service session — `Err` means "the graph did not
+    /// complete".
     pub fn submit(
         &mut self,
         graph: JobGraph<J>,
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
-        let hints = Hints::of(&graph);
-        let graph = Arc::new(graph);
-        let run = self
-            .run_plan(hints.plan(&graph, sched), |job| (Arc::clone(&graph), job))?
-            .into_graph_run();
-        self.record(&run.stats, 1);
-        Ok(run)
-    }
-
-    /// Coordinate `plan` on the persistent workers; `route` maps a pool
-    /// job to its graph and its index within that graph.
-    fn run_plan(
-        &self,
-        plan: Plan<'_>,
-        route: impl Fn(usize) -> (Arc<JobGraph<J>>, usize),
-    ) -> Result<CoordRun<J::Output>, SimError> {
-        self.abort.store(false, Ordering::Relaxed);
-        let dispatch = |core: usize, tag: usize| {
-            let (graph, job) = route(tag);
-            self.txs[core]
-                .send(WorkerMsg::Run { graph, job, tag })
-                .expect("service worker hung up");
-        };
-        let collect = || self.done_rx.recv().expect("service worker hung up");
-        coordinate::<J>(
-            &self.cfg.topology(),
-            plan,
-            &mut [false],
-            Workers::Persistent(&dispatch, &collect),
-        )
+        let mut run = self.cluster.run_graph(&graph, sched)?;
+        let stats = run.stats.per_chip.swap_remove(0);
+        self.record(&stats, 1);
+        Ok(GraphRun {
+            outputs: run.outputs,
+            assignment: run.assignment.into_iter().map(|(_, core)| core).collect(),
+            wave_of: run.wave_of,
+            waves: run.waves,
+            wave_end_cycles: run.wave_end_cycles,
+            idle_per_core: run.idle_per_core.swap_remove(0),
+            stats,
+            events: run.events,
+        })
     }
 
     /// Fold a completed run of `graphs` graphs into the session meters:
@@ -1077,129 +931,78 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// permanent for the service's lifetime; their ids index
     /// [`LacService::tenant_session`] and the fair-share deficit counters.
     pub fn add_tenant(&mut self, cfg: TenantConfig) -> TenantId {
-        let id = TenantId(self.tenants.len());
-        self.tenants.push((cfg, TenantSession::default()));
-        id
+        self.cluster.add_tenant(cfg)
     }
 
     /// Number of registered tenants.
     pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
+        self.cluster.num_tenants()
     }
 
     /// The policy knobs tenant `t` registered with.
     pub fn tenant_config(&self, t: TenantId) -> &TenantConfig {
-        &self.tenants[t.0].0
+        self.cluster.tenant_config(t)
     }
 
     /// The tenant's lifetime meters (updated only by completed rounds).
     pub fn tenant_session(&self, t: TenantId) -> &TenantSession {
-        &self.tenants[t.0].1
+        self.cluster.tenant_session(t)
     }
 
     /// Every tenant's busy stats in registration order — the shape
     /// `lac_power::ChipEnergyModel::attribute` prices.
     pub fn tenant_busy_stats(&self) -> Vec<ExecStats> {
-        self.tenants.iter().map(|(_, s)| s.busy).collect()
+        self.cluster.tenant_busy_stats()
     }
 
     /// Graphs admitted and waiting for the next [`LacService::run_admitted`].
     pub fn pending_graphs(&self) -> usize {
-        self.pending.len()
+        self.cluster.pending_graphs()
     }
 
     /// Total admitted-but-unrun cost currently queued, across tenants.
     pub fn pending_cost(&self) -> u64 {
-        self.pending.iter().map(|p| p.cost).sum()
+        self.cluster.pending_cost()
     }
 
-    /// Submit a graph through tenant `t`'s admission door.
-    ///
-    /// Admission is *deterministic backpressure*: the graph's total cost
-    /// hint is charged against the tenant's in-flight budget
-    /// ([`TenantConfig::max_inflight_cost`]); if it does not fit, the
-    /// graph is handed back in [`Rejected`] — a pure function of the
-    /// enqueue/run history, never of host timing — and the tenant's
-    /// rejection counter bumps. Admitted graphs wait (order-tagged by
-    /// [`GraphTicket::seq`]) for the next [`LacService::run_admitted`]
-    /// round; in-flight cost drains when their round completes.
+    /// Submit a graph through tenant `t`'s admission door: deterministic
+    /// backpressure against the tenant's in-flight budget, exactly as
+    /// [`LacCluster::enqueue`].
     pub fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
-        let pending = admit(&mut self.tenants, &mut self.next_seq, t, graph)?;
-        let ticket = pending.ticket;
-        self.pending.push(pending);
-        Ok(ticket)
+        self.cluster.enqueue(t, graph)
     }
 
-    /// Run every admitted graph to completion in one interleaved round:
-    /// the graphs are fused into a single dependency pool (edges never
-    /// cross graphs) and scheduled wave-by-wave under `sched`, so one
-    /// tenant's fan-out fills the dependency stalls of another's serial
-    /// spine. Under [`Scheduler::FairShare`] each wave hands out at most
-    /// one job per core, picking by weight-normalized accumulated usage —
-    /// the deficits persist in [`TenantSession::cost_completed`], so
-    /// fairness holds across rounds, not just within one. Banked credit
-    /// is capped at the tenant's own backlog (the deficit-round-robin
-    /// rule of resetting an empty queue's counter): a tenant cannot sit
-    /// idle for a long time and then starve the others indefinitely — it
-    /// may clear at most its current pending cost before they resume.
-    ///
-    /// On success the round folds into the service session (its makespan
-    /// advances the service clock once — the graphs ran concurrently) and
-    /// into each tenant's [`TenantSession`]; admitted cost drains. On a
-    /// simulation error the earliest observed failure is returned (see
-    /// [`LacService::submit`]), the round's graphs are dropped, their
-    /// in-flight cost drains, and neither the service session nor the
-    /// tenant meters advance — `Err` means "the round did not complete".
+    /// Run every admitted graph to completion in one interleaved round,
+    /// with the fair-share, banked-credit and failure semantics of
+    /// [`LacCluster::run_admitted`]. On success the round's makespan
+    /// advances the service clock once and its per-core meters fold into
+    /// the service session; on error neither the session nor the tenant
+    /// meters advance.
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ServiceRound<J::Output>, SimError> {
-        let boost = vec![u64::MAX; self.tenants.len()];
+        let boost = vec![u64::MAX; self.num_tenants()];
         self.run_admitted_boosted(sched, &boost)
     }
 
-    /// [`LacService::run_admitted`] with a per-tenant SLO boost: `boost[t]`
-    /// is tenant `t`'s current deadline slack in simulated cycles
-    /// (`u64::MAX` = unboosted). Under [`Scheduler::FairShare`] the wave
-    /// planner ([`plan_wave_tenanted_slo`]) serves boosted tenants first,
-    /// least slack first, without preempting running jobs; other policies
-    /// ignore the boost. Because planning is cost-hint-only and outputs
-    /// are placement-independent, boosting changes *when* jobs run —
-    /// sojourn times, wave shapes — but never the output bits.
+    /// [`LacService::run_admitted`] with a per-tenant SLO boost:
+    /// `boost[t]` is tenant `t`'s current deadline slack in simulated
+    /// cycles (`u64::MAX` = unboosted), served least-slack-first under
+    /// [`Scheduler::FairShare`] (see [`LacCluster::run_admitted_boosted`]).
+    /// Boosting changes *when* jobs run, never the output bits.
     pub fn run_admitted_boosted(
         &mut self,
         sched: Scheduler,
         boost: &[u64],
     ) -> Result<ServiceRound<J::Output>, SimError> {
-        assert_eq!(
-            boost.len(),
-            self.tenants.len(),
-            "one boost slack per registered tenant"
-        );
-        // Fuse the admitted graphs into one job pool with per-job tenant
-        // tags; the pool's owner map recovers each graph's slice
-        // afterwards.
-        let pool = FusedPool::new(std::mem::take(&mut self.pending));
-        let (weights, usage) = pool.fair_share(&self.tenants);
-        let plan = pool.plan(sched, &weights, boost, usage);
-        let mut run = match self.run_plan(plan, |job| {
-            let (g, local) = pool.owner[job];
-            (Arc::clone(&pool.graphs[g]), local)
-        }) {
-            Ok(run) => run,
-            Err(e) => {
-                drain_inflight(&mut self.tenants, &pool);
-                return Err(e);
-            }
-        };
-        settle_round(&mut self.tenants, &pool, &run.per_tenant);
-        let events = std::mem::take(&mut run.events);
-        let run = run.into_graph_run();
-        self.record(&run.stats, pool.graphs.len() as u64);
+        let mut round = self.cluster.run_admitted_boosted(sched, boost)?;
+        let stats = round.stats.per_chip.swap_remove(0);
+        self.record(&stats, round.graphs.len() as u64);
         Ok(ServiceRound {
-            graphs: pool.completions(run.outputs, &run.assignment, &run.wave_of),
-            waves: run.waves,
-            wave_end_cycles: run.wave_end_cycles,
-            idle_per_core: run.idle_per_core,
-            stats: run.stats,
-            events,
+            graphs: round.graphs,
+            waves: round.waves,
+            wave_end_cycles: round.wave_end_cycles,
+            idle_per_core: round.idle_per_core.swap_remove(0),
+            stats,
+            events: round.events,
         })
     }
 
@@ -1207,6 +1010,7 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// `cycles`. Only the service clock advances, so static/uncore energy
     /// accrues while busy counters do not.
     pub fn advance_idle(&mut self, cycles: u64) {
+        self.cluster.advance_idle(cycles);
         self.session.clock_cycles += cycles;
     }
 
@@ -1216,49 +1020,12 @@ impl<J: ChipJob + 'static> LacService<J> {
     }
 }
 
-impl<J: ChipJob + 'static> Drop for LacService<J> {
-    fn drop(&mut self) {
-        for tx in &self.txs {
-            let _ = tx.send(WorkerMsg::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn service_worker<J: ChipJob>(
-    core: usize,
-    mut eng: LacEngine,
-    rx: Receiver<WorkerMsg<J>>,
-    tx: Sender<Done<J::Output>>,
-    abort: Arc<AtomicBool>,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Run { graph, job, tag } => {
-                let outcome = run_one(&mut eng, &graph.jobs[job], &abort);
-                if tx
-                    .send(Done {
-                        core,
-                        job: tag,
-                        outcome,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            WorkerMsg::Shutdown => break,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chip::{ChipConfig, LacChip, ProgramJob};
     use crate::config::LacConfig;
+    use crate::engine::LacEngine;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
 
     /// One external load + one MAC + `extra` idle cycles, with a chosen

@@ -160,10 +160,10 @@ pub struct RoundOutcome<T> {
 
 /// A serving backend the open-loop driver can feed: the multi-tenant
 /// admission door, the boosted round door, the session clock and the idle
-/// fast-forward door. Implemented for [`LacService`] (one chip,
-/// persistent workers) and [`LacCluster`] (N chips, modeled transfers) —
-/// the driver is backend-agnostic, so the same trace replays identically
-/// against either.
+/// fast-forward door. Implemented for [`LacCluster`] (N chips, modeled
+/// transfers) and [`LacService`] (its one-chip front, reporting rounds as
+/// one chip) — the driver is backend-agnostic, so the same trace replays
+/// identically against either.
 pub trait OpenLoopBackend<J: ChipJob> {
     /// Offer a graph through tenant `t`'s admission door.
     fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>>;
@@ -192,7 +192,7 @@ pub trait OpenLoopBackend<J: ChipJob> {
     fn num_tenants(&self) -> usize;
 }
 
-impl<J: ChipJob + 'static> OpenLoopBackend<J> for LacService<J> {
+impl<J: ChipJob> OpenLoopBackend<J> for LacService<J> {
     fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
         LacService::enqueue(self, t, graph)
     }
@@ -539,14 +539,19 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
                 }
                 Continue::Done => {
                     let a = arrivals[pos];
-                    let last_wave = completion.wave_of.iter().copied().max().unwrap_or(0);
+                    // A graph with no jobs completes at the round's start.
                     let done = clock
-                        + outcome.wave_end_cycles.get(last_wave).copied().ok_or(
-                            OpenLoopError::TruncatedWaveClock {
-                                last_wave,
-                                waves: outcome.wave_end_cycles.len(),
-                            },
-                        )?;
+                        + match completion.wave_of.iter().copied().max() {
+                            None => 0,
+                            Some(last_wave) => {
+                                outcome.wave_end_cycles.get(last_wave).copied().ok_or(
+                                    OpenLoopError::TruncatedWaveClock {
+                                        last_wave,
+                                        waves: outcome.wave_end_cycles.len(),
+                                    },
+                                )?
+                            }
+                        };
                     let sojourn = done - (base + a.tick);
                     let meters = &mut per_tenant[a.tenant];
                     meters.hist.record(sojourn);
@@ -820,6 +825,42 @@ mod tests {
         match err {
             OpenLoopError::TruncatedWaveClock { waves, .. } => assert_eq!(waves, 0),
             other => panic!("expected TruncatedWaveClock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_request_completes_at_its_round_start() {
+        // Alone in a tick-0 round (no waves at all), and sharing a round
+        // with a non-empty request: either way the empty graph completes
+        // at the round's start, not at the end of wave 0.
+        for requests in [1, 2] {
+            let mut svc: LacService<ProgramJob> =
+                LacService::new(ChipConfig::new(1, LacConfig::default()));
+            let t = svc.add_tenant(TenantConfig::new("t"));
+            let report = run_open_loop_dynamic(
+                &mut svc,
+                &ArrivalTrace::batch(&[requests]),
+                &[t],
+                |a| match a.index {
+                    0 => DynamicGraph::fixed(JobGraph::new()),
+                    _ => request(a),
+                },
+                OpenLoopConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(report.completed.len(), requests);
+            let empty = report
+                .completed
+                .iter()
+                .find(|c| c.arrival.index == 0)
+                .expect("the empty request completed");
+            assert_eq!(empty.arrival.tick, 0);
+            assert_eq!(empty.completion_tick, 0, "the round starts at tick 0");
+            assert_eq!(empty.sojourn_cycles, 0, "round start minus arrival");
+            assert_eq!(empty.outcome.jobs, 0);
+            if requests == 2 {
+                assert!(report.final_clock > 0, "the other request ran");
+            }
         }
     }
 

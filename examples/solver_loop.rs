@@ -27,8 +27,8 @@ fn main() {
         salt: 7,
     });
 
-    // A persistent 4-core service: workers (and their engine shards) stay
-    // warm across submissions.
+    // A long-lived 4-core service: its engine shards stay warm across
+    // submissions.
     let mut service = LacService::new(ChipConfig::new(4, LacConfig::default()));
 
     let solver_graph = workload.graph();

@@ -78,7 +78,7 @@ proptest! {
             let (graph, _, _) = random_log_dag(&extras, &seeds);
             let mut chip = LacChip::new(ChipConfig::new(cores, LacConfig::default()));
             let chip_run = chip.run_graph(&graph, sched).unwrap();
-            // …and the persistent service must agree bit for bit.
+            // …and the one-chip-cluster service must agree bit for bit.
             let (graph, _, _) = random_log_dag(&extras, &seeds);
             let mut svc = LacService::new(ChipConfig::new(cores, LacConfig::default()));
             let svc_run = svc.submit(graph, sched).unwrap();
