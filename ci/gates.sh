@@ -64,9 +64,10 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# Gate 5: one worker pool. The coordinator's scoped workers (one per
-# borrowed shard, spawned inside `coord::coordinate`) are the only threads
-# that run jobs; every door — chip, service, cluster — reaches them through
+# Gate 5: one worker pool. The calling thread plus the coordinator's
+# scoped workers (spawned on demand inside `coord::coordinate`, one per
+# other core a multi-core dispatch batch needs) are the only threads that
+# run jobs; every door — chip, service, cluster — reaches them through
 # that one call. A `thread::spawn` anywhere in library, example or bench
 # code would be a second pool with its own lifetime, channels and failure
 # handling. (Test-only `thread::scope` races in memo.rs and compile.rs are

@@ -8,8 +8,8 @@
 //! For every `BENCH_<name>.json` in the baseline dir the matching
 //! `<name>.json` must exist in the fresh dir (the layout `run_all`
 //! archives to `target/release/perf/`). Points are matched by their
-//! identity fields (`bench`, `tenants`, `cores`, `rounds`, `policy` —
-//! whichever are present), then the gated metrics are compared:
+//! identity fields (`bench`, `mode`, `tenants`, `cores`, `jobs`, `rounds`,
+//! `policy` — whichever are present), then the gated metrics are compared:
 //!
 //! * `makespan_cycles`, `*_clock_cycles` and lower-is-better latency
 //!   tails (`*sojourn*` — e.g. `p99_sojourn_cycles`,
@@ -41,8 +41,9 @@ use std::process::ExitCode;
 const DEFAULT_TOLERANCE: f64 = 0.15;
 
 /// Fields that identify a point within its benchmark file.
-const IDENTITY_FIELDS: [&str; 9] = [
-    "bench", "backend", "chips", "tenants", "cores", "rounds", "policy", "load", "slo",
+const IDENTITY_FIELDS: [&str; 11] = [
+    "bench", "backend", "mode", "chips", "tenants", "cores", "jobs", "rounds", "policy", "load",
+    "slo",
 ];
 
 fn identity(point: &Json) -> String {

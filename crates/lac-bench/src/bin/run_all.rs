@@ -61,6 +61,7 @@ fn is_generator_name(n: &str) -> bool {
         || n.starts_with("sec")
         || n.starts_with("chip")
         || n.starts_with("cluster")
+        || n.starts_with("coord")
         || n.starts_with("solver")
         || n.starts_with("service")
         || n.starts_with("dynamic")
@@ -81,6 +82,7 @@ fn emits_json(n: &str) -> bool {
         || n == "failure_drill"
         || n == "dynamic_solver"
         || n == "sim_speed"
+        || n == "coordinator_scale"
 }
 
 /// Generator binaries built next to this one (no hard-coded list).

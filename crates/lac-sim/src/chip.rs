@@ -22,8 +22,9 @@
 //!   (from deterministic cost hints — see [`crate::service::plan_wave`]),
 //!   so a graph run is reproducible bit-for-bit no matter how the host
 //!   threads interleave;
-//! * the shards then run their buckets in parallel — one worker per core,
-//!   no work stealing — and the per-core [`ExecStats`] deltas are merged
+//! * the shards then run their buckets in parallel — the calling thread
+//!   runs one core's bucket and a scoped worker each of the others, no
+//!   work stealing — and the per-core [`ExecStats`] deltas are merged
 //!   into a [`ChipStats`] with per-core breakdown, aggregate counters, and
 //!   the makespan (dependency stalls included).
 //!
@@ -357,8 +358,10 @@ impl ChipStats {
 /// A multi-core chip: `S` engine shards plus the scheduler-facing graph
 /// door, [`LacChip::run_graph`].
 ///
-/// `LacChip` borrows the calling thread and scoped workers per run (the
-/// coordinator's one worker pool); for tenants, admission and a service
+/// `LacChip` borrows the calling thread per run, plus a scoped worker for
+/// each other core a multi-core dispatch batch needs (the coordinator's
+/// one worker pool; a 1-core chip never leaves the calling thread); for
+/// tenants, admission and a service
 /// clock on top of one chip, see [`crate::service::LacService`].
 ///
 /// ```
@@ -446,8 +449,8 @@ impl LacChip {
         &mut self.shards[i]
     }
 
-    /// Crate-internal: every shard at once — the cluster coordinator
-    /// spawns one scoped worker per shard across all of its chips.
+    /// Crate-internal: every shard at once — the cluster lends all of
+    /// its chips' shards to one coordinated run.
     pub(crate) fn shards_mut(&mut self) -> &mut [LacEngine] {
         &mut self.shards
     }
@@ -457,11 +460,12 @@ impl LacChip {
     /// Execution proceeds in deterministic waves over the ready set (see
     /// the [`crate::service`] module docs): each wave is planned up front
     /// from the jobs' cost hints, then every core executes its bucket in
-    /// plan order on its own scoped worker thread. Outputs come back in
-    /// submission order regardless of placement.
+    /// plan order — one core's on the calling thread, each other core's
+    /// on its own scoped worker. Outputs come back in submission order
+    /// regardless of placement.
     ///
     /// On a simulation error the earliest *observed* error (by core
-    /// index, then bucket position) is returned; the other workers stop
+    /// index, then bucket position) is returned; the other cores stop
     /// at their next job boundary and no later wave is dispatched. (If
     /// several jobs of one wave would fail, which of them still ran
     /// before seeing the abort flag is host-timing dependent, so the

@@ -444,9 +444,10 @@ pub struct ClusterSession {
 /// partition-and-coordinate front door, with cluster-wide multi-tenant
 /// admission.
 ///
-/// Like [`LacChip`], a cluster borrows the calling thread and scoped
-/// workers per run: one worker per core per chip, each owning its shard's
-/// [`crate::engine::LacEngine`] for the duration of the run. Shard state
+/// Like [`LacChip`], a cluster borrows the calling thread per run, plus a
+/// scoped worker for each other core a multi-core dispatch batch needs;
+/// every core's [`crate::engine::LacEngine`] is lent to the run for its
+/// duration. Shard state
 /// and session meters persist across runs — the chips are owned, not
 /// rebuilt.
 ///
@@ -850,8 +851,9 @@ impl<J: ChipJob> LacCluster<J> {
         })
     }
 
-    /// Coordinate `plan` over every core of every chip (one scoped worker
-    /// each), honoring the fault plan on the session clock; chips killed
+    /// Coordinate `plan` over every core of every chip (the calling
+    /// thread plus scoped workers on demand), honoring the fault plan on
+    /// the session clock; chips killed
     /// during the run stay dead for every later run. On success the run of
     /// `graphs` graphs folds into the session, and its flat per-core meters
     /// come back split per chip as [`ClusterStats`] plus idle cycles.

@@ -5,11 +5,15 @@
 //! a one-chip cluster) all describe their shards as one `Topology` — a
 //! chip is a one-chip topology with no links and no faults, a cluster is
 //! N of them joined by links — and hand their job pool to `coordinate`.
-//! It spawns the stack's one worker pool (a scoped thread per borrowed
-//! shard, joined when the run returns), picks the time model once
-//! ([`SimMode`]), collects every dispatch batch through one failure-slot
-//! routine and returns one result type, `CoordRun`. Failure and metering
-//! semantics therefore cannot drift between deployment layers.
+//! It owns the stack's one worker pool: the calling thread runs one
+//! core's share of every dispatch batch itself, and a scoped worker is
+//! spawned for another core the first time a batch needs it (joined when
+//! the run returns), so a batch on one core never crosses a thread and a
+//! run without multi-core batches spawns none. It picks the time model
+//! once ([`SimMode`]), collects every dispatch batch through one
+//! failure-slot routine and returns one result type, `CoordRun`. Failure
+//! and metering semantics therefore cannot drift between deployment
+//! layers.
 //!
 //! Two time models share that door:
 //!
@@ -32,9 +36,12 @@
 //!   job completing at the same tick, and the sequence number (assigned at
 //!   deterministic push points) breaks every remaining tie. Idle
 //!   fast-forward falls out of the heap: with no core busy, the loop pops
-//!   the next event and accounts the gap as a stall.
+//!   the next event and accounts the gap as a stall. A free core's pick
+//!   reads an index of the ready queue (one ordered set per chip and
+//!   tenant, plus a min-heap of jobs still waiting on a transfer), so it
+//!   costs O(tenants · log n), never a scan of the pool.
 //!
-//! Host interleavings never reach either clock: worker reports are
+//! Host interleavings never reach either clock: job reports are
 //! buffered per dispatch batch and folded in job-id order, so runs are
 //! bit-identical across reruns, core counts and machines.
 //!
@@ -45,11 +52,13 @@
 //! overlaps transfers with compute, so on cut-edge graphs its makespan is
 //! typically well below wave mode's.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Mutex;
 
 use crate::chip::{ChipJob, ChipStats, Scheduler};
 use crate::cluster::Transfer;
@@ -201,13 +210,13 @@ enum JobOutcome<T> {
     Skipped,
     /// The simulation rejected the schedule.
     Failed(SimError),
-    /// The job itself panicked (caught so the worker can still report —
+    /// The job itself panicked (caught so the job can still report —
     /// an unreported job would deadlock batch collection). The
     /// coordinator re-raises after the batch drains.
     Panicked(String),
 }
 
-/// What one worker reports back per dispatched job.
+/// What the caller or a worker reports back per dispatched job.
 struct Done<T> {
     /// Global core index the job ran on.
     core: usize,
@@ -217,7 +226,7 @@ struct Done<T> {
     outcome: JobOutcome<T>,
 }
 
-/// Run one job on a worker's engine, honoring the shared abort flag and
+/// Run one job on its core's engine, honoring the shared abort flag and
 /// measuring the session delta. Never unwinds: every dispatched job must
 /// produce a report, or the coordinator would wait forever.
 fn run_one<J: ChipJob>(eng: &mut LacEngine, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
@@ -342,11 +351,16 @@ impl<T> CoordRun<T> {
 }
 
 /// Coordinate one run of `plan` on `topo` over `shards` (global core
-/// order); `job_of` maps a pool index to its job. Spawns one scoped worker
-/// per shard, drives them with the time model's loop, and joins them when
-/// the run returns (dropping the submission channels stops them). `dead`
-/// marks chips killed so far and is updated in place as faults fire (a
-/// dead chip stays dead for every later run).
+/// order); `job_of` maps a pool index to its job. Drives the time model's
+/// loop and runs every dispatch batch: the calling thread runs the share
+/// of the batch's first-dispatched core itself, and every other core's
+/// jobs go to that core's scoped worker — spawned the first time a batch
+/// needs it and joined when the run returns (dropping the submission
+/// channels stops it). A shard sits behind its own lock so the caller and
+/// a worker can both reach it; the lock is never contended, because a
+/// batch gives each core to one thread and drains before the next
+/// dispatch. `dead` marks chips killed so far and is updated in place as
+/// faults fire (a dead chip stays dead for every later run).
 ///
 /// On a simulation error the earliest *observed* failure by dispatch
 /// order (global core, then bucket position within a wave) is returned;
@@ -360,32 +374,68 @@ pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
     job_of: &(dyn Fn(usize) -> &'j J + Sync),
 ) -> Result<CoordRun<J::Output>, SimError> {
     let abort = AtomicBool::new(false);
+    let shards: Vec<Mutex<&mut LacEngine>> = shards.into_iter().map(Mutex::new).collect();
+    let run_on = |core: usize, job: usize| {
+        // `run_one` never unwinds, so no guard is dropped mid-panic and
+        // the lock cannot be poisoned.
+        let mut eng = shards[core].lock().expect("shard lock poisoned");
+        Done {
+            core,
+            job,
+            outcome: run_one(&mut eng, job_of(job), &abort),
+        }
+    };
+    let run_on = &run_on;
     std::thread::scope(|scope| {
         let (done_tx, done_rx) = channel::<Done<J::Output>>();
-        let txs: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(core, eng)| {
-                let (tx, rx) = channel::<usize>();
-                let done_tx = done_tx.clone();
-                let abort = &abort;
-                scope.spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let outcome = run_one(eng, job_of(job), abort);
-                        if done_tx.send(Done { core, job, outcome }).is_err() {
-                            break;
-                        }
-                    }
-                });
-                tx
-            })
-            .collect();
+        // Each core's worker, once a batch has needed it.
+        let workers: RefCell<Vec<Option<Sender<usize>>>> =
+            RefCell::new((0..shards.len()).map(|_| None).collect());
+        // The core whose share of the current batch the caller runs, and
+        // that share, in dispatch order.
+        let caller_core: Cell<Option<usize>> = Cell::new(None);
+        let caller_jobs: RefCell<VecDeque<usize>> = RefCell::new(VecDeque::new());
         drive(
             topo,
             plan,
             dead,
-            &|core, job| txs[core].send(job).expect("worker hung up"),
-            &|| done_rx.recv().expect("worker hung up"),
+            &|core, job| {
+                if caller_core.get().unwrap_or(core) == core {
+                    caller_core.set(Some(core));
+                    caller_jobs.borrow_mut().push_back(job);
+                    return;
+                }
+                let mut workers = workers.borrow_mut();
+                let tx = workers[core].get_or_insert_with(|| {
+                    let (tx, rx) = channel::<usize>();
+                    let done_tx = done_tx.clone();
+                    scope.spawn(move || {
+                        while let Ok(job) = rx.recv() {
+                            if done_tx.send(run_on(core, job)).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    tx
+                });
+                tx.send(job).expect("worker hung up");
+            },
+            &|| {
+                // The caller's own share first (the workers run theirs
+                // meanwhile), then the workers' reports as they land.
+                let mut own = caller_jobs.borrow_mut();
+                match own.pop_front() {
+                    Some(job) => {
+                        let core = caller_core.get().expect("the caller's core is set");
+                        if own.is_empty() {
+                            caller_core.set(None); // the next batch picks afresh
+                        }
+                        drop(own);
+                        run_on(core, job)
+                    }
+                    None => done_rx.recv().expect("worker hung up"),
+                }
+            },
         )
     })
 }
@@ -1015,10 +1065,21 @@ fn drive_event<T>(
     let total_cores: usize = topo.cores_per_chip.iter().sum();
 
     let priority = critical_paths(costs, children);
+    let order = PickOrder {
+        sched,
+        priority: &priority,
+        tenant_of,
+        weights,
+        boost,
+    };
     let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
     let mut ready_at = vec![0u64; n];
     // In the dispatchable pool: all parents done, not running/completed.
     let mut queued: Vec<bool> = indegree.iter().map(|&d| d == 0).collect();
+    let mut index = ReadyIndex::new(&order, chips, n);
+    for j in (0..n).filter(|&j| queued[j]) {
+        index.insert(j, chip_of[j], 0, 0);
+    }
     let mut running = vec![false; n];
     let mut completed_mask = vec![false; n];
     let mut revoked = vec![false; n];
@@ -1171,7 +1232,13 @@ fn drive_event<T>(
                     }
                     for j in 0..n {
                         if chip_of[j] == f.chip && !completed_mask[j] && !running[j] {
+                            if queued[j] {
+                                index.remove(j, f.chip);
+                            }
                             requeue!(j, f.chip, load);
+                            if queued[j] {
+                                index.insert(j, chip_of[j], ready_at[j], now);
+                            }
                         }
                     }
                 }
@@ -1201,6 +1268,7 @@ fn drive_event<T>(
                         }
                         requeue!(job, chip, load);
                         queued[job] = true;
+                        index.insert(job, chip_of[job], ready_at[job], now);
                     } else {
                         completed_mask[job] = true;
                         completed_count += 1;
@@ -1215,6 +1283,7 @@ fn drive_event<T>(
                             ready_at[child] = ready_at[child].max(arrival);
                             if indegree[child] == 0 {
                                 queued[child] = true;
+                                index.insert(child, chip_of[child], ready_at[child], now);
                             }
                         }
                     }
@@ -1228,6 +1297,7 @@ fn drive_event<T>(
         // Phase 2: eager dispatch — every free core on every alive chip
         // takes the policy's best ready job, chips and cores in index
         // order (the deterministic tie-break).
+        index.promote(now, &queued, &chip_of, &ready_at);
         let mut batch = 0usize;
         for chip in 0..chips {
             if dead[chip] {
@@ -1238,10 +1308,16 @@ fn drive_event<T>(
                 if core_job[g].is_some() {
                     continue;
                 }
-                let Some(j) = pick_ready(
-                    sched, &queued, &chip_of, &ready_at, now, chip, &priority, tenant_of, &usage,
-                    weights, boost,
-                ) else {
+                let pick = index.pick(chip, &usage);
+                debug_assert_eq!(
+                    pick,
+                    pick_ready(
+                        sched, &queued, &chip_of, &ready_at, now, chip, &priority, tenant_of,
+                        &usage, weights, boost,
+                    ),
+                    "the ready index and the linear scan disagree at tick {now} on chip {chip}"
+                );
+                let Some(j) = pick else {
                     break; // nothing ready on this chip for any free core
                 };
                 queued[j] = false;
@@ -1337,13 +1413,52 @@ fn drive_event<T>(
     })
 }
 
-/// The per-core dispatch pick: the event-mode reading of the wave
+/// The per-core dispatch order: the event-mode reading of the wave
 /// planners, one job at a time. `Fifo`/`LeastLoaded` take the lowest
 /// ready id (placement, their wave-mode difference, is now the free core
 /// itself); `CriticalPath` takes the longest remaining path;
 /// `FairShare` replays the streaming tenant comparator of
 /// [`crate::service::plan_wave_tenanted_slo`] against the live usage
-/// counters.
+/// counters. Every order ends on the job id, so it is total.
+struct PickOrder<'a> {
+    sched: Scheduler,
+    priority: &'a [u64],
+    tenant_of: &'a [usize],
+    weights: &'a [u64],
+    boost: &'a [u64],
+}
+
+impl PickOrder<'_> {
+    /// Whether `a` dispatches before `b` under the live `usage`.
+    fn cmp(&self, usage: &[u64], a: usize, b: usize) -> std::cmp::Ordering {
+        match self.sched {
+            Scheduler::Fifo | Scheduler::LeastLoaded => a.cmp(&b),
+            Scheduler::CriticalPath => self.key(a).cmp(&self.key(b)),
+            Scheduler::FairShare => {
+                let (ta, tb) = (self.tenant_of[a], self.tenant_of[b]);
+                let ua = usage[ta] as u128 * self.weights[tb].max(1) as u128;
+                let ub = usage[tb] as u128 * self.weights[ta].max(1) as u128;
+                self.boost[ta]
+                    .cmp(&self.boost[tb])
+                    .then_with(|| ua.cmp(&ub))
+                    .then_with(|| self.key(a).cmp(&self.key(b)))
+            }
+        }
+    }
+
+    /// The order *within one tenant*, where boost and usage are shared
+    /// and drop out: priority (ignored by `Fifo`/`LeastLoaded`), then id.
+    fn key(&self, j: usize) -> (Reverse<u64>, usize) {
+        match self.sched {
+            Scheduler::Fifo | Scheduler::LeastLoaded => (Reverse(0), j),
+            Scheduler::CriticalPath | Scheduler::FairShare => (Reverse(self.priority[j]), j),
+        }
+    }
+}
+
+/// The per-core pick by linear scan over the whole pool: the
+/// specification [`ReadyIndex::pick`] must reproduce, written
+/// independently of [`PickOrder`] and kept as its debug-build oracle.
 #[allow(clippy::too_many_arguments)] // the full deterministic pick context
 fn pick_ready(
     sched: Scheduler,
@@ -1376,11 +1491,98 @@ fn pick_ready(
     }
 }
 
+/// The event loop's queued jobs, indexed so a pick never scans the pool
+/// (the min-heap dispatch of a classic event-driven simulator): per
+/// (chip, tenant), the queued jobs whose `ready_at` has passed, ordered
+/// by [`PickOrder::key`]; plus a min-heap of queued jobs still waiting on
+/// a transfer, promoted as the clock reaches them. A pick compares only
+/// the tenants' heads, which yields the scan's pick because the
+/// tenant-level terms of [`PickOrder::cmp`] are shared within a tenant.
+struct ReadyIndex<'a> {
+    order: &'a PickOrder<'a>,
+    tenants: usize,
+    /// `ready[chip * tenants + tenant]`.
+    ready: Vec<BTreeSet<(Reverse<u64>, usize)>>,
+    /// Whether each job sits in a `ready` set.
+    in_ready: Vec<bool>,
+    /// `(ready_at, job)` of queued jobs not yet arrived. An entry whose
+    /// job has since dispatched, moved or been re-pushed is stale and is
+    /// dropped when it surfaces.
+    waiting: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl<'a> ReadyIndex<'a> {
+    fn new(order: &'a PickOrder<'a>, chips: usize, jobs: usize) -> Self {
+        let tenants = order.weights.len();
+        Self {
+            order,
+            tenants,
+            ready: (0..chips * tenants).map(|_| BTreeSet::new()).collect(),
+            in_ready: vec![false; jobs],
+            waiting: BinaryHeap::new(),
+        }
+    }
+
+    fn set(&mut self, chip: usize, j: usize) -> &mut BTreeSet<(Reverse<u64>, usize)> {
+        &mut self.ready[chip * self.tenants + self.order.tenant_of[j]]
+    }
+
+    /// File a newly queued job under `chip`: ready now, or waiting.
+    fn insert(&mut self, j: usize, chip: usize, ready_at: u64, now: u64) {
+        if ready_at <= now {
+            let key = self.order.key(j);
+            self.set(chip, j).insert(key);
+            self.in_ready[j] = true;
+        } else {
+            self.waiting.push(Reverse((ready_at, j)));
+        }
+    }
+
+    /// Withdraw a queued job filed under `chip` (a fault requeue moves
+    /// it); a waiting entry goes stale instead.
+    fn remove(&mut self, j: usize, chip: usize) {
+        if std::mem::take(&mut self.in_ready[j]) {
+            let key = self.order.key(j);
+            self.set(chip, j).remove(&key);
+        }
+    }
+
+    /// Move every queued job whose transfer has landed by `now` into its
+    /// chip's ready set.
+    fn promote(&mut self, now: u64, queued: &[bool], chip_of: &[usize], ready_at: &[u64]) {
+        while let Some(&Reverse((tick, j))) = self.waiting.peek() {
+            if tick > now {
+                break;
+            }
+            self.waiting.pop();
+            if queued[j] && !self.in_ready[j] && ready_at[j] <= now {
+                self.insert(j, chip_of[j], ready_at[j], now);
+            }
+        }
+    }
+
+    /// Take the best ready job on `chip` under the live `usage`.
+    fn pick(&mut self, chip: usize, usage: &[u64]) -> Option<usize> {
+        let heads = &self.ready[chip * self.tenants..(chip + 1) * self.tenants];
+        let j = heads
+            .iter()
+            .filter_map(|set| set.first().map(|&(_, j)| j))
+            .min_by(|&a, &b| self.order.cmp(usage, a, b))?;
+        self.remove(j, chip);
+        Some(j)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::collections::VecDeque;
+    use crate::chip::{ChipConfig, LacChip};
+    use crate::cluster::{ClusterConfig, LacCluster};
+    use crate::config::LacConfig;
+    use crate::isa::ProgramBuilder;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+    use std::thread::ThreadId;
 
     /// Coordinate against a pure in-memory backend: `dispatch` queues
     /// `(core, job)`, `collect` reports the job's cost hint as its
@@ -1552,6 +1754,197 @@ mod tests {
             let empty = run(&topo, &[], &[], &[], vec![], &[]).unwrap();
             assert_eq!(empty.makespan, 0);
             assert!(empty.outputs.is_empty() && empty.wave_ends.is_empty());
+        }
+    }
+
+    /// How a [`ThreadJob`] ends.
+    #[derive(Clone, Copy)]
+    enum End {
+        Ok,
+        Fail(usize),
+        Panic,
+    }
+
+    /// A job that records the thread it runs on, optionally meets its
+    /// batch peers first (so the jobs of one batch are provably in flight
+    /// together), then completes, fails or panics. Completions count in
+    /// `finished`.
+    struct ThreadJob {
+        id: usize,
+        end: End,
+        meet: Option<Arc<AtomicUsize>>,
+        ran: Arc<Mutex<Vec<(usize, ThreadId)>>>,
+        finished: Arc<AtomicUsize>,
+    }
+
+    impl ChipJob for ThreadJob {
+        type Output = ExecStats;
+
+        fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
+            let thread = std::thread::current().id();
+            self.ran.lock().unwrap().push((self.id, thread));
+            if let Some(met) = &self.meet {
+                met.fetch_add(1, Ordering::SeqCst);
+                let give_up = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while met.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+            }
+            match self.end {
+                End::Ok => {
+                    let mut b = ProgramBuilder::new(eng.config().nr);
+                    b.idle(4 + self.id);
+                    let out = eng.run_program(&b.build())?;
+                    self.finished.fetch_add(1, Ordering::SeqCst);
+                    Ok(out)
+                }
+                End::Fail(cycle) => Err(SimError {
+                    cycle,
+                    pe: None,
+                    kind: HazardKind::AccHazard,
+                }),
+                End::Panic => panic!("job {} refuses", self.id),
+            }
+        }
+    }
+
+    /// Builds [`ThreadJob`] graphs that share one thread log.
+    #[derive(Default)]
+    struct Probe {
+        ran: Arc<Mutex<Vec<(usize, ThreadId)>>>,
+        finished: Arc<AtomicUsize>,
+    }
+
+    impl Probe {
+        fn job(&self, id: usize, end: End, meet: Option<&Arc<AtomicUsize>>) -> ThreadJob {
+            ThreadJob {
+                id,
+                end,
+                meet: meet.cloned(),
+                ran: Arc::clone(&self.ran),
+                finished: Arc::clone(&self.finished),
+            }
+        }
+
+        /// A graph of `n` succeeding jobs: a few roots and joins.
+        fn dag(&self, n: usize) -> JobGraph<ThreadJob> {
+            let mut g = JobGraph::new();
+            let mut ids = Vec::new();
+            for j in 0..n {
+                // Every third job joins the two before it.
+                let parents = if j % 3 == 2 { &ids[j - 2..] } else { &[][..] };
+                let id = g.add_after(self.job(j, End::Ok, None), parents);
+                ids.push(id);
+            }
+            g
+        }
+
+        fn threads(&self) -> Vec<ThreadId> {
+            let mut t: Vec<ThreadId> = self.ran.lock().unwrap().iter().map(|&(_, t)| t).collect();
+            t.sort_by_key(|t| format!("{t:?}"));
+            t.dedup();
+            t
+        }
+
+        fn ran(&self, id: usize) -> bool {
+            self.ran.lock().unwrap().iter().any(|&(j, _)| j == id)
+        }
+    }
+
+    fn chip(cores: usize, mode: SimMode) -> LacChip {
+        LacChip::new(ChipConfig::new(cores, LacConfig::default()).with_sim_mode(mode))
+    }
+
+    #[test]
+    fn a_one_core_run_never_leaves_the_calling_thread() {
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let probe = Probe::default();
+            let run = chip(1, mode)
+                .run_graph(&probe.dag(9), Scheduler::CriticalPath)
+                .unwrap();
+            assert_eq!(run.outputs.len(), 9);
+            assert_eq!(
+                probe.threads(),
+                vec![std::thread::current().id()],
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_two_chip_wave_cluster_runs_on_the_caller_plus_one_worker() {
+        let probe = Probe::default();
+        let flat: JobGraph<ThreadJob> = (0..6).map(|j| probe.job(j, End::Ok, None)).collect();
+        let cfg = ClusterConfig::homogeneous(2, ChipConfig::new(1, LacConfig::default()));
+        let mut cluster: LacCluster<ThreadJob> = LacCluster::new(cfg);
+        let run = cluster.run_graph(&flat, Scheduler::Fifo).unwrap();
+        assert_eq!(run.outputs.len(), 6);
+        let threads = probe.threads();
+        assert_eq!(threads.len(), 2, "one thread per core");
+        assert!(
+            threads.contains(&std::thread::current().id()),
+            "the caller runs one core"
+        );
+    }
+
+    #[test]
+    fn the_callers_failure_wins_and_nothing_dispatches_after_it() {
+        for mode in [SimMode::Wave, SimMode::Event] {
+            // Jobs 0 and 1 share the first batch: job 0 on core 0 (the
+            // caller's), job 1 on core 1 (a worker). Both start, then
+            // both fail; the earlier one in dispatch order is reported,
+            // and their child never dispatches.
+            let probe = Probe::default();
+            let meet = Arc::new(AtomicUsize::new(0));
+            let mut g = JobGraph::new();
+            let a = g.add(probe.job(0, End::Fail(100), Some(&meet)));
+            let b = g.add(probe.job(1, End::Fail(200), Some(&meet)));
+            g.add_after(probe.job(2, End::Ok, None), &[a, b]);
+            g.add_after(probe.job(3, End::Ok, None), &[a]);
+            let err = chip(2, mode).run_graph(&g, Scheduler::Fifo).unwrap_err();
+            assert_eq!(
+                err.cycle, 100,
+                "{mode:?}: the caller's failure is first in dispatch order"
+            );
+            let ran = probe.ran.lock().unwrap().clone();
+            assert_eq!(
+                ran.len(),
+                2,
+                "{mode:?}: nothing ran after the failed batch: {ran:?}"
+            );
+            let caller = std::thread::current().id();
+            assert!(
+                ran.contains(&(0, caller)),
+                "{mode:?}: job 0 ran on the caller"
+            );
+            assert!(!probe.ran(2) && !probe.ran(3));
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_callers_core_surfaces_after_its_batch_drains() {
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let probe = Probe::default();
+            let meet = Arc::new(AtomicUsize::new(0));
+            let mut g = JobGraph::new();
+            g.add(probe.job(0, End::Panic, Some(&meet)));
+            g.add(probe.job(1, End::Ok, Some(&meet)));
+            let mut chip = chip(2, mode);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                chip.run_graph(&g, Scheduler::Fifo)
+            }))
+            .expect_err("the job's panic must surface");
+            let msg = caught.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains("job 0 panicked on core 0"), "{mode:?}: {msg}");
+            assert_eq!(
+                probe.finished.load(Ordering::SeqCst),
+                1,
+                "{mode:?}: the worker's peer finished before the panic was re-raised"
+            );
+            // The chip stays usable: its shards and the next run's
+            // workers are intact.
+            let run = chip.run_graph(&probe.dag(5), Scheduler::Fifo).unwrap();
+            assert_eq!(run.outputs.len(), 5, "{mode:?}");
         }
     }
 }

@@ -30,7 +30,7 @@
 //! * **[`LacService`]** — the one-chip front of
 //!   [`LacCluster`]: every submission and
 //!   round runs through the cluster door (and so through the
-//!   coordinator's one scoped worker pool), and the service accumulates
+//!   coordinator's one worker pool), and the service accumulates
 //!   a [`ServiceSession`]: per-core meters, a service clock summing
 //!   submission makespans (plus explicit [`LacService::advance_idle`]
 //!   gaps between batches), and graph/job counts.
@@ -818,7 +818,8 @@ impl ServiceSession {
 /// so a solver loop submits round after round against the same engines.
 /// It is the one-chip front of [`LacCluster`]: every door delegates to a
 /// `LacCluster` built with [`ClusterConfig::homogeneous`]`(1, cfg)`, whose
-/// runs borrow the coordinator's scoped workers (one per core).
+/// runs borrow the calling thread plus a scoped worker for each other
+/// core a multi-core dispatch batch needs.
 ///
 /// ```
 /// use lac_sim::{ChipConfig, JobGraph, LacConfig, LacService, ProgramBuilder, ProgramJob, Scheduler};

@@ -6,8 +6,8 @@
 //! right-hand-side panels out across the cores (blocked TRSM), squares
 //! the solutions (SYRK), and folds the updates into the next round's
 //! matrix: a diamond-per-round DAG whose serial spine is the factorization
-//! and whose width is the panel fan-out. The `LacService` keeps one worker
-//! thread per core alive across submissions; every output is verified
+//! and whose width is the panel fan-out. The `LacService` keeps one engine
+//! per core warm across submissions; every output is verified
 //! against an independent `linalg-ref` chain.
 //!
 //! ```sh

@@ -245,6 +245,81 @@ proptest! {
         prop_assert_eq!(&default_run.idle_per_core, &wave_run.idle_per_core);
         prop_assert_eq!(default_run.events, wave_run.events);
     }
+
+    // The event loop's indexed ready queue picks exactly like the linear
+    // scan it replaced. Debug builds check every event-mode pick against
+    // that scan inside the coordinator, so this property drives picks
+    // through every shape: random DAGs on 1-3 chips, 1-4 tenants with
+    // random weights, boosts and starting usage (an uneven warm-up round
+    // banks it), every policy, and an optional kill inside the measured
+    // round — revoking in-flight jobs and requeueing jobs still waiting
+    // on a transfer. Outputs must match the Wave-mode round, and a rerun
+    // must be bit-identical.
+    #[test]
+    fn event_pick_matches_linear_scan(
+        extras in prop::collection::vec(0usize..10, 2..20),
+        seeds in prop::collection::vec(any::<u64>(), 6..7),
+        chips in 1usize..=3,
+        cores in 1usize..=2,
+        tenants in 1usize..=4,
+        weights in prop::collection::vec(1u64..6, 4..5),
+        boosts in prop::collection::vec(any::<u64>(), 4..5),
+        warmups in prop::collection::vec(0usize..4, 4..5),
+        kill_seed in any::<u64>(),
+        which in any::<u8>(),
+    ) {
+        let sched = any_policy(which);
+        // A third of the tenants run unboosted; the rest carry a slack.
+        let boost: Vec<u64> = boosts[..tenants]
+            .iter()
+            .map(|&b| if b % 3 == 0 { u64::MAX } else { b % 500 })
+            .collect();
+        // Kill a chip (never the last) somewhere inside the measured round.
+        let kill = (chips > 1 && kill_seed % 3 != 0)
+            .then(|| ((kill_seed / 3) as usize % chips, kill_seed / 3));
+        let round = |mode: SimMode| {
+            let mut cluster: LacCluster<SizedJob> =
+                LacCluster::new(cluster_cfg(chips, cores, mode));
+            let ids: Vec<_> = (0..tenants)
+                .map(|t| {
+                    cluster.add_tenant(TenantConfig::new(format!("t{t}")).with_weight(weights[t]))
+                })
+                .collect();
+            for (t, &id) in ids.iter().enumerate() {
+                for _ in 0..warmups[t] {
+                    cluster.enqueue(id, random_sized_dag(&extras[..2], &seeds)).unwrap();
+                }
+            }
+            cluster.run_admitted(sched).unwrap();
+            if let Some((chip, tick)) = kill {
+                let start = cluster.session().clock_cycles;
+                // Jobs here take tens of cycles; land within the round.
+                cluster.inject_faults(FaultPlan::new().kill(chip, start + tick % 400));
+            }
+            for (t, &id) in ids.iter().enumerate() {
+                let graph = random_sized_dag(&extras[t % extras.len()..], &seeds);
+                cluster.enqueue(id, graph).unwrap();
+            }
+            cluster.run_admitted_boosted(sched, &boost).unwrap()
+        };
+        let wave = round(SimMode::Wave);
+        let event = round(SimMode::Event);
+        prop_assert_eq!(wave.graphs.len(), event.graphs.len());
+        for (w, e) in wave.graphs.iter().zip(&event.graphs) {
+            prop_assert_eq!(&w.outputs, &e.outputs, "a tenant's bits changed across modes");
+        }
+        let jobs: usize = event.graphs.iter().map(|g| g.outputs.len()).sum();
+        if let Err(msg) = check_exactly_once(&event.events, jobs) {
+            prop_assert!(false, "{}", msg);
+        }
+        let again = round(SimMode::Event);
+        for (a, e) in again.graphs.iter().zip(&event.graphs) {
+            prop_assert_eq!(&a.outputs, &e.outputs);
+            prop_assert_eq!(&a.assignment, &e.assignment);
+        }
+        prop_assert_eq!(&again.stats, &event.stats);
+        prop_assert_eq!(again.events, event.events);
+    }
 }
 
 /// Event-mode spans genuinely overlap on the timeline — a transfer is in
