@@ -49,17 +49,17 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# Gate 4: one coordinator. Every door (chip, cluster, and the service as a
-# one-chip cluster) describes its shards as a topology and calls
-# `coord::coordinate`, which is the only
-# place that picks a time model and runs its loop. A `SimMode` match arm or
-# a call into either loop anywhere else (tests aside) would be a second
-# coordinator, free to drift from the equivalence suites.
-hits=$(grep -rnE 'SimMode::[A-Za-z_]+[[:space:]]*=>|drive_cluster\(|drive_event\(' \
-  --include='*.rs' ./crates/*/src ./src ./examples ./perfbench/src 2>/dev/null \
-  | grep -v 'crates/lac-sim/src/coord\.rs' || true)
+# Gate 4: one coordinator, one timing loop. Every door (chip, cluster,
+# and the service as a one-chip cluster) describes its shards as a
+# topology and calls `coord::coordinate`, whose one `drive` loop runs both
+# time models: `SimMode::Wave` is only a dispatch rule (dispatch when every
+# core is idle, finish at the barrier) on the event heap. A `SimMode` match
+# arm anywhere — coord.rs included — or a second `fn drive_*` loop would
+# be a second coordinator, free to drift from the equivalence suites.
+hits=$(grep -rnE 'SimMode::[A-Za-z_]+[[:space:]]*=>|fn drive_' \
+  --include='*.rs' ./crates/*/src ./src ./examples ./perfbench/src 2>/dev/null || true)
 if [ -n "$hits" ]; then
-  echo "SimMode dispatched outside the coordinator (crates/lac-sim/src/coord.rs):"
+  echo "a SimMode match arm or a second timing loop (coord::drive is the only one):"
   echo "$hits"
   fail=1
 fi

@@ -4,17 +4,15 @@
 //! Each point is one `run_admitted` round on a 2-core `LacService`: four
 //! weighted tenants (weights 1–4) each enqueue a flat graph of 4-cycle
 //! jobs, so the round's whole pool is ready at once and the coordinator's
-//! own planning, not job replay, sets the host time. Every case runs 10³,
-//! 10⁴ and 10⁵ jobs, three repetitions each, and reports the median host
-//! µs per job:
+//! own planning, not job replay, sets the host time. The cases are event
+//! mode under all four policies plus wave `CriticalPath` and wave
+//! `FairShare`; each runs 10³, 10⁴ and 10⁵ jobs, three repetitions each,
+//! and reports the median host µs per job.
 //!
-//! * event mode under all four policies, plus wave `CriticalPath` — the
-//!   gated cases: host µs/job at 10⁴ over 10³ must stay at or under 1.5,
-//!   which an O(n)-per-dispatch pick (O(n²) per round) cannot meet. A
-//!   case over the ceiling is measured once more before it fails, so
-//!   one slow host phase cannot fail the bench alone;
-//! * wave `FairShare` at 10³ and 10⁴ only, ungated: its wave planner is
-//!   still O(ready) per wave.
+//! Every case is gated: host µs/job at 10⁴ over 10³ must stay at or under
+//! 1.5, which an O(n)-per-dispatch pick (O(n²) per round) cannot meet. A
+//! case over the ceiling is measured once more before it fails, so one
+//! slow host phase cannot fail the bench alone.
 //!
 //! Host µs/job is machine-dependent and archived **ungated**;
 //! `makespan_cycles` is simulated, exact on every host, and gated by
@@ -31,7 +29,9 @@ use std::time::Instant;
 const CORES: usize = 2;
 const TENANTS: usize = 4;
 const REPS: usize = 3;
-/// Ceiling on host µs/job at 10⁴ jobs over 10³ jobs for the gated cases.
+/// Round sizes, jobs.
+const SIZES: &[usize] = &[1_000, 10_000, 100_000];
+/// Ceiling on host µs/job at 10⁴ jobs over 10³ jobs.
 const EXPONENT_CEILING: f64 = 1.5;
 
 /// One measured configuration.
@@ -40,8 +40,6 @@ struct Case {
     /// `mode`'s name in the table and the JSON points.
     mode_name: &'static str,
     sched: Scheduler,
-    sizes: &'static [usize],
-    gated: bool,
 }
 
 /// A flat graph of `n` identical 4-cycle jobs.
@@ -81,16 +79,16 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// compared within one phase. An untimed round first takes the process's
 /// one-time costs (page faults, compiles).
 fn measure(case: &Case) -> Vec<(usize, u64, f64)> {
-    round(case.mode, case.sched, case.sizes[0]);
-    let mut samples = vec![(Vec::new(), Vec::new()); case.sizes.len()];
+    round(case.mode, case.sched, SIZES[0]);
+    let mut samples = vec![(Vec::new(), Vec::new()); SIZES.len()];
     for _ in 0..REPS {
-        for (&jobs, (makespans, hosts)) in case.sizes.iter().zip(&mut samples) {
+        for (&jobs, (makespans, hosts)) in SIZES.iter().zip(&mut samples) {
             let (makespan, host) = round(case.mode, case.sched, jobs);
             makespans.push(makespan);
             hosts.push(host);
         }
     }
-    case.sizes
+    SIZES
         .iter()
         .zip(samples)
         .map(|(&jobs, (makespans, hosts))| {
@@ -109,7 +107,6 @@ fn exponent(points: &[(usize, u64, f64)]) -> f64 {
 }
 
 fn main() {
-    const FULL: &[usize] = &[1_000, 10_000, 100_000];
     let mut cases: Vec<Case> = [
         Scheduler::Fifo,
         Scheduler::LeastLoaded,
@@ -121,24 +118,15 @@ fn main() {
         mode: SimMode::Event,
         mode_name: "event",
         sched,
-        sizes: FULL,
-        gated: true,
     })
     .collect();
-    cases.push(Case {
-        mode: SimMode::Wave,
-        mode_name: "wave",
-        sched: Scheduler::CriticalPath,
-        sizes: FULL,
-        gated: true,
-    });
-    cases.push(Case {
-        mode: SimMode::Wave,
-        mode_name: "wave",
-        sched: Scheduler::FairShare,
-        sizes: &[1_000, 10_000],
-        gated: false,
-    });
+    cases.extend(
+        [Scheduler::CriticalPath, Scheduler::FairShare].map(|sched| Case {
+            mode: SimMode::Wave,
+            mode_name: "wave",
+            sched,
+        }),
+    );
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
@@ -147,9 +135,9 @@ fn main() {
         let (mode, policy) = (case.mode_name, format!("{:?}", case.sched));
         let mut measured = measure(case);
         // A slow host phase can still cover one whole measurement; an
-        // O(n)-per-dispatch pick fails every one, so a gated case gets
-        // one fresh measurement before it fails.
-        if case.gated && exponent(&measured) > EXPONENT_CEILING {
+        // O(n)-per-dispatch pick fails every one, so a case gets one
+        // fresh measurement before it fails.
+        if exponent(&measured) > EXPONENT_CEILING {
             eprintln!(
                 "{mode} {policy}: {:.2}x from 10^3 to 10^4 jobs, measuring again",
                 exponent(&measured)
@@ -164,7 +152,6 @@ fn main() {
                 format!("{makespan}"),
                 format!("{us_per_job:.2}"),
                 format!("{:.2}x", us_per_job / measured[0].2),
-                if case.gated { "gated" } else { "-" }.to_string(),
             ]);
             points.push(Json::obj([
                 ("bench", Json::from("coordinator_scale")),
@@ -177,7 +164,7 @@ fn main() {
                 ("host_us_per_job", Json::from(us_per_job)),
             ]));
         }
-        if case.gated && exponent(&measured) > EXPONENT_CEILING {
+        if exponent(&measured) > EXPONENT_CEILING {
             violations.push(format!(
                 "{mode} {policy}: host us/job grew {:.2}x from 10^3 to 10^4 jobs \
                  (ceiling {EXPONENT_CEILING}x)",
@@ -191,7 +178,7 @@ fn main() {
         table(
             "Coordinator scaling — one round of flat 4-cycle jobs, 4 weighted tenants, \
              2 cores (host us/job: median of 3, ungated; makespan gated to pin the \
-             workload; gated rows: 10^4 over 10^3 <= 1.5x)",
+             workload; every case gated: 10^4 over 10^3 <= 1.5x)",
             &[
                 "mode",
                 "policy",
@@ -199,7 +186,6 @@ fn main() {
                 "makespan_cycles",
                 "host_us/job",
                 "vs 10^3",
-                "exponent",
             ],
             &rows,
         );

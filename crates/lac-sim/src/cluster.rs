@@ -29,18 +29,18 @@
 //!   and exists to stress the transfer model. Partitioning is a pure
 //!   function of the graph's cost hints and edges — never of host timing
 //!   — which is what keeps cluster runs reproducible bit-for-bit.
-//! * **[`LacCluster`]** — owns the chips and coordinates execution with
-//!   the same deterministic wave machinery as the chip layer
-//!   ([`crate::plan_wave`] per chip per wave), plus
-//!   transfer-aware readiness: a child whose parent completed on another
+//! * **[`LacCluster`]** — owns the chips and coordinates execution
+//!   through the same timing loop as the chip layer (in wave mode each
+//!   chip deals its ready set exactly as [`crate::plan_wave`] plans it),
+//!   plus transfer-aware readiness: a child whose parent completed on another
 //!   chip becomes ready only after the modeled transfer elapses on the
 //!   simulated clock. When every core would idle waiting on a link, the
 //!   clock jumps to the next transfer arrival and the gap is accounted as
 //!   [`ClusterStats::transfer_stall_cycles`].
 //!
 //! With one chip there are no cross-chip edges, every transfer charge
-//! vanishes, and the coordinator collapses to exactly the single-chip
-//! wave loop — [`LacCluster::run_graph`] on an N=1 cluster is
+//! vanishes, and the coordinator runs exactly as it does for a single
+//! chip — [`LacCluster::run_graph`] on an N=1 cluster is
 //! bit-identical to [`LacChip::run_graph`], outputs and stats both (a
 //! property-tested invariant, see `tests/cluster_props.rs`).
 //!

@@ -9,37 +9,39 @@
 //! core's share of every dispatch batch itself, and a scoped worker is
 //! spawned for another core the first time a batch needs it (joined when
 //! the run returns), so a batch on one core never crosses a thread and a
-//! run without multi-core batches spawns none. It picks the time model
-//! once ([`SimMode`]), collects every dispatch batch through one
+//! run without multi-core batches spawns none. It runs every run through
+//! one timing loop, collects every dispatch batch through one
 //! failure-slot routine and returns one result type, `CoordRun`. Failure
 //! and metering semantics therefore cannot drift between deployment
-//! layers.
+//! layers or time models.
 //!
-//! Two time models share that door:
+//! The loop is a classic discrete-event simulator over *components with
+//! independent clocks*: cores, directed inter-chip links and chips (which
+//! carry their scheduled [`crate::fault::FaultPlan`] kills). Pending
+//! events live in one min-heap ordered by `(tick, component, seq)`;
+//! component ids order chips before links before cores, so a fault due at
+//! tick `t` revokes a job completing at the same tick, and the sequence
+//! number (assigned at deterministic push points) breaks every remaining
+//! tie. Idle fast-forward falls out of the heap: with no core busy, the
+//! loop pops the next event and accounts the gap as one stall. Every pick
+//! reads an index of the ready queue (one ordered set per chip and
+//! tenant, plus a min-heap of jobs still waiting on a transfer), so it
+//! costs O(tenants · log n), never a scan of the pool.
 //!
-//! * **Waves** ([`SimMode::Wave`], the default): every chip plans its
-//!   ready set with the [`Scheduler`] policy, the shared clock advances by
-//!   the slowest bucket anywhere, and only then are children released — a
-//!   child whose parent ran on another chip waits for the modeled transfer.
-//!   When every core would idle waiting on a link, the clock jumps to the
-//!   next arrival and the gap is a transfer stall. Faults fire at wave
-//!   boundaries.
-//! * **Events** ([`SimMode::Event`]): a classic discrete-event loop over
-//!   *components with independent clocks*. Every core is busy exactly
-//!   while a job runs on it and takes a new job the tick it frees; every
-//!   directed inter-chip link serializes the transfers it carries (two
-//!   transfers on one link queue, transfers on different links and compute
-//!   on both endpoints overlap); every chip carries its scheduled
-//!   [`crate::fault::FaultPlan`] kills. Pending events live in one
-//!   min-heap ordered by `(tick, component, seq)`; component ids order
-//!   chips before links before cores, so a fault due at tick `t` revokes a
-//!   job completing at the same tick, and the sequence number (assigned at
-//!   deterministic push points) breaks every remaining tie. Idle
-//!   fast-forward falls out of the heap: with no core busy, the loop pops
-//!   the next event and accounts the gap as a stall. A free core's pick
-//!   reads an index of the ready queue (one ordered set per chip and
-//!   tenant, plus a min-heap of jobs still waiting on a transfer), so it
-//!   costs O(tenants · log n), never a scan of the pool.
+//! The two time models ([`SimMode`]) are two dispatch rules on that loop:
+//!
+//! * **Events** ([`SimMode::Event`]): every core is busy exactly while a
+//!   job runs on it and takes a new job the tick it frees; every link
+//!   serializes the transfers it carries (two transfers on one link
+//!   queue, transfers on different links and compute on both endpoints
+//!   overlap); a kill fires at its exact tick.
+//! * **Waves** ([`SimMode::Wave`], the default): a batch dispatches only
+//!   when every core is idle. Each chip deals its whole ready set into
+//!   per-core buckets under the [`Scheduler`] policy, the shared clock
+//!   advances by the slowest bucket anywhere, the kills due by then fire
+//!   at that barrier, and only then are children released — a child
+//!   whose parent ran on another chip waits for the modeled transfer,
+//!   which starts at the barrier.
 //!
 //! Host interleavings never reach either clock: job reports are
 //! buffered per dispatch batch and folded in job-id order, so runs are
@@ -47,8 +49,8 @@
 //!
 //! **Equivalence contract** (property-tested in `tests/event_props.rs`):
 //! outputs are bit-identical between the two modes on every graph — job
-//! outputs are placement-independent and both loops dispatch a child only
-//! after all its parents completed. Only *clocks* may differ: event mode
+//! outputs are placement-independent and both rules dispatch a child only
+//! after all its parents were released. Only *clocks* may differ: event mode
 //! overlaps transfers with compute, so on cut-edge graphs its makespan is
 //! typically well below wave mode's.
 
@@ -71,7 +73,8 @@ use crate::service::{
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
 
-/// Which time model a chip, service or cluster drives its graphs with.
+/// Which time model a chip, service or cluster drives its graphs with:
+/// the dispatch rule of the coordinator's one event loop.
 ///
 /// The knob lives on [`crate::chip::ChipConfig`] and
 /// [`crate::cluster::ClusterConfig`]; both default to waves, the
@@ -79,13 +82,15 @@ use crate::trace::{EventLog, TraceEvent};
 /// under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimMode {
-    /// Lock-step wave coordination (the default): plan a wave, advance
-    /// the shared clock by the slowest bucket, release children.
+    /// Lock-step waves (the default): dispatch only when every core is
+    /// idle, deal each chip's ready set into per-core buckets, advance the
+    /// shared clock by the slowest bucket, fire the kills due by that
+    /// barrier, then release children.
     #[default]
     Wave,
-    /// Discrete-event coordination: per-component clocks, eager dispatch
-    /// the tick a core frees, cut-edge transfers overlapping with compute
-    /// and queueing on their link. Outputs are bit-identical to
+    /// Eager dispatch: each core takes a job the tick it frees, cut-edge
+    /// transfers overlap with compute and queue on their link, kills fire
+    /// at their exact tick. Outputs are bit-identical to
     /// [`SimMode::Wave`]; makespans are usually shorter on graphs with
     /// cross-chip edges.
     Event,
@@ -125,17 +130,11 @@ impl Topology {
             Some(range)
         })
     }
-
-    /// Modeled cost of moving `words` across one hop:
-    /// `hop_latency + ⌈words / link_bandwidth⌉` cycles.
-    fn transfer_cycles(&self, words: u64) -> u64 {
-        self.hop_latency_cycles + words.div_ceil(self.link_words_per_cycle.max(1))
-    }
 }
 
 /// Everything one run schedules: the fused job pool (per-job hints, edges
 /// and tenant tags), the tenancy, the fault schedule and the run state the
-/// loops mutate in place.
+/// loop mutates in place.
 pub(crate) struct Plan<'a> {
     /// Scheduler cost hint per job.
     pub(crate) costs: &'a [u64],
@@ -351,8 +350,8 @@ impl<T> CoordRun<T> {
 }
 
 /// Coordinate one run of `plan` on `topo` over `shards` (global core
-/// order); `job_of` maps a pool index to its job. Drives the time model's
-/// loop and runs every dispatch batch: the calling thread runs the share
+/// order); `job_of` maps a pool index to its job. Drives the timing loop
+/// and runs every dispatch batch: the calling thread runs the share
 /// of the batch's first-dispatched core itself, and every other core's
 /// jobs go to that core's scoped worker — spawned the first time a batch
 /// needs it and joined when the run returns (dropping the submission
@@ -440,22 +439,6 @@ pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
     })
 }
 
-/// Run the time model's loop against a dispatch/collect pair:
-/// `dispatch(core, job)` hands a pool job to a core, `collect()` blocks
-/// for the next report.
-fn drive<T>(
-    topo: &Topology,
-    plan: Plan<'_>,
-    dead: &mut [bool],
-    dispatch: &dyn Fn(usize, usize),
-    collect: &dyn Fn() -> Done<T>,
-) -> Result<CoordRun<T>, SimError> {
-    match topo.mode {
-        SimMode::Wave => drive_cluster(topo, plan, dead, dispatch, collect),
-        SimMode::Event => drive_event(topo, plan, dead, dispatch, collect),
-    }
-}
-
 /// Per-core and per-tenant meters of one run.
 struct Meters {
     per_core: Vec<ExecStats>,
@@ -482,7 +465,7 @@ impl Meters {
 /// returns nothing is in flight, so the workers stay usable.
 fn collect_batch<T>(
     dispatched: usize,
-    collect: &mut impl FnMut() -> Done<T>,
+    collect: &dyn Fn() -> Done<T>,
     dispatch_seq: &[usize],
     tenant_of: &[usize],
     meters: &mut Meters,
@@ -539,422 +522,6 @@ fn finish_outputs<T>(outputs: Vec<Option<T>>) -> Vec<T> {
         .enumerate()
         .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
         .collect()
-}
-
-/// Apply every scheduled fault whose tick is due by `base + clock` (see
-/// [`crate::fault::FaultPlan`] for the fault model): mark the chip dead,
-/// revoke the jobs it completed in the wave that just retired
-/// (`wave_completed`), and requeue every uncompleted job it owned onto the
-/// surviving chips — least remaining load first (ties to the lower chip
-/// index), jobs in id order. A requeued job whose parent completed *in an
-/// earlier wave* on a different chip pays one fresh modeled transfer to
-/// move the parent's durable output to its new home; parents completing in
-/// the current wave charge their edge through the normal release path
-/// afterwards, against the updated placement, so no edge is ever
-/// double-charged.
-///
-/// Called at wave boundaries only (after a wave's collection, at the top
-/// of the loop after a fast-forward, and before the first wave), which is
-/// what keeps fault handling bit-deterministic. Errors with
-/// [`HazardKind::AllChipsDead`] when a kill leaves no survivor.
-#[allow(clippy::too_many_arguments)] // the fault's full requeue context
-fn apply_due_faults<T>(
-    topo: &Topology,
-    plan: &mut Plan<'_>,
-    applied: &mut [bool],
-    dead: &mut [bool],
-    clock: u64,
-    completed_mask: &[bool],
-    assignment: &[(usize, usize)],
-    in_wave: &mut [bool],
-    outputs: &mut [Option<T>],
-    wave_completed: &mut Vec<usize>,
-    ready_at: &mut [u64],
-    transfers: &mut Vec<Transfer>,
-    wave_events_start: usize,
-    events: &mut EventLog,
-) -> Result<(), SimError> {
-    let n = plan.costs.len();
-    let chips = dead.len();
-    for (i, f) in plan.faults.iter().enumerate() {
-        if f.tick > plan.base + clock {
-            break; // sorted by tick: nothing further is due
-        }
-        if applied[i] {
-            continue;
-        }
-        applied[i] = true;
-        if dead[f.chip] {
-            continue; // killing a dead chip is a no-op
-        }
-        dead[f.chip] = true;
-        events.push(TraceEvent::Fault {
-            chip: f.chip,
-            tick: clock,
-        });
-        if dead.iter().all(|&d| d) {
-            return Err(SimError {
-                cycle: (plan.base + clock) as usize,
-                pe: None,
-                kind: HazardKind::AllChipsDead { chips },
-            });
-        }
-        // Revoke the dying chip's in-flight wave: the work ran (and
-        // stays metered — the energy was burned) but its outputs are
-        // discarded and its children are not released.
-        wave_completed.retain(|&j| {
-            if assignment[j].0 != f.chip {
-                return true;
-            }
-            outputs[j] = None;
-            // The planner leaves dispatched jobs pending until the
-            // end-of-wave sweep removes the `in_wave` ones — clearing the
-            // flag keeps the revoked job queued without duplicating it.
-            in_wave[j] = false;
-            for ev in events.events_mut()[wave_events_start..].iter_mut() {
-                if let TraceEvent::Job { job, discarded, .. } = ev {
-                    if *job == j {
-                        *discarded = true;
-                    }
-                }
-            }
-            false
-        });
-        // Requeue every uncompleted job off the dead chip, balancing by
-        // remaining cost over the survivors.
-        let chip_of = &mut plan.chip_of;
-        let mut load = vec![0u64; chips];
-        for j in 0..n {
-            if outputs[j].is_none() && !dead[chip_of[j]] {
-                load[chip_of[j]] += plan.costs[j].max(1);
-            }
-        }
-        for j in 0..n {
-            if chip_of[j] != f.chip || outputs[j].is_some() {
-                continue;
-            }
-            let target = (0..chips)
-                .filter(|&c| !dead[c])
-                .min_by_key(|&c| (load[c], c))
-                .expect("a survivor exists");
-            load[target] += plan.costs[j].max(1);
-            chip_of[j] = target;
-            events.push(TraceEvent::Requeue {
-                job: j,
-                from_chip: f.chip,
-                to_chip: target,
-                tick: clock,
-            });
-            // Completed parents' outputs are durable (the coordinator's
-            // results store); moving one to the job's new home costs one
-            // fresh hop when they sit on different chips.
-            for &p in &plan.parents[j] {
-                if completed_mask[p] && chip_of[p] != target {
-                    let words = plan.transfer_words[p].max(1);
-                    let cycles = topo.transfer_cycles(words);
-                    transfers.push(Transfer {
-                        parent: JobId::from_index(p),
-                        child: JobId::from_index(j),
-                        from_chip: chip_of[p],
-                        to_chip: target,
-                        words,
-                        cycles,
-                    });
-                    ready_at[j] = ready_at[j].max(clock + cycles);
-                    events.push(TraceEvent::Transfer {
-                        parent: p,
-                        child: j,
-                        from_chip: chip_of[p],
-                        to_chip: target,
-                        words,
-                        start: clock,
-                        end: clock + cycles,
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The wave loop: per wave, plan each chip's ready jobs with the chip's
-/// own core count, dispatch, collect, advance the shared clock by the
-/// slowest bucket anywhere, then release children — delaying any child
-/// whose parent ran on another chip by the modeled transfer. A wave with no
-/// ready jobs but pending transfers fast-forwards the clock to the next
-/// arrival (a transfer stall). On one chip there are no cut edges and no
-/// faults, so this is exactly the classic single-chip wave loop.
-fn drive_cluster<T>(
-    topo: &Topology,
-    mut plan: Plan<'_>,
-    dead: &mut [bool],
-    mut dispatch: impl FnMut(usize, usize),
-    mut collect: impl FnMut() -> Done<T>,
-) -> Result<CoordRun<T>, SimError> {
-    let n = plan.costs.len();
-    let chips = topo.cores_per_chip.len();
-    let chip_base: Vec<usize> = topo.chip_ranges().map(|r| r.start).collect();
-    let total_cores: usize = topo.cores_per_chip.iter().sum();
-    let (costs, tenant_of, sched) = (plan.costs, plan.tenant_of, plan.sched);
-
-    let priority = critical_paths(costs, plan.children);
-    let mut indegree: Vec<usize> = plan.parents.iter().map(|p| p.len()).collect();
-    // Jobs whose parents all completed, waiting for `ready_at` (transfer
-    // arrival) and a planner slot. Kept sorted by job id.
-    let mut pending: Vec<usize> = (0..n).filter(|&j| indegree[j] == 0).collect();
-    let mut ready_at = vec![0u64; n];
-
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut assignment = vec![(0usize, 0usize); n];
-    let mut wave_of = vec![0usize; n];
-    let mut dispatch_seq = vec![0usize; n];
-    let mut meters = Meters::new(total_cores, plan.weights.len());
-    let mut idle_per_core = vec![0u64; total_cores];
-    let mut in_wave = vec![false; n];
-    let mut completed_mask = vec![false; n];
-    let mut applied = vec![false; plan.faults.len()];
-    let mut transfers: Vec<Transfer> = Vec::new();
-    let mut stall_cycles = 0u64;
-    let mut clock = 0u64;
-    let mut wave_ends: Vec<u64> = Vec::new();
-    let mut events = EventLog::new();
-    // This wave's buckets per global core, and each job's busy cycles.
-    let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); total_cores];
-    let mut job_cycles = vec![0u64; n];
-
-    while !pending.is_empty() {
-        // Faults due before any wave runs (at run start, or during a
-        // fast-forward gap) fire here; nothing is in flight, so there is
-        // nothing to revoke.
-        apply_due_faults(
-            topo,
-            &mut plan,
-            &mut applied,
-            dead,
-            clock,
-            &completed_mask,
-            &assignment,
-            &mut in_wave,
-            &mut outputs,
-            &mut Vec::new(),
-            &mut ready_at,
-            &mut transfers,
-            events.len(),
-            &mut events,
-        )?;
-
-        let ready: Vec<usize> = pending
-            .iter()
-            .copied()
-            .filter(|&j| ready_at[j] <= clock)
-            .collect();
-        if ready.is_empty() {
-            // Every pending job is waiting on an in-flight transfer:
-            // fast-forward to the earliest arrival — clamped to the next
-            // scheduled fault, so a kill falling inside the gap still
-            // fires at its own tick. The whole cluster idles through.
-            let next_ready = pending.iter().map(|&j| ready_at[j]).min().unwrap();
-            let next_fault = plan
-                .faults
-                .iter()
-                .zip(applied.iter())
-                .filter(|(f, &a)| !a && !dead[f.chip] && f.tick > plan.base + clock)
-                .map(|(f, _)| f.tick - plan.base)
-                .min();
-            let next = next_fault.map_or(next_ready, |ft| next_ready.min(ft));
-            let gap = next - clock;
-            for idle in idle_per_core.iter_mut() {
-                *idle += gap;
-            }
-            stall_cycles += gap;
-            events.push(TraceEvent::IdleFastForward {
-                start: clock,
-                end: next,
-            });
-            clock = next;
-            continue;
-        }
-
-        // Plan chip by chip in chip order; FairShare usage is charged as
-        // each chip's buckets are fixed, so later chips see earlier
-        // chips' picks — one global deficit account, deterministically.
-        for bucket in by_core.iter_mut() {
-            for j in bucket.drain(..) {
-                in_wave[j] = false;
-            }
-        }
-        let mut dispatched = 0usize;
-        for chip in 0..chips {
-            if dead[chip] {
-                continue; // requeue keeps dead chips out of chip_of too
-            }
-            let chip_ready: Vec<usize> = ready
-                .iter()
-                .copied()
-                .filter(|&j| plan.chip_of[j] == chip)
-                .collect();
-            if chip_ready.is_empty() {
-                continue;
-            }
-            let cores = topo.cores_per_chip[chip];
-            let buckets = match sched {
-                Scheduler::FairShare => plan_wave_tenanted_slo(
-                    &chip_ready,
-                    costs,
-                    &priority,
-                    tenant_of,
-                    &plan.usage,
-                    plan.weights,
-                    plan.boost,
-                    cores,
-                ),
-                _ => plan_wave(sched, &chip_ready, costs, &priority, cores),
-            };
-            for (core, bucket) in buckets.iter().enumerate() {
-                let g = chip_base[chip] + core;
-                for &j in bucket {
-                    assignment[j] = (chip, core);
-                    wave_of[j] = wave_ends.len();
-                    in_wave[j] = true;
-                    dispatch_seq[j] = dispatched;
-                    by_core[g].push(j);
-                    let t = tenant_of[j];
-                    let delta = &mut meters.per_tenant[t];
-                    delta.wait_cycles += clock - ready_at[j];
-                    delta.cost_dispatched += costs[j].max(1);
-                    plan.usage[t] += costs[j].max(1);
-                    dispatch(g, j);
-                    dispatched += 1;
-                }
-            }
-        }
-        let wave_start = clock;
-
-        let done = collect_batch(
-            dispatched,
-            &mut collect,
-            &dispatch_seq,
-            tenant_of,
-            &mut meters,
-            &mut outputs,
-        )?;
-        let mut wave_cycles = vec![0u64; total_cores];
-        let mut completed: Vec<usize> = Vec::with_capacity(done.len());
-        for (j, core, cycles) in done {
-            wave_cycles[core] += cycles;
-            job_cycles[j] = cycles;
-            completed.push(j);
-        }
-
-        let span = wave_cycles.iter().copied().max().unwrap_or(0);
-        for c in 0..total_cores {
-            idle_per_core[c] += span - wave_cycles[c];
-        }
-        clock += span;
-        wave_ends.push(clock);
-
-        // Log the wave's job spans: a core runs its bucket in position
-        // order, so starts are prefix sums of the per-job busy cycles.
-        let wave_events_start = events.len();
-        for bucket in &by_core {
-            let mut t = wave_start;
-            for &j in bucket {
-                let (chip, core) = assignment[j];
-                events.push(TraceEvent::Job {
-                    job: j,
-                    tenant: tenant_of[j],
-                    chip,
-                    core,
-                    start: t,
-                    end: t + job_cycles[j],
-                    discarded: false,
-                });
-                t += job_cycles[j];
-            }
-        }
-
-        // A kill whose tick fell inside this wave fires now, at the
-        // boundary: it discards the dying chip's slice of the wave and
-        // requeues its jobs before any child is released.
-        apply_due_faults(
-            topo,
-            &mut plan,
-            &mut applied,
-            dead,
-            clock,
-            &completed_mask,
-            &assignment,
-            &mut in_wave,
-            &mut outputs,
-            &mut completed,
-            &mut ready_at,
-            &mut transfers,
-            wave_events_start,
-            &mut events,
-        )?;
-
-        // Release children; a cross-chip edge delays the child by the
-        // modeled transfer and records the charge (exactly once per cut
-        // edge on the fault-free path — a parent completes exactly once;
-        // requeues may re-charge an edge to the child's new home).
-        for &j in &completed {
-            completed_mask[j] = true;
-            for &child in &plan.children[j] {
-                let (from, to) = (plan.chip_of[j], plan.chip_of[child]);
-                let arrival = if from != to {
-                    let words = plan.transfer_words[j].max(1);
-                    let cycles = topo.transfer_cycles(words);
-                    transfers.push(Transfer {
-                        parent: JobId::from_index(j),
-                        child: JobId::from_index(child),
-                        from_chip: from,
-                        to_chip: to,
-                        words,
-                        cycles,
-                    });
-                    events.push(TraceEvent::Transfer {
-                        parent: j,
-                        child,
-                        from_chip: from,
-                        to_chip: to,
-                        words,
-                        start: clock,
-                        end: clock + cycles,
-                    });
-                    clock + cycles
-                } else {
-                    clock
-                };
-                ready_at[child] = ready_at[child].max(arrival);
-                indegree[child] -= 1;
-                if indegree[child] == 0 {
-                    pending.push(child);
-                }
-            }
-        }
-        // Undispatched ready jobs (the quantum-capped policy's backlog)
-        // stay pending; newly released children and fault-revoked jobs
-        // joined them above (revocation clears `in_wave`).
-        pending.retain(|&j| !in_wave[j]);
-        pending.sort_unstable();
-    }
-
-    Ok(CoordRun {
-        outputs: finish_outputs(outputs),
-        assignment,
-        wave_of,
-        wave_ends,
-        per_core: meters.per_core,
-        jobs_per_core: meters.jobs_per_core,
-        idle_per_core,
-        makespan: clock,
-        stall_cycles,
-        transferred_words: transfers.iter().map(|t| t.words).sum(),
-        transfer_cycles: transfers.iter().map(|t| t.cycles).sum(),
-        transfers,
-        per_tenant: meters.per_tenant,
-        events,
-    })
 }
 
 /// A simulated component owning a clock on the event heap. The derived
@@ -1029,21 +596,35 @@ fn push_event(
     *next_seq += 1;
 }
 
-/// The event loop. Workers report real measured [`ExecStats`] deltas,
-/// and every dispatch batch is drained before the simulated clock moves,
-/// so job durations are known by the time their completion events are
-/// scheduled.
+/// The one timing loop, run against a dispatch/collect pair:
+/// `dispatch(core, job)` hands a pool job to a core, `collect()` blocks
+/// for the next report. Workers report real measured [`ExecStats`]
+/// deltas, and every dispatch batch is drained before the simulated clock
+/// moves, so job durations are known before the clock passes them.
 ///
-/// Fault model, requeue rules and metering match the wave loop (see
-/// [`crate::fault`]) with one refinement: a kill fires at its exact tick
-/// rather than the next wave boundary, revoking whatever runs on the
-/// dying chip at that tick.
-fn drive_event<T>(
+/// Each pass fires the heap's due events (phase 1), releases a finished
+/// wave, dispatches (phase 2), drains the batch (phase 3) and hops to the
+/// next event (phase 4). The time model is only the dispatch rule:
+///
+/// * **Events** give every idle core on an alive chip the policy's best
+///   ready job; its completion becomes a heap event at its measured tick.
+/// * **Waves** dispatch only when every core is idle (which a wave leaves
+///   them at its barrier): each alive chip deals its whole ready set into
+///   per-core buckets (`FairShare`: one job per core), exactly as
+///   [`plan_wave`] and [`plan_wave_tenanted_slo`] plan it. The wave finishes
+///   at its barrier — the clock advances by the slowest bucket — but is
+///   released only after the kills due by then have fired (revoking the
+///   dying chip's share of it).
+///
+/// Fault model, requeue rules and metering are shared (see
+/// [`crate::fault`]); in event mode a kill fires at its exact tick,
+/// revoking whatever runs on the dying chip then.
+fn drive<T>(
     topo: &Topology,
     plan: Plan<'_>,
     dead: &mut [bool],
-    mut dispatch: impl FnMut(usize, usize),
-    mut collect: impl FnMut() -> Done<T>,
+    dispatch: &dyn Fn(usize, usize),
+    collect: &dyn Fn() -> Done<T>,
 ) -> Result<CoordRun<T>, SimError> {
     let Plan {
         costs,
@@ -1059,9 +640,10 @@ fn drive_event<T>(
         mut usage,
         mut chip_of,
     } = plan;
+    let wave = topo.mode == SimMode::Wave;
     let n = costs.len();
     let chips = topo.cores_per_chip.len();
-    let chip_base: Vec<usize> = topo.chip_ranges().map(|r| r.start).collect();
+    let chip_cores: Vec<Range<usize>> = topo.chip_ranges().collect();
     let total_cores: usize = topo.cores_per_chip.iter().sum();
 
     let priority = critical_paths(costs, children);
@@ -1074,54 +656,68 @@ fn drive_event<T>(
     };
     let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
     let mut ready_at = vec![0u64; n];
-    // In the dispatchable pool: all parents done, not running/completed.
+    // In the dispatchable pool: all parents released, not dispatched.
     let mut queued: Vec<bool> = indegree.iter().map(|&d| d == 0).collect();
     let mut index = ReadyIndex::new(&order, chips, n);
     for j in (0..n).filter(|&j| queued[j]) {
         index.insert(j, chip_of[j], 0, 0);
     }
-    let mut running = vec![false; n];
-    let mut completed_mask = vec![false; n];
+    // `finished`: the job's output stands. `released`: its children were
+    // freed. Event mode sets both at once; a wave's jobs sit between the
+    // two until the kills due at their barrier have fired.
+    let mut finished = vec![false; n];
+    let mut released = vec![false; n];
     let mut revoked = vec![false; n];
     let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut assignment = vec![(0usize, 0usize); n];
+    let mut wave_of = vec![0usize; n];
+    let mut wave_ends: Vec<u64> = Vec::new();
     let mut completion_tick = vec![0u64; n];
     let mut dispatch_tick = vec![0u64; n];
     let mut dispatch_seq = vec![0usize; n];
+    // Wave mode: each job's busy cycles and the log index of its span.
+    let mut job_cycles = vec![0u64; n];
+    let mut log_at = vec![0usize; n];
     let mut meters = Meters::new(total_cores, weights.len());
     let mut events = EventLog::new();
 
-    // Core and link occupancy.
+    // Core and link occupancy; the batch being dispatched per global core
+    // (a wave's buckets); a wave's jobs in id order, from its barrier
+    // until their release.
     let mut core_job: Vec<Option<usize>> = vec![None; total_cores];
     let mut link_free = vec![0u64; chips * chips];
     let mut busy_cores = 0usize;
+    let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); total_cores];
+    let mut core_load = vec![0u64; total_cores];
+    let mut barrier: Vec<usize> = Vec::new();
 
     let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
     let mut next_seq = 0u64;
     // Faults are ordinary events from the start; kills already due at
-    // run start fire at tick 0, before anything dispatches.
+    // run start fire at tick 0, before anything dispatches. Events order
+    // one tick's kills by chip; waves fire every kill due at a barrier in
+    // plan order, so they file them all under chip 0.
     if n > 0 {
         for (i, f) in faults.iter().enumerate() {
             push_event(
                 &mut heap,
                 &mut next_seq,
                 f.tick.saturating_sub(base),
-                ComponentId::Chip(f.chip),
+                ComponentId::Chip(if wave { 0 } else { f.chip }),
                 EventKind::Fault(i),
             );
         }
     }
 
     let mut now = 0u64;
-    let mut completed_count = 0usize;
+    let mut released_count = 0usize;
     let mut stall_cycles = 0u64;
     let mut transfers: Vec<Transfer> = Vec::new();
-    let mut dispatch_counter = 0usize;
 
-    // Charge the modeled movement of `parent`'s output to `child`'s chip
-    // through the link's own clock: serialization queues behind whatever
-    // the link already carries; the pipelined hop latency is added on
-    // top without occupying the link.
+    // Charge the modeled movement of `parent`'s output to `child`'s chip.
+    // An event-mode transfer serializes behind whatever its link already
+    // carries; a wave transfer starts at its barrier. The pipelined hop
+    // latency is added on top without occupying the link.
     macro_rules! charge_transfer {
         ($parent:expr, $child:expr, $to:expr) => {{
             let p = $parent;
@@ -1130,7 +726,7 @@ fn drive_event<T>(
             let words = transfer_words[p].max(1);
             let ser = words.div_ceil(topo.link_words_per_cycle.max(1));
             let link = from * chips + to;
-            let start = now.max(link_free[link]);
+            let start = if wave { now } else { now.max(link_free[link]) };
             link_free[link] = start + ser;
             let arrival = start + ser + topo.hop_latency_cycles;
             transfers.push(Transfer {
@@ -1161,10 +757,23 @@ fn drive_event<T>(
         }};
     }
 
+    // Remaining (unfinished) cost hint per alive chip: the requeue
+    // balance.
+    macro_rules! unfinished_load {
+        () => {{
+            let mut load = vec![0u64; chips];
+            for j in 0..n {
+                if !finished[j] && !dead[chip_of[j]] {
+                    load[chip_of[j]] += costs[j].max(1);
+                }
+            }
+            load
+        }};
+    }
+
     // Move job `j` off the dead chip `from` onto the surviving chip with
-    // the least remaining (uncompleted) cost, ties to the lower index —
-    // the wave loop's requeue rule. Completed parents on other chips pay
-    // one fresh modeled transfer to the job's new home.
+    // the least remaining cost, ties to the lower index. Released parents
+    // on other chips pay one fresh modeled transfer to the job's new home.
     macro_rules! requeue {
         ($j:expr, $from:expr, $load:expr) => {{
             let j = $j;
@@ -1180,9 +789,13 @@ fn drive_event<T>(
                 tick: now,
             });
             chip_of[j] = target;
-            ready_at[j] = ready_at[j].max(now);
+            // A wave requeue keeps the job's first readiness: its tenant
+            // wait runs from there.
+            if !wave {
+                ready_at[j] = ready_at[j].max(now);
+            }
             for &p in &parents[j] {
-                if completed_mask[p] && chip_of[p] != target {
+                if released[p] && chip_of[p] != target {
                     let arrival = charge_transfer!(p, j, target);
                     ready_at[j] = ready_at[j].max(arrival);
                 }
@@ -1190,10 +803,32 @@ fn drive_event<T>(
         }};
     }
 
-    while completed_count < n {
-        // Phase 1: fire every event due at the current tick, in
-        // (component, seq) order — faults first, then arrivals, then
-        // completions.
+    // Free a finished job's children; a cross-chip edge delays the child
+    // by the modeled transfer.
+    macro_rules! release {
+        ($j:expr) => {{
+            let j = $j;
+            released[j] = true;
+            released_count += 1;
+            for &child in &children[j] {
+                indegree[child] -= 1;
+                let arrival = if chip_of[child] != chip_of[j] {
+                    charge_transfer!(j, child, chip_of[child])
+                } else {
+                    now
+                };
+                ready_at[child] = ready_at[child].max(arrival);
+                if indegree[child] == 0 {
+                    queued[child] = true;
+                    index.insert(child, chip_of[child], ready_at[child], now);
+                }
+            }
+        }};
+    }
+
+    while released_count < n {
+        // Phase 1: fire every event due by now, in (tick, component, seq)
+        // order — faults first, then arrivals, then completions.
         while heap.peek().is_some_and(|Reverse(e)| e.tick <= now) {
             let Reverse(e) = heap.pop().expect("peeked");
             match e.kind {
@@ -1214,24 +849,32 @@ fn drive_event<T>(
                             kind: HazardKind::AllChipsDead { chips },
                         });
                     }
-                    // Executions in flight on the dying chip are revoked
-                    // at their completion tick (the work stays metered).
-                    let range = chip_base[f.chip]..chip_base[f.chip] + topo.cores_per_chip[f.chip];
-                    for g in range {
+                    // The dying chip's unreleased work is revoked but stays
+                    // metered (the energy was burned): a job in flight at
+                    // its completion tick, a finished wave job now.
+                    for g in chip_cores[f.chip].clone() {
                         if let Some(j) = core_job[g] {
                             revoked[j] = true;
                         }
                     }
-                    // Everything else the chip owned requeues now,
-                    // least-remaining-load-first, jobs in id order.
-                    let mut load = vec![0u64; chips];
-                    for j in 0..n {
-                        if !completed_mask[j] && !dead[chip_of[j]] {
-                            load[chip_of[j]] += costs[j].max(1);
+                    for &j in &barrier {
+                        if assignment[j].0 == f.chip && finished[j] {
+                            finished[j] = false;
+                            outputs[j] = None;
+                            queued[j] = true;
+                            if let TraceEvent::Job { discarded, .. } =
+                                &mut events.events_mut()[log_at[j]]
+                            {
+                                *discarded = true;
+                            }
                         }
                     }
+                    // Everything else the chip owned requeues now,
+                    // least-remaining-load-first, jobs in id order (its
+                    // revoked in-flight jobs requeue as they complete).
+                    let mut load = unfinished_load!();
                     for j in 0..n {
-                        if chip_of[j] == f.chip && !completed_mask[j] && !running[j] {
+                        if chip_of[j] == f.chip && !finished[j] && !revoked[j] {
                             if queued[j] {
                                 index.remove(j, f.chip);
                             }
@@ -1246,7 +889,6 @@ fn drive_event<T>(
                 EventKind::JobDone { core, job } => {
                     core_job[core] = None;
                     busy_cores -= 1;
-                    running[job] = false;
                     let (chip, c) = assignment[job];
                     events.push(TraceEvent::Job {
                         job,
@@ -1257,57 +899,78 @@ fn drive_event<T>(
                         end: now,
                         discarded: revoked[job],
                     });
-                    if revoked[job] {
-                        revoked[job] = false;
+                    if std::mem::take(&mut revoked[job]) {
                         outputs[job] = None;
-                        let mut load = vec![0u64; chips];
-                        for j in 0..n {
-                            if !completed_mask[j] && !dead[chip_of[j]] {
-                                load[chip_of[j]] += costs[j].max(1);
-                            }
-                        }
+                        let mut load = unfinished_load!();
                         requeue!(job, chip, load);
                         queued[job] = true;
                         index.insert(job, chip_of[job], ready_at[job], now);
                     } else {
-                        completed_mask[job] = true;
-                        completed_count += 1;
+                        finished[job] = true;
                         completion_tick[job] = now;
-                        for &child in &children[job] {
-                            indegree[child] -= 1;
-                            let arrival = if chip_of[child] != chip_of[job] {
-                                charge_transfer!(job, child, chip_of[child])
-                            } else {
-                                now
-                            };
-                            ready_at[child] = ready_at[child].max(arrival);
-                            if indegree[child] == 0 {
-                                queued[child] = true;
-                                index.insert(child, chip_of[child], ready_at[child], now);
-                            }
-                        }
+                        release!(job);
                     }
                 }
             }
         }
-        if completed_count == n {
+        // A wave's survivors release once its barrier's kills have fired.
+        for j in barrier.drain(..) {
+            if finished[j] {
+                release!(j);
+            }
+        }
+        if released_count == n {
             break;
         }
 
-        // Phase 2: eager dispatch — every free core on every alive chip
-        // takes the policy's best ready job, chips and cores in index
-        // order (the deterministic tie-break).
+        // Phase 2: dispatch, chips and cores in index order (the
+        // deterministic tie-break).
         index.promote(now, &queued, &chip_of, &ready_at);
         let mut batch = 0usize;
         for chip in 0..chips {
             if dead[chip] {
                 continue;
             }
-            for core in 0..topo.cores_per_chip[chip] {
-                let g = chip_base[chip] + core;
-                if core_job[g].is_some() {
-                    continue;
+            let cores = chip_cores[chip].clone();
+            let expected = (cfg!(debug_assertions) && wave).then(|| {
+                let ready: Vec<usize> = (0..n)
+                    .filter(|&j| queued[j] && chip_of[j] == chip && ready_at[j] <= now)
+                    .collect();
+                match sched {
+                    Scheduler::FairShare => plan_wave_tenanted_slo(
+                        &ready,
+                        costs,
+                        &priority,
+                        tenant_of,
+                        &usage,
+                        weights,
+                        boost,
+                        cores.len(),
+                    ),
+                    _ => plan_wave(sched, &ready, costs, &priority, cores.len()),
                 }
+            });
+            core_load[cores.clone()].fill(0);
+            let mut idle = cores.clone().filter(|&g| core_job[g].is_none());
+            for k in 0.. {
+                // Events give each idle core one job. Waves deal the whole
+                // ready set: FairShare one job per core, Fifo round-robin,
+                // the others onto the least hint-loaded core.
+                let g = if !wave {
+                    match idle.next() {
+                        Some(g) => g,
+                        None => break,
+                    }
+                } else {
+                    match sched {
+                        Scheduler::FairShare if k == cores.len() => break,
+                        Scheduler::Fifo | Scheduler::FairShare => cores.start + k % cores.len(),
+                        Scheduler::LeastLoaded | Scheduler::CriticalPath => cores
+                            .clone()
+                            .min_by_key(|&g| (core_load[g], g))
+                            .expect("a chip has at least one core"),
+                    }
+                };
                 let pick = index.pick(chip, &usage);
                 debug_assert_eq!(
                     pick,
@@ -1318,38 +981,84 @@ fn drive_event<T>(
                     "the ready index and the linear scan disagree at tick {now} on chip {chip}"
                 );
                 let Some(j) = pick else {
-                    break; // nothing ready on this chip for any free core
+                    break; // nothing more ready on this chip
                 };
                 queued[j] = false;
-                running[j] = true;
-                core_job[g] = Some(j);
-                busy_cores += 1;
-                assignment[j] = (chip, core);
-                dispatch_tick[j] = now;
-                dispatch_seq[j] = dispatch_counter;
-                dispatch_counter += 1;
-                let t = tenant_of[j];
-                let delta = &mut meters.per_tenant[t];
-                delta.wait_cycles += now - ready_at[j];
-                delta.cost_dispatched += costs[j].max(1);
-                usage[t] += costs[j].max(1);
-                dispatch(g, j);
-                batch += 1;
+                usage[tenant_of[j]] += costs[j].max(1);
+                core_load[g] += costs[j].max(1);
+                by_core[g].push(j);
+            }
+            if let Some(expected) = expected {
+                assert_eq!(
+                    expected.as_slice(),
+                    &by_core[cores.clone()],
+                    "the ready index and the wave planner disagree at tick {now} on chip {chip}"
+                );
+            }
+            // Dispatch in bucket order: core, then position.
+            for g in cores.clone() {
+                for &j in &by_core[g] {
+                    assignment[j] = (chip, g - cores.start);
+                    wave_of[j] = wave_ends.len();
+                    dispatch_tick[j] = now;
+                    dispatch_seq[j] = batch;
+                    let delta = &mut meters.per_tenant[tenant_of[j]];
+                    delta.wait_cycles += now - ready_at[j];
+                    delta.cost_dispatched += costs[j].max(1);
+                    dispatch(g, j);
+                    batch += 1;
+                }
+                if !wave {
+                    if let Some(j) = by_core[g].pop() {
+                        core_job[g] = Some(j);
+                        busy_cores += 1;
+                    }
+                }
             }
         }
 
-        // Phase 3: drain the whole batch before the clock moves — the
-        // workers' measured durations become completion events, pushed in
-        // job-id order so the heap (and the seq counter) stay
-        // deterministic.
+        // Phase 3: drain the whole batch before the clock moves.
         let done = collect_batch(
             batch,
-            &mut collect,
+            collect,
             &dispatch_seq,
             tenant_of,
             &mut meters,
             &mut outputs,
         )?;
+        if wave && batch > 0 {
+            // The wave finishes at its barrier: a core runs its bucket in
+            // position order, so its spans are prefix sums, and the clock
+            // advances by the slowest bucket.
+            for (j, _, cycles) in done {
+                job_cycles[j] = cycles;
+                finished[j] = true;
+                barrier.push(j);
+            }
+            let start = now;
+            for bucket in by_core.iter_mut() {
+                let mut t = start;
+                for j in bucket.drain(..) {
+                    let (chip, core) = assignment[j];
+                    log_at[j] = events.len();
+                    events.push(TraceEvent::Job {
+                        job: j,
+                        tenant: tenant_of[j],
+                        chip,
+                        core,
+                        start: t,
+                        end: t + job_cycles[j],
+                        discarded: false,
+                    });
+                    t += job_cycles[j];
+                }
+                now = now.max(t);
+            }
+            wave_ends.push(now);
+            continue;
+        }
+        // Completion events are pushed in job-id order, so the heap (and
+        // the seq counter) stay deterministic.
         for (j, core, cycles) in done {
             push_event(
                 &mut heap,
@@ -1360,18 +1069,23 @@ fn drive_event<T>(
             );
         }
 
-        // Phase 4: hop to the next event horizon. A gap with every core
-        // idle is a stall (a transfer or fault wait) — the event-mode
-        // reading of the wave loop's idle fast-forward.
+        // Phase 4: hop to the next event. A gap with every core idle is a
+        // stall (a transfer or fault wait), logged as one idle
+        // fast-forward however many events it crosses.
         let Some(Reverse(next)) = heap.peek() else {
             break; // nothing running, nothing scheduled: dangling parents
         };
         if next.tick > now {
             if busy_cores == 0 {
-                events.push(TraceEvent::IdleFastForward {
-                    start: now,
-                    end: next.tick,
-                });
+                match events.events_mut().last_mut() {
+                    Some(TraceEvent::IdleFastForward { end, .. }) if *end == now => {
+                        *end = next.tick;
+                    }
+                    _ => events.push(TraceEvent::IdleFastForward {
+                        start: now,
+                        end: next.tick,
+                    }),
+                }
                 stall_cycles += next.tick - now;
             }
             now = next.tick;
@@ -1379,21 +1093,23 @@ fn drive_event<T>(
     }
 
     let makespan = now;
-    // A core's busy intervals never intersect an all-idle stall window,
-    // so `busy + stall <= makespan` holds per core and the remainder is
-    // its dependency idle: `busy + idle + stall = makespan`.
+    // Event mode: a core's busy intervals never intersect an all-idle
+    // stall window, so `busy + idle + stall = makespan` per core. Wave
+    // idle includes the stalls: `busy + idle = makespan`.
     let idle_per_core: Vec<u64> = meters
         .per_core
         .iter()
-        .map(|s| makespan.saturating_sub(s.cycles + stall_cycles))
+        .map(|s| makespan.saturating_sub(s.cycles + if wave { 0 } else { stall_cycles }))
         .collect();
-    let mut wave_ends: Vec<u64> = completion_tick.clone();
-    wave_ends.sort_unstable();
-    wave_ends.dedup();
-    let wave_of: Vec<usize> = completion_tick
-        .iter()
-        .map(|t| wave_ends.binary_search(t).expect("own completion tick"))
-        .collect();
+    if !wave {
+        // Event mode's waves are the distinct completion ticks.
+        wave_ends = completion_tick.clone();
+        wave_ends.sort_unstable();
+        wave_ends.dedup();
+        for (w, t) in wave_of.iter_mut().zip(&completion_tick) {
+            *w = wave_ends.binary_search(t).expect("own completion tick");
+        }
+    }
 
     Ok(CoordRun {
         outputs: finish_outputs(outputs),
@@ -1413,13 +1129,12 @@ fn drive_event<T>(
     })
 }
 
-/// The per-core dispatch order: the event-mode reading of the wave
-/// planners, one job at a time. `Fifo`/`LeastLoaded` take the lowest
-/// ready id (placement, their wave-mode difference, is now the free core
-/// itself); `CriticalPath` takes the longest remaining path;
-/// `FairShare` replays the streaming tenant comparator of
-/// [`crate::service::plan_wave_tenanted_slo`] against the live usage
-/// counters. Every order ends on the job id, so it is total.
+/// The pick order: the wave planners' order, one job at a time.
+/// `Fifo`/`LeastLoaded` take the lowest ready id (they differ only in
+/// which core a wave places the pick on); `CriticalPath` takes the
+/// longest remaining path; `FairShare` replays the streaming tenant
+/// comparator of [`crate::service::plan_wave_tenanted_slo`] against the
+/// live usage counters. Every order ends on the job id, so it is total.
 struct PickOrder<'a> {
     sched: Scheduler,
     priority: &'a [u64],
@@ -1491,7 +1206,7 @@ fn pick_ready(
     }
 }
 
-/// The event loop's queued jobs, indexed so a pick never scans the pool
+/// The loop's queued jobs, indexed so a pick never scans the pool
 /// (the min-heap dispatch of a classic event-driven simulator): per
 /// (chip, tenant), the queued jobs whose `ready_at` has passed, ordered
 /// by [`PickOrder::key`]; plus a min-heap of queued jobs still waiting on
@@ -1586,9 +1301,22 @@ mod tests {
 
     /// Coordinate against a pure in-memory backend: `dispatch` queues
     /// `(core, job)`, `collect` reports the job's cost hint as its
-    /// measured duration (and output). Tests the loops without engines or
+    /// measured duration (and output). Tests the loop without engines or
     /// threads.
     fn run(
+        topo: &Topology,
+        costs: &[u64],
+        words: &[u64],
+        edges: &[(usize, usize)],
+        chip_of: Vec<usize>,
+        faults: &[FaultEvent],
+    ) -> Result<CoordRun<ExecStats>, SimError> {
+        run_from(0, topo, costs, words, edges, chip_of, faults)
+    }
+
+    /// [`run`] starting at session tick `base`.
+    fn run_from(
+        base: u64,
         topo: &Topology,
         costs: &[u64],
         words: &[u64],
@@ -1613,7 +1341,7 @@ mod tests {
             weights: &[1],
             boost: &[u64::MAX],
             faults,
-            base: 0,
+            base,
             sched: Scheduler::Fifo,
             usage: vec![0],
             chip_of,
@@ -1640,12 +1368,12 @@ mod tests {
         )
     }
 
-    fn event_topo(cores_per_chip: Vec<usize>, link: u64, hop: u64) -> Topology {
+    fn topo(cores_per_chip: Vec<usize>, link: u64, hop: u64, mode: SimMode) -> Topology {
         Topology {
             cores_per_chip,
             link_words_per_cycle: link,
             hop_latency_cycles: hop,
-            mode: SimMode::Event,
+            mode,
         }
     }
 
@@ -1654,7 +1382,7 @@ mod tests {
         // Chip 0 runs job 0 then feeds job 2 on chip 1 while chip 0's
         // independent job 1 and the transfer overlap: event-mode
         // makespan is compute-bound, not barrier-bound.
-        let topo = event_topo(vec![1, 1], 1, 100);
+        let topo = topo(vec![1, 1], 1, 100, SimMode::Event);
         let r = run(
             &topo,
             &[10, 110, 10],
@@ -1684,7 +1412,7 @@ mod tests {
     fn same_link_transfers_queue_behind_each_other() {
         // Two cut edges over the same (0 -> 1) link at the same tick:
         // the second serialization window queues behind the first.
-        let topo = event_topo(vec![2, 1], 1, 10);
+        let topo = topo(vec![2, 1], 1, 10, SimMode::Event);
         let r = run(
             &topo,
             &[5, 5, 1, 1],
@@ -1717,7 +1445,7 @@ mod tests {
         // One chain on chip 1; chip 1 dies mid-job. The running job is
         // revoked at its completion, requeued to chip 0, and rerun —
         // metered twice, output delivered once.
-        let topo = event_topo(vec![1, 1], 1, 0);
+        let topo = topo(vec![1, 1], 1, 0, SimMode::Event);
         let r = run(
             &topo,
             &[10, 10],
@@ -1741,6 +1469,142 @@ mod tests {
         // Revoked attempt 0..10 on chip 1, rerun 10..20, chain 20..30.
         assert_eq!(r.makespan, 30);
         assert_eq!(r.jobs_per_core.iter().sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn a_wave_kill_fires_at_its_barrier_and_revokes_the_unreleased_share() {
+        // Chip 1 dies at tick 1, inside the first wave (0..30). The kill
+        // fires at the barrier: job 1 finished there, but its output is
+        // dropped and its span discarded; it reruns on chip 0, the less
+        // loaded survivor by *unfinished* cost, and its child follows to
+        // chip 2. Only the released edge 1 -> 2 pays a transfer.
+        let topo = topo(vec![1, 1, 1], 1, 0, SimMode::Wave);
+        let r = run(
+            &topo,
+            &[30, 10, 10, 5],
+            &[1, 1, 1, 1],
+            &[(1, 2)],
+            vec![0, 1, 1, 2],
+            &[FaultEvent { tick: 1, chip: 1 }],
+        )
+        .unwrap();
+        assert_eq!(r.assignment, vec![(0, 0), (0, 0), (2, 0), (2, 0)]);
+        assert_eq!(r.makespan, 51);
+        assert_eq!(r.wave_ends, vec![30, 40, 51]);
+        // A wave requeue keeps its first readiness: job 1 waited 0..30.
+        assert_eq!(r.per_tenant[0].wait_cycles, 30);
+        // Job 2 waits 40..41 for its parent's payload.
+        assert_eq!(r.stall_cycles, 1);
+        assert_eq!(r.transfers.len(), 1);
+        let log = r.events.events();
+        let fault = log
+            .iter()
+            .position(|e| *e == TraceEvent::Fault { chip: 1, tick: 30 })
+            .expect("the kill fires at the barrier");
+        assert!(log.contains(&TraceEvent::Job {
+            job: 1,
+            tenant: 0,
+            chip: 1,
+            core: 0,
+            start: 0,
+            end: 10,
+            discarded: true,
+        }));
+        assert_eq!(
+            log[fault + 1..fault + 3],
+            [
+                TraceEvent::Requeue {
+                    job: 1,
+                    from_chip: 1,
+                    to_chip: 0,
+                    tick: 30,
+                },
+                TraceEvent::Requeue {
+                    job: 2,
+                    from_chip: 1,
+                    to_chip: 2,
+                    tick: 30,
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_wave_requeue_leaves_unreleased_parents_to_their_release() {
+        // Job 0 finishes at the first barrier (10), where the kill of
+        // chip 1 moves job 0's child 1 to chip 2 (chip 0 still owes job
+        // 2's 50 cycles). Job 0 is finished but not yet released, so its
+        // edge to job 1 is charged once, by the release, not also by the
+        // requeue.
+        let topo = topo(vec![1, 1, 1], 1, 0, SimMode::Wave);
+        let r = run(
+            &topo,
+            &[10, 10, 50],
+            &[1, 1, 1],
+            &[(0, 1), (0, 2)],
+            vec![0, 1, 0],
+            &[FaultEvent { tick: 5, chip: 1 }],
+        )
+        .unwrap();
+        assert_eq!(r.assignment, vec![(0, 0), (2, 0), (0, 0)]);
+        assert_eq!(r.transfers.len(), 1);
+        assert_eq!(r.wave_ends, vec![10, 60, 70]);
+    }
+
+    #[test]
+    fn one_idle_gap_is_one_log_entry_in_both_modes() {
+        // Two parents on chips 0 and 1 feed a child on chip 2. The short
+        // payload lands at 6, the long one at 25: the cluster idles
+        // 5..25 in one gap, whatever the heap hops through.
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let topo = topo(vec![1, 1, 1], 1, 0, mode);
+            let r = run(
+                &topo,
+                &[5, 5, 1],
+                &[1, 20, 1],
+                &[(0, 2), (1, 2)],
+                vec![0, 1, 2],
+                &[],
+            )
+            .unwrap();
+            let gaps: Vec<&TraceEvent> = r
+                .events
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::IdleFastForward { .. }))
+                .collect();
+            assert_eq!(
+                gaps,
+                [&TraceEvent::IdleFastForward { start: 5, end: 25 }],
+                "{mode:?}"
+            );
+            assert_eq!(r.stall_cycles, 20, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn kills_due_before_the_run_fire_at_tick_0_in_each_modes_order() {
+        // Both kills fell due before this run started, chip 2's first.
+        // Waves fire the kills due at a barrier in plan order; events
+        // order one tick's kills by chip.
+        let kills = [
+            FaultEvent { tick: 10, chip: 2 },
+            FaultEvent { tick: 20, chip: 1 },
+        ];
+        for (mode, order) in [(SimMode::Wave, [2, 1]), (SimMode::Event, [1, 2])] {
+            let topo = topo(vec![1, 1, 1], 1, 0, mode);
+            let r = run_from(100, &topo, &[4], &[1], &[], vec![0], &kills).unwrap();
+            let fired: Vec<usize> = r
+                .events
+                .events()
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Fault { chip, tick: 0 } => Some(chip),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(fired, order, "{mode:?}");
+        }
     }
 
     #[test]

@@ -4,34 +4,36 @@
 //! A [`FaultPlan`] is a set of "kill chip *k* at tick *t*" events on the
 //! cluster's **session clock** (the same absolute clock
 //! [`crate::cluster::ClusterSession::clock_cycles`] meters and the
-//! open-loop traffic layer schedules arrivals on). Under the default
-//! wave coordinator the simulated clock only moves at wave boundaries
-//! and fast-forwards, so a kill is applied at the first wave boundary at
-//! or after its tick; under [`crate::coord::SimMode::Event`] the kill is
-//! just another heap event and fires at its **exact** tick (faults order
-//! before transfer arrivals and job completions on the same tick, so the
-//! revocation set stays conservative). Either way fault handling is
-//! exactly as deterministic as the rest of the stack: the same plan
-//! against the same workload produces bit-identical runs, requeues and
-//! event logs.
+//! open-loop traffic layer schedules arrivals on). Both time models put
+//! every kill on the coordinator's one event heap (faults order before
+//! transfer arrivals and job completions on the same tick, so the
+//! revocation set stays conservative). Under
+//! [`crate::coord::SimMode::Event`] a kill fires at its **exact** tick.
+//! Under the default wave mode the clock only moves at wave barriers and
+//! idle fast-forwards, so a kill due inside a wave fires at that wave's
+//! barrier, before the wave is released, and a kill inside an idle gap
+//! fires at its own tick. Either way fault handling is exactly as
+//! deterministic as the rest of the stack: the same plan against the
+//! same workload produces bit-identical runs, requeues and event logs.
 //!
 //! What a kill means (the fault model, property-tested in
 //! `tests/fault_props.rs`):
 //!
 //! * the chip is marked dead for the rest of the cluster's life — no
 //!   future wave plans on it, across rounds;
-//! * jobs **in flight on the dying chip** in the wave the kill tick fell
-//!   into are *discarded*: their outputs are revoked and their children
-//!   are not released, but the simulated work stays metered in the
+//! * the dying chip's **unreleased work** — jobs in flight on it (event
+//!   mode), or its share of the wave the kill tick fell into (wave mode)
+//!   — is *discarded*: outputs are revoked and children are not
+//!   released, but the simulated work stays metered in the
 //!   per-core and per-tenant busy stats (the energy really was burned —
 //!   which is what keeps energy attribution conserved under failure);
 //! * every uncompleted job placed on the dead chip is **requeued** onto
-//!   the surviving chips (least-loaded-first over remaining cost hints,
-//!   ties to the lower chip index, jobs in id order);
-//! * outputs of jobs that *completed before the kill* are durable — the
-//!   coordinator collects results as waves retire (a cluster-level
-//!   results store), so completed work is never re-run. A requeued job
-//!   whose completed parent sits on a different chip pays one fresh
+//!   the surviving chips (least-loaded-first over the cost hints of
+//!   unfinished jobs, ties to the lower chip index, jobs in id order);
+//! * outputs of jobs *released before the kill* are durable — the
+//!   coordinator collects results as jobs retire (a cluster-level
+//!   results store), so released work is never re-run. A requeued job
+//!   whose released parent sits on a different chip pays one fresh
 //!   modeled transfer to move that parent's output to its new home;
 //! * the dead chip keeps burning static power for the rest of the run
 //!   (its `makespan_cycles` stays the cluster makespan) — the
@@ -53,19 +55,19 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultEvent {
     /// Session-clock tick (absolute simulated cycles since cluster
-    /// construction) at which the chip dies. The kill is applied at the
-    /// first wave boundary at or after this tick.
+    /// construction) at which the chip dies. Wave mode applies the kill at
+    /// the first wave barrier at or after this tick, event mode at it.
     pub tick: u64,
     /// The chip to kill.
     pub chip: usize,
 }
 
 /// A deterministic fault-injection schedule: chip kills on the cluster
-/// session clock, applied by the coordinator at wave boundaries.
+/// session clock, applied by the coordinator as events on its heap.
 ///
 /// Install a plan with [`crate::cluster::LacCluster::inject_faults`] (or
 /// the [`crate::cluster::LacCluster::with_fault_plan`] builder). Kills
-/// whose tick is already in the past fire at the next wave boundary; a
+/// whose tick is already in the past fire when the next run starts; a
 /// kill on an already-dead chip is a no-op.
 ///
 /// ```

@@ -246,17 +246,18 @@ proptest! {
         prop_assert_eq!(default_run.events, wave_run.events);
     }
 
-    // The event loop's indexed ready queue picks exactly like the linear
-    // scan it replaced. Debug builds check every event-mode pick against
-    // that scan inside the coordinator, so this property drives picks
-    // through every shape: random DAGs on 1-3 chips, 1-4 tenants with
-    // random weights, boosts and starting usage (an uneven warm-up round
-    // banks it), every policy, and an optional kill inside the measured
-    // round — revoking in-flight jobs and requeueing jobs still waiting
-    // on a transfer. Outputs must match the Wave-mode round, and a rerun
-    // must be bit-identical.
+    // Both modes pick from the one loop's indexed ready queue. Debug
+    // builds check every pick against the linear scan and every wave's
+    // buckets against the wave planners inside the coordinator, so this
+    // property drives picks through every shape: random DAGs on 1-3
+    // chips, 1-4 tenants with random weights, boosts and starting usage
+    // (an uneven warm-up round banks it), every policy, and an optional
+    // kill inside the measured round — revoking in-flight (event) or
+    // barrier-held (wave) jobs and requeueing jobs still waiting on a
+    // transfer. Outputs must match across modes, every job must retire
+    // exactly once in each mode, and a rerun must be bit-identical.
     #[test]
-    fn event_pick_matches_linear_scan(
+    fn picks_match_their_oracles_in_both_modes(
         extras in prop::collection::vec(0usize..10, 2..20),
         seeds in prop::collection::vec(any::<u64>(), 6..7),
         chips in 1usize..=3,
@@ -309,16 +310,18 @@ proptest! {
             prop_assert_eq!(&w.outputs, &e.outputs, "a tenant's bits changed across modes");
         }
         let jobs: usize = event.graphs.iter().map(|g| g.outputs.len()).sum();
-        if let Err(msg) = check_exactly_once(&event.events, jobs) {
-            prop_assert!(false, "{}", msg);
+        for (mode, run) in [(SimMode::Wave, &wave), (SimMode::Event, &event)] {
+            if let Err(msg) = check_exactly_once(&run.events, jobs) {
+                prop_assert!(false, "{:?}: {}", mode, msg);
+            }
+            let again = round(mode);
+            for (a, e) in again.graphs.iter().zip(&run.graphs) {
+                prop_assert_eq!(&a.outputs, &e.outputs);
+                prop_assert_eq!(&a.assignment, &e.assignment);
+            }
+            prop_assert_eq!(&again.stats, &run.stats);
+            prop_assert_eq!(&again.events, &run.events);
         }
-        let again = round(SimMode::Event);
-        for (a, e) in again.graphs.iter().zip(&event.graphs) {
-            prop_assert_eq!(&a.outputs, &e.outputs);
-            prop_assert_eq!(&a.assignment, &e.assignment);
-        }
-        prop_assert_eq!(&again.stats, &event.stats);
-        prop_assert_eq!(again.events, event.events);
     }
 }
 
