@@ -39,12 +39,15 @@ fi
 # Only the interpreter (core.rs) and the compiler (compile.rs) may match
 # on `Source` variants; a decode anywhere else would be a third place the
 # operand semantics live, free to drift from the differential suite's
-# bit-identity contract.
+# bit-identity contract. The one exception is the program store's codec
+# in isa.rs, which packs each `Source` into a 32-bit word and back: a
+# bijection that gives no variant a meaning (its round trip is
+# property-tested in isa.rs).
 hits=$(grep -rnE 'Source::[A-Za-z_]+(\([^)]*\))?[[:space:]]*=>' --include='*.rs' \
   ./crates ./src ./tests ./examples 2>/dev/null \
-  | grep -v 'crates/lac-sim/src/core\.rs\|crates/lac-sim/src/compile\.rs' || true)
+  | grep -v 'crates/lac-sim/src/core\.rs\|crates/lac-sim/src/compile\.rs\|crates/lac-sim/src/isa\.rs' || true)
 if [ -n "$hits" ]; then
-  echo "Source decoded outside the execution backends (core.rs / compile.rs):"
+  echo "Source decoded outside the execution backends (core.rs / compile.rs) and the store codec (isa.rs):"
   echo "$hits"
   fail=1
 fi

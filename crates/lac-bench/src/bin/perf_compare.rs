@@ -16,11 +16,13 @@
 //!   `p999_sojourn_cycles` from `service_latency`) regress when they
 //!   **grow** beyond tolerance;
 //! * metrics containing `throughput` or `speedup` regress when they
-//!   **shrink** beyond tolerance.
+//!   **shrink** beyond tolerance;
+//! * `memo_heap_bytes` (the kernel program store's footprint, from
+//!   `sim_speed`) regresses when it **grows** beyond tolerance.
 //!
-//! Everything here is simulated cycles, so baselines are exact across
-//! machines; the 15% default tolerance only absorbs intentional
-//! remodeling, not noise.
+//! Everything here is simulated cycles or program content, so baselines
+//! are exact across machines; the 15% default tolerance only absorbs
+//! intentional remodeling, not noise.
 //!
 //! On failure, the exact refresh command for each offending benchmark is
 //! printed, of the form
@@ -68,6 +70,7 @@ fn gate_for(field: &str) -> Option<Gate> {
         || field.ends_with("_clock_cycles")
         || field.contains("sojourn")
         || field.ends_with("_makespan_ratio")
+        || field == "memo_heap_bytes"
     {
         Some(Gate::WorseIfHigher)
     } else if field.contains("throughput") || field.contains("speedup") {

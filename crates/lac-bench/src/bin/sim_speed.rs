@@ -21,12 +21,24 @@
 //!   throughput ratio, clamped to the contractual floor of 3× so the
 //!   archived value is host-independent. `perf_compare` gates it as a
 //!   worse-if-lower metric; the raw ratio is archived alongside as
-//!   `compiled_over_interpreter_measured`.
+//!   `compiled_over_interpreter_measured`;
+//! * `memo_heap_bytes`: after the timed graph, one cold fleet shaped like
+//!   perfbench's `fleet_batch` (loops of n = 44, 48 and 52, 4 rounds,
+//!   4 panels of width 8, on 2 chips × 1 core) fills the kernel program
+//!   memo, whose totals ([`lac_kernels::memo_totals`]) are archived as
+//!   `memo_shapes` and `memo_heap_bytes`. Program content is a pure
+//!   function of the shapes, so the bytes are exact across hosts, and
+//!   `perf_compare` gates them as worse-if-higher. The fleet's cold run
+//!   minus an immediate warm rerun is archived, ungated, as
+//!   `cold_extra_ms`: the host cost of building, hashing and compiling
+//!   its programs.
 
 use lac_bench::json::Json;
 use lac_bench::{emit_json, f, json_mode, table};
 use lac_kernels::{SolverLoopParams, SolverLoopWorkload};
-use lac_sim::{ChipConfig, ExecBackend, LacConfig, LacService, Scheduler};
+use lac_sim::{
+    ChipConfig, ClusterConfig, ExecBackend, JobGraph, LacCluster, LacConfig, LacService, Scheduler,
+};
 use std::time::Instant;
 
 /// Timed submissions per row (after one untimed warmup).
@@ -40,6 +52,39 @@ fn backend_name(b: ExecBackend) -> &'static str {
         ExecBackend::Interpreter => "interpreter",
         ExecBackend::Compiled => "compiled",
     }
+}
+
+/// Build and run the `fleet_batch`-shaped fleet on `cluster`, check every
+/// loop, and return the host seconds it took.
+fn run_fleet(cluster: &mut LacCluster<lac_kernels::SolverJob>) -> f64 {
+    let start = Instant::now();
+    let loops: Vec<SolverLoopWorkload> = [44, 48, 52]
+        .into_iter()
+        .map(|n| {
+            SolverLoopWorkload::new(SolverLoopParams {
+                n,
+                rounds: 4,
+                panels: 4,
+                width: 8,
+                salt: n as u64,
+            })
+        })
+        .collect();
+    let mut graph = JobGraph::new();
+    let ids: Vec<_> = loops
+        .iter()
+        .map(|w| graph.append(w.graph().graph))
+        .collect();
+    let run = cluster
+        .run_graph(&graph, Scheduler::CriticalPath)
+        .expect("fleet run");
+    let secs = start.elapsed().as_secs_f64();
+    for (w, ids) in loops.iter().zip(&ids) {
+        let first = ids[0].index();
+        w.check_graph(&run.outputs[first..first + ids.len()])
+            .expect("fleet outputs match linalg-ref");
+    }
+    secs
 }
 
 fn main() {
@@ -150,12 +195,38 @@ fn main() {
         }
     }
 
+    // The program memo after the timed graph plus one cold fleet.
+    let mut cluster = LacCluster::new(ClusterConfig::homogeneous(
+        2,
+        ChipConfig::new(1, LacConfig::default()),
+    ));
+    let cold_s = run_fleet(&mut cluster);
+    let memo = lac_kernels::memo_totals();
+    let cold_extra_ms = (cold_s - run_fleet(&mut cluster)) * 1e3;
+    points.push(Json::obj([
+        ("bench", Json::from("sim_speed")),
+        ("backend", Json::from("memo")),
+        ("memo_shapes", Json::from(memo.shapes)),
+        ("memo_heap_bytes", Json::from(memo.heap_bytes)),
+        ("cold_extra_ms", Json::from(cold_extra_ms)),
+    ]));
+    rows.push(vec![
+        "2x1".to_string(),
+        "memo".to_string(),
+        format!("{} shapes", memo.shapes),
+        format!("{} B", memo.heap_bytes),
+        "-".to_string(),
+        "-".to_string(),
+        format!("cold +{cold_extra_ms:.1} ms"),
+    ]);
+
     emit_json(Json::arr(points));
     if !json_mode() {
         table(
             "Simulator throughput — host seconds per simulated megacycle \
              (host fields machine-dependent, ungated; makespan gated to pin \
-             the timed workload; compiled_speedup gated at its 3x floor)",
+             the timed workload; compiled_speedup gated at its 3x floor; \
+             memo_heap_bytes gated)",
             &[
                 "cores",
                 "backend",

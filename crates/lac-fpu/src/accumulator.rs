@@ -7,10 +7,16 @@
 //! eliminating the software scaling pass (Table 6.1 / Figure A.1).
 //!
 //! We model the wide register as a pair `(mantissa: f64, exp2: i32)` with the
-//! mantissa kept in `[1, 2) ∪ {0}` (sign carried by the mantissa) — a
+//! mantissa kept in `[0.5, 1) ∪ {0}` (sign carried by the mantissa) — a
 //! software "big exponent" float. Products are formed exactly in this
 //! representation before being accumulated, so intermediate overflow is
 //! impossible for any finite inputs.
+//!
+//! The MAC holds its accumulator in this form only when the exponent
+//! extension is configured. The baseline datapath it improves on rounds
+//! every accumulation to an ordinary `f64`, so there the MAC keeps a plain
+//! `f64` register. That register equals this one split on every write and
+//! assembled on every read, which a property test in `mac.rs` checks.
 
 /// Wide accumulator: value = `mantissa × 2^exp2`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -166,17 +172,50 @@ impl ExtendedAccumulator {
     }
 }
 
+/// A value of IEEE class `class % 7` built from random `bits`: normal,
+/// subnormal, ±0, ±inf, NaN (with payload), a small exact value, or a
+/// normal near the overflow threshold.
+#[cfg(test)]
+pub(crate) fn class_value(class: u8, bits: u64) -> f64 {
+    const SIGN_AND_FRACTION: u64 = 0x800f_ffff_ffff_ffff;
+    let sign = bits & (1 << 63);
+    match class % 7 {
+        0 => f64::from_bits((bits & SIGN_AND_FRACTION) | (((bits >> 52) % 2046 + 1) << 52)),
+        1 => f64::from_bits((bits & SIGN_AND_FRACTION) | 1),
+        2 => f64::from_bits(sign),
+        3 => f64::from_bits(sign | f64::INFINITY.to_bits()),
+        4 => f64::from_bits((bits & 0x8007_ffff_ffff_ffff) | 0x7ff8_0000_0000_0000),
+        5 => ((bits % 2001) as f64 - 1000.0) / 8.0,
+        _ => f64::from_bits(sign | (0x7fe0_0000_0000_0000 - (bits % 4096))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn split_assemble_roundtrip() {
-        for &x in &[1.0, -3.5, 1e-300, 1e300, 0.1, -0.0, 12345.678] {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let samples = (0..7 * 400).map(|i| class_value((i % 7) as u8, rng.next_u64()));
+        let fixed = [1.0, -3.5, 1e-300, 1e300, 0.1, -0.0, 12345.678];
+        for x in fixed.into_iter().chain(samples) {
             let (m, e) = split(x);
-            assert_eq!(assemble(m, e), x, "x={x}");
-            if x != 0.0 {
-                assert!((0.5..1.0).contains(&m.abs()), "mantissa range for {x}: {m}");
+            let back = assemble(m, e);
+            if x.is_nan() {
+                assert!(back.is_nan(), "x={x}");
+                continue;
+            }
+            assert_eq!(back.to_bits(), x.to_bits(), "x={x:e}");
+            if x != 0.0 && x.is_finite() {
+                assert!(
+                    (0.5..1.0).contains(&m.abs()),
+                    "mantissa range for {x:e}: {m}"
+                );
+            } else {
+                assert_eq!((m.to_bits(), e), (x.to_bits(), 0), "x={x}");
             }
         }
     }

@@ -20,6 +20,14 @@ impl Precision {
             Precision::Double => 8,
         }
     }
+
+    /// Round `x` to this precision (single rounds through `f32`).
+    pub(crate) fn round(self, x: f64) -> f64 {
+        match self {
+            Precision::Single => x as f32 as f64,
+            Precision::Double => x,
+        }
+    }
 }
 
 /// Static configuration of the PE floating-point datapath.
@@ -58,16 +66,29 @@ struct MacOp {
     negate: bool,
 }
 
+/// The local accumulator register.
+#[derive(Clone, Copy, Debug)]
+enum Accumulator {
+    /// Without the exponent extension: a plain `f64`, rounded to the
+    /// configured precision after every accumulation, so overflow behaves
+    /// like ordinary arithmetic (the baseline §A.2 fixes).
+    Narrow(f64),
+    /// With the exponent extension: the wide delayed-normalization
+    /// register, normalized only when read.
+    Wide(ExtendedAccumulator),
+}
+
 /// Timing- and range-accurate FMAC model with a local accumulator.
 ///
 /// Semantics follow the paper: throughput one MAC per cycle, results
 /// *visible in the accumulator* the cycle after retiring from the `p`-stage
-/// pipeline, and accumulation chained without intermediate normalization.
+/// pipeline, and, with the exponent extension, accumulation chained
+/// without intermediate normalization.
 #[derive(Clone, Debug)]
 pub struct MacUnit {
     cfg: FpuConfig,
     pipe: Pipeline<MacOp>,
-    acc: ExtendedAccumulator,
+    acc: Accumulator,
     /// Result latch for non-accumulator ops (`c + a·b`).
     result: Option<f64>,
     /// Lifetime op count (feeds the energy model).
@@ -76,13 +97,15 @@ pub struct MacUnit {
 
 impl MacUnit {
     pub fn new(cfg: FpuConfig) -> Self {
-        Self {
+        let mut unit = Self {
             pipe: Pipeline::new(cfg.pipeline_depth),
             cfg,
-            acc: ExtendedAccumulator::new(),
+            acc: Accumulator::Narrow(0.0),
             result: None,
             ops_issued: 0,
-        }
+        };
+        unit.load_acc(0.0);
+        unit
     }
 
     pub fn config(&self) -> &FpuConfig {
@@ -90,26 +113,35 @@ impl MacUnit {
     }
 
     fn round(&self, x: f64) -> f64 {
-        match self.cfg.precision {
-            Precision::Single => x as f32 as f64,
-            Precision::Double => x,
-        }
+        self.cfg.precision.round(x)
     }
 
     /// Load the accumulator (the `C` preload over the column bus).
     pub fn load_acc(&mut self, v: f64) {
-        self.acc = ExtendedAccumulator::from_f64(self.round(v));
+        let v = self.round(v);
+        self.acc = if self.cfg.exponent_extension {
+            Accumulator::Wide(ExtendedAccumulator::from_f64(v))
+        } else {
+            Accumulator::Narrow(v)
+        };
     }
 
     /// Read the accumulator, normalizing (the stream-out step).
     pub fn read_acc(&self) -> f64 {
-        self.round(self.acc.normalize())
+        match self.acc {
+            Accumulator::Narrow(v) => self.round(v),
+            Accumulator::Wide(w) => self.round(w.normalize()),
+        }
     }
 
-    /// The wide accumulator itself (the extended-format read port the §A.2
-    /// datapath exposes to the sequencer).
-    pub fn acc_wide(&self) -> &ExtendedAccumulator {
-        &self.acc
+    /// The accumulator in the extended format (the read port the §A.2
+    /// datapath exposes to the sequencer). Without the exponent extension
+    /// this is the narrow register's value, split into that format.
+    pub fn acc_wide(&self) -> ExtendedAccumulator {
+        match self.acc {
+            Accumulator::Narrow(v) => ExtendedAccumulator::from_f64(v),
+            Accumulator::Wide(w) => w,
+        }
     }
 
     /// Square root of the accumulator computed in the *wide* exponent space
@@ -118,9 +150,10 @@ impl MacUnit {
     /// meaningful with the exponent extension; without it this equals
     /// `read_acc().sqrt()`.
     pub fn read_acc_sqrt(&self) -> f64 {
-        let e = self.acc.exponent();
+        let acc = self.acc_wide();
+        let e = acc.exponent();
         let h = e.div_euclid(2);
-        let m = self.acc.normalize_with_exp_shift(-2 * h);
+        let m = acc.normalize_with_exp_shift(-2 * h);
         self.round(m.sqrt() * 2f64.powi(h))
     }
 
@@ -175,8 +208,10 @@ impl MacUnit {
     }
 
     /// Apply the retirement arithmetic of an accumulating MAC directly:
-    /// `acc += a_signed * b`, with the same wide/narrow accumulator
-    /// behavior as [`MacUnit::step`]. Operands must already be rounded to
+    /// `acc += a_signed * b`, with the same accumulator behavior as
+    /// [`MacUnit::step`]: with the exponent extension, an exact product
+    /// added to the wide register; without it, one rounded `f64` add.
+    /// Operands must already be rounded to
     /// the configured precision and carry the product sign (the pipeline
     /// rounds at issue and signs at retire; the two commute because
     /// negation is exact). This is the retire door the decode-once
@@ -184,13 +219,10 @@ impl MacUnit {
     /// staying bit-identical to the interpreter.
     #[inline]
     pub fn apply_retired_mac(&mut self, a_signed: f64, b: f64) {
-        if self.cfg.exponent_extension {
-            self.acc.mac(a_signed, b);
-        } else {
-            // Narrow accumulator: normalize every step, so overflow
-            // behaves like plain f64 (the baseline the extension fixes).
-            let v = self.round(self.acc.normalize() + a_signed * b);
-            self.acc = ExtendedAccumulator::from_f64(v);
+        let precision = self.cfg.precision;
+        match &mut self.acc {
+            Accumulator::Wide(w) => w.mac(a_signed, b),
+            Accumulator::Narrow(v) => *v = precision.round(*v + a_signed * b),
         }
     }
 
@@ -227,6 +259,90 @@ impl MacUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accumulator::class_value;
+    use proptest::prelude::*;
+
+    /// The narrow accumulator computed through the wide register: split on
+    /// every load and retirement, assembled on every read. The plain `f64`
+    /// register must match it bit for bit.
+    struct SplitAssembleOracle {
+        precision: Precision,
+        acc: ExtendedAccumulator,
+    }
+
+    impl SplitAssembleOracle {
+        fn load(&mut self, v: f64) {
+            self.acc = ExtendedAccumulator::from_f64(self.precision.round(v));
+        }
+
+        fn retire(&mut self, a_signed: f64, b: f64) {
+            let v = self.precision.round(self.acc.normalize() + a_signed * b);
+            self.acc = ExtendedAccumulator::from_f64(v);
+        }
+
+        fn read(&self) -> f64 {
+            self.precision.round(self.acc.normalize())
+        }
+
+        fn read_sqrt(&self) -> f64 {
+            let h = self.acc.exponent().div_euclid(2);
+            let m = self.acc.normalize_with_exp_shift(-2 * h);
+            self.precision.round(m.sqrt() * 2f64.powi(h))
+        }
+    }
+
+    /// Equal bits, or both NaN (a NaN's payload is the host's business).
+    fn same(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The narrow `f64` register reproduces the split/assemble path it
+        // replaced: loads, retirements (direct and through the pipeline),
+        // reads, square-root reads and the wide view, over normal,
+        // subnormal, ±0, ±inf and NaN operands in both precisions.
+        #[test]
+        fn narrow_register_matches_split_assemble(
+            single in any::<bool>(),
+            script in prop::collection::vec(
+                (any::<u8>(), (any::<u8>(), any::<u64>()), (any::<u8>(), any::<u64>())),
+                1..24,
+            ),
+        ) {
+            let precision = if single { Precision::Single } else { Precision::Double };
+            let mut mac = MacUnit::new(FpuConfig { precision, ..Default::default() });
+            let mut oracle = SplitAssembleOracle { precision, acc: ExtendedAccumulator::new() };
+            for (i, &(op, (ca, ba), (cb, bb))) in script.iter().enumerate() {
+                let (a, b) = (class_value(ca, ba), class_value(cb, bb));
+                let (a, b) = (precision.round(a), precision.round(b));
+                match op % 3 {
+                    0 => {
+                        mac.load_acc(a);
+                        oracle.load(a);
+                    }
+                    1 => {
+                        mac.apply_retired_mac(a, b);
+                        oracle.retire(a, b);
+                    }
+                    _ => {
+                        mac.issue_mac_signed(a, b, op & 4 != 0).unwrap();
+                        mac.drain();
+                        oracle.retire(if op & 4 != 0 { -a } else { a }, b);
+                    }
+                }
+                prop_assert!(same(mac.read_acc(), oracle.read()), "read_acc after op {}", i);
+                prop_assert!(
+                    same(mac.read_acc_sqrt(), oracle.read_sqrt()),
+                    "read_acc_sqrt after op {}", i
+                );
+                let wide = mac.acc_wide();
+                prop_assert_eq!(wide.exponent(), oracle.acc.exponent(), "exponent after op {}", i);
+                prop_assert!(same(wide.normalize(), oracle.acc.normalize()), "wide after op {}", i);
+            }
+        }
+    }
 
     #[test]
     fn accumulates_dot_product() {
@@ -313,7 +429,7 @@ mod tests {
         m2.load_acc(0.0);
         m2.issue_mac(1e200, 1e200).unwrap();
         m2.drain();
-        assert!(m2.acc.exponent() > 1000);
+        assert!(m2.acc_wide().exponent() > 1000);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub(crate) fn cholesky_kernel_program(nr: usize, p: usize, q: usize) -> lac_sim:
             }
             for r in i + 1..nr {
                 for c in i + 1..nr {
-                    let pe = b.pe_mut(step, r, c);
+                    let mut pe = b.pe_mut(step, r, c);
                     pe.fma = Some((Source::RowBus, Source::ColBus, Source::Reg(REG_A)));
                     pe.negate_product = true;
                 }

@@ -167,10 +167,11 @@ fn emit_layers(b: &mut ProgramBuilder, p: usize, per_pe: &[Vec<Vec<FftOp>>]) {
                 let ops = &per_pe[r * nr + c][layer];
                 assert_eq!(ops.len(), len, "ragged layer");
                 for (i, o) in ops.iter().enumerate() {
-                    let pe = b.pe_mut(w0 + i, r, c);
+                    let mut pe = b.pe_mut(w0 + i, r, c);
                     pe.fma = Some((o.a, o.b, o.c));
                     pe.negate_product = o.neg;
-                    let pe = b.pe_mut(w0 + i + p, r, c);
+                    drop(pe);
+                    let mut pe = b.pe_mut(w0 + i + p, r, c);
                     pe.sram_b_write = Some((o.dest, Source::MacResult));
                     if let Some(reg) = o.cap {
                         pe.reg_write = Some((reg, Source::MacResult));
@@ -213,7 +214,7 @@ pub(crate) fn fft64_run(lac: &mut Lac, mem: &mut ExternalMem) -> Result<Fft64Rep
             let g = 4 * r + c;
             let src = 2 * digit_reverse_64(4 * g + s) + reim;
             b.ext(step, ExtOp::Load { col: c, addr: src });
-            let pe = b.pe_mut(step, r, c);
+            let mut pe = b.pe_mut(step, r, c);
             if s < 2 {
                 pe.sram_a_write = Some((2 * s + reim, Source::ColBus));
             } else {

@@ -213,7 +213,7 @@ pub fn gemm_program(nr: usize, p: usize, lay: &GemmDataLayout, params: &GemmPara
                 }
                 for r in 0..nr {
                     for c in 0..nr {
-                        let pe = b.pe_mut(step, r, c);
+                        let mut pe = b.pe_mut(step, r, c);
                         pe.mac = Some((Source::RowBus, Source::SramB(buf + pp)));
                         pe.negate_product = negate;
                     }
@@ -294,7 +294,7 @@ pub fn gemm_program(nr: usize, p: usize, lay: &GemmDataLayout, params: &GemmPara
                 let more = blk + 1 < nblocks || jp + 1 < npanels;
                 for r in 0..nr {
                     for c in 0..nr {
-                        let pe = b.pe_mut(step, r, c);
+                        let mut pe = b.pe_mut(step, r, c);
                         pe.reg_write = Some((REG_STREAM_OUT, Source::Acc));
                         if more {
                             pe.acc_load = Some(Source::Reg(REG_PREFETCH));

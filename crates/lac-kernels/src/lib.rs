@@ -58,6 +58,7 @@ pub use ipddp::{DdpJob, DdpReference, IpddpFleet, IpddpParams};
 pub use ippmm::{IpmJob, IpmReference, IppmmParams, IppmmWorkload};
 pub use layout::{ALayout, GemmDataLayout};
 pub use lu::{pack_to_factors, LuOptions, LuReport};
+pub use memo::{memo_totals, MemoTotals};
 pub use qr::QrPanelReport;
 pub use solver::{
     SolverFleet, SolverGraph, SolverJob, SolverLoopParams, SolverLoopWorkload, SolverReference,

@@ -228,8 +228,8 @@ pub(crate) fn lu_panel_run(
             }
             for r in 0..nr {
                 for (t, s) in eligible(r).into_iter().enumerate() {
-                    let pe = b.pe_mut(w0 + t, r, jj);
-                    pe.fma = Some((Source::SramB(s), Source::Reg(REG_U), Source::Const(0.0)));
+                    b.pe_mut(w0 + t, r, jj).fma =
+                        Some((Source::SramB(s), Source::Reg(REG_U), Source::Const(0.0)));
                     b.pe_mut(w0 + t + p, r, jj).sram_b_write = Some((s, Source::MacResult));
                 }
             }
@@ -258,9 +258,10 @@ pub(crate) fn lu_panel_run(
                     if s * nr + r > jj {
                         b.pe_mut(w0 + s, r, jj).row_write = Some(Source::SramB(s));
                         for c in jj + 1..nr {
-                            let pe = b.pe_mut(w0 + s, r, c);
+                            let mut pe = b.pe_mut(w0 + s, r, c);
                             pe.fma = Some((Source::RowBus, Source::Reg(REG_U), Source::SramB(s)));
                             pe.negate_product = true;
+                            drop(pe);
                             b.pe_mut(w0 + s + p, r, c).sram_b_write = Some((s, Source::MacResult));
                         }
                     }

@@ -11,12 +11,13 @@
 //! process-wide; repeated runs share the instance, its hash memoizes
 //! once, and every compile-cache lookup after the first is O(1).
 //!
-//! The table is never evicted. Programs are stored packed (only live PE
-//! micro-ops), so the solver shapes a campaign touches are small: the
-//! `nr = 4` Cholesky kernel takes 8.4 KB, stacked TRSM with 12 tiles
-//! 122 KB, a 16³ GEMM 444 KB, and the largest, the n = 52, kc = 8 SYRK
-//! panel update, 1.3 MB (9.1 MB when every PE slot of every cycle was
-//! stored).
+//! The table is never evicted. Programs store only live PE micro-ops, at
+//! 16 bytes each, so the solver shapes a campaign touches are small: the
+//! `nr = 4` Cholesky kernel takes 3.5 KB, stacked TRSM with 12 tiles
+//! 43 KB, a 16³ GEMM 147 KB, and the largest, the n = 52, kc = 8 SYRK
+//! panel update, 440 KB. [`memo_totals`] reports the whole table; the
+//! 41 shapes of `sim_speed`'s timed graph and `fleet_batch`-shaped fleet
+//! take 3.76 MB.
 
 use lac_sim::Program;
 use std::collections::HashMap;
@@ -51,6 +52,27 @@ pub(crate) fn program(
             .or_default(),
     );
     Arc::clone(slot.get_or_init(|| Arc::new(build())))
+}
+
+/// What the process-wide kernel program memo holds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoTotals {
+    /// Distinct `(kernel, shape)` programs built so far.
+    pub shapes: usize,
+    /// The sum of their [`Program::heap_bytes`].
+    pub heap_bytes: usize,
+}
+
+/// The memo's current totals. Every program a kernel generator has built
+/// in this process stays in the memo, so this is the program store's
+/// whole footprint.
+pub fn memo_totals() -> MemoTotals {
+    let table = table().lock().expect("kernel program table poisoned");
+    let built = table.values().filter_map(|slot| slot.get());
+    built.fold(MemoTotals::default(), |t, prog| MemoTotals {
+        shapes: t.shapes + 1,
+        heap_bytes: t.heap_bytes + prog.heap_bytes(),
+    })
 }
 
 #[cfg(test)]
@@ -158,14 +180,25 @@ mod tests {
     }
 
     #[test]
-    fn packed_syrk_panel_fits_in_1_5_mb() {
-        // 9.1 MB when every PE slot of all 1,937 cycles was stored.
+    fn compact_syrk_panel_fits_in_0_5_mb() {
+        // About 27k live micro-ops at 16 bytes each.
         let prog = syrk_panel_52();
         assert_eq!(prog.len(), 1937);
-        assert!(
-            prog.heap_bytes() <= 1_500_000,
-            "{} bytes",
-            prog.heap_bytes()
-        );
+        assert!(prog.heap_bytes() <= 500_000, "{} bytes", prog.heap_bytes());
+    }
+
+    #[test]
+    fn totals_count_every_built_shape() {
+        let before = memo_totals();
+        let prog = program("memo-totals", &[1], || {
+            let mut b = ProgramBuilder::new(2);
+            b.idle(5);
+            b.build()
+        });
+        let after = memo_totals();
+        // Other tests may add shapes concurrently: this one is at least
+        // counted.
+        assert!(after.shapes > before.shapes);
+        assert!(after.heap_bytes >= before.heap_bytes + prog.heap_bytes());
     }
 }

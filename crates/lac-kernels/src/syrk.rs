@@ -224,7 +224,7 @@ pub(crate) fn syrk_program(
                 }
                 for r in 0..nr {
                     for c in 0..nr {
-                        let pe = b.pe_mut(step, r, c);
+                        let mut pe = b.pe_mut(step, r, c);
                         pe.mac = Some((Source::Reg(REG_A_CUR), Source::ColBus));
                         pe.negate_product = negate;
                         pe.sram_b_write = Some((pp, Source::ColBus));
@@ -275,7 +275,7 @@ pub(crate) fn syrk_program(
                 }
                 for r in 0..nr {
                     for c in 0..nr {
-                        let pe = b.pe_mut(step, r, c);
+                        let mut pe = b.pe_mut(step, r, c);
                         pe.mac = Some((Source::RowBus, Source::SramB(pp)));
                         pe.negate_product = negate;
                     }

@@ -125,7 +125,7 @@ pub(crate) fn trsm_stacked_program(nr: usize, p: usize, q: usize, m: usize) -> l
                 let step = w0 + s;
                 b.pe_mut(step, i, i).row_write = Some(Source::SfuResult);
                 for j in 0..nr {
-                    let pe = b.pe_mut(step, i, j);
+                    let mut pe = b.pe_mut(step, i, j);
                     pe.fma = Some((Source::RowBus, Source::SramB(s), Source::Const(0.0)));
                 }
             }
@@ -133,14 +133,14 @@ pub(crate) fn trsm_stacked_program(nr: usize, p: usize, q: usize, m: usize) -> l
             {
                 let step = w0 + s + p;
                 for j in 0..nr {
-                    let pe = b.pe_mut(step, i, j);
+                    let mut pe = b.pe_mut(step, i, j);
                     pe.sram_b_write = Some((s, Source::MacResult));
                     pe.col_write = Some(Source::MacResult);
                 }
                 for r in i + 1..nr {
                     b.pe_mut(step, r, i).row_write = Some(Source::Reg(REG_L));
                     for j in 0..nr {
-                        let pe = b.pe_mut(step, r, j);
+                        let mut pe = b.pe_mut(step, r, j);
                         pe.fma = Some((Source::RowBus, Source::ColBus, Source::SramB(s)));
                         pe.negate_product = true;
                     }

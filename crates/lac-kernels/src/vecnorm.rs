@@ -147,8 +147,8 @@ pub(crate) fn vecnorm_run(
             }
             for s in 0..k {
                 for r in 0..nr {
-                    let pe = b.pe_mut(w0 + s, r, cc);
-                    pe.fma = Some((Source::SramB(s), Source::Reg(REG_SCALE), Source::Const(0.0)));
+                    b.pe_mut(w0 + s, r, cc).fma =
+                        Some((Source::SramB(s), Source::Reg(REG_SCALE), Source::Const(0.0)));
                     b.pe_mut(w0 + s + p, r, cc).sram_b_write = Some((s, Source::MacResult));
                 }
             }

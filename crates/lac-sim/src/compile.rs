@@ -750,19 +750,11 @@ impl<'a> Compiler<'a> {
         // region can start right after it).
         let mut consts = Vec::new();
         let mut const_bits = HashMap::new();
-        for step in prog.steps() {
-            for (_, ops) in step.pes() {
-                for op in ops.iter() {
-                    for_each_source(op, &mut |s| {
-                        if let Source::Const(v) = s {
-                            const_bits.entry(v.to_bits()).or_insert_with(|| {
-                                consts.push(v);
-                                consts.len() - 1
-                            });
-                        }
-                    });
-                }
-            }
+        for v in prog.consts() {
+            const_bits.entry(v.to_bits()).or_insert_with(|| {
+                consts.push(v);
+                consts.len() - 1
+            });
         }
 
         let row_bus = layout.words;
@@ -1122,8 +1114,8 @@ impl<'a> Compiler<'a> {
         // …then PE bus writers (non-bus sources only).
         for (idx, ops) in step.pes() {
             let (r, c) = (idx / nr, idx % nr);
-            for op in ops.iter() {
-                match *op {
+            for op in ops.bus_writes() {
+                match op {
                     MicroOp::RowWrite(src) => {
                         let off = self.resolve(t, r, c, src, false)?;
                         if self.row_driven[r] {
@@ -1162,7 +1154,7 @@ impl<'a> Compiler<'a> {
             }
 
             for op in ops.iter() {
-                match *op {
+                match op {
                     MicroOp::RowWrite(_) | MicroOp::ColWrite(_) | MicroOp::NegateProduct => {}
                     MicroOp::Mac(sa, sb) => {
                         let a = self.resolve(t, r, c, sa, true)?;
@@ -1365,29 +1357,6 @@ impl<'a> Compiler<'a> {
             self.stats.active_cycles += 1;
         }
         Ok(())
-    }
-}
-
-/// Visit every [`Source`] a micro-op reads (constant-pool pre-scan).
-fn for_each_source(op: &MicroOp, f: &mut impl FnMut(Source)) {
-    match *op {
-        MicroOp::RowWrite(s)
-        | MicroOp::ColWrite(s)
-        | MicroOp::AccLoad(s)
-        | MicroOp::SramAWrite(_, s)
-        | MicroOp::SramBWrite(_, s)
-        | MicroOp::RegWrite(_, s) => f(s),
-        MicroOp::Mac(a, b) | MicroOp::Sfu(_, a, b) => {
-            f(a);
-            f(b);
-        }
-        MicroOp::Fma(a, b, c) => {
-            f(a);
-            f(b);
-            f(c);
-        }
-        MicroOp::CmpUpdate(c) => f(c.value),
-        MicroOp::NegateProduct => {}
     }
 }
 
@@ -1596,6 +1565,64 @@ mod tests {
     use crate::config::ExecBackend;
     use crate::error::HazardKind;
     use crate::isa::{CmpUpdate, ProgramBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The structural hash recomputed from dense drafts: one [`PeInstr`]
+    /// per PE per step, idle ones skipped. This is the hash's definition,
+    /// which the walk over packed micro-ops must reproduce.
+    fn dense_hash(nr: usize, dense: &[Vec<PeInstr>], ext: &[Vec<ExtOp>]) -> u128 {
+        let mut h = WideHasher::new();
+        h.write_usize(nr);
+        h.write_usize(dense.len());
+        for (t, (pes, ext)) in dense.iter().zip(ext).enumerate() {
+            for op in ext {
+                let (code, col, addr) = match *op {
+                    ExtOp::Load { col, addr } => (0xe1, col, addr),
+                    ExtOp::Store { col, addr } => (0xe2, col, addr),
+                };
+                h.write_u8(code);
+                h.write_usize(t);
+                h.write_usize(col);
+                h.write_usize(addr);
+            }
+            for (i, pi) in pes.iter().enumerate().filter(|(_, pi)| !pi.is_nop()) {
+                h.write_u8(0xd0);
+                h.write_usize(t);
+                h.write_usize(i);
+                hash_instr(&mut h, pi);
+            }
+        }
+        h.finish128()
+    }
+
+    #[test]
+    fn structural_hash_equals_the_dense_draft_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x4a5);
+        for _ in 0..100 {
+            let nr = rng.gen_range(1..5usize);
+            let steps = rng.gen_range(1..8usize);
+            let (mut b, mut dense) = crate::isa::tests::random_drafts(&mut rng, nr, steps);
+            let mut ext = vec![Vec::new(); steps];
+            for _ in 0..rng.gen_range(0..4usize) {
+                let (t, col, addr) = (
+                    rng.gen_range(0..steps),
+                    rng.gen_range(0..nr),
+                    rng.gen_range(0..99usize),
+                );
+                let op = match rng.gen_range(0..2usize) {
+                    0 => ExtOp::Load { col, addr },
+                    _ => ExtOp::Store { col, addr },
+                };
+                b.ext(t, op);
+                ext[t].push(op);
+            }
+            b.idle(2);
+            dense.resize(steps + 2, vec![PeInstr::default(); nr * nr]);
+            ext.resize(steps + 2, Vec::new());
+            assert_eq!(b.build().structural_hash(), dense_hash(nr, &dense, &ext));
+        }
+    }
 
     fn small_cfg() -> LacConfig {
         LacConfig {

@@ -59,7 +59,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
 use crate::chip::{ChipJob, ChipStats, Scheduler};
@@ -402,7 +402,7 @@ pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
                 if caller_core.get().unwrap_or(core) == core {
                     caller_core.set(Some(core));
                     caller_jobs.borrow_mut().push_back(job);
-                    return;
+                    return Ok(());
                 }
                 let mut workers = workers.borrow_mut();
                 let tx = workers[core].get_or_insert_with(|| {
@@ -417,7 +417,7 @@ pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
                     });
                     tx
                 });
-                tx.send(job).expect("worker hung up");
+                tx.send(job).map_err(|_| worker_lost())
             },
             &|| {
                 // The caller's own share first (the workers run theirs
@@ -430,13 +430,28 @@ pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
                             caller_core.set(None); // the next batch picks afresh
                         }
                         drop(own);
-                        run_on(core, job)
+                        Ok(run_on(core, job))
                     }
-                    None => done_rx.recv().expect("worker hung up"),
+                    None => recv_report(&done_rx),
                 }
             },
         )
     })
+}
+
+/// The error a run ends with when a worker hung up.
+fn worker_lost() -> SimError {
+    SimError {
+        cycle: 0,
+        pe: None,
+        kind: HazardKind::WorkerLost,
+    }
+}
+
+/// The next worker report, or [`HazardKind::WorkerLost`] once every
+/// worker has hung up.
+fn recv_report<T>(rx: &Receiver<Done<T>>) -> Result<Done<T>, SimError> {
+    rx.recv().map_err(|_| worker_lost())
 }
 
 /// Per-core and per-tenant meters of one run.
@@ -465,7 +480,7 @@ impl Meters {
 /// returns nothing is in flight, so the workers stay usable.
 fn collect_batch<T>(
     dispatched: usize,
-    collect: &dyn Fn() -> Done<T>,
+    collect: &dyn Fn() -> Result<Done<T>, SimError>,
     dispatch_seq: &[usize],
     tenant_of: &[usize],
     meters: &mut Meters,
@@ -475,7 +490,7 @@ fn collect_batch<T>(
     let mut first_err: Option<(usize, SimError)> = None;
     let mut first_panic: Option<(usize, usize, usize, String)> = None;
     for _ in 0..dispatched {
-        let report = collect();
+        let report = collect()?;
         let slot = dispatch_seq[report.job];
         match report.outcome {
             JobOutcome::Completed(out, delta) => done.push((report.job, report.core, out, delta)),
@@ -598,9 +613,11 @@ fn push_event(
 
 /// The one timing loop, run against a dispatch/collect pair:
 /// `dispatch(core, job)` hands a pool job to a core, `collect()` blocks
-/// for the next report. Workers report real measured [`ExecStats`]
-/// deltas, and every dispatch batch is drained before the simulated clock
-/// moves, so job durations are known before the clock passes them.
+/// for the next report; either fails only when a worker hung up
+/// ([`HazardKind::WorkerLost`]), which ends the run. Workers report real
+/// measured [`ExecStats`] deltas, and every dispatch batch is drained
+/// before the simulated clock moves, so job durations are known before
+/// the clock passes them.
 ///
 /// Each pass fires the heap's due events (phase 1), releases a finished
 /// wave, dispatches (phase 2), drains the batch (phase 3) and hops to the
@@ -623,8 +640,8 @@ fn drive<T>(
     topo: &Topology,
     plan: Plan<'_>,
     dead: &mut [bool],
-    dispatch: &dyn Fn(usize, usize),
-    collect: &dyn Fn() -> Done<T>,
+    dispatch: &dyn Fn(usize, usize) -> Result<(), SimError>,
+    collect: &dyn Fn() -> Result<Done<T>, SimError>,
 ) -> Result<CoordRun<T>, SimError> {
     let Plan {
         costs,
@@ -1005,7 +1022,7 @@ fn drive<T>(
                     let delta = &mut meters.per_tenant[tenant_of[j]];
                     delta.wait_cycles += now - ready_at[j];
                     delta.cost_dispatched += costs[j].max(1);
-                    dispatch(g, j);
+                    dispatch(g, j)?;
                     batch += 1;
                 }
                 if !wave {
@@ -1352,20 +1369,58 @@ mod tests {
             topo,
             plan,
             &mut dead,
-            &|core, job| queue.borrow_mut().push_back((core, job)),
+            &|core, job| {
+                queue.borrow_mut().push_back((core, job));
+                Ok(())
+            },
             &|| {
                 let (core, job) = queue.borrow_mut().pop_front().expect("a dispatched job");
                 let delta = ExecStats {
                     cycles: costs[job],
                     ..Default::default()
                 };
-                Done {
+                Ok(Done {
                     core,
                     job,
                     outcome: JobOutcome::Completed(delta, delta),
-                }
+                })
             },
         )
+    }
+
+    #[test]
+    fn a_lost_worker_is_a_typed_error() {
+        // Every sender of the report channel is gone: the collect side
+        // must end the run with an error, not a panic or a hang.
+        let (tx, rx) = channel::<Done<ExecStats>>();
+        drop(tx);
+        for mode in [SimMode::Event, SimMode::Wave] {
+            let plan = Plan {
+                costs: &[3, 4],
+                transfer_words: &[0, 0],
+                parents: &[vec![], vec![0]],
+                children: &[vec![1], vec![]],
+                tenant_of: &[0, 0],
+                weights: &[1],
+                boost: &[u64::MAX],
+                faults: &[],
+                base: 0,
+                sched: Scheduler::Fifo,
+                usage: vec![0],
+                chip_of: vec![0, 0],
+            };
+            let err = drive(
+                &topo(vec![1], 1, 0, mode),
+                plan,
+                &mut [false],
+                &|_, _| Ok(()),
+                &|| recv_report(&rx),
+            )
+            .map(|_| ())
+            .unwrap_err();
+            assert_eq!(err, worker_lost(), "{mode:?}");
+            assert_eq!(err.kind, HazardKind::WorkerLost);
+        }
     }
 
     fn topo(cores_per_chip: Vec<usize>, link: u64, hop: u64, mode: SimMode) -> Topology {

@@ -252,7 +252,7 @@ impl Lac {
 
     /// A PE's wide accumulator (the extended-format read port, §A.2).
     pub fn acc_wide(&self, r: usize, c: usize) -> lac_fpu::ExtendedAccumulator {
-        *self.pes[self.pe_index(r, c)].mac.acc_wide()
+        self.pes[self.pe_index(r, c)].mac.acc_wide()
     }
 
     /// Execute a whole program against `mem`, returning the run's stats.
@@ -364,8 +364,8 @@ impl Lac {
         // Bus writers, live PEs in ascending index order.
         for (idx, ops) in step.pes() {
             let (r, c) = (idx / nr, idx % nr);
-            for op in ops.iter() {
-                match *op {
+            for op in ops.bus_writes() {
+                match op {
                     MicroOp::RowWrite(src) => {
                         let v = self.resolve_nonbus(t, (r, c), src, &mut port_use[idx])?;
                         if row_bus[r].is_some() {
@@ -411,7 +411,7 @@ impl Lac {
             // Micro-ops come in field order, so this visits the controls
             // in the fixed order that decides which hazard is reported.
             for op in ops.iter() {
-                match *op {
+                match op {
                     MicroOp::RowWrite(_) | MicroOp::ColWrite(_) | MicroOp::NegateProduct => {}
                     MicroOp::Mac(sa, sb) => {
                         let a =

@@ -97,6 +97,10 @@ pub enum HazardKind {
         /// Total chips in the cluster — all of them dead.
         chips: usize,
     },
+    /// A host worker thread hung up before reporting a dispatched job,
+    /// so the run cannot account for it. A host failure, not a schedule
+    /// violation: `cycle` is 0 and no PE is named.
+    WorkerLost,
 }
 
 impl fmt::Display for SimError {

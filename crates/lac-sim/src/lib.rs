@@ -50,7 +50,9 @@ pub use dynamic::{Continuation, Continue, DynamicGraph, DynamicOutcome};
 pub use engine::{LacEngine, LacEngineBuilder};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan};
-pub use isa::{CmpUpdate, ExtOp, MicroOp, PeInstr, PeOps, Program, ProgramBuilder, Source, Step};
+pub use isa::{
+    CmpUpdate, ExtOp, MicroOp, PeInstr, PeMut, PeOps, Program, ProgramBuilder, Source, Step,
+};
 pub use service::{
     plan_wave, plan_wave_tenanted, plan_wave_tenanted_slo, GraphCompletion, GraphRun, GraphTicket,
     JobGraph, JobId, LacService, Rejected, ServiceRound, ServiceSession, TenantConfig, TenantId,

@@ -86,7 +86,7 @@ fn push_round(b: &mut ProgramBuilder, op_sel: u8, addr_sel: u8, flag: bool, base
             }
             for r in 0..4 {
                 for c in 0..4 {
-                    let pe = b.pe_mut(t, r, c);
+                    let mut pe = b.pe_mut(t, r, c);
                     pe.mac = Some((Source::RowBus, Source::SramB(a % 8)));
                     pe.negate_product = flag;
                 }
@@ -116,7 +116,7 @@ fn push_round(b: &mut ProgramBuilder, op_sel: u8, addr_sel: u8, flag: bool, base
             let t = b.push_step();
             for r in 0..4 {
                 for c in 0..4 {
-                    let pe = b.pe_mut(t, r, c);
+                    let mut pe = b.pe_mut(t, r, c);
                     pe.fma = Some((
                         Source::Reg(0),
                         Source::SramB(a % 8),
@@ -191,7 +191,7 @@ fn push_round(b: &mut ProgramBuilder, op_sel: u8, addr_sel: u8, flag: bool, base
             let t = b.push_step();
             for r in 0..4 {
                 for c in 0..4 {
-                    let pe = b.pe_mut(t, r, c);
+                    let mut pe = b.pe_mut(t, r, c);
                     if flag {
                         pe.sram_a_write = Some((a, Source::Const(a as f64 + 0.5)));
                     } else {
@@ -310,7 +310,7 @@ proptest! {
             3 => {
                 // Three B-SRAM reads in one cycle (two ports).
                 let t = b.push_step();
-                let pe = b.pe_mut(t, 1, 1);
+                let mut pe = b.pe_mut(t, 1, 1);
                 pe.mac = Some((Source::SramB(0), Source::SramB(1)));
                 pe.reg_write = Some((0, Source::SramB(2)));
             }
@@ -384,7 +384,7 @@ proptest! {
                     step.pes().map(|(i, ops)| (i, ops.to_instr())).collect();
                 prop_assert_eq!(&got, &expect, "{} step {}", label, t);
                 for (i, ops) in step.pes() {
-                    let ops: Vec<MicroOp> = ops.iter().copied().collect();
+                    let ops: Vec<MicroOp> = ops.iter().collect();
                     let fields: Vec<MicroOp> = dense[t][i].micro_ops().collect();
                     prop_assert_eq!(ops, fields, "{} step {} PE {}", label, t, i);
                 }

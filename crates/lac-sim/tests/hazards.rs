@@ -5,7 +5,9 @@
 
 use lac_fpu::{DivSqrtImpl, DivSqrtOp};
 use lac_sim::error::HazardKind;
-use lac_sim::{ExtOp, ExternalMem, Lac, LacConfig, PeInstr, ProgramBuilder, SimError, Source};
+use lac_sim::{
+    ExecBackend, ExtOp, ExternalMem, Lac, LacConfig, PeInstr, ProgramBuilder, SimError, Source,
+};
 
 fn cfg() -> LacConfig {
     LacConfig {
@@ -70,12 +72,41 @@ fn register_out_of_range() {
 }
 
 #[test]
+fn out_of_range_addresses_report_their_exact_value() {
+    // Addresses past the 28-bit inline payload of a packed micro-op are
+    // kept exactly, so the hazard names the scheduled address on either
+    // backend.
+    for addr in [(1 << 28) - 1, 1 << 28, usize::MAX] {
+        for backend in [ExecBackend::Interpreter, ExecBackend::Compiled] {
+            let mut b = ProgramBuilder::new(4);
+            let t = b.push_step();
+            b.pe_mut(t, 1, 2).sram_a_write = Some((addr, Source::Const(1.0)));
+            let e = run_one(b, LacConfig { backend, ..cfg() }).unwrap_err();
+            assert_eq!(
+                e.kind,
+                HazardKind::SramOutOfRange {
+                    which: 'A',
+                    addr,
+                    size: 32
+                }
+            );
+            let mut b = ProgramBuilder::new(4);
+            let t = b.push_step();
+            b.pe_mut(t, 0, 0).reg_write = Some((addr, Source::Const(1.0)));
+            let e = run_one(b, LacConfig { backend, ..cfg() }).unwrap_err();
+            assert!(matches!(e.kind, HazardKind::RegOutOfRange { idx, .. } if idx == addr));
+        }
+    }
+}
+
+#[test]
 fn too_many_rf_read_ports() {
     // Three distinct register reads in one cycle exceed the 2 read ports.
     let mut b = ProgramBuilder::new(4);
     let t = b.push_step();
-    let pe = b.pe_mut(t, 0, 0);
+    let mut pe = b.pe_mut(t, 0, 0);
     pe.fma = Some((Source::Reg(0), Source::Reg(1), Source::Reg(2)));
+    drop(pe);
     let e = run_one(b, cfg()).unwrap_err();
     assert!(matches!(e.kind, HazardKind::RegOutOfRange { .. }));
 }
@@ -84,9 +115,10 @@ fn too_many_rf_read_ports() {
 fn mac_and_fma_same_cycle_conflict() {
     let mut b = ProgramBuilder::new(4);
     let t = b.push_step();
-    let pe = b.pe_mut(t, 0, 0);
+    let mut pe = b.pe_mut(t, 0, 0);
     pe.mac = Some((Source::Const(1.0), Source::Const(1.0)));
     pe.fma = Some((Source::Const(1.0), Source::Const(1.0), Source::Const(0.0)));
+    drop(pe);
     let e = run_one(b, cfg()).unwrap_err();
     assert!(matches!(e.kind, HazardKind::MacIssueConflict));
 }
