@@ -83,6 +83,19 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 6: one meter. An engine's session is its core's own counters:
+# every cycle a program simulates lands there, whichever door ran it, and
+# `LacEngine::reset_session` zeroes them. A call that folds stats into an
+# engine (`absorb(`) would bring back a second accumulator beside those
+# counters, free to double-count or miss work.
+hits=$(grep -rnE 'absorb\(' --include='*.rs' \
+  ./crates/*/src ./src ./examples ./perfbench/src 2>/dev/null || true)
+if [ -n "$hits" ]; then
+  echo "a second stats accumulator (the core's counters are the session):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

@@ -134,15 +134,14 @@ fn add_sym_update(a: &mut Matrix, s_lower: &Matrix) {
     }
 }
 
-/// Meter one graph step into the engine session and wrap it in the uniform
-/// report (unlike [`finish`] this does not count a whole workload).
+/// Wrap one graph step in the uniform report (unlike [`finish`] this does
+/// not count a whole workload; the core's counters metered its cycles).
 pub(crate) fn step_report(
     eng: &mut LacEngine,
     name: &str,
     stats: ExecStats,
     details: Details,
 ) -> KernelReport {
-    eng.absorb(&stats);
     let nr = eng.config().nr;
     KernelReport {
         kernel: name.to_string(),

@@ -91,8 +91,8 @@ pub trait Workload: Send + Sync {
         1
     }
 
-    /// Execute on the engine. Stats are metered into the engine's session
-    /// accumulator as well as returned in the report.
+    /// Execute on the engine. The core's counters (the engine session)
+    /// meter every cycle; the report carries this run's share.
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError>;
 
     /// Cross-check the report's functional outputs against `linalg-ref`.
@@ -119,8 +119,8 @@ impl ChipJob for Box<dyn Workload> {
 pub struct KernelReport {
     /// Which workload produced this ([`Workload::name`]).
     pub kernel: String,
-    /// Event counters of this run only (the engine's session accumulator
-    /// has them merged already).
+    /// Event counters of this run only (the engine's session counters
+    /// advanced by them as the programs ran).
     pub stats: ExecStats,
     /// Mathematically necessary flops (2 per useful MAC); falls back to
     /// the executed-flop count for kernels without a closed-form count.
@@ -221,7 +221,8 @@ pub enum Details {
     },
 }
 
-/// Meter a finished run into the session and assemble the uniform report.
+/// Count a finished workload on the engine and assemble the uniform
+/// report (the core's counters metered its cycles as they ran).
 pub(crate) fn finish(
     eng: &mut LacEngine,
     name: &str,
@@ -229,7 +230,6 @@ pub(crate) fn finish(
     useful_macs: Option<u64>,
     details: Details,
 ) -> KernelReport {
-    eng.absorb(&stats);
     eng.note_workload();
     let nr = eng.config().nr;
     let (useful_flops, utilization) = match useful_macs {

@@ -18,19 +18,20 @@
 //!   first shards so the shares sum exactly to the budget), enforced per
 //!   core by the simulator's [`LacConfig::ext_words_per_cycle`] hazard
 //!   check;
-//! * the [`Scheduler`] plans each dependency wave *before* execution
-//!   (from deterministic cost hints — see [`crate::service::plan_wave`]),
-//!   so a graph run is reproducible bit-for-bit no matter how the host
-//!   threads interleave;
-//! * the shards then run their buckets in parallel — the calling thread
-//!   runs one core's bucket and a scoped worker each of the others, no
-//!   work stealing — and the per-core [`ExecStats`] deltas are merged
-//!   into a [`ChipStats`] with per-core breakdown, aggregate counters, and
-//!   the makespan (dependency stalls included).
+//! * the coordinator ([`crate::coord`]) picks every job from deterministic
+//!   cost hints under the [`Scheduler`] policy, one pick at a time off an
+//!   index of the ready set, so a graph run is reproducible bit-for-bit no
+//!   matter how the host threads interleave ([`crate::service::plan_wave`]
+//!   is the whole-wave oracle those picks are property-tested against);
+//! * each dispatch batch runs in parallel — the calling thread runs one
+//!   core's share and a scoped worker each of the others, no work
+//!   stealing — and the per-core [`ExecStats`] deltas are merged into a
+//!   [`ChipStats`] with per-core breakdown, aggregate counters, and the
+//!   makespan (dependency stalls included).
 //!
-//! Simulated time and host time are distinct: the makespan is accumulated
-//! from each wave's slowest bucket in *simulated* cycles, which is
-//! independent of host scheduling.
+//! Simulated time and host time are distinct: the makespan is the
+//! simulated clock of the coordinator's event loop, which is independent
+//! of host scheduling.
 
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
@@ -65,8 +66,8 @@ pub trait ChipJob: Send + Sync {
         1
     }
 
-    /// Execute on one core's engine. Stats must be metered into the
-    /// engine's session accumulator (all `LacEngine` run doors do this).
+    /// Execute on one core's engine. The core's counters meter whatever
+    /// the job simulates; the coordinator reads the job's share off them.
     fn run_on(&self, eng: &mut LacEngine) -> Result<Self::Output, SimError>;
 }
 
@@ -133,9 +134,8 @@ impl ChipJob for ProgramJob {
     }
 }
 
-/// Job → core placement policy. Every dependency wave (for a flat queue:
-/// the single wave holding every job) is planned up front from cost hints,
-/// so every policy is deterministic.
+/// Job → core placement policy. Every pick is made from cost hints alone
+/// (never host timing), so every policy is deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scheduler {
     /// Hand ready jobs to cores round-robin in submission order — the
@@ -205,12 +205,10 @@ pub struct ChipConfig {
     /// [`ChipConfig::shard_bandwidth`]). `None` leaves the cores
     /// unconstrained.
     pub ext_words_per_cycle_total: Option<usize>,
-    /// Initial engine-owned bank size per shard, words.
-    pub mem_words_per_core: Option<usize>,
-    /// Which coordinator drives graph runs: lock-step waves (the
-    /// default, the compatibility mode) or the discrete-event core (see
-    /// [`crate::coord`]). Outputs are bit-identical either way; clocks
-    /// may differ.
+    /// Which time model the coordinator runs graphs under: lock-step
+    /// waves (the default, the compatibility mode) or eager event-driven
+    /// dispatch (see [`crate::coord`]). Outputs are bit-identical either
+    /// way; clocks may differ.
     pub sim_mode: SimMode,
 }
 
@@ -222,7 +220,6 @@ impl ChipConfig {
             cores,
             core,
             ext_words_per_cycle_total: None,
-            mem_words_per_core: None,
             sim_mode: SimMode::Wave,
         }
     }
@@ -233,7 +230,7 @@ impl ChipConfig {
         self
     }
 
-    /// Select the coordinator ([`SimMode::Wave`] is the default).
+    /// Select the time model ([`SimMode::Wave`] is the default).
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
         self.sim_mode = mode;
         self
@@ -408,13 +405,10 @@ impl LacChip {
         cfg.assert_budget_conserved();
         let shards = (0..cfg.cores)
             .map(|core| {
-                let mut b = LacEngine::builder()
+                LacEngine::builder()
                     .config(cfg.shard_config(core))
-                    .program_cache(cache.clone());
-                if let Some(words) = cfg.mem_words_per_core {
-                    b = b.mem_words(words);
-                }
-                b.build()
+                    .program_cache(cache.clone())
+                    .build()
             })
             .collect();
         Self {
@@ -457,12 +451,11 @@ impl LacChip {
 
     /// Run a dependency graph of jobs to completion under `sched`.
     ///
-    /// Execution proceeds in deterministic waves over the ready set (see
-    /// the [`crate::service`] module docs): each wave is planned up front
-    /// from the jobs' cost hints, then every core executes its bucket in
-    /// plan order — one core's on the calling thread, each other core's
-    /// on its own scoped worker. Outputs come back in submission order
-    /// regardless of placement.
+    /// The coordinator dispatches ready jobs under the configured time
+    /// model (see [`crate::coord`]), picking each from the jobs' cost
+    /// hints, and every dispatch batch runs one core's share on the
+    /// calling thread and each other core's on its own scoped worker.
+    /// Outputs come back in submission order regardless of placement.
     ///
     /// On a simulation error the earliest *observed* error (by core
     /// index, then bucket position) is returned; the other cores stop

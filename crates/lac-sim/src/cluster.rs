@@ -49,8 +49,8 @@
 //! tenants registered with [`LacCluster::add_tenant`] hold *cluster-wide*
 //! admission budgets ([`LacCluster::enqueue`] charges the same cost-hint
 //! currency whether the graph later lands on one chip or five), and
-//! [`LacCluster::run_admitted`] fuses every admitted graph into one pool,
-//! partitions the pool, and interleaves it wave-by-wave across all chips
+//! [`LacCluster::run_admitted`] appends every admitted graph into one
+//! [`JobGraph`], partitions it, and interleaves it across all chips
 //! under the chosen [`Scheduler`] policy.
 //!
 //! Energy: feed a run's [`ClusterStats`] to
@@ -60,15 +60,16 @@
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, LacChip, Scheduler};
 use crate::compile::ProgramCache;
-use crate::coord::{coordinate, CoordRun, Hints, Plan, SimMode, Topology};
+use crate::coord::{coordinate, Hints, Plan, SimMode, TenantDelta, Topology};
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultPlan;
 use crate::service::{
-    FusedPool, GraphCompletion, GraphTicket, JobGraph, JobId, PendingGraph, Rejected, TenantConfig,
-    TenantId, TenantSession,
+    cap_banked_credit, GraphCompletion, GraphTicket, JobGraph, JobId, PendingGraph, Rejected,
+    TenantConfig, TenantId, TenantSession,
 };
 use crate::stats::ExecStats;
 use crate::trace::EventLog;
+use std::mem::take;
 
 /// Static configuration of a cluster: N chips plus the inter-chip link
 /// model.
@@ -86,18 +87,18 @@ pub struct ClusterConfig {
     /// Fixed latency of one chip-to-chip hop, in simulated cycles, paid
     /// by every cross-chip edge regardless of payload size.
     pub hop_latency_cycles: u64,
-    /// Which coordinator drives cluster runs: lock-step waves (the
-    /// default, the compatibility mode) or the discrete-event core (see
-    /// [`crate::coord`]), which overlaps cut-edge transfers with compute
-    /// and models per-link contention. Outputs are bit-identical either
-    /// way; clocks may differ.
+    /// Which time model the coordinator runs cluster runs under:
+    /// lock-step waves (the default, the compatibility mode) or eager
+    /// event-driven dispatch (see [`crate::coord`]), which overlaps
+    /// cut-edge transfers with compute and models per-link contention.
+    /// Outputs are bit-identical either way; clocks may differ.
     pub sim_mode: SimMode,
 }
 
 impl ClusterConfig {
     /// A cluster of `chips` identical chips with the default link model
     /// (4 words/cycle, 200-cycle hop — a PCIe-class link next to an
-    /// on-chip fabric). The coordinator mode is inherited from the chip
+    /// on-chip fabric). The time model is inherited from the chip
     /// config.
     pub fn homogeneous(chips: usize, chip: ChipConfig) -> Self {
         assert!(chips >= 1, "a cluster has at least one chip");
@@ -117,7 +118,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Select the coordinator ([`SimMode::Wave`] is the default).
+    /// Select the time model ([`SimMode::Wave`] is the default).
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
         self.sim_mode = mode;
         self
@@ -196,8 +197,8 @@ impl Partitioner {
     }
 }
 
-/// The partitioner over raw fused-pool slices (shared by the public
-/// [`Partitioner::partition`] door and the cluster's round fusion).
+/// The partitioner over raw cost and parent slices (shared by the public
+/// [`Partitioner::partition`] door and every cluster run).
 pub(crate) fn partition_costs(
     p: Partitioner,
     costs: &[u64],
@@ -425,12 +426,16 @@ pub struct ClusterRound<T> {
     pub events: EventLog,
 }
 
-/// Lifetime meters of a [`LacCluster`], accumulated across every
-/// completed run since construction.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Lifetime meters of a [`LacCluster`] (and so of a
+/// [`crate::service::LacService`], its one-chip front), accumulated
+/// across every completed run since construction. A failed run folds
+/// nothing in.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClusterSession {
     /// The cluster clock: completed runs' makespans summed, plus explicit
-    /// [`LacCluster::advance_idle`] gaps between rounds.
+    /// [`LacCluster::advance_idle`] gaps between rounds. Every core is
+    /// considered powered for the whole clock, so static/uncore energy
+    /// accrues over it.
     pub clock_cycles: u64,
     /// Completed graph submissions (a round counts every admitted graph).
     pub graphs_run: u64,
@@ -438,6 +443,35 @@ pub struct ClusterSession {
     pub transferred_words: u64,
     /// Modeled link cycles charged over the lifetime.
     pub transfer_cycles: u64,
+    /// Busy stats per global core (chips laid end to end in chip order),
+    /// summed over completed runs.
+    pub per_core: Vec<ExecStats>,
+    /// Jobs each global core ran over completed runs.
+    pub jobs_per_core: Vec<u64>,
+}
+
+impl ClusterSession {
+    /// Jobs completed over the lifetime.
+    pub fn jobs_run(&self) -> u64 {
+        self.jobs_per_core.iter().sum()
+    }
+
+    /// The session as one [`ChipStats`] over every global core whose
+    /// makespan is the cluster clock — for a one-chip cluster, feed this
+    /// to `lac_power::ChipEnergyModel` to price the whole lifetime,
+    /// dependency stalls and between-batch idle included.
+    pub fn chip_stats(&self) -> ChipStats {
+        let mut aggregate = ExecStats::default();
+        for s in &self.per_core {
+            aggregate.merge(s);
+        }
+        ChipStats {
+            per_core: self.per_core.clone(),
+            jobs_per_core: self.jobs_per_core.clone(),
+            makespan_cycles: self.clock_cycles,
+            aggregate,
+        }
+    }
 }
 
 /// A multi-chip deployment: N [`LacChip`]s behind one deterministic
@@ -500,6 +534,7 @@ impl<J: ChipJob> LacCluster<J> {
             .map(|&c| LacChip::with_program_cache(c, program_cache.clone()))
             .collect();
         let dead = vec![false; chips.len()];
+        let cores = cfg.total_cores();
         Self {
             cfg,
             partitioner: Partitioner::CostBins,
@@ -507,7 +542,11 @@ impl<J: ChipJob> LacCluster<J> {
             tenants: Vec::new(),
             pending: Vec::new(),
             next_seq: 0,
-            session: ClusterSession::default(),
+            session: ClusterSession {
+                per_core: vec![ExecStats::default(); cores],
+                jobs_per_core: vec![0; cores],
+                ..ClusterSession::default()
+            },
             fault_plan: FaultPlan::new(),
             dead,
             program_cache,
@@ -534,9 +573,11 @@ impl<J: ChipJob> LacCluster<J> {
 
     /// Merge `plan`'s scheduled kills into the cluster's fault plan.
     /// Ticks are on the session clock ([`ClusterSession::clock_cycles`]);
-    /// each kill fires at the first wave boundary at or after its tick
-    /// and persists — a dead chip stays dead across rounds. See
-    /// [`FaultPlan`] for the full fault model.
+    /// each kill fires at its exact tick in [`SimMode::Event`] and at the
+    /// first wave barrier at or after it in [`SimMode::Wave`] (a tick
+    /// already past fires when the next run starts), and persists — a
+    /// dead chip stays dead across rounds. See [`FaultPlan`] for the full
+    /// fault model.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         for k in plan.kills() {
             assert!(
@@ -653,25 +694,8 @@ impl<J: ChipJob> LacCluster<J> {
         sched: Scheduler,
     ) -> Result<ClusterRun<J::Output>, SimError> {
         let hints = Hints::of(graph);
-        let plan = hints.plan(graph, sched);
-        let partition = self.partition_alive(plan.costs, plan.parents)?;
-        let plan = Plan {
-            chip_of: partition.chip_of.clone(),
-            ..plan
-        };
-        let (run, stats, idle_per_core) = self.run_plan(plan, 1, &|job| &graph.jobs[job])?;
-        Ok(ClusterRun {
-            outputs: run.outputs,
-            partition,
-            assignment: run.assignment,
-            wave_of: run.wave_of,
-            waves: run.wave_ends.len(),
-            wave_end_cycles: run.wave_ends,
-            idle_per_core,
-            transfers: run.transfers,
-            stats,
-            events: run.events,
-        })
+        let (run, _) = self.run_pool(graph, hints.plan(graph, sched), 1)?;
+        Ok(run)
     }
 
     /// Register a tenant on the cluster-wide multi-tenant door. The
@@ -764,8 +788,8 @@ impl<J: ChipJob> LacCluster<J> {
     }
 
     /// Run every admitted graph in one interleaved, sharded round: the
-    /// graphs fuse into a single pool (edges never cross graphs), the
-    /// pool is partitioned across chips, and execution interleaves
+    /// graphs are appended into one [`JobGraph`] (edges never cross
+    /// graphs), which is partitioned across chips, and execution interleaves
     /// wave-by-wave under `sched`, so one tenant's fan-out fills the
     /// dependency stalls of another's serial spine. Under
     /// [`Scheduler::FairShare`] each wave hands out at most one job per
@@ -807,68 +831,106 @@ impl<J: ChipJob> LacCluster<J> {
             self.tenants.len(),
             "one boost slack per registered tenant"
         );
-        let pool = FusedPool::new(std::mem::take(&mut self.pending));
-        let (weights, usage) = pool.fair_share(&self.tenants);
-        let job_of = |job: usize| {
-            let (g, local) = pool.owner[job];
-            &pool.graphs[g].jobs[local]
-        };
-        let done = self
-            .partition_alive(&pool.costs, &pool.parents)
-            .and_then(|partition| {
-                let plan = Plan {
-                    chip_of: partition.chip_of.clone(),
-                    ..pool.plan(sched, &weights, boost, usage)
-                };
-                let graphs = pool.graphs.len() as u64;
-                Ok((partition, self.run_plan(plan, graphs, &job_of)?))
+        // Fuse the round into one graph: the admitted graphs laid end to
+        // end in admission order (edges never cross graphs), their edge
+        // lists moved over and their jobs borrowed where they sit, so no
+        // job or edge is copied; one tenant tag per job.
+        let mut pending = take(&mut self.pending);
+        let edges: Vec<_> = pending
+            .iter_mut()
+            .map(|p| (take(&mut p.graph.parents), take(&mut p.graph.children)))
+            .collect();
+        let jobs = pending.iter().map(|p| p.graph.len()).sum();
+        let mut pool = JobGraph::with_capacity(jobs);
+        let mut tenant_of = Vec::with_capacity(jobs);
+        let mut backlog = vec![0u64; self.tenants.len()];
+        for (p, (parents, children)) in pending.iter().zip(edges) {
+            let t = p.ticket.tenant.index();
+            tenant_of.extend(std::iter::repeat_n(t, p.graph.len()));
+            backlog[t] += p.cost;
+            pool.append(JobGraph {
+                jobs: p.graph.jobs.iter().collect(),
+                parents,
+                children,
             });
+        }
+        let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
+        let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
+        cap_banked_credit(&mut usage, &weights, &backlog);
+        let hints = Hints::tenanted(&pool, tenant_of);
+        let plan = Plan {
+            weights: &weights,
+            boost,
+            usage,
+            ..hints.plan(&pool, sched)
+        };
+        let done = self.run_pool(&pool, plan, pending.len() as u64);
         // The round's admitted cost drains either way, so a failed round
         // cannot pin its tenants' budgets; only a completed round counts
         // its graphs and folds its tenant meters.
-        for (g, &cost) in pool.graph_costs.iter().enumerate() {
-            let session = &mut self.tenants[pool.tickets[g].tenant.index()].1;
-            session.inflight_cost -= cost;
+        for p in &pending {
+            let session = &mut self.tenants[p.ticket.tenant.index()].1;
+            session.inflight_cost -= p.cost;
             session.graphs_completed += u64::from(done.is_ok());
         }
-        let (partition, (run, stats, idle_per_core)) = done?;
-        for ((_, session), delta) in self.tenants.iter_mut().zip(&run.per_tenant) {
+        let (run, per_tenant) = done?;
+        for ((_, session), delta) in self.tenants.iter_mut().zip(&per_tenant) {
             session.busy.merge(&delta.busy);
             session.jobs_run += delta.jobs;
             session.wait_cycles += delta.wait_cycles;
             session.cost_completed += delta.cost_dispatched;
         }
-        let cores = run.global_cores(&self.cfg.topology());
+        // Each graph's completion is its contiguous slice of the pool,
+        // with cores numbered globally (chips laid end to end).
+        let starts: Vec<usize> = self.cfg.topology().chip_ranges().map(|r| r.start).collect();
+        let mut outputs = run.outputs.into_iter();
+        let mut first = 0;
+        let graphs = pending
+            .iter()
+            .map(|p| {
+                let len = p.graph.len();
+                let jobs = first..first + len;
+                first += len;
+                GraphCompletion {
+                    ticket: p.ticket,
+                    outputs: outputs.by_ref().take(len).collect(),
+                    assignment: run.assignment[jobs.clone()]
+                        .iter()
+                        .map(|&(chip, core)| starts[chip] + core)
+                        .collect(),
+                    wave_of: run.wave_of[jobs].to_vec(),
+                }
+            })
+            .collect();
         Ok(ClusterRound {
-            graphs: pool.completions(run.outputs, &cores, &run.wave_of),
-            partition,
-            waves: run.wave_ends.len(),
-            wave_end_cycles: run.wave_ends,
-            idle_per_core,
+            graphs,
+            partition: run.partition,
+            waves: run.waves,
+            wave_end_cycles: run.wave_end_cycles,
+            idle_per_core: run.idle_per_core,
             transfers: run.transfers,
-            stats,
+            stats: run.stats,
             events: run.events,
         })
     }
 
-    /// Coordinate `plan` over every core of every chip (the calling
-    /// thread plus scoped workers on demand), honoring the fault plan on
-    /// the session clock; chips killed
-    /// during the run stay dead for every later run. On success the run of
-    /// `graphs` graphs folds into the session, and its flat per-core meters
-    /// come back split per chip as [`ClusterStats`] plus idle cycles.
-    #[allow(clippy::type_complexity)] // the run plus its per-chip view
-    fn run_plan<'j>(
+    /// The one path [`LacCluster::run_graph`] and every round take:
+    /// partition `plan`'s pool over the alive chips, then coordinate
+    /// `graph` over every core of every chip (the calling thread plus
+    /// scoped workers on demand), honoring the fault plan on the session
+    /// clock; chips killed during the run stay dead for every later run.
+    /// On success the run of `graphs` graphs folds into the session.
+    /// Returns the run and its per-tenant meter deltas.
+    fn run_pool<K: ChipJob<Output = J::Output>>(
         &mut self,
+        graph: &JobGraph<K>,
         plan: Plan<'_>,
         graphs: u64,
-        job_of: &(dyn Fn(usize) -> &'j J + Sync),
-    ) -> Result<(CoordRun<J::Output>, ClusterStats, Vec<Vec<u64>>), SimError>
-    where
-        J: 'j,
-    {
+    ) -> Result<(ClusterRun<J::Output>, Vec<TenantDelta>), SimError> {
+        let partition = self.partition_alive(plan.costs, plan.parents)?;
         let topo = self.cfg.topology();
         let plan = Plan {
+            chip_of: partition.chip_of.clone(),
             faults: self.fault_plan.kills(),
             base: self.session.clock_cycles,
             ..plan
@@ -878,7 +940,18 @@ impl<J: ChipJob> LacCluster<J> {
             .iter_mut()
             .flat_map(|chip| chip.shards_mut().iter_mut())
             .collect();
-        let run = coordinate(&topo, plan, &mut self.dead, shards, job_of)?;
+        let run = coordinate(&topo, plan, &mut self.dead, shards, &|job| &graph.jobs[job])?;
+        let session = &mut self.session;
+        session.clock_cycles += run.makespan;
+        session.graphs_run += graphs;
+        session.transferred_words += run.transferred_words;
+        session.transfer_cycles += run.transfer_cycles;
+        for (total, s) in session.per_core.iter_mut().zip(&run.per_core) {
+            total.merge(s);
+        }
+        for (total, n) in session.jobs_per_core.iter_mut().zip(&run.jobs_per_core) {
+            *total += n;
+        }
         let mut aggregate = ExecStats::default();
         for s in &run.per_core {
             aggregate.merge(s);
@@ -891,15 +964,23 @@ impl<J: ChipJob> LacCluster<J> {
             transfer_stall_cycles: run.stall_cycles,
             aggregate,
         };
-        let idle = topo
+        let idle_per_core = topo
             .chip_ranges()
             .map(|r| run.idle_per_core[r].to_vec())
             .collect();
-        self.session.clock_cycles += run.makespan;
-        self.session.graphs_run += graphs;
-        self.session.transferred_words += run.transferred_words;
-        self.session.transfer_cycles += run.transfer_cycles;
-        Ok((run, stats, idle))
+        let cluster_run = ClusterRun {
+            outputs: run.outputs,
+            partition,
+            assignment: run.assignment,
+            wave_of: run.wave_of,
+            waves: run.wave_ends.len(),
+            wave_end_cycles: run.wave_ends,
+            idle_per_core,
+            transfers: run.transfers,
+            stats,
+            events: run.events,
+        };
+        Ok((cluster_run, run.per_tenant))
     }
 }
 

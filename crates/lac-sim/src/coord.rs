@@ -163,9 +163,9 @@ pub(crate) struct Plan<'a> {
     pub(crate) chip_of: Vec<usize>,
 }
 
-/// Per-job hints of one untenanted graph — the shape the `run_graph`
-/// doors coordinate: every job belongs to one anonymous tenant with
-/// fresh usage.
+/// Per-job hints of one graph plus its tenant tags. An untenanted graph
+/// (the `run_graph` doors) puts every job in one anonymous tenant with
+/// fresh usage; a round's fused graph tags each job with its tenant.
 pub(crate) struct Hints {
     costs: Vec<u64>,
     transfer_words: Vec<u64>,
@@ -173,16 +173,24 @@ pub(crate) struct Hints {
 }
 
 impl Hints {
-    /// Read `graph`'s cost and transfer hints.
+    /// Read `graph`'s cost and transfer hints; every job is tenant 0.
     pub(crate) fn of<J: ChipJob>(graph: &JobGraph<J>) -> Self {
+        Self::tenanted(graph, vec![0; graph.len()])
+    }
+
+    /// Read `graph`'s cost and transfer hints, with `tenant_of[j]` job
+    /// `j`'s tenant index.
+    pub(crate) fn tenanted<J: ChipJob>(graph: &JobGraph<J>, tenant_of: Vec<usize>) -> Self {
         Self {
             costs: graph.jobs.iter().map(|j| j.cost_hint()).collect(),
             transfer_words: graph.jobs.iter().map(|j| j.transfer_words()).collect(),
-            tenant_of: vec![0; graph.len()],
+            tenant_of,
         }
     }
 
-    /// The fault-free, single-chip plan of `graph` under `sched`.
+    /// The fault-free, single-chip, single-tenant plan of `graph` under
+    /// `sched` (a round overrides the tenancy, a cluster the placement
+    /// and faults).
     pub(crate) fn plan<'a, J>(&'a self, graph: &'a JobGraph<J>, sched: Scheduler) -> Plan<'a> {
         Plan {
             costs: &self.costs,
@@ -322,15 +330,6 @@ impl<T> CoordRun<T> {
             makespan_cycles: self.makespan,
             aggregate,
         }
-    }
-
-    /// Each job's global core index (chips laid end to end).
-    pub(crate) fn global_cores(&self, topo: &Topology) -> Vec<usize> {
-        let starts: Vec<usize> = topo.chip_ranges().map(|r| r.start).collect();
-        self.assignment
-            .iter()
-            .map(|&(chip, core)| starts[chip] + core)
-            .collect()
     }
 
     /// A one-chip run as the chip door reports it.

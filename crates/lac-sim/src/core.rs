@@ -216,7 +216,9 @@ impl Lac {
         &self.cfg
     }
 
-    /// Stats accumulated so far.
+    /// Stats accumulated so far (zeroed by
+    /// [`crate::LacEngine::reset_session`]; an engine's session is these
+    /// counters).
     pub fn stats(&self) -> &ExecStats {
         &self.stats
     }
@@ -285,7 +287,8 @@ impl Lac {
     }
 
     /// Crate-internal: the stats accumulator (the compiled backend merges
-    /// a run's static counters in one shot).
+    /// a run's static counters in one shot; the engine zeroes it on a
+    /// session reset).
     pub(crate) fn stats_mut(&mut self) -> &mut ExecStats {
         &mut self.stats
     }

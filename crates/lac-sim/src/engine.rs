@@ -6,27 +6,20 @@
 //! Cholesky factorizations inside an interior-point solver) queues many
 //! workloads against the *same* core. `LacEngine` models that session: it
 //! is built once from a [`LacConfig`], keeps the architectural state of the
-//! core alive between runs, meters every executed program into a session
-//! [`ExecStats`] accumulator, and exposes the derived metrics (cycles,
+//! core alive between runs, and exposes the derived metrics (cycles,
 //! flops, utilization, bandwidth) the paper reports. Energy comes from
-//! feeding the accumulated stats to `lac-power` (see that crate's
+//! feeding the session stats to `lac-power` (see that crate's
 //! `SessionEnergy` extension trait).
 //!
-//! Work is metered into the session through three doors:
-//!
-//! * [`LacEngine::run_program`] — execute a program against the
-//!   engine-owned memory bank (staged with [`LacEngine::load_image`]);
-//! * [`LacEngine::run_staged`] — execute a program against a
-//!   caller-staged private bank;
-//! * [`LacEngine::absorb`] — fold driver-measured [`ExecStats`] into the
-//!   session. This is the door the `Workload` implementations in
-//!   `lac-kernels` use: their blocked drivers run many programs against
-//!   re-packed operand images (via [`LacEngine::parts`] /
-//!   [`LacEngine::core_mut`]) and absorb the summed stats once per
-//!   workload.
-//!
-//! All three meter into the session accumulator, so a session's numbers
-//! are complete no matter how its workloads stage memory.
+//! The core's counters are the session. Every cycle the core simulates
+//! lands in them, whichever door ran the program:
+//! [`LacEngine::run_program`] (the engine-owned bank, staged with
+//! [`LacEngine::load_image`]), [`LacEngine::run_staged`] (a caller-staged
+//! bank), or a kernel driver running programs on the core directly (via
+//! [`LacEngine::parts`] / [`LacEngine::core_mut`]), as the `Workload`
+//! implementations in `lac-kernels` do. [`LacEngine::session_stats`]
+//! reads those counters and [`LacEngine::reset_session`] zeroes them, so
+//! no second accumulator can fall out of step with the machine.
 
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
@@ -79,15 +72,14 @@ impl LacEngineBuilder {
         LacEngine {
             lac,
             mem: ExternalMem::new(self.mem_words.unwrap_or(DEFAULT_MEM_WORDS)),
-            session: ExecStats::default(),
             programs_run: 0,
             workloads_run: 0,
         }
     }
 }
 
-/// A simulation session: one core plus its external-memory bank, with
-/// stats accumulated across every program run through it.
+/// A simulation session: one core plus its external-memory bank, metered
+/// by the core's own counters across every program run on it.
 ///
 /// ```
 /// use lac_sim::{ExtOp, LacConfig, LacEngine, ProgramBuilder, Source};
@@ -119,7 +111,6 @@ impl LacEngineBuilder {
 pub struct LacEngine {
     lac: Lac,
     mem: ExternalMem,
-    session: ExecStats,
     programs_run: u64,
     workloads_run: u64,
 }
@@ -172,10 +163,9 @@ impl LacEngine {
     }
 
     /// Execute a program against the engine-owned memory bank. Returns the
-    /// per-run stats delta; the session accumulator is updated too.
+    /// per-run stats delta (the session counters advance by it).
     pub fn run_program(&mut self, prog: &Program) -> Result<ExecStats, SimError> {
         let stats = self.lac.run(prog, &mut self.mem)?;
-        self.session.merge(&stats);
         self.programs_run += 1;
         Ok(stats)
     }
@@ -189,18 +179,8 @@ impl LacEngine {
         mem: &mut ExternalMem,
     ) -> Result<ExecStats, SimError> {
         let stats = self.lac.run(prog, mem)?;
-        self.session.merge(&stats);
         self.programs_run += 1;
         Ok(stats)
-    }
-
-    /// Fold driver-measured stats into the session — the door used by
-    /// `Workload` implementations, whose drivers run programs directly on
-    /// the core (via [`LacEngine::parts`] / [`LacEngine::core_mut`]) and
-    /// report the summed stats. Does not bump [`LacEngine::programs_run`],
-    /// which counts only programs executed by the engine itself.
-    pub fn absorb(&mut self, stats: &ExecStats) {
-        self.session.merge(stats);
     }
 
     /// Called by `Workload::run` implementations when a workload completes.
@@ -208,16 +188,18 @@ impl LacEngine {
         self.workloads_run += 1;
     }
 
-    /// Stats accumulated across every run since construction (or the last
-    /// [`LacEngine::reset_session`]).
+    /// The core's counters: every cycle simulated since construction (or
+    /// the last [`LacEngine::reset_session`]), failed runs' partial cycles
+    /// included — sessions meter, they do not roll back.
     pub fn session_stats(&self) -> &ExecStats {
-        &self.session
+        self.lac.stats()
     }
 
     /// Programs executed through the engine's own run doors
     /// ([`LacEngine::run_program`] / [`LacEngine::run_staged`]) this
-    /// session. Stats folded in via [`LacEngine::absorb`] are not
-    /// program-counted — use [`LacEngine::workloads_run`] for those.
+    /// session. Programs a kernel driver runs on the core directly are
+    /// metered but not program-counted — use [`LacEngine::workloads_run`]
+    /// for those.
     pub fn programs_run(&self) -> u64 {
         self.programs_run
     }
@@ -227,10 +209,11 @@ impl LacEngine {
         self.workloads_run
     }
 
-    /// Zero the session accumulator (core state is kept — sessions meter,
-    /// they do not reset the machine).
+    /// Zero the core's counters and the run counts. Architectural state
+    /// (stores, registers, accumulators) is kept: sessions meter, they do
+    /// not reset the machine.
     pub fn reset_session(&mut self) {
-        self.session = ExecStats::default();
+        *self.lac.stats_mut() = ExecStats::default();
         self.programs_run = 0;
         self.workloads_run = 0;
     }
@@ -239,22 +222,22 @@ impl LacEngine {
 
     /// Total simulated cycles this session.
     pub fn cycles(&self) -> u64 {
-        self.session.cycles
+        self.session_stats().cycles
     }
 
     /// Total floating-point operations this session.
     pub fn flops(&self) -> u64 {
-        self.session.flops()
+        self.session_stats().flops()
     }
 
     /// MAC-slot utilization against the core's peak over the session.
     pub fn utilization(&self) -> f64 {
-        self.session.utilization(self.lac.config().nr)
+        self.session_stats().utilization(self.lac.config().nr)
     }
 
     /// Average external words moved per cycle over the session.
     pub fn ext_words_per_cycle(&self) -> f64 {
-        self.session.ext_words_per_cycle()
+        self.session_stats().ext_words_per_cycle()
     }
 }
 
@@ -320,8 +303,8 @@ mod tests {
         assert_eq!(eng.cycles(), 0);
         assert_eq!(eng.programs_run(), 0);
         assert_eq!(eng.workloads_run(), 0);
-        // Core lifetime stats are untouched — the machine was not reset.
-        assert!(eng.core().stats().cycles > 0);
+        // The core's counters are the session: the reset zeroed them.
+        assert_eq!(*eng.core().stats(), ExecStats::default());
     }
 
     #[test]

@@ -55,8 +55,7 @@ pub use isa::{
 };
 pub use service::{
     plan_wave, plan_wave_tenanted, plan_wave_tenanted_slo, GraphCompletion, GraphRun, GraphTicket,
-    JobGraph, JobId, LacService, Rejected, ServiceRound, ServiceSession, TenantConfig, TenantId,
-    TenantSession,
+    JobGraph, JobId, LacService, Rejected, ServiceRound, TenantConfig, TenantId, TenantSession,
 };
 pub use stats::ExecStats;
 pub use trace::{EventLog, TraceEvent};

@@ -13,15 +13,17 @@
 //!   on previously added jobs (`add_after` / `add_dep`). Because an edge
 //!   can only point backwards, the graph is acyclic by construction. A job
 //!   becomes *ready* only when all its parents completed.
-//! * **Deterministic wave dispatch** — execution proceeds in waves over
-//!   the ready set. Each wave is planned up front from cost hints by the
-//!   [`Scheduler`] policy ([`plan_wave`]): `Fifo` round-robins in job-id
+//! * **Deterministic dispatch** — the coordinator ([`crate::coord`])
+//!   hands ready jobs to cores under the [`Scheduler`] policy, picking
+//!   each off an index of the ready set: `Fifo` round-robins in job-id
 //!   order, `LeastLoaded` greedily balances estimated load, and
 //!   [`Scheduler::CriticalPath`] serves the longest remaining cost-hint
 //!   path first (classic critical-path list scheduling — on a flat graph
-//!   it degenerates to longest-processing-time-first). Planning never
-//!   looks at host timing, so a graph run is reproducible bit-for-bit no
-//!   matter how the OS schedules the workers.
+//!   it degenerates to longest-processing-time-first). [`plan_wave`]
+//!   plans a whole wave the same way and is the oracle the picks are
+//!   checked against in debug builds. Picks never look at host timing,
+//!   so a graph run is reproducible bit-for-bit no matter how the OS
+//!   schedules the workers.
 //! * **Simulated clock with idle accounting** — a wave's simulated span is
 //!   its slowest core's bucket; cores with lighter buckets accrue idle
 //!   cycles. The makespan is the sum of wave spans, so chip utilization
@@ -30,10 +32,11 @@
 //! * **[`LacService`]** — the one-chip front of
 //!   [`LacCluster`]: every submission and
 //!   round runs through the cluster door (and so through the
-//!   coordinator's one worker pool), and the service accumulates
-//!   a [`ServiceSession`]: per-core meters, a service clock summing
-//!   submission makespans (plus explicit [`LacService::advance_idle`]
-//!   gaps between batches), and graph/job counts.
+//!   coordinator's one worker pool), and the cluster's
+//!   [`ClusterSession`] is the service session: per-core meters, a clock
+//!   summing submission makespans (plus explicit
+//!   [`LacService::advance_idle`] gaps between batches), and graph/job
+//!   counts.
 //!   `session().chip_stats()` prices the whole service lifetime through
 //!   `lac_power::ChipEnergyModel`, idle included.
 //! * **Multi-tenant streaming admission** — many clients ([`TenantId`]s
@@ -60,9 +63,8 @@
 //! order, so shared-state workloads stay bit-deterministic.
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, Scheduler};
-use crate::cluster::{ClusterConfig, LacCluster};
+use crate::cluster::{ClusterConfig, ClusterSession, LacCluster};
 use crate::compile::ProgramCache;
-use crate::coord::Plan;
 use crate::error::SimError;
 use crate::stats::ExecStats;
 use crate::trace::EventLog;
@@ -79,8 +81,8 @@ impl JobId {
         self.0
     }
 
-    /// Crate-internal constructor (the cluster coordinator rebuilds ids
-    /// from fused-pool indices).
+    /// Crate-internal constructor (the partitioner and the coordinator
+    /// name cut edges and transfers by job index).
     pub(crate) fn from_index(i: usize) -> Self {
         JobId(i)
     }
@@ -128,6 +130,16 @@ impl<J> JobGraph<J> {
             jobs: Vec::new(),
             parents: Vec::new(),
             children: Vec::new(),
+        }
+    }
+
+    /// An empty graph with room for `jobs` jobs (a round fuses its
+    /// admitted graphs into one without regrowing).
+    pub(crate) fn with_capacity(jobs: usize) -> Self {
+        Self {
+            jobs: Vec::with_capacity(jobs),
+            parents: Vec::with_capacity(jobs),
+            children: Vec::with_capacity(jobs),
         }
     }
 
@@ -201,21 +213,14 @@ impl<J> JobGraph<J> {
     /// callers can keep addressing the appended component (e.g. the fleet
     /// builders in `lac-kernels` that fuse many independent solver loops
     /// into one cluster submission).
-    pub fn append(&mut self, other: JobGraph<J>) -> Vec<JobId> {
+    pub fn append(&mut self, mut other: JobGraph<J>) -> Vec<JobId> {
         let offset = self.jobs.len();
-        self.jobs.extend(other.jobs);
-        self.parents.extend(
-            other
-                .parents
-                .into_iter()
-                .map(|ps| ps.into_iter().map(|p| p + offset).collect::<Vec<_>>()),
-        );
-        self.children.extend(
-            other
-                .children
-                .into_iter()
-                .map(|cs| cs.into_iter().map(|c| c + offset).collect::<Vec<_>>()),
-        );
+        for ids in other.parents.iter_mut().chain(&mut other.children) {
+            ids.iter_mut().for_each(|id| *id += offset);
+        }
+        self.jobs.append(&mut other.jobs);
+        self.parents.append(&mut other.parents);
+        self.children.append(&mut other.children);
         (offset..self.jobs.len()).map(JobId).collect()
     }
 
@@ -491,7 +496,7 @@ impl TenantConfig {
 
 /// Lifetime meters of one tenant, accumulated across every completed
 /// round — the per-tenant counterpart of the service-wide
-/// [`ServiceSession`]. Feed `busy` per tenant to
+/// [`ClusterSession`]. Feed `busy` per tenant to
 /// `lac_power::ChipEnergyModel::attribute` (with the service clock as the
 /// wall) for per-tenant energy.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -527,7 +532,7 @@ impl TenantSession {
 
     /// Completed cost hints per simulated kilocycle of `clock` — the
     /// tenant's throughput over a service lifetime (use
-    /// [`ServiceSession::clock_cycles`]).
+    /// [`ClusterSession::clock_cycles`]).
     pub fn throughput_per_kcycle(&self, clock_cycles: u64) -> f64 {
         if clock_cycles == 0 {
             return 0.0;
@@ -578,135 +583,6 @@ pub(crate) struct PendingGraph<J> {
     pub(crate) ticket: GraphTicket,
     pub(crate) graph: JobGraph<J>,
     pub(crate) cost: u64,
-}
-
-/// The admitted graphs of one round fused into a single job pool: jobs
-/// renumbered densely in admission order, edges re-based (edges never
-/// cross graphs), per-job tenant tags, and the bookkeeping to slice the
-/// fused outputs back into per-graph completions afterwards.
-pub(crate) struct FusedPool<J: ChipJob> {
-    pub(crate) costs: Vec<u64>,
-    pub(crate) transfer_words: Vec<u64>,
-    pub(crate) parents: Vec<Vec<usize>>,
-    pub(crate) children: Vec<Vec<usize>>,
-    pub(crate) tenant_of: Vec<usize>,
-    /// Global job index → (graph index, job index within that graph).
-    pub(crate) owner: Vec<(usize, usize)>,
-    pub(crate) tickets: Vec<GraphTicket>,
-    pub(crate) graph_costs: Vec<u64>,
-    pub(crate) graphs: Vec<JobGraph<J>>,
-}
-
-impl<J: ChipJob> FusedPool<J> {
-    pub(crate) fn new(pending: Vec<PendingGraph<J>>) -> Self {
-        let mut pool = FusedPool {
-            costs: Vec::new(),
-            transfer_words: Vec::new(),
-            parents: Vec::new(),
-            children: Vec::new(),
-            tenant_of: Vec::new(),
-            owner: Vec::new(),
-            tickets: Vec::with_capacity(pending.len()),
-            graph_costs: Vec::with_capacity(pending.len()),
-            graphs: Vec::with_capacity(pending.len()),
-        };
-        for (g, p) in pending.into_iter().enumerate() {
-            let offset = pool.costs.len();
-            pool.tickets.push(p.ticket);
-            pool.graph_costs.push(p.cost);
-            pool.costs
-                .extend(p.graph.jobs.iter().map(|j| j.cost_hint()));
-            pool.transfer_words
-                .extend(p.graph.jobs.iter().map(|j| j.transfer_words()));
-            pool.parents.extend(
-                p.graph
-                    .parents
-                    .iter()
-                    .map(|ps| ps.iter().map(|&j| j + offset).collect::<Vec<_>>()),
-            );
-            pool.children.extend(
-                p.graph
-                    .children
-                    .iter()
-                    .map(|cs| cs.iter().map(|&j| j + offset).collect::<Vec<_>>()),
-            );
-            pool.tenant_of
-                .extend(std::iter::repeat_n(p.ticket.tenant.0, p.graph.jobs.len()));
-            pool.owner
-                .extend((0..p.graph.jobs.len()).map(|local| (g, local)));
-            pool.graphs.push(p.graph);
-        }
-        pool
-    }
-
-    /// The round's fair-share inputs: every tenant's weight, and its
-    /// usage so far with banked credit capped at its pending cost in this
-    /// pool (see [`cap_banked_credit`]).
-    pub(crate) fn fair_share(
-        &self,
-        tenants: &[(TenantConfig, TenantSession)],
-    ) -> (Vec<u64>, Vec<u64>) {
-        let weights: Vec<u64> = tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
-        let mut usage: Vec<u64> = tenants.iter().map(|(_, s)| s.cost_completed).collect();
-        let mut backlog = vec![0u64; tenants.len()];
-        for (g, &cost) in self.graph_costs.iter().enumerate() {
-            backlog[self.tickets[g].tenant.0] += cost;
-        }
-        cap_banked_credit(&mut usage, &weights, &backlog);
-        (weights, usage)
-    }
-
-    /// The pool as a fault-free, single-chip run plan under `sched`;
-    /// cluster rounds override placement and faults.
-    pub(crate) fn plan<'a>(
-        &'a self,
-        sched: Scheduler,
-        weights: &'a [u64],
-        boost: &'a [u64],
-        usage: Vec<u64>,
-    ) -> Plan<'a> {
-        Plan {
-            costs: &self.costs,
-            transfer_words: &self.transfer_words,
-            parents: &self.parents,
-            children: &self.children,
-            tenant_of: &self.tenant_of,
-            weights,
-            boost,
-            faults: &[],
-            base: 0,
-            sched,
-            usage,
-            chip_of: vec![0; self.costs.len()],
-        }
-    }
-
-    /// Slice fused per-job vectors back into per-graph completions, in
-    /// admission (ticket) order.
-    pub(crate) fn completions<T>(
-        &self,
-        outputs: Vec<T>,
-        assignment: &[usize],
-        wave_of: &[usize],
-    ) -> Vec<GraphCompletion<T>> {
-        let mut completions: Vec<GraphCompletion<T>> = self
-            .tickets
-            .iter()
-            .map(|&ticket| GraphCompletion {
-                ticket,
-                outputs: Vec::new(),
-                assignment: Vec::new(),
-                wave_of: Vec::new(),
-            })
-            .collect();
-        for (job, out) in outputs.into_iter().enumerate() {
-            let (g, _) = self.owner[job];
-            completions[g].outputs.push(out);
-            completions[g].assignment.push(assignment[job]);
-            completions[g].wave_of.push(wave_of[job]);
-        }
-        completions
-    }
 }
 
 /// Cap banked fair-share deficit credit at each tenant's own backlog — the
@@ -773,46 +649,6 @@ pub struct ServiceRound<T> {
     pub events: EventLog,
 }
 
-/// Lifetime meters of a [`LacService`], accumulated across every
-/// submission (and explicit idle gaps) since construction.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServiceSession {
-    /// Per-core busy stats summed over all completed submissions.
-    pub per_core: Vec<ExecStats>,
-    /// Jobs each core completed over the service lifetime.
-    pub jobs_per_core: Vec<u64>,
-    /// The service clock: submission makespans plus
-    /// [`LacService::advance_idle`] gaps. Cores are considered powered for
-    /// the whole clock, so static/uncore energy accrues over it.
-    pub clock_cycles: u64,
-    /// Completed graph submissions.
-    pub graphs_run: u64,
-}
-
-impl ServiceSession {
-    /// Jobs completed over the service lifetime.
-    pub fn jobs_run(&self) -> u64 {
-        self.jobs_per_core.iter().sum()
-    }
-
-    /// The session as a [`ChipStats`] whose makespan is the service clock —
-    /// feed this to `lac_power::ChipEnergyModel` to price the whole
-    /// service lifetime, dependency stalls and between-batch idle
-    /// included.
-    pub fn chip_stats(&self) -> ChipStats {
-        let mut aggregate = ExecStats::default();
-        for s in &self.per_core {
-            aggregate.merge(s);
-        }
-        ChipStats {
-            per_core: self.per_core.clone(),
-            jobs_per_core: self.jobs_per_core.clone(),
-            makespan_cycles: self.clock_cycles,
-            aggregate,
-        }
-    }
-}
-
 /// A multi-core submission service: one chip whose shards stay warm
 /// across submissions (architectural state and session meters persist),
 /// so a solver loop submits round after round against the same engines.
@@ -851,7 +687,6 @@ impl ServiceSession {
 /// ```
 pub struct LacService<J: ChipJob> {
     cluster: LacCluster<J>,
-    session: ServiceSession,
 }
 
 impl<J: ChipJob> LacService<J> {
@@ -862,12 +697,6 @@ impl<J: ChipJob> LacService<J> {
     pub fn new(cfg: ChipConfig) -> Self {
         Self {
             cluster: LacCluster::new(ClusterConfig::homogeneous(1, cfg)),
-            session: ServiceSession {
-                per_core: vec![ExecStats::default(); cfg.cores],
-                jobs_per_core: vec![0; cfg.cores],
-                clock_cycles: 0,
-                graphs_run: 0,
-            },
         }
     }
 
@@ -886,8 +715,8 @@ impl<J: ChipJob> LacService<J> {
         self.config().cores
     }
 
-    /// Run a job graph to completion under `sched` and fold its meters
-    /// into the service session.
+    /// Run a job graph to completion under `sched`; its meters fold into
+    /// the session.
     ///
     /// On a simulation error the earliest *observed* failure's error (by
     /// core index, then bucket position; see
@@ -903,8 +732,6 @@ impl<J: ChipJob> LacService<J> {
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
         let mut run = self.cluster.run_graph(&graph, sched)?;
-        let stats = run.stats.per_chip.swap_remove(0);
-        self.record(&stats, 1);
         Ok(GraphRun {
             outputs: run.outputs,
             assignment: run.assignment.into_iter().map(|(_, core)| core).collect(),
@@ -912,20 +739,9 @@ impl<J: ChipJob> LacService<J> {
             waves: run.waves,
             wave_end_cycles: run.wave_end_cycles,
             idle_per_core: run.idle_per_core.swap_remove(0),
-            stats,
+            stats: run.stats.per_chip.swap_remove(0),
             events: run.events,
         })
-    }
-
-    /// Fold a completed run of `graphs` graphs into the session meters:
-    /// one clock advance, however many graphs ran interleaved.
-    fn record(&mut self, stats: &ChipStats, graphs: u64) {
-        for c in 0..self.session.per_core.len() {
-            self.session.per_core[c].merge(&stats.per_core[c]);
-            self.session.jobs_per_core[c] += stats.jobs_per_core[c];
-        }
-        self.session.clock_cycles += stats.makespan_cycles;
-        self.session.graphs_run += graphs;
     }
 
     /// Register a tenant on the multi-tenant submission door. Tenants are
@@ -995,14 +811,12 @@ impl<J: ChipJob> LacService<J> {
         boost: &[u64],
     ) -> Result<ServiceRound<J::Output>, SimError> {
         let mut round = self.cluster.run_admitted_boosted(sched, boost)?;
-        let stats = round.stats.per_chip.swap_remove(0);
-        self.record(&stats, round.graphs.len() as u64);
         Ok(ServiceRound {
             graphs: round.graphs,
             waves: round.waves,
             wave_end_cycles: round.wave_end_cycles,
             idle_per_core: round.idle_per_core.swap_remove(0),
-            stats,
+            stats: round.stats.per_chip.swap_remove(0),
             events: round.events,
         })
     }
@@ -1012,12 +826,13 @@ impl<J: ChipJob> LacService<J> {
     /// accrues while busy counters do not.
     pub fn advance_idle(&mut self, cycles: u64) {
         self.cluster.advance_idle(cycles);
-        self.session.clock_cycles += cycles;
     }
 
-    /// Lifetime meters across every submission since construction.
-    pub fn session(&self) -> &ServiceSession {
-        &self.session
+    /// Lifetime meters across every submission since construction: the
+    /// one-chip cluster's session (`chip_stats()` prices the service
+    /// lifetime, idle included).
+    pub fn session(&self) -> &ClusterSession {
+        self.cluster.session()
     }
 }
 

@@ -78,12 +78,14 @@ pub enum TraceEvent {
         end: u64,
     },
     /// A chip died: a scheduled [`crate::fault::FaultPlan`] kill was
-    /// applied at a wave boundary.
+    /// applied.
     Fault {
         /// The chip that died.
         chip: usize,
-        /// Simulated tick the fault was applied (the first wave boundary
-        /// at or after the scheduled kill tick).
+        /// Simulated tick the fault was applied: the scheduled kill tick
+        /// in [`crate::SimMode::Event`], the first wave barrier at or
+        /// after it in [`crate::SimMode::Wave`] (or the run's start when
+        /// the tick was already past).
         tick: u64,
     },
     /// One job reassigned off a dead chip onto a survivor.

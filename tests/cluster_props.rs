@@ -11,11 +11,13 @@
 //!   are never charged;
 //! * an N=1 cluster is bit-identical to the single-chip
 //!   `LacChip::run_graph` — outputs, per-core stats, makespan, waves;
-//! * reruns are bit-identical, and outputs are partition-independent.
+//! * reruns are bit-identical, and outputs are partition-independent;
+//! * a one-graph round through one fresh weight-1 tenant equals
+//!   `run_graph` on the same graph in every output, clock and meter.
 
 use lap::lac_sim::{
     ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacChip, LacCluster, LacConfig,
-    LacEngine, Partitioner, Scheduler, SimError,
+    LacEngine, Partitioner, Scheduler, SimError, SimMode, TenantConfig,
 };
 use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
@@ -265,5 +267,56 @@ proptest! {
         let stripe_run = striped.run_graph(&graph, sched).unwrap();
         prop_assert_eq!(&first.outputs, &stripe_run.outputs,
             "partitioning changed functional results");
+    }
+
+    // `run_graph` and a tenant round share one path. With one graph
+    // admitted through one fresh weight-1 tenant the round plans exactly
+    // what `run_graph` plans, so on the same graph and fresh clusters the
+    // two doors agree on everything they report.
+    #[test]
+    fn a_one_graph_round_equals_run_graph(
+        extras in prop::collection::vec(0usize..10, 1..20),
+        seeds in prop::collection::vec(any::<u64>(), 8..9),
+        chips in 1usize..=3,
+        cores in 1usize..=3,
+        which in any::<u8>(),
+        event in any::<bool>(),
+        striped in any::<bool>(),
+    ) {
+        let sched = [
+            Scheduler::Fifo,
+            Scheduler::LeastLoaded,
+            Scheduler::CriticalPath,
+            Scheduler::FairShare,
+        ][which as usize % 4];
+        let mode = if event { SimMode::Event } else { SimMode::Wave };
+        let partitioner = if striped { Partitioner::Striped } else { Partitioner::CostBins };
+        let fresh = || -> LacCluster<SizedJob> {
+            let chip = ChipConfig::new(cores, LacConfig::default()).with_sim_mode(mode);
+            LacCluster::new(ClusterConfig::homogeneous(chips, chip)).with_partitioner(partitioner)
+        };
+        let (graph, _) = random_dag(&extras, &seeds);
+        let mut door = fresh();
+        let run = door.run_graph(&graph, sched).unwrap();
+        let mut rounds = fresh();
+        let t = rounds.add_tenant(TenantConfig::new("only"));
+        rounds.enqueue(t, graph).unwrap();
+        let round = rounds.run_admitted(sched).unwrap();
+
+        prop_assert_eq!(round.graphs.len(), 1);
+        let done = &round.graphs[0];
+        prop_assert_eq!(&done.outputs, &run.outputs);
+        let global: Vec<usize> =
+            run.assignment.iter().map(|&(chip, core)| chip * cores + core).collect();
+        prop_assert_eq!(&done.assignment, &global);
+        prop_assert_eq!(&done.wave_of, &run.wave_of);
+        prop_assert_eq!(round.waves, run.waves);
+        prop_assert_eq!(&round.wave_end_cycles, &run.wave_end_cycles);
+        prop_assert_eq!(&round.idle_per_core, &run.idle_per_core);
+        prop_assert_eq!(&round.partition, &run.partition);
+        prop_assert_eq!(&round.stats, &run.stats);
+        prop_assert_eq!(&round.transfers, &run.transfers);
+        prop_assert_eq!(&round.events, &run.events);
+        prop_assert_eq!(rounds.session(), door.session());
     }
 }
