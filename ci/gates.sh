@@ -52,9 +52,9 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# Gate 4: one coordinator, one timing loop. Every door (chip, cluster,
-# and the service as a one-chip cluster) describes its shards as a
-# topology and calls `coord::coordinate`, whose one `drive` loop runs both
+# Gate 4: one coordinator, one timing loop. Every door (the cluster, and
+# the service as a one-chip cluster) describes its shards as a topology
+# and calls `coord::coordinate`, whose one `drive` loop runs both
 # time models: `SimMode::Wave` is only a dispatch rule (dispatch when every
 # core is idle, finish at the barrier) on the event heap. A `SimMode` match
 # arm anywhere — coord.rs included — or a second `fn drive_*` loop would
@@ -70,7 +70,7 @@ fi
 # Gate 5: one worker pool. The calling thread plus the coordinator's
 # scoped workers (spawned on demand inside `coord::coordinate`, one per
 # other core a multi-core dispatch batch needs) are the only threads that
-# run jobs; every door — chip, service, cluster — reaches them through
+# run jobs; every door — service, cluster — reaches them through
 # that one call. A `thread::spawn` anywhere in library, example or bench
 # code would be a second pool with its own lifetime, channels and failure
 # handling. (Test-only `thread::scope` races in memo.rs and compile.rs are

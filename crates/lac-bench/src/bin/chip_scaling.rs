@@ -1,7 +1,7 @@
 //! Multi-core chip scaling: the Chapter 4 story, executed.
 //!
 //! A fixed queue of blocked-GEMM jobs (the row-panel decomposition of one
-//! big `C += A·B`) is dispatched onto a `LacChip` with 1 → 16 cores, the
+//! big `C += A·B`) is dispatched onto one chip with 1 → 16 cores, the
 //! aggregate external bandwidth growing with the core count (the paper's
 //! per-core `x = 4` words/cycle share). For every core count the simulated
 //! chip utilization is compared against the `ChipGemmModel` prediction at
@@ -17,8 +17,8 @@ use lac_kernels::{gemm_program, GemmDataLayout, GemmParams};
 use lac_model::ChipGemmModel;
 use lac_power::ChipEnergyModel;
 use lac_sim::{
-    ChipConfig, ChipJob, ExecStats, JobGraph, LacChip, LacConfig, LacEngine, Program, Scheduler,
-    SimError,
+    ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacEngine,
+    Program, Scheduler, SimError,
 };
 use linalg_ref::{gemm, max_abs_diff, Matrix};
 use rand::rngs::StdRng;
@@ -78,20 +78,23 @@ fn main() {
     let mut baseline_makespan = None;
     for cores in [1usize, 2, 4, 8, 16] {
         let cfg = ChipConfig::new(cores, base_cfg).with_bandwidth_budget(X_PER_CORE * cores);
-        let mut chip = LacChip::new(cfg);
+        // A one-chip cluster, so the spot check below can read its shards.
+        let mut cluster = LacCluster::new(ClusterConfig::homogeneous(1, cfg));
         let graph: JobGraph<&PanelJob> = queue.iter().collect();
-        let run = chip
+        let run = cluster
             .run_graph(&graph, Scheduler::LeastLoaded)
             .expect("hazard-free schedule");
-        let sim_util = run.stats.utilization(base_cfg.nr);
+        let stats = &run.stats.per_chip[0];
+        let sim_util = stats.utilization(base_cfg.nr);
 
         // Functional spot check: each shard's bank still holds the image of
         // the last panel it ran — unpack and compare against linalg-ref.
         for core in 0..cores {
-            let Some(last_job) = run.assignment.iter().rposition(|&owner| owner == core) else {
+            let Some(last_job) = run.assignment.iter().rposition(|&(_, owner)| owner == core)
+            else {
                 continue;
             };
-            let got = lay.unpack_c(chip.shard(core).mem().as_slice());
+            let got = lay.unpack_c(cluster.chip(0).shard(core).mem().as_slice());
             let mut expect = c.block(last_job * MC, 0, MC, N);
             gemm(&a.block(last_job * MC, 0, MC, KC), &b, &mut expect);
             assert!(
@@ -124,31 +127,31 @@ fn main() {
             rel_err * 100.0
         );
 
-        let base = *baseline_makespan.get_or_insert(run.stats.makespan_cycles);
-        let speedup = base as f64 / run.stats.makespan_cycles as f64;
-        let e = energy_model.summarize(&run.stats);
+        let base = *baseline_makespan.get_or_insert(stats.makespan_cycles);
+        let speedup = base as f64 / stats.makespan_cycles as f64;
+        let e = energy_model.summarize(stats);
         rows.push(vec![
             format!("{cores}"),
-            format!("{}", run.stats.makespan_cycles),
+            format!("{}", stats.makespan_cycles),
             f(speedup),
             pct(sim_util),
             pct(predicted),
             pct((sim_util - predicted).abs() / predicted),
-            f(run.stats.ext_words_per_cycle()),
+            f(stats.ext_words_per_cycle()),
             f(e.total_nj / 1000.0),
             f(e.gflops_per_w),
         ]);
         points.push(Json::obj([
             ("bench", Json::from("chip_scaling")),
             ("cores", Json::from(cores)),
-            ("jobs", Json::from(run.stats.jobs())),
-            ("makespan_cycles", Json::from(run.stats.makespan_cycles)),
+            ("jobs", Json::from(stats.jobs())),
+            ("makespan_cycles", Json::from(stats.makespan_cycles)),
             ("speedup_vs_1core", Json::from(speedup)),
             ("sim_utilization", Json::from(sim_util)),
             ("model_utilization", Json::from(predicted)),
             (
                 "ext_words_per_cycle",
-                Json::from(run.stats.ext_words_per_cycle()),
+                Json::from(stats.ext_words_per_cycle()),
             ),
             ("energy_uj", Json::from(e.total_nj / 1000.0)),
             ("gflops_per_w", Json::from(e.gflops_per_w)),

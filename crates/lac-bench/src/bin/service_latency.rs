@@ -30,7 +30,7 @@ use lac_bench::json::Json;
 use lac_bench::{emit_json, f, json_mode, table};
 use lac_kernels::{KernelReport, SolverJob, SolverLoopParams, SolverStream};
 use lac_sim::{
-    ChipConfig, ClusterConfig, DynamicGraph, LacChip, LacCluster, LacConfig, Scheduler,
+    ChipConfig, ClusterConfig, DynamicGraph, LacCluster, LacConfig, LacService, Scheduler,
     TenantConfig, TenantId,
 };
 use lac_traffic::{
@@ -64,10 +64,10 @@ fn stream() -> SolverStream {
 /// One chip's standalone makespan for a single request — the unit the
 /// load factors are expressed against.
 fn service_time() -> u64 {
-    let mut chip = LacChip::new(ChipConfig::new(CORES_PER_CHIP, LacConfig::default()));
+    let mut chip = LacService::new(ChipConfig::new(CORES_PER_CHIP, LacConfig::default()));
     let w = stream().request(0, 0);
     let run = chip
-        .run_graph(&w.graph().graph, Scheduler::CriticalPath)
+        .submit(&w.graph().graph, Scheduler::CriticalPath)
         .expect("hazard-free schedule");
     run.stats.makespan_cycles
 }

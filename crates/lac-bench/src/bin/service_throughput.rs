@@ -102,7 +102,7 @@ fn main() {
             let (mut serial_svc, _) = service(cores, tenants);
             for t in 0..tenants {
                 let run = serial_svc
-                    .submit(workload(t).graph().graph, Scheduler::CriticalPath)
+                    .submit(&workload(t).graph().graph, Scheduler::CriticalPath)
                     .expect("hazard-free schedule");
                 workload(t)
                     .check_graph(&run.outputs)

@@ -111,7 +111,7 @@ fn main() {
             // backend) populate the service-wide compile cache outside
             // the timed region.
             let warm = svc
-                .submit(w.graph().graph, Scheduler::CriticalPath)
+                .submit(&w.graph().graph, Scheduler::CriticalPath)
                 .expect("warmup run");
             w.check_graph(&warm.outputs)
                 .expect("outputs match linalg-ref");
@@ -120,7 +120,7 @@ fn main() {
             let mut simulated_cycles = 0u64;
             for _ in 0..RUNS {
                 let run = svc
-                    .submit(w.graph().graph, Scheduler::CriticalPath)
+                    .submit(&w.graph().graph, Scheduler::CriticalPath)
                     .expect("timed run");
                 simulated_cycles += run.stats.makespan_cycles;
             }

@@ -59,13 +59,13 @@ fn main() {
             for cores in CORES_SWEEP {
                 let mut svc = LacService::new(ChipConfig::new(cores, LacConfig::default()));
                 let run = svc
-                    .submit(w.graph().graph, sched)
+                    .submit(&w.graph().graph, sched)
                     .expect("hazard-free schedule");
                 w.check_graph(&run.outputs)
                     .expect("per-round outputs match linalg-ref");
 
                 // Warm rerun on the same service: bit-identical.
-                let rerun = svc.submit(w.graph().graph, sched).expect("rerun");
+                let rerun = svc.submit(&w.graph().graph, sched).expect("rerun");
                 assert_eq!(run.outputs, rerun.outputs, "warm rerun diverged");
                 assert_eq!(run.stats, rerun.stats, "warm rerun stats diverged");
 

@@ -679,7 +679,12 @@ impl SolverStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_sim::{ChipConfig, LacChip, LacConfig, LacService, Scheduler};
+    use lac_sim::{ChipConfig, LacConfig, LacService, Scheduler};
+
+    /// The one-chip door on `cores` default cores.
+    fn service(cores: usize) -> LacService<SolverJob> {
+        LacService::new(ChipConfig::new(cores, LacConfig::default()))
+    }
 
     fn small() -> SolverLoopWorkload {
         SolverLoopWorkload::new(SolverLoopParams {
@@ -706,8 +711,9 @@ mod tests {
         let w = small();
         let sg = w.graph();
         assert_eq!(sg.graph.len(), 2 * (1 + 2 * 2));
-        let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let run = chip.run_graph(&sg.graph, Scheduler::CriticalPath).unwrap();
+        let run = service(2)
+            .submit(&sg.graph, Scheduler::CriticalPath)
+            .unwrap();
         w.check_graph(&run.outputs).unwrap();
 
         // The serial door runs the identical arithmetic in the identical
@@ -735,8 +741,9 @@ mod tests {
             salt: 7,
         });
         let sg = w.graph();
-        let mut chip = LacChip::new(ChipConfig::new(4, LacConfig::default()));
-        let run = chip.run_graph(&sg.graph, Scheduler::CriticalPath).unwrap();
+        let run = service(4)
+            .submit(&sg.graph, Scheduler::CriticalPath)
+            .unwrap();
         // Waves: per round CHOL, TRSMs, SYRKs — 3 × 3.
         assert_eq!(run.waves, 9);
         // The chip overlapped the fan-out: strictly faster than serial.
@@ -761,11 +768,11 @@ mod tests {
         assert_eq!(a.graph_cost(), stream.request_cost());
 
         // Every minted request passes its own reference check end to end.
-        let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
+        let mut svc = service(2);
         for (tenant, index) in [(0usize, 0u64), (1, 7)] {
             let w = stream.request(tenant, index);
-            let run = chip
-                .run_graph(&w.graph().graph, Scheduler::CriticalPath)
+            let run = svc
+                .submit(&w.graph().graph, Scheduler::CriticalPath)
                 .unwrap();
             w.check_graph(&run.outputs).unwrap();
         }
@@ -823,10 +830,9 @@ mod tests {
             Scheduler::LeastLoaded,
             Scheduler::CriticalPath,
         ] {
-            let mut svc: LacService<SolverJob> =
-                LacService::new(ChipConfig::new(3, LacConfig::default()));
-            let first = svc.submit(w.graph().graph, sched).unwrap();
-            let second = svc.submit(w.graph().graph, sched).unwrap();
+            let mut svc = service(3);
+            let first = svc.submit(&w.graph().graph, sched).unwrap();
+            let second = svc.submit(&w.graph().graph, sched).unwrap();
             assert_eq!(first.outputs, second.outputs, "{sched:?}: rerun diverged");
             assert_eq!(first.stats, second.stats, "{sched:?}: rerun stats diverged");
             match &baseline {

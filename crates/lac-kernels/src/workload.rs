@@ -50,8 +50,8 @@ use linalg_ref::{
 /// engine, runs, and reports uniformly.
 ///
 /// `Send + Sync` is part of the contract so workloads can be queued onto a
-/// multi-core [`lac_sim::LacChip`] (every implementor is plain operand
-/// data).
+/// multi-core chip through [`lac_sim::LacService`] (every implementor is
+/// plain operand data).
 ///
 /// ```
 /// use lac_kernels::{Details, GemmWorkload, Workload};
@@ -99,7 +99,8 @@ pub trait Workload: Send + Sync {
     fn check(&self, report: &KernelReport) -> Result<(), String>;
 }
 
-/// Workload queues dispatch directly onto a [`lac_sim::LacChip`]: the job's
+/// Workload queues dispatch directly onto a chip ([`lac_sim::LacService`]
+/// or [`lac_sim::LacCluster`]): the job's
 /// cost is the workload's flop estimate and its output is the uniform
 /// [`KernelReport`].
 impl ChipJob for Box<dyn Workload> {
@@ -1307,8 +1308,8 @@ pub fn registry_sized(size: ProblemSize) -> Vec<Box<dyn Workload>> {
 
 /// One core configuration every registry workload can run on: the base
 /// config folded through each workload's [`Workload::config`] adaptation.
-/// This is the config to build [`lac_sim::LacChip`] shards with when mixed
-/// registry queues are dispatched across cores.
+/// This is the core config of the [`lac_sim::ChipConfig`] to dispatch
+/// mixed registry queues across cores with.
 pub fn registry_chip_config(base: LacConfig) -> LacConfig {
     registry()
         .iter()

@@ -1,6 +1,7 @@
-//! Chip-level cross-validation: the multi-core `LacChip` simulation against
-//! the Chapter 4 analytical `ChipGemmModel` — the same methodology the
-//! single-core `model_vs_sim` suite applies to `CoreGemmModel`.
+//! Chip-level cross-validation: the multi-core chip simulation (through
+//! the one-chip `LacService` door) against the Chapter 4 analytical
+//! `ChipGemmModel` — the same methodology the single-core `model_vs_sim`
+//! suite applies to `CoreGemmModel`.
 //!
 //! Design point: one `C += A·B` with C `n × n`, decomposed into `n/mc`
 //! row-panel jobs of depth `kc`, dispatched over `S` cores that each get
@@ -9,7 +10,7 @@
 
 use lac_kernels::{GemmWorkload, Workload};
 use lac_model::ChipGemmModel;
-use lac_sim::{ChipConfig, JobGraph, LacChip, LacConfig, Scheduler};
+use lac_sim::{ChipConfig, JobGraph, LacConfig, LacService, Scheduler};
 use linalg_ref::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,9 +47,10 @@ fn chip_gemm_utilization_within_5pct_of_model() {
     for s in [2usize, 4] {
         let (n, jobs) = queue(s);
         let cfg = ChipConfig::new(s, LacConfig::default()).with_bandwidth_budget(X_PER_CORE * s);
-        let mut chip = LacChip::new(cfg);
         let graph: JobGraph<&Box<dyn Workload>> = jobs.iter().collect();
-        let run = chip.run_graph(&graph, Scheduler::LeastLoaded).unwrap();
+        let run = LacService::new(cfg)
+            .submit(&graph, Scheduler::LeastLoaded)
+            .unwrap();
 
         // Functional truth first: every panel verifies against linalg-ref.
         for (w, report) in jobs.iter().zip(&run.outputs) {
@@ -82,9 +84,10 @@ fn chip_makespan_tracks_model_panel_cycles() {
     let s = 4;
     let (n, jobs) = queue(s);
     let cfg = ChipConfig::new(s, LacConfig::default()).with_bandwidth_budget(X_PER_CORE * s);
-    let mut chip = LacChip::new(cfg);
     let graph: JobGraph<&Box<dyn Workload>> = jobs.iter().collect();
-    let run = chip.run_graph(&graph, Scheduler::LeastLoaded).unwrap();
+    let run = LacService::new(cfg)
+        .submit(&graph, Scheduler::LeastLoaded)
+        .unwrap();
 
     // cycles_panel(y) is one rank-kc update of the whole C across all S
     // cores — exactly one queue drain at n = S·mc per-core panels.
@@ -112,9 +115,10 @@ fn doubling_cores_halves_makespan_at_fixed_problem() {
     let mut makespans = Vec::new();
     for s in [2usize, 4] {
         let cfg = ChipConfig::new(s, LacConfig::default()).with_bandwidth_budget(X_PER_CORE * s);
-        let mut chip = LacChip::new(cfg);
         let graph: JobGraph<&Box<dyn Workload>> = jobs.iter().collect();
-        let run = chip.run_graph(&graph, Scheduler::LeastLoaded).unwrap();
+        let run = LacService::new(cfg)
+            .submit(&graph, Scheduler::LeastLoaded)
+            .unwrap();
         makespans.push(run.stats.makespan_cycles as f64);
     }
     let ratio = makespans[0] / makespans[1];

@@ -19,7 +19,7 @@ use lac_sim::ChipStats;
 /// use lac_sim::{ChipStats, ExecStats};
 ///
 /// // Two cores: one busy for 10k cycles, one idle — a dependency-stalled
-/// // chip run as `LacChip::run_graph` would report it.
+/// // chip run as `LacService::submit` would report it.
 /// let busy = ExecStats {
 ///     cycles: 10_000,
 ///     mac_ops: 100_000,

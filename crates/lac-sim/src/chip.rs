@@ -1,14 +1,15 @@
 //! Chip-level simulation: a [`LacChip`] owns `S` [`LacEngine`] shards behind
-//! a shared external-memory bandwidth budget and runs [`JobGraph`]s of
-//! [`ChipJob`]s across them (Chapter 4's multi-core LAP, made executable).
+//! a shared external-memory bandwidth budget (Chapter 4's multi-core LAP,
+//! made executable), and [`ChipJob`]s are what runs on them.
 //!
 //! The analytical chip models in `lac-model` relate core count, on-chip
 //! bandwidth and utilization; this module is their simulation counterpart.
 //! Production clients of such a chip — e.g. interior-point solvers whose
 //! iterations are chained Cholesky/TRSM/GEMM factorizations — submit
-//! *dependency graphs* of jobs, so the front door here is
-//! [`LacChip::run_graph`] (and, for long-lived multi-tenant sessions,
-//! [`crate::service::LacService`], the one-chip cluster door):
+//! *dependency graphs* of jobs. A chip runs them only as a one-chip
+//! cluster: [`crate::service::LacService::submit`] is the one-chip door
+//! (with tenants and admission on top), and
+//! [`crate::cluster::LacCluster::run_graph`] the N-chip one. Either way:
 //!
 //! * every shard is one [`LacEngine`] session (per-core architectural state
 //!   and meters persist across graph runs);
@@ -35,11 +36,11 @@
 
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
-use crate::coord::{coordinate, CoordRun, Hints, SimMode, Topology};
+use crate::coord::SimMode;
 use crate::engine::LacEngine;
 use crate::error::SimError;
 use crate::isa::Program;
-use crate::service::{plan_wave, GraphRun, JobGraph};
+use crate::service::plan_wave;
 use crate::stats::ExecStats;
 
 /// One unit of schedulable work: a job knows how to run itself on a core's
@@ -72,7 +73,7 @@ pub trait ChipJob: Send + Sync {
 }
 
 /// References dispatch like the jobs they point at — this is what lets a
-/// borrowed queue run through an owned [`JobGraph`].
+/// borrowed queue run through an owned [`JobGraph`](crate::service::JobGraph).
 impl<J: ChipJob + ?Sized> ChipJob for &J {
     type Output = J::Output;
 
@@ -208,7 +209,8 @@ pub struct ChipConfig {
     /// Which time model the coordinator runs graphs under: lock-step
     /// waves (the default, the compatibility mode) or eager event-driven
     /// dispatch (see [`crate::coord`]). Outputs are bit-identical either
-    /// way; clocks may differ.
+    /// way; clocks may differ. Every chip of a cluster runs on one clock,
+    /// so the chips of a [`crate::cluster::ClusterConfig`] must agree.
     pub sim_mode: SimMode,
 }
 
@@ -234,11 +236,6 @@ impl ChipConfig {
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
         self.sim_mode = mode;
         self
-    }
-
-    /// The chip as a coordinator topology: one chip, no links.
-    pub(crate) fn topology(&self) -> Topology {
-        Topology::chip(self.cores, self.sim_mode)
     }
 
     /// Shard `core`'s share of the budget, if one is set: `total / cores`
@@ -352,21 +349,20 @@ impl ChipStats {
     }
 }
 
-/// A multi-core chip: `S` engine shards plus the scheduler-facing graph
-/// door, [`LacChip::run_graph`].
-///
-/// `LacChip` borrows the calling thread per run, plus a scoped worker for
-/// each other core a multi-core dispatch batch needs (the coordinator's
-/// one worker pool; a 1-core chip never leaves the calling thread); for
-/// tenants, admission and a service
-/// clock on top of one chip, see [`crate::service::LacService`].
+/// A multi-core chip: `S` [`LacEngine`] shards behind one bandwidth
+/// budget, as [`crate::cluster::LacCluster::chip`] hands it out. Graphs
+/// run on chips only through the cluster (a one-chip cluster is
+/// [`crate::service::LacService`]); a chip itself only shows its shards,
+/// whose session meters survive every run.
 ///
 /// ```
-/// use lac_sim::{ChipConfig, JobGraph, LacChip, LacConfig, ProgramBuilder, ProgramJob, Scheduler};
+/// use lac_sim::{ChipConfig, ClusterConfig, JobGraph, LacCluster, LacConfig};
+/// use lac_sim::{ProgramBuilder, ProgramJob, Scheduler};
 ///
-/// // Two cores sharing a 8-words/cycle external bandwidth budget.
+/// // One chip of two cores sharing a 8-words/cycle external budget.
 /// let cfg = ChipConfig::new(2, LacConfig::default()).with_bandwidth_budget(8);
-/// let mut chip = LacChip::new(cfg);
+/// let mut cluster: LacCluster<ProgramJob> =
+///     LacCluster::new(ClusterConfig::homogeneous(1, cfg));
 ///
 /// // Four independent idle-loop jobs collect into a flat (edge-free) graph.
 /// let graph: JobGraph<ProgramJob> = (1..=4)
@@ -376,31 +372,22 @@ impl ChipStats {
 ///         ProgramJob::new(b.build())
 ///     })
 ///     .collect();
+/// let run = cluster.run_graph(&graph, Scheduler::LeastLoaded).unwrap();
 ///
-/// let run = chip.run_graph(&graph, Scheduler::LeastLoaded).unwrap();
-/// assert_eq!(run.outputs.len(), 4);          // submission order
-/// assert_eq!(run.stats.jobs(), 4);
-/// assert_eq!(run.waves, 1);                  // flat graph, single wave
-/// assert!(run.stats.makespan_cycles < run.stats.aggregate.cycles);
+/// let chip = cluster.chip(0);
+/// assert_eq!(chip.num_cores(), 2);
+/// assert_eq!(chip.shard(0).config().ext_words_per_cycle, Some(4));
+/// let busy: u64 = (0..2).map(|i| chip.shard(i).cycles()).sum();
+/// assert_eq!(busy, run.stats.aggregate.cycles);
 /// ```
 pub struct LacChip {
-    cfg: ChipConfig,
     shards: Vec<LacEngine>,
-    program_cache: ProgramCache,
 }
 
 impl LacChip {
-    /// Build every shard per [`ChipConfig::shard_config`]. All shards
-    /// share one compile cache, so a program dispatched to every core
-    /// compiles once (see [`LacChip::program_cache`]).
-    pub fn new(cfg: ChipConfig) -> Self {
-        Self::with_program_cache(cfg, ProgramCache::new())
-    }
-
-    /// Like [`LacChip::new`], but the shards join an external compile
-    /// cache — [`crate::cluster::LacCluster`] spans one cache across all
-    /// of its chips this way.
-    pub fn with_program_cache(cfg: ChipConfig, cache: ProgramCache) -> Self {
+    /// Build every shard of `cfg` per [`ChipConfig::shard_config`], all
+    /// joining the compile cache `cache`.
+    pub(crate) fn new(cfg: &ChipConfig, cache: &ProgramCache) -> Self {
         assert!(cfg.cores >= 1, "a chip has at least one core");
         cfg.assert_budget_conserved();
         let shards = (0..cfg.cores)
@@ -411,21 +398,7 @@ impl LacChip {
                     .build()
             })
             .collect();
-        Self {
-            cfg,
-            shards,
-            program_cache: cache,
-        }
-    }
-
-    /// The compile cache shared by every shard of this chip.
-    pub fn program_cache(&self) -> &ProgramCache {
-        &self.program_cache
-    }
-
-    /// The chip's static configuration.
-    pub fn config(&self) -> &ChipConfig {
-        &self.cfg
+        Self { shards }
     }
 
     /// Number of cores (shards).
@@ -438,57 +411,32 @@ impl LacChip {
         &self.shards[i]
     }
 
-    /// Mutable access to one shard's engine.
-    pub fn shard_mut(&mut self, i: usize) -> &mut LacEngine {
-        &mut self.shards[i]
-    }
-
     /// Crate-internal: every shard at once — the cluster lends all of
     /// its chips' shards to one coordinated run.
     pub(crate) fn shards_mut(&mut self) -> &mut [LacEngine] {
         &mut self.shards
-    }
-
-    /// Run a dependency graph of jobs to completion under `sched`.
-    ///
-    /// The coordinator dispatches ready jobs under the configured time
-    /// model (see [`crate::coord`]), picking each from the jobs' cost
-    /// hints, and every dispatch batch runs one core's share on the
-    /// calling thread and each other core's on its own scoped worker.
-    /// Outputs come back in submission order regardless of placement.
-    ///
-    /// On a simulation error the earliest *observed* error (by core
-    /// index, then bucket position) is returned; the other cores stop
-    /// at their next job boundary and no later wave is dispatched. (If
-    /// several jobs of one wave would fail, which of them still ran
-    /// before seeing the abort flag is host-timing dependent, so the
-    /// reported error may vary — determinism covers successful runs, not
-    /// failure identity.) Work that already simulated stays metered in
-    /// the shard sessions — sessions meter, they do not roll back — so
-    /// `Err` means "the graph did not complete", not "nothing ran". Use
-    /// [`LacChip::shard`] session meters (or `reset_session` per shard)
-    /// if a retry must not double-count.
-    pub fn run_graph<J: ChipJob>(
-        &mut self,
-        graph: &JobGraph<J>,
-        sched: Scheduler,
-    ) -> Result<GraphRun<J::Output>, SimError> {
-        let hints = Hints::of(graph);
-        coordinate(
-            &self.cfg.topology(),
-            hints.plan(graph, sched),
-            &mut [false],
-            self.shards.iter_mut().collect(),
-            &|job| &graph.jobs[job],
-        )
-        .map(CoordRun::into_graph_run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{ClusterConfig, LacCluster};
     use crate::isa::{ExtOp, ProgramBuilder, Source};
+    use crate::service::{JobGraph, LacService};
+
+    /// The one-chip door: a service on `cores` default cores.
+    fn service<J: ChipJob>(cores: usize) -> LacService<J> {
+        LacService::new(ChipConfig::new(cores, LacConfig::default()))
+    }
+
+    /// A one-chip cluster, for tests that read the chip's shards.
+    fn one_chip(cores: usize) -> LacCluster<ProgramJob> {
+        LacCluster::new(ClusterConfig::homogeneous(
+            1,
+            ChipConfig::new(cores, LacConfig::default()),
+        ))
+    }
 
     /// A program that issues one MAC and `extra` idle cycles.
     fn job(extra: usize) -> ProgramJob {
@@ -530,10 +478,11 @@ mod tests {
     #[test]
     fn graph_outputs_in_submission_order_and_stats_merge() {
         let graph: JobGraph<ProgramJob> = (0..5).map(|i| job(4 * i)).collect();
-        let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let run = chip.run_graph(&graph, Scheduler::Fifo).unwrap();
+        let mut cluster = one_chip(2);
+        let run = cluster.run_graph(&graph, Scheduler::Fifo).unwrap();
+        let stats = &run.stats.per_chip[0];
         assert_eq!(run.outputs.len(), 5);
-        assert_eq!(run.stats.jobs(), 5);
+        assert_eq!(stats.jobs(), 5);
         assert_eq!(run.waves, 1, "a flat graph is a single wave");
         // Outputs in submission order: cycle counts grow with the idle tail.
         for w in run.outputs.windows(2) {
@@ -541,19 +490,20 @@ mod tests {
         }
         // Aggregate equals the sum of per-core deltas.
         let mut sum = ExecStats::default();
-        for s in &run.stats.per_core {
+        for s in &stats.per_core {
             sum.merge(s);
         }
-        assert_eq!(sum, run.stats.aggregate);
-        assert_eq!(run.stats.aggregate.mac_ops, 5);
+        assert_eq!(sum, stats.aggregate);
+        assert_eq!(stats.aggregate.mac_ops, 5);
         assert_eq!(
-            run.stats.makespan_cycles,
-            run.stats.per_core.iter().map(|s| s.cycles).max().unwrap()
+            stats.makespan_cycles,
+            stats.per_core.iter().map(|s| s.cycles).max().unwrap()
         );
         // Shards keep their session meters (they are LacEngine sessions).
+        let chip = cluster.chip(0);
         assert_eq!(
             chip.shard(0).cycles() + chip.shard(1).cycles(),
-            run.stats.aggregate.cycles
+            stats.aggregate.cycles
         );
     }
 
@@ -561,7 +511,7 @@ mod tests {
     fn bandwidth_budget_splits_across_shards_without_remainder_loss() {
         let cfg = ChipConfig::new(4, LacConfig::default()).with_bandwidth_budget(16);
         assert_eq!(cfg.shard_bandwidth(0), Some(4));
-        let chip = LacChip::new(cfg);
+        let chip = LacChip::new(&cfg, &ProgramCache::new());
         assert_eq!(chip.shard(0).config().ext_words_per_cycle, Some(4));
         // A non-divisible budget hands the remainder to the first shards
         // and conserves the total.
@@ -569,7 +519,7 @@ mod tests {
         let shares: Vec<usize> = (0..4).map(|c| uneven.shard_bandwidth(c).unwrap()).collect();
         assert_eq!(shares, vec![5, 5, 4, 4]);
         assert_eq!(shares.iter().sum::<usize>(), 18);
-        let chip = LacChip::new(uneven);
+        let chip = LacChip::new(&uneven, &ProgramCache::new());
         assert_eq!(chip.shard(0).config().ext_words_per_cycle, Some(5));
         assert_eq!(chip.shard(3).config().ext_words_per_cycle, Some(4));
         // The tighter of chip share and an existing core cap wins.
@@ -593,8 +543,7 @@ mod tests {
             Scheduler::CriticalPath,
         ] {
             let graph: JobGraph<ProgramJob> = (0..6).map(job).collect();
-            let mut chip = LacChip::new(ChipConfig::new(3, LacConfig::default()));
-            let run = chip.run_graph(&graph, sched).unwrap();
+            let run = service(3).submit(&graph, sched).unwrap();
             outs.push(run.outputs);
         }
         assert_eq!(outs[0], outs[1], "placement must not change results");
@@ -617,9 +566,10 @@ mod tests {
         let first = graph.add(job(0));
         graph.add_after(bad_job(), &[first]);
         graph.add(job(0));
-        let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let err = chip.run_graph(&graph, Scheduler::Fifo).unwrap_err();
+        let mut cluster = one_chip(2);
+        let err = cluster.run_graph(&graph, Scheduler::Fifo).unwrap_err();
         assert_eq!(err.cycle, 0, "the bad job fails on its first cycle");
+        let chip = cluster.chip(0);
         // Partial work stays metered: Err means "graph incomplete", not
         // "nothing ran". Core 0 completed job 0 (the bad job errored out
         // mid-run, so it never counted); core 1 completed job 2.
@@ -636,9 +586,10 @@ mod tests {
         let graph: JobGraph<ProgramJob> = vec![bad_job(), job(0), job(0), job(0), job(0)]
             .into_iter()
             .collect();
-        let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let err = chip.run_graph(&graph, Scheduler::Fifo).unwrap_err();
+        let mut cluster = one_chip(2);
+        let err = cluster.run_graph(&graph, Scheduler::Fifo).unwrap_err();
         assert_eq!(err.cycle, 0);
+        let chip = cluster.chip(0);
         assert_eq!(
             chip.shard(0).programs_run(),
             0,
@@ -650,8 +601,7 @@ mod tests {
     #[test]
     fn single_core_chip_serializes() {
         let graph: JobGraph<ProgramJob> = (0..3).map(|_| job(0)).collect();
-        let mut chip = LacChip::new(ChipConfig::new(1, LacConfig::default()));
-        let run = chip.run_graph(&graph, Scheduler::LeastLoaded).unwrap();
+        let run = service(1).submit(&graph, Scheduler::LeastLoaded).unwrap();
         assert_eq!(run.stats.makespan_cycles, run.stats.aggregate.cycles);
         assert!((run.stats.speedup() - 1.0).abs() < 1e-12);
     }
@@ -667,12 +617,10 @@ mod tests {
             Scheduler::LeastLoaded,
             Scheduler::CriticalPath,
         ] {
-            let mut via_borrow = LacChip::new(ChipConfig::new(3, LacConfig::default()));
             let borrowed: JobGraph<&ProgramJob> = jobs.iter().collect();
-            let borrow_run = via_borrow.run_graph(&borrowed, sched).unwrap();
-            let mut via_graph = LacChip::new(ChipConfig::new(3, LacConfig::default()));
+            let borrow_run = service(3).submit(&borrowed, sched).unwrap();
             let graph: JobGraph<ProgramJob> = jobs.iter().cloned().collect();
-            let graph_run = via_graph.run_graph(&graph, sched).unwrap();
+            let graph_run = service(3).submit(&graph, sched).unwrap();
             assert_eq!(borrow_run.outputs, graph_run.outputs);
             assert_eq!(borrow_run.assignment, graph_run.assignment);
             assert_eq!(borrow_run.stats, graph_run.stats);

@@ -38,11 +38,11 @@
 //!   clock jumps to the next transfer arrival and the gap is accounted as
 //!   [`ClusterStats::transfer_stall_cycles`].
 //!
-//! With one chip there are no cross-chip edges, every transfer charge
-//! vanishes, and the coordinator runs exactly as it does for a single
-//! chip — [`LacCluster::run_graph`] on an N=1 cluster is
-//! bit-identical to [`LacChip::run_graph`], outputs and stats both (a
-//! property-tested invariant, see `tests/cluster_props.rs`).
+//! With one chip there are no cross-chip edges and every transfer charge
+//! vanishes: an N=1 cluster is the one-chip door, and
+//! [`crate::service::LacService::submit`] is its [`LacCluster::run_graph`]
+//! projected onto that chip, outputs and stats both (a property-tested
+//! invariant, see `tests/cluster_props.rs`).
 //!
 //! The cluster is also the stack's one multi-tenant front door
 //! ([`crate::service::LacService`] is this door on a one-chip cluster):
@@ -72,11 +72,12 @@ use crate::trace::EventLog;
 use std::mem::take;
 
 /// Static configuration of a cluster: N chips plus the inter-chip link
-/// model.
+/// model. The time model is the chips' [`ChipConfig::sim_mode`], which
+/// every chip must share ([`ClusterConfig::with_sim_mode`] sets them all).
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Per-chip configurations, in chip-id order. Chips may differ in
-    /// core count, bandwidth budget, and memory size.
+    /// core count and bandwidth budget, but not in time model.
     pub chips: Vec<ChipConfig>,
     /// Inter-chip link bandwidth in words per simulated cycle. Every
     /// cross-chip dependency edge serializes its payload through this
@@ -87,12 +88,6 @@ pub struct ClusterConfig {
     /// Fixed latency of one chip-to-chip hop, in simulated cycles, paid
     /// by every cross-chip edge regardless of payload size.
     pub hop_latency_cycles: u64,
-    /// Which time model the coordinator runs cluster runs under:
-    /// lock-step waves (the default, the compatibility mode) or eager
-    /// event-driven dispatch (see [`crate::coord`]), which overlaps
-    /// cut-edge transfers with compute and models per-link contention.
-    /// Outputs are bit-identical either way; clocks may differ.
-    pub sim_mode: SimMode,
 }
 
 impl ClusterConfig {
@@ -103,7 +98,6 @@ impl ClusterConfig {
     pub fn homogeneous(chips: usize, chip: ChipConfig) -> Self {
         assert!(chips >= 1, "a cluster has at least one chip");
         Self {
-            sim_mode: chip.sim_mode,
             chips: vec![chip; chips],
             link_words_per_cycle: 4,
             hop_latency_cycles: 200,
@@ -118,9 +112,15 @@ impl ClusterConfig {
         self
     }
 
-    /// Select the time model ([`SimMode::Wave`] is the default).
+    /// Select every chip's time model ([`SimMode::Wave`] is the
+    /// default): lock-step waves or eager event-driven dispatch (see
+    /// [`crate::coord`]), which overlaps cut-edge transfers with compute
+    /// and models per-link contention. Outputs are bit-identical either
+    /// way; clocks may differ.
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
-        self.sim_mode = mode;
+        for chip in &mut self.chips {
+            chip.sim_mode = mode;
+        }
         self
     }
 
@@ -140,14 +140,14 @@ impl ClusterConfig {
         self.hop_latency_cycles + words.div_ceil(self.link_words_per_cycle.max(1))
     }
 
-    /// The cluster as a coordinator topology: its chips' core counts plus
-    /// the link model.
+    /// The cluster as a coordinator topology: its chips' core counts, the
+    /// link model and the chips' shared time model.
     pub(crate) fn topology(&self) -> Topology {
         Topology {
             cores_per_chip: self.chips.iter().map(|c| c.cores).collect(),
             link_words_per_cycle: self.link_words_per_cycle,
             hop_latency_cycles: self.hop_latency_cycles,
-            mode: self.sim_mode,
+            mode: self.chips[0].sim_mode,
         }
     }
 }
@@ -478,12 +478,12 @@ impl ClusterSession {
 /// partition-and-coordinate front door, with cluster-wide multi-tenant
 /// admission.
 ///
-/// Like [`LacChip`], a cluster borrows the calling thread per run, plus a
-/// scoped worker for each other core a multi-core dispatch batch needs;
-/// every core's [`crate::engine::LacEngine`] is lent to the run for its
-/// duration. Shard state
-/// and session meters persist across runs — the chips are owned, not
-/// rebuilt.
+/// A cluster borrows the calling thread per run, plus a scoped worker for
+/// each other core a multi-core dispatch batch needs (a 1-core cluster
+/// never leaves the calling thread); every core's
+/// [`crate::engine::LacEngine`] is lent to the run for its duration.
+/// Shard state and session meters persist across runs — the chips are
+/// owned, not rebuilt.
 ///
 /// ```
 /// use lac_sim::{ChipConfig, ClusterConfig, JobGraph, LacCluster, LacConfig, Scheduler};
@@ -527,11 +527,17 @@ impl<J: ChipJob> LacCluster<J> {
     /// whole fleet compiles once (see [`LacCluster::program_cache`]).
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(!cfg.chips.is_empty(), "a cluster has at least one chip");
+        assert!(
+            cfg.chips
+                .iter()
+                .all(|c| c.sim_mode == cfg.chips[0].sim_mode),
+            "every chip of a cluster runs one time model"
+        );
         let program_cache = ProgramCache::new();
         let chips: Vec<LacChip> = cfg
             .chips
             .iter()
-            .map(|&c| LacChip::with_program_cache(c, program_cache.clone()))
+            .map(|c| LacChip::new(c, &program_cache))
             .collect();
         let dead = vec![false; chips.len()];
         let cores = cfg.total_cores();
@@ -681,13 +687,19 @@ impl<J: ChipJob> LacCluster<J> {
     /// by the modeled transfer, and the shared simulated clock advances
     /// by the slowest bucket anywhere. Outputs come back in submission
     /// order regardless of placement, bit-identical across reruns,
-    /// policies and host interleavings (the same guarantee as
-    /// [`LacChip::run_graph`], which an N=1 cluster reproduces exactly).
+    /// policies and host interleavings.
     ///
-    /// Error semantics match [`LacChip::run_graph`]: the earliest
-    /// observed failure (by global core index, then bucket position) is
-    /// returned, peers stop at their next job boundary, and work that
-    /// already simulated stays metered in the shard sessions.
+    /// On a simulation error the earliest *observed* failure (by global
+    /// core index, then bucket position) is returned; peers stop at their
+    /// next job boundary and nothing later dispatches. (If several jobs of
+    /// one batch would fail, which of them still ran before seeing the
+    /// abort flag is host-timing dependent, so the reported error may vary
+    /// — determinism covers successful runs, not failure identity.) Work
+    /// that already simulated stays metered in the shard sessions —
+    /// sessions meter, they do not roll back — but the cluster session
+    /// does not advance, so `Err` means "the graph did not complete", not
+    /// "nothing ran". Read the shards through [`LacCluster::chip`] (or
+    /// `reset_session` them) if a retry must not double-count.
     pub fn run_graph(
         &mut self,
         graph: &JobGraph<J>,
@@ -1082,7 +1094,7 @@ mod tests {
     }
 
     #[test]
-    fn single_chip_cluster_is_bit_identical_to_the_chip_door() {
+    fn single_chip_cluster_is_bit_identical_to_the_service_door() {
         for mode in [SimMode::Wave, SimMode::Event] {
             let cfg = ChipConfig::new(3, LacConfig::default())
                 .with_bandwidth_budget(12)
@@ -1091,46 +1103,42 @@ mod tests {
                 let mut cluster: LacCluster<ProgramJob> =
                     LacCluster::new(ClusterConfig::homogeneous(1, cfg));
                 let via_cluster = cluster.run_graph(&diamonds(3), sched).unwrap();
-                let mut chip = LacChip::new(cfg);
-                let via_chip = chip.run_graph(&diamonds(3), sched).unwrap();
+                let mut svc = LacService::new(cfg);
+                let via_service = svc.submit(&diamonds(3), sched).unwrap();
                 let ctx = format!("{mode:?} {sched:?}");
-                assert_eq!(via_cluster.outputs, via_chip.outputs, "{ctx}");
-                assert_eq!(via_cluster.stats.per_chip[0], via_chip.stats, "{ctx}");
-                assert_eq!(via_cluster.waves, via_chip.waves, "{ctx}");
-                assert_eq!(via_cluster.wave_end_cycles, via_chip.wave_end_cycles);
-                assert_eq!(via_cluster.idle_per_core[0], via_chip.idle_per_core);
+                assert_eq!(via_cluster.outputs, via_service.outputs, "{ctx}");
+                assert_eq!(via_cluster.stats.per_chip[0], via_service.stats, "{ctx}");
+                assert_eq!(via_cluster.waves, via_service.waves, "{ctx}");
+                assert_eq!(via_cluster.wave_end_cycles, via_service.wave_end_cycles);
+                assert_eq!(via_cluster.idle_per_core[0], via_service.idle_per_core);
                 assert_eq!(via_cluster.stats.transferred_words, 0);
                 assert_eq!(via_cluster.stats.transfer_stall_cycles, 0);
                 // (chip, core) assignment collapses to the chip's core picks.
                 let cores: Vec<usize> = via_cluster.assignment.iter().map(|&(_, c)| c).collect();
-                assert_eq!(cores, via_chip.assignment, "{ctx}");
+                assert_eq!(cores, via_service.assignment, "{ctx}");
             }
         }
     }
 
     #[test]
     fn graph_run_keeps_the_cluster_event_log() {
-        // The chip and service doors return the log a one-chip cluster
-        // returns: one non-discarded span per job, and on every core the
-        // span lengths add up to that core's busy cycles.
+        // The service door returns the log a one-chip cluster returns:
+        // one non-discarded span per job, and on every core the span
+        // lengths add up to that core's busy cycles.
         for mode in [SimMode::Wave, SimMode::Event] {
             let cfg = ChipConfig::new(3, LacConfig::default()).with_sim_mode(mode);
             let graph = diamonds(3);
             let mut cluster: LacCluster<ProgramJob> =
                 LacCluster::new(ClusterConfig::homogeneous(1, cfg));
             let via_cluster = cluster.run_graph(&graph, Scheduler::CriticalPath).unwrap();
-            let via_chip = LacChip::new(cfg)
-                .run_graph(&graph, Scheduler::CriticalPath)
-                .unwrap();
             let via_service = LacService::new(cfg)
-                .submit(graph.clone(), Scheduler::CriticalPath)
+                .submit(&graph, Scheduler::CriticalPath)
                 .unwrap();
-            assert_eq!(via_chip.events, via_cluster.events, "{mode:?}");
             assert_eq!(via_service.events, via_cluster.events, "{mode:?}");
 
             let mut spans = vec![0usize; graph.len()];
             let mut busy = vec![0u64; cfg.cores];
-            for e in via_chip.events.events() {
+            for e in via_service.events.events() {
                 if let TraceEvent::Job {
                     job,
                     core,
@@ -1145,7 +1153,7 @@ mod tests {
                 }
             }
             assert!(spans.iter().all(|&n| n == 1), "{mode:?}: one span per job");
-            for (c, s) in via_chip.stats.per_core.iter().enumerate() {
+            for (c, s) in via_service.stats.per_core.iter().enumerate() {
                 assert_eq!(busy[c], s.cycles, "{mode:?} core {c}");
             }
         }
@@ -1269,6 +1277,23 @@ mod tests {
     }
 
     #[test]
+    fn with_sim_mode_sets_every_chips_time_model() {
+        let wave_chip = ChipConfig::new(2, LacConfig::default());
+        let cfg = ClusterConfig::homogeneous(2, wave_chip).with_sim_mode(SimMode::Event);
+        assert!(cfg.chips.iter().all(|c| c.sim_mode == SimMode::Event));
+        assert_eq!(cfg.topology().mode, SimMode::Event);
+    }
+
+    #[test]
+    #[should_panic(expected = "every chip of a cluster runs one time model")]
+    fn chips_with_mixed_time_models_do_not_build() {
+        let wave_chip = ChipConfig::new(2, LacConfig::default());
+        let mut cfg = ClusterConfig::homogeneous(2, wave_chip);
+        cfg.chips[1] = wave_chip.with_sim_mode(SimMode::Event);
+        let _ = LacCluster::<ProgramJob>::new(cfg);
+    }
+
+    #[test]
     fn heterogeneous_chips_lay_cores_end_to_end() {
         let cfg = ClusterConfig {
             chips: vec![
@@ -1277,7 +1302,6 @@ mod tests {
             ],
             link_words_per_cycle: 4,
             hop_latency_cycles: 10,
-            sim_mode: SimMode::Wave,
         };
         assert_eq!(cfg.total_cores(), 4);
         let mut cluster: LacCluster<ProgramJob> = LacCluster::new(cfg);

@@ -28,10 +28,10 @@
 //! either way (property-tested in `tests/compiled_props.rs`).
 //!
 //! Compilation is memoized in a [`ProgramCache`] keyed by
-//! ([`Program::structural_hash`], config fingerprint). `LacChip`,
-//! `LacService`, and `LacCluster` share one cache across all their
-//! same-config shards, so each distinct program shape is hashed and
-//! compiled exactly once per cluster. See `docs/PERFORMANCE.md` for the
+//! ([`Program::structural_hash`], config fingerprint). `LacCluster` (and
+//! so `LacService`, its one-chip front) shares one cache across all its
+//! chips' same-config shards, so each distinct program shape is hashed
+//! and compiled exactly once per cluster. See `docs/PERFORMANCE.md` for the
 //! measured speedups and `docs/ARCHITECTURE.md` for the pipeline diagram.
 
 use std::collections::hash_map::DefaultHasher;
@@ -325,7 +325,7 @@ struct CacheInner {
 /// compiles each distinct program shape once, no matter how many cores
 /// replay it. Handles are cheap [`Arc`] clones of one shared store; give
 /// every core the same handle via [`Lac::set_program_cache`] (the
-/// `LacChip` / `LacService` / `LacCluster` constructors do this for you).
+/// `LacService` / `LacCluster` constructors do this for you).
 ///
 /// ```
 /// use lac_sim::{ExternalMem, Lac, LacConfig, ProgramBuilder, ProgramCache, Source};

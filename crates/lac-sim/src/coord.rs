@@ -1,10 +1,10 @@
 //! The coordinator: the one function every door of the stack calls.
 //!
-//! [`crate::chip::LacChip::run_graph`] and [`crate::cluster::LacCluster`]'s
-//! `run_graph` and rounds (which [`crate::service::LacService`] fronts as
-//! a one-chip cluster) all describe their shards as one `Topology` — a
-//! chip is a one-chip topology with no links and no faults, a cluster is
-//! N of them joined by links — and hand their job pool to `coordinate`.
+//! [`crate::cluster::LacCluster`]'s `run_graph` and rounds (which
+//! [`crate::service::LacService`] fronts as a one-chip cluster) describe
+//! their shards as one `Topology` — N chips of cores joined by links,
+//! where one chip has no cut edge to price — and hand their job pool to
+//! `coordinate`.
 //! It owns the stack's one worker pool: the calling thread runs one
 //! core's share of every dispatch batch itself, and a scoped worker is
 //! spawned for another core the first time a batch needs it (joined when
@@ -67,19 +67,17 @@ use crate::cluster::Transfer;
 use crate::engine::LacEngine;
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultEvent;
-use crate::service::{
-    critical_paths, plan_wave, plan_wave_tenanted_slo, GraphRun, JobGraph, JobId,
-};
+use crate::service::{critical_paths, plan_wave, plan_wave_tenanted_slo, JobGraph, JobId};
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
 
 /// Which time model a chip, service or cluster drives its graphs with:
 /// the dispatch rule of the coordinator's one event loop.
 ///
-/// The knob lives on [`crate::chip::ChipConfig`] and
-/// [`crate::cluster::ClusterConfig`]; both default to waves, the
-/// compatibility mode every committed clock and baseline was recorded
-/// under.
+/// The knob lives on [`crate::chip::ChipConfig`] (every chip of a
+/// cluster must agree; [`crate::cluster::ClusterConfig::with_sim_mode`]
+/// sets them all) and defaults to waves, the compatibility mode every
+/// committed clock and baseline was recorded under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimMode {
     /// Lock-step waves (the default): dispatch only when every core is
@@ -97,7 +95,7 @@ pub enum SimMode {
 }
 
 /// The shards a run coordinates over: chips of cores, the inter-chip link
-/// model, and the time model. A chip is a one-chip topology.
+/// model, and the time model.
 #[derive(Clone, Debug)]
 pub(crate) struct Topology {
     /// Core count per chip, in chip-id order.
@@ -112,16 +110,6 @@ pub(crate) struct Topology {
 }
 
 impl Topology {
-    /// One chip of `cores` cores: no links, so no transfer ever prices.
-    pub(crate) fn chip(cores: usize, mode: SimMode) -> Self {
-        Self {
-            cores_per_chip: vec![cores],
-            link_words_per_cycle: 1,
-            hop_latency_cycles: 0,
-            mode,
-        }
-    }
-
     /// Every chip's slice of the flat (chips laid end to end) core list.
     pub(crate) fn chip_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         self.cores_per_chip.iter().scan(0, |start, &cores| {
@@ -164,8 +152,9 @@ pub(crate) struct Plan<'a> {
 }
 
 /// Per-job hints of one graph plus its tenant tags. An untenanted graph
-/// (the `run_graph` doors) puts every job in one anonymous tenant with
-/// fresh usage; a round's fused graph tags each job with its tenant.
+/// (the cluster's `run_graph`, which the service's `submit` fronts) puts
+/// every job in one anonymous tenant with fresh usage; a round's fused
+/// graph tags each job with its tenant.
 pub(crate) struct Hints {
     costs: Vec<u64>,
     transfer_words: Vec<u64>,
@@ -274,8 +263,8 @@ pub(crate) struct TenantDelta {
 }
 
 /// Everything one coordinated run produces, in flat global-core order
-/// (chips laid end to end). Chip doors read it as one chip, cluster doors
-/// split it back into chips with [`Topology::chip_ranges`].
+/// (chips laid end to end). The cluster splits it back into chips with
+/// [`Topology::chip_ranges`].
 #[derive(Debug)]
 pub(crate) struct CoordRun<T> {
     /// One output per job, pool order.
@@ -329,21 +318,6 @@ impl<T> CoordRun<T> {
             jobs_per_core: self.jobs_per_core[cores].to_vec(),
             makespan_cycles: self.makespan,
             aggregate,
-        }
-    }
-
-    /// A one-chip run as the chip door reports it.
-    pub(crate) fn into_graph_run(self) -> GraphRun<T> {
-        let stats = self.chip_stats(0..self.per_core.len());
-        GraphRun {
-            outputs: self.outputs,
-            assignment: self.assignment.into_iter().map(|(_, core)| core).collect(),
-            wave_of: self.wave_of,
-            waves: self.wave_ends.len(),
-            wave_end_cycles: self.wave_ends,
-            idle_per_core: self.idle_per_core,
-            stats,
-            events: self.events,
         }
     }
 }
@@ -1307,10 +1281,11 @@ impl<'a> ReadyIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::{ChipConfig, LacChip};
+    use crate::chip::ChipConfig;
     use crate::cluster::{ClusterConfig, LacCluster};
     use crate::config::LacConfig;
     use crate::isa::ProgramBuilder;
+    use crate::service::LacService;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::thread::ThreadId;
@@ -1664,7 +1639,7 @@ mod tests {
     #[test]
     fn all_dead_is_a_hard_error_and_empty_graphs_are_free() {
         for mode in [SimMode::Wave, SimMode::Event] {
-            let topo = Topology::chip(1, mode);
+            let topo = topo(vec![1], 1, 0, mode);
             let kill = [FaultEvent { tick: 0, chip: 0 }];
             let err = run(&topo, &[4], &[1], &[], vec![0], &kill).unwrap_err();
             assert_eq!(err.kind, HazardKind::AllChipsDead { chips: 1 }, "{mode:?}");
@@ -1769,8 +1744,8 @@ mod tests {
         }
     }
 
-    fn chip(cores: usize, mode: SimMode) -> LacChip {
-        LacChip::new(ChipConfig::new(cores, LacConfig::default()).with_sim_mode(mode))
+    fn chip(cores: usize, mode: SimMode) -> LacService<ThreadJob> {
+        LacService::new(ChipConfig::new(cores, LacConfig::default()).with_sim_mode(mode))
     }
 
     #[test]
@@ -1778,7 +1753,7 @@ mod tests {
         for mode in [SimMode::Wave, SimMode::Event] {
             let probe = Probe::default();
             let run = chip(1, mode)
-                .run_graph(&probe.dag(9), Scheduler::CriticalPath)
+                .submit(&probe.dag(9), Scheduler::CriticalPath)
                 .unwrap();
             assert_eq!(run.outputs.len(), 9);
             assert_eq!(
@@ -1819,7 +1794,7 @@ mod tests {
             let b = g.add(probe.job(1, End::Fail(200), Some(&meet)));
             g.add_after(probe.job(2, End::Ok, None), &[a, b]);
             g.add_after(probe.job(3, End::Ok, None), &[a]);
-            let err = chip(2, mode).run_graph(&g, Scheduler::Fifo).unwrap_err();
+            let err = chip(2, mode).submit(&g, Scheduler::Fifo).unwrap_err();
             assert_eq!(
                 err.cycle, 100,
                 "{mode:?}: the caller's failure is first in dispatch order"
@@ -1849,7 +1824,7 @@ mod tests {
             g.add(probe.job(1, End::Ok, Some(&meet)));
             let mut chip = chip(2, mode);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                chip.run_graph(&g, Scheduler::Fifo)
+                chip.submit(&g, Scheduler::Fifo)
             }))
             .expect_err("the job's panic must surface");
             let msg = caught.downcast_ref::<String>().expect("panic message");
@@ -1861,7 +1836,7 @@ mod tests {
             );
             // The chip stays usable: its shards and the next run's
             // workers are intact.
-            let run = chip.run_graph(&probe.dag(5), Scheduler::Fifo).unwrap();
+            let run = chip.submit(&probe.dag(5), Scheduler::Fifo).unwrap();
             assert_eq!(run.outputs.len(), 5, "{mode:?}");
         }
     }

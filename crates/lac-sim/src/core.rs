@@ -199,7 +199,7 @@ impl Lac {
     }
 
     /// Replace the core's compile cache with a shared one (the door
-    /// `LacChip`/`LacService`/`LacCluster` use so every same-config shard
+    /// `LacService`/`LacCluster` use so every same-config shard
     /// compiles each distinct program shape once). Handles are cheap
     /// clones of one shared store.
     pub fn set_program_cache(&mut self, cache: ProgramCache) {

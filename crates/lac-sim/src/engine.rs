@@ -36,7 +36,6 @@ const DEFAULT_MEM_WORDS: usize = 1 << 16;
 #[derive(Clone, Debug, Default)]
 pub struct LacEngineBuilder {
     cfg: LacConfig,
-    mem_words: Option<usize>,
     program_cache: Option<ProgramCache>,
 }
 
@@ -44,12 +43,6 @@ impl LacEngineBuilder {
     /// Core configuration (mesh size, local stores, FPU, extensions).
     pub fn config(mut self, cfg: LacConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Initial size of the engine-owned external memory bank, in words.
-    pub fn mem_words(mut self, words: usize) -> Self {
-        self.mem_words = Some(words);
         self
     }
 
@@ -71,7 +64,7 @@ impl LacEngineBuilder {
         }
         LacEngine {
             lac,
-            mem: ExternalMem::new(self.mem_words.unwrap_or(DEFAULT_MEM_WORDS)),
+            mem: ExternalMem::new(DEFAULT_MEM_WORDS),
             programs_run: 0,
             workloads_run: 0,
         }
@@ -85,7 +78,7 @@ impl LacEngineBuilder {
 /// use lac_sim::{ExtOp, LacConfig, LacEngine, ProgramBuilder, Source};
 ///
 /// let cfg = LacConfig::default();
-/// let mut eng = LacEngine::builder().config(cfg).mem_words(16).build();
+/// let mut eng = LacEngine::builder().config(cfg).build();
 ///
 /// // A two-cycle microprogram: load a word onto PE (0,0)'s register,
 /// // then square it into the accumulator; idle out the FMAC pipeline.
@@ -263,15 +256,15 @@ mod tests {
             nr: 4,
             ..Default::default()
         };
-        let eng = LacEngine::builder().config(cfg).mem_words(32).build();
+        let eng = LacEngine::builder().config(cfg).build();
         assert_eq!(eng.config().nr, 4);
-        assert_eq!(eng.mem().len(), 32);
+        assert_eq!(eng.mem().len(), DEFAULT_MEM_WORDS);
         assert_eq!(eng.cycles(), 0);
     }
 
     #[test]
     fn session_accumulates_across_runs() {
-        let mut eng = LacEngine::builder().mem_words(8).build();
+        let mut eng = LacEngine::builder().build();
         let prog = tiny_program(4);
         let first = eng.run_program(&prog).unwrap();
         let second = eng.run_program(&prog).unwrap();
@@ -284,7 +277,7 @@ mod tests {
 
     #[test]
     fn staged_runs_are_metered_too() {
-        let mut eng = LacEngine::builder().mem_words(8).build();
+        let mut eng = LacEngine::builder().build();
         let prog = tiny_program(4);
         let mut private = ExternalMem::new(8);
         eng.run_staged(&prog, &mut private).unwrap();
@@ -294,7 +287,7 @@ mod tests {
 
     #[test]
     fn reset_session_zeroes_meters_only() {
-        let mut eng = LacEngine::builder().mem_words(8).build();
+        let mut eng = LacEngine::builder().build();
         let prog = tiny_program(4);
         eng.run_program(&prog).unwrap();
         eng.note_workload();
@@ -309,7 +302,7 @@ mod tests {
 
     #[test]
     fn load_image_replaces_bank() {
-        let mut eng = LacEngine::builder().mem_words(4).build();
+        let mut eng = LacEngine::builder().build();
         eng.load_image(vec![1.0, 2.0, 3.0]);
         assert_eq!(eng.mem().len(), 3);
         assert_eq!(eng.mem().read(1), 2.0);

@@ -42,10 +42,13 @@
 //! Jobs must therefore be **re-runnable**: executing a
 //! [`crate::chip::ChipJob`] twice (the discarded attempt plus the
 //! requeued one) must produce the same output bits as executing it once.
-//! Every job in this stack already satisfies that — outputs are
-//! placement-independent by the determinism contract — and the headline
-//! property holds: *any single-chip loss changes the makespan but never
-//! the output bits.*
+//! Jobs without shared state satisfy that — outputs are
+//! placement-independent by the determinism contract — and for them the
+//! headline property holds: *any single-chip loss changes the makespan
+//! but never the output bits.* Jobs that pass data through host-side
+//! shared state (the `lac-kernels` solver loop's rounds, the IP-PMM and
+//! IPDDP iterates) do not: a revoked attempt has already consumed or
+//! mutated that state, so the requeued one may panic or see other data.
 //!
 //! Killing every chip of a cluster is an error
 //! ([`crate::error::HazardKind::AllChipsDead`]): there is no survivor to

@@ -1,6 +1,7 @@
 //! The chip's submission-based front-end: [`JobGraph`] expresses DAGs of
-//! [`ChipJob`]s with dependencies, and [`LacService`] serves them on one
-//! chip whose shards stay warm across submissions — the production shape
+//! [`ChipJob`]s with dependencies, and [`LacService`], the one-chip
+//! door, serves them on one chip whose shards stay warm across
+//! submissions — the production shape
 //! of the multi-core LAP, where a solver loop (e.g. the repeated
 //! Cholesky/TRSM/GEMM rounds of an interior-point method) submits graph
 //! after graph against the same shards.
@@ -60,7 +61,12 @@
 //! jobs close over (e.g. an `Arc<Mutex<…>>` — see `lac-kernels`'
 //! `SolverLoopWorkload`); the graph guarantees every parent's writes
 //! happen-before its children run, and the wave planner fixes reduction
-//! order, so shared-state workloads stay bit-deterministic.
+//! order, so shared-state workloads stay bit-deterministic — on a
+//! fault-free run. Chip loss is another matter: a job revoked by a kill
+//! has already consumed or mutated that state, so its rerun is not
+//! idempotent. Only jobs without shared state are guaranteed to keep
+//! their output bits under chip loss; a multi-round solver fleet can
+//! panic (ROADMAP item 1).
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, Scheduler};
 use crate::cluster::{ClusterConfig, ClusterSession, LacCluster};
@@ -675,9 +681,9 @@ pub struct ServiceRound<T> {
 ///
 /// // Two submissions against the same warm shards, plus an idle gap the
 /// // energy model will price as static burn.
-/// let first = svc.submit(graph(), Scheduler::CriticalPath).unwrap();
+/// let first = svc.submit(&graph(), Scheduler::CriticalPath).unwrap();
 /// svc.advance_idle(1_000);
-/// let second = svc.submit(graph(), Scheduler::CriticalPath).unwrap();
+/// let second = svc.submit(&graph(), Scheduler::CriticalPath).unwrap();
 /// assert_eq!(first.outputs, second.outputs); // deterministic
 /// assert_eq!(svc.session().graphs_run, 2);
 /// assert_eq!(
@@ -715,23 +721,23 @@ impl<J: ChipJob> LacService<J> {
         self.config().cores
     }
 
-    /// Run a job graph to completion under `sched`; its meters fold into
-    /// the session.
+    /// Run a job graph to completion under `sched` — the one-chip door:
+    /// [`LacCluster::run_graph`] on this service's one chip, projected
+    /// onto it. Its meters fold into the session.
     ///
     /// On a simulation error the earliest *observed* failure's error (by
-    /// core index, then bucket position; see
-    /// [`LacChip::run_graph`](crate::chip::LacChip::run_graph) for the
-    /// multi-failure caveat) is returned; peers stop at their next job
-    /// boundary and no later wave is dispatched. Work that already
-    /// simulated stays metered in the shards but a failed submission does
-    /// not advance the service session — `Err` means "the graph did not
-    /// complete".
+    /// core index, then bucket position; see [`LacCluster::run_graph`]
+    /// for the multi-failure caveat) is returned; peers stop at their
+    /// next job boundary and no later wave is dispatched. Work that
+    /// already simulated stays metered in the shards but a failed
+    /// submission does not advance the service session — `Err` means
+    /// "the graph did not complete".
     pub fn submit(
         &mut self,
-        graph: JobGraph<J>,
+        graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
-        let mut run = self.cluster.run_graph(&graph, sched)?;
+        let mut run = self.cluster.run_graph(graph, sched)?;
         Ok(GraphRun {
             outputs: run.outputs,
             assignment: run.assignment.into_iter().map(|(_, core)| core).collect(),
@@ -839,10 +845,15 @@ impl<J: ChipJob> LacService<J> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::{ChipConfig, LacChip, ProgramJob};
+    use crate::chip::{ChipConfig, ProgramJob};
     use crate::config::LacConfig;
     use crate::engine::LacEngine;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
+
+    /// The one-chip door on `cores` default cores.
+    fn service<J: ChipJob>(cores: usize) -> LacService<J> {
+        LacService::new(ChipConfig::new(cores, LacConfig::default()))
+    }
 
     /// One external load + one MAC + `extra` idle cycles, with a chosen
     /// scheduler cost.
@@ -964,11 +975,9 @@ mod tests {
             }
             g
         };
-        let mut chip_fs = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let fs = chip_fs.run_graph(&build(), Scheduler::FairShare).unwrap();
-        let mut chip_cp = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let cp = chip_cp
-            .run_graph(&build(), Scheduler::CriticalPath)
+        let fs = service(2).submit(&build(), Scheduler::FairShare).unwrap();
+        let cp = service(2)
+            .submit(&build(), Scheduler::CriticalPath)
             .unwrap();
         assert_eq!(fs.outputs, cp.outputs);
         // And the quantum cap shows in the wave structure: FairShare
@@ -998,7 +1007,7 @@ mod tests {
         // service running the same graph (outputs are placement-free).
         let mut solo: LacService<ProgramJob> =
             LacService::new(ChipConfig::new(2, LacConfig::default()));
-        let solo_run = solo.submit(flat(8), Scheduler::FairShare).unwrap();
+        let solo_run = solo.submit(&flat(8), Scheduler::FairShare).unwrap();
         assert_eq!(round.graphs[1].outputs, solo_run.outputs);
 
         // Meters: the round advanced the service clock once, and the
@@ -1185,8 +1194,7 @@ mod tests {
         let b = g.add_after(job(8, 1), &[a]);
         let c = g.add_after(job(4, 1), &[a]);
         let _d = g.add_after(job(0, 1), &[b, c]);
-        let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let run = chip.run_graph(&g, Scheduler::Fifo).unwrap();
+        let run = service(2).submit(&g, Scheduler::Fifo).unwrap();
         assert_eq!(run.waves, 3);
         assert_eq!(run.outputs.len(), 4);
         // Makespan = source + max(fan-out) + sink; per-core busy + idle
@@ -1215,8 +1223,7 @@ mod tests {
         for i in 1..5 {
             prev = g.add_after(job(i, 1), &[prev]);
         }
-        let mut chip = LacChip::new(ChipConfig::new(4, LacConfig::default()));
-        let run = chip.run_graph(&g, Scheduler::CriticalPath).unwrap();
+        let run = service(4).submit(&g, Scheduler::CriticalPath).unwrap();
         assert_eq!(run.waves, 5);
         assert_eq!(
             run.stats.makespan_cycles,
@@ -1230,8 +1237,8 @@ mod tests {
         let flat = || -> JobGraph<ProgramJob> { (0..6).map(|i| job(i, 1 + i as u64)).collect() };
         let mut svc: LacService<ProgramJob> =
             LacService::new(ChipConfig::new(2, LacConfig::default()));
-        let first = svc.submit(flat(), Scheduler::LeastLoaded).unwrap();
-        let second = svc.submit(flat(), Scheduler::LeastLoaded).unwrap();
+        let first = svc.submit(&flat(), Scheduler::LeastLoaded).unwrap();
+        let second = svc.submit(&flat(), Scheduler::LeastLoaded).unwrap();
         assert_eq!(first.outputs, second.outputs, "warm shards change nothing");
         assert_eq!(svc.session().graphs_run, 2);
         assert_eq!(svc.session().jobs_run(), 12);
@@ -1252,31 +1259,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn service_submissions_match_chip_run_graph() {
-        let build = || -> JobGraph<ProgramJob> {
-            let mut g = JobGraph::new();
-            let a = g.add(job(0, 3));
-            let b = g.add_after(job(2, 2), &[a]);
-            g.add_after(job(1, 1), &[a, b]);
-            g
-        };
-        for sched in [
-            Scheduler::Fifo,
-            Scheduler::LeastLoaded,
-            Scheduler::CriticalPath,
-        ] {
-            let mut svc: LacService<ProgramJob> =
-                LacService::new(ChipConfig::new(3, LacConfig::default()));
-            let via_service = svc.submit(build(), sched).unwrap();
-            let mut chip = LacChip::new(ChipConfig::new(3, LacConfig::default()));
-            let via_chip = chip.run_graph(&build(), sched).unwrap();
-            assert_eq!(via_service.outputs, via_chip.outputs);
-            assert_eq!(via_service.assignment, via_chip.assignment);
-            assert_eq!(via_service.stats, via_chip.stats);
-        }
-    }
-
     /// A job whose `run_on` panics (e.g. an operand assert) — must not
     /// deadlock the coordinator's wave collection.
     struct PanickyJob;
@@ -1291,10 +1273,10 @@ mod tests {
 
     #[test]
     fn panicking_job_propagates_instead_of_deadlocking() {
-        let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
+        let mut svc = service(2);
         let graph: JobGraph<PanickyJob> = [PanickyJob, PanickyJob].into_iter().collect();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            chip.run_graph(&graph, Scheduler::Fifo)
+            svc.submit(&graph, Scheduler::Fifo)
         }))
         .expect_err("the job's panic must surface");
         let msg = caught.downcast_ref::<String>().expect("panic message");
@@ -1327,11 +1309,11 @@ mod tests {
         .into_iter()
         .collect();
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            svc.submit(bad, Scheduler::Fifo)
+            svc.submit(&bad, Scheduler::Fifo)
         }))
         .expect_err("panic surfaces through submit");
         let ok: JobGraph<MaybePanic> = (0..4).map(|i| MaybePanic(false, job(i, 1))).collect();
-        let run = svc.submit(ok, Scheduler::LeastLoaded).unwrap();
+        let run = svc.submit(&ok, Scheduler::LeastLoaded).unwrap();
         assert_eq!(run.outputs.len(), 4, "workers outlive a job panic");
     }
 
@@ -1348,12 +1330,12 @@ mod tests {
         let mut g = JobGraph::new();
         let a = g.add(job(0, 1));
         g.add_after(bad, &[a]);
-        let err = svc.submit(g, Scheduler::Fifo).unwrap_err();
+        let err = svc.submit(&g, Scheduler::Fifo).unwrap_err();
         assert_eq!(err.cycle, 0);
         assert_eq!(svc.session().graphs_run, 0, "failed graphs do not count");
         // The service recovers: the next submission completes.
         let ok: JobGraph<ProgramJob> = (0..4).map(|i| job(i, 1)).collect();
-        let run = svc.submit(ok, Scheduler::CriticalPath).unwrap();
+        let run = svc.submit(&ok, Scheduler::CriticalPath).unwrap();
         assert_eq!(run.outputs.len(), 4);
         assert_eq!(svc.session().graphs_run, 1);
     }

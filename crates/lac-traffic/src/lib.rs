@@ -2,7 +2,7 @@
 //! Open-loop traffic layer for the LAC serving stack.
 //!
 //! The layers below this crate answer "how fast does a batch finish?"
-//! (`lac_sim::LacChip`, `LacService`, `LacCluster` — closed-loop
+//! (`lac_sim::LacService`, `LacCluster` — closed-loop
 //! makespan). Serving millions of users is a different regime: work
 //! arrives on *its own clock*, queues build and drain with the offered
 //! load, and the metric that matters is the **sojourn time** — arrival to

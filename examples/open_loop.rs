@@ -38,8 +38,9 @@ fn main() {
 
     // One request's standalone service time anchors the rates below.
     let unit = {
-        let mut chip = lap::lac_sim::LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        chip.run_graph(&stream.request(0, 0).graph().graph, Scheduler::CriticalPath)
+        let mut chip: LacService<SolverJob> =
+            LacService::new(ChipConfig::new(2, LacConfig::default()));
+        chip.submit(&stream.request(0, 0).graph().graph, Scheduler::CriticalPath)
             .expect("hazard-free schedule")
             .stats
             .makespan_cycles

@@ -33,7 +33,7 @@ fn main() {
 
     let solver_graph = workload.graph();
     let run = service
-        .submit(solver_graph.graph, Scheduler::CriticalPath)
+        .submit(&solver_graph.graph, Scheduler::CriticalPath)
         .expect("hazard-free schedule");
     workload
         .check_graph(&run.outputs)

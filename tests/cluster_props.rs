@@ -9,15 +9,15 @@
 //! * every cross-chip edge is charged exactly one transfer, with the
 //!   configured `hop + ⌈words/bandwidth⌉` cycle cost, and same-chip edges
 //!   are never charged;
-//! * an N=1 cluster is bit-identical to the single-chip
-//!   `LacChip::run_graph` — outputs, per-core stats, makespan, waves;
+//! * an N=1 cluster is bit-identical to the one-chip door,
+//!   `LacService::submit` — outputs, per-core stats, makespan, waves;
 //! * reruns are bit-identical, and outputs are partition-independent;
 //! * a one-graph round through one fresh weight-1 tenant equals
 //!   `run_graph` on the same graph in every output, clock and meter.
 
 use lap::lac_sim::{
-    ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacChip, LacCluster, LacConfig,
-    LacEngine, Partitioner, Scheduler, SimError, SimMode, TenantConfig,
+    ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacEngine,
+    LacService, Partitioner, Scheduler, SimError, SimMode, TenantConfig,
 };
 use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
@@ -219,8 +219,8 @@ proptest! {
             LacCluster::new(ClusterConfig::homogeneous(1, chip_cfg));
         let via_cluster = cluster.run_graph(&graph, sched).unwrap();
         let (graph, _) = random_dag(&extras, &seeds);
-        let mut chip = LacChip::new(chip_cfg);
-        let via_chip = chip.run_graph(&graph, sched).unwrap();
+        let mut chip = LacService::new(chip_cfg);
+        let via_chip = chip.submit(&graph, sched).unwrap();
 
         prop_assert_eq!(&via_cluster.outputs, &via_chip.outputs);
         prop_assert_eq!(&via_cluster.stats.per_chip[0].per_core, &via_chip.stats.per_core);

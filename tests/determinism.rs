@@ -1,6 +1,6 @@
 //! Determinism guarantees: the simulator is a pure function of
 //! (configuration, program, operands). Running the same workload twice on
-//! fresh engines — or through a multi-core `LacChip`/`LacService` graph
+//! fresh engines — or through a multi-core chip's `LacService` graph
 //! under any scheduler policy — must reproduce bit-identical functional
 //! outputs and identical cycle counts. Placement and host-thread
 //! interleaving must never leak into results.
@@ -9,7 +9,7 @@ use lap::lac_kernels::{
     registry, registry_chip_config, registry_sized, KernelReport, ProblemSize, SolverLoopWorkload,
     Workload,
 };
-use lap::lac_sim::{ChipConfig, JobGraph, LacChip, LacConfig, LacEngine, LacService, Scheduler};
+use lap::lac_sim::{ChipConfig, JobGraph, LacConfig, LacEngine, LacService, Scheduler};
 
 const POLICIES: [Scheduler; 3] = [
     Scheduler::Fifo,
@@ -46,13 +46,13 @@ fn every_workload_is_bit_deterministic_on_fresh_engines() {
 fn chip_graph_runs_are_deterministic_under_every_policy() {
     let cfg = ChipConfig::new(3, registry_chip_config(LacConfig::default()));
     for sched in POLICIES {
-        let mut chip_a = LacChip::new(cfg);
-        let mut chip_b = LacChip::new(cfg);
+        let mut chip_a = LacService::new(cfg);
+        let mut chip_b = LacService::new(cfg);
         let run_a = chip_a
-            .run_graph(&registry_graph(ProblemSize::Medium), sched)
+            .submit(&registry_graph(ProblemSize::Medium), sched)
             .unwrap();
         let run_b = chip_b
-            .run_graph(&registry_graph(ProblemSize::Medium), sched)
+            .submit(&registry_graph(ProblemSize::Medium), sched)
             .unwrap();
         assert_eq!(run_a.assignment, run_b.assignment, "{sched:?}: placement");
         assert_eq!(run_a.outputs, run_b.outputs, "{sched:?}: outputs");
@@ -72,8 +72,8 @@ fn scheduler_policy_changes_placement_but_not_results() {
     let runs: Vec<_> = POLICIES
         .iter()
         .map(|&sched| {
-            LacChip::new(cfg)
-                .run_graph(&registry_graph(ProblemSize::Medium), sched)
+            LacService::new(cfg)
+                .submit(&registry_graph(ProblemSize::Medium), sched)
                 .unwrap()
         })
         .collect();
@@ -105,8 +105,8 @@ fn engine_and_chip_shard_agree_per_workload() {
         })
         .collect();
     let graph: JobGraph<Box<dyn Workload>> = registry().into_iter().collect();
-    let chip_run = LacChip::new(ChipConfig::new(1, shared))
-        .run_graph(&graph, Scheduler::Fifo)
+    let chip_run = LacService::new(ChipConfig::new(1, shared))
+        .submit(&graph, Scheduler::Fifo)
         .unwrap();
     assert_eq!(direct, chip_run.outputs);
     assert_eq!(
@@ -125,8 +125,8 @@ fn solver_graph_is_bit_identical_across_services_and_policies() {
     let mut baseline: Option<Vec<KernelReport>> = None;
     for sched in POLICIES {
         let mut svc = LacService::new(ChipConfig::new(4, LacConfig::default()));
-        let first = svc.submit(w.graph().graph, sched).unwrap();
-        let second = svc.submit(w.graph().graph, sched).unwrap();
+        let first = svc.submit(&w.graph().graph, sched).unwrap();
+        let second = svc.submit(&w.graph().graph, sched).unwrap();
         assert_eq!(first.outputs, second.outputs, "{sched:?}: warm rerun");
         assert_eq!(first.stats, second.stats, "{sched:?}: warm rerun stats");
         w.check_graph(&first.outputs).unwrap();

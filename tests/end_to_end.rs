@@ -7,7 +7,7 @@ use lap::lac_kernels::{
     LuPanelWorkload, Workload,
 };
 use lap::lac_power::{ChipEnergyModel, EnergyModel, SessionEnergy};
-use lap::lac_sim::{ChipConfig, LacChip, LacConfig, LacEngine, Scheduler};
+use lap::lac_sim::{ChipConfig, LacConfig, LacEngine, LacService, Scheduler};
 use lap::linalg_ref::{
     cholesky, fft_radix4, gemm, lu_partial_pivot, max_abs_diff, trsm, Complex, Matrix, Side,
     Triangle,
@@ -187,9 +187,9 @@ fn multi_core_chip_splits_gemm_by_row_panels() {
         })
         .collect();
 
-    let mut chip = LacChip::new(ChipConfig::new(s, LacConfig::default()));
+    let mut chip = LacService::new(ChipConfig::new(s, LacConfig::default()));
     let graph: lap::lac_sim::JobGraph<Box<dyn Workload>> = jobs.into_iter().collect();
-    let run = chip.run_graph(&graph, Scheduler::LeastLoaded).unwrap();
+    let run = chip.submit(&graph, Scheduler::LeastLoaded).unwrap();
     assert_eq!(run.stats.jobs(), s as u64);
     assert_eq!(
         run.stats.jobs_per_core,

@@ -25,8 +25,8 @@ mod common;
 use common::{any_policy, check_exactly_once, random_sized_dag, SizedJob};
 use lac_bench::json::Json;
 use lap::lac_sim::{
-    ChipConfig, ClusterConfig, FaultPlan, JobGraph, LacChip, LacCluster, LacConfig, LacService,
-    Partitioner, Scheduler, SimMode, TenantConfig, TraceEvent,
+    ChipConfig, ClusterConfig, FaultPlan, JobGraph, LacCluster, LacConfig, LacService, Partitioner,
+    Scheduler, SimMode, TenantConfig, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -106,8 +106,8 @@ proptest! {
         prop_assert_eq!(rerun.events, event_killed.events);
     }
 
-    // The chip and service doors agree with each other and across modes,
-    // warm reruns included.
+    // The one-chip door (the service) agrees with the one-chip cluster it
+    // fronts and across modes, warm reruns included.
     #[test]
     fn service_and_chip_outputs_are_bit_identical_across_sim_modes(
         extras in prop::collection::vec(0usize..10, 1..12),
@@ -118,12 +118,12 @@ proptest! {
         let sched = any_policy(which);
         let mut wave_svc: LacService<SizedJob> =
             LacService::new(ChipConfig::new(cores, LacConfig::default()));
-        let base = wave_svc.submit(random_sized_dag(&extras, &seeds), sched).unwrap();
+        let base = wave_svc.submit(&random_sized_dag(&extras, &seeds), sched).unwrap();
 
         let event_cfg = ChipConfig::new(cores, LacConfig::default())
             .with_sim_mode(SimMode::Event);
         let mut event_svc: LacService<SizedJob> = LacService::new(event_cfg);
-        let ev = event_svc.submit(random_sized_dag(&extras, &seeds), sched).unwrap();
+        let ev = event_svc.submit(&random_sized_dag(&extras, &seeds), sched).unwrap();
         prop_assert_eq!(&ev.outputs, &base.outputs, "service modes diverged");
 
         // No links on a single chip: busy + idle alone closes to the
@@ -136,16 +136,17 @@ proptest! {
         }
 
         // Warm rerun on the long-lived event-mode service.
-        let again = event_svc.submit(random_sized_dag(&extras, &seeds), sched).unwrap();
+        let again = event_svc.submit(&random_sized_dag(&extras, &seeds), sched).unwrap();
         prop_assert_eq!(&again.outputs, &ev.outputs, "warm rerun diverged");
         prop_assert_eq!(&again.stats, &ev.stats);
 
-        // The scoped-chip backend in event mode agrees bit for bit.
+        // A fresh event-mode one-chip cluster agrees bit for bit.
         let graph = random_sized_dag(&extras, &seeds);
-        let mut chip = LacChip::new(event_cfg);
+        let mut chip: LacCluster<SizedJob> =
+            LacCluster::new(ClusterConfig::homogeneous(1, event_cfg));
         let chip_run = chip.run_graph(&graph, sched).unwrap();
         prop_assert_eq!(&chip_run.outputs, &ev.outputs);
-        prop_assert_eq!(&chip_run.stats, &ev.stats);
+        prop_assert_eq!(&chip_run.stats.per_chip[0], &ev.stats);
     }
 
     // Multi-tenant rounds: both modes complete every admitted graph with

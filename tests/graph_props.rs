@@ -13,7 +13,8 @@ mod common;
 
 use common::{any_policy, mac_job, policy, random_log_dag, ALL_POLICIES, POLICIES};
 use lap::lac_sim::{
-    plan_wave, ChipConfig, ExecStats, JobGraph, LacChip, LacConfig, LacService, Scheduler,
+    plan_wave, ChipConfig, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacService,
+    Scheduler,
 };
 use proptest::prelude::*;
 
@@ -28,8 +29,8 @@ proptest! {
         which in any::<u8>(),
     ) {
         let (graph, edges, log) = random_log_dag(&extras, &seeds);
-        let mut chip = LacChip::new(ChipConfig::new(cores, LacConfig::default()));
-        let run = chip.run_graph(&graph, any_policy(which)).unwrap();
+        let mut chip = LacService::new(ChipConfig::new(cores, LacConfig::default()));
+        let run = chip.submit(&graph, any_policy(which)).unwrap();
 
         // Exactly once.
         prop_assert_eq!(run.outputs.len(), extras.len());
@@ -74,19 +75,20 @@ proptest! {
     ) {
         let mut baseline: Option<Vec<ExecStats>> = None;
         for sched in ALL_POLICIES {
-            // Scoped-chip backend…
-            let (graph, _, _) = random_log_dag(&extras, &seeds);
-            let mut chip = LacChip::new(ChipConfig::new(cores, LacConfig::default()));
-            let chip_run = chip.run_graph(&graph, sched).unwrap();
-            // …and the one-chip-cluster service must agree bit for bit.
+            // The one-chip door…
             let (graph, _, _) = random_log_dag(&extras, &seeds);
             let mut svc = LacService::new(ChipConfig::new(cores, LacConfig::default()));
-            let svc_run = svc.submit(graph, sched).unwrap();
-            prop_assert_eq!(&chip_run.outputs, &svc_run.outputs);
-            prop_assert_eq!(&chip_run.stats, &svc_run.stats);
+            let svc_run = svc.submit(&graph, sched).unwrap();
+            // …and the one-chip cluster it fronts must agree bit for bit.
+            let (graph, _, _) = random_log_dag(&extras, &seeds);
+            let chip_cfg = ChipConfig::new(cores, LacConfig::default());
+            let mut cluster = LacCluster::new(ClusterConfig::homogeneous(1, chip_cfg));
+            let cluster_run = cluster.run_graph(&graph, sched).unwrap();
+            prop_assert_eq!(&svc_run.outputs, &cluster_run.outputs);
+            prop_assert_eq!(&svc_run.stats, &cluster_run.stats.per_chip[0]);
             match &baseline {
-                None => baseline = Some(chip_run.outputs),
-                Some(b) => prop_assert_eq!(b, &chip_run.outputs, "{:?} changed results", sched),
+                None => baseline = Some(svc_run.outputs),
+                Some(b) => prop_assert_eq!(b, &svc_run.outputs, "{:?} changed results", sched),
             }
         }
     }
@@ -125,8 +127,8 @@ fn chain_diamond_fanout_produce_their_wave_structure() {
         for i in 1..6 {
             prev = chain.add_after(mac_job(i), &[prev]);
         }
-        let mut chip = LacChip::new(ChipConfig::new(4, LacConfig::default()));
-        let run = chip.run_graph(&chain, sched).unwrap();
+        let mut chip = LacService::new(ChipConfig::new(4, LacConfig::default()));
+        let run = chip.submit(&chain, sched).unwrap();
         assert_eq!(run.waves, 6, "{sched:?}: chain depth");
         assert_eq!(
             run.stats.makespan_cycles, run.stats.aggregate.cycles,
@@ -140,8 +142,8 @@ fn chain_diamond_fanout_produce_their_wave_structure() {
             .map(|i| diamond.add_after(mac_job(4 * i), &[top]))
             .collect();
         diamond.add_after(mac_job(0), &mids);
-        let mut chip = LacChip::new(ChipConfig::new(4, LacConfig::default()));
-        let run = chip.run_graph(&diamond, sched).unwrap();
+        let mut chip = LacService::new(ChipConfig::new(4, LacConfig::default()));
+        let run = chip.submit(&diamond, sched).unwrap();
         assert_eq!(run.waves, 3, "{sched:?}: diamond depth");
         let mid_cycles: Vec<u64> = mids.iter().map(|m| run.outputs[m.index()].cycles).collect();
         assert_eq!(
@@ -159,8 +161,8 @@ fn chain_diamond_fanout_produce_their_wave_structure() {
         for i in 0..8 {
             fan.add_after(mac_job(i), &[root]);
         }
-        let mut chip = LacChip::new(ChipConfig::new(4, LacConfig::default()));
-        let run = chip.run_graph(&fan, sched).unwrap();
+        let mut chip = LacService::new(ChipConfig::new(4, LacConfig::default()));
+        let run = chip.submit(&fan, sched).unwrap();
         assert_eq!(run.waves, 2, "{sched:?}: fan-out depth");
         let leaf_cores: std::collections::HashSet<usize> =
             run.assignment[1..].iter().copied().collect();
@@ -186,8 +188,8 @@ fn critical_path_prioritizes_long_chains_over_heavy_singletons() {
         prev = g.add_after(chain_job.clone(), &[prev]);
     }
     let lone_id = g.add(lone);
-    let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-    let run = chip.run_graph(&g, Scheduler::CriticalPath).unwrap();
+    let mut chip = LacService::new(ChipConfig::new(2, LacConfig::default()));
+    let run = chip.submit(&g, Scheduler::CriticalPath).unwrap();
     assert_eq!(run.waves, 5, "the chain sets the depth");
     assert_eq!(
         run.assignment[head.index()],
@@ -201,7 +203,7 @@ fn critical_path_prioritizes_long_chains_over_heavy_singletons() {
     );
     // LeastLoaded ignores the chain structure: it sees cost 20 vs 50 in
     // submission order and still must produce identical outputs.
-    let mut chip_ll = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-    let run_ll = chip_ll.run_graph(&g, Scheduler::LeastLoaded).unwrap();
+    let mut chip_ll = LacService::new(ChipConfig::new(2, LacConfig::default()));
+    let run_ll = chip_ll.submit(&g, Scheduler::LeastLoaded).unwrap();
     assert_eq!(run.outputs, run_ll.outputs);
 }

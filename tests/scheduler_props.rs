@@ -11,7 +11,8 @@
 //! critical-path policy) live in `tests/graph_props.rs`.
 
 use lap::lac_sim::{
-    ChipConfig, ChipStats, ExecStats, JobGraph, LacChip, LacConfig, ProgramJob, Scheduler,
+    ChipConfig, ChipStats, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacService,
+    ProgramJob, Scheduler,
 };
 use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
@@ -109,8 +110,8 @@ proptest! {
         which in any::<u8>(),
     ) {
         let graph: JobGraph<ProgramJob> = extras.iter().map(|&e| mac_job(e)).collect();
-        let mut chip = LacChip::new(ChipConfig::new(cores, LacConfig::default()));
-        let run = chip.run_graph(&graph, policy(which)).unwrap();
+        let mut chip = LacService::new(ChipConfig::new(cores, LacConfig::default()));
+        let run = chip.submit(&graph, policy(which)).unwrap();
 
         // Every job ran exactly once…
         prop_assert_eq!(run.outputs.len(), extras.len());
@@ -152,12 +153,15 @@ proptest! {
         cores in 1usize..=4,
     ) {
         let graph: JobGraph<ProgramJob> = extras.iter().map(|&e| mac_job(e)).collect();
-        let mut chip = LacChip::new(ChipConfig::new(cores, LacConfig::default()));
-        let first = chip.run_graph(&graph, Scheduler::Fifo).unwrap();
-        let second = chip.run_graph(&graph, Scheduler::Fifo).unwrap();
+        // A one-chip cluster, whose chip shows its shards.
+        let chip_cfg = ChipConfig::new(cores, LacConfig::default());
+        let mut cluster = LacCluster::new(ClusterConfig::homogeneous(1, chip_cfg));
+        let first = cluster.run_graph(&graph, Scheduler::Fifo).unwrap();
+        let second = cluster.run_graph(&graph, Scheduler::Fifo).unwrap();
         // Same graph, same placement, same per-run stats…
         prop_assert_eq!(&first.stats, &second.stats);
         // …while the shard sessions keep the running total of both runs.
+        let chip = cluster.chip(0);
         let session_total: u64 = (0..chip.num_cores())
             .map(|i| chip.shard(i).cycles())
             .sum();

@@ -12,8 +12,8 @@
 //!   bits (and the planners agree pick-by-pick).
 
 use lap::lac_sim::{
-    plan_wave, plan_wave_tenanted, ChipConfig, JobGraph, LacChip, LacConfig, LacService,
-    ProgramJob, Scheduler, TenantConfig,
+    plan_wave, plan_wave_tenanted, ChipConfig, JobGraph, LacConfig, LacService, ProgramJob,
+    Scheduler, TenantConfig,
 };
 use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
@@ -216,10 +216,10 @@ proptest! {
         // Chip door: same DAG under FairShare and CriticalPath — output
         // bits identical (the degradation guarantee rides the
         // placement-independence invariant).
-        let mut chip_fs = LacChip::new(ChipConfig::new(cores, LacConfig::default()));
-        let fs = chip_fs.run_graph(&random_dag(&costs, &seeds), Scheduler::FairShare).unwrap();
-        let mut chip_cp = LacChip::new(ChipConfig::new(cores, LacConfig::default()));
-        let cp = chip_cp.run_graph(&random_dag(&costs, &seeds), Scheduler::CriticalPath).unwrap();
+        let mut chip_fs = LacService::new(ChipConfig::new(cores, LacConfig::default()));
+        let fs = chip_fs.submit(&random_dag(&costs, &seeds), Scheduler::FairShare).unwrap();
+        let mut chip_cp = LacService::new(ChipConfig::new(cores, LacConfig::default()));
+        let cp = chip_cp.submit(&random_dag(&costs, &seeds), Scheduler::CriticalPath).unwrap();
         prop_assert_eq!(&fs.outputs, &cp.outputs);
         prop_assert_eq!(fs.stats.aggregate, cp.stats.aggregate, "same work either way");
 
