@@ -12,7 +12,7 @@
 //! differ per panel.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, pct, table};
+use lac_bench::{emit_json, f, pct, table};
 use lac_kernels::{gemm_program, GemmDataLayout, GemmParams};
 use lac_model::ChipGemmModel;
 use lac_power::ChipEnergyModel;
@@ -158,9 +158,6 @@ fn main() {
         ]));
     }
     emit_json(Json::arr(points));
-    if json_mode() {
-        return;
-    }
     table(
         &format!(
             "Chip scaling — {} GEMM row-panel jobs (mc={MC}, kc={KC}, n={N}) across 1..16 \

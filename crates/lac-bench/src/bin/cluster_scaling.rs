@@ -20,11 +20,11 @@
 //!    ≥ 1.5x makespan (the acceptance gate; components shard freely, so
 //!    the expected gain is ~4x minus bin-packing imbalance).
 //!
-//! `--json` / `--json-out` emit the perf points machine-readably
+//! `--json-out <path>` writes the perf points machine-readably
 //! (archived by `run_all`, gated by `perf_compare`).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, pct, table};
+use lac_bench::{emit_json, f, pct, table};
 use lac_kernels::{SolverFleet, SolverJob, SolverLoopParams};
 use lac_power::ClusterEnergyModel;
 use lac_sim::{ChipConfig, ClusterConfig, LacCluster, LacConfig, Partitioner, Scheduler, SimMode};
@@ -246,27 +246,25 @@ fn main() {
     }
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            &format!(
-                "Cluster scaling — {FLEET} independent solver loops (n=16, 4 rounds, \
-                 4 panels × 8 cols) fused and sharded across 1..4 chips × 2..4 \
-                 cores/chip; outputs verified vs linalg-ref, bit-identical reruns, \
-                 ≥1.5x @ 4 chips asserted"
-            ),
-            &[
-                "chips",
-                "cores/chip",
-                "partition",
-                "makespan",
-                "waves",
-                "xfer words",
-                "util",
-                "speedup",
-                "energy [uJ]",
-                "GFLOPS/W",
-            ],
-            &rows,
-        );
-    }
+    table(
+        &format!(
+            "Cluster scaling — {FLEET} independent solver loops (n=16, 4 rounds, \
+             4 panels × 8 cols) fused and sharded across 1..4 chips × 2..4 \
+             cores/chip; outputs verified vs linalg-ref, bit-identical reruns, \
+             ≥1.5x @ 4 chips asserted"
+        ),
+        &[
+            "chips",
+            "cores/chip",
+            "partition",
+            "makespan",
+            "waves",
+            "xfer words",
+            "util",
+            "speedup",
+            "energy [uJ]",
+            "GFLOPS/W",
+        ],
+        &rows,
+    );
 }

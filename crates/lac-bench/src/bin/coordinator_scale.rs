@@ -19,7 +19,7 @@
 //! `perf_compare` to pin the workload. Repetitions must agree on it.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, json_mode, table};
+use lac_bench::{emit_json, table};
 use lac_sim::{
     ChipConfig, JobGraph, LacConfig, LacService, ProgramBuilder, ProgramJob, Scheduler, SimMode,
     TenantConfig,
@@ -174,21 +174,19 @@ fn main() {
     }
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            "Coordinator scaling — one round of flat 4-cycle jobs, 4 weighted tenants, \
-             2 cores (host us/job: median of 3, ungated; makespan gated to pin the \
-             workload; every case gated: 10^4 over 10^3 <= 1.5x)",
-            &[
-                "mode",
-                "policy",
-                "jobs",
-                "makespan_cycles",
-                "host_us/job",
-                "vs 10^3",
-            ],
-            &rows,
-        );
-    }
+    table(
+        "Coordinator scaling — one round of flat 4-cycle jobs, 4 weighted tenants, \
+         2 cores (host us/job: median of 3, ungated; makespan gated to pin the \
+         workload; every case gated: 10^4 over 10^3 <= 1.5x)",
+        &[
+            "mode",
+            "policy",
+            "jobs",
+            "makespan_cycles",
+            "host_us/job",
+            "vs 10^3",
+        ],
+        &rows,
+    );
     assert!(violations.is_empty(), "{}", violations.join("\n"));
 }

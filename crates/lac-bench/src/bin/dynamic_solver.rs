@@ -19,11 +19,11 @@
 //! Before a row prints, every run is verified: outputs against the
 //! `linalg-ref` reference twin (`check`), bit-identical across policies,
 //! cores, backends and warm reruns, and iteration counts independent of
-//! scheduling. `--json` / `--json-out` emit the perf points gated by
+//! scheduling. `--json-out <path>` writes the perf points gated by
 //! `perf_compare` against `bench/baselines/BENCH_dynamic_solver.json`.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, table};
+use lac_bench::{emit_json, f, table};
 use lac_kernels::{
     DdpJob, IpddpFleet, IpddpParams, IpmJob, IppmmParams, IppmmWorkload, KernelReport,
 };
@@ -367,28 +367,26 @@ fn main() {
     }
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            "Dynamic solver — convergence-driven graphs through the continuation \
-             subsystem; outputs verified vs linalg-ref, bit-identical across \
-             policies/cores/backends; appended work charged to tenant budgets",
-            &[
-                "scene",
-                "cores",
-                "policy",
-                "iters/reqs",
-                "jobs/rounds",
-                "appended",
-                "clock/p99",
-            ],
-            &rows,
-        );
-        println!(
-            "\nopen-loop: {} requests, {} rounds, {} appended cost, final clock {}",
-            report.completed.len(),
-            report.rounds,
-            f(appended as f64),
-            report.final_clock
-        );
-    }
+    table(
+        "Dynamic solver — convergence-driven graphs through the continuation \
+         subsystem; outputs verified vs linalg-ref, bit-identical across \
+         policies/cores/backends; appended work charged to tenant budgets",
+        &[
+            "scene",
+            "cores",
+            "policy",
+            "iters/reqs",
+            "jobs/rounds",
+            "appended",
+            "clock/p99",
+        ],
+        &rows,
+    );
+    println!(
+        "\nopen-loop: {} requests, {} rounds, {} appended cost, final clock {}",
+        report.completed.len(),
+        report.rounds,
+        f(appended as f64),
+        report.final_clock
+    );
 }

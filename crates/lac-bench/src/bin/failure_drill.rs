@@ -20,12 +20,12 @@
 //! executions the dying chip took down with it (discarded), and how many
 //! jobs were requeued onto survivors.
 //!
-//! `--json` / `--json-out` emit the perf points (archived by `run_all`,
+//! `--json-out <path>` writes the perf points (archived by `run_all`,
 //! gated by `perf_compare` — a kill spec's `makespan_cycles` regresses
 //! when recovery gets slower).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, table};
+use lac_bench::{emit_json, f, table};
 use lac_kernels::{KernelReport, SolverJob, SolverLoopParams, SolverStream};
 use lac_sim::{
     ChipConfig, ClusterConfig, ClusterRound, FaultPlan, LacCluster, LacConfig, Scheduler,
@@ -170,25 +170,23 @@ fn main() {
     }
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            &format!(
-                "Failure drill — {REQUESTS} streamed solver requests (n=8, 1 round, 2 panels) \
-                 on a {CHIPS}-chip LacCluster ({CORES_PER_CHIP} cores/chip), critical-path \
-                 scheduling; each kill spec re-runs the identical round with a deterministic \
-                 FaultPlan. Asserted per drill: outputs bit-identical to fault-free (verified \
-                 vs linalg-ref), kill lands exactly once, Chrome trace parses \
-                 (fault-free makespan {base_makespan} cycles)"
-            ),
-            &[
-                "kill",
-                "makespan",
-                "overhead",
-                "requeues",
-                "discarded",
-                "events",
-            ],
-            &rows,
-        );
-    }
+    table(
+        &format!(
+            "Failure drill — {REQUESTS} streamed solver requests (n=8, 1 round, 2 panels) \
+             on a {CHIPS}-chip LacCluster ({CORES_PER_CHIP} cores/chip), critical-path \
+             scheduling; each kill spec re-runs the identical round with a deterministic \
+             FaultPlan. Asserted per drill: outputs bit-identical to fault-free (verified \
+             vs linalg-ref), kill lands exactly once, Chrome trace parses \
+             (fault-free makespan {base_makespan} cycles)"
+        ),
+        &[
+            "kill",
+            "makespan",
+            "overhead",
+            "requeues",
+            "discarded",
+            "events",
+        ],
+        &rows,
+    );
 }

@@ -1,8 +1,8 @@
-//! Table A.2: cycle counts and dynamic energy for architecture options
-//! (divide/sqrt implementation x MAC extensions) across algorithms and
-//! problem sizes — all measured on the cycle-accurate simulator through
-//! `LacEngine` sessions.
-use lac_bench::{f, table};
+//! Appendix A — architecture extensions: divide/square-root options and MAC
+//! extensions measured on the simulator.
+
+use crate::Table;
+use lac_bench::f;
 use lac_fpu::DivSqrtImpl;
 use lac_kernels::{
     BlockedCholWorkload, LuOptions, LuPanelWorkload, VecnormWorkload, VnormOptions, Workload,
@@ -39,7 +39,11 @@ fn measure(w: &dyn Workload, imp: DivSqrtImpl) -> lac_sim::ExecStats {
     rep.stats
 }
 
-fn main() {
+/// Table A.2: cycle counts and dynamic energy for architecture options
+/// (divide/sqrt implementation x MAC extensions) across algorithms and
+/// problem sizes — all measured on the cycle-accurate simulator through
+/// `LacEngine` sessions.
+pub fn tablea_2() -> Vec<Table> {
     let mut rng = StdRng::seed_from_u64(42);
     let mut rows = Vec::new();
     for imp in [
@@ -107,10 +111,10 @@ fn main() {
             }
         }
     }
-    table(
+    vec![Table::new(
         "Table A.2 — cycles and dynamic energy per architecture option (simulated)",
         &["div/sqrt impl", "algorithm & size", "cycles", "energy [uJ]"],
-        &rows,
-    );
-    println!("\npaper shape: DiagonalPes fastest, Software slowest; comparator & exp extensions cut both axes");
+        rows,
+    )
+    .note("paper shape: DiagonalPes fastest, Software slowest; comparator & exp extensions cut both axes")]
 }

@@ -1,0 +1,50 @@
+//! The workload sweep: every `lac_kernels::registry()` workload through a
+//! `LacEngine` session on the default core, verified against `linalg-ref`.
+
+use crate::Table;
+use lac_bench::{f, pct};
+use lac_kernels::registry;
+use lac_power::{EnergyModel, SessionEnergy};
+use lac_sim::{LacConfig, LacEngine};
+
+/// Cycles, utilization and energy of each registry workload; panics on a
+/// run error or a mismatch with the reference.
+pub fn workloads() -> Vec<Table> {
+    let energy = EnergyModel::lac_default();
+    let rows = registry()
+        .iter()
+        .map(|w| {
+            let mut eng = LacEngine::builder()
+                .config(w.config(LacConfig::default()))
+                .build();
+            let report = w
+                .run(&mut eng)
+                .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()));
+            w.check(&report)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+            let e = eng.energy_summary(&energy);
+            vec![
+                report.kernel.clone(),
+                format!("{}", report.stats.cycles),
+                format!("{}", report.useful_flops),
+                pct(report.utilization),
+                f(e.energy_nj / 1000.0),
+                f(e.gflops_per_w),
+                "ok".into(),
+            ]
+        })
+        .collect();
+    vec![Table::new(
+        "Workload sweep — every registry workload on the default 4x4 core",
+        &[
+            "workload",
+            "cycles",
+            "useful flops",
+            "util",
+            "energy [uJ]",
+            "GFLOPS/W",
+            "vs ref",
+        ],
+        rows,
+    )]
+}

@@ -22,12 +22,12 @@
 //!   fair share strictly improves its p99 vs plain fair share while
 //!   leaving every output bit unchanged.
 //!
-//! `--json` / `--json-out` emit the perf points (archived by `run_all`
+//! `--json-out <path>` writes the perf points (archived by `run_all`
 //! and gated by `perf_compare` in CI — sojourn metrics regress when they
 //! grow).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, table};
+use lac_bench::{emit_json, f, table};
 use lac_kernels::{KernelReport, SolverJob, SolverLoopParams, SolverStream};
 use lac_sim::{
     ChipConfig, ClusterConfig, DynamicGraph, LacCluster, LacConfig, LacService, Scheduler,
@@ -341,27 +341,25 @@ fn main() {
     }
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            &format!(
-                "Open-loop tail latency — streamed solver requests (n=8, 1 round, 2 panels) \
-                 on a LacCluster ({CORES_PER_CHIP} cores/chip), seeded Poisson arrivals; \
-                 outputs verified vs linalg-ref, bit-identical reruns; 4-chip p99 ≤ \
-                 {GATE_RATIO}x of 1-chip @ {GATE_LOAD} asserted (got {ratio:.2}x); \
-                 SLO boost improves interactive p99 with identical output bits \
-                 (unit service time {unit} cycles)"
-            ),
-            &[
-                "load",
-                "chips",
-                "reqs",
-                "rounds",
-                "mean/policy",
-                "p50",
-                "p99",
-                "p999",
-            ],
-            &rows,
-        );
-    }
+    table(
+        &format!(
+            "Open-loop tail latency — streamed solver requests (n=8, 1 round, 2 panels) \
+             on a LacCluster ({CORES_PER_CHIP} cores/chip), seeded Poisson arrivals; \
+             outputs verified vs linalg-ref, bit-identical reruns; 4-chip p99 ≤ \
+             {GATE_RATIO}x of 1-chip @ {GATE_LOAD} asserted (got {ratio:.2}x); \
+             SLO boost improves interactive p99 with identical output bits \
+             (unit service time {unit} cycles)"
+        ),
+        &[
+            "load",
+            "chips",
+            "reqs",
+            "rounds",
+            "mean/policy",
+            "p50",
+            "p99",
+            "p999",
+        ],
+        &rows,
+    );
 }

@@ -20,11 +20,11 @@
 //! independent `linalg-ref` chain (`check_graph`), reruns on a fresh
 //! service are bit-identical, and at 8 tenants × 4 cores the multiplexed
 //! FairShare round beats serialized submission by ≥ 1.3x aggregate
-//! throughput (the acceptance gate). `--json` emits the perf points
+//! throughput (the acceptance gate). `--json-out <path>` writes the perf points
 //! (archived by `run_all` and gated by `perf_compare` in CI).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, pct, table};
+use lac_bench::{emit_json, f, pct, table};
 use lac_kernels::{SolverJob, SolverLoopParams, SolverLoopWorkload};
 use lac_power::ChipEnergyModel;
 use lac_sim::{ChipConfig, LacConfig, LacService, Scheduler, TenantConfig, TenantId};
@@ -258,27 +258,25 @@ fn main() {
     ]));
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            &format!(
-                "Service throughput — per-tenant solver loops (n=16, 2 rounds, 4 panels × 4 \
-                 cols) multiplexed on one LacService; outputs verified vs linalg-ref, \
-                 bit-identical reruns; FairShare ≥ {GATE_SPEEDUP}x over serialized @ \
-                 {GATE_TENANTS} tenants × {GATE_CORES} cores asserted (got {speedup:.2}x)"
-            ),
-            &[
-                "tenants",
-                "cores",
-                "policy",
-                "makespan",
-                "waves",
-                "serialized",
-                "speedup",
-                "util",
-                "wait cyc",
-                "energy [uJ]",
-            ],
-            &rows,
-        );
-    }
+    table(
+        &format!(
+            "Service throughput — per-tenant solver loops (n=16, 2 rounds, 4 panels × 4 \
+             cols) multiplexed on one LacService; outputs verified vs linalg-ref, \
+             bit-identical reruns; FairShare ≥ {GATE_SPEEDUP}x over serialized @ \
+             {GATE_TENANTS} tenants × {GATE_CORES} cores asserted (got {speedup:.2}x)"
+        ),
+        &[
+            "tenants",
+            "cores",
+            "policy",
+            "makespan",
+            "waves",
+            "serialized",
+            "speedup",
+            "util",
+            "wait cyc",
+            "energy [uJ]",
+        ],
+        &rows,
+    );
 }

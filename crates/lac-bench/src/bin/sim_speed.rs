@@ -34,7 +34,7 @@
 //!   its programs.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, table};
+use lac_bench::{emit_json, f, table};
 use lac_kernels::{SolverLoopParams, SolverLoopWorkload};
 use lac_sim::{
     ChipConfig, ClusterConfig, ExecBackend, JobGraph, LacCluster, LacConfig, LacService, Scheduler,
@@ -221,22 +221,20 @@ fn main() {
     ]);
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            "Simulator throughput — host seconds per simulated megacycle \
-             (host fields machine-dependent, ungated; makespan gated to pin \
-             the timed workload; compiled_speedup gated at its 3x floor; \
-             memo_heap_bytes gated)",
-            &[
-                "cores",
-                "backend",
-                "jobs",
-                "makespan_cycles",
-                "runs",
-                "host_s/Mcycle",
-                "Mcycle/host_s",
-            ],
-            &rows,
-        );
-    }
+    table(
+        "Simulator throughput — host seconds per simulated megacycle \
+         (host fields machine-dependent, ungated; makespan gated to pin \
+         the timed workload; compiled_speedup gated at its 3x floor; \
+         memo_heap_bytes gated)",
+        &[
+            "cores",
+            "backend",
+            "jobs",
+            "makespan_cycles",
+            "runs",
+            "host_s/Mcycle",
+            "Mcycle/host_s",
+        ],
+        &rows,
+    );
 }

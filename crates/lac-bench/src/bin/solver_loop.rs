@@ -15,11 +15,11 @@
 //!    beat the 1-core service by ≥ 1.5x despite the serial CHOL spine
 //!    (the paper's fan-out argument, executed).
 //!
-//! `--json` emits the perf points machine-readably (archived by
+//! `--json-out <path>` writes the perf points machine-readably (archived by
 //! `run_all`).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, json_mode, pct, table};
+use lac_bench::{emit_json, f, pct, table};
 use lac_kernels::{SolverLoopParams, SolverLoopWorkload};
 use lac_power::ChipEnergyModel;
 use lac_sim::{ChipConfig, LacConfig, LacService, Scheduler};
@@ -142,16 +142,14 @@ fn main() {
     }
 
     emit_json(Json::arr(points));
-    if !json_mode() {
-        table(
-            "Solver loop — IPM-style CHOL→TRSM→SYRK rounds (n=16, 4 panels × 8 cols) \
-             as a JobGraph on a long-lived LacService; outputs verified vs linalg-ref, \
-             bit-identical across policies/reruns; ≥1.5x @ 4 cores asserted",
-            &[
-                "rounds", "cores", "policy", "makespan", "waves", "util", "speedup", "uJ/round",
-                "GFLOPS/W",
-            ],
-            &rows,
-        );
-    }
+    table(
+        "Solver loop — IPM-style CHOL→TRSM→SYRK rounds (n=16, 4 panels × 8 cols) \
+         as a JobGraph on a long-lived LacService; outputs verified vs linalg-ref, \
+         bit-identical across policies/reruns; ≥1.5x @ 4 cores asserted",
+        &[
+            "rounds", "cores", "policy", "makespan", "waves", "util", "speedup", "uJ/round",
+            "GFLOPS/W",
+        ],
+        &rows,
+    );
 }

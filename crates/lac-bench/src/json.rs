@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON serializer *and parser* (the build has no
 //! crates.io access, so no serde): enough for the bench binaries'
-//! `--json` mode and the perf-baseline comparison — objects, arrays,
+//! `--json-out` points and the perf-baseline comparison — objects, arrays,
 //! strings, integers and floats, with escaping. [`Json::parse`] reads
 //! back what [`Json::render`]/[`Json::render_pretty`] write (and any
 //! other standard JSON document).

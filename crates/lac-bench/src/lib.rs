@@ -1,26 +1,19 @@
-//! Shared helpers for the table/figure generator binaries.
+//! Shared helpers for the `paper` binary and the perf benches.
 //!
-//! Every dissertation table and figure has a binary in `src/bin/` named
-//! after it (`cargo run -p lac-bench --release --bin fig3_4`); each prints
-//! the rows/series the paper reports, plus the paper's published values
-//! where applicable so the shape comparison is immediate. `run_all`
-//! regenerates everything (that is what EXPERIMENTS.md records).
+//! `paper` reproduces the dissertation's tables and figures from one
+//! registry (`cargo run -p lac-bench --release --bin paper -- fig3_4`);
+//! each entry prints the rows/series the paper reports, plus the paper's
+//! published values where applicable so the shape comparison is immediate.
+//! The perf benches print a table and, with `--json-out <path>`, archive
+//! their points for `perf_compare`. `run_all` runs `paper` and every bench.
 
 pub mod json;
 pub mod trace_io;
 
-use std::fmt::Display;
-
-/// True when the binary was invoked with `--json` — the bench bins then
-/// emit machine-readable perf points instead of tables.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
 /// Value of `--json-out <path>`, if present: the bin prints its table as
 /// usual *and* writes the perf points there — one simulation, both
-/// artifacts (how `run_all` archives without double-running generators).
-pub fn json_out_path() -> Option<std::path::PathBuf> {
+/// artifacts (how `run_all` archives without running a bench twice).
+fn json_out_path() -> Option<std::path::PathBuf> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == "--json-out" {
@@ -32,10 +25,8 @@ pub fn json_out_path() -> Option<std::path::PathBuf> {
     None
 }
 
-/// Handle the two JSON flags at the end of a bench bin: `--json` prints
-/// the points to stdout (suppressing the table is the caller's job via
-/// [`json_mode`]); `--json-out <path>` writes them to the path. Panics on
-/// an unwritable path — an archive silently missing is worse.
+/// Write a bench bin's perf points to the `--json-out <path>`, if given.
+/// Panics on an unwritable path — an archive silently missing is worse.
 pub fn emit_json(points: json::Json) {
     if let Some(path) = json_out_path() {
         if let Some(dir) = path.parent() {
@@ -44,30 +35,23 @@ pub fn emit_json(points: json::Json) {
         std::fs::write(&path, points.render_pretty())
             .unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     }
-    if json_mode() {
-        println!("{}", points.render_pretty());
-    }
 }
 
-/// Print a titled table with aligned columns.
+/// Print a titled table with aligned columns. Panics unless every row has
+/// one cell per header.
 pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        assert_eq!(row.len(), headers.len(), "{title}: ragged row {row:?}");
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
     let line = |cells: &[String]| {
         let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "{:<w$}  ",
-                c,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
+        for (c, &w) in cells.iter().zip(&widths) {
+            s.push_str(&format!("{c:<w$}  "));
         }
         println!("{}", s.trim_end());
     };
@@ -94,11 +78,6 @@ pub fn f(x: f64) -> String {
 /// Format a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
-}
-
-/// Convenience for building a row out of display values.
-pub fn row(cells: &[&dyn Display]) -> Vec<String> {
-    cells.iter().map(|c| c.to_string()).collect()
 }
 
 #[cfg(test)]
