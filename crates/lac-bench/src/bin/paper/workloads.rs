@@ -24,7 +24,7 @@ pub fn workloads() -> Vec<Table> {
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
             let e = eng.energy_summary(&energy);
             vec![
-                report.kernel.clone(),
+                report.kernel.into(),
                 format!("{}", report.stats.cycles),
                 format!("{}", report.useful_flops),
                 pct(report.utilization),

@@ -32,10 +32,14 @@
 //!   minus an immediate warm rerun is archived, ungated, as
 //!   `cold_extra_ms`: the host cost of building, hashing and compiling
 //!   its programs.
+//! * `report_heap_bytes`: the bytes the timed graph's outputs hold — each
+//!   report's `size_of` plus its payload matrix's `rows × cols × 8`. Both
+//!   are exact across hosts, so `perf_compare` gates the sum as
+//!   worse-if-higher, like every `*_heap_bytes` field.
 
 use lac_bench::json::Json;
 use lac_bench::{emit_json, f, table};
-use lac_kernels::{SolverLoopParams, SolverLoopWorkload};
+use lac_kernels::{Details, KernelReport, SolverLoopParams, SolverLoopWorkload};
 use lac_sim::{
     ChipConfig, ClusterConfig, ExecBackend, JobGraph, LacCluster, LacConfig, LacService, Scheduler,
 };
@@ -52,6 +56,21 @@ fn backend_name(b: ExecBackend) -> &'static str {
         ExecBackend::Interpreter => "interpreter",
         ExecBackend::Compiled => "compiled",
     }
+}
+
+/// Bytes a solver-loop graph's outputs hold: each report inline plus the
+/// one payload matrix every step emits.
+fn report_heap_bytes(outputs: &[KernelReport]) -> usize {
+    outputs
+        .iter()
+        .map(|r| {
+            let payload = match &r.details {
+                Details::Cholesky { l: m } | Details::Trsm { x: m } | Details::Syrk { c: m } => m,
+                other => panic!("{}: unexpected solver-loop output {other:?}", r.kernel),
+            };
+            std::mem::size_of::<KernelReport>() + payload.rows() * payload.cols() * 8
+        })
+        .sum()
 }
 
 /// Build and run the `fleet_batch`-shaped fleet on `cluster`, check every
@@ -97,6 +116,7 @@ fn main() {
     });
     let mut rows = Vec::new();
     let mut points = Vec::new();
+    let mut report_bytes = 0;
 
     for cores in [1usize, 4] {
         let mut makespans = Vec::new();
@@ -115,6 +135,7 @@ fn main() {
                 .expect("warmup run");
             w.check_graph(&warm.outputs)
                 .expect("outputs match linalg-ref");
+            report_bytes = report_heap_bytes(&warm.outputs);
 
             let start = Instant::now();
             let mut simulated_cycles = 0u64;
@@ -195,6 +216,24 @@ fn main() {
         }
     }
 
+    // The timed graph's outputs (identical on every row above).
+    let jobs = w.graph().graph.len();
+    points.push(Json::obj([
+        ("bench", Json::from("sim_speed")),
+        ("backend", Json::from("reports")),
+        ("jobs", Json::from(jobs)),
+        ("report_heap_bytes", Json::from(report_bytes)),
+    ]));
+    rows.push(vec![
+        "-".to_string(),
+        "reports".to_string(),
+        format!("{jobs}"),
+        format!("{report_bytes} B"),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+    ]);
+
     // The program memo after the timed graph plus one cold fleet.
     let mut cluster = LacCluster::new(ClusterConfig::homogeneous(
         2,
@@ -225,7 +264,7 @@ fn main() {
         "Simulator throughput — host seconds per simulated megacycle \
          (host fields machine-dependent, ungated; makespan gated to pin \
          the timed workload; compiled_speedup gated at its 3x floor; \
-         memo_heap_bytes gated)",
+         memo_heap_bytes and report_heap_bytes gated)",
         &[
             "cores",
             "backend",

@@ -36,7 +36,7 @@ use crate::chol::blocked_cholesky_run;
 use crate::ippmm::{backward_solve, forward_solve, inf_norm, mat_tvec, mat_vec};
 use crate::solver::step_report;
 use crate::trsm::blocked_trsm_run;
-use crate::workload::{demo_value, Details, KernelReport};
+use crate::workload::{demo_value, DdpDetails, Details, KernelReport};
 use lac_sim::dynamic::{Continue, DynamicGraph, DynamicOutcome};
 use lac_sim::{ChipJob, JobGraph, LacEngine, SimError};
 use linalg_ref::{cholesky, Matrix};
@@ -92,7 +92,8 @@ type Trajectory = (Vec<Vec<f64>>, Vec<Vec<f64>>, f64);
 
 /// One member's immutable problem data.
 struct DdpProblem {
-    /// Member index within the fleet (labels reports).
+    /// Member index within the fleet (`DdpDetails::member` of its
+    /// closing reports).
     index: usize,
     horizon: usize,
     /// Control box half-width; varies per member so completion is
@@ -406,7 +407,7 @@ impl IpddpFleet {
             .map(|p| Arc::new(Mutex::new(DdpState::fresh(p))))
             .collect();
         let all: Vec<usize> = (0..self.members.len()).collect();
-        let initial = self.sweep_graph(&states, &all, 0);
+        let initial = self.sweep_graph(&states, &all);
         let members = self.members.clone();
         let horizon = self.params.horizon;
         let max_sweeps = self.params.max_sweeps;
@@ -417,10 +418,10 @@ impl IpddpFleet {
             let mut still = Vec::new();
             for (j, &m) in active.iter().enumerate() {
                 let closing = &outputs[j * horizon + horizon - 1];
-                let Details::Ddp { grad, mu, .. } = &closing.details else {
+                let Details::Ddp(ddp) = &closing.details else {
                     continue;
                 };
-                if !members[m].converged(*grad, *mu) {
+                if !members[m].converged(ddp.grad, ddp.mu) {
                     still.push(m);
                 }
             }
@@ -430,23 +431,18 @@ impl IpddpFleet {
             }
             let mut g = JobGraph::new();
             for &m in &active {
-                let chain = sweep_chain(&members[m], &states[m], seg + 1);
+                let chain = sweep_chain(&members[m], &states[m]);
                 g.append(chain);
             }
             Continue::Append(g)
         })
     }
 
-    /// Sweep `sweep` for the given member subset, fused into one graph.
-    fn sweep_graph(
-        &self,
-        states: &[Arc<Mutex<DdpState>>],
-        members: &[usize],
-        sweep: usize,
-    ) -> JobGraph<DdpJob> {
+    /// One sweep for the given member subset, fused into one graph.
+    fn sweep_graph(&self, states: &[Arc<Mutex<DdpState>>], members: &[usize]) -> JobGraph<DdpJob> {
         let mut g = JobGraph::new();
         for &m in members {
-            g.append(sweep_chain(&self.members[m], &states[m], sweep));
+            g.append(sweep_chain(&self.members[m], &states[m]));
         }
         g
     }
@@ -494,21 +490,20 @@ impl IpddpFleet {
     pub fn check(&self, outcome: &DynamicOutcome<KernelReport>) -> Result<(), String> {
         let reference = self.reference()?;
         for (m, (p, r)) in self.members.iter().zip(&reference).enumerate() {
-            // The closing job labels itself with the member index; take
-            // the last sweep's report for this member.
-            let tag = format!("ipddp-m{m}-");
-            let last = outcome
+            // Every closing report carries its member's index; take the
+            // last sweep's report for this member.
+            let DdpDetails {
+                u, cost, grad, mu, ..
+            } = outcome
                 .segments
                 .iter()
                 .flatten()
-                .filter(|rep| rep.kernel.starts_with(&tag))
-                .fold(None, |_, rep| Some(rep))
+                .rev()
+                .find_map(|rep| match &rep.details {
+                    Details::Ddp(ddp) if ddp.member == m => Some(ddp.as_ref()),
+                    _ => None,
+                })
                 .ok_or_else(|| format!("ipddp: no closing report for member {m}"))?;
-            let Details::Ddp { u, cost, grad, mu } = &last.details else {
-                return Err(format!(
-                    "ipddp m{m}: closing report carries foreign details"
-                ));
-            };
             if !p.converged(*grad, *mu) {
                 return Err(format!(
                     "ipddp m{m}: not converged (grad {grad:.2e}, mu {mu:.2e})"
@@ -551,7 +546,7 @@ fn per_step_cost() -> u64 {
 
 /// One member's sweep as a chain of `horizon` jobs, `t = T−1` first so
 /// job ids ascend as the Riccati recursion descends.
-fn sweep_chain(p: &Arc<DdpProblem>, st: &Arc<Mutex<DdpState>>, sweep: usize) -> JobGraph<DdpJob> {
+fn sweep_chain(p: &Arc<DdpProblem>, st: &Arc<Mutex<DdpState>>) -> JobGraph<DdpJob> {
     let mut g = JobGraph::new();
     let mut prev = None;
     for t in (0..p.horizon).rev() {
@@ -559,7 +554,6 @@ fn sweep_chain(p: &Arc<DdpProblem>, st: &Arc<Mutex<DdpState>>, sweep: usize) -> 
             problem: Arc::clone(p),
             state: Arc::clone(st),
             t,
-            sweep,
         };
         let id = match prev {
             None => g.add(job),
@@ -577,7 +571,6 @@ pub struct DdpJob {
     problem: Arc<DdpProblem>,
     state: Arc<Mutex<DdpState>>,
     t: usize,
-    sweep: usize,
 }
 
 impl ChipJob for DdpJob {
@@ -635,19 +628,20 @@ impl ChipJob for DdpJob {
             };
             Ok(step_report(
                 eng,
-                &format!("ipddp-m{}-sweep-{}", p.index, self.sweep),
+                "ipddp-sweep",
                 stats,
-                Details::Ddp {
+                Details::Ddp(Box::new(DdpDetails {
+                    member: p.index,
                     u,
                     cost,
                     grad,
                     mu: mu_pre,
-                },
+                })),
             ))
         } else {
             Ok(step_report(
                 eng,
-                &format!("ipddp-m{}-t{}", p.index, t),
+                "ipddp-step",
                 stats,
                 Details::Cholesky { l },
             ))
@@ -707,6 +701,53 @@ mod tests {
         let first = out.segments.first().unwrap().len();
         let last = out.segments.last().unwrap().len();
         assert!(last < first, "fleet should drain ({first} -> {last} jobs)");
+    }
+
+    #[test]
+    fn closing_reports_carry_their_members_identity() {
+        let fleet = IpddpFleet::demo();
+        let out = solve(&fleet, 2, Scheduler::FairShare);
+        fleet.check(&out).unwrap();
+        // Segment by segment, the closing reports name exactly the members
+        // still active, in fleet order; every member closes at least once.
+        let mut closed = vec![0usize; fleet.params.members];
+        for seg in &out.segments {
+            let horizon = fleet.params.horizon;
+            let members: Vec<usize> = seg
+                .iter()
+                .filter_map(|r| match &r.details {
+                    Details::Ddp(ddp) => Some(ddp.member),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(members.len(), seg.len() / horizon);
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
+            for m in members {
+                closed[m] += 1;
+            }
+        }
+        let refs = fleet.reference().unwrap();
+        let sweeps: Vec<usize> = refs.iter().map(|r| r.sweeps).collect();
+        assert_eq!(closed, sweeps, "one closing report per member sweep");
+
+        // Relabel member 0's final closing report: the check must notice
+        // that member 0's last word is now an unconverged sweep.
+        let mut forged = out.clone();
+        let last = forged
+            .segments
+            .iter_mut()
+            .flatten()
+            .rev()
+            .find_map(|r| match &mut r.details {
+                Details::Ddp(ddp) if ddp.member == 0 => Some(ddp),
+                _ => None,
+            })
+            .unwrap();
+        last.member = 1;
+        assert!(
+            fleet.check(&forged).is_err(),
+            "a relabelled member must fail"
+        );
     }
 
     #[test]

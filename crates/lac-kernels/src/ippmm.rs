@@ -41,7 +41,9 @@
 use crate::chol::blocked_cholesky_run;
 use crate::solver::{device_syrk, step_report};
 use crate::trsm::blocked_trsm_run;
-use crate::workload::{demo_matrix, demo_spd, demo_value, expect_details, Details, KernelReport};
+use crate::workload::{
+    demo_matrix, demo_spd, demo_value, expect_details, Details, IpmDetails, KernelReport,
+};
 use lac_sim::dynamic::{Continue, DynamicGraph, DynamicOutcome};
 use lac_sim::{ChipJob, JobGraph, LacEngine, SimError};
 use linalg_ref::{cholesky, Matrix};
@@ -371,21 +373,21 @@ impl IppmmWorkload {
             lm: Matrix::zeros(problem.m, problem.m),
             rhs_y: vec![0.0; problem.m],
         }));
-        let initial = segment(&problem, &iterate, 0);
+        let initial = segment(&problem, &iterate);
         let (p, it) = (Arc::clone(&problem), Arc::clone(&iterate));
         let max_iters = self.params.max_iters;
         DynamicGraph::new(initial, move |seg: usize, outputs: &[KernelReport]| {
             let Some(last) = outputs.last() else {
                 return Continue::Done;
             };
-            let Details::Ipm { rp, rd, mu, .. } = &last.details else {
+            let Details::Ipm(ipm) = &last.details else {
                 return Continue::Done;
             };
-            let converged = *rp <= p.eps_p && *rd <= p.eps_d && *mu <= p.eps_mu;
+            let converged = ipm.rp <= p.eps_p && ipm.rd <= p.eps_d && ipm.mu <= p.eps_mu;
             if converged || seg + 1 >= max_iters {
                 Continue::Done
             } else {
-                Continue::Append(segment(&p, &it, seg + 1))
+                Continue::Append(segment(&p, &it))
             }
         })
     }
@@ -444,17 +446,17 @@ impl IppmmWorkload {
             .last()
             .and_then(|s| s.last())
             .ok_or("ippmm: empty dynamic outcome")?;
-        let Details::Ipm {
+        let Details::Ipm(ipm) = &last.details else {
+            return Err(expect_details("ippmm", "Ipm"));
+        };
+        let IpmDetails {
             x,
             y,
             z,
             rp,
             rd,
             mu,
-        } = &last.details
-        else {
-            return Err(expect_details("ippmm", "Ipm"));
-        };
+        } = ipm.as_ref();
         let p = self.problem();
         if !(*rp <= p.eps_p && *rd <= p.eps_d && *mu <= p.eps_mu) {
             return Err(format!(
@@ -531,11 +533,7 @@ fn schur_rhs(p: &IpmProblem, v: &Matrix, w: &[f64], rp: &[f64]) -> Vec<f64> {
 
 /// Build one iteration's four-job segment: factor → panel solve → Schur
 /// → step, chained.
-fn segment(
-    problem: &Arc<IpmProblem>,
-    iterate: &Arc<Mutex<IpmIterate>>,
-    iter: usize,
-) -> JobGraph<IpmJob> {
+fn segment(problem: &Arc<IpmProblem>, iterate: &Arc<Mutex<IpmIterate>>) -> JobGraph<IpmJob> {
     let (n, m) = (problem.n as u64, problem.m as u64);
     let solve_w = IppmmWorkload::solve_width(problem.m) as u64;
     let job = |step: IpmStep, cost: u64, words: u64| IpmJob {
@@ -552,7 +550,7 @@ fn segment(
         job(IpmStep::Schur, m * m * n + m * m * m / 3, m * (m + 1) / 2),
         &[s],
     );
-    g.add_after(job(IpmStep::Step { iter }, m * m * 4, n + m), &[sc]);
+    g.add_after(job(IpmStep::Step, m * m * 4, n + m), &[sc]);
     g
 }
 
@@ -574,12 +572,9 @@ enum IpmStep {
     /// `M = VᵀV + δI` by device SYRK, then factor `M` on the device.
     Schur,
     /// Solve for `Δy`, recover `(Δx, Δz)`, take the damped step, emit
-    /// the post-step iterate and residuals.
-    Step {
-        /// The iteration this segment implements (0-based), for the
-        /// report's kernel label.
-        iter: usize,
-    },
+    /// the post-step iterate and residuals. The report is labelled
+    /// `ippmm-step`; its segment index is the iteration.
+    Step,
 }
 
 impl ChipJob for IpmJob {
@@ -666,7 +661,7 @@ impl ChipJob for IpmJob {
                     Details::Cholesky { l: lm },
                 ))
             }
-            IpmStep::Step { iter } => {
+            IpmStep::Step => {
                 let (lm, rhs_panel) = {
                     let st = self.iterate.lock().expect("ipm state poisoned");
                     let panel =
@@ -702,16 +697,16 @@ impl ChipJob for IpmJob {
                 };
                 Ok(step_report(
                     eng,
-                    &format!("ippmm-step-{iter}"),
+                    "ippmm-step",
                     stats,
-                    Details::Ipm {
+                    Details::Ipm(Box::new(IpmDetails {
                         x,
                         y,
                         z,
                         rp,
                         rd,
                         mu,
-                    },
+                    })),
                 ))
             }
         }

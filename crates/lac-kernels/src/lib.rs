@@ -69,7 +69,8 @@ pub use trsm::TrsmReport;
 pub use vecnorm::{VnormOptions, VnormReport};
 pub use workload::{
     registry, registry_chip_config, registry_sized, BlockedCholWorkload, BlockedLuWorkload,
-    BlockedTrsmWorkload, CholKernelWorkload, Details, Fft64Workload, GemmWorkload, KernelReport,
-    LuPanelWorkload, ProblemSize, QrPanelWorkload, SymmWorkload, SyrkWorkload, TrmmWorkload,
-    TrsmStackedWorkload, VecnormWorkload, Workload,
+    BlockedTrsmWorkload, CholKernelWorkload, DdpDetails, Details, Fft64Workload, GemmWorkload,
+    IpmDetails, KernelReport, LuDetails, LuPanelWorkload, ProblemSize, QrDetails, QrPanelWorkload,
+    SolverDetails, SymmWorkload, SyrkWorkload, TrmmWorkload, TrsmStackedWorkload, VecnormWorkload,
+    Workload,
 };

@@ -44,7 +44,8 @@ use crate::chol::blocked_cholesky_run;
 use crate::syrk::{syrk_run, SyrkDataLayout, SyrkParams};
 use crate::trsm::blocked_trsm_run;
 use crate::workload::{
-    close, demo_matrix, demo_spd, expect_details, finish, Details, KernelReport, Workload,
+    close, demo_matrix, demo_spd, expect_details, finish, Details, KernelReport, SolverDetails,
+    Workload,
 };
 use lac_sim::{ChipJob, ExecStats, JobGraph, JobId, LacEngine, SimError};
 use linalg_ref::{cholesky, gemm, max_abs_diff, trsm, Matrix, Side, Triangle};
@@ -138,13 +139,13 @@ fn add_sym_update(a: &mut Matrix, s_lower: &Matrix) {
 /// not count a whole workload; the core's counters metered its cycles).
 pub(crate) fn step_report(
     eng: &mut LacEngine,
-    name: &str,
+    name: &'static str,
     stats: ExecStats,
     details: Details,
 ) -> KernelReport {
     let nr = eng.config().nr;
     KernelReport {
-        kernel: name.to_string(),
+        kernel: name,
         stats,
         useful_flops: stats.flops(),
         utilization: stats.utilization(nr),
@@ -283,6 +284,9 @@ impl SolverLoopWorkload {
             x: vec![None; p.panels],
             s: vec![None; p.panels],
         }));
+        let b_panels: Vec<Arc<Matrix>> = (0..p.panels)
+            .map(|panel| Arc::new(self.b_panel(panel)))
+            .collect();
         let mut graph = JobGraph::new();
         let mut chol_ids = Vec::with_capacity(p.rounds);
         let mut trsm_ids = Vec::with_capacity(p.rounds);
@@ -302,7 +306,7 @@ impl SolverLoopWorkload {
             prev_syrks.clear();
             let mut round_trsm = Vec::with_capacity(p.panels);
             let mut round_syrk = Vec::with_capacity(p.panels);
-            for panel in 0..p.panels {
+            for (panel, b) in b_panels.iter().enumerate() {
                 let t = graph.add_after(
                     SolverJob {
                         state: Arc::clone(&state),
@@ -311,7 +315,7 @@ impl SolverLoopWorkload {
                         words: (p.n * p.width) as u64,
                         step: SolverStep::Trsm {
                             panel,
-                            b: self.b_panel(panel),
+                            b: Arc::clone(b),
                         },
                     },
                     &[chol],
@@ -401,7 +405,7 @@ fn rel_close(kernel: &str, what: &str, got: &Matrix, reference: &Matrix) -> Resu
 }
 
 impl Workload for SolverLoopWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "solver-loop"
     }
 
@@ -439,17 +443,18 @@ impl Workload for SolverLoopWorkload {
             self.name(),
             total,
             None,
-            Details::Solver {
+            Details::Solver(Box::new(SolverDetails {
                 factors,
                 final_a: a,
-            },
+            })),
         ))
     }
 
     fn check(&self, report: &KernelReport) -> Result<(), String> {
-        let Details::Solver { factors, final_a } = &report.details else {
+        let Details::Solver(solved) = &report.details else {
             return Err(expect_details(self.name(), "Solver"));
         };
+        let SolverDetails { factors, final_a } = solved.as_ref();
         let reference = self.reference()?;
         if factors.len() != reference.factors.len() {
             return Err(format!(
@@ -494,8 +499,9 @@ enum SolverStep {
     /// Fold the previous round's updates into `A` (fixed panel order),
     /// then factor.
     Chol { round: usize },
-    /// Solve `L·X = Bₚ` against the current factor.
-    Trsm { panel: usize, b: Matrix },
+    /// Solve `L·X = Bₚ` against the current factor. Every round's solve
+    /// of panel `p` shares the one `Bₚ`.
+    Trsm { panel: usize, b: Arc<Matrix> },
     /// `Sₚ = Xₚ·Xₚᵀ` for the next round's matrix.
     Syrk { panel: usize },
 }
@@ -720,9 +726,10 @@ mod tests {
         // order, so factors agree bit-for-bit, not just within tolerance.
         let mut eng = LacEngine::builder().config(LacConfig::default()).build();
         let serial = w.run(&mut eng).unwrap();
-        let Details::Solver { factors, .. } = &serial.details else {
+        let Details::Solver(solved) = &serial.details else {
             panic!("solver report");
         };
+        let factors = &solved.factors;
         for (k, &chol_id) in sg.chol.iter().enumerate() {
             let Details::Cholesky { l } = &run.outputs[chol_id.index()].details else {
                 panic!("chol report");

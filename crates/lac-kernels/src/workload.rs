@@ -74,8 +74,9 @@ use linalg_ref::{
 /// assert_eq!(eng.workloads_run(), 1);
 /// ```
 pub trait Workload: Send + Sync {
-    /// Stable kernel name (registry key, display label).
-    fn name(&self) -> &str;
+    /// Stable kernel name (registry key, display label). A `'static`
+    /// string, so every report names its kernel without allocating.
+    fn name(&self) -> &'static str;
 
     /// Adapt a base core configuration to this workload's requirements
     /// (identity for most kernels; e.g. the wide-accumulator vector norm
@@ -116,10 +117,15 @@ impl ChipJob for Box<dyn Workload> {
 }
 
 /// Uniform result of one workload run.
+///
+/// A graph run holds one report per job, so the report is kept lean:
+/// the kernel name is a `'static` label and [`Details`] boxes its
+/// multi-field variants, which keeps the whole report at 216 bytes on
+/// 64-bit targets (a unit test guards the bound).
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelReport {
-    /// Which workload produced this ([`Workload::name`]).
-    pub kernel: String,
+    /// Which workload (or graph step) produced this ([`Workload::name`]).
+    pub kernel: &'static str,
     /// Event counters of this run only (the engine's session counters
     /// advanced by them as the programs ran).
     pub stats: ExecStats,
@@ -133,6 +139,10 @@ pub struct KernelReport {
 }
 
 /// Per-kernel extras riding on the unified report.
+///
+/// Single-output variants hold their matrix inline; the multi-field ones
+/// are boxed, so the enum is one [`Matrix`] plus a tag (48 bytes on
+/// 64-bit targets) however large a kernel's result record grows.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Details {
     /// Updated `C` of a GEMM-class kernel (also TRMM's product and SYMM's
@@ -157,19 +167,9 @@ pub enum Details {
         l: Matrix,
     },
     /// LAPACK-packed `L\U` factors plus pivot rows.
-    Lu {
-        /// `L\U` packed LAPACK-style.
-        factors: Matrix,
-        /// Pivot row per iteration.
-        pivots: Vec<usize>,
-    },
+    Lu(Box<LuDetails>),
     /// Upper-triangular `R` and the Householder reflectors of a QR panel.
-    Qr {
-        /// The triangular factor.
-        r: Matrix,
-        /// One reflector per factored column.
-        reflectors: Vec<HouseholderReflector>,
-    },
+    Qr(Box<QrDetails>),
     /// The computed ‖x‖₂.
     Vecnorm {
         /// The norm.
@@ -182,51 +182,83 @@ pub enum Details {
     },
     /// The per-round Cholesky factors and final system matrix of a
     /// [`crate::solver::SolverLoopWorkload`].
-    Solver {
-        /// `Lₖ` per round.
-        factors: Vec<Matrix>,
-        /// The system matrix after the last update.
-        final_a: Matrix,
-    },
+    Solver(Box<SolverDetails>),
     /// Post-step iterate and residuals emitted by the closing job of one
     /// IP-PMM interior-point iteration ([`crate::ippmm`]) — what the
     /// iteration's continuation decides convergence from.
-    Ipm {
-        /// Primal iterate after the step (`n × 1`).
-        x: Matrix,
-        /// Equality multiplier after the step (`m × 1`).
-        y: Matrix,
-        /// Bound multiplier after the step (`n × 1`).
-        z: Matrix,
-        /// ∞-norm of the primal residual `b − Ax` after the step.
-        rp: f64,
-        /// ∞-norm of the dual residual `c + Qx − Aᵀy − z` after the step.
-        rd: f64,
-        /// Complementarity measure `xᵀz / n` after the step.
-        mu: f64,
-    },
+    Ipm(Box<IpmDetails>),
     /// Post-sweep summary emitted by the closing job of one IPDDP
     /// backward/forward sweep ([`crate::ipddp`]) — what the fleet
     /// member's continuation decides convergence from.
-    Ddp {
-        /// Control trajectory after the sweep (`nu × T`).
-        u: Matrix,
-        /// Total objective of the new nominal trajectory (stage +
-        /// terminal quadratic cost, barrier excluded).
-        cost: f64,
-        /// ∞-norm of the feedforward gains — the sweep's stationarity
-        /// measure.
-        grad: f64,
-        /// Barrier weight after the sweep.
-        mu: f64,
-    },
+    Ddp(Box<DdpDetails>),
+}
+
+/// [`Details::Lu`]: an LU factorization with partial pivoting.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LuDetails {
+    /// `L\U` packed LAPACK-style.
+    pub factors: Matrix,
+    /// Pivot row per iteration.
+    pub pivots: Vec<usize>,
+}
+
+/// [`Details::Qr`]: a Householder QR panel.
+#[derive(Clone, Debug, PartialEq)]
+pub struct QrDetails {
+    /// The triangular factor.
+    pub r: Matrix,
+    /// One reflector per factored column.
+    pub reflectors: Vec<HouseholderReflector>,
+}
+
+/// [`Details::Solver`]: a whole solver loop run serially.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SolverDetails {
+    /// `Lₖ` per round.
+    pub factors: Vec<Matrix>,
+    /// The system matrix after the last update.
+    pub final_a: Matrix,
+}
+
+/// [`Details::Ipm`]: the iterate after one IP-PMM step.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IpmDetails {
+    /// Primal iterate after the step (`n × 1`).
+    pub x: Matrix,
+    /// Equality multiplier after the step (`m × 1`).
+    pub y: Matrix,
+    /// Bound multiplier after the step (`n × 1`).
+    pub z: Matrix,
+    /// ∞-norm of the primal residual `b − Ax` after the step.
+    pub rp: f64,
+    /// ∞-norm of the dual residual `c + Qx − Aᵀy − z` after the step.
+    pub rd: f64,
+    /// Complementarity measure `xᵀz / n` after the step.
+    pub mu: f64,
+}
+
+/// [`Details::Ddp`]: one fleet member's state after an IPDDP sweep.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DdpDetails {
+    /// The fleet member (its index in [`crate::IpddpFleet`]) that swept.
+    pub member: usize,
+    /// Control trajectory after the sweep (`nu × T`).
+    pub u: Matrix,
+    /// Total objective of the new nominal trajectory (stage + terminal
+    /// quadratic cost, barrier excluded).
+    pub cost: f64,
+    /// ∞-norm of the feedforward gains — the sweep's stationarity
+    /// measure.
+    pub grad: f64,
+    /// Barrier weight after the sweep.
+    pub mu: f64,
 }
 
 /// Count a finished workload on the engine and assemble the uniform
 /// report (the core's counters metered its cycles as they ran).
 pub(crate) fn finish(
     eng: &mut LacEngine,
-    name: &str,
+    name: &'static str,
     stats: ExecStats,
     useful_macs: Option<u64>,
     details: Details,
@@ -238,7 +270,7 @@ pub(crate) fn finish(
         None => (stats.flops(), stats.utilization(nr)),
     };
     KernelReport {
-        kernel: name.to_string(),
+        kernel: name,
         stats,
         useful_flops,
         utilization,
@@ -342,7 +374,7 @@ impl GemmWorkload {
 }
 
 impl Workload for GemmWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "gemm"
     }
 
@@ -411,7 +443,7 @@ impl SyrkWorkload {
 }
 
 impl Workload for SyrkWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "syrk"
     }
 
@@ -499,7 +531,7 @@ impl TrsmStackedWorkload {
 }
 
 impl Workload for TrsmStackedWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "trsm-stacked"
     }
 
@@ -569,7 +601,7 @@ impl BlockedTrsmWorkload {
 }
 
 impl Workload for BlockedTrsmWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "trsm"
     }
 
@@ -618,7 +650,7 @@ impl TrmmWorkload {
 }
 
 impl Workload for TrmmWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "trmm"
     }
 
@@ -680,7 +712,7 @@ impl SymmWorkload {
 }
 
 impl Workload for SymmWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "symm"
     }
 
@@ -732,7 +764,7 @@ impl CholKernelWorkload {
 }
 
 impl Workload for CholKernelWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "chol-kernel"
     }
 
@@ -791,7 +823,7 @@ impl BlockedCholWorkload {
 }
 
 impl Workload for BlockedCholWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "chol"
     }
 
@@ -843,7 +875,7 @@ impl LuPanelWorkload {
 }
 
 impl Workload for LuPanelWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "lu-panel"
     }
 
@@ -858,14 +890,15 @@ impl Workload for LuPanelWorkload {
             self.name(),
             stats,
             None,
-            Details::Lu { factors, pivots },
+            Details::Lu(Box::new(LuDetails { factors, pivots })),
         ))
     }
 
     fn check(&self, report: &KernelReport) -> Result<(), String> {
-        let Details::Lu { factors, pivots } = &report.details else {
+        let Details::Lu(lu) = &report.details else {
             return Err(expect_details(self.name(), "Lu"));
         };
+        let LuDetails { factors, pivots } = lu.as_ref();
         let expect =
             lu_partial_pivot(&self.a).map_err(|e| format!("{}: reference: {e:?}", self.name()))?;
         if *pivots != expect.pivots {
@@ -907,7 +940,7 @@ impl BlockedLuWorkload {
 }
 
 impl Workload for BlockedLuWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "lu"
     }
 
@@ -922,14 +955,15 @@ impl Workload for BlockedLuWorkload {
             self.name(),
             stats,
             None,
-            Details::Lu { factors, pivots },
+            Details::Lu(Box::new(LuDetails { factors, pivots })),
         ))
     }
 
     fn check(&self, report: &KernelReport) -> Result<(), String> {
-        let Details::Lu { factors, pivots } = &report.details else {
+        let Details::Lu(lu) = &report.details else {
             return Err(expect_details(self.name(), "Lu"));
         };
+        let LuDetails { factors, pivots } = lu.as_ref();
         let expect =
             lu_partial_pivot(&self.a).map_err(|e| format!("{}: reference: {e:?}", self.name()))?;
         if *pivots != expect.pivots {
@@ -979,7 +1013,7 @@ impl QrPanelWorkload {
 }
 
 impl Workload for QrPanelWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "qr-panel"
     }
 
@@ -1004,19 +1038,19 @@ impl Workload for QrPanelWorkload {
             self.name(),
             rep.stats,
             None,
-            Details::Qr {
+            Details::Qr(Box::new(QrDetails {
                 r: rep.r,
                 reflectors: rep.reflectors,
-            },
+            })),
         ))
     }
 
     fn check(&self, report: &KernelReport) -> Result<(), String> {
-        let Details::Qr { r, .. } = &report.details else {
+        let Details::Qr(qr) = &report.details else {
             return Err(expect_details(self.name(), "Qr"));
         };
         let reference = qr_householder(&self.a);
-        close(self.name(), "R", max_abs_diff(r, &reference.r), 1e-8)
+        close(self.name(), "R", max_abs_diff(&qr.r, &reference.r), 1e-8)
     }
 }
 
@@ -1055,7 +1089,7 @@ impl VecnormWorkload {
 }
 
 impl Workload for VecnormWorkload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "vecnorm"
     }
 
@@ -1127,7 +1161,7 @@ impl Fft64Workload {
 }
 
 impl Workload for Fft64Workload {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "fft64"
     }
 
@@ -1359,6 +1393,23 @@ mod tests {
         let g = GemmWorkload::demo();
         let rep = g.run(&mut eng).unwrap();
         assert!(Fft64Workload::demo().check(&rep).is_err());
+    }
+
+    // A graph run keeps one report per job, so these sizes multiply.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn reports_stay_lean() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Details>() <= 48,
+            "Details is {} B (bound 48): box any new multi-field variant",
+            size_of::<Details>()
+        );
+        assert!(
+            size_of::<KernelReport>() <= 216,
+            "KernelReport is {} B (bound 216): box any new multi-field Details variant",
+            size_of::<KernelReport>()
+        );
     }
 
     #[test]

@@ -893,19 +893,30 @@ impl<J: ChipJob> LacCluster<J> {
             session.cost_completed += delta.cost_dispatched;
         }
         // Each graph's completion is its contiguous slice of the pool,
-        // with cores numbered globally (chips laid end to end).
+        // with cores numbered globally (chips laid end to end). The fused
+        // outputs are split from the back, last graph first: each split
+        // moves one graph's outputs out and hands the freed tail back, so
+        // the round never holds its outputs twice, and the first graph
+        // takes the fused buffer itself, trimmed to its own length.
         let starts: Vec<usize> = self.cfg.topology().chip_ranges().map(|r| r.start).collect();
-        let mut outputs = run.outputs.into_iter();
-        let mut first = 0;
-        let graphs = pending
+        let mut outputs = run.outputs;
+        let mut end = outputs.len();
+        let mut graphs: Vec<_> = pending
             .iter()
+            .rev()
             .map(|p| {
-                let len = p.graph.len();
-                let jobs = first..first + len;
-                first += len;
+                let jobs = end - p.graph.len()..end;
+                end = jobs.start;
+                let own = if jobs.start == 0 {
+                    take(&mut outputs)
+                } else {
+                    let own = outputs.split_off(jobs.start);
+                    outputs.shrink_to_fit();
+                    own
+                };
                 GraphCompletion {
                     ticket: p.ticket,
-                    outputs: outputs.by_ref().take(len).collect(),
+                    outputs: own,
                     assignment: run.assignment[jobs.clone()]
                         .iter()
                         .map(|&(chip, core)| starts[chip] + core)
@@ -914,6 +925,7 @@ impl<J: ChipJob> LacCluster<J> {
                 }
             })
             .collect();
+        graphs.reverse();
         Ok(ClusterRound {
             graphs,
             partition: run.partition,
@@ -1197,6 +1209,55 @@ mod tests {
                 for &(ts, tc) in &tenants {
                     assert_eq!(svc.tenant_session(ts), cluster.tenant_session(tc), "{ctx}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_splits_into_exact_per_graph_slices() {
+        // Three graphs of unequal size from one fresh weight-1 tenant: the
+        // round plans what `run_graph` plans for the graphs appended in
+        // ticket order, so each completion is exactly its slice of that
+        // fused run, owns no slack of the fused buffer, and carries the
+        // outputs the graph produces when run alone.
+        let sizes = [1, 5, 2];
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let chip = ChipConfig::new(2, LacConfig::default());
+            let cfg = ClusterConfig::homogeneous(2, chip).with_sim_mode(mode);
+            let fresh = || -> LacCluster<ProgramJob> { LacCluster::new(cfg.clone()) };
+            for sched in POLICIES {
+                let ctx = format!("{mode:?} {sched:?}");
+                let mut fused = JobGraph::new();
+                let mut rounds = fresh();
+                let t = rounds.add_tenant(TenantConfig::new("only"));
+                let tickets: Vec<_> = sizes
+                    .iter()
+                    .map(|&n| {
+                        fused.append(diamonds(n));
+                        rounds.enqueue(t, diamonds(n)).unwrap()
+                    })
+                    .collect();
+                let round = rounds.run_admitted(sched).unwrap();
+                let run = fresh().run_graph(&fused, sched).unwrap();
+
+                assert_eq!(round.graphs.len(), sizes.len(), "{ctx}");
+                let mut start = 0;
+                for ((done, ticket), &n) in round.graphs.iter().zip(&tickets).zip(&sizes) {
+                    assert_eq!(done.ticket, *ticket, "{ctx}: ticket order");
+                    let jobs = start..start + 4 * n;
+                    start = jobs.end;
+                    assert_eq!(done.outputs, run.outputs[jobs.clone()], "{ctx}");
+                    let global: Vec<usize> = run.assignment[jobs.clone()]
+                        .iter()
+                        .map(|&(chip, core)| 2 * chip + core)
+                        .collect();
+                    assert_eq!(done.assignment, global, "{ctx}");
+                    assert_eq!(done.wave_of, run.wave_of[jobs], "{ctx}");
+                    assert_eq!(done.outputs.capacity(), done.outputs.len(), "{ctx}");
+                    let solo = fresh().run_graph(&diamonds(n), sched).unwrap();
+                    assert_eq!(done.outputs, solo.outputs, "{ctx}: solo outputs");
+                }
+                assert_eq!(start, run.outputs.len(), "{ctx}");
             }
         }
     }

@@ -58,8 +58,8 @@ fn main() {
     for (sweep, seg) in outcome.segments.iter().enumerate() {
         let mut grads = Vec::new();
         for r in seg {
-            if let Details::Ddp { grad, .. } = &r.details {
-                grads.push(format!("{grad:.1e}"));
+            if let Details::Ddp(ddp) = &r.details {
+                grads.push(format!("{:.1e}", ddp.grad));
             }
         }
         println!(
@@ -70,14 +70,12 @@ fn main() {
         );
     }
 
-    // Per-member convergence: last sweep each member appears in.
+    // Per-member convergence: the last sweep that closed for each member.
     let mut last_sweep = vec![0usize; members];
     for (sweep, seg) in outcome.segments.iter().enumerate() {
         for r in seg {
-            for (m, last) in last_sweep.iter_mut().enumerate() {
-                if r.kernel.starts_with(&format!("ipddp-m{m}-")) {
-                    *last = sweep;
-                }
+            if let Details::Ddp(ddp) = &r.details {
+                last_sweep[ddp.member] = sweep;
             }
         }
     }

@@ -28,9 +28,10 @@ fn linear_system_via_lu_on_the_accelerator() {
     let mut eng = engine();
     let w = LuPanelWorkload::new(a.clone(), LuOptions::default());
     let report = w.run(&mut eng).unwrap();
-    let Details::Lu { factors, pivots } = &report.details else {
+    let Details::Lu(lu) = &report.details else {
         panic!("lu reports factors")
     };
+    let (factors, pivots) = (&lu.factors, &lu.pivots);
     let reference = lu_partial_pivot(&a).unwrap();
     assert_eq!(*pivots, reference.pivots);
     assert!(max_abs_diff(factors, &reference.factors) < 1e-9);

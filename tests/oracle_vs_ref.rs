@@ -129,9 +129,10 @@ fn factorizations_reconstruct_their_inputs() {
             } else {
                 run_one(&LuPanelWorkload::new(a.clone(), LuOptions::default()))
             };
-            let Details::Lu { factors, pivots } = &report.details else {
+            let Details::Lu(lu) = &report.details else {
                 panic!("{kernel} reports factors")
             };
+            let (factors, pivots) = (&lu.factors, &lu.pivots);
             assert_eq!(
                 pivots.len(),
                 factors.rows().min(factors.cols()),
@@ -194,9 +195,10 @@ fn solver_loop_factors_reconstruct_every_round() {
         salt: 77,
     });
     let report = run_one(&wl);
-    let Details::Solver { factors, final_a } = &report.details else {
+    let Details::Solver(solved) = &report.details else {
         panic!("solver reports factors")
     };
+    let (factors, final_a) = (&solved.factors, &solved.final_a);
     assert_eq!(factors.len(), 4);
     let mut a = wl.a0.clone();
     for (k, l) in factors.iter().enumerate() {
