@@ -68,16 +68,16 @@ fn main() {
             fleet
                 .check(&run.outputs)
                 .expect("per-member outputs match linalg-ref");
-            assert!(
-                run.transfers.is_empty(),
+            assert_eq!(
+                run.events.transfer_events().count(),
+                0,
                 "components must shard without cutting edges"
             );
 
-            // Warm rerun on the same cluster (fresh fleet — solver state
-            // is consumed by a run): bit-identical.
-            let refleet = SolverFleet::new(base_params(), FLEET);
+            // Warm rerun of the used graph on the same cluster:
+            // bit-identical.
             let rerun = cluster
-                .run_graph(&refleet.graph, Scheduler::CriticalPath)
+                .run_graph(&fleet.graph, Scheduler::CriticalPath)
                 .expect("rerun");
             assert_eq!(run.outputs, rerun.outputs, "warm rerun diverged");
             assert_eq!(run.stats, rerun.stats, "warm rerun stats diverged");

@@ -8,7 +8,6 @@
 //! their points for `perf_compare`. `run_all` runs `paper` and every bench.
 
 pub mod json;
-pub mod trace_io;
 
 /// Value of `--json-out <path>`, if present: the bin prints its table as
 /// usual *and* writes the perf points there — one simulation, both

@@ -203,16 +203,20 @@ impl DdpProblem {
     /// the device twin can charge the TRSM against the real right-hand
     /// sides.
     fn backward_step(&self, st: &mut DdpState, t: usize, l: &Matrix) -> (Vec<f64>, Matrix) {
-        let (vx, vxx) = (st.vx.clone(), st.vxx.clone());
+        let (vx, vxx) = (st.vx[t + 1].clone(), st.vxx[t + 1].clone());
         let at_vx = mat_tvec(&self.a, &vx);
         let bt_vx = mat_tvec(&self.b, &vx);
         let qu: Vec<f64> = (0..NU)
             .map(|i| {
-                let uj = st.us[t][i];
-                self.ru * uj + st.mu * (1.0 / (self.umax - uj) - 1.0 / (self.umax + uj)) + bt_vx[i]
+                let uj = st.at.us[t][i];
+                self.ru * uj
+                    + st.at.mu * (1.0 / (self.umax - uj) - 1.0 / (self.umax + uj))
+                    + bt_vx[i]
             })
             .collect();
-        let qx: Vec<f64> = (0..NX).map(|i| self.qx * st.xs[t][i] + at_vx[i]).collect();
+        let qx: Vec<f64> = (0..NX)
+            .map(|i| self.qx * st.at.xs[t][i] + at_vx[i])
+            .collect();
         let vxx_a = mul(&vxx, &self.a);
         let vxx_b = mul(&vxx, &self.b);
         let qxx = Matrix::from_fn(NX, NX, |i, j| {
@@ -256,8 +260,8 @@ impl DdpProblem {
                     })
                     .sum::<f64>()
         });
-        st.vx = new_vx;
-        st.vxx = Matrix::from_fn(NX, NX, |i, j| 0.5 * (raw[(i, j)] + raw[(j, i)]));
+        st.vx[t] = new_vx;
+        st.vxx[t] = Matrix::from_fn(NX, NX, |i, j| 0.5 * (raw[(i, j)] + raw[(j, i)]));
         st.ks[t] = k;
         st.kks[t] = kk;
         (qu, qux)
@@ -268,39 +272,44 @@ impl DdpProblem {
         Matrix::from_fn(NU, NU, |i, j| {
             let mut v = col_dot(&self.b, i, vxx_b, j);
             if i == j {
-                let uj = st.us[t][i];
+                let uj = st.at.us[t][i];
                 let (lo, hi) = (self.umax + uj, self.umax - uj);
-                v += self.ru + st.mu * (1.0 / (hi * hi) + 1.0 / (lo * lo));
+                v += self.ru + st.at.mu * (1.0 / (hi * hi) + 1.0 / (lo * lo));
             }
             v
         })
     }
 
-    /// The forward pass closing one sweep: line search, trajectory
-    /// update, gradient measurement and the barrier schedule. Returns
-    /// `(grad, μ_pre)` — convergence is judged at the *pre-update* `μ`
-    /// so the decision matches the sweep that was actually run.
+    /// The forward pass closing one sweep: line search, gradient
+    /// measurement and the barrier schedule, written to `st.next` (the
+    /// sweep's own point stays untouched until [`DdpState::commit`]).
+    /// Returns `(grad, μ_pre)` — convergence is judged at the
+    /// *pre-update* `μ` so the decision matches the sweep that was
+    /// actually run.
     fn forward_pass(&self, st: &mut DdpState) -> (f64, f64) {
-        let mu_pre = st.mu;
+        let at = &st.at;
         let grad = st.ks.iter().map(|k| inf_norm(k)).fold(0.0, f64::max);
-        let cost_old = self.cost(&st.xs, &st.us, st.mu);
+        let cost_old = self.cost(&at.xs, &at.us, at.mu);
+        let mut next = at.clone();
         for k in 0..LS_STEPS {
             let alpha = 0.5f64.powi(k as i32);
             if let Some((xs, us, cost)) =
-                self.rollout(alpha, &st.xs, &st.us, &st.ks, &st.kks, st.mu)
+                self.rollout(alpha, &at.xs, &at.us, &st.ks, &st.kks, at.mu)
             {
                 if cost < cost_old + 1e-12 {
-                    st.xs = xs;
-                    st.us = us;
-                    st.cost = cost;
+                    next.xs = xs;
+                    next.us = us;
+                    next.cost = cost;
                     break;
                 }
             }
         }
         // Shrink the barrier once this μ's subproblem has stalled.
-        if grad <= self.tol.max(st.mu) && st.mu > self.tol {
-            st.mu = (st.mu * MU_SHRINK).max(self.tol);
+        if grad <= self.tol.max(at.mu) && at.mu > self.tol {
+            next.mu = (at.mu * MU_SHRINK).max(self.tol);
         }
+        let mu_pre = at.mu;
+        st.next = next;
         (grad, mu_pre)
     }
 
@@ -323,14 +332,34 @@ fn col_dot(m: &Matrix, i: usize, n: &Matrix, j: usize) -> f64 {
     (0..m.rows()).map(|k| m[(k, i)] * n[(k, j)]).sum()
 }
 
-/// One member's mutable solve state, shared by its chain of jobs.
-struct DdpState {
+/// A sweep's linearization point: the state and control trajectories,
+/// their barrier-augmented cost and the barrier weight.
+#[derive(Clone)]
+struct Point {
     xs: Vec<Vec<f64>>,
     us: Vec<Vec<f64>>,
     cost: f64,
     mu: f64,
-    vx: Vec<f64>,
-    vxx: Matrix,
+}
+
+/// One member's solve state, shared by its chain of jobs. Every slot has
+/// one writer per sweep and is read only by that writer's descendants,
+/// so a job rerun after a chip kill reads what its first execution read:
+/// job `t` reads `vx[t + 1]`/`vxx[t + 1]` and writes `vx[t]`, `vxx[t]`,
+/// `ks[t]` and `kks[t]`; the closing `t = 0` job reads the gains and
+/// writes `next`. Only [`DdpState::commit`], between sweeps, moves the
+/// sweep's point.
+struct DdpState {
+    /// The point this sweep linearizes around.
+    at: Point,
+    /// The forward pass's result: the next sweep's point.
+    next: Point,
+    /// Value-function gradient per timestep; `vx[horizon]` is the
+    /// terminal seed.
+    vx: Vec<Vec<f64>>,
+    /// Value-function Hessian per timestep; `vxx[horizon]` is the
+    /// terminal seed.
+    vxx: Vec<Matrix>,
     ks: Vec<Vec<f64>>,
     kks: Vec<Matrix>,
 }
@@ -345,16 +374,35 @@ impl DdpState {
             xs.push(ax);
         }
         let cost = p.cost(&xs, &us, MU0);
-        Self {
+        let at = Point {
             xs,
             us,
             cost,
             mu: MU0,
-            vx: vec![0.0; NX],
-            vxx: Matrix::zeros(NX, NX),
+        };
+        let mut st = Self {
+            next: at.clone(),
+            at,
+            vx: vec![vec![0.0; NX]; p.horizon + 1],
+            vxx: vec![Matrix::zeros(NX, NX); p.horizon + 1],
             ks: vec![vec![0.0; NU]; p.horizon],
             kks: vec![Matrix::zeros(NU, NX); p.horizon],
-        }
+        };
+        st.seed(p);
+        st
+    }
+
+    /// Seed the value function at the horizon from the terminal cost.
+    fn seed(&mut self, p: &DdpProblem) {
+        self.vx[p.horizon] = self.at.xs[p.horizon].iter().map(|&x| p.qf * x).collect();
+        self.vxx[p.horizon] = Matrix::from_fn(NX, NX, |i, j| if i == j { p.qf } else { 0.0 });
+    }
+
+    /// Advance to the next sweep: the forward pass's point becomes the
+    /// linearization point, and the terminal seed follows it.
+    fn commit(&mut self, p: &DdpProblem) {
+        self.at = self.next.clone();
+        self.seed(p);
     }
 }
 
@@ -431,8 +479,11 @@ impl IpddpFleet {
             }
             let mut g = JobGraph::new();
             for &m in &active {
-                let chain = sweep_chain(&members[m], &states[m]);
-                g.append(chain);
+                states[m]
+                    .lock()
+                    .expect("ddp state poisoned")
+                    .commit(&members[m]);
+                g.append(sweep_chain(&members[m], &states[m]));
             }
             Continue::Append(g)
         })
@@ -455,12 +506,7 @@ impl IpddpFleet {
                 let mut st = DdpState::fresh(p);
                 for sweep in 0..self.params.max_sweeps {
                     for t in (0..p.horizon).rev() {
-                        if t == p.horizon - 1 {
-                            st.vx = st.xs[p.horizon].iter().map(|&x| p.qf * x).collect();
-                            st.vxx =
-                                Matrix::from_fn(NX, NX, |i, j| if i == j { p.qf } else { 0.0 });
-                        }
-                        let vxx_b = mul(&st.vxx, &p.b);
+                        let vxx_b = mul(&st.vxx[t + 1], &p.b);
                         let quu = p.quu(&st, t, &vxx_b);
                         let l = cholesky(&quu).map_err(|e| {
                             format!("ipddp reference m{} sweep {sweep} t{t}: {e:?}", p.index)
@@ -470,11 +516,12 @@ impl IpddpFleet {
                     let (grad, mu_pre) = p.forward_pass(&mut st);
                     if p.converged(grad, mu_pre) {
                         return Ok(DdpReference {
-                            us: st.us,
-                            cost: st.cost,
+                            us: st.next.us,
+                            cost: st.next.cost,
                             sweeps: sweep + 1,
                         });
                     }
+                    st.commit(p);
                 }
                 Err(format!(
                     "ipddp reference m{}: no convergence within {} sweeps",
@@ -587,16 +634,11 @@ impl ChipJob for DdpJob {
     fn run_on(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
         let p = &self.problem;
         let t = self.t;
-        // Assemble Q_uu from the incoming value function (seeding it at
-        // the terminal step), factor it on the device, and run the
-        // Riccati recursion around the factor.
+        // Assemble Q_uu from the incoming value function, factor it on
+        // the device, and run the Riccati recursion around the factor.
         let quu = {
-            let mut st = self.state.lock().expect("ddp state poisoned");
-            if t == p.horizon - 1 {
-                st.vx = st.xs[p.horizon].iter().map(|&x| p.qf * x).collect();
-                st.vxx = Matrix::from_fn(NX, NX, |i, j| if i == j { p.qf } else { 0.0 });
-            }
-            let vxx_b = mul(&st.vxx, &p.b);
+            let st = self.state.lock().expect("ddp state poisoned");
+            let vxx_b = mul(&st.vxx[t + 1], &p.b);
             p.quu(&st, t, &vxx_b)
         };
         let (l, mut stats) = blocked_cholesky_run(eng.core_mut(), &quu)?;
@@ -623,8 +665,8 @@ impl ChipJob for DdpJob {
             let (grad, mu_pre, u, cost) = {
                 let mut st = self.state.lock().expect("ddp state poisoned");
                 let (grad, mu_pre) = p.forward_pass(&mut st);
-                let u = Matrix::from_fn(NU, p.horizon, |i, tt| st.us[tt][i]);
-                (grad, mu_pre, u, st.cost)
+                let u = Matrix::from_fn(NU, p.horizon, |i, tt| st.next.us[tt][i]);
+                (grad, mu_pre, u, st.next.cost)
             };
             Ok(step_report(
                 eng,

@@ -107,9 +107,14 @@ struct IpmProblem {
     eps_mu: f64,
 }
 
-/// The mutable iterate the four jobs of a segment communicate through.
-/// Graph edges order every access; the contents are a pure function of
-/// the problem, so they are placement-independent.
+/// One segment's state: the iterate it steps from, which no job writes,
+/// plus one slot per intermediate, each written by exactly one of the
+/// segment's four jobs and read only by its descendants. A job rerun
+/// after a chip kill therefore reads what its first execution read; the
+/// stepped iterate leaves in the closing report, and the continuation
+/// builds the next segment's state from it. Graph edges order every
+/// access; the contents are a pure function of the problem, so they are
+/// placement-independent.
 struct IpmIterate {
     x: Vec<f64>,
     y: Vec<f64>,
@@ -360,21 +365,9 @@ impl IppmmWorkload {
     /// `run_open_loop_dynamic`.
     pub fn dynamic(&self) -> DynamicGraph<IpmJob> {
         let problem = Arc::new(self.problem());
-        let n = problem.n;
-        let iterate = Arc::new(Mutex::new(IpmIterate {
-            x: vec![1.0; n],
-            y: vec![0.0; problem.m],
-            z: vec![1.0; n],
-            reg: REG_MAX,
-            g: vec![0.0; n],
-            l: Matrix::zeros(n, n),
-            v: Matrix::zeros(n, problem.m),
-            w: vec![0.0; n],
-            lm: Matrix::zeros(problem.m, problem.m),
-            rhs_y: vec![0.0; problem.m],
-        }));
-        let initial = segment(&problem, &iterate);
-        let (p, it) = (Arc::clone(&problem), Arc::clone(&iterate));
+        let (n, m) = (problem.n, problem.m);
+        let initial = segment(&problem, vec![1.0; n], vec![0.0; m], vec![1.0; n]);
+        let p = Arc::clone(&problem);
         let max_iters = self.params.max_iters;
         DynamicGraph::new(initial, move |seg: usize, outputs: &[KernelReport]| {
             let Some(last) = outputs.last() else {
@@ -387,7 +380,8 @@ impl IppmmWorkload {
             if converged || seg + 1 >= max_iters {
                 Continue::Done
             } else {
-                Continue::Append(segment(&p, &it))
+                let column = |v: &Matrix| (0..v.rows()).map(|i| v[(i, 0)]).collect();
+                Continue::Append(segment(&p, column(&ipm.x), column(&ipm.y), column(&ipm.z)))
             }
         })
     }
@@ -531,14 +525,27 @@ fn schur_rhs(p: &IpmProblem, v: &Matrix, w: &[f64], rp: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Build one iteration's four-job segment: factor → panel solve → Schur
-/// → step, chained.
-fn segment(problem: &Arc<IpmProblem>, iterate: &Arc<Mutex<IpmIterate>>) -> JobGraph<IpmJob> {
+/// Build one iteration's four-job segment stepping from `(x, y, z)`:
+/// factor → panel solve → Schur → step, chained, over a fresh
+/// per-segment [`IpmIterate`].
+fn segment(problem: &Arc<IpmProblem>, x: Vec<f64>, y: Vec<f64>, z: Vec<f64>) -> JobGraph<IpmJob> {
+    let iterate = Arc::new(Mutex::new(IpmIterate {
+        x,
+        y,
+        z,
+        reg: REG_MAX,
+        g: vec![0.0; problem.n],
+        l: Matrix::zeros(problem.n, problem.n),
+        v: Matrix::zeros(problem.n, problem.m),
+        w: vec![0.0; problem.n],
+        lm: Matrix::zeros(problem.m, problem.m),
+        rhs_y: vec![0.0; problem.m],
+    }));
     let (n, m) = (problem.n as u64, problem.m as u64);
     let solve_w = IppmmWorkload::solve_width(problem.m) as u64;
     let job = |step: IpmStep, cost: u64, words: u64| IpmJob {
         problem: Arc::clone(problem),
-        iterate: Arc::clone(iterate),
+        iterate: Arc::clone(&iterate),
         cost,
         words,
         step,
@@ -571,9 +578,10 @@ enum IpmStep {
     Solve,
     /// `M = VᵀV + δI` by device SYRK, then factor `M` on the device.
     Schur,
-    /// Solve for `Δy`, recover `(Δx, Δz)`, take the damped step, emit
-    /// the post-step iterate and residuals. The report is labelled
-    /// `ippmm-step`; its segment index is the iteration.
+    /// Solve for `Δy`, recover `(Δx, Δz)`, take the damped step from a
+    /// copy of the segment's iterate, emit the post-step iterate and
+    /// residuals. The report is labelled `ippmm-step`; its segment index
+    /// is the iteration.
     Step,
 }
 
@@ -671,21 +679,13 @@ impl ChipJob for IpmJob {
                 let (sol, stats) = blocked_trsm_run(eng.core_mut(), &lm, &rhs_panel)?;
                 let u: Vec<f64> = (0..p.m).map(|i| sol[(i, 0)]).collect();
                 let (x, y, z, rp, rd, mu) = {
-                    let mut st = self.iterate.lock().expect("ipm state poisoned");
+                    let st = self.iterate.lock().expect("ipm state poisoned");
                     let mu_pre =
                         st.x.iter().zip(&st.z).map(|(xi, zi)| xi * zi).sum::<f64>() / p.n as f64;
-                    let IpmIterate {
-                        ref mut x,
-                        ref mut y,
-                        ref mut z,
-                        ref l,
-                        ref v,
-                        ref w,
-                        ref lm,
-                        ref g,
-                        ..
-                    } = *st;
-                    let (rp, rd, mu) = apply_step(p, x, y, z, l, v, w, lm, &u, g, mu_pre);
+                    let (mut x, mut y, mut z) = (st.x.clone(), st.y.clone(), st.z.clone());
+                    let (rp, rd, mu) = apply_step(
+                        p, &mut x, &mut y, &mut z, &st.l, &st.v, &st.w, &st.lm, &u, &st.g, mu_pre,
+                    );
                     (
                         Matrix::from_fn(p.n, 1, |i, _| x[i]),
                         Matrix::from_fn(p.m, 1, |i, _| y[i]),

@@ -30,13 +30,15 @@
 //!
 //! Two doors:
 //!
-//! * [`Workload`] (`run` on one `LacEngine`) — the whole loop serially on
-//!   one core, per-round reports rolled into one [`KernelReport`] with
-//!   [`Details::Solver`]. Registered in [`crate::registry`] like any
-//!   kernel.
-//! * [`SolverLoopWorkload::graph`] — the same loop as a
-//!   [`JobGraph`] of [`SolverJob`]s for a multi-core chip/service; rounds
-//!   chain through shared state behind the graph's dependency edges.
+//! * [`Workload`] (`run` on one `LacEngine`) — the graph's jobs serially
+//!   on one core, in id order, per-round reports rolled into one
+//!   [`KernelReport`] with [`Details::Solver`]. Registered in
+//!   [`crate::registry`] like any kernel.
+//! * [`SolverLoopWorkload::graph`] — the loop as a [`JobGraph`] of
+//!   [`SolverJob`]s for a multi-core chip/service; rounds chain through
+//!   single-assignment slots behind the graph's dependency edges, so a
+//!   job revoked by a chip kill reruns to the same bits, and so does a
+//!   used graph.
 //!   [`SolverLoopWorkload::check_graph`] verifies every per-round output
 //!   against an independent `linalg-ref` chain.
 
@@ -107,19 +109,25 @@ pub struct SolverLoopWorkload {
     pub b: Matrix,
 }
 
-/// Shared state the graph jobs communicate through. The dependency edges
-/// guarantee every access is ordered (parents complete before children
-/// start), and reductions walk panels in fixed order, so the contents are
-/// bit-deterministic regardless of placement.
+/// Single-assignment slots the graph jobs communicate through. A job
+/// reads only slots its ancestors wrote and writes only its own, and a
+/// slot is overwritten only after every job that reads it has released
+/// its children — and released jobs never rerun. So any job, revoked by a
+/// chip kill and rerun, or rerun with the whole graph, reads exactly what
+/// its first execution read. Reductions walk panels in fixed order, so
+/// the contents are bit-deterministic regardless of placement.
 struct SolverState {
-    /// Current `Aₖ`, full symmetric.
-    a: Matrix,
+    /// Round 0's `A₀`, full symmetric.
+    a0: Matrix,
+    /// `Aₖ` in `a[k % 2]`: round `k`'s CHOL builds it from `a[(k+1) % 2]`
+    /// while round `k−1`'s CHOL, the only other reader, is released.
+    a: [Matrix; 2],
     /// Current round's factor.
     l: Matrix,
     /// Current round's per-panel solutions.
-    x: Vec<Option<Matrix>>,
-    /// Current round's per-panel updates, consumed by the next CHOL.
-    s: Vec<Option<Matrix>>,
+    x: Vec<Matrix>,
+    /// Current round's per-panel updates, read by the next CHOL.
+    s: Vec<Matrix>,
 }
 
 /// `A (full symmetric) += S (lower triangle)`, mirroring the update into
@@ -278,11 +286,13 @@ impl SolverLoopWorkload {
     /// [`SolverLoopWorkload::check_graph`].
     pub fn graph(&self) -> SolverGraph {
         let p = self.params;
+        let zeros = Matrix::zeros(p.n, p.n);
         let state = Arc::new(Mutex::new(SolverState {
-            a: self.a0.clone(),
-            l: Matrix::zeros(p.n, p.n),
-            x: vec![None; p.panels],
-            s: vec![None; p.panels],
+            a0: self.a0.clone(),
+            a: [zeros.clone(), zeros.clone()],
+            l: zeros.clone(),
+            x: vec![Matrix::zeros(p.n, p.width); p.panels],
+            s: vec![zeros; p.panels],
         }));
         let b_panels: Vec<Arc<Matrix>> = (0..p.panels)
             .map(|panel| Arc::new(self.b_panel(panel)))
@@ -414,39 +424,38 @@ impl Workload for SolverLoopWorkload {
             * (self.chol_cost() + self.params.panels as u64 * (self.trsm_cost() + self.syrk_cost()))
     }
 
-    /// The whole loop serially on one engine — identical arithmetic, in
-    /// the same order, as the graph execution, so the per-round factors
-    /// are bit-identical between the two doors.
+    /// The whole loop serially on one engine: the jobs of
+    /// [`SolverLoopWorkload::graph`] in id order, so the per-round factors
+    /// are bit-identical between the two doors. `final_a` is `A₀` plus
+    /// every SYRK update, rounds then panels in order.
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let p = self.params;
-        let mut a = self.a0.clone();
+        let sg = self.graph();
         let mut total = ExecStats::default();
-        let mut factors = Vec::with_capacity(p.rounds);
-        for _ in 0..p.rounds {
-            let (l, stats) = blocked_cholesky_run(eng.core_mut(), &a)?;
-            total.merge(&stats);
-            let mut updates = Vec::with_capacity(p.panels);
-            for panel in 0..p.panels {
-                let (x, stats) = blocked_trsm_run(eng.core_mut(), &l, &self.b_panel(panel))?;
-                total.merge(&stats);
-                let (s, stats) = device_syrk(eng, &x)?;
-                total.merge(&stats);
-                updates.push(s);
-            }
-            for s in &updates {
-                add_sym_update(&mut a, s);
-            }
+        let mut factors = Vec::with_capacity(self.params.rounds);
+        let mut final_a = self.a0.clone();
+        for (k, &chol) in sg.chol.iter().enumerate() {
+            let rep = sg.graph.job(chol).run_on(eng)?;
+            total.merge(&rep.stats);
+            let Details::Cholesky { l } = rep.details else {
+                unreachable!("a solver CHOL reports its factor");
+            };
             factors.push(l);
+            for (&trsm, &syrk) in sg.trsm[k].iter().zip(&sg.syrk[k]) {
+                total.merge(&sg.graph.job(trsm).run_on(eng)?.stats);
+                let rep = sg.graph.job(syrk).run_on(eng)?;
+                total.merge(&rep.stats);
+                let Details::Syrk { c } = &rep.details else {
+                    unreachable!("a solver SYRK reports its update");
+                };
+                add_sym_update(&mut final_a, c);
+            }
         }
         Ok(finish(
             eng,
             self.name(),
             total,
             None,
-            Details::Solver(Box::new(SolverDetails {
-                factors,
-                final_a: a,
-            })),
+            Details::Solver(Box::new(SolverDetails { factors, final_a })),
         ))
     }
 
@@ -485,7 +494,7 @@ pub struct SolverGraph {
 }
 
 /// One step of the solver loop as a chip job. Steps communicate through
-/// the loop's shared state; the graph's edges order every access.
+/// the loop's single-assignment slots; the graph's edges order every access.
 pub struct SolverJob {
     state: Arc<Mutex<SolverState>>,
     cost: u64,
@@ -522,13 +531,18 @@ impl ChipJob for SolverJob {
             SolverStep::Chol { round } => {
                 let a = {
                     let mut st = self.state.lock().expect("solver state poisoned");
+                    let mut a = if *round == 0 {
+                        st.a0.clone()
+                    } else {
+                        st.a[(round + 1) % 2].clone()
+                    };
                     if *round > 0 {
-                        for p in 0..st.s.len() {
-                            let s = st.s[p].take().expect("round k-1 SYRK feeds round k");
-                            add_sym_update(&mut st.a, &s);
+                        for s in &st.s {
+                            add_sym_update(&mut a, s);
                         }
                     }
-                    st.a.clone()
+                    st.a[round % 2] = a.clone();
+                    a
                 };
                 let (l, stats) = blocked_cholesky_run(eng.core_mut(), &a)?;
                 self.state.lock().expect("solver state poisoned").l = l.clone();
@@ -542,15 +556,13 @@ impl ChipJob for SolverJob {
             SolverStep::Trsm { panel, b } => {
                 let l = self.state.lock().expect("solver state poisoned").l.clone();
                 let (x, stats) = blocked_trsm_run(eng.core_mut(), &l, b)?;
-                self.state.lock().expect("solver state poisoned").x[*panel] = Some(x.clone());
+                self.state.lock().expect("solver state poisoned").x[*panel] = x.clone();
                 Ok(step_report(eng, "solver-trsm", stats, Details::Trsm { x }))
             }
             SolverStep::Syrk { panel } => {
-                let x = self.state.lock().expect("solver state poisoned").x[*panel]
-                    .clone()
-                    .expect("round k TRSM feeds round k SYRK");
+                let x = self.state.lock().expect("solver state poisoned").x[*panel].clone();
                 let (s, stats) = device_syrk(eng, &x)?;
-                self.state.lock().expect("solver state poisoned").s[*panel] = Some(s.clone());
+                self.state.lock().expect("solver state poisoned").s[*panel] = s.clone();
                 Ok(step_report(
                     eng,
                     "solver-syrk",
@@ -817,12 +829,15 @@ mod tests {
             .run_graph(&fleet.graph, Scheduler::CriticalPath)
             .unwrap();
         fleet.check(&run.outputs).unwrap();
-        assert!(run.transfers.is_empty(), "components never pay the link");
+        assert_eq!(
+            run.events.transfer_events().count(),
+            0,
+            "components never pay the link"
+        );
 
-        // Rerun (fresh graph — solver state is consumed) is bit-identical.
-        let fleet2 = SolverFleet::new(base, 4);
+        // Rerunning the used graph is bit-identical.
         let run2 = cluster
-            .run_graph(&fleet2.graph, Scheduler::CriticalPath)
+            .run_graph(&fleet.graph, Scheduler::CriticalPath)
             .unwrap();
         assert_eq!(run.outputs, run2.outputs);
         assert_eq!(run.stats, run2.stats);
@@ -838,8 +853,9 @@ mod tests {
             Scheduler::CriticalPath,
         ] {
             let mut svc = service(3);
-            let first = svc.submit(&w.graph().graph, sched).unwrap();
-            let second = svc.submit(&w.graph().graph, sched).unwrap();
+            let graph = w.graph().graph;
+            let first = svc.submit(&graph, sched).unwrap();
+            let second = svc.submit(&graph, sched).unwrap();
             assert_eq!(first.outputs, second.outputs, "{sched:?}: rerun diverged");
             assert_eq!(first.stats, second.stats, "{sched:?}: rerun stats diverged");
             match &baseline {

@@ -40,7 +40,6 @@ use crate::coord::SimMode;
 use crate::engine::LacEngine;
 use crate::error::SimError;
 use crate::isa::Program;
-use crate::service::plan_wave;
 use crate::stats::ExecStats;
 
 /// One unit of schedulable work: a job knows how to run itself on a core's
@@ -166,31 +165,6 @@ pub enum Scheduler {
     /// single tenant every deficit is equal and the pick order degenerates
     /// to [`Scheduler::CriticalPath`]'s, quantum by quantum.
     FairShare,
-}
-
-impl Scheduler {
-    /// Compute the job → core assignment for a flat queue of `costs` over
-    /// `num_cores` cores. `assignment[j]` is the core that runs job `j`.
-    /// This is [`plan_wave`] over the everything-ready wave, inverted —
-    /// repeated until the queue drains for the quantum-capped
-    /// [`Scheduler::FairShare`] (the other policies dispatch everything in
-    /// one wave).
-    pub fn assign(&self, costs: &[u64], num_cores: usize) -> Vec<usize> {
-        let mut assignment = vec![0usize; costs.len()];
-        let mut ready: Vec<usize> = (0..costs.len()).collect();
-        while !ready.is_empty() {
-            let buckets = plan_wave(*self, &ready, costs, costs, num_cores);
-            let mut planned = vec![false; costs.len()];
-            for (core, bucket) in buckets.iter().enumerate() {
-                for &j in bucket {
-                    assignment[j] = core;
-                    planned[j] = true;
-                }
-            }
-            ready.retain(|&j| !planned[j]);
-        }
-        assignment
-    }
 }
 
 /// Static configuration of a chip: `S` identical cores behind one external
@@ -423,7 +397,7 @@ mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, LacCluster};
     use crate::isa::{ExtOp, ProgramBuilder, Source};
-    use crate::service::{JobGraph, LacService};
+    use crate::service::{plan_wave, JobGraph, LacService};
 
     /// The one-chip door: a service on `cores` default cores.
     fn service<J: ChipJob>(cores: usize) -> LacService<J> {
@@ -453,26 +427,41 @@ mod tests {
 
     #[test]
     fn fifo_round_robins_in_order() {
-        let s = Scheduler::Fifo;
-        assert_eq!(s.assign(&[1, 1, 1, 1, 1], 2), vec![0, 1, 0, 1, 0]);
+        let ready = [0, 1, 2, 3, 4];
+        let costs = [1; 5];
+        assert_eq!(
+            plan_wave(Scheduler::Fifo, &ready, &costs, &costs, 2),
+            vec![vec![0, 2, 4], vec![1, 3]]
+        );
     }
 
     #[test]
     fn least_loaded_balances_uneven_costs() {
         let s = Scheduler::LeastLoaded;
-        // Core 0 takes the heavy job, cores alternate around it.
-        assert_eq!(s.assign(&[10, 1, 1, 1], 2), vec![0, 1, 1, 1]);
+        let ready = [0, 1, 2, 3];
+        // Core 0 takes the heavy job, core 1 the rest.
+        let costs = [10, 1, 1, 1];
+        assert_eq!(
+            plan_wave(s, &ready, &costs, &costs, 2),
+            vec![vec![0], vec![1, 2, 3]]
+        );
         // Zero-cost jobs still count as load (no core starves the others).
-        assert_eq!(s.assign(&[0, 0, 0, 0], 2), vec![0, 1, 0, 1]);
+        let costs = [0; 4];
+        assert_eq!(
+            plan_wave(s, &ready, &costs, &costs, 2),
+            vec![vec![0, 2], vec![1, 3]]
+        );
     }
 
     #[test]
     fn critical_path_on_flat_queue_is_lpt() {
         // Longest job first, then greedy balance: 9→core0, 7→core1,
-        // 5→core1 (7+5=12 vs 9… no, core1 has 7 < 9 → 5 joins core1),
-        // 3→core0 (9 vs 12).
-        let s = Scheduler::CriticalPath;
-        assert_eq!(s.assign(&[3, 9, 5, 7], 2), vec![0, 0, 1, 1]);
+        // 5→core1 (7 < 9), 3→core0 (9 < 12).
+        let costs = [3, 9, 5, 7];
+        assert_eq!(
+            plan_wave(Scheduler::CriticalPath, &[0, 1, 2, 3], &costs, &costs, 2),
+            vec![vec![1, 0], vec![3, 2]]
+        );
     }
 
     #[test]

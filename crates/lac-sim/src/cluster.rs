@@ -182,7 +182,8 @@ pub struct Partition {
     /// Every dependency edge whose endpoints landed on different chips,
     /// as `(parent, child)` in child-id order (the order the edges were
     /// added for equal children). Each of these is charged exactly one
-    /// [`Transfer`] when its parent completes.
+    /// [`TraceEvent::Transfer`](crate::trace::TraceEvent::Transfer) when
+    /// its parent completes.
     pub cut_edges: Vec<(JobId, JobId)>,
     /// Total cost hint placed on each chip (the bin-packing load).
     pub chip_cost: Vec<u64>,
@@ -274,27 +275,6 @@ pub(crate) fn partition_costs(
     }
 }
 
-/// One modeled inter-chip payload movement: the charge for one cut edge,
-/// recorded when the parent completes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Transfer {
-    /// The producing job.
-    pub parent: JobId,
-    /// The consuming job (on another chip).
-    pub child: JobId,
-    /// Chip the parent ran on.
-    pub from_chip: usize,
-    /// Chip the child runs on.
-    pub to_chip: usize,
-    /// Payload size, words ([`ChipJob::transfer_words`] of the parent).
-    pub words: u64,
-    /// Modeled cycles between the parent's completion and the child's
-    /// earliest readiness: [`ClusterConfig::transfer_cycles`] of `words`,
-    /// plus, in [`SimMode::Event`], the time the payload queued behind
-    /// earlier transfers on the same link.
-    pub cycles: u64,
-}
-
 /// Merged result of one cluster run: per-chip [`ChipStats`] plus the
 /// interconnect traffic — the shape `lac_power::ClusterEnergyModel`
 /// prices.
@@ -306,7 +286,8 @@ pub struct ClusterStats {
     pub per_chip: Vec<ChipStats>,
     /// Simulated cluster makespan: wave spans plus transfer stalls.
     pub makespan_cycles: u64,
-    /// Words moved across inter-chip links (sum over [`Transfer`]s).
+    /// Words moved across inter-chip links (sum over the log's
+    /// [`EventLog::transfer_events`]).
     pub transferred_words: u64,
     /// Modeled link cycles charged across all transfers (latency-side
     /// total; overlapping transfers each count in full).
@@ -380,16 +361,15 @@ pub struct ClusterRun<T> {
     /// dependency stalls, and transfer stalls). `busy + idle = makespan`
     /// for every core.
     pub idle_per_core: Vec<Vec<u64>>,
-    /// Every cross-chip payload movement, in completion order. One entry
-    /// per cut edge, exactly, on the fault-free path; a fault's requeue
-    /// may re-charge an edge to move a durable output to a job's new
-    /// home.
-    pub transfers: Vec<Transfer>,
     /// Per-chip and cluster-wide meters.
     pub stats: ClusterStats,
     /// The run's observability log: job spans, transfers, faults,
     /// requeues and idle fast-forwards, on the run-relative simulated
-    /// clock (export with [`EventLog::to_chrome_trace`]).
+    /// clock (export with [`EventLog::to_chrome_trace`]). It is the one
+    /// record of every cross-chip payload movement
+    /// ([`EventLog::transfer_events`]): one per cut edge, exactly, on the
+    /// fault-free path; a fault's requeue may re-charge an edge to move a
+    /// durable output to a job's new home.
     pub events: EventLog,
 }
 
@@ -416,8 +396,6 @@ pub struct ClusterRound<T> {
     /// Per chip, per core: simulated cycles spent idle (see
     /// [`ClusterRun::idle_per_core`]).
     pub idle_per_core: Vec<Vec<u64>>,
-    /// Every cross-chip payload movement of the round.
-    pub transfers: Vec<Transfer>,
     /// Per-chip and cluster-wide meters.
     pub stats: ClusterStats,
     /// The round's observability log, on the round-relative simulated
@@ -504,7 +482,7 @@ impl ClusterSession {
 /// let run = cluster.run_graph(&graph, Scheduler::CriticalPath).unwrap();
 /// assert_eq!(run.outputs.len(), 2);
 /// assert_eq!(run.partition.chip_of, vec![0, 1]);
-/// assert!(run.transfers.is_empty(), "no edges were cut");
+/// assert_eq!(run.events.transfer_events().count(), 0, "no edges were cut");
 /// ```
 pub struct LacCluster<J: ChipJob> {
     cfg: ClusterConfig,
@@ -932,7 +910,6 @@ impl<J: ChipJob> LacCluster<J> {
             waves: run.waves,
             wave_end_cycles: run.wave_end_cycles,
             idle_per_core: run.idle_per_core,
-            transfers: run.transfers,
             stats: run.stats,
             events: run.events,
         })
@@ -1000,7 +977,6 @@ impl<J: ChipJob> LacCluster<J> {
             waves: run.wave_ends.len(),
             wave_end_cycles: run.wave_ends,
             idle_per_core,
-            transfers: run.transfers,
             stats,
             events: run.events,
         };
@@ -1081,25 +1057,33 @@ mod tests {
             LacCluster::new(cfg).with_partitioner(Partitioner::Striped);
         let run = cluster.run_graph(&g, Scheduler::CriticalPath).unwrap();
         // Exactly one transfer per cut edge, each edge exactly once.
-        assert_eq!(run.transfers.len(), part.cut_edges.len());
-        let mut charged: Vec<(JobId, JobId)> =
-            run.transfers.iter().map(|t| (t.parent, t.child)).collect();
+        // ProgramJob's default transfer hint is 1 word: every charge is
+        // hop + ceil(1/2) cycles, and the totals add up.
+        let mut charged = Vec::new();
+        for t in run.events.transfer_events() {
+            let TraceEvent::Transfer {
+                parent,
+                child,
+                from_chip,
+                to_chip,
+                words,
+                start,
+                end,
+            } = *t
+            else {
+                unreachable!("the log's transfers are transfer events");
+            };
+            assert_eq!(words, 1);
+            assert_eq!(end - start, 50 + 1);
+            assert_ne!(from_chip, to_chip);
+            charged.push((JobId::from_index(parent), JobId::from_index(child)));
+        }
         charged.sort();
         let mut cut = part.cut_edges.clone();
         cut.sort();
         assert_eq!(charged, cut);
-        // ProgramJob's default transfer hint is 1 word: every charge is
-        // hop + ceil(1/2) cycles, and the totals add up.
-        for t in &run.transfers {
-            assert_eq!(t.words, 1);
-            assert_eq!(t.cycles, 50 + 1);
-            assert_ne!(t.from_chip, t.to_chip);
-        }
-        assert_eq!(run.stats.transferred_words, run.transfers.len() as u64);
-        assert_eq!(
-            run.stats.transfer_cycles,
-            run.transfers.iter().map(|t| t.cycles).sum::<u64>()
-        );
+        assert_eq!(run.stats.transferred_words, charged.len() as u64);
+        assert_eq!(run.stats.transfer_cycles, 51 * charged.len() as u64);
         // Cross-chip latency showed up on the clock.
         assert!(run.stats.transfer_stall_cycles > 0);
         assert!(run.stats.makespan_cycles > run.stats.aggregate.cycles / 4);
@@ -1276,7 +1260,7 @@ mod tests {
             let second = cluster.run_graph(&diamonds(5), sched).unwrap();
             assert_eq!(first.outputs, second.outputs, "{sched:?}: rerun diverged");
             assert_eq!(first.stats, second.stats, "{sched:?}: rerun stats diverged");
-            assert_eq!(first.transfers, second.transfers);
+            assert_eq!(first.events, second.events);
             match &baseline {
                 None => baseline = Some(first.outputs),
                 Some(b) => assert_eq!(b, &first.outputs, "{sched:?} changed results"),
@@ -1303,7 +1287,7 @@ mod tests {
             quad_run.stats.makespan_cycles,
             solo_run.stats.makespan_cycles
         );
-        assert!(quad_run.transfers.is_empty());
+        assert_eq!(quad_run.events.transfer_events().count(), 0);
     }
 
     #[test]

@@ -63,11 +63,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
 use crate::chip::{ChipJob, ChipStats, Scheduler};
-use crate::cluster::Transfer;
 use crate::engine::LacEngine;
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultEvent;
-use crate::service::{critical_paths, plan_wave, plan_wave_tenanted_slo, JobGraph, JobId};
+use crate::service::{critical_paths, plan_wave, plan_wave_tenanted_slo, JobGraph};
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
 
@@ -290,16 +289,14 @@ pub(crate) struct CoordRun<T> {
     pub(crate) makespan: u64,
     /// Cycles with every core idle, waiting on transfers or faults.
     pub(crate) stall_cycles: u64,
-    /// Every modeled cross-chip payload movement, in charge order.
-    pub(crate) transfers: Vec<Transfer>,
     /// Total words moved across links.
     pub(crate) transferred_words: u64,
     /// Total modeled link cycles charged.
     pub(crate) transfer_cycles: u64,
     /// Per-tenant meter deltas (dispatch-charged).
     pub(crate) per_tenant: Vec<TenantDelta>,
-    /// Job spans, transfers, faults, requeues and idle fast-forwards on
-    /// the run-relative clock.
+    /// Job spans, transfers (the run's one record of them), faults,
+    /// requeues and idle fast-forwards on the run-relative clock.
     pub(crate) events: EventLog,
 }
 
@@ -702,12 +699,14 @@ fn drive<T>(
     let mut now = 0u64;
     let mut released_count = 0usize;
     let mut stall_cycles = 0u64;
-    let mut transfers: Vec<Transfer> = Vec::new();
+    let mut transferred_words = 0u64;
+    let mut transfer_cycles = 0u64;
 
-    // Charge the modeled movement of `parent`'s output to `child`'s chip.
-    // An event-mode transfer serializes behind whatever its link already
-    // carries; a wave transfer starts at its barrier. The pipelined hop
-    // latency is added on top without occupying the link.
+    // Charge the modeled movement of `parent`'s output to `child`'s chip,
+    // logged once as a transfer event. An event-mode transfer serializes
+    // behind whatever its link already carries; a wave transfer starts at
+    // its barrier. The pipelined hop latency is added on top without
+    // occupying the link.
     macro_rules! charge_transfer {
         ($parent:expr, $child:expr, $to:expr) => {{
             let p = $parent;
@@ -719,14 +718,8 @@ fn drive<T>(
             let start = if wave { now } else { now.max(link_free[link]) };
             link_free[link] = start + ser;
             let arrival = start + ser + topo.hop_latency_cycles;
-            transfers.push(Transfer {
-                parent: JobId::from_index(p),
-                child: JobId::from_index($child),
-                from_chip: from,
-                to_chip: to,
-                words,
-                cycles: arrival - now,
-            });
+            transferred_words += words;
+            transfer_cycles += arrival - now;
             events.push(TraceEvent::Transfer {
                 parent: p,
                 child: $child,
@@ -812,6 +805,24 @@ fn drive<T>(
                     queued[child] = true;
                     index.insert(child, chip_of[child], ready_at[child], now);
                 }
+            }
+        }};
+    }
+
+    // The wave planners, over `chip`'s ready set and `cores` cores: the
+    // debug-build oracle of every dispatch. A wave deals exactly their
+    // plan, and an event-mode pick is the first job of a one-core wave.
+    macro_rules! plan {
+        ($chip:expr, $cores:expr) => {{
+            let chip = $chip;
+            let ready: Vec<usize> = (0..n)
+                .filter(|&j| queued[j] && chip_of[j] == chip && ready_at[j] <= now)
+                .collect();
+            match sched {
+                Scheduler::FairShare => plan_wave_tenanted_slo(
+                    &ready, costs, &priority, tenant_of, &usage, weights, boost, $cores,
+                ),
+                _ => plan_wave(sched, &ready, costs, &priority, $cores),
             }
         }};
     }
@@ -922,24 +933,7 @@ fn drive<T>(
                 continue;
             }
             let cores = chip_cores[chip].clone();
-            let expected = (cfg!(debug_assertions) && wave).then(|| {
-                let ready: Vec<usize> = (0..n)
-                    .filter(|&j| queued[j] && chip_of[j] == chip && ready_at[j] <= now)
-                    .collect();
-                match sched {
-                    Scheduler::FairShare => plan_wave_tenanted_slo(
-                        &ready,
-                        costs,
-                        &priority,
-                        tenant_of,
-                        &usage,
-                        weights,
-                        boost,
-                        cores.len(),
-                    ),
-                    _ => plan_wave(sched, &ready, costs, &priority, cores.len()),
-                }
-            });
+            let expected = (cfg!(debug_assertions) && wave).then(|| plan!(chip, cores.len()));
             core_load[cores.clone()].fill(0);
             let mut idle = cores.clone().filter(|&g| core_job[g].is_none());
             for k in 0.. {
@@ -962,14 +956,13 @@ fn drive<T>(
                     }
                 };
                 let pick = index.pick(chip, &usage);
-                debug_assert_eq!(
-                    pick,
-                    pick_ready(
-                        sched, &queued, &chip_of, &ready_at, now, chip, &priority, tenant_of,
-                        &usage, weights, boost,
-                    ),
-                    "the ready index and the linear scan disagree at tick {now} on chip {chip}"
-                );
+                if !wave {
+                    debug_assert_eq!(
+                        pick,
+                        plan!(chip, 1)[0].first().copied(),
+                        "the ready index and the wave planner disagree at tick {now} on chip {chip}"
+                    );
+                }
                 let Some(j) = pick else {
                     break; // nothing more ready on this chip
                 };
@@ -1111,9 +1104,8 @@ fn drive<T>(
         idle_per_core,
         makespan,
         stall_cycles,
-        transferred_words: transfers.iter().map(|t| t.words).sum(),
-        transfer_cycles: transfers.iter().map(|t| t.cycles).sum(),
-        transfers,
+        transferred_words,
+        transfer_cycles,
         per_tenant: meters.per_tenant,
         events,
     })
@@ -1161,47 +1153,12 @@ impl PickOrder<'_> {
     }
 }
 
-/// The per-core pick by linear scan over the whole pool: the
-/// specification [`ReadyIndex::pick`] must reproduce, written
-/// independently of [`PickOrder`] and kept as its debug-build oracle.
-#[allow(clippy::too_many_arguments)] // the full deterministic pick context
-fn pick_ready(
-    sched: Scheduler,
-    queued: &[bool],
-    chip_of: &[usize],
-    ready_at: &[u64],
-    now: u64,
-    chip: usize,
-    priority: &[u64],
-    tenant_of: &[usize],
-    usage: &[u64],
-    weights: &[u64],
-    boost: &[u64],
-) -> Option<usize> {
-    let candidates =
-        (0..queued.len()).filter(|&j| queued[j] && chip_of[j] == chip && ready_at[j] <= now);
-    match sched {
-        Scheduler::Fifo | Scheduler::LeastLoaded => candidates.min(),
-        Scheduler::CriticalPath => candidates.min_by_key(|&j| (Reverse(priority[j]), j)),
-        Scheduler::FairShare => candidates.min_by(|&a, &b| {
-            let (ta, tb) = (tenant_of[a], tenant_of[b]);
-            let ua = usage[ta] as u128 * weights[tb].max(1) as u128;
-            let ub = usage[tb] as u128 * weights[ta].max(1) as u128;
-            boost[ta]
-                .cmp(&boost[tb])
-                .then_with(|| ua.cmp(&ub))
-                .then_with(|| priority[b].cmp(&priority[a]))
-                .then_with(|| a.cmp(&b))
-        }),
-    }
-}
-
 /// The loop's queued jobs, indexed so a pick never scans the pool
 /// (the min-heap dispatch of a classic event-driven simulator): per
 /// (chip, tenant), the queued jobs whose `ready_at` has passed, ordered
 /// by [`PickOrder::key`]; plus a min-heap of queued jobs still waiting on
 /// a transfer, promoted as the clock reaches them. A pick compares only
-/// the tenants' heads, which yields the scan's pick because the
+/// the tenants' heads, which yields the wave planners' pick because the
 /// tenant-level terms of [`PickOrder::cmp`] are shared within a tenant.
 struct ReadyIndex<'a> {
     order: &'a PickOrder<'a>,
@@ -1524,7 +1481,7 @@ mod tests {
         assert_eq!(r.per_tenant[0].wait_cycles, 30);
         // Job 2 waits 40..41 for its parent's payload.
         assert_eq!(r.stall_cycles, 1);
-        assert_eq!(r.transfers.len(), 1);
+        assert_eq!(r.events.transfer_events().count(), 1);
         let log = r.events.events();
         let fault = log
             .iter()
@@ -1576,7 +1533,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.assignment, vec![(0, 0), (2, 0), (0, 0)]);
-        assert_eq!(r.transfers.len(), 1);
+        assert_eq!(r.events.transfer_events().count(), 1);
         assert_eq!(r.wave_ends, vec![10, 60, 70]);
     }
 

@@ -43,12 +43,13 @@
 //! [`crate::chip::ChipJob`] twice (the discarded attempt plus the
 //! requeued one) must produce the same output bits as executing it once.
 //! Jobs without shared state satisfy that — outputs are
-//! placement-independent by the determinism contract — and for them the
-//! headline property holds: *any single-chip loss changes the makespan
-//! but never the output bits.* Jobs that pass data through host-side
-//! shared state (the `lac-kernels` solver loop's rounds, the IP-PMM and
-//! IPDDP iterates) do not: a revoked attempt has already consumed or
-//! mutated that state, so the requeued one may panic or see other data.
+//! placement-independent by the determinism contract — and so do jobs
+//! whose shared state is single-assignment: no job updates in place
+//! what it, or a rerun of it, reads, and a slot is overwritten only once
+//! every job reading it has been released (the `lac-kernels` solver
+//! loop, IP-PMM and IPDDP clients). For them the headline property
+//! holds: *any single-chip loss changes the makespan but never the
+//! output bits.*
 //!
 //! Killing every chip of a cluster is an error
 //! ([`crate::error::HazardKind::AllChipsDead`]): there is no survivor to

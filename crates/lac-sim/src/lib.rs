@@ -41,7 +41,7 @@ pub use crate::core::{ExternalMem, Lac};
 pub use chip::{ChipConfig, ChipJob, ChipStats, LacChip, ProgramJob, Scheduler};
 pub use cluster::{
     ClusterConfig, ClusterRound, ClusterRun, ClusterSession, ClusterStats, LacCluster, Partition,
-    Partitioner, Transfer,
+    Partitioner,
 };
 pub use compile::{compile, CacheStats, CompiledProgram, FallbackReason, ProgramCache};
 pub use config::{ExecBackend, LacConfig};

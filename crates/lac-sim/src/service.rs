@@ -61,12 +61,10 @@
 //! jobs close over (e.g. an `Arc<Mutex<…>>` — see `lac-kernels`'
 //! `SolverLoopWorkload`); the graph guarantees every parent's writes
 //! happen-before its children run, and the wave planner fixes reduction
-//! order, so shared-state workloads stay bit-deterministic — on a
-//! fault-free run. Chip loss is another matter: a job revoked by a kill
-//! has already consumed or mutated that state, so its rerun is not
-//! idempotent. Only jobs without shared state are guaranteed to keep
-//! their output bits under chip loss; a multi-round solver fleet can
-//! panic (ROADMAP item 1).
+//! order, so shared-state workloads stay bit-deterministic. Kept
+//! single-assignment — no job updates in place what it, or a rerun of
+//! it, reads — that state also keeps a job revoked by a chip kill, and a
+//! used graph, re-runnable to the same bits (see [`crate::fault`]).
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, Scheduler};
 use crate::cluster::{ClusterConfig, ClusterSession, LacCluster};
@@ -87,8 +85,8 @@ impl JobId {
         self.0
     }
 
-    /// Crate-internal constructor (the partitioner and the coordinator
-    /// name cut edges and transfers by job index).
+    /// Crate-internal constructor (the partitioner names cut edges by
+    /// job index).
     pub(crate) fn from_index(i: usize) -> Self {
         JobId(i)
     }

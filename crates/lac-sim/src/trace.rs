@@ -228,6 +228,15 @@ impl EventLog {
         self.events.extend(other.events);
     }
 
+    /// The run's inter-chip payload movements, in charge order: every
+    /// [`TraceEvent::Transfer`], the one record of each (its modeled
+    /// cycles are `end − start`).
+    pub fn transfer_events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
+        self.events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Transfer { .. }))
+    }
+
     /// Events matching a predicate — convenience for tests and tools.
     pub fn count(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
         self.events.iter().filter(|e| pred(e)).count()

@@ -195,11 +195,10 @@ impl ArrivalTrace {
         }
     }
 
-    /// Rebuild a trace from its parts — the replay half of file
-    /// capture/replay (`lac_bench::trace_io` serializes the parts to
-    /// JSON). Validates every invariant [`ArrivalTrace::generate`]
-    /// guarantees, so a replayed trace is indistinguishable from a
-    /// generated one: arrivals sorted by `(tick, tenant, index)`, ticks
+    /// Rebuild a trace from its parts. Validates every invariant
+    /// [`ArrivalTrace::generate`] guarantees, so a rebuilt trace is
+    /// indistinguishable from a generated one: arrivals sorted by
+    /// `(tick, tenant, index)`, ticks
     /// in `[0, horizon]`, tenants within `streams`, and per-tenant
     /// indices dense from 0. Tick 0 is "due at once" — a closed batch
     /// (see [`ArrivalTrace::batch`]); generated traces start at tick 1.

@@ -46,7 +46,7 @@ fn main() {
     fleet
         .check(&run.outputs)
         .expect("all loops match linalg-ref");
-    assert!(run.transfers.is_empty());
+    assert_eq!(run.events.transfer_events().count(), 0);
     let e = energy.summarize(&run.stats);
     println!(
         "cost-bins: {} jobs over {} waves on 4 chips",

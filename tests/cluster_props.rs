@@ -17,7 +17,7 @@
 
 use lap::lac_sim::{
     ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacEngine,
-    LacService, Partitioner, Scheduler, SimError, SimMode, TenantConfig,
+    LacService, Partitioner, Scheduler, SimError, SimMode, TenantConfig, TraceEvent,
 };
 use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
@@ -170,11 +170,22 @@ proptest! {
 
         // One transfer per cut edge: same multiset, no duplicates, no
         // same-chip charges.
-        let mut charged: Vec<(usize, usize)> = run
-            .transfers
-            .iter()
-            .map(|t| (t.parent.index(), t.child.index()))
-            .collect();
+        let mut charged: Vec<(usize, usize)> = Vec::new();
+        let (mut words_sum, mut cycles_sum) = (0u64, 0u64);
+        for t in run.events.transfer_events() {
+            let TraceEvent::Transfer { parent, child, from_chip, to_chip, words, start, end } = *t
+            else {
+                unreachable!("the log's transfers are transfer events");
+            };
+            prop_assert!(from_chip != to_chip, "same-chip edge charged");
+            prop_assert_eq!(from_chip, run.partition.chip_of[parent]);
+            prop_assert_eq!(to_chip, run.partition.chip_of[child]);
+            // The configured price, exactly.
+            prop_assert_eq!(end - start, hop + words.div_ceil(link_bw));
+            charged.push((parent, child));
+            words_sum += words;
+            cycles_sum += end - start;
+        }
         charged.sort_unstable();
         let mut dedup = charged.clone();
         dedup.dedup();
@@ -187,22 +198,9 @@ proptest! {
             .collect();
         cut.sort_unstable();
         prop_assert_eq!(charged, cut, "charges != cut edges");
-        for t in &run.transfers {
-            prop_assert!(t.from_chip != t.to_chip, "same-chip edge charged");
-            prop_assert_eq!(t.from_chip, run.partition.chip_of[t.parent.index()]);
-            prop_assert_eq!(t.to_chip, run.partition.chip_of[t.child.index()]);
-            // The configured price, exactly.
-            prop_assert_eq!(t.cycles, hop + t.words.div_ceil(link_bw));
-        }
         // Totals are the sums of the log.
-        prop_assert_eq!(
-            run.stats.transferred_words,
-            run.transfers.iter().map(|t| t.words).sum::<u64>()
-        );
-        prop_assert_eq!(
-            run.stats.transfer_cycles,
-            run.transfers.iter().map(|t| t.cycles).sum::<u64>()
-        );
+        prop_assert_eq!(run.stats.transferred_words, words_sum);
+        prop_assert_eq!(run.stats.transfer_cycles, cycles_sum);
     }
 
     #[test]
@@ -256,7 +254,7 @@ proptest! {
         let second = cluster.run_graph(&graph, sched).unwrap();
         prop_assert_eq!(&first.outputs, &second.outputs);
         prop_assert_eq!(&first.stats, &second.stats);
-        prop_assert_eq!(&first.transfers, &second.transfers);
+        prop_assert_eq!(&first.events, &second.events);
         prop_assert_eq!(&first.partition, &second.partition);
         prop_assert_eq!(first.wave_of, second.wave_of);
 
@@ -315,7 +313,6 @@ proptest! {
         prop_assert_eq!(&round.idle_per_core, &run.idle_per_core);
         prop_assert_eq!(&round.partition, &run.partition);
         prop_assert_eq!(&round.stats, &run.stats);
-        prop_assert_eq!(&round.transfers, &run.transfers);
         prop_assert_eq!(&round.events, &run.events);
         prop_assert_eq!(rounds.session(), door.session());
     }

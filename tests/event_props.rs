@@ -248,8 +248,9 @@ proptest! {
     }
 
     // Both modes pick from the one loop's indexed ready queue. Debug
-    // builds check every pick against the linear scan and every wave's
-    // buckets against the wave planners inside the coordinator, so this
+    // builds check every wave's buckets against the wave planners, and
+    // every event-mode pick against the first job of a one-core wave,
+    // inside the coordinator, so this
     // property drives picks through every shape: random DAGs on 1-3
     // chips, 1-4 tenants with random weights, boosts and starting usage
     // (an uneven warm-up round banks it), every policy, and an optional

@@ -1,7 +1,8 @@
 //! Property tests (vendored proptest) for the flat-queue scheduler
 //! invariants: whatever the queue, core count, costs, and policy —
 //!
-//! * every job is assigned, and runs, exactly once;
+//! * every job of a flat graph is assigned, and runs, exactly once, on a
+//!   core in range, under every policy;
 //! * `ChipStats` aggregate counters equal the sum of the per-core stats;
 //! * a flat graph's makespan equals the busiest core's cycles and bounds
 //!   every core;
@@ -11,8 +12,8 @@
 //! critical-path policy) live in `tests/graph_props.rs`.
 
 use lap::lac_sim::{
-    ChipConfig, ChipStats, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacService,
-    ProgramJob, Scheduler,
+    ChipConfig, ChipStats, ClusterConfig, ExecStats, GraphRun, JobGraph, LacCluster, LacConfig,
+    LacService, ProgramJob, Scheduler,
 };
 use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
@@ -39,6 +40,17 @@ fn mac_job(extra: usize) -> ProgramJob {
     ProgramJob::new(b.build())
 }
 
+/// Run a flat graph of one-MAC jobs hinted `costs` on a fresh `cores`-core
+/// service under `sched`.
+fn flat_run(costs: &[u64], cores: usize, sched: Scheduler) -> GraphRun<ExecStats> {
+    let graph: JobGraph<ProgramJob> = costs
+        .iter()
+        .map(|&cost| ProgramJob { cost, ..mac_job(0) })
+        .collect();
+    let mut chip = LacService::new(ChipConfig::new(cores, LacConfig::default()));
+    chip.submit(&graph, sched).unwrap()
+}
+
 fn sum_per_core(stats: &ChipStats) -> ExecStats {
     let mut sum = ExecStats::default();
     for s in &stats.per_core {
@@ -56,24 +68,25 @@ proptest! {
         cores in 1usize..=12,
         which in any::<u8>(),
     ) {
-        // All four policies, including the quantum-capped FairShare whose
-        // assign() loops waves until the queue drains.
+        // All four policies, including the quantum-capped FairShare that
+        // deals a flat graph over several waves.
         let sched = match which % 4 {
             0 => Scheduler::Fifo,
             1 => Scheduler::LeastLoaded,
             2 => Scheduler::CriticalPath,
             _ => Scheduler::FairShare,
         };
-        let assign = sched.assign(&costs, cores);
-        prop_assert_eq!(assign.len(), costs.len(), "every job placed exactly once");
-        prop_assert!(assign.iter().all(|&c| c < cores), "cores in range");
+        let run = flat_run(&costs, cores, sched);
+        prop_assert_eq!(run.assignment.len(), costs.len(), "every job placed exactly once");
+        prop_assert_eq!(run.stats.jobs(), costs.len() as u64, "every job ran exactly once");
+        prop_assert!(run.assignment.iter().all(|&c| c < cores), "cores in range");
     }
 
     #[test]
     fn fifo_is_round_robin(costs in prop::collection::vec(0u64..1000, 0..64),
                            cores in 1usize..=12) {
-        let assign = Scheduler::Fifo.assign(&costs, cores);
-        for (j, &c) in assign.iter().enumerate() {
+        let run = flat_run(&costs, cores, Scheduler::Fifo);
+        for (j, &c) in run.assignment.iter().enumerate() {
             prop_assert_eq!(c, j % cores);
         }
     }
@@ -85,9 +98,9 @@ proptest! {
         critical_path in any::<bool>(),
     ) {
         let sched = if critical_path { Scheduler::CriticalPath } else { Scheduler::LeastLoaded };
-        let assign = sched.assign(&costs, cores);
+        let run = flat_run(&costs, cores, sched);
         let mut load = vec![0u64; cores];
-        for (j, &c) in assign.iter().enumerate() {
+        for (j, &c) in run.assignment.iter().enumerate() {
             load[c] += costs[j];
         }
         let max = *load.iter().max().unwrap();
