@@ -96,6 +96,31 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 7: one operand layout per kernel. Each kernel file of lac-kernels
+# states its external-memory image once, in its one staging function
+# (gemm_update, syrk_update, trsm_stacked, cholesky_tile,
+# lu_panel_matrix_run, vecnorm, fft64): it packs the operands into a
+# private bank, runs, and unpacks. Blocked drivers and jobs call those
+# functions with matrices. In non-test code (lines before a file's first
+# `#[cfg(test)]`), staging into the engine-owned bank (`load_image(`), a
+# second bank in a kernel file, or a bank anywhere else would be a second
+# statement of a layout, free to drift from the first.
+staging=$(for f in ./crates/lac-kernels/src/*.rs; do
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /load_image\(|ExternalMem::from_vec/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+banks=$(echo "$staging" | grep 'ExternalMem::from_vec' || true)
+hits=$( (echo "$staging" | grep 'load_image(' ;
+  echo "$banks" | grep -vE '/(gemm|syrk|trsm|chol|lu|vecnorm|fft)\.rs:' ;
+  for f in $(echo "$banks" | cut -d: -f1 | sort | uniq -d); do
+    echo "$banks" | grep "^$f:"
+  done) | grep . || true)
+if [ -n "$hits" ]; then
+  echo "a kernel's operand image staged outside its one staging function:"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

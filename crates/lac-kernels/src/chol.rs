@@ -11,36 +11,30 @@
 //! SYRK kernels into the right-looking blocked algorithm (Chol → TRSM →
 //! SYRK) the dissertation maps across the memory hierarchy.
 
-use crate::syrk::{syrk_run, SyrkDataLayout, SyrkParams};
-use crate::trsm::trsm_stacked_run;
+use crate::syrk::{syrk_update, SyrkParams};
+use crate::trsm::trsm_stacked;
 use lac_fpu::DivSqrtOp;
 use lac_sim::{ExecStats, ExtOp, ExternalMem, Lac, ProgramBuilder, SimError, Source};
 use linalg_ref::Matrix;
 
-/// Report of a Cholesky kernel run.
-#[derive(Clone, Debug)]
-pub struct CholReport {
-    /// Event counters of the run.
-    pub stats: ExecStats,
-}
-
 const REG_A: usize = 3;
 
-/// Factor an `nr × nr` SPD tile stored column-major at offset 0 of `mem`
-/// (full matrix; only the lower triangle is significant). On return the
-/// lower triangle holds `L` with `A = L·Lᵀ`.
-pub(crate) fn cholesky_kernel_run(
-    lac: &mut Lac,
-    mem: &mut ExternalMem,
-) -> Result<CholReport, SimError> {
+/// Factor an `nr × nr` SPD tile on `lac`. The image holds the full tile
+/// column-major at offset 0 (only the lower triangle is significant),
+/// where the kernel leaves `L`; returns `L` (zeros above the diagonal),
+/// with `A = L·Lᵀ`, and the run's counters.
+pub(crate) fn cholesky_tile(lac: &mut Lac, a: &Matrix) -> Result<(Matrix, ExecStats), SimError> {
     let nr = lac.config().nr;
     let p = lac.config().fpu.pipeline_depth;
     let q = lac.config().divsqrt.latency(DivSqrtOp::InvSqrt);
     let prog = crate::memo::program("chol", &[nr as u64, p as u64, q as u64], || {
         cholesky_kernel_program(nr, p, q)
     });
-    let stats = lac.run(&prog, mem)?;
-    Ok(CholReport { stats })
+    let mut mem = ExternalMem::from_vec(a.as_slice().to_vec());
+    let stats = lac.run(&prog, &mut mem)?;
+    let n = a.rows();
+    let l = Matrix::from_fn(n, n, |i, j| if i >= j { mem.read(j * n + i) } else { 0.0 });
+    Ok((l, stats))
 }
 
 /// The `nr × nr` Cholesky microprogram — a pure function of the shape
@@ -160,19 +154,8 @@ pub(crate) fn blocked_cholesky_run(
     for it in 0..k {
         let r0 = it * nr;
         // 1. Diagonal tile.
-        let tile = work.block(r0, r0, nr, nr);
-        let mut mem = ExternalMem::from_vec(
-            (0..nr * nr)
-                .map(|x| tile[(x % nr, x / nr)])
-                .collect::<Vec<_>>(),
-        );
-        let rep = cholesky_kernel_run(lac, &mut mem)?;
-        total.merge(&rep.stats);
-        let l11 = Matrix::from_fn(
-            nr,
-            nr,
-            |i, j| if i >= j { mem.read(j * nr + i) } else { 0.0 },
-        );
+        let (l11, stats) = cholesky_tile(lac, &work.block(r0, r0, nr, nr))?;
+        total.merge(&stats);
         work.set_block(r0, r0, &l11);
 
         let rest = kk - r0 - nr;
@@ -180,60 +163,22 @@ pub(crate) fn blocked_cholesky_run(
             break;
         }
         // 2. Panel solve: A21 := A21·L11⁻ᵀ  ⇔  L11·X = A21ᵀ.
-        let a21 = work.block(r0 + nr, r0, rest, nr);
-        let bt = a21.transpose(); // nr × rest
-        let mut mem = vec![0.0; nr * nr + nr * rest];
-        for j in 0..nr {
-            for i in 0..nr {
-                mem[j * nr + i] = l11[(i, j)];
-            }
-        }
-        for j in 0..rest {
-            for i in 0..nr {
-                mem[nr * nr + j * nr + i] = bt[(i, j)];
-            }
-        }
-        let mut emem = ExternalMem::from_vec(mem);
-        let rep = trsm_stacked_run(lac, &mut emem, rest)?;
-        total.merge(&rep.stats);
-        let l21 = Matrix::from_fn(rest, nr, |i, j| emem.read(nr * nr + i * nr + j));
+        let a21t = work.block(r0 + nr, r0, rest, nr).transpose();
+        let (x, stats) = trsm_stacked(lac, &l11, &a21t)?;
+        total.merge(&stats);
+        let l21 = x.transpose();
         work.set_block(r0 + nr, r0, &l21);
 
         // 3. Trailing downdate: A22 -= L21·L21ᵀ (negated SYRK).
+        let params = SyrkParams {
+            mc: rest,
+            kc: nr,
+            negate: true,
+        };
         let a22 = work.block(r0 + nr, r0 + nr, rest, rest);
-        let lay = SyrkDataLayout::new(rest, nr);
-        let mut mem = vec![0.0; lay.total_words()];
-        for pcol in 0..nr {
-            for i in 0..rest {
-                mem[lay.a_addr(i, pcol)] = l21[(i, pcol)];
-            }
-        }
-        for j in 0..rest {
-            for i in j..rest {
-                mem[lay.c_addr(i, j)] = a22[(i, j)];
-            }
-        }
-        let mut emem = ExternalMem::from_vec(mem);
-        let rep = syrk_run(
-            lac,
-            &mut emem,
-            &lay,
-            &SyrkParams {
-                mc: rest,
-                kc: nr,
-                negate: true,
-            },
-        )?;
-        total.merge(&rep.stats);
-        let updated = Matrix::from_fn(rest, rest, |i, j| {
-            if i >= j {
-                emem.read(lay.c_addr(i, j))
-            } else {
-                0.0
-            }
-        });
-        let sym = updated.symmetrize_from_lower();
-        work.set_block(r0 + nr, r0 + nr, &sym);
+        let (updated, stats) = syrk_update(lac, &l21, &a22, &params)?;
+        total.merge(&stats);
+        work.set_block(r0 + nr, r0 + nr, &updated.symmetrize_from_lower());
     }
     Ok((work.tril(), total))
 }
@@ -250,10 +195,8 @@ mod tests {
     fn kernel_factors_4x4() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Matrix::random_spd(4, &mut rng);
-        let mut mem = ExternalMem::from_vec((0..16).map(|x| a[(x % 4, x / 4)]).collect::<Vec<_>>());
         let mut lac = Lac::new(LacConfig::default());
-        cholesky_kernel_run(&mut lac, &mut mem).unwrap();
-        let got = Matrix::from_fn(4, 4, |i, j| if i >= j { mem.read(j * 4 + i) } else { 0.0 });
+        let (got, _) = cholesky_tile(&mut lac, &a).unwrap();
         let expect = cholesky(&a).unwrap();
         assert!(max_abs_diff(&got, &expect) < 1e-9, "{got:?} vs {expect:?}");
     }
@@ -267,14 +210,13 @@ mod tests {
         let q = cfg.divsqrt.latency(DivSqrtOp::InvSqrt);
         let mut rng = StdRng::seed_from_u64(2);
         let a = Matrix::random_spd(4, &mut rng);
-        let mut mem = ExternalMem::from_vec((0..16).map(|x| a[(x % 4, x / 4)]).collect::<Vec<_>>());
         let mut lac = Lac::new(cfg);
-        let rep = cholesky_kernel_run(&mut lac, &mut mem).unwrap();
+        let (_, stats) = cholesky_tile(&mut lac, &a).unwrap();
         let model = (2 * p * 4 + q * 4 + 2 * 4 + 8) as u64; // + staging & handshakes
         assert!(
-            rep.stats.cycles <= model + 20,
+            stats.cycles <= model + 20,
             "cycles {} vs model {model}",
-            rep.stats.cycles
+            stats.cycles
         );
     }
 

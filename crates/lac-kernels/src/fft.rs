@@ -20,16 +20,6 @@ use lac_sim::{ExecStats, ExtOp, ExternalMem, Lac, ProgramBuilder, SimError, Sour
 use linalg_ref::Complex;
 use std::f64::consts::PI;
 
-/// Report of a 64-point FFT run.
-#[derive(Clone, Debug)]
-pub struct Fft64Report {
-    /// Event counters of the run.
-    pub stats: ExecStats,
-    /// FMA operations issued per butterfly stage ≈ the paper's 24-FMA
-    /// optimized butterfly plus the add layers.
-    pub fma_per_pe: u64,
-}
-
 // --- PE-local memory map ---------------------------------------------------
 // A memory: butterfly inputs (a,b for stage 1; a,b,c,d for stages 2–3).
 // B memory regions:
@@ -186,10 +176,14 @@ fn digit_reverse_64(q: usize) -> usize {
     ((q & 3) << 4) | (q & 0xc) | (q >> 4)
 }
 
-/// Run a 64-point complex FFT. `mem` holds the input signal interleaved
-/// (`re` at `2q`, `im` at `2q+1`, natural order) and receives the transform
-/// in the same format.
-pub(crate) fn fft64_run(lac: &mut Lac, mem: &mut ExternalMem) -> Result<Fft64Report, SimError> {
+/// Run a 64-point complex FFT on `lac`, returning the spectrum (natural
+/// order) and the run's counters. The image holds the signal interleaved
+/// (`re` at `2q`, `im` at `2q+1`, natural order) and receives the
+/// transform in the same format.
+pub(crate) fn fft64(
+    lac: &mut Lac,
+    signal: &[Complex],
+) -> Result<(Vec<Complex>, ExecStats), SimError> {
     let nr = lac.config().nr;
     assert_eq!(nr, 4, "the 64-point kernel is written for the 4×4 core");
     let p = lac.config().fpu.pipeline_depth;
@@ -384,12 +378,13 @@ pub(crate) fn fft64_run(lac: &mut Lac, mem: &mut ExternalMem) -> Result<Fft64Rep
         }
     }
 
-    let prog = b.build();
-    let stats = lac.run(&prog, mem)?;
-    Ok(Fft64Report {
-        stats,
-        fma_per_pe: stats.fma_ops / 16,
-    })
+    let image = signal.iter().flat_map(|v| [v.re, v.im]).collect();
+    let mut mem = ExternalMem::from_vec(image);
+    let stats = lac.run(&b.build(), &mut mem)?;
+    let spectrum = (0..64)
+        .map(|q| Complex::new(mem.read(2 * q), mem.read(2 * q + 1)))
+        .collect();
+    Ok((spectrum, stats))
 }
 
 #[cfg(test)]
@@ -409,19 +404,9 @@ mod tests {
         }
     }
 
-    fn run_case(x: &[Complex]) -> (Vec<Complex>, Fft64Report) {
-        let mut mem = vec![0.0; 128];
-        for (q, v) in x.iter().enumerate() {
-            mem[2 * q] = v.re;
-            mem[2 * q + 1] = v.im;
-        }
-        let mut emem = ExternalMem::from_vec(mem);
+    fn run_case(x: &[Complex]) -> (Vec<Complex>, ExecStats) {
         let mut lac = Lac::new(fft_cfg());
-        let rep = fft64_run(&mut lac, &mut emem).unwrap();
-        let out: Vec<Complex> = (0..64)
-            .map(|q| Complex::new(emem.read(2 * q), emem.read(2 * q + 1)))
-            .collect();
-        (out, rep)
+        fft64(&mut lac, x).unwrap()
     }
 
     #[test]
@@ -440,12 +425,12 @@ mod tests {
         let x: Vec<Complex> = (0..64)
             .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
-        let (out, rep) = run_case(&x);
+        let (out, stats) = run_case(&x);
         let mut expect = x;
         fft_radix4(&mut expect);
         assert!(max_cdiff(&out, &expect) < 1e-10);
         // 3 stages/PE: 16 + 28 + 28 FMAs.
-        assert_eq!(rep.fma_per_pe, 72);
+        assert_eq!(stats.fma_ops / 16, 72);
     }
 
     #[test]
@@ -470,8 +455,8 @@ mod tests {
         // transform should land in a few hundred cycles (Appendix B's
         // cache-contained regime).
         let x = vec![Complex::ONE; 64];
-        let (_, rep) = run_case(&x);
-        assert!(rep.stats.cycles < 600, "cycles = {}", rep.stats.cycles);
-        assert!(rep.stats.cycles > 150);
+        let (_, stats) = run_case(&x);
+        assert!(stats.cycles < 600, "cycles = {}", stats.cycles);
+        assert!(stats.cycles > 150);
     }
 }

@@ -13,7 +13,8 @@
 //!   drops from `2nr + p` to `p` cycles.
 
 use crate::layout::{ALayout, GemmDataLayout};
-use lac_sim::{ExecStats, ExtOp, Lac, Program, ProgramBuilder, SimError, Source};
+use lac_sim::{ExecStats, ExtOp, ExternalMem, Lac, Program, ProgramBuilder, SimError, Source};
+use linalg_ref::Matrix;
 
 /// Parameters for a GEMM inner-kernel run.
 #[derive(Clone, Copy, Debug)]
@@ -60,17 +61,6 @@ impl GemmParams {
             negate: false,
         }
     }
-}
-
-/// Result of a GEMM kernel run.
-#[derive(Clone, Debug)]
-pub struct GemmReport {
-    /// Event counters of the run.
-    pub stats: ExecStats,
-    /// Useful MAC operations (`mc · kc · n`).
-    pub useful_macs: u64,
-    /// Utilization against peak (`useful_macs / (cycles · nr²)`).
-    pub utilization: f64,
 }
 
 /// Registers used by the overlapped schedule.
@@ -366,16 +356,21 @@ pub fn gemm_program(nr: usize, p: usize, lay: &GemmDataLayout, params: &GemmPara
     b.build()
 }
 
-/// Run the GEMM inner kernel on `lac` against `mem` laid out by `lay`.
-///
-/// `mem` must contain A, B and C per `lay`; on success C has been updated in
-/// place and the returned report carries the cycle/energy counters.
-pub(crate) fn gemm_run(
+/// Useful MACs of a GEMM update: `mc · kc · n`.
+pub(crate) fn gemm_useful_macs(params: &GemmParams) -> u64 {
+    (params.mc * params.kc * params.n) as u64
+}
+
+/// `C ± A·B` on `lac`: packs `A`, `B` and `C` into the §3.4 image
+/// ([`GemmDataLayout`] over `params`' shape), runs the inner kernel, and
+/// returns the updated `C` with the run's counters.
+pub(crate) fn gemm_update(
     lac: &mut Lac,
-    mem: &mut lac_sim::ExternalMem,
-    lay: &GemmDataLayout,
+    a: &Matrix,
+    bm: &Matrix,
+    c: &Matrix,
     params: &GemmParams,
-) -> Result<GemmReport, SimError> {
+) -> Result<(Matrix, ExecStats), SimError> {
     let nr = lac.config().nr;
     let p = lac.config().fpu.pipeline_depth;
     let alay = ALayout::new(params.mc, params.kc, nr);
@@ -392,6 +387,7 @@ pub(crate) fn gemm_run(
         b_words_needed <= lac.config().sram_b_words,
         "B panel does not fit the local store"
     );
+    let lay = GemmDataLayout::new(params.mc, params.kc, params.n);
     let prog = crate::memo::program(
         "gemm",
         &[
@@ -409,38 +405,27 @@ pub(crate) fn gemm_run(
             params.overlap as u64,
             params.negate as u64,
         ],
-        || gemm_program(nr, p, lay, params),
+        || gemm_program(nr, p, &lay, params),
     );
-    let stats = lac.run(&prog, mem)?;
-    let useful = (params.mc * params.kc * params.n) as u64;
-    Ok(GemmReport {
-        stats,
-        useful_macs: useful,
-        utilization: useful as f64 / (stats.cycles as f64 * (nr * nr) as f64),
-    })
+    let mut mem = ExternalMem::from_vec(lay.pack(a, bm, c));
+    let stats = lac.run(&prog, &mut mem)?;
+    Ok((lay.unpack_c(mem.as_slice()), stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_sim::{ExternalMem, LacConfig};
-    use linalg_ref::{gemm, max_abs_diff, Matrix};
+    use lac_sim::LacConfig;
+    use linalg_ref::{gemm, max_abs_diff};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(
-        mc: usize,
-        kc: usize,
-        n: usize,
-        seed: u64,
-    ) -> (Matrix, Matrix, Matrix, GemmDataLayout, ExternalMem) {
+    fn setup(mc: usize, kc: usize, n: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(mc, kc, &mut rng);
         let bm = Matrix::random(kc, n, &mut rng);
         let c = Matrix::random(mc, n, &mut rng);
-        let lay = GemmDataLayout::new(mc, kc, n);
-        let mem = ExternalMem::from_vec(lay.pack(&a, &bm, &c));
-        (a, bm, c, lay, mem)
+        (a, bm, c)
     }
 
     fn reference(a: &Matrix, b: &Matrix, c: &Matrix, negate: bool) -> Matrix {
@@ -454,58 +439,57 @@ mod tests {
         expect
     }
 
+    /// Useful-MAC utilization of one run on the default 4×4 core.
+    fn utilization(params: &GemmParams, stats: &ExecStats) -> f64 {
+        gemm_useful_macs(params) as f64 / (stats.cycles as f64 * 16.0)
+    }
+
     #[test]
     fn simple_schedule_matches_reference() {
-        let (a, bm, c, lay, mut mem) = setup(8, 8, 8, 1);
+        let (a, bm, c) = setup(8, 8, 8, 1);
         let mut lac = Lac::new(LacConfig::default());
         let params = GemmParams::simple(8, 8, 8);
-        let rep = gemm_run(&mut lac, &mut mem, &lay, &params).unwrap();
-        let got = lay.unpack_c(mem.as_slice());
+        let (got, stats) = gemm_update(&mut lac, &a, &bm, &c, &params).unwrap();
         let expect = reference(&a, &bm, &c, false);
         assert!(max_abs_diff(&got, &expect) < 1e-12);
-        assert_eq!(rep.stats.mac_ops, 8 * 8 * 8);
+        assert_eq!(stats.mac_ops, 8 * 8 * 8);
     }
 
     #[test]
     fn overlap_schedule_matches_reference() {
-        let (a, bm, c, lay, mut mem) = setup(16, 16, 16, 2);
+        let (a, bm, c) = setup(16, 16, 16, 2);
         let mut lac = Lac::new(LacConfig::default());
         let params = GemmParams::new(16, 16, 16);
-        let rep = gemm_run(&mut lac, &mut mem, &lay, &params).unwrap();
-        let got = lay.unpack_c(mem.as_slice());
+        let (got, stats) = gemm_update(&mut lac, &a, &bm, &c, &params).unwrap();
         let expect = reference(&a, &bm, &c, false);
         assert!(max_abs_diff(&got, &expect) < 1e-12);
-        assert!(rep.utilization > 0.5, "util {}", rep.utilization);
+        let util = utilization(&params, &stats);
+        assert!(util > 0.5, "util {util}");
     }
 
     #[test]
     fn overlap_beats_simple_utilization() {
         for &(mc, kc, n) in &[(16, 32, 16), (32, 32, 32)] {
-            let (_, _, _, lay, mut mem1) = setup(mc, kc, n, 3);
-            let mut mem2 = mem1.clone();
+            let (a, bm, c) = setup(mc, kc, n, 3);
             let mut lac1 = Lac::new(LacConfig::default());
             let mut lac2 = Lac::new(LacConfig::default());
-            let r1 = gemm_run(&mut lac1, &mut mem1, &lay, &GemmParams::simple(mc, kc, n)).unwrap();
-            let r2 = gemm_run(&mut lac2, &mut mem2, &lay, &GemmParams::new(mc, kc, n)).unwrap();
-            assert!(
-                r2.utilization > r1.utilization,
-                "overlap {} vs simple {}",
-                r2.utilization,
-                r1.utilization
-            );
+            let (simple, overlap) = (GemmParams::simple(mc, kc, n), GemmParams::new(mc, kc, n));
+            let (_, s1) = gemm_update(&mut lac1, &a, &bm, &c, &simple).unwrap();
+            let (_, s2) = gemm_update(&mut lac2, &a, &bm, &c, &overlap).unwrap();
+            let (u1, u2) = (utilization(&simple, &s1), utilization(&overlap, &s2));
+            assert!(u2 > u1, "overlap {u2} vs simple {u1}");
         }
     }
 
     #[test]
     fn negate_computes_c_minus_ab() {
-        let (a, bm, c, lay, mut mem) = setup(8, 8, 8, 4);
+        let (a, bm, c) = setup(8, 8, 8, 4);
         let mut lac = Lac::new(LacConfig::default());
         let params = GemmParams {
             negate: true,
             ..GemmParams::new(8, 8, 8)
         };
-        gemm_run(&mut lac, &mut mem, &lay, &params).unwrap();
-        let got = lay.unpack_c(mem.as_slice());
+        let (got, _) = gemm_update(&mut lac, &a, &bm, &c, &params).unwrap();
         let expect = reference(&a, &bm, &c, true);
         assert!(max_abs_diff(&got, &expect) < 1e-12);
     }
@@ -516,11 +500,13 @@ mod tests {
         // approaches 1 as kc grows.
         let mut last = 0.0;
         for &kc in &[16usize, 64, 128] {
-            let (_, _, _, lay, mut mem) = setup(16, kc, 64, 5);
+            let (a, bm, c) = setup(16, kc, 64, 5);
             let mut lac = Lac::new(LacConfig::default());
-            let rep = gemm_run(&mut lac, &mut mem, &lay, &GemmParams::new(16, kc, 64)).unwrap();
-            assert!(rep.utilization > last, "kc={kc}");
-            last = rep.utilization;
+            let params = GemmParams::new(16, kc, 64);
+            let (_, stats) = gemm_update(&mut lac, &a, &bm, &c, &params).unwrap();
+            let util = utilization(&params, &stats);
+            assert!(util > last, "kc={kc}");
+            last = util;
         }
         assert!(
             last > 0.85,
@@ -530,10 +516,9 @@ mod tests {
 
     #[test]
     fn tall_block_and_wide_panel() {
-        let (a, bm, c, lay, mut mem) = setup(24, 8, 32, 6);
+        let (a, bm, c) = setup(24, 8, 32, 6);
         let mut lac = Lac::new(LacConfig::default());
-        gemm_run(&mut lac, &mut mem, &lay, &GemmParams::new(24, 8, 32)).unwrap();
-        let got = lay.unpack_c(mem.as_slice());
+        let (got, _) = gemm_update(&mut lac, &a, &bm, &c, &GemmParams::new(24, 8, 32)).unwrap();
         assert!(max_abs_diff(&got, &reference(&a, &bm, &c, false)) < 1e-12);
     }
 
@@ -544,19 +529,19 @@ mod tests {
             ext_words_per_cycle: Some(4),
             ..Default::default()
         };
-        let (_, _, _, lay, mut mem) = setup(8, 8, 8, 7);
+        let (a, bm, c) = setup(8, 8, 8, 7);
         let mut lac = Lac::new(cfg);
-        gemm_run(&mut lac, &mut mem, &lay, &GemmParams::new(8, 8, 8)).unwrap();
+        gemm_update(&mut lac, &a, &bm, &c, &GemmParams::new(8, 8, 8)).unwrap();
     }
 
     #[test]
     fn stats_account_external_traffic() {
-        let (_, _, _, lay, mut mem) = setup(8, 8, 8, 8);
+        let (a, bm, c) = setup(8, 8, 8, 8);
         let mut lac = Lac::new(LacConfig::default());
-        let rep = gemm_run(&mut lac, &mut mem, &lay, &GemmParams::simple(8, 8, 8)).unwrap();
+        let (_, stats) = gemm_update(&mut lac, &a, &bm, &c, &GemmParams::simple(8, 8, 8)).unwrap();
         // A once (mc·kc), B once (kc·n), C in once (mc·n).
         let expected_reads = 8 * 8 + 8 * 8 + 8 * 8;
-        assert_eq!(rep.stats.ext_reads, expected_reads as u64);
-        assert_eq!(rep.stats.ext_writes, 8 * 8);
+        assert_eq!(stats.ext_reads, expected_reads as u64);
+        assert_eq!(stats.ext_writes, 8 * 8);
     }
 }

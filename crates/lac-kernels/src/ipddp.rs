@@ -34,9 +34,8 @@
 
 use crate::chol::blocked_cholesky_run;
 use crate::ippmm::{backward_solve, forward_solve, inf_norm, mat_tvec, mat_vec};
-use crate::solver::step_report;
 use crate::trsm::blocked_trsm_run;
-use crate::workload::{demo_value, DdpDetails, Details, KernelReport};
+use crate::workload::{demo_value, report, DdpDetails, Details, KernelReport};
 use lac_sim::dynamic::{Continue, DynamicGraph, DynamicOutcome};
 use lac_sim::{ChipJob, JobGraph, LacEngine, SimError};
 use linalg_ref::{cholesky, Matrix};
@@ -668,10 +667,11 @@ impl ChipJob for DdpJob {
                 let u = Matrix::from_fn(NU, p.horizon, |i, tt| st.next.us[tt][i]);
                 (grad, mu_pre, u, st.next.cost)
             };
-            Ok(step_report(
+            Ok(report(
                 eng,
                 "ipddp-sweep",
                 stats,
+                None,
                 Details::Ddp(Box::new(DdpDetails {
                     member: p.index,
                     u,
@@ -681,10 +681,11 @@ impl ChipJob for DdpJob {
                 })),
             ))
         } else {
-            Ok(step_report(
+            Ok(report(
                 eng,
                 "ipddp-step",
                 stats,
+                None,
                 Details::Cholesky { l },
             ))
         }

@@ -39,10 +39,10 @@
 //! independent KKT-residual recomputation.
 
 use crate::chol::blocked_cholesky_run;
-use crate::solver::{device_syrk, step_report};
+use crate::syrk::{syrk_update, SyrkParams};
 use crate::trsm::blocked_trsm_run;
 use crate::workload::{
-    demo_matrix, demo_spd, demo_value, expect_details, Details, IpmDetails, KernelReport,
+    demo_matrix, demo_spd, demo_value, expect_details, report, Details, IpmDetails, KernelReport,
 };
 use lac_sim::dynamic::{Continue, DynamicGraph, DynamicOutcome};
 use lac_sim::{ChipJob, JobGraph, LacEngine, SimError};
@@ -214,7 +214,6 @@ fn apply_step(
     w: &[f64],
     lm: &Matrix,
     u: &[f64],
-    g: &[f64],
     mu_pre: f64,
 ) -> (f64, f64, f64) {
     // Δy = Lₘ⁻ᵀ·u (u = Lₘ⁻¹·rhs_y came from the forward solve).
@@ -247,7 +246,6 @@ fn apply_step(
         y[j] += alpha_d * dy[j];
     }
     let (rp, rd, mu) = residuals(p, x, y, z);
-    let _ = g;
     (inf_norm(&rp), inf_norm(&rd), mu)
 }
 
@@ -422,7 +420,7 @@ impl IppmmWorkload {
                 cholesky(&m).map_err(|e| format!("ippmm reference iter {iter} (Schur): {e:?}"))?;
             let rhs_y = schur_rhs(&p, &v, &w, &rp);
             let u = forward_solve(&lm, &rhs_y);
-            apply_step(&p, &mut x, &mut y, &mut z, &l, &v, &w, &lm, &u, &g, mu);
+            apply_step(&p, &mut x, &mut y, &mut z, &l, &v, &w, &lm, &u, mu);
         }
         Err(format!(
             "ippmm reference: no convergence within {} iterations",
@@ -611,10 +609,11 @@ impl ChipJob for IpmJob {
                 };
                 let (l, stats) = blocked_cholesky_run(eng.core_mut(), &gmat)?;
                 self.iterate.lock().expect("ipm state poisoned").l = l.clone();
-                Ok(step_report(
+                Ok(report(
                     eng,
                     "ippmm-factor",
                     stats,
+                    None,
                     Details::Cholesky { l },
                 ))
             }
@@ -640,7 +639,7 @@ impl ChipJob for IpmJob {
                     st.v = Matrix::from_fn(p.n, p.m, |i, j| x[(i, j)]);
                     st.w = (0..p.n).map(|i| x[(i, p.m)]).collect();
                 }
-                Ok(step_report(eng, "ippmm-solve", stats, Details::Trsm { x }))
+                Ok(report(eng, "ippmm-solve", stats, None, Details::Trsm { x }))
             }
             IpmStep::Schur => {
                 let (vt, reg) = {
@@ -648,7 +647,12 @@ impl ChipJob for IpmJob {
                     (st.v.transpose(), st.reg)
                 };
                 // S = Vᵀ·(Vᵀ)ᵀ = VᵀV, lower triangle, on the device.
-                let (s, syrk_stats) = device_syrk(eng, &vt)?;
+                let (s, syrk_stats) = syrk_update(
+                    eng.core_mut(),
+                    &vt,
+                    &Matrix::zeros(p.m, p.m),
+                    &SyrkParams::new(p.m, p.n),
+                )?;
                 let m = Matrix::from_fn(p.m, p.m, |i, j| {
                     let v = if i >= j { s[(i, j)] } else { s[(j, i)] };
                     v + if i == j { reg } else { 0.0 }
@@ -662,10 +666,11 @@ impl ChipJob for IpmJob {
                 }
                 let mut stats = syrk_stats;
                 stats.merge(&chol_stats);
-                Ok(step_report(
+                Ok(report(
                     eng,
                     "ippmm-schur",
                     stats,
+                    None,
                     Details::Cholesky { l: lm },
                 ))
             }
@@ -684,7 +689,7 @@ impl ChipJob for IpmJob {
                         st.x.iter().zip(&st.z).map(|(xi, zi)| xi * zi).sum::<f64>() / p.n as f64;
                     let (mut x, mut y, mut z) = (st.x.clone(), st.y.clone(), st.z.clone());
                     let (rp, rd, mu) = apply_step(
-                        p, &mut x, &mut y, &mut z, &st.l, &st.v, &st.w, &st.lm, &u, &st.g, mu_pre,
+                        p, &mut x, &mut y, &mut z, &st.l, &st.v, &st.w, &st.lm, &u, mu_pre,
                     );
                     (
                         Matrix::from_fn(p.n, 1, |i, _| x[i]),
@@ -695,10 +700,11 @@ impl ChipJob for IpmJob {
                         mu,
                     )
                 };
-                Ok(step_report(
+                Ok(report(
                     eng,
                     "ippmm-step",
                     stats,
+                    None,
                     Details::Ipm(Box::new(IpmDetails {
                         x,
                         y,

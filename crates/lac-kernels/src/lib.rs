@@ -12,6 +12,12 @@
 //! Every kernel is exposed through the unified [`Workload`] trait and run
 //! on a [`lac_sim::LacEngine`] session (see [`workload`]); [`registry`]
 //! enumerates one canonical instance of each for data-driven harnesses.
+//! Each kernel module states its external-memory layout once, in one
+//! crate-private staging function that takes matrices, packs them into
+//! a private bank, runs on the engine's core and returns the output with
+//! its [`lac_sim::ExecStats`]. Workloads, the blocked drivers and the
+//! solver, IP-PMM and IPDDP graph jobs all go through those functions,
+//! and one assembler turns every result into a [`KernelReport`].
 //! Program generators are pure functions of the job *shape*, so each
 //! distinct shape's program is built once and shared process-wide — see
 //! `docs/PERFORMANCE.md` for how that feeds the simulator's compile
@@ -51,22 +57,18 @@ pub mod trsm;
 pub mod vecnorm;
 pub mod workload;
 
-pub use chol::CholReport;
-pub use fft::Fft64Report;
-pub use gemm::{gemm_program, GemmParams, GemmReport};
+pub use gemm::{gemm_program, GemmParams};
 pub use ipddp::{DdpJob, DdpReference, IpddpFleet, IpddpParams};
 pub use ippmm::{IpmJob, IpmReference, IppmmParams, IppmmWorkload};
 pub use layout::{ALayout, GemmDataLayout};
-pub use lu::{pack_to_factors, LuOptions, LuReport};
+pub use lu::{pack_to_factors, LuOptions};
 pub use memo::{memo_totals, MemoTotals};
-pub use qr::QrPanelReport;
 pub use solver::{
     SolverFleet, SolverGraph, SolverJob, SolverLoopParams, SolverLoopWorkload, SolverReference,
     SolverStream,
 };
-pub use syrk::{SyrkDataLayout, SyrkParams, SyrkReport};
-pub use trsm::TrsmReport;
-pub use vecnorm::{VnormOptions, VnormReport};
+pub use syrk::{SyrkDataLayout, SyrkParams};
+pub use vecnorm::VnormOptions;
 pub use workload::{
     registry, registry_chip_config, registry_sized, BlockedCholWorkload, BlockedLuWorkload,
     BlockedTrsmWorkload, CholKernelWorkload, DdpDetails, Details, Fft64Workload, GemmWorkload,

@@ -19,6 +19,8 @@
 //! hardware sequencer would), and emits the next phase — every cycle and bus
 //! transfer is still paid through the simulator.
 
+use crate::gemm::{gemm_update, GemmParams};
+use crate::trsm::trsm_stacked;
 use lac_fpu::DivSqrtOp;
 use lac_sim::{CmpUpdate, ExecStats, ExtOp, ExternalMem, Lac, ProgramBuilder, SimError, Source};
 use linalg_ref::Matrix;
@@ -36,37 +38,32 @@ impl Default for LuOptions {
     }
 }
 
-/// Report of an LU panel factorization.
-#[derive(Clone, Debug)]
-pub struct LuReport {
-    /// Event counters of the run.
-    pub stats: ExecStats,
-    /// Pivot row chosen at each of the `nr` iterations.
-    pub pivots: Vec<usize>,
-}
-
 const REG_SWAP: usize = 0;
 const REG_U: usize = 1;
 const REG_PIV_VAL: usize = 2;
 const REG_PIV_TAG: usize = 3;
 
-/// Factor the `K × nr` panel stored column-major at offset 0 of `mem`
-/// (`addr = j·K + i`). On return the panel holds `L\U` packed LAPACK-style
-/// and the report carries the pivot rows.
-pub(crate) fn lu_panel_run(
+/// Factor a `K × nr` panel (`K = k·nr`) on `lac`, returning the packed
+/// `L\U` factors (LAPACK-style), the pivot row of each iteration, and the
+/// summed counters of every phase. The image holds the panel column-major
+/// at offset 0 (`addr = j·K + i`), where the last phase streams `L\U` back.
+pub(crate) fn lu_panel_matrix_run(
     lac: &mut Lac,
-    mem: &mut ExternalMem,
-    k: usize,
+    a: &Matrix,
     opts: &LuOptions,
-) -> Result<LuReport, SimError> {
+) -> Result<(Matrix, Vec<usize>, ExecStats), SimError> {
     let nr = lac.config().nr;
     let p = lac.config().fpu.pipeline_depth;
     let q = lac.config().divsqrt.latency(DivSqrtOp::Reciprocal);
-    let kk = k * nr;
+    assert_eq!(a.cols(), nr);
+    assert!(a.rows().is_multiple_of(nr));
+    let k = a.rows() / nr;
+    let kk = a.rows();
     assert!(
         k <= lac.config().sram_b_words,
         "panel too tall for B memory"
     );
+    let mem = &mut ExternalMem::from_vec(a.as_slice().to_vec());
     let ext_addr = |i: usize, j: usize| j * kk + i;
     let mut total = ExecStats::default();
     let mut pivots = Vec::with_capacity(nr);
@@ -290,10 +287,8 @@ pub(crate) fn lu_panel_run(
         total.merge(&lac.run(&b.build(), mem)?);
     }
 
-    Ok(LuReport {
-        stats: total,
-        pivots,
-    })
+    let out = Matrix::from_fn(kk, nr, |i, j| mem.read(ext_addr(i, j)));
+    Ok((out, pivots, total))
 }
 
 /// Assemble simulator output into the reference crate's [`linalg_ref::LuFactors`]
@@ -303,30 +298,6 @@ pub fn pack_to_factors(packed: Matrix, pivots: Vec<usize>) -> linalg_ref::LuFact
         factors: packed,
         pivots,
     }
-}
-
-/// Convenience wrapper: factor a `Matrix` panel, returning packed factors,
-/// pivots, and stats.
-pub(crate) fn lu_panel_matrix_run(
-    lac: &mut Lac,
-    a: &Matrix,
-    opts: &LuOptions,
-) -> Result<(Matrix, Vec<usize>, ExecStats), SimError> {
-    let nr = lac.config().nr;
-    assert_eq!(a.cols(), nr);
-    assert!(a.rows().is_multiple_of(nr));
-    let k = a.rows() / nr;
-    let kk = a.rows();
-    let mut mem = vec![0.0; kk * nr];
-    for j in 0..nr {
-        for i in 0..kk {
-            mem[j * kk + i] = a[(i, j)];
-        }
-    }
-    let mut emem = ExternalMem::from_vec(mem);
-    let rep = lu_panel_run(lac, &mut emem, k, opts)?;
-    let out = Matrix::from_fn(kk, nr, |i, j| emem.read(j * kk + i));
-    Ok((out, rep.pivots, rep.stats))
 }
 
 /// Blocked right-looking LU with partial pivoting of a square `K × K`
@@ -341,10 +312,6 @@ pub(crate) fn blocked_lu_run(
     a: &Matrix,
     opts: &LuOptions,
 ) -> Result<(Matrix, Vec<usize>, ExecStats), SimError> {
-    use crate::gemm::{gemm_run, GemmParams};
-    use crate::layout::GemmDataLayout;
-    use crate::trsm::trsm_stacked_run;
-
     let nr = lac.config().nr;
     let kk = a.rows();
     assert_eq!(a.cols(), kk);
@@ -389,29 +356,11 @@ pub(crate) fn blocked_lu_run(
                 l11[(i, j)] = work[(c0 + i, c0 + j)];
             }
         }
-        let a12 = work.block(c0, c0 + nr, nr, right);
-        let mut mem = vec![0.0; nr * nr + nr * right];
-        for j in 0..nr {
-            for i in 0..nr {
-                mem[j * nr + i] = l11[(i, j)];
-            }
-        }
-        for j in 0..right {
-            for i in 0..nr {
-                mem[nr * nr + j * nr + i] = a12[(i, j)];
-            }
-        }
-        let mut emem = lac_sim::ExternalMem::from_vec(mem);
-        let rep = trsm_stacked_run(lac, &mut emem, right)?;
-        total.merge(&rep.stats);
-        let u12 = Matrix::from_fn(nr, right, |i, j| emem.read(nr * nr + j * nr + i));
+        let (u12, stats) = trsm_stacked(lac, &l11, &work.block(c0, c0 + nr, nr, right))?;
+        total.merge(&stats);
         work.set_block(c0, c0 + nr, &u12);
         // 4. Trailing update: A22 -= L21 · U12 (negated GEMM).
         let below = kk - c0 - nr;
-        let l21 = work.block(c0 + nr, c0, below, nr);
-        let a22 = work.block(c0 + nr, c0 + nr, below, right);
-        let lay = GemmDataLayout::new(below, nr, right);
-        let mut mem = lac_sim::ExternalMem::from_vec(lay.pack(&l21, &u12, &a22));
         let params = GemmParams {
             mc: below,
             kc: nr,
@@ -419,9 +368,15 @@ pub(crate) fn blocked_lu_run(
             overlap: false,
             negate: true,
         };
-        let rep = gemm_run(lac, &mut mem, &lay, &params)?;
-        total.merge(&rep.stats);
-        work.set_block(c0 + nr, c0 + nr, &lay.unpack_c(mem.as_slice()));
+        let (a22, stats) = gemm_update(
+            lac,
+            &work.block(c0 + nr, c0, below, nr),
+            &u12,
+            &work.block(c0 + nr, c0 + nr, below, right),
+            &params,
+        )?;
+        total.merge(&stats);
+        work.set_block(c0 + nr, c0 + nr, &a22);
     }
     Ok((work, pivots, total))
 }

@@ -10,30 +10,21 @@
 //! assembles the factorization, so the per-column cycle/energy cost of each
 //! architecture option is measured end-to-end.
 
-use crate::vecnorm::{vecnorm_run, VnormOptions};
-use lac_sim::{ExecStats, ExternalMem, Lac, SimError};
+use crate::vecnorm::{vecnorm, VnormOptions};
+use crate::workload::QrDetails;
+use lac_sim::{ExecStats, Lac, SimError};
 use linalg_ref::householder::HouseholderReflector;
 use linalg_ref::Matrix;
-
-/// Result of a QR panel factorization on the LAC.
-#[derive(Clone, Debug)]
-pub struct QrPanelReport {
-    /// The upper-triangular factor `R`.
-    pub r: Matrix,
-    /// One Householder reflector per factored column.
-    pub reflectors: Vec<HouseholderReflector>,
-    /// Event counters of the run.
-    pub stats: ExecStats,
-}
 
 /// Factor an `m × n` panel (`m` a multiple of `4·2` so the norm kernel's
 /// column split works; `m ≥ n`). Vector norms run on the simulated LAC;
 /// reflector application is the GEMM-class update the other kernels cover.
+/// Returns `R`, the reflectors and the summed counters of the norm runs.
 pub(crate) fn qr_panel_run(
     lac: &mut Lac,
     a: &Matrix,
     opts: &VnormOptions,
-) -> Result<QrPanelReport, SimError> {
+) -> Result<(QrDetails, ExecStats), SimError> {
     let (m, n) = (a.rows(), a.cols());
     assert!(m >= n);
     let mut work = a.clone();
@@ -51,10 +42,9 @@ pub(crate) fn qr_panel_run(
             let k = (tail.len().div_ceil(8)).max(1) * 2; // k even
             let mut padded = tail.clone();
             padded.resize(k * 4, 0.0);
-            let mut mem = ExternalMem::from_vec(padded);
-            let rep = vecnorm_run(lac, &mut mem, k, opts)?;
-            total.merge(&rep.stats);
-            rep.result
+            let (norm, stats) = vecnorm(lac, &padded, opts)?;
+            total.merge(&stats);
+            norm
         };
 
         // Table 6.1 (right column): the efficient computation.
@@ -93,11 +83,8 @@ pub(crate) fn qr_panel_run(
         }
         reflectors.push(h);
     }
-    Ok(QrPanelReport {
-        r: work.block(0, 0, n, n).triu(),
-        reflectors,
-        stats: total,
-    })
+    let r = work.block(0, 0, n, n).triu();
+    Ok((QrDetails { r, reflectors }, total))
 }
 
 #[cfg(test)]
@@ -129,13 +116,10 @@ mod tests {
                 exponent_extension: true,
                 comparator: false,
             };
-            let rep = qr_panel_run(&mut lac, &a, &opts).unwrap();
+            let (qr, stats) = qr_panel_run(&mut lac, &a, &opts).unwrap();
             let reference = qr_householder(&a);
-            assert!(max_abs_diff(&rep.r, &reference.r) < 1e-8, "({m},{n})");
-            assert!(
-                rep.stats.sfu_ops >= n as u64,
-                "one sqrt per column at least"
-            );
+            assert!(max_abs_diff(&qr.r, &reference.r) < 1e-8, "({m},{n})");
+            assert!(stats.sfu_ops >= n as u64, "one sqrt per column at least");
         }
     }
 
@@ -151,13 +135,13 @@ mod tests {
             };
             qr_panel_run(&mut lac, &a, &opts).unwrap()
         };
-        let fast = run(true, false);
-        let mid = run(false, true);
-        let slow = run(false, false);
+        let (fast, fast_stats) = run(true, false);
+        let (mid, mid_stats) = run(false, true);
+        let (slow, slow_stats) = run(false, false);
         assert!(max_abs_diff(&fast.r, &mid.r) < 1e-9);
         assert!(max_abs_diff(&fast.r, &slow.r) < 1e-9);
-        assert!(fast.stats.cycles < mid.stats.cycles);
-        assert!(mid.stats.cycles < slow.stats.cycles);
+        assert!(fast_stats.cycles < mid_stats.cycles);
+        assert!(mid_stats.cycles < slow_stats.cycles);
     }
 
     #[test]
@@ -170,7 +154,7 @@ mod tests {
             exponent_extension: true,
             comparator: false,
         };
-        let rep = qr_panel_run(&mut lac, &a, &opts).unwrap();
+        let (rep, _) = qr_panel_run(&mut lac, &a, &opts).unwrap();
         // Verify A ≈ Q·R by applying the reflectors to R-extended columns.
         let m = 16;
         let mut qr_prod = Matrix::zeros(m, 4);

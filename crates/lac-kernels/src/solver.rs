@@ -43,11 +43,11 @@
 //!   against an independent `linalg-ref` chain.
 
 use crate::chol::blocked_cholesky_run;
-use crate::syrk::{syrk_run, SyrkDataLayout, SyrkParams};
+use crate::syrk::{syrk_update, SyrkParams};
 use crate::trsm::blocked_trsm_run;
 use crate::workload::{
-    close, demo_matrix, demo_spd, expect_details, finish, Details, KernelReport, SolverDetails,
-    Workload,
+    close, demo_matrix, demo_spd, expect_details, finish, report, Details, KernelReport,
+    SolverDetails, Workload,
 };
 use lac_sim::{ChipJob, ExecStats, JobGraph, JobId, LacEngine, SimError};
 use linalg_ref::{cholesky, gemm, max_abs_diff, trsm, Matrix, Side, Triangle};
@@ -141,60 +141,6 @@ fn add_sym_update(a: &mut Matrix, s_lower: &Matrix) {
             a[(j, i)] = v;
         }
     }
-}
-
-/// Wrap one graph step in the uniform report (unlike [`finish`] this does
-/// not count a whole workload; the core's counters metered its cycles).
-pub(crate) fn step_report(
-    eng: &mut LacEngine,
-    name: &'static str,
-    stats: ExecStats,
-    details: Details,
-) -> KernelReport {
-    let nr = eng.config().nr;
-    KernelReport {
-        kernel: name,
-        stats,
-        useful_flops: stats.flops(),
-        utilization: stats.utilization(nr),
-        details,
-    }
-}
-
-/// `S = X·Xᵀ` (lower) on the device via the §5.2 SYRK schedule, from a
-/// zeroed accumulator.
-pub(crate) fn device_syrk(
-    eng: &mut LacEngine,
-    x: &Matrix,
-) -> Result<(Matrix, ExecStats), SimError> {
-    let (mc, kc) = (x.rows(), x.cols());
-    let lay = SyrkDataLayout::new(mc, kc);
-    let mut image = vec![0.0; lay.total_words()];
-    for p in 0..kc {
-        for i in 0..mc {
-            image[lay.a_addr(i, p)] = x[(i, p)];
-        }
-    }
-    eng.load_image(image);
-    let (lac, mem) = eng.parts();
-    let rep = syrk_run(
-        lac,
-        mem,
-        &lay,
-        &SyrkParams {
-            mc,
-            kc,
-            negate: false,
-        },
-    )?;
-    let s = Matrix::from_fn(mc, mc, |i, j| {
-        if i >= j {
-            eng.mem().read(lay.c_addr(i, j))
-        } else {
-            0.0
-        }
-    });
-    Ok((s, rep.stats))
 }
 
 impl SolverLoopWorkload {
@@ -546,10 +492,11 @@ impl ChipJob for SolverJob {
                 };
                 let (l, stats) = blocked_cholesky_run(eng.core_mut(), &a)?;
                 self.state.lock().expect("solver state poisoned").l = l.clone();
-                Ok(step_report(
+                Ok(report(
                     eng,
                     "solver-chol",
                     stats,
+                    None,
                     Details::Cholesky { l },
                 ))
             }
@@ -557,16 +504,24 @@ impl ChipJob for SolverJob {
                 let l = self.state.lock().expect("solver state poisoned").l.clone();
                 let (x, stats) = blocked_trsm_run(eng.core_mut(), &l, b)?;
                 self.state.lock().expect("solver state poisoned").x[*panel] = x.clone();
-                Ok(step_report(eng, "solver-trsm", stats, Details::Trsm { x }))
+                Ok(report(eng, "solver-trsm", stats, None, Details::Trsm { x }))
             }
             SolverStep::Syrk { panel } => {
                 let x = self.state.lock().expect("solver state poisoned").x[*panel].clone();
-                let (s, stats) = device_syrk(eng, &x)?;
+                // S = X·Xᵀ (lower) from a zeroed accumulator.
+                let (n, w) = (x.rows(), x.cols());
+                let (s, stats) = syrk_update(
+                    eng.core_mut(),
+                    &x,
+                    &Matrix::zeros(n, n),
+                    &SyrkParams::new(n, w),
+                )?;
                 self.state.lock().expect("solver state poisoned").s[*panel] = s.clone();
-                Ok(step_report(
+                Ok(report(
                     eng,
                     "solver-syrk",
                     stats,
+                    None,
                     Details::Syrk { c: s },
                 ))
             }

@@ -9,9 +9,8 @@
 //! produced by the staging address generators when packing the operand for
 //! each GEMM panel, and the arithmetic runs on the simulated core.
 
-use crate::gemm::{gemm_run, GemmParams};
-use crate::layout::GemmDataLayout;
-use lac_sim::{ExecStats, ExternalMem, Lac, SimError};
+use crate::gemm::{gemm_update, GemmParams};
+use lac_sim::{ExecStats, Lac, SimError};
 use linalg_ref::Matrix;
 
 /// `C := C + A·B` with `A (K×K)` symmetric (lower stored), `B (K×W)`.
@@ -46,9 +45,6 @@ pub(crate) fn blocked_symm_run(
                 a_lower[(gj, gi)] // transposed block (diagonal-bus trick)
             }
         });
-        let c_blk = out.block(r0, 0, nr, w);
-        let lay = GemmDataLayout::new(nr, kk, w);
-        let mut mem = ExternalMem::from_vec(lay.pack(&a_row, b, &c_blk));
         let params = GemmParams {
             mc: nr,
             kc: kk,
@@ -56,9 +52,9 @@ pub(crate) fn blocked_symm_run(
             overlap: kk >= 2 * nr,
             negate: false,
         };
-        let rep = gemm_run(lac, &mut mem, &lay, &params)?;
-        total.merge(&rep.stats);
-        out.set_block(r0, 0, &lay.unpack_c(mem.as_slice()));
+        let (panel, stats) = gemm_update(lac, &a_row, b, &out.block(r0, 0, nr, w), &params)?;
+        total.merge(&stats);
+        out.set_block(r0, 0, &panel);
     }
     Ok((out, total))
 }

@@ -10,7 +10,8 @@
 //! the locally stored `A_dᵀ` panel (Figure 5.3).
 
 use crate::layout::ALayout;
-use lac_sim::{ExecStats, ExtOp, Lac, ProgramBuilder, SimError, Source};
+use lac_sim::{ExecStats, ExtOp, ExternalMem, Lac, ProgramBuilder, SimError, Source};
+use linalg_ref::Matrix;
 
 /// Parameters for a SYRK run: `C (mc×mc, lower) += A (mc×kc) · Aᵀ`.
 #[derive(Clone, Copy, Debug)]
@@ -89,28 +90,25 @@ impl SyrkDataLayout {
     }
 }
 
-/// Report of a SYRK run.
-#[derive(Clone, Debug)]
-pub struct SyrkReport {
-    /// Event counters of the run.
-    pub stats: ExecStats,
-    /// Useful MACs: tiles on/below the diagonal (what contributes to the
-    /// stored lower triangle).
-    pub useful_macs: u64,
-    /// Utilization against peak over the run.
-    pub utilization: f64,
-}
-
 const REG_A_CUR: usize = 2;
 
-/// Run blocked SYRK. `mem` must hold `A` and `C` per `lay`; on return the
-/// lower triangle of `C` has been updated.
-pub(crate) fn syrk_run(
+/// Useful MACs of a SYRK update on an `nr × nr` mesh: the tiles on and
+/// below the diagonal (what contributes to the stored lower triangle).
+pub(crate) fn syrk_useful_macs(nr: usize, params: &SyrkParams) -> u64 {
+    let nblocks = params.mc / nr;
+    (nblocks * (nblocks + 1) / 2 * nr * nr * params.kc) as u64
+}
+
+/// `C ± A·Aᵀ` (lower triangle) on `lac`: packs `A (mc×kc)` and the lower
+/// triangle of `C (mc×mc)` into the [`SyrkDataLayout`] image, runs blocked
+/// SYRK, and returns the updated lower triangle (zeros above) with the
+/// run's counters.
+pub(crate) fn syrk_update(
     lac: &mut Lac,
-    mem: &mut lac_sim::ExternalMem,
-    lay: &SyrkDataLayout,
+    a: &Matrix,
+    c: &Matrix,
     params: &SyrkParams,
-) -> Result<SyrkReport, SimError> {
+) -> Result<(Matrix, ExecStats), SimError> {
     let nr = lac.config().nr;
     let p = lac.config().fpu.pipeline_depth;
     let SyrkParams { mc, kc, negate } = *params;
@@ -123,6 +121,7 @@ pub(crate) fn syrk_run(
         kc <= lac.config().sram_b_words,
         "Aᵀ panel too large for B memory"
     );
+    let lay = SyrkDataLayout::new(mc, kc);
     let prog = crate::memo::program(
         "syrk",
         &[
@@ -135,17 +134,29 @@ pub(crate) fn syrk_run(
             kc as u64,
             negate as u64,
         ],
-        || syrk_program(nr, p, lay, params),
+        || syrk_program(nr, p, &lay, params),
     );
-    let stats = lac.run(&prog, mem)?;
-    let nblocks = mc / nr;
-    let tiles = (nblocks * (nblocks + 1) / 2) as u64;
-    let useful = tiles * (nr * nr * kc) as u64;
-    Ok(SyrkReport {
-        stats,
-        useful_macs: useful,
-        utilization: useful as f64 / (stats.cycles as f64 * (nr * nr) as f64),
-    })
+    let mut image = vec![0.0; lay.total_words()];
+    for pc in 0..kc {
+        for i in 0..mc {
+            image[lay.a_addr(i, pc)] = a[(i, pc)];
+        }
+    }
+    for j in 0..mc {
+        for i in j..mc {
+            image[lay.c_addr(i, j)] = c[(i, j)];
+        }
+    }
+    let mut mem = ExternalMem::from_vec(image);
+    let stats = lac.run(&prog, &mut mem)?;
+    let out = Matrix::from_fn(mc, mc, |i, j| {
+        if i >= j {
+            mem.read(lay.c_addr(i, j))
+        } else {
+            0.0
+        }
+    });
+    Ok((out, stats))
 }
 
 /// The blocked-SYRK microprogram — a pure function of the shape (mesh
@@ -304,40 +315,24 @@ pub(crate) fn syrk_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lac_sim::{ExternalMem, LacConfig};
-    use linalg_ref::{max_abs_diff, syrk, Matrix, Triangle};
+    use lac_sim::LacConfig;
+    use linalg_ref::{max_abs_diff, syrk, Triangle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn run_case(mc: usize, kc: usize, seed: u64) -> (Matrix, Matrix, SyrkReport) {
+    /// `(got, expect, utilization)` of one accumulating run on the default
+    /// 4×4 core.
+    fn run_case(mc: usize, kc: usize, seed: u64) -> (Matrix, Matrix, f64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(mc, kc, &mut rng);
         let c0 = Matrix::random(mc, mc, &mut rng).tril();
-        let lay = SyrkDataLayout::new(mc, kc);
-        let mut mem = vec![0.0; lay.total_words()];
-        for pcol in 0..kc {
-            for i in 0..mc {
-                mem[lay.a_addr(i, pcol)] = a[(i, pcol)];
-            }
-        }
-        for j in 0..mc {
-            for i in j..mc {
-                mem[lay.c_addr(i, j)] = c0[(i, j)];
-            }
-        }
-        let mut emem = ExternalMem::from_vec(mem);
         let mut lac = Lac::new(LacConfig::default());
-        let rep = syrk_run(&mut lac, &mut emem, &lay, &SyrkParams::new(mc, kc)).unwrap();
+        let params = SyrkParams::new(mc, kc);
+        let (got, stats) = syrk_update(&mut lac, &a, &c0, &params).unwrap();
         let mut expect = c0;
         syrk(Triangle::Lower, &a, &mut expect);
-        let got = Matrix::from_fn(mc, mc, |i, j| {
-            if i >= j {
-                emem.read(lay.c_addr(i, j))
-            } else {
-                0.0
-            }
-        });
-        (got, expect, rep)
+        let util = syrk_useful_macs(4, &params) as f64 / (stats.cycles as f64 * 16.0);
+        (got, expect, util)
     }
 
     #[test]
@@ -348,9 +343,9 @@ mod tests {
 
     #[test]
     fn blocked_multiple_tiles() {
-        let (got, expect, rep) = run_case(16, 16, 2);
+        let (got, expect, util) = run_case(16, 16, 2);
         assert!(max_abs_diff(&got, &expect.tril()) < 1e-12);
-        assert!(rep.utilization > 0.3);
+        assert!(util > 0.3);
     }
 
     #[test]
@@ -366,7 +361,7 @@ mod tests {
         // approaches the peak as the size of problem grows").
         let (_, _, small) = run_case(8, 16, 4);
         let (_, _, big) = run_case(32, 16, 5);
-        assert!(big.utilization > small.utilization);
+        assert!(big > small);
     }
 
     #[test]
@@ -377,16 +372,9 @@ mod tests {
         let kc = 8;
         let mut rng = StdRng::seed_from_u64(6);
         let a = Matrix::random(mc, kc, &mut rng);
-        let lay = SyrkDataLayout::new(mc, kc);
-        let mut mem = vec![0.0; lay.total_words()];
-        for pcol in 0..kc {
-            for i in 0..mc {
-                mem[lay.a_addr(i, pcol)] = a[(i, pcol)];
-            }
-        }
-        let mut emem = ExternalMem::from_vec(mem);
         let mut lac = Lac::new(LacConfig::default());
-        syrk_run(&mut lac, &mut emem, &lay, &SyrkParams::new(mc, kc)).unwrap();
+        let c0 = Matrix::zeros(mc, mc);
+        syrk_update(&mut lac, &a, &c0, &SyrkParams::new(mc, kc)).unwrap();
         let d = mc / 4 - 1; // last diagonal block for nr = 4
         for r in 0..4 {
             for c in 0..4 {

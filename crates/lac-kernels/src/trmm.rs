@@ -7,9 +7,8 @@
 //! keeps every input row panel unmodified until it is consumed, so the whole
 //! operation is a sequence of GEMM kernels of growing `kc`.
 
-use crate::gemm::{gemm_run, GemmParams};
-use crate::layout::GemmDataLayout;
-use lac_sim::{ExecStats, ExternalMem, Lac, SimError};
+use crate::gemm::{gemm_update, GemmParams};
+use lac_sim::{ExecStats, Lac, SimError};
 use linalg_ref::Matrix;
 
 /// `B := L·B` for lower-triangular `L (K×K)` and `B (K×W)`, `K = k·nr`.
@@ -33,11 +32,6 @@ pub(crate) fn blocked_trmm_run(
     for i in (0..k).rev() {
         let r0 = i * nr;
         let klen = r0 + nr; // panel length grows with i (the §5.1 point)
-        let a_blk = l.block(r0, 0, nr, klen);
-        let b_blk = b0.block(0, 0, klen, w);
-        let c_zero = Matrix::zeros(nr, w);
-        let lay = GemmDataLayout::new(nr, klen, w);
-        let mut mem = ExternalMem::from_vec(lay.pack(&a_blk, &b_blk, &c_zero));
         let params = GemmParams {
             mc: nr,
             kc: klen,
@@ -45,9 +39,15 @@ pub(crate) fn blocked_trmm_run(
             overlap: klen >= 2 * nr,
             negate: false,
         };
-        let rep = gemm_run(lac, &mut mem, &lay, &params)?;
-        total.merge(&rep.stats);
-        out.set_block(r0, 0, &lay.unpack_c(mem.as_slice()));
+        let (panel, stats) = gemm_update(
+            lac,
+            &l.block(r0, 0, nr, klen),
+            &b0.block(0, 0, klen, w),
+            &Matrix::zeros(nr, w),
+            &params,
+        )?;
+        total.merge(&stats);
+        out.set_block(r0, 0, &panel);
     }
     Ok((out, total))
 }

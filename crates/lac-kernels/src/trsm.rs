@@ -2,7 +2,7 @@
 //!
 //! The `nr × nr` diagonal solve is the latency-bound part: every iteration
 //! needs a reciprocal, a scaled row, and a rank-1 update, each dependent on
-//! the last. `trsm_stacked_run` implements the *stacked* schedule of
+//! the last. `trsm_stacked` implements the *stacked* schedule of
 //! Figure 5.5 — `m = W/nr` independent right-hand-side tiles are pushed
 //! through the MAC pipelines back to back, so the scale of tile `s+p` issues
 //! while tile `s` retires and the FPU stages stay full.
@@ -11,38 +11,32 @@
 //! updated with a (negated) GEMM against the already-solved panels, then
 //! solved with the stacked kernel.
 
-use crate::gemm::{gemm_run, GemmParams};
-use crate::layout::GemmDataLayout;
+use crate::gemm::{gemm_update, GemmParams};
 use lac_fpu::DivSqrtOp;
 use lac_sim::{ExecStats, ExtOp, ExternalMem, Lac, ProgramBuilder, SimError, Source};
 use linalg_ref::Matrix;
 
-/// Report of a TRSM run.
-#[derive(Clone, Debug)]
-pub struct TrsmReport {
-    /// Event counters of the run.
-    pub stats: ExecStats,
-    /// Useful MACs: `W · nr(nr+1)/2` plus the scale multiplies.
-    pub useful_macs: u64,
-    /// Utilization against peak over the run.
-    pub utilization: f64,
-}
-
 const REG_L: usize = 2;
 
-/// Solve `L X = B` for an `nr × nr` lower-triangular `L` and an `nr × W`
-/// panel `B` (W a multiple of nr), overwriting `B` in external memory.
-///
-/// Memory layout: `L` column-major at offset 0 (`nr × nr`), `B` column-major
-/// at offset `nr²`.
-pub(crate) fn trsm_stacked_run(
+/// Useful MACs of a stacked solve over an `nr × w` panel: the scale
+/// multiplies (`nr·w`) plus the rank-1 updates (`w·nr(nr−1)/2`).
+pub(crate) fn trsm_useful_macs(nr: usize, w: usize) -> u64 {
+    (nr * w + w * nr * (nr - 1) / 2) as u64
+}
+
+/// Solve `L X = B` on `lac` for an `nr × nr` lower-triangular `L` and an
+/// `nr × W` panel `B` (`W` a multiple of `nr`). The image holds `L`
+/// column-major at offset 0 and `B` column-major at offset `nr²`, where the
+/// kernel overwrites it with `X`; returns `X` with the run's counters.
+pub(crate) fn trsm_stacked(
     lac: &mut Lac,
-    mem: &mut ExternalMem,
-    w: usize,
-) -> Result<TrsmReport, SimError> {
+    l: &Matrix,
+    b: &Matrix,
+) -> Result<(Matrix, ExecStats), SimError> {
     let nr = lac.config().nr;
     let p = lac.config().fpu.pipeline_depth;
     let q = lac.config().divsqrt.latency(DivSqrtOp::Reciprocal);
+    let w = b.cols();
     assert!(w.is_multiple_of(nr) && w > 0);
     let m = w / nr; // stacked tiles
     assert!(
@@ -54,14 +48,13 @@ pub(crate) fn trsm_stacked_run(
         &[nr as u64, p as u64, q as u64, m as u64],
         || trsm_stacked_program(nr, p, q, m),
     );
-    let stats = lac.run(&prog, mem)?;
-    // scale multiplies (nr·W) + rank-1 update MACs (W·nr(nr-1)/2)
-    let useful = (nr * w + w * nr * (nr - 1) / 2) as u64;
-    Ok(TrsmReport {
-        stats,
-        useful_macs: useful,
-        utilization: useful as f64 / (stats.cycles as f64 * (nr * nr) as f64),
-    })
+    let n = l.rows();
+    let mut image = l.as_slice().to_vec();
+    image.extend_from_slice(b.as_slice());
+    let mut mem = ExternalMem::from_vec(image);
+    let stats = lac.run(&prog, &mut mem)?;
+    let x = Matrix::from_fn(n, w, |i, j| mem.read(n * n + j * n + i));
+    Ok((x, stats))
 }
 
 /// The stacked-TRSM microprogram — a pure function of the shape (mesh
@@ -208,11 +201,6 @@ pub(crate) fn blocked_trsm_run(
         let r0 = it * nr;
         // GEMM update: B_it -= L(it, 0..it) · X(0..it, :)
         if it > 0 {
-            let a_blk = l.block(r0, 0, nr, r0); // nr × (it·nr)
-            let bsrc = x.block(0, 0, r0, w); // (it·nr) × W
-            let cdst = x.block(r0, 0, nr, w); // nr × W
-            let lay = GemmDataLayout::new(nr, r0, w);
-            let mut mem = ExternalMem::from_vec(lay.pack(&a_blk, &bsrc, &cdst));
             let params = GemmParams {
                 mc: nr,
                 kc: r0,
@@ -220,28 +208,19 @@ pub(crate) fn blocked_trsm_run(
                 overlap: r0 >= 2 * nr,
                 negate: true,
             };
-            let rep = gemm_run(lac, &mut mem, &lay, &params)?;
-            total.merge(&rep.stats);
-            x.set_block(r0, 0, &lay.unpack_c(mem.as_slice()));
+            let (updated, stats) = gemm_update(
+                lac,
+                &l.block(r0, 0, nr, r0),
+                &x.block(0, 0, r0, w),
+                &x.block(r0, 0, nr, w),
+                &params,
+            )?;
+            total.merge(&stats);
+            x.set_block(r0, 0, &updated);
         }
         // Diagonal solve on the updated row panel.
-        let l11 = l.block(r0, r0, nr, nr);
-        let panel = x.block(r0, 0, nr, w);
-        let mut mem = vec![0.0; nr * nr + nr * w];
-        for j in 0..nr {
-            for i in 0..nr {
-                mem[j * nr + i] = l11[(i, j)];
-            }
-        }
-        for j in 0..w {
-            for i in 0..nr {
-                mem[nr * nr + j * nr + i] = panel[(i, j)];
-            }
-        }
-        let mut emem = ExternalMem::from_vec(mem);
-        let rep = trsm_stacked_run(lac, &mut emem, w)?;
-        total.merge(&rep.stats);
-        let solved = Matrix::from_fn(nr, w, |i, j| emem.read(nr * nr + j * nr + i));
+        let (solved, stats) = trsm_stacked(lac, &l.block(r0, r0, nr, nr), &x.block(r0, 0, nr, w))?;
+        total.merge(&stats);
         x.set_block(r0, 0, &solved);
     }
     Ok((x, total))
@@ -255,29 +234,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn stacked_case(w: usize, seed: u64) -> (Matrix, Matrix, TrsmReport) {
+    fn stacked_case(w: usize, seed: u64) -> (Matrix, Matrix, ExecStats) {
         let nr = 4;
         let mut rng = StdRng::seed_from_u64(seed);
         let l = Matrix::random_lower_triangular(nr, &mut rng);
         let b0 = Matrix::random(nr, w, &mut rng);
-        let mut mem = vec![0.0; nr * nr + nr * w];
-        for j in 0..nr {
-            for i in 0..nr {
-                mem[j * nr + i] = l[(i, j)];
-            }
-        }
-        for j in 0..w {
-            for i in 0..nr {
-                mem[nr * nr + j * nr + i] = b0[(i, j)];
-            }
-        }
-        let mut emem = ExternalMem::from_vec(mem);
         let mut lac = Lac::new(LacConfig::default());
-        let rep = trsm_stacked_run(&mut lac, &mut emem, w).unwrap();
-        let got = Matrix::from_fn(nr, w, |i, j| emem.read(nr * nr + j * nr + i));
+        let (got, stats) = trsm_stacked(&mut lac, &l, &b0).unwrap();
         let mut expect = b0;
         trsm(Side::Left, Triangle::Lower, &l, &mut expect);
-        (got, expect, rep)
+        (got, expect, stats)
     }
 
     #[test]
@@ -288,9 +254,9 @@ mod tests {
 
     #[test]
     fn stacked_many_tiles() {
-        let (got, expect, rep) = stacked_case(32, 2);
+        let (got, expect, stats) = stacked_case(32, 2);
         assert!(max_abs_diff(&got, &expect) < 1e-9);
-        assert!(rep.stats.sfu_ops == 4, "one reciprocal per iteration");
+        assert!(stats.sfu_ops == 4, "one reciprocal per iteration");
     }
 
     #[test]
@@ -299,8 +265,8 @@ mod tests {
         // tiles (Figure 5.5's point).
         let (_, _, r1) = stacked_case(4, 3);
         let (_, _, r8) = stacked_case(32, 3);
-        let per_tile_1 = r1.stats.cycles as f64 / 1.0;
-        let per_tile_8 = r8.stats.cycles as f64 / 8.0;
+        let per_tile_1 = r1.cycles as f64 / 1.0;
+        let per_tile_8 = r8.cycles as f64 / 8.0;
         assert!(
             per_tile_8 < per_tile_1 / 2.0,
             "stacked: {per_tile_8:.1} cyc/tile vs single {per_tile_1:.1}"
@@ -324,7 +290,8 @@ mod tests {
 
     #[test]
     fn utilization_reported() {
-        let (_, _, rep) = stacked_case(64, 5);
-        assert!(rep.utilization > 0.05 && rep.utilization < 1.0);
+        let (_, _, stats) = stacked_case(64, 5);
+        let util = trsm_useful_macs(4, 64) as f64 / (stats.cycles as f64 * 16.0);
+        assert!(util > 0.05 && util < 1.0);
     }
 }

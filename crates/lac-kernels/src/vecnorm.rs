@@ -29,31 +29,25 @@ pub struct VnormOptions {
     pub comparator: bool,
 }
 
-/// Report of a vector-norm run.
-#[derive(Clone, Debug)]
-pub struct VnormReport {
-    /// Event counters of the run.
-    pub stats: ExecStats,
-    /// The computed ‖x‖₂.
-    pub result: f64,
-}
-
 const OWNER_COL: usize = 2; // the paper's example: vector in the third column
 const REG_MAX: usize = 2;
 const REG_TAG: usize = 3;
 const REG_SCALE: usize = 1;
 const REG_RESULT: usize = 0;
 
-/// Compute the 2-norm of the `K = k·nr` vector stored at offset 0 of `mem`.
+/// Compute `‖x‖₂` on `lac` for a `K = k·nr` vector (`K = x.len()`, the
+/// image, from offset 0), returning the norm and the summed counters of
+/// every phase.
 ///
 /// Requires `nr ≥ 2` (owner column plus helper), `k` even, and — for
 /// `exponent_extension` — a core configured with the wide accumulator.
-pub(crate) fn vecnorm_run(
+pub(crate) fn vecnorm(
     lac: &mut Lac,
-    mem: &mut ExternalMem,
-    k: usize,
+    x: &[f64],
     opts: &VnormOptions,
-) -> Result<VnormReport, SimError> {
+) -> Result<(f64, ExecStats), SimError> {
+    let k = x.len() / 4;
+    let mem = &mut ExternalMem::from_vec(x.to_vec());
     let nr = lac.config().nr;
     let p = lac.config().fpu.pipeline_depth;
     assert!(nr >= 4, "kernel written for the canonical 4×4 core");
@@ -265,10 +259,7 @@ pub(crate) fn vecnorm_run(
         result = lac.reg(0, cc, REG_RESULT);
     }
 
-    Ok(VnormReport {
-        stats: total,
-        result,
-    })
+    Ok((result, total))
 }
 
 #[cfg(test)]
@@ -291,11 +282,8 @@ mod tests {
     }
 
     fn run_case(x: &[f64], opts: VnormOptions) -> (f64, ExecStats) {
-        let k = x.len() / 4;
         let mut lac = Lac::new(cfg(opts.exponent_extension));
-        let mut mem = ExternalMem::from_vec(x.to_vec());
-        let rep = vecnorm_run(&mut lac, &mut mem, k, &opts).unwrap();
-        (rep.result, rep.stats)
+        vecnorm(&mut lac, x, &opts).unwrap()
     }
 
     fn random_x(n: usize, seed: u64) -> Vec<f64> {

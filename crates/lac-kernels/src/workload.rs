@@ -7,7 +7,7 @@
 //! all of them one shape:
 //!
 //! * [`Workload`] — a problem instance (operands + schedule options) that
-//!   knows how to stage itself into a [`LacEngine`], run, and report;
+//!   knows how to run itself on a [`LacEngine`]'s core and report;
 //! * [`KernelReport`] — the uniform result: session-mergeable [`ExecStats`],
 //!   useful-flop count, utilization, and a [`Details`] variant carrying the
 //!   kernel's functional outputs;
@@ -27,17 +27,16 @@
 //! }
 //! ```
 
-use crate::chol::{blocked_cholesky_run, cholesky_kernel_run};
-use crate::fft::fft64_run;
-use crate::gemm::{gemm_run, GemmParams};
-use crate::layout::GemmDataLayout;
+use crate::chol::{blocked_cholesky_run, cholesky_tile};
+use crate::fft::fft64;
+use crate::gemm::{gemm_update, gemm_useful_macs, GemmParams};
 use crate::lu::{blocked_lu_run, lu_panel_matrix_run, LuOptions};
 use crate::qr::qr_panel_run;
 use crate::symm::blocked_symm_run;
-use crate::syrk::{syrk_run, SyrkDataLayout, SyrkParams};
+use crate::syrk::{syrk_update, syrk_useful_macs, SyrkParams};
 use crate::trmm::blocked_trmm_run;
-use crate::trsm::{blocked_trsm_run, trsm_stacked_run};
-use crate::vecnorm::{vecnorm_run, VnormOptions};
+use crate::trsm::{blocked_trsm_run, trsm_stacked, trsm_useful_macs};
+use crate::vecnorm::{vecnorm, VnormOptions};
 use lac_fpu::FpuConfig;
 use lac_sim::{ChipJob, ExecStats, LacConfig, LacEngine, SimError};
 use linalg_ref::householder::HouseholderReflector;
@@ -46,8 +45,8 @@ use linalg_ref::{
     trsm, Complex, Matrix, Side, Triangle,
 };
 
-/// One workload: a problem instance that stages itself into a session
-/// engine, runs, and reports uniformly.
+/// One workload: a problem instance that runs on a session engine's core
+/// (through its kernels' staging functions) and reports uniformly.
 ///
 /// `Send + Sync` is part of the contract so workloads can be queued onto a
 /// multi-core chip through [`lac_sim::LacService`] (every implementor is
@@ -254,16 +253,16 @@ pub struct DdpDetails {
     pub mu: f64,
 }
 
-/// Count a finished workload on the engine and assemble the uniform
-/// report (the core's counters metered its cycles as they ran).
-pub(crate) fn finish(
-    eng: &mut LacEngine,
+/// Assemble the uniform report of one run on `eng` (the core's counters
+/// metered its cycles as they ran). Kernels with a closed-form useful-MAC
+/// count rate against it; the rest against their executed flops.
+pub(crate) fn report(
+    eng: &LacEngine,
     name: &'static str,
     stats: ExecStats,
     useful_macs: Option<u64>,
     details: Details,
 ) -> KernelReport {
-    eng.note_workload();
     let nr = eng.config().nr;
     let (useful_flops, utilization) = match useful_macs {
         Some(m) => (2 * m, m as f64 / (stats.cycles as f64 * (nr * nr) as f64)),
@@ -276,6 +275,18 @@ pub(crate) fn finish(
         utilization,
         details,
     }
+}
+
+/// Count a finished workload on the engine, then [`report`] it.
+pub(crate) fn finish(
+    eng: &mut LacEngine,
+    name: &'static str,
+    stats: ExecStats,
+    useful_macs: Option<u64>,
+    details: Details,
+) -> KernelReport {
+    eng.note_workload();
+    report(eng, name, stats, useful_macs, details)
 }
 
 pub(crate) fn expect_details(kernel: &str, wanted: &str) -> String {
@@ -357,12 +368,6 @@ impl GemmWorkload {
         Self { a, b, c, params }
     }
 
-    /// Override the schedule options.
-    pub fn with_params(mut self, params: GemmParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// The registry's canonical instance (deterministic demo operands).
     pub fn demo() -> Self {
         Self::new(
@@ -383,16 +388,13 @@ impl Workload for GemmWorkload {
     }
 
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let lay = GemmDataLayout::new(self.params.mc, self.params.kc, self.params.n);
-        eng.load_image(lay.pack(&self.a, &self.b, &self.c));
-        let (lac, mem) = eng.parts();
-        let rep = gemm_run(lac, mem, &lay, &self.params)?;
-        let c = lay.unpack_c(eng.mem().as_slice());
+        let (c, stats) = gemm_update(eng.core_mut(), &self.a, &self.b, &self.c, &self.params)?;
+        let macs = gemm_useful_macs(&self.params);
         Ok(finish(
             eng,
             self.name(),
-            rep.stats,
-            Some(rep.useful_macs),
+            stats,
+            Some(macs),
             Details::Gemm { c },
         ))
     }
@@ -452,34 +454,13 @@ impl Workload for SyrkWorkload {
     }
 
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let SyrkParams { mc, kc, .. } = self.params;
-        let lay = SyrkDataLayout::new(mc, kc);
-        let mut image = vec![0.0; lay.total_words()];
-        for p in 0..kc {
-            for i in 0..mc {
-                image[lay.a_addr(i, p)] = self.a[(i, p)];
-            }
-        }
-        for j in 0..mc {
-            for i in j..mc {
-                image[lay.c_addr(i, j)] = self.c[(i, j)];
-            }
-        }
-        eng.load_image(image);
-        let (lac, mem) = eng.parts();
-        let rep = syrk_run(lac, mem, &lay, &self.params)?;
-        let c = Matrix::from_fn(mc, mc, |i, j| {
-            if i >= j {
-                eng.mem().read(lay.c_addr(i, j))
-            } else {
-                0.0
-            }
-        });
+        let (c, stats) = syrk_update(eng.core_mut(), &self.a, &self.c, &self.params)?;
+        let macs = syrk_useful_macs(eng.config().nr, &self.params);
         Ok(finish(
             eng,
             self.name(),
-            rep.stats,
-            Some(rep.useful_macs),
+            stats,
+            Some(macs),
             Details::Syrk { c },
         ))
     }
@@ -540,28 +521,13 @@ impl Workload for TrsmStackedWorkload {
     }
 
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let nr = self.l.rows();
-        let w = self.b.cols();
-        let mut image = vec![0.0; nr * nr + nr * w];
-        for j in 0..nr {
-            for i in 0..nr {
-                image[j * nr + i] = self.l[(i, j)];
-            }
-        }
-        for j in 0..w {
-            for i in 0..nr {
-                image[nr * nr + j * nr + i] = self.b[(i, j)];
-            }
-        }
-        eng.load_image(image);
-        let (lac, mem) = eng.parts();
-        let rep = trsm_stacked_run(lac, mem, w)?;
-        let x = Matrix::from_fn(nr, w, |i, j| eng.mem().read(nr * nr + j * nr + i));
+        let (x, stats) = trsm_stacked(eng.core_mut(), &self.l, &self.b)?;
+        let macs = trsm_useful_macs(eng.config().nr, self.b.cols());
         Ok(finish(
             eng,
             self.name(),
-            rep.stats,
-            Some(rep.useful_macs),
+            stats,
+            Some(macs),
             Details::Trsm { x },
         ))
     }
@@ -773,21 +739,11 @@ impl Workload for CholKernelWorkload {
     }
 
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let nr = self.a.rows();
-        eng.load_image((0..nr * nr).map(|x| self.a[(x % nr, x / nr)]).collect());
-        let (lac, mem) = eng.parts();
-        let rep = cholesky_kernel_run(lac, mem)?;
-        let l = Matrix::from_fn(nr, nr, |i, j| {
-            if i >= j {
-                eng.mem().read(j * nr + i)
-            } else {
-                0.0
-            }
-        });
+        let (l, stats) = cholesky_tile(eng.core_mut(), &self.a)?;
         Ok(finish(
             eng,
             self.name(),
-            rep.stats,
+            stats,
             None,
             Details::Cholesky { l },
         ))
@@ -1032,16 +988,13 @@ impl Workload for QrPanelWorkload {
     }
 
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let rep = qr_panel_run(eng.core_mut(), &self.a, &self.opts)?;
+        let (qr, stats) = qr_panel_run(eng.core_mut(), &self.a, &self.opts)?;
         Ok(finish(
             eng,
             self.name(),
-            rep.stats,
+            stats,
             None,
-            Details::Qr(Box::new(QrDetails {
-                r: rep.r,
-                reflectors: rep.reflectors,
-            })),
+            Details::Qr(Box::new(qr)),
         ))
     }
 
@@ -1108,16 +1061,13 @@ impl Workload for VecnormWorkload {
     }
 
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let k = self.x.len() / 4;
-        eng.load_image(self.x.clone());
-        let (lac, mem) = eng.parts();
-        let rep = vecnorm_run(lac, mem, k, &self.opts)?;
+        let (norm, stats) = vecnorm(eng.core_mut(), &self.x, &self.opts)?;
         Ok(finish(
             eng,
             self.name(),
-            rep.stats,
+            stats,
             None,
-            Details::Vecnorm { norm: rep.result },
+            Details::Vecnorm { norm },
         ))
     }
 
@@ -1182,21 +1132,11 @@ impl Workload for Fft64Workload {
     }
 
     fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let mut image = vec![0.0; 128];
-        for (q, v) in self.signal.iter().enumerate() {
-            image[2 * q] = v.re;
-            image[2 * q + 1] = v.im;
-        }
-        eng.load_image(image);
-        let (lac, mem) = eng.parts();
-        let rep = fft64_run(lac, mem)?;
-        let spectrum = (0..64)
-            .map(|q| Complex::new(eng.mem().read(2 * q), eng.mem().read(2 * q + 1)))
-            .collect();
+        let (spectrum, stats) = fft64(eng.core_mut(), &self.signal)?;
         Ok(finish(
             eng,
             self.name(),
-            rep.stats,
+            stats,
             None,
             Details::Fft { spectrum },
         ))

@@ -111,12 +111,6 @@ impl ProgramJob {
             cost,
         }
     }
-
-    /// Stage `image` into the shard's bank before the program runs.
-    pub fn with_image(mut self, image: Vec<f64>) -> Self {
-        self.image = Some(image);
-        self
-    }
 }
 
 impl ChipJob for ProgramJob {

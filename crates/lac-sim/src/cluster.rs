@@ -19,8 +19,9 @@
 //! * **[`ClusterConfig`]** — N per-chip [`ChipConfig`]s (chips may differ
 //!   in core count and bandwidth budget) plus the inter-chip link model:
 //!   a bandwidth in words/cycle and a fixed per-hop latency. A cross-chip
-//!   edge carrying `w` words costs `hop_latency + ⌈w / link_bandwidth⌉`
-//!   simulated cycles ([`ClusterConfig::transfer_cycles`]).
+//!   edge carrying `w` words holds its link for `⌈w / link_bandwidth⌉`
+//!   simulated cycles and arrives `hop_latency` cycles after that (the
+//!   coordinator charges each cut edge once).
 //! * **[`Partitioner`]** — the deterministic graph partitioner. The
 //!   default [`Partitioner::CostBins`] keeps weakly-connected components
 //!   whole (a component's internal edges never pay transfer cost) and
@@ -132,12 +133,6 @@ impl ClusterConfig {
     /// Total cores across every chip.
     pub fn total_cores(&self) -> usize {
         self.chips.iter().map(|c| c.cores).sum()
-    }
-
-    /// Modeled cost of moving `words` across one inter-chip hop:
-    /// `hop_latency + ⌈words / link_bandwidth⌉` cycles.
-    pub fn transfer_cycles(&self, words: u64) -> u64 {
-        self.hop_latency_cycles + words.div_ceil(self.link_words_per_cycle.max(1))
     }
 
     /// The cluster as a coordinator topology: its chips' core counts, the

@@ -15,11 +15,13 @@
 //! lands in them, whichever door ran the program:
 //! [`LacEngine::run_program`] (the engine-owned bank, staged with
 //! [`LacEngine::load_image`]), [`LacEngine::run_staged`] (a caller-staged
-//! bank), or a kernel driver running programs on the core directly (via
-//! [`LacEngine::parts`] / [`LacEngine::core_mut`]), as the `Workload`
-//! implementations in `lac-kernels` do. [`LacEngine::session_stats`]
-//! reads those counters and [`LacEngine::reset_session`] zeroes them, so
-//! no second accumulator can fall out of step with the machine.
+//! bank), or a kernel running programs on the core directly through
+//! [`LacEngine::core_mut`], as the `Workload` implementations in
+//! `lac-kernels` do: each kernel packs its operands into a bank of its
+//! own, so the engine-owned bank holds only what `load_image` staged.
+//! [`LacEngine::session_stats`] reads those counters and
+//! [`LacEngine::reset_session`] zeroes them, so no second accumulator can
+//! fall out of step with the machine.
 
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
@@ -137,17 +139,6 @@ impl LacEngine {
     /// The engine-owned external memory bank.
     pub fn mem(&self) -> &ExternalMem {
         &self.mem
-    }
-
-    /// Mutable access to the engine-owned bank (operand staging).
-    pub fn mem_mut(&mut self) -> &mut ExternalMem {
-        &mut self.mem
-    }
-
-    /// Split borrow: core and memory bank at once (kernel drivers need
-    /// both simultaneously).
-    pub fn parts(&mut self) -> (&mut Lac, &mut ExternalMem) {
-        (&mut self.lac, &mut self.mem)
     }
 
     /// Replace the engine-owned memory bank with a packed operand image.

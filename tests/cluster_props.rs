@@ -15,88 +15,14 @@
 //! * a one-graph round through one fresh weight-1 tenant equals
 //!   `run_graph` on the same graph in every output, clock and meter.
 
+mod common;
+
+use common::{any_policy, policy, random_sized_dag, SizedJob};
 use lap::lac_sim::{
-    ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacEngine,
-    LacService, Partitioner, Scheduler, SimError, SimMode, TenantConfig, TraceEvent,
+    ChipConfig, ClusterConfig, LacCluster, LacConfig, LacService, Partitioner, SimMode,
+    TenantConfig, TraceEvent,
 };
-use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
-
-const POLICIES: [Scheduler; 3] = [
-    Scheduler::Fifo,
-    Scheduler::LeastLoaded,
-    Scheduler::CriticalPath,
-];
-
-fn policy(which: u8) -> Scheduler {
-    POLICIES[which as usize % 3]
-}
-
-/// A MAC-and-idle program job with an explicit cost hint and transfer
-/// size.
-#[derive(Clone)]
-struct SizedJob {
-    extra: usize,
-    cost: u64,
-    words: u64,
-}
-
-impl ChipJob for SizedJob {
-    type Output = ExecStats;
-
-    fn cost_hint(&self) -> u64 {
-        self.cost
-    }
-
-    fn transfer_words(&self) -> u64 {
-        self.words
-    }
-
-    fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
-        let cfg = LacConfig::default();
-        let mut b = ProgramBuilder::new(cfg.nr);
-        let t = b.push_step();
-        b.ext(t, ExtOp::Load { col: 0, addr: 0 });
-        b.pe_mut(t, 0, 0).reg_write = Some((0, Source::ColBus));
-        let t = b.push_step();
-        b.pe_mut(t, 0, 0).mac = Some((Source::Reg(0), Source::Reg(0)));
-        b.idle(cfg.fpu.pipeline_depth + self.extra);
-        eng.run_program(&b.build())
-    }
-}
-
-/// Build a pseudo-random DAG of [`SizedJob`]s: job `j > 0` gets up to two
-/// parents drawn from `seeds` (a sentinel leaves some jobs as roots).
-fn random_dag(extras: &[usize], seeds: &[u64]) -> (JobGraph<SizedJob>, Vec<(usize, usize)>) {
-    let mut graph = JobGraph::new();
-    let mut edges = Vec::new();
-    let mut ids = Vec::new();
-    for (j, &extra) in extras.iter().enumerate() {
-        let mut parents = Vec::new();
-        if j > 0 {
-            for take in 0..2usize {
-                let seed = seeds[(2 * j + take) % seeds.len()];
-                if !seed.is_multiple_of(3) {
-                    let p = (seed as usize) % j;
-                    parents.push(ids[p]);
-                    edges.push((p, j));
-                }
-            }
-        }
-        let id = graph.add_after(
-            SizedJob {
-                extra,
-                cost: 1 + (extra as u64) * 7 % 13,
-                words: 1 + (extra as u64) * 11 % 29,
-            },
-            &parents,
-        );
-        ids.push(id);
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    (graph, edges)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -108,7 +34,10 @@ proptest! {
         chips in 1usize..=5,
         striped in any::<bool>(),
     ) {
-        let (graph, edges) = random_dag(&extras, &seeds);
+        let graph = random_sized_dag(&extras, &seeds);
+        let mut edges: Vec<(usize, usize)> =
+            graph.edges().map(|(p, c)| (p.index(), c.index())).collect();
+        edges.sort_unstable();
         let partitioner = if striped { Partitioner::Striped } else { Partitioner::CostBins };
         let part = partitioner.partition(&graph, chips);
 
@@ -118,7 +47,7 @@ proptest! {
         // Per-chip loads account for every cost hint exactly once.
         let total: u64 = graph.total_cost();
         prop_assert_eq!(part.chip_cost.iter().sum::<u64>(), total);
-        // Recompute each job's cost hint the way random_dag assigns it.
+        // Recompute each job's cost hint the way random_sized_dag assigns it.
         let costs: Vec<u64> = extras.iter().map(|&e| 1 + (e as u64) * 7 % 13).collect();
         for chip in 0..chips {
             let direct: u64 = (0..costs.len())
@@ -160,7 +89,7 @@ proptest! {
         hop in 0u64..=300,
         which in any::<u8>(),
     ) {
-        let (graph, _) = random_dag(&extras, &seeds);
+        let graph = random_sized_dag(&extras, &seeds);
         let cfg = ClusterConfig::homogeneous(chips, ChipConfig::new(cores, LacConfig::default()))
             .with_link(link_bw, hop);
         // Striped partitioning maximizes cut edges — the interesting case.
@@ -212,11 +141,11 @@ proptest! {
     ) {
         let sched = policy(which);
         let chip_cfg = ChipConfig::new(cores, LacConfig::default());
-        let (graph, _) = random_dag(&extras, &seeds);
+        let graph = random_sized_dag(&extras, &seeds);
         let mut cluster: LacCluster<SizedJob> =
             LacCluster::new(ClusterConfig::homogeneous(1, chip_cfg));
         let via_cluster = cluster.run_graph(&graph, sched).unwrap();
-        let (graph, _) = random_dag(&extras, &seeds);
+        let graph = random_sized_dag(&extras, &seeds);
         let mut chip = LacService::new(chip_cfg);
         let via_chip = chip.submit(&graph, sched).unwrap();
 
@@ -249,7 +178,7 @@ proptest! {
         let cfg = ClusterConfig::homogeneous(chips, ChipConfig::new(cores, LacConfig::default()));
         // Warm rerun on the same cluster: bit-identical everything.
         let mut cluster: LacCluster<SizedJob> = LacCluster::new(cfg.clone());
-        let (graph, _) = random_dag(&extras, &seeds);
+        let graph = random_sized_dag(&extras, &seeds);
         let first = cluster.run_graph(&graph, sched).unwrap();
         let second = cluster.run_graph(&graph, sched).unwrap();
         prop_assert_eq!(&first.outputs, &second.outputs);
@@ -281,19 +210,14 @@ proptest! {
         event in any::<bool>(),
         striped in any::<bool>(),
     ) {
-        let sched = [
-            Scheduler::Fifo,
-            Scheduler::LeastLoaded,
-            Scheduler::CriticalPath,
-            Scheduler::FairShare,
-        ][which as usize % 4];
+        let sched = any_policy(which);
         let mode = if event { SimMode::Event } else { SimMode::Wave };
         let partitioner = if striped { Partitioner::Striped } else { Partitioner::CostBins };
         let fresh = || -> LacCluster<SizedJob> {
             let chip = ChipConfig::new(cores, LacConfig::default()).with_sim_mode(mode);
             LacCluster::new(ClusterConfig::homogeneous(chips, chip)).with_partitioner(partitioner)
         };
-        let (graph, _) = random_dag(&extras, &seeds);
+        let graph = random_sized_dag(&extras, &seeds);
         let mut door = fresh();
         let run = door.run_graph(&graph, sched).unwrap();
         let mut rounds = fresh();

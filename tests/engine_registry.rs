@@ -5,7 +5,10 @@
 //! covered automatically. The session is the core's counters: one meter,
 //! whatever runs on the core and however it fails.
 
-use lap::lac_kernels::{registry, SolverLoopWorkload};
+use lap::lac_kernels::{
+    registry, registry_chip_config, registry_sized, Details, KernelReport, ProblemSize,
+    SolverLoopWorkload,
+};
 use lap::lac_power::{EnergyModel, SessionEnergy};
 use lap::lac_sim::error::HazardKind;
 use lap::lac_sim::{
@@ -147,5 +150,126 @@ proptest! {
             prop_assert_eq!(eng.session_stats(), eng.core().stats());
             prop_assert_eq!(eng.session_stats(), &expected);
         }
+    }
+}
+
+/// FNV-1a over 64-bit words: a stable digest of report bits.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn floats(&mut self, xs: &[f64]) {
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+
+    fn stats(&mut self, s: &ExecStats) {
+        for w in [
+            s.cycles,
+            s.mac_ops,
+            s.fma_ops,
+            s.sfu_ops,
+            s.cmp_ops,
+            s.sram_a_reads,
+            s.sram_a_writes,
+            s.sram_b_reads,
+            s.sram_b_writes,
+            s.rf_reads,
+            s.rf_writes,
+            s.row_bus_transfers,
+            s.col_bus_transfers,
+            s.ext_reads,
+            s.ext_writes,
+            s.acc_accesses,
+            s.active_cycles,
+        ] {
+            self.word(w);
+        }
+    }
+
+    fn report(&mut self, r: &KernelReport) {
+        for byte in r.kernel.bytes() {
+            self.word(u64::from(byte));
+        }
+        self.stats(&r.stats);
+        self.word(r.useful_flops);
+        self.word(r.utilization.to_bits());
+        match &r.details {
+            Details::Gemm { c } | Details::Syrk { c } => self.floats(c.as_slice()),
+            Details::Trsm { x } => self.floats(x.as_slice()),
+            Details::Cholesky { l } => self.floats(l.as_slice()),
+            Details::Lu(lu) => {
+                self.floats(lu.factors.as_slice());
+                for &p in &lu.pivots {
+                    self.word(p as u64);
+                }
+            }
+            Details::Qr(qr) => {
+                self.floats(qr.r.as_slice());
+                for h in &qr.reflectors {
+                    self.floats(&h.u2);
+                    self.floats(&[h.tau, h.rho]);
+                }
+            }
+            Details::Vecnorm { norm } => self.word(norm.to_bits()),
+            Details::Fft { spectrum } => {
+                for z in spectrum {
+                    self.floats(&[z.re, z.im]);
+                }
+            }
+            Details::Solver(s) => {
+                for l in &s.factors {
+                    self.floats(l.as_slice());
+                }
+                self.floats(s.final_a.as_slice());
+            }
+            other => panic!("no registry workload reports {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn registry_reports_are_pinned() {
+    // Every output bit, counter and utilization of every registry
+    // workload, run back to back on one engine per suite, plus the
+    // session it leaves: a kernel refactor must keep all of them.
+    let suites = [
+        ("registry", registry()),
+        ("small", registry_sized(ProblemSize::Small)),
+        ("medium", registry_sized(ProblemSize::Medium)),
+        ("large", registry_sized(ProblemSize::Large)),
+    ];
+    // Recorded before the kernels moved their operand images out of the
+    // engine-owned bank.
+    let pins: [u64; 4] = [
+        0x260d_ada4_b85e_cdb3,
+        0x9e2a_bdc3_c751_a778,
+        0xba12_755c_10a1_efaf,
+        0x31d8_ad91_e562_2218,
+    ];
+    let cfg = registry_chip_config(LacConfig::default());
+    let digests: Vec<(&str, u64)> = suites
+        .into_iter()
+        .map(|(name, workloads)| {
+            let mut eng = LacEngine::new(cfg);
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            for w in &workloads {
+                let report = w
+                    .run(&mut eng)
+                    .unwrap_or_else(|e| panic!("{name} {}: {e:?}", w.name()));
+                h.report(&report);
+            }
+            h.stats(eng.session_stats());
+            (name, h.0)
+        })
+        .collect();
+    for ((name, got), pin) in digests.iter().zip(pins) {
+        assert_eq!(*got, pin, "{name}: digest {got:#018x}; all: {digests:x?}");
     }
 }

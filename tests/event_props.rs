@@ -22,7 +22,7 @@
 
 mod common;
 
-use common::{any_policy, check_exactly_once, random_sized_dag, SizedJob};
+use common::{any_policy, check_exactly_once, random_sized_dag, SizedJob, ALL_POLICIES};
 use lac_bench::json::Json;
 use lap::lac_sim::{
     ChipConfig, ClusterConfig, FaultPlan, JobGraph, LacCluster, LacConfig, LacService, Partitioner,
@@ -253,7 +253,8 @@ proptest! {
     // inside the coordinator, so this
     // property drives picks through every shape: random DAGs on 1-3
     // chips, 1-4 tenants with random weights, boosts and starting usage
-    // (an uneven warm-up round banks it), every policy, and an optional
+    // (an uneven warm-up round banks it), every policy in turn (so each
+    // case reaches FairShare's usage order), and an optional
     // kill inside the measured round — revoking in-flight (event) or
     // barrier-held (wave) jobs and requeueing jobs still waiting on a
     // transfer. Outputs must match across modes, every job must retire
@@ -269,9 +270,7 @@ proptest! {
         boosts in prop::collection::vec(any::<u64>(), 4..5),
         warmups in prop::collection::vec(0usize..4, 4..5),
         kill_seed in any::<u64>(),
-        which in any::<u8>(),
     ) {
-        let sched = any_policy(which);
         // A third of the tenants run unboosted; the rest carry a slack.
         let boost: Vec<u64> = boosts[..tenants]
             .iter()
@@ -280,49 +279,52 @@ proptest! {
         // Kill a chip (never the last) somewhere inside the measured round.
         let kill = (chips > 1 && kill_seed % 3 != 0)
             .then(|| ((kill_seed / 3) as usize % chips, kill_seed / 3));
-        let round = |mode: SimMode| {
-            let mut cluster: LacCluster<SizedJob> =
-                LacCluster::new(cluster_cfg(chips, cores, mode));
-            let ids: Vec<_> = (0..tenants)
-                .map(|t| {
-                    cluster.add_tenant(TenantConfig::new(format!("t{t}")).with_weight(weights[t]))
-                })
-                .collect();
-            for (t, &id) in ids.iter().enumerate() {
-                for _ in 0..warmups[t] {
-                    cluster.enqueue(id, random_sized_dag(&extras[..2], &seeds)).unwrap();
+        for sched in ALL_POLICIES {
+            let round = |mode: SimMode| {
+                let mut cluster: LacCluster<SizedJob> =
+                    LacCluster::new(cluster_cfg(chips, cores, mode));
+                let ids: Vec<_> = (0..tenants)
+                    .map(|t| {
+                        let cfg = TenantConfig::new(format!("t{t}")).with_weight(weights[t]);
+                        cluster.add_tenant(cfg)
+                    })
+                    .collect();
+                for (t, &id) in ids.iter().enumerate() {
+                    for _ in 0..warmups[t] {
+                        cluster.enqueue(id, random_sized_dag(&extras[..2], &seeds)).unwrap();
+                    }
                 }
+                cluster.run_admitted(sched).unwrap();
+                if let Some((chip, tick)) = kill {
+                    let start = cluster.session().clock_cycles;
+                    // Jobs here take tens of cycles; land within the round.
+                    cluster.inject_faults(FaultPlan::new().kill(chip, start + tick % 400));
+                }
+                for (t, &id) in ids.iter().enumerate() {
+                    let graph = random_sized_dag(&extras[t % extras.len()..], &seeds);
+                    cluster.enqueue(id, graph).unwrap();
+                }
+                cluster.run_admitted_boosted(sched, &boost).unwrap()
+            };
+            let wave = round(SimMode::Wave);
+            let event = round(SimMode::Event);
+            prop_assert_eq!(wave.graphs.len(), event.graphs.len());
+            for (w, e) in wave.graphs.iter().zip(&event.graphs) {
+                prop_assert_eq!(&w.outputs, &e.outputs, "a tenant's bits changed across modes");
             }
-            cluster.run_admitted(sched).unwrap();
-            if let Some((chip, tick)) = kill {
-                let start = cluster.session().clock_cycles;
-                // Jobs here take tens of cycles; land within the round.
-                cluster.inject_faults(FaultPlan::new().kill(chip, start + tick % 400));
+            let jobs: usize = event.graphs.iter().map(|g| g.outputs.len()).sum();
+            for (mode, run) in [(SimMode::Wave, &wave), (SimMode::Event, &event)] {
+                if let Err(msg) = check_exactly_once(&run.events, jobs) {
+                    prop_assert!(false, "{:?}: {}", mode, msg);
+                }
+                let again = round(mode);
+                for (a, e) in again.graphs.iter().zip(&run.graphs) {
+                    prop_assert_eq!(&a.outputs, &e.outputs);
+                    prop_assert_eq!(&a.assignment, &e.assignment);
+                }
+                prop_assert_eq!(&again.stats, &run.stats);
+                prop_assert_eq!(&again.events, &run.events);
             }
-            for (t, &id) in ids.iter().enumerate() {
-                let graph = random_sized_dag(&extras[t % extras.len()..], &seeds);
-                cluster.enqueue(id, graph).unwrap();
-            }
-            cluster.run_admitted_boosted(sched, &boost).unwrap()
-        };
-        let wave = round(SimMode::Wave);
-        let event = round(SimMode::Event);
-        prop_assert_eq!(wave.graphs.len(), event.graphs.len());
-        for (w, e) in wave.graphs.iter().zip(&event.graphs) {
-            prop_assert_eq!(&w.outputs, &e.outputs, "a tenant's bits changed across modes");
-        }
-        let jobs: usize = event.graphs.iter().map(|g| g.outputs.len()).sum();
-        for (mode, run) in [(SimMode::Wave, &wave), (SimMode::Event, &event)] {
-            if let Err(msg) = check_exactly_once(&run.events, jobs) {
-                prop_assert!(false, "{:?}: {}", mode, msg);
-            }
-            let again = round(mode);
-            for (a, e) in again.graphs.iter().zip(&run.graphs) {
-                prop_assert_eq!(&a.outputs, &e.outputs);
-                prop_assert_eq!(&a.assignment, &e.assignment);
-            }
-            prop_assert_eq!(&again.stats, &run.stats);
-            prop_assert_eq!(&again.events, &run.events);
         }
     }
 }
