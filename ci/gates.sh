@@ -121,6 +121,20 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 8: one bench binary. Every paper table/figure and every perf bench
+# is an entry of lac-bench's one registry (crates/lac-bench/src/main.rs),
+# and `run_all` re-executes that same binary per entry, so the code that
+# runs is the code that compares. A second binary target (a `src/bin/`
+# file or a `[[bin]]` section) could be left stale by a build that skips
+# it, and `run_all` or the perf gate would then read its old output.
+hits=$( (find ./crates/lac-bench/src/bin 2>/dev/null ;
+  grep -nHE '^\[\[bin\]\]' ./crates/lac-bench/Cargo.toml) || true)
+if [ -n "$hits" ]; then
+  echo "a second lac-bench binary target (the registry in src/main.rs is the only one):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

@@ -1,40 +1,10 @@
-//! Shared helpers for the `paper` binary and the perf benches.
-//!
-//! `paper` reproduces the dissertation's tables and figures from one
-//! registry (`cargo run -p lac-bench --release --bin paper -- fig3_4`);
-//! each entry prints the rows/series the paper reports, plus the paper's
-//! published values where applicable so the shape comparison is immediate.
-//! The perf benches print a table and, with `--json-out <path>`, archive
-//! their points for `perf_compare`. `run_all` runs `paper` and every bench.
+//! Shared helpers for the `lac-bench` binary — one registry of the
+//! paper's tables and figures (`cargo run --release -p lac-bench -- fig3_4`)
+//! and the perf benches (`-- sim_speed --json-out <path>`), with `run_all`
+//! and `perf_compare` as subcommands: table rendering, number formatting
+//! and the dependency-free JSON the benches' points are written in.
 
 pub mod json;
-
-/// Value of `--json-out <path>`, if present: the bin prints its table as
-/// usual *and* writes the perf points there — one simulation, both
-/// artifacts (how `run_all` archives without running a bench twice).
-fn json_out_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return Some(std::path::PathBuf::from(
-                args.next().expect("--json-out takes a path"),
-            ));
-        }
-    }
-    None
-}
-
-/// Write a bench bin's perf points to the `--json-out <path>`, if given.
-/// Panics on an unwritable path — an archive silently missing is worse.
-pub fn emit_json(points: json::Json) {
-    if let Some(path) = json_out_path() {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {dir:?}: {e}"));
-        }
-        std::fs::write(&path, points.render_pretty())
-            .unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-    }
-}
 
 /// Print a titled table with aligned columns. Panics unless every row has
 /// one cell per header.

@@ -12,7 +12,7 @@
 //! differ per panel.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, pct, table};
+use lac_bench::{f, pct, table};
 use lac_kernels::{gemm_program, GemmDataLayout, GemmParams};
 use lac_model::ChipGemmModel;
 use lac_power::ChipEnergyModel;
@@ -55,7 +55,7 @@ impl ChipJob for PanelJob<'_> {
     }
 }
 
-fn main() {
+pub fn run() -> Json {
     let mut rng = StdRng::seed_from_u64(42);
     let a = Matrix::random(N, KC, &mut rng);
     let b = Matrix::random(KC, N, &mut rng);
@@ -157,7 +157,6 @@ fn main() {
             ("gflops_per_w", Json::from(e.gflops_per_w)),
         ]));
     }
-    emit_json(Json::arr(points));
     table(
         &format!(
             "Chip scaling — {} GEMM row-panel jobs (mc={MC}, kc={KC}, n={N}) across 1..16 \
@@ -177,4 +176,5 @@ fn main() {
         ],
         &rows,
     );
+    Json::arr(points)
 }

@@ -19,12 +19,9 @@
 //! 3. **Scaling** — at each core count, 4 chips must beat 1 chip by
 //!    ≥ 1.5x makespan (the acceptance gate; components shard freely, so
 //!    the expected gain is ~4x minus bin-packing imbalance).
-//!
-//! `--json-out <path>` writes the perf points machine-readably
-//! (archived by `run_all`, gated by `perf_compare`).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, pct, table};
+use lac_bench::{f, pct, table};
 use lac_kernels::{SolverFleet, SolverJob, SolverLoopParams};
 use lac_power::ClusterEnergyModel;
 use lac_sim::{ChipConfig, ClusterConfig, LacCluster, LacConfig, Partitioner, Scheduler, SimMode};
@@ -45,12 +42,7 @@ fn base_params() -> SolverLoopParams {
     }
 }
 
-fn cluster_of(chips: usize, cores: usize) -> LacCluster<SolverJob> {
-    let chip = ChipConfig::new(cores, LacConfig::default());
-    LacCluster::new(ClusterConfig::homogeneous(chips, chip))
-}
-
-fn main() {
+pub fn run() -> Json {
     let nr = LacConfig::default().nr;
     let energy_model = ClusterEnergyModel::lap_default();
     let mut rows = Vec::new();
@@ -60,7 +52,7 @@ fn main() {
     let mut makespans = std::collections::HashMap::new();
     for cores in CORES_SWEEP {
         for chips in CHIPS_SWEEP {
-            let mut cluster = cluster_of(chips, cores);
+            let mut cluster = super::cluster(chips, cores);
             let fleet = SolverFleet::new(base_params(), FLEET);
             let run = cluster
                 .run_graph(&fleet.graph, Scheduler::CriticalPath)
@@ -140,7 +132,7 @@ fn main() {
     // match), and strictly worse than component sharding.
     {
         let (chips, cores) = (4, *CORES_SWEEP.last().unwrap());
-        let mut cluster = cluster_of(chips, cores).with_partitioner(Partitioner::Striped);
+        let mut cluster = super::cluster(chips, cores).with_partitioner(Partitioner::Striped);
         let fleet = SolverFleet::new(base_params(), FLEET);
         let run = cluster
             .run_graph(&fleet.graph, Scheduler::CriticalPath)
@@ -245,7 +237,6 @@ fn main() {
         ]));
     }
 
-    emit_json(Json::arr(points));
     table(
         &format!(
             "Cluster scaling — {FLEET} independent solver loops (n=16, 4 rounds, \
@@ -267,4 +258,5 @@ fn main() {
         ],
         &rows,
     );
+    Json::arr(points)
 }

@@ -19,7 +19,7 @@
 //! `perf_compare` to pin the workload. Repetitions must agree on it.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, table};
+use lac_bench::table;
 use lac_sim::{
     ChipConfig, JobGraph, LacConfig, LacService, ProgramBuilder, ProgramJob, Scheduler, SimMode,
     TenantConfig,
@@ -106,7 +106,7 @@ fn exponent(points: &[(usize, u64, f64)]) -> f64 {
     points[1].2 / points[0].2
 }
 
-fn main() {
+pub fn run() -> Json {
     let mut cases: Vec<Case> = [
         Scheduler::Fifo,
         Scheduler::LeastLoaded,
@@ -173,7 +173,6 @@ fn main() {
         }
     }
 
-    emit_json(Json::arr(points));
     table(
         "Coordinator scaling — one round of flat 4-cycle jobs, 4 weighted tenants, \
          2 cores (host us/job: median of 3, ungated; makespan gated to pin the \
@@ -189,4 +188,5 @@ fn main() {
         &rows,
     );
     assert!(violations.is_empty(), "{}", violations.join("\n"));
+    Json::arr(points)
 }

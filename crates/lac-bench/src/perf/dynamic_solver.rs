@@ -19,17 +19,16 @@
 //! Before a row prints, every run is verified: outputs against the
 //! `linalg-ref` reference twin (`check`), bit-identical across policies,
 //! cores, backends and warm reruns, and iteration counts independent of
-//! scheduling. `--json-out <path>` writes the perf points gated by
-//! `perf_compare` against `bench/baselines/BENCH_dynamic_solver.json`.
+//! scheduling.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, table};
+use lac_bench::{f, table};
 use lac_kernels::{
     DdpJob, IpddpFleet, IpddpParams, IpmJob, IppmmParams, IppmmWorkload, KernelReport,
 };
 use lac_sim::{
-    ChipConfig, ChipJob, ClusterConfig, DynamicGraph, DynamicOutcome, LacCluster, LacConfig,
-    LacEngine, LacService, Scheduler, SimError, TenantConfig, TenantId,
+    ChipConfig, ChipJob, DynamicGraph, DynamicOutcome, LacCluster, LacConfig, LacEngine,
+    LacService, Scheduler, SimError, TenantConfig, TenantId,
 };
 use lac_traffic::{
     run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, OpenLoopBackend, OpenLoopConfig,
@@ -128,7 +127,7 @@ fn solve<J: ChipJob>(
     (done.outcome, rounds)
 }
 
-fn main() {
+pub fn run() -> Json {
     let mut rows = Vec::new();
     let mut points = Vec::new();
 
@@ -225,10 +224,7 @@ fn main() {
     // Cluster parity: two 2-core chips must reproduce the service's
     // segments bit for bit.
     {
-        let mut cluster: LacCluster<DdpJob> = LacCluster::new(ClusterConfig::homogeneous(
-            2,
-            ChipConfig::new(2, LacConfig::default()),
-        ));
+        let mut cluster: LacCluster<DdpJob> = super::cluster(2, 2);
         let t = cluster.add_tenant(TenantConfig::new("ddp"));
         let (out, rounds) = solve(&mut cluster, t, fleet.dynamic(), Scheduler::FairShare);
         assert_eq!(
@@ -366,7 +362,6 @@ fn main() {
         ]));
     }
 
-    emit_json(Json::arr(points));
     table(
         "Dynamic solver — convergence-driven graphs through the continuation \
          subsystem; outputs verified vs linalg-ref, bit-identical across \
@@ -389,4 +384,5 @@ fn main() {
         f(appended as f64),
         report.final_clock
     );
+    Json::arr(points)
 }

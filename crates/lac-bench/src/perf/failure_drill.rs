@@ -25,17 +25,12 @@
 //! executions the dying chip took down with it (discarded), and how many
 //! jobs were requeued onto survivors.
 //!
-//! `--json-out <path>` writes the perf points (archived by `run_all`,
-//! gated by `perf_compare` — a kill spec's `makespan_cycles` regresses
-//! when recovery gets slower).
+//! A kill spec's gated `makespan_cycles` regresses when recovery slows.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, table};
+use lac_bench::{f, table};
 use lac_kernels::{KernelReport, SolverJob, SolverLoopParams, SolverStream};
-use lac_sim::{
-    ChipConfig, ClusterConfig, ClusterRound, FaultPlan, LacCluster, LacConfig, Scheduler,
-    TenantConfig, TraceEvent,
-};
+use lac_sim::{ClusterRound, FaultPlan, LacCluster, Scheduler, TenantConfig, TraceEvent};
 
 const CHIPS: usize = 3;
 const CORES_PER_CHIP: usize = 2;
@@ -60,10 +55,7 @@ fn run_round(
     rounds: usize,
     fault: Option<FaultPlan>,
 ) -> (ClusterRound<KernelReport>, LacCluster<SolverJob>) {
-    let mut cluster: LacCluster<SolverJob> = LacCluster::new(ClusterConfig::homogeneous(
-        CHIPS,
-        ChipConfig::new(CORES_PER_CHIP, LacConfig::default()),
-    ));
+    let mut cluster: LacCluster<SolverJob> = super::cluster(CHIPS, CORES_PER_CHIP);
     if let Some(plan) = fault {
         cluster.inject_faults(plan);
     }
@@ -194,7 +186,7 @@ const COLUMNS: [&str; 6] = [
     "events",
 ];
 
-fn main() {
+pub fn run() -> Json {
     // The fault-free reference round anchors the overhead column and the
     // mid-run kill ticks below.
     let single = baseline(1);
@@ -230,7 +222,6 @@ fn main() {
         points.push(point);
     }
 
-    emit_json(Json::arr(points));
     table(
         &format!(
             "Failure drill — {REQUESTS} streamed solver requests (n=8, 1 round, 2 panels) \
@@ -254,4 +245,5 @@ fn main() {
         &COLUMNS,
         &multi_rows,
     );
+    Json::arr(points)
 }

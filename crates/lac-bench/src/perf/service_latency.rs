@@ -21,17 +21,12 @@
 //! * with a deadline SLO on the interactive tenant, the slack-boosted
 //!   fair share strictly improves its p99 vs plain fair share while
 //!   leaving every output bit unchanged.
-//!
-//! `--json-out <path>` writes the perf points (archived by `run_all`
-//! and gated by `perf_compare` in CI — sojourn metrics regress when they
-//! grow).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, table};
+use lac_bench::{f, table};
 use lac_kernels::{KernelReport, SolverJob, SolverLoopParams, SolverStream};
 use lac_sim::{
-    ChipConfig, ClusterConfig, DynamicGraph, LacCluster, LacConfig, LacService, Scheduler,
-    TenantConfig, TenantId,
+    ChipConfig, DynamicGraph, LacCluster, LacConfig, LacService, Scheduler, TenantConfig, TenantId,
 };
 use lac_traffic::{
     run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, DynamicOpenLoopReport,
@@ -73,10 +68,7 @@ fn service_time() -> u64 {
 }
 
 fn cluster(chips: usize, configs: &[TenantConfig]) -> (LacCluster<SolverJob>, Vec<TenantId>) {
-    let mut c = LacCluster::new(ClusterConfig::homogeneous(
-        chips,
-        ChipConfig::new(CORES_PER_CHIP, LacConfig::default()),
-    ));
+    let mut c = super::cluster(chips, CORES_PER_CHIP);
     let ids = configs.iter().map(|t| c.add_tenant(t.clone())).collect();
     (c, ids)
 }
@@ -129,7 +121,7 @@ fn output_bits(report: &Report) -> Vec<(Arrival, Vec<Vec<KernelReport>>)> {
     v
 }
 
-fn main() {
+pub fn run() -> Json {
     let unit = service_time();
     let mut rows = Vec::new();
     let mut points = Vec::new();
@@ -340,7 +332,6 @@ fn main() {
         ]));
     }
 
-    emit_json(Json::arr(points));
     table(
         &format!(
             "Open-loop tail latency — streamed solver requests (n=8, 1 round, 2 panels) \
@@ -362,4 +353,5 @@ fn main() {
         ],
         &rows,
     );
+    Json::arr(points)
 }

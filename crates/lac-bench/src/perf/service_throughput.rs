@@ -20,11 +20,10 @@
 //! independent `linalg-ref` chain (`check_graph`), reruns on a fresh
 //! service are bit-identical, and at 8 tenants × 4 cores the multiplexed
 //! FairShare round beats serialized submission by ≥ 1.3x aggregate
-//! throughput (the acceptance gate). `--json-out <path>` writes the perf points
-//! (archived by `run_all` and gated by `perf_compare` in CI).
+//! throughput (the acceptance gate).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, pct, table};
+use lac_bench::{f, pct, table};
 use lac_kernels::{SolverJob, SolverLoopParams, SolverLoopWorkload};
 use lac_power::ChipEnergyModel;
 use lac_sim::{ChipConfig, LacConfig, LacService, Scheduler, TenantConfig, TenantId};
@@ -53,11 +52,16 @@ fn workload(t: usize) -> SolverLoopWorkload {
     })
 }
 
-/// A fresh service with `tenants` registered tenants.
-fn service(cores: usize, tenants: usize) -> (LacService<SolverJob>, Vec<TenantId>) {
+/// A fresh service with `tenants` registered tenants, each configured by
+/// `config` from its index and default config.
+fn service(
+    cores: usize,
+    tenants: usize,
+    config: impl Fn(usize, TenantConfig) -> TenantConfig,
+) -> (LacService<SolverJob>, Vec<TenantId>) {
     let mut svc = LacService::new(ChipConfig::new(cores, LacConfig::default()));
     let ids = (0..tenants)
-        .map(|t| svc.add_tenant(TenantConfig::new(format!("tenant-{t}"))))
+        .map(|t| svc.add_tenant(config(t, TenantConfig::new(format!("tenant-{t}")))))
         .collect();
     (svc, ids)
 }
@@ -72,7 +76,7 @@ struct Multiplexed {
 }
 
 fn multiplexed(tenants: usize, cores: usize, sched: Scheduler) -> Multiplexed {
-    let (mut svc, ids) = service(cores, tenants);
+    let (mut svc, ids) = service(cores, tenants, |_, c| c);
     for (t, &id) in ids.iter().enumerate() {
         svc.enqueue(id, workload(t).graph().graph)
             .expect("unbounded tenants admit everything");
@@ -87,7 +91,7 @@ fn multiplexed(tenants: usize, cores: usize, sched: Scheduler) -> Multiplexed {
     }
 }
 
-fn main() {
+pub fn run() -> Json {
     let nr = LacConfig::default().nr;
     let energy_model = ChipEnergyModel::lap_default();
     let mut rows = Vec::new();
@@ -99,7 +103,7 @@ fn main() {
             // Door 1 — serialized per-tenant submission: one graph at a
             // time against the same warm service; the clock sums the
             // stand-alone makespans.
-            let (mut serial_svc, _) = service(cores, tenants);
+            let (mut serial_svc, _) = service(cores, tenants, |_, c| c);
             for t in 0..tenants {
                 let run = serial_svc
                     .submit(&workload(t).graph().graph, Scheduler::CriticalPath)
@@ -178,18 +182,9 @@ fn main() {
     // flight, two graphs per tenant. The second enqueue bounces
     // deterministically and retries after the first round drains.
     let tenants = GATE_TENANTS;
-    let (mut svc, ids) = {
-        let mut svc = LacService::new(ChipConfig::new(GATE_CORES, LacConfig::default()));
-        let ids: Vec<TenantId> = (0..tenants)
-            .map(|t| {
-                svc.add_tenant(
-                    TenantConfig::new(format!("tenant-{t}"))
-                        .with_admission_budget(workload(t).graph_cost()),
-                )
-            })
-            .collect();
-        (svc, ids)
-    };
+    let (mut svc, ids) = service(GATE_CORES, tenants, |t, c| {
+        c.with_admission_budget(workload(t).graph_cost())
+    });
     let mut bounced = Vec::new();
     for (t, &id) in ids.iter().enumerate() {
         svc.enqueue(id, workload(t).graph().graph)
@@ -257,7 +252,6 @@ fn main() {
         ("threshold", Json::from(GATE_SPEEDUP)),
     ]));
 
-    emit_json(Json::arr(points));
     table(
         &format!(
             "Service throughput — per-tenant solver loops (n=16, 2 rounds, 4 panels × 4 \
@@ -279,4 +273,5 @@ fn main() {
         ],
         &rows,
     );
+    Json::arr(points)
 }

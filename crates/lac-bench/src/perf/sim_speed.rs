@@ -2,7 +2,7 @@
 //! megacycle, interpreter vs compiled backend.
 //!
 //! Everything else in `lac-bench` reports *simulated* cycles — machine
-//! numbers that never move between hosts. This bin measures the one thing
+//! numbers that never move between hosts. This bench measures the one thing
 //! those reports hide: how fast the simulator itself chews through them.
 //! A fixed solver-loop graph (`SolverLoopWorkload`) is served repeatedly
 //! on a `LacService` at 1 and 4 cores, once per [`ExecBackend`],
@@ -38,11 +38,9 @@
 //!   worse-if-higher, like every `*_heap_bytes` field.
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, table};
+use lac_bench::{f, table};
 use lac_kernels::{Details, KernelReport, SolverLoopParams, SolverLoopWorkload};
-use lac_sim::{
-    ChipConfig, ClusterConfig, ExecBackend, JobGraph, LacCluster, LacConfig, LacService, Scheduler,
-};
+use lac_sim::{ChipConfig, ExecBackend, JobGraph, LacCluster, LacConfig, LacService, Scheduler};
 use std::time::Instant;
 
 /// Timed submissions per row (after one untimed warmup).
@@ -106,7 +104,7 @@ fn run_fleet(cluster: &mut LacCluster<lac_kernels::SolverJob>) -> f64 {
     secs
 }
 
-fn main() {
+pub fn run() -> Json {
     let w = SolverLoopWorkload::new(SolverLoopParams {
         n: 16,
         rounds: 6,
@@ -235,10 +233,7 @@ fn main() {
     ]);
 
     // The program memo after the timed graph plus one cold fleet.
-    let mut cluster = LacCluster::new(ClusterConfig::homogeneous(
-        2,
-        ChipConfig::new(1, LacConfig::default()),
-    ));
+    let mut cluster = super::cluster(2, 1);
     let cold_s = run_fleet(&mut cluster);
     let memo = lac_kernels::memo_totals();
     let cold_extra_ms = (cold_s - run_fleet(&mut cluster)) * 1e3;
@@ -259,7 +254,6 @@ fn main() {
         format!("cold +{cold_extra_ms:.1} ms"),
     ]);
 
-    emit_json(Json::arr(points));
     table(
         "Simulator throughput — host seconds per simulated megacycle \
          (host fields machine-dependent, ungated; makespan gated to pin \
@@ -276,4 +270,5 @@ fn main() {
         ],
         &rows,
     );
+    Json::arr(points)
 }

@@ -14,12 +14,9 @@
 //! 3. **Scaling** — at the deepest sweep point the 4-core service must
 //!    beat the 1-core service by ≥ 1.5x despite the serial CHOL spine
 //!    (the paper's fan-out argument, executed).
-//!
-//! `--json-out <path>` writes the perf points machine-readably (archived by
-//! `run_all`).
 
 use lac_bench::json::Json;
-use lac_bench::{emit_json, f, pct, table};
+use lac_bench::{f, pct, table};
 use lac_kernels::{SolverLoopParams, SolverLoopWorkload};
 use lac_power::ChipEnergyModel;
 use lac_sim::{ChipConfig, LacConfig, LacService, Scheduler};
@@ -42,7 +39,7 @@ fn workload(rounds: usize) -> SolverLoopWorkload {
     })
 }
 
-fn main() {
+pub fn run() -> Json {
     let nr = LacConfig::default().nr;
     let energy_model = ChipEnergyModel::lap_default();
     let mut rows = Vec::new();
@@ -141,7 +138,6 @@ fn main() {
         ]));
     }
 
-    emit_json(Json::arr(points));
     table(
         "Solver loop — IPM-style CHOL→TRSM→SYRK rounds (n=16, 4 panels × 8 cols) \
          as a JobGraph on a long-lived LacService; outputs verified vs linalg-ref, \
@@ -152,4 +148,5 @@ fn main() {
         ],
         &rows,
     );
+    Json::arr(points)
 }

@@ -10,7 +10,8 @@
 //!
 //! The run's event log — job spans, revoked executions, the fault, every
 //! requeue — is exported in Chrome trace format to
-//! `target/failure_drill_trace.json`; open it at `chrome://tracing` or
+//! `failure_drill_trace.json` in the system temp dir (the run prints the
+//! path); open it at `chrome://tracing` or
 //! <https://ui.perfetto.dev> to see the drill on a timeline.
 //!
 //! ```sh
@@ -103,11 +104,12 @@ fn main() {
 
     // The observability door: the whole drill as a Chrome trace.
     let trace = drilled.events.to_chrome_trace();
-    let path = "target/failure_drill_trace.json";
-    std::fs::write(path, &trace).expect("write trace");
+    let path = std::env::temp_dir().join("failure_drill_trace.json");
+    std::fs::write(&path, &trace).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!(
-        "trace: {} events ({} bytes) -> {path} (load in chrome://tracing or ui.perfetto.dev)",
+        "trace: {} events ({} bytes) -> {} (load in chrome://tracing or ui.perfetto.dev)",
         drilled.events.len(),
-        trace.len()
+        trace.len(),
+        path.display()
     );
 }
