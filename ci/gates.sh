@@ -73,8 +73,8 @@ fi
 # run jobs; every door — service, cluster — reaches them through
 # that one call. A `thread::spawn` anywhere in library, example or bench
 # code would be a second pool with its own lifetime, channels and failure
-# handling. (Test-only `thread::scope` races in memo.rs and compile.rs are
-# not pools and stay allowed.)
+# handling. (Test-only `thread::scope` races, as in compile.rs, are not
+# pools and stay allowed.)
 hits=$(grep -rnE 'thread::spawn' --include='*.rs' \
   ./crates/*/src ./src ./examples ./perfbench/src 2>/dev/null || true)
 if [ -n "$hits" ]; then
@@ -102,16 +102,15 @@ fi
 # lu_panel_matrix_run, vecnorm, fft64): it packs the operands into a
 # private bank, runs, and unpacks. Blocked drivers and jobs call those
 # functions with matrices. In non-test code (lines before a file's first
-# `#[cfg(test)]`), staging into the engine-owned bank (`load_image(`), a
-# second bank in a kernel file, or a bank anywhere else would be a second
-# statement of a layout, free to drift from the first.
-staging=$(for f in ./crates/lac-kernels/src/*.rs; do
+# `#[cfg(test)]`), a second bank in a kernel file, or a bank anywhere else,
+# would be a second statement of a layout, free to drift from the first.
+# (An engine owns no bank to stage into: `LacEngine::run_staged` takes the
+# caller's.)
+banks=$(for f in ./crates/lac-kernels/src/*.rs; do
   awk '/#\[cfg\(test\)\]/ { exit }
-       /load_image\(|ExternalMem::from_vec/ { print FILENAME ":" FNR ": " $0 }' "$f"
+       /ExternalMem::from_vec/ { print FILENAME ":" FNR ": " $0 }' "$f"
 done)
-banks=$(echo "$staging" | grep 'ExternalMem::from_vec' || true)
-hits=$( (echo "$staging" | grep 'load_image(' ;
-  echo "$banks" | grep -vE '/(gemm|syrk|trsm|chol|lu|vecnorm|fft)\.rs:' ;
+hits=$( (echo "$banks" | grep -vE '/(gemm|syrk|trsm|chol|lu|vecnorm|fft)\.rs:' ;
   for f in $(echo "$banks" | cut -d: -f1 | sort | uniq -d); do
     echo "$banks" | grep "^$f:"
   done) | grep . || true)
@@ -131,6 +130,27 @@ hits=$( (find ./crates/lac-bench/src/bin 2>/dev/null ;
   grep -nHE '^\[\[bin\]\]' ./crates/lac-bench/Cargo.toml) || true)
 if [ -n "$hits" ]; then
   echo "a second lac-bench binary target (the registry in src/main.rs is the only one):"
+  echo "$hits"
+  fail=1
+fi
+
+# Gate 9: no process-global mutable state in library code. Every store —
+# kernel programs and their compiled lowerings included — belongs to a
+# cluster (`ProgramCache`) or an engine, so two clusters in one process
+# share nothing and a reading taken from one is that cluster's alone. In
+# non-test code (lines before a file's first `#[cfg(test)]`) of
+# `crates/*/src` and `src`, a `static` of a `Mutex`, `RwLock`, `OnceLock`,
+# `Atomic*` or `Cell` type, or a `thread_local!`, would be state shared by
+# every cluster in the process. (perfbench's span tracer is a benchmark
+# harness, not library code, and is not scanned.)
+hits=$(for f in $(find ./crates/*/src ./src -name '*.rs' 2>/dev/null); do
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /thread_local!/ ||
+       /(^|[^A-Za-z0-9_])static[[:space:]]+(mut[[:space:]]+)?[A-Za-z0-9_]+[[:space:]]*:.*(Mutex|RwLock|OnceLock|Atomic[A-Za-z0-9]*|Cell)/ {
+         print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$hits" ]; then
+  echo "process-global mutable state in library code (stores belong to a cluster or an engine):"
   echo "$hits"
   fail=1
 fi

@@ -184,10 +184,10 @@ fn entries<'a>(words: &[&'a str]) -> Result<(Picked, Option<&'a str>), String> {
 
 /// Run every entry, each in its own process: this binary re-executes
 /// itself, so the code that runs is the code that compares. One process
-/// per entry because `sim_speed` archives the process-wide kernel program
-/// memo, which the entries before it would otherwise fill. Each bench's
-/// points go to `perf/<bench>.json` next to the binary, where
-/// `perf_compare` reads them.
+/// per entry, so that a panicking entry cannot stop the rest: its exit
+/// status is recorded and the walk goes on. Each bench's points go to
+/// `perf/<bench>.json` next to the binary, where `perf_compare` reads
+/// them.
 fn run_all() -> ExitCode {
     let me = std::env::current_exe().expect("own path");
     let perf_dir = me.parent().expect("binary dir").join("perf");

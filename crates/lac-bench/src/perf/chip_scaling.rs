@@ -9,7 +9,9 @@
 //!
 //! The microprogram is a pure function of the job *shape*, so it is built
 //! once and shared by every job on every core — only the operand images
-//! differ per panel.
+//! differ per panel. Each job stages its image into a private bank and
+//! returns its C panel, and every panel of every sweep point is checked
+//! against `linalg-ref`.
 
 use lac_bench::json::Json;
 use lac_bench::{f, pct, table};
@@ -17,8 +19,8 @@ use lac_kernels::{gemm_program, GemmDataLayout, GemmParams};
 use lac_model::ChipGemmModel;
 use lac_power::ChipEnergyModel;
 use lac_sim::{
-    ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacCluster, LacConfig, LacEngine,
-    Program, Scheduler, SimError,
+    ChipConfig, ChipJob, ClusterConfig, ExecStats, ExternalMem, JobGraph, LacCluster, LacConfig,
+    LacEngine, Program, Scheduler, SimError,
 };
 use linalg_ref::{gemm, max_abs_diff, Matrix};
 use rand::rngs::StdRng;
@@ -39,19 +41,22 @@ const X_PER_CORE: usize = 4;
 /// One row panel of the chip problem: shared program, private operands.
 struct PanelJob<'a> {
     prog: &'a Program,
+    lay: &'a GemmDataLayout,
     image: Vec<f64>,
 }
 
 impl ChipJob for PanelJob<'_> {
-    type Output = ExecStats;
+    /// The panel's `C` block and the run's counters.
+    type Output = (Matrix, ExecStats);
 
     fn cost_hint(&self) -> u64 {
         (2 * MC * KC * N) as u64
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
-        eng.load_image(self.image.clone());
-        eng.run_program(self.prog)
+    fn run_on(&self, eng: &mut LacEngine) -> Result<(Matrix, ExecStats), SimError> {
+        let mut mem = ExternalMem::from_vec(self.image.clone());
+        let stats = eng.run_staged(self.prog, &mut mem)?;
+        Ok((self.lay.unpack_c(mem.as_slice()), stats))
     }
 }
 
@@ -68,6 +73,7 @@ pub fn run() -> Json {
     let queue: Vec<PanelJob> = (0..N / MC)
         .map(|p| PanelJob {
             prog: &prog,
+            lay: &lay,
             image: lay.pack(&a.block(p * MC, 0, MC, KC), &b, &c.block(p * MC, 0, MC, N)),
         })
         .collect();
@@ -78,7 +84,6 @@ pub fn run() -> Json {
     let mut baseline_makespan = None;
     for cores in [1usize, 2, 4, 8, 16] {
         let cfg = ChipConfig::new(cores, base_cfg).with_bandwidth_budget(X_PER_CORE * cores);
-        // A one-chip cluster, so the spot check below can read its shards.
         let mut cluster = LacCluster::new(ClusterConfig::homogeneous(1, cfg));
         let graph: JobGraph<&PanelJob> = queue.iter().collect();
         let run = cluster
@@ -87,19 +92,13 @@ pub fn run() -> Json {
         let stats = &run.stats.per_chip[0];
         let sim_util = stats.utilization(base_cfg.nr);
 
-        // Functional spot check: each shard's bank still holds the image of
-        // the last panel it ran — unpack and compare against linalg-ref.
-        for core in 0..cores {
-            let Some(last_job) = run.assignment.iter().rposition(|&(_, owner)| owner == core)
-            else {
-                continue;
-            };
-            let got = lay.unpack_c(cluster.chip(0).shard(core).mem().as_slice());
-            let mut expect = c.block(last_job * MC, 0, MC, N);
-            gemm(&a.block(last_job * MC, 0, MC, KC), &b, &mut expect);
+        // Functional check: every panel against linalg-ref.
+        for (p, ((got, _), &(_, core))) in run.outputs.iter().zip(&run.assignment).enumerate() {
+            let mut expect = c.block(p * MC, 0, MC, N);
+            gemm(&a.block(p * MC, 0, MC, KC), &b, &mut expect);
             assert!(
-                max_abs_diff(&got, &expect) < 1e-10,
-                "core {core} panel {last_job} diverges from linalg-ref"
+                max_abs_diff(got, &expect) < 1e-10,
+                "core {core} panel {p} diverges from linalg-ref"
             );
         }
 

@@ -22,16 +22,17 @@
 //!   archived value is host-independent. `perf_compare` gates it as a
 //!   worse-if-lower metric; the raw ratio is archived alongside as
 //!   `compiled_over_interpreter_measured`;
-//! * `memo_heap_bytes`: after the timed graph, one cold fleet shaped like
-//!   perfbench's `fleet_batch` (loops of n = 44, 48 and 52, 4 rounds,
-//!   4 panels of width 8, on 2 chips × 1 core) fills the kernel program
-//!   memo, whose totals ([`lac_kernels::memo_totals`]) are archived as
+//! * `memo_heap_bytes`: one cold fleet shaped like perfbench's
+//!   `fleet_batch` (loops of n = 44, 48 and 52, 4 rounds, 4 panels of
+//!   width 8, on 2 chips × 1 core) fills its cluster's program store,
+//!   whose kernel-program totals ([`lac_sim::CacheStats::programs`] and
+//!   [`lac_sim::CacheStats::program_heap_bytes`]) are archived as
 //!   `memo_shapes` and `memo_heap_bytes`. Program content is a pure
 //!   function of the shapes, so the bytes are exact across hosts, and
 //!   `perf_compare` gates them as worse-if-higher. The fleet's cold run
 //!   minus an immediate warm rerun is archived, ungated, as
-//!   `cold_extra_ms`: the host cost of building, hashing and compiling
-//!   its programs.
+//!   `cold_extra_ms`: the host cost of building and compiling its
+//!   programs.
 //! * `report_heap_bytes`: the bytes the timed graph's outputs hold — each
 //!   report's `size_of` plus its payload matrix's `rows × cols × 8`. Both
 //!   are exact across hosts, so `perf_compare` gates the sum as
@@ -232,23 +233,23 @@ pub fn run() -> Json {
         "-".to_string(),
     ]);
 
-    // The program memo after the timed graph plus one cold fleet.
+    // The kernel programs one cold fleet leaves in its cluster's store.
     let mut cluster = super::cluster(2, 1);
     let cold_s = run_fleet(&mut cluster);
-    let memo = lac_kernels::memo_totals();
+    let memo = cluster.program_cache().stats();
     let cold_extra_ms = (cold_s - run_fleet(&mut cluster)) * 1e3;
     points.push(Json::obj([
         ("bench", Json::from("sim_speed")),
         ("backend", Json::from("memo")),
-        ("memo_shapes", Json::from(memo.shapes)),
-        ("memo_heap_bytes", Json::from(memo.heap_bytes)),
+        ("memo_shapes", Json::from(memo.programs)),
+        ("memo_heap_bytes", Json::from(memo.program_heap_bytes)),
         ("cold_extra_ms", Json::from(cold_extra_ms)),
     ]));
     rows.push(vec![
         "2x1".to_string(),
         "memo".to_string(),
-        format!("{} shapes", memo.shapes),
-        format!("{} B", memo.heap_bytes),
+        format!("{} shapes", memo.programs),
+        format!("{} B", memo.program_heap_bytes),
         "-".to_string(),
         "-".to_string(),
         format!("cold +{cold_extra_ms:.1} ms"),

@@ -27,11 +27,13 @@ pub(crate) fn cholesky_tile(lac: &mut Lac, a: &Matrix) -> Result<(Matrix, ExecSt
     let nr = lac.config().nr;
     let p = lac.config().fpu.pipeline_depth;
     let q = lac.config().divsqrt.latency(DivSqrtOp::InvSqrt);
-    let prog = crate::memo::program("chol", &[nr as u64, p as u64, q as u64], || {
-        cholesky_kernel_program(nr, p, q)
-    });
     let mut mem = ExternalMem::from_vec(a.as_slice().to_vec());
-    let stats = lac.run(&prog, &mut mem)?;
+    let stats = lac.run_kernel(
+        "chol",
+        &[nr as u64, p as u64, q as u64],
+        || cholesky_kernel_program(nr, p, q),
+        &mut mem,
+    )?;
     let n = a.rows();
     let l = Matrix::from_fn(n, n, |i, j| if i >= j { mem.read(j * n + i) } else { 0.0 });
     Ok((l, stats))

@@ -388,7 +388,8 @@ pub(crate) fn gemm_update(
         "B panel does not fit the local store"
     );
     let lay = GemmDataLayout::new(params.mc, params.kc, params.n);
-    let prog = crate::memo::program(
+    let mut mem = ExternalMem::from_vec(lay.pack(a, bm, c));
+    let stats = lac.run_kernel(
         "gemm",
         &[
             nr as u64,
@@ -406,9 +407,8 @@ pub(crate) fn gemm_update(
             params.negate as u64,
         ],
         || gemm_program(nr, p, &lay, params),
-    );
-    let mut mem = ExternalMem::from_vec(lay.pack(a, bm, c));
-    let stats = lac.run(&prog, &mut mem)?;
+        &mut mem,
+    )?;
     Ok((lay.unpack_c(mem.as_slice()), stats))
 }
 

@@ -122,20 +122,6 @@ pub(crate) fn syrk_update(
         "Aᵀ panel too large for B memory"
     );
     let lay = SyrkDataLayout::new(mc, kc);
-    let prog = crate::memo::program(
-        "syrk",
-        &[
-            nr as u64,
-            p as u64,
-            lay.mc as u64,
-            lay.kc as u64,
-            lay.c_off as u64,
-            mc as u64,
-            kc as u64,
-            negate as u64,
-        ],
-        || syrk_program(nr, p, &lay, params),
-    );
     let mut image = vec![0.0; lay.total_words()];
     for pc in 0..kc {
         for i in 0..mc {
@@ -148,7 +134,21 @@ pub(crate) fn syrk_update(
         }
     }
     let mut mem = ExternalMem::from_vec(image);
-    let stats = lac.run(&prog, &mut mem)?;
+    let stats = lac.run_kernel(
+        "syrk",
+        &[
+            nr as u64,
+            p as u64,
+            lay.mc as u64,
+            lay.kc as u64,
+            lay.c_off as u64,
+            mc as u64,
+            kc as u64,
+            negate as u64,
+        ],
+        || syrk_program(nr, p, &lay, params),
+        &mut mem,
+    )?;
     let out = Matrix::from_fn(mc, mc, |i, j| {
         if i >= j {
             mem.read(lay.c_addr(i, j))

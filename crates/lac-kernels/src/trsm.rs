@@ -43,16 +43,16 @@ pub(crate) fn trsm_stacked(
         m <= lac.config().sram_b_words,
         "B panel too large for B memory"
     );
-    let prog = crate::memo::program(
-        "trsm-stacked",
-        &[nr as u64, p as u64, q as u64, m as u64],
-        || trsm_stacked_program(nr, p, q, m),
-    );
     let n = l.rows();
     let mut image = l.as_slice().to_vec();
     image.extend_from_slice(b.as_slice());
     let mut mem = ExternalMem::from_vec(image);
-    let stats = lac.run(&prog, &mut mem)?;
+    let stats = lac.run_kernel(
+        "trsm-stacked",
+        &[nr as u64, p as u64, q as u64, m as u64],
+        || trsm_stacked_program(nr, p, q, m),
+        &mut mem,
+    )?;
     let x = Matrix::from_fn(n, w, |i, j| mem.read(n * n + j * n + i));
     Ok((x, stats))
 }

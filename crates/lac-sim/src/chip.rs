@@ -37,6 +37,7 @@
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
 use crate::coord::SimMode;
+use crate::core::ExternalMem;
 use crate::engine::LacEngine;
 use crate::error::SimError;
 use crate::isa::Program;
@@ -89,14 +90,12 @@ impl<J: ChipJob + ?Sized> ChipJob for &J {
     }
 }
 
-/// The simplest job: one [`Program`], optionally with a memory image staged
-/// into the engine-owned bank first.
+/// The simplest job: one [`Program`], run against a zeroed private bank
+/// of [`Program::ext_words`] words, so jobs share no bank state.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramJob {
     /// The microprogram to execute.
     pub prog: Program,
-    /// Replaces the shard's memory bank before the run when present.
-    pub image: Option<Vec<f64>>,
     /// Cost reported to the scheduler ([`ChipJob::cost_hint`]).
     pub cost: u64,
 }
@@ -105,11 +104,7 @@ impl ProgramJob {
     /// A job whose scheduler cost defaults to the program length.
     pub fn new(prog: Program) -> Self {
         let cost = prog.len() as u64;
-        Self {
-            prog,
-            image: None,
-            cost,
-        }
+        Self { prog, cost }
     }
 }
 
@@ -121,10 +116,8 @@ impl ChipJob for ProgramJob {
     }
 
     fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
-        if let Some(image) = &self.image {
-            eng.load_image(image.clone());
-        }
-        eng.run_program(&self.prog)
+        let mut mem = ExternalMem::new(self.prog.ext_words());
+        eng.run_staged(&self.prog, &mut mem)
     }
 }
 
@@ -360,10 +353,9 @@ impl LacChip {
         cfg.assert_budget_conserved();
         let shards = (0..cfg.cores)
             .map(|core| {
-                LacEngine::builder()
-                    .config(cfg.shard_config(core))
-                    .program_cache(cache.clone())
-                    .build()
+                let mut eng = LacEngine::new(cfg.shard_config(core));
+                eng.core_mut().set_program_cache(cache.clone());
+                eng
             })
             .collect();
         Self { shards }
@@ -417,6 +409,25 @@ mod tests {
         b.pe_mut(t, 0, 0).mac = Some((Source::Reg(0), Source::Reg(0)));
         b.idle(cfg.fpu.pipeline_depth + extra);
         ProgramJob::new(b.build())
+    }
+
+    #[test]
+    fn program_job_bank_covers_its_external_extent() {
+        // A load and a store at word 70,000: past the 65,536-word bank an
+        // engine used to carry, inside the job's own bank.
+        let addr = 70_000;
+        let mut b = ProgramBuilder::new(LacConfig::default().nr);
+        let t = b.push_step();
+        b.ext(t, ExtOp::Load { col: 0, addr });
+        b.pe_mut(t, 0, 0).reg_write = Some((0, Source::ColBus));
+        let t = b.push_step();
+        b.pe_mut(t, 0, 0).col_write = Some(Source::Reg(0));
+        b.ext(t, ExtOp::Store { col: 0, addr });
+        let job = ProgramJob::new(b.build());
+        assert_eq!(job.prog.ext_words(), 70_001);
+        let mut eng = LacEngine::new(LacConfig::default());
+        let stats = job.run_on(&mut eng).expect("the bank covers every address");
+        assert_eq!((stats.ext_reads, stats.ext_writes), (1, 1));
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::config::LacConfig;
+use crate::config::{ExecBackend, LacConfig};
 use crate::core::{ArenaLayout, ExternalMem, Lac};
 use crate::error::SimError;
 use crate::isa::{ExtOp, MicroOp, PeInstr, Program, Source, Step};
@@ -276,7 +276,7 @@ fn divsqrt_impl_code(imp: DivSqrtImpl) -> u8 {
 /// Fingerprint of every configuration field the lowering depends on.
 /// [`crate::config::ExecBackend`] is deliberately excluded: it selects
 /// *whether* to use the tape, not what the tape contains.
-fn config_fingerprint(cfg: &LacConfig) -> u64 {
+pub(crate) fn config_fingerprint(cfg: &LacConfig) -> u64 {
     let mut h = DefaultHasher::new();
     cfg.nr.hash(&mut h);
     cfg.sram_a_words.hash(&mut h);
@@ -296,35 +296,65 @@ fn config_fingerprint(cfg: &LacConfig) -> u64 {
 // The program cache
 // ---------------------------------------------------------------------------
 
-/// Counters describing a [`ProgramCache`]'s effectiveness.
+/// Counters describing a [`ProgramCache`]'s effectiveness and footprint.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Distinct (program, config) pairs currently cached.
+    /// Distinct (program, config) pairs resolved to a compile outcome.
     pub entries: usize,
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that had to compile.
     pub misses: u64,
+    /// Kernel programs the store holds, one per `(kernel, shape, config)`
+    /// (see [`Lac::run_kernel`]), whichever backend ran them.
+    pub programs: usize,
+    /// The sum of their [`Program::heap_bytes`].
+    pub program_heap_bytes: usize,
 }
 
-/// One key's entry: inserted under the table lock, compiled outside it by
-/// the first lookup; racing lookups wait on it instead of compiling again.
-type Slot = Arc<OnceLock<Arc<CompileOutcome>>>;
+/// Words of shape a kernel key holds (GEMM's shape is the longest).
+const SHAPE_WORDS: usize = 13;
+
+/// A store key; both kinds end in the config fingerprint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Key {
+    /// A free-standing program, by [`Program::structural_hash`].
+    Program(u128, u64),
+    /// A kernel program, by name and shape (zero-padded into a fixed
+    /// array, so a hit allocates nothing).
+    Kernel(&'static str, [u64; SHAPE_WORDS], u64),
+}
+
+/// One entry. A kernel entry's program is built by its first caller (a
+/// free-standing program stays with its caller); the compile outcome is
+/// resolved by the first compiled-backend lookup, so interpreter runs
+/// never compile. Both are filled outside the table lock, and racing
+/// callers wait on them instead of building or compiling again.
+#[derive(Debug, Default)]
+struct Entry {
+    program: OnceLock<Program>,
+    outcome: OnceLock<Arc<CompileOutcome>>,
+}
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: Mutex<HashMap<(u128, u64), Slot>>,
+    map: Mutex<HashMap<Key, Arc<Entry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// A cluster-wide memo table of compiled programs.
+/// A cluster's program store: kernel programs and every program's
+/// compiled lowering.
 ///
-/// Keys are ([`Program::structural_hash`], configuration fingerprint), so
-/// shards with the same configuration share every lowering — a cluster
-/// compiles each distinct program shape once, no matter how many cores
-/// replay it. Handles are cheap [`Arc`] clones of one shared store; give
-/// every core the same handle via [`Lac::set_program_cache`] (the
+/// Kernel programs are keyed by `(kernel, shape, config fingerprint)`:
+/// a kernel generator is a pure function of its shape, so each shape is
+/// built once per store, next to its compile outcome
+/// ([`Lac::run_kernel`]). Free-standing programs ([`Lac::run`]) are keyed
+/// by ([`Program::structural_hash`], configuration fingerprint). Either
+/// way shards with the same configuration share every lowering — a
+/// cluster compiles each distinct program shape once, no matter how many
+/// cores replay it. Handles are cheap [`Arc`] clones of one shared store;
+/// give every core the same handle via [`Lac::set_program_cache`] (the
 /// `LacService` / `LacCluster` constructors do this for you).
 ///
 /// ```
@@ -361,30 +391,30 @@ impl ProgramCache {
         Self::default()
     }
 
-    /// Current effectiveness counters.
+    /// Current effectiveness counters and the kernel programs' footprint.
     pub fn stats(&self) -> CacheStats {
+        let map = self.inner.map.lock().expect("program cache poisoned");
+        let programs = map.values().filter_map(|e| e.program.get());
         CacheStats {
-            entries: self.inner.map.lock().unwrap().len(),
+            entries: map.values().filter(|e| e.outcome.get().is_some()).count(),
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
+            programs: programs.clone().count(),
+            program_heap_bytes: programs.map(Program::heap_bytes).sum(),
         }
     }
 
-    /// Resolve `prog` under `cfg` to a memoized compile outcome. Each key
-    /// compiles once, outside the table lock; a lookup that races the
-    /// first one waits for its result and counts as a hit.
-    pub(crate) fn lookup(&self, cfg: &LacConfig, prog: &Program) -> Arc<CompileOutcome> {
-        let key = (prog.structural_hash(), config_fingerprint(cfg));
-        let slot = Arc::clone(
-            self.inner
-                .map
-                .lock()
-                .expect("program cache poisoned")
-                .entry(key)
-                .or_default(),
-        );
+    /// `key`'s entry, inserted empty on first sight.
+    fn entry(&self, key: Key) -> Arc<Entry> {
+        let mut map = self.inner.map.lock().expect("program cache poisoned");
+        Arc::clone(map.entry(key).or_default())
+    }
+
+    /// Compile `prog` into `entry` on first use, counting a miss for the
+    /// lookup that compiles and a hit for every other.
+    fn resolve(&self, entry: &Entry, cfg: &LacConfig, prog: &Program) -> Arc<CompileOutcome> {
         let mut compiled = false;
-        let outcome = slot.get_or_init(|| {
+        let outcome = entry.outcome.get_or_init(|| {
             compiled = true;
             Arc::new(match compile(cfg, prog) {
                 Ok(cp) => CompileOutcome::Compiled(Box::new(cp)),
@@ -716,7 +746,6 @@ struct Compiler<'a> {
     cmps: Vec<CmpRec>,
     sfus: Vec<SfuRec>,
     stats: ExecStats,
-    min_mem_words: usize,
     // Static pipeline/latch tracking (exact, given idle units at entry).
     mac_busy_through: Vec<Option<usize>>,
     mac_ready: Vec<usize>,
@@ -824,7 +853,6 @@ impl<'a> Compiler<'a> {
             cmps: Vec::new(),
             sfus: Vec::new(),
             stats: ExecStats::default(),
-            min_mem_words: 0,
             mac_busy_through: vec![None; npes],
             mac_ready: vec![usize::MAX; npes],
             sfu_busy_through: vec![None; npes],
@@ -879,7 +907,7 @@ impl<'a> Compiler<'a> {
             sfus: self.sfus,
             consts: self.consts,
             static_stats: self.stats,
-            min_mem_words: self.min_mem_words,
+            min_mem_words: self.prog.ext_words(),
             arena_words,
             const_base: self.const_base,
             mac_latch_base: self.mac_latch,
@@ -1098,7 +1126,6 @@ impl<'a> Compiler<'a> {
         // Phase 1: external loads drive column buses…
         for op in step.ext() {
             if let ExtOp::Load { col, addr } = *op {
-                self.min_mem_words = self.min_mem_words.max(addr + 1);
                 let addr = u32::try_from(addr).map_err(|_| Oversized)?;
                 if col >= nr || self.col_driven[col] {
                     return Err(WouldHazard);
@@ -1306,7 +1333,6 @@ impl<'a> Compiler<'a> {
         // Phase 4: external stores capture column buses.
         for op in step.ext() {
             if let ExtOp::Store { col, addr } = *op {
-                self.min_mem_words = self.min_mem_words.max(addr + 1);
                 let addr = u32::try_from(addr).map_err(|_| Oversized)?;
                 if col >= nr || !self.col_driven[col] {
                     return Err(WouldHazard);
@@ -1396,16 +1422,71 @@ impl Lac {
         prog: &Program,
         mem: &mut ExternalMem,
     ) -> Result<ExecStats, SimError> {
+        let key = Key::Program(prog.structural_hash(), self.fingerprint);
+        let outcome = self.cache.resolve(&self.cache.entry(key), &self.cfg, prog);
+        self.replay(&outcome, prog, mem)
+    }
+
+    /// Execute kernel `kernel`'s program for `shape` against `mem` on the
+    /// configured backend, building it with `build` on the store's first
+    /// sight of the shape.
+    ///
+    /// Kernel generators are pure functions of their shape, so the store
+    /// ([`ProgramCache`]) keeps one program per `(kernel, shape, config)`:
+    /// a repeated call takes one locked lookup and allocates nothing, and
+    /// the program's compile outcome is resolved on its first
+    /// compiled-backend run. `shape` must encode every input `build`
+    /// reads, in at most 13 words (a longer shape panics). Results are
+    /// those of [`Lac::run`] on the built program.
+    ///
+    /// ```
+    /// use lac_sim::{ExternalMem, Lac, LacConfig, ProgramBuilder};
+    ///
+    /// let mut lac = Lac::new(LacConfig::default());
+    /// let idle = || {
+    ///     let mut b = ProgramBuilder::new(4);
+    ///     b.idle(3);
+    ///     b.build()
+    /// };
+    /// let mut mem = ExternalMem::new(0);
+    /// lac.run_kernel("idle", &[3], idle, &mut mem).unwrap();
+    /// lac.run_kernel("idle", &[3], || unreachable!("built once"), &mut mem).unwrap();
+    /// assert_eq!(lac.program_cache().stats().programs, 1);
+    /// ```
+    pub fn run_kernel(
+        &mut self,
+        kernel: &'static str,
+        shape: &[u64],
+        build: impl FnOnce() -> Program,
+        mem: &mut ExternalMem,
+    ) -> Result<ExecStats, SimError> {
+        let mut padded = [0; SHAPE_WORDS];
+        padded[..shape.len()].copy_from_slice(shape);
+        let entry = self
+            .cache
+            .entry(Key::Kernel(kernel, padded, self.fingerprint));
+        let prog = entry.program.get_or_init(build);
+        if self.cfg.backend == ExecBackend::Interpreter {
+            return self.run_interpreted(prog, mem);
+        }
+        let outcome = self.cache.resolve(&entry, &self.cfg, prog);
+        self.replay(&outcome, prog, mem)
+    }
+
+    /// Replay `outcome`'s tape, or interpret `prog` when there is none or
+    /// the core's entry state does not fit it.
+    fn replay(
+        &mut self,
+        outcome: &CompileOutcome,
+        prog: &Program,
+        mem: &mut ExternalMem,
+    ) -> Result<ExecStats, SimError> {
         assert_eq!(prog.nr(), self.cfg.nr, "program/mesh dimension mismatch");
-        let outcome = self.program_cache().clone().lookup(self.config(), prog);
-        match &*outcome {
-            CompileOutcome::Fallback(_) => self.run_interpreted(prog, mem),
-            CompileOutcome::Compiled(cp) => {
-                if !self.compiled_eligible(cp, mem) {
-                    return self.run_interpreted(prog, mem);
-                }
+        match outcome {
+            CompileOutcome::Compiled(cp) if self.compiled_eligible(cp, mem) => {
                 Ok(self.exec_compiled(cp, mem))
             }
+            _ => self.run_interpreted(prog, mem),
         }
     }
 
@@ -1562,7 +1643,6 @@ impl Lac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecBackend;
     use crate::error::HazardKind;
     use crate::isa::{CmpUpdate, ProgramBuilder};
     use rand::rngs::StdRng;
@@ -1783,6 +1863,12 @@ mod tests {
         );
     }
 
+    /// Resolve a free-standing program the way [`Lac::run_compiled`] does.
+    fn lookup(cache: &ProgramCache, cfg: &LacConfig, prog: &Program) -> Arc<CompileOutcome> {
+        let key = Key::Program(prog.structural_hash(), config_fingerprint(cfg));
+        cache.resolve(&cache.entry(key), cfg, prog)
+    }
+
     #[test]
     fn cache_shares_compiles_and_counts_hits() {
         let cfg = small_cfg();
@@ -1798,7 +1884,7 @@ mod tests {
         b.run(&prog, &mut m2).unwrap();
         let s = cache.stats();
         assert_eq!((s.entries, s.misses, s.hits), (1, 1, 1));
-        assert_eq!(cache.lookup(&cfg, &prog).fallback_reason(), None);
+        assert_eq!(lookup(&cache, &cfg, &prog).fallback_reason(), None);
         // A structurally identical rebuild hits the same entry.
         let rebuilt = mixed_program(&cfg);
         assert_eq!(prog.structural_hash(), rebuilt.structural_hash());
@@ -1818,7 +1904,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         gate.wait();
-                        cache.lookup(&cfg, &prog)
+                        lookup(&cache, &cfg, &prog)
                     })
                 })
                 .collect();
@@ -1827,6 +1913,104 @@ mod tests {
         assert!(outcomes.iter().all(|o| Arc::ptr_eq(o, &outcomes[0])));
         let s = cache.stats();
         assert_eq!((s.entries, s.misses, s.hits), (1, 1, 3));
+    }
+
+    fn idle_program(n: usize) -> Program {
+        let mut b = ProgramBuilder::new(small_cfg().nr);
+        b.idle(n);
+        b.build()
+    }
+
+    #[test]
+    fn same_shape_shares_the_instance() {
+        let cfg = small_cfg();
+        let fp = config_fingerprint(&cfg);
+        let cache = ProgramCache::new();
+        let key = |kernel, n, fp| {
+            let mut shape = [0; SHAPE_WORDS];
+            shape[..2].copy_from_slice(&[2, n]);
+            Key::Kernel(kernel, shape, fp)
+        };
+        let a = cache.entry(key("store-test", 3, fp));
+        let b = cache.entry(key("store-test", 3, fp));
+        assert!(Arc::ptr_eq(&a, &b));
+        let built = a.program.get_or_init(|| idle_program(3));
+        assert!(std::ptr::eq(built, b.program.get().unwrap()));
+        // Another shape, kernel or config is another entry.
+        for other in [
+            key("store-test", 4, fp),
+            key("store-other", 3, fp),
+            key("store-test", 3, fp ^ 1),
+        ] {
+            assert!(!Arc::ptr_eq(&a, &cache.entry(other)));
+        }
+    }
+
+    #[test]
+    fn racing_callers_build_once() {
+        let cfg = small_cfg();
+        let cache = ProgramCache::new();
+        let builds = AtomicU64::new(0);
+        let key = Key::Kernel("store-race", [7; SHAPE_WORDS], config_fingerprint(&cfg));
+        // Holders of the shape's entry: the table plus one per caller.
+        let holders = || {
+            let map = cache.inner.map.lock().unwrap();
+            map.get(&key).map_or(0, Arc::strong_count)
+        };
+        let build = || {
+            builds.fetch_add(1, Ordering::Relaxed);
+            // Finish only once all four callers hold the entry, so the
+            // other three must wait on it.
+            while holders() < 5 {
+                std::thread::yield_now();
+            }
+            idle_program(7)
+        };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let mut lac = Lac::new(cfg);
+                lac.set_program_cache(cache.clone());
+                s.spawn(move || {
+                    let mut mem = ExternalMem::new(0);
+                    lac.run_kernel("store-race", &[7; SHAPE_WORDS], build, &mut mem)
+                        .unwrap();
+                });
+            }
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        let s = cache.stats();
+        assert_eq!((s.programs, s.entries, s.misses, s.hits), (1, 1, 1, 3));
+    }
+
+    #[test]
+    fn totals_count_every_built_shape() {
+        let interp = LacConfig {
+            backend: ExecBackend::Interpreter,
+            ..small_cfg()
+        };
+        let cache = ProgramCache::new();
+        let mut lac = Lac::new(interp);
+        lac.set_program_cache(cache.clone());
+        let mut mem = ExternalMem::new(0);
+        for n in [3, 5, 3] {
+            lac.run_kernel("store-totals", &[n as u64], || idle_program(n), &mut mem)
+                .unwrap();
+        }
+        let bytes = idle_program(3).heap_bytes() + idle_program(5).heap_bytes();
+        let s = cache.stats();
+        // Interpreter runs build programs but never compile them.
+        assert_eq!((s.programs, s.program_heap_bytes), (2, bytes));
+        assert_eq!((s.entries, s.misses, s.hits), (0, 0, 0));
+
+        // A compiled run resolves the same entry's outcome lazily.
+        let mut compiled = Lac::new(small_cfg());
+        compiled.set_program_cache(cache.clone());
+        compiled
+            .run_kernel("store-totals", &[5], || unreachable!("built"), &mut mem)
+            .unwrap();
+        let s = cache.stats();
+        assert_eq!((s.programs, s.program_heap_bytes), (2, bytes));
+        assert_eq!((s.entries, s.misses, s.hits), (1, 1, 0));
     }
 
     #[test]

@@ -1241,6 +1241,7 @@ mod tests {
     use crate::chip::ChipConfig;
     use crate::cluster::{ClusterConfig, LacCluster};
     use crate::config::LacConfig;
+    use crate::core::ExternalMem;
     use crate::isa::ProgramBuilder;
     use crate::service::LacService;
     use std::sync::atomic::AtomicUsize;
@@ -1644,7 +1645,7 @@ mod tests {
                 End::Ok => {
                     let mut b = ProgramBuilder::new(eng.config().nr);
                     b.idle(4 + self.id);
-                    let out = eng.run_program(&b.build())?;
+                    let out = eng.run_staged(&b.build(), &mut ExternalMem::new(0))?;
                     self.finished.fetch_add(1, Ordering::SeqCst);
                     Ok(out)
                 }

@@ -9,7 +9,7 @@
 //! private `ArenaLayout`), so a
 //! core can switch backends between programs with bit-identical results.
 
-use crate::compile::ProgramCache;
+use crate::compile::{config_fingerprint, ProgramCache};
 use crate::config::{ExecBackend, LacConfig};
 use crate::error::{HazardKind, SimError};
 use crate::isa::{ExtOp, MicroOp, Program, Source, Step};
@@ -159,7 +159,11 @@ pub struct Lac {
     pub(crate) layout: ArenaLayout,
     stats: ExecStats,
     scratch: Scratch,
-    cache: ProgramCache,
+    /// The program store this core resolves programs through.
+    pub(crate) cache: ProgramCache,
+    /// [`crate::compile::config_fingerprint`] of `cfg`, which never
+    /// changes after [`Lac::new`]: the core's share of every store key.
+    pub(crate) fingerprint: u64,
 }
 
 impl Lac {
@@ -195,18 +199,19 @@ impl Lac {
             stats: ExecStats::default(),
             scratch: Scratch::default(),
             cache: ProgramCache::new(),
+            fingerprint: config_fingerprint(&cfg),
         }
     }
 
-    /// Replace the core's compile cache with a shared one (the door
-    /// `LacService`/`LacCluster` use so every same-config shard
-    /// compiles each distinct program shape once). Handles are cheap
+    /// Replace the core's program store with a shared one (the door
+    /// `LacService`/`LacCluster` use so every same-config shard builds
+    /// and compiles each distinct program shape once). Handles are cheap
     /// clones of one shared store.
     pub fn set_program_cache(&mut self, cache: ProgramCache) {
         self.cache = cache;
     }
 
-    /// The compile cache this core resolves programs through.
+    /// The program store this core resolves programs through.
     pub fn program_cache(&self) -> &ProgramCache {
         &self.cache
     }

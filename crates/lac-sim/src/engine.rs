@@ -1,5 +1,5 @@
-//! Session-style entry point: one [`LacEngine`] owns a core and its
-//! external-memory bank and runs workloads back-to-back.
+//! Session-style entry point: one [`LacEngine`] owns a core and runs
+//! workloads back-to-back.
 //!
 //! The dissertation evaluates one Linear Algebra Core across a dozen
 //! kernels and dozens of design points; production use (e.g. the repeated
@@ -11,34 +11,28 @@
 //! feeding the session stats to `lac-power` (see that crate's
 //! `SessionEnergy` extension trait).
 //!
+//! The engine owns no memory bank: every run stages its operands into a
+//! bank of its own. [`LacEngine::run_staged`] runs a program against a
+//! caller-staged bank, and a kernel runs its programs on the core
+//! directly through [`LacEngine::core_mut`], as the `Workload`
+//! implementations in `lac-kernels` do.
+//!
 //! The core's counters are the session. Every cycle the core simulates
-//! lands in them, whichever door ran the program:
-//! [`LacEngine::run_program`] (the engine-owned bank, staged with
-//! [`LacEngine::load_image`]), [`LacEngine::run_staged`] (a caller-staged
-//! bank), or a kernel running programs on the core directly through
-//! [`LacEngine::core_mut`], as the `Workload` implementations in
-//! `lac-kernels` do: each kernel packs its operands into a bank of its
-//! own, so the engine-owned bank holds only what `load_image` staged.
+//! lands in them, whichever door ran the program.
 //! [`LacEngine::session_stats`] reads those counters and
 //! [`LacEngine::reset_session`] zeroes them, so no second accumulator can
 //! fall out of step with the machine.
 
-use crate::compile::ProgramCache;
 use crate::config::LacConfig;
 use crate::core::{ExternalMem, Lac};
 use crate::error::SimError;
 use crate::isa::Program;
 use crate::stats::ExecStats;
 
-/// Default engine-owned memory bank size in words (replaced wholesale by
-/// [`LacEngine::load_image`], so this only bounds image-free programs).
-const DEFAULT_MEM_WORDS: usize = 1 << 16;
-
 /// Builder for [`LacEngine`] — `LacEngine::builder().config(cfg).build()`.
 #[derive(Clone, Debug, Default)]
 pub struct LacEngineBuilder {
     cfg: LacConfig,
-    program_cache: Option<ProgramCache>,
 }
 
 impl LacEngineBuilder {
@@ -48,36 +42,21 @@ impl LacEngineBuilder {
         self
     }
 
-    /// Share an external compile cache instead of a per-core one, so
-    /// sibling cores (a chip's shards, a service's workers, a whole
-    /// cluster) compile each distinct program once. Cache entries are
-    /// keyed by configuration fingerprint as well, so sharing across
-    /// heterogeneous cores is safe.
-    pub fn program_cache(mut self, cache: ProgramCache) -> Self {
-        self.program_cache = Some(cache);
-        self
-    }
-
-    /// Construct the engine: a fresh core plus a zeroed memory bank.
+    /// Construct the engine: a fresh core.
     pub fn build(self) -> LacEngine {
-        let mut lac = Lac::new(self.cfg);
-        if let Some(cache) = self.program_cache {
-            lac.set_program_cache(cache);
-        }
         LacEngine {
-            lac,
-            mem: ExternalMem::new(DEFAULT_MEM_WORDS),
+            lac: Lac::new(self.cfg),
             programs_run: 0,
             workloads_run: 0,
         }
     }
 }
 
-/// A simulation session: one core plus its external-memory bank, metered
-/// by the core's own counters across every program run on it.
+/// A simulation session: one core, metered by its own counters across
+/// every program run on it.
 ///
 /// ```
-/// use lac_sim::{ExtOp, LacConfig, LacEngine, ProgramBuilder, Source};
+/// use lac_sim::{ExtOp, ExternalMem, LacConfig, LacEngine, ProgramBuilder, Source};
 ///
 /// let cfg = LacConfig::default();
 /// let mut eng = LacEngine::builder().config(cfg).build();
@@ -93,19 +72,18 @@ impl LacEngineBuilder {
 /// b.idle(cfg.fpu.pipeline_depth);
 /// let prog = b.build();
 ///
-/// eng.load_image(vec![3.0; 16]);
-/// let stats = eng.run_program(&prog).expect("hazard-free schedule");
+/// let mut mem = ExternalMem::from_vec(vec![3.0; prog.ext_words()]);
+/// let stats = eng.run_staged(&prog, &mut mem).expect("hazard-free schedule");
 /// assert_eq!(stats.mac_ops, 1);
 ///
 /// // Sessions meter: a second run accumulates into the same counters.
-/// eng.run_program(&prog).unwrap();
+/// eng.run_staged(&prog, &mut mem).unwrap();
 /// assert_eq!(eng.session_stats().mac_ops, 2);
 /// assert_eq!(eng.programs_run(), 2);
 /// assert_eq!(eng.flops(), 4);
 /// ```
 pub struct LacEngine {
     lac: Lac,
-    mem: ExternalMem,
     programs_run: u64,
     workloads_run: u64,
 }
@@ -136,27 +114,8 @@ impl LacEngine {
         &mut self.lac
     }
 
-    /// The engine-owned external memory bank.
-    pub fn mem(&self) -> &ExternalMem {
-        &self.mem
-    }
-
-    /// Replace the engine-owned memory bank with a packed operand image.
-    pub fn load_image(&mut self, image: Vec<f64>) {
-        self.mem = ExternalMem::from_vec(image);
-    }
-
-    /// Execute a program against the engine-owned memory bank. Returns the
+    /// Execute a program against a caller-staged memory bank. Returns the
     /// per-run stats delta (the session counters advance by it).
-    pub fn run_program(&mut self, prog: &Program) -> Result<ExecStats, SimError> {
-        let stats = self.lac.run(prog, &mut self.mem)?;
-        self.programs_run += 1;
-        Ok(stats)
-    }
-
-    /// Execute a program against a caller-staged memory bank (blocked
-    /// drivers re-pack operands between phases). Metered like
-    /// [`LacEngine::run_program`].
     pub fn run_staged(
         &mut self,
         prog: &Program,
@@ -179,9 +138,8 @@ impl LacEngine {
         self.lac.stats()
     }
 
-    /// Programs executed through the engine's own run doors
-    /// ([`LacEngine::run_program`] / [`LacEngine::run_staged`]) this
-    /// session. Programs a kernel driver runs on the core directly are
+    /// Programs executed through the engine's own run door
+    /// ([`LacEngine::run_staged`]) this session. Programs a kernel driver runs on the core directly are
     /// metered but not program-counted — use [`LacEngine::workloads_run`]
     /// for those.
     pub fn programs_run(&self) -> u64 {
@@ -249,7 +207,6 @@ mod tests {
         };
         let eng = LacEngine::builder().config(cfg).build();
         assert_eq!(eng.config().nr, 4);
-        assert_eq!(eng.mem().len(), DEFAULT_MEM_WORDS);
         assert_eq!(eng.cycles(), 0);
     }
 
@@ -257,8 +214,9 @@ mod tests {
     fn session_accumulates_across_runs() {
         let mut eng = LacEngine::builder().build();
         let prog = tiny_program(4);
-        let first = eng.run_program(&prog).unwrap();
-        let second = eng.run_program(&prog).unwrap();
+        let mut mem = ExternalMem::new(prog.ext_words());
+        let first = eng.run_staged(&prog, &mut mem).unwrap();
+        let second = eng.run_staged(&prog, &mut mem).unwrap();
         assert_eq!(first.cycles, second.cycles);
         assert_eq!(eng.cycles(), first.cycles + second.cycles);
         assert_eq!(eng.session_stats().mac_ops, 2);
@@ -280,7 +238,8 @@ mod tests {
     fn reset_session_zeroes_meters_only() {
         let mut eng = LacEngine::builder().build();
         let prog = tiny_program(4);
-        eng.run_program(&prog).unwrap();
+        eng.run_staged(&prog, &mut ExternalMem::new(prog.ext_words()))
+            .unwrap();
         eng.note_workload();
         assert_eq!(eng.workloads_run(), 1);
         eng.reset_session();
@@ -289,13 +248,5 @@ mod tests {
         assert_eq!(eng.workloads_run(), 0);
         // The core's counters are the session: the reset zeroed them.
         assert_eq!(*eng.core().stats(), ExecStats::default());
-    }
-
-    #[test]
-    fn load_image_replaces_bank() {
-        let mut eng = LacEngine::builder().build();
-        eng.load_image(vec![1.0, 2.0, 3.0]);
-        assert_eq!(eng.mem().len(), 3);
-        assert_eq!(eng.mem().read(1), 2.0);
     }
 }

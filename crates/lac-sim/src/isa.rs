@@ -649,6 +649,16 @@ impl Program {
         (0..self.len()).map(|t| self.step(t))
     }
 
+    /// Words of external memory the program addresses: its highest
+    /// [`ExtOp`] address plus one (0 when it makes no transfer). A bank of
+    /// this many words runs it without an out-of-range fault.
+    pub fn ext_words(&self) -> usize {
+        let addr = |op: &ExtOp| match *op {
+            ExtOp::Load { addr, .. } | ExtOp::Store { addr, .. } => addr,
+        };
+        self.ext.iter().map(|op| addr(op) + 1).max().unwrap_or(0)
+    }
+
     /// Every [`Source::Const`] value the program reads, repeats included,
     /// in the order a walk of its steps, PEs and micro-ops meets them.
     pub(crate) fn consts(&self) -> impl Iterator<Item = f64> + '_ {

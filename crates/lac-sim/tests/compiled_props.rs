@@ -6,8 +6,8 @@
 
 use lac_fpu::{DivSqrtImpl, DivSqrtOp, FpuConfig, Precision};
 use lac_sim::{
-    CmpUpdate, ExecBackend, ExecStats, ExtOp, ExternalMem, Lac, LacConfig, MicroOp, PeInstr,
-    Program, ProgramBuilder, ProgramCache, SimError, Source,
+    compile, CmpUpdate, ExecBackend, ExecStats, ExtOp, ExternalMem, Lac, LacConfig, MicroOp,
+    PeInstr, Program, ProgramBuilder, ProgramCache, SimError, Source,
 };
 use proptest::prelude::*;
 
@@ -392,6 +392,19 @@ proptest! {
             }
         }
         prop_assert_eq!(prog.clone().structural_hash(), prog.structural_hash());
+    }
+
+    // A program's external extent is stated once: every program that
+    // compiles needs exactly the bank `Program::ext_words` sizes.
+    #[test]
+    fn min_mem_words_is_the_external_extent(
+        rounds in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..12)
+    ) {
+        let base = cfg(ExecBackend::Compiled);
+        let prog = build_program(&rounds, &base);
+        if let Ok(cp) = compile(&base, &prog) {
+            prop_assert_eq!(cp.min_mem_words(), prog.ext_words());
+        }
     }
 
     // A cache hit replays bit-identically to the cold compile: the same

@@ -27,7 +27,7 @@ fn main() {
         })
         .collect();
 
-    // The workload interleaves the signal into the engine's memory bank
+    // The workload interleaves the signal into a private memory bank
     // and runs the transform; `config` grows the local stores to the
     // kernel's scratch minima when the base configuration is too small
     // (8 words of A/B memory would not hold the butterfly workspace).

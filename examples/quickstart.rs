@@ -25,7 +25,7 @@ fn main() {
     let b = Matrix::random(kc, n, &mut rng);
     let c0 = Matrix::random(mc, n, &mut rng);
 
-    // The workload stages its operands into the engine's memory bank and
+    // The workload stages its operands into a private memory bank and
     // runs the overlapped GEMM microprogram (§3.4 schedule).
     let workload = GemmWorkload::new(a, b, c0);
     let report = workload.run(&mut eng).expect("schedule is hazard-free");

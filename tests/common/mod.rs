@@ -12,7 +12,7 @@ use lap::lac_sim::{
     ChipJob, EventLog, ExecStats, JobGraph, LacConfig, LacEngine, ProgramJob, Scheduler, SimError,
     TraceEvent,
 };
-use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
+use lap::lac_sim::{ExtOp, ExternalMem, ProgramBuilder, Source};
 use std::sync::{Arc, Mutex};
 
 /// The full-dispatch policies (every wave drains the ready set — what the
@@ -159,7 +159,8 @@ impl ChipJob for SizedJob {
         let t = b.push_step();
         b.pe_mut(t, 0, 0).mac = Some((Source::Reg(0), Source::Reg(0)));
         b.idle(cfg.fpu.pipeline_depth + self.extra);
-        eng.run_program(&b.build())
+        let prog = b.build();
+        eng.run_staged(&prog, &mut ExternalMem::new(prog.ext_words()))
     }
 }
 
