@@ -83,10 +83,10 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# Gate 6: one meter. An engine's session is its core's own counters:
-# every cycle a program simulates lands there, whichever door ran it, and
-# `LacEngine::reset_session` zeroes them. A call that folds stats into an
-# engine (`absorb(`) would bring back a second accumulator beside those
+# Gate 6: one meter. A core's session is its own counters: every cycle a
+# program simulates lands there, whichever door ran it, and
+# `Lac::reset_session` zeroes them. A call that folds stats into a core
+# (`absorb(`) would bring back a second accumulator beside those
 # counters, free to double-count or miss work.
 hits=$(grep -rnE 'absorb\(' --include='*.rs' \
   ./crates/*/src ./src ./examples ./perfbench/src 2>/dev/null || true)
@@ -104,8 +104,8 @@ fi
 # functions with matrices. In non-test code (lines before a file's first
 # `#[cfg(test)]`), a second bank in a kernel file, or a bank anywhere else,
 # would be a second statement of a layout, free to drift from the first.
-# (An engine owns no bank to stage into: `LacEngine::run_staged` takes the
-# caller's.)
+# (A core owns no bank to stage into: `Lac::run` and `Lac::run_kernel`
+# take the caller's.)
 banks=$(for f in ./crates/lac-kernels/src/*.rs; do
   awk '/#\[cfg\(test\)\]/ { exit }
        /ExternalMem::from_vec/ { print FILENAME ":" FNR ": " $0 }' "$f"
@@ -136,7 +136,7 @@ fi
 
 # Gate 9: no process-global mutable state in library code. Every store —
 # kernel programs and their compiled lowerings included — belongs to a
-# cluster (`ProgramCache`) or an engine, so two clusters in one process
+# cluster (`ProgramCache`) or a core, so two clusters in one process
 # share nothing and a reading taken from one is that cluster's alone. In
 # non-test code (lines before a file's first `#[cfg(test)]`) of
 # `crates/*/src` and `src`, a `static` of a `Mutex`, `RwLock`, `OnceLock`,
@@ -150,7 +150,23 @@ hits=$(for f in $(find ./crates/*/src ./src -name '*.rs' 2>/dev/null); do
          print FILENAME ":" FNR ": " $0 }' "$f"
 done)
 if [ -n "$hits" ]; then
-  echo "process-global mutable state in library code (stores belong to a cluster or an engine):"
+  echo "process-global mutable state in library code (stores belong to a cluster or a core):"
+  echo "$hits"
+  fail=1
+fi
+
+# Gate 10: one core type. Jobs, workloads, kernels and a chip's shards
+# all run on `Lac`, whose own counters are the session; no wrapper stands
+# between a caller and the core. A `LacEngine` type (or its builder), or a
+# `fn core_mut` reaching through one, would be a second door to the same
+# core. The one exception is the documented `pub type LacEngine = Lac;`
+# alias in lac-sim's lib.rs, kept only for perfbench (not scanned), which
+# still names it.
+hits=$(grep -rnE 'LacEngine|fn core_mut' --include='*.rs' \
+  ./crates/*/src ./crates/*/tests ./crates/*/benches ./src ./tests ./examples 2>/dev/null \
+  | grep -vE '^\./crates/lac-sim/src/lib\.rs:[0-9]+:pub type LacEngine = Lac;$' || true)
+if [ -n "$hits" ]; then
+  echo "a wrapper around the core (Lac is the one core type):"
   echo "$hits"
   fail=1
 fi

@@ -12,7 +12,7 @@
 //! ```
 
 use lac_kernels::{Fft64Workload, GemmWorkload, Workload};
-use lac_sim::LacEngine;
+use lac_sim::{Lac, LacConfig};
 use linalg_ref::{fft_radix4, gemm_blocked, BlockSizes, Complex, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,8 +45,8 @@ fn bench_sim_gemm() {
         let cm = Matrix::random(mc, n, &mut rng);
         let w = GemmWorkload::new(a, b, cm);
         bench(&format!("sim_gemm/{mc}x{kc}x{n}"), 10, || {
-            let mut eng = LacEngine::builder().build();
-            w.run(&mut eng).unwrap();
+            let mut lac = Lac::new(LacConfig::default());
+            w.run(&mut lac).unwrap();
         });
     }
 }
@@ -57,10 +57,8 @@ fn bench_sim_fft64() {
         .collect();
     let w = Fft64Workload::new(signal);
     bench("sim_fft64/fft64", 10, || {
-        let mut eng = LacEngine::builder()
-            .config(w.config(Default::default()))
-            .build();
-        w.run(&mut eng).unwrap();
+        let mut lac = Lac::new(w.config(Default::default()));
+        w.run(&mut lac).unwrap();
     });
 }
 

@@ -8,7 +8,7 @@ use lac_kernels::{
     BlockedCholWorkload, LuOptions, LuPanelWorkload, VecnormWorkload, VnormOptions, Workload,
 };
 use lac_power::{extensions::divsqrt_energy_pj, DivSqrtOption, EnergyModel};
-use lac_sim::{LacConfig, LacEngine};
+use lac_sim::{Lac, LacConfig};
 use linalg_ref::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,9 +32,9 @@ fn measure(w: &dyn Workload, imp: DivSqrtImpl) -> lac_sim::ExecStats {
         divsqrt: imp,
         ..Default::default()
     };
-    let mut eng = LacEngine::builder().config(w.config(base)).build();
+    let mut lac = Lac::new(w.config(base));
     let rep = w
-        .run(&mut eng)
+        .run(&mut lac)
         .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()));
     rep.stats
 }
@@ -42,7 +42,7 @@ fn measure(w: &dyn Workload, imp: DivSqrtImpl) -> lac_sim::ExecStats {
 /// Table A.2: cycle counts and dynamic energy for architecture options
 /// (divide/sqrt implementation x MAC extensions) across algorithms and
 /// problem sizes — all measured on the cycle-accurate simulator through
-/// `LacEngine` sessions.
+/// `Lac` cores.
 pub fn tablea_2() -> Vec<Table> {
     let mut rng = StdRng::seed_from_u64(42);
     let mut rows = Vec::new();

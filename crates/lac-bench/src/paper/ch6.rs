@@ -7,7 +7,7 @@ use lac_bench::f;
 use lac_kernels::{LuOptions, LuPanelWorkload, VecnormWorkload, VnormOptions, Workload};
 use lac_power::fft_designs::fft_platforms_table;
 use lac_power::{divsqrt_area_breakdown, fft_pe_designs, DivSqrtOption, EnergyModel, PeDesign};
-use lac_sim::{LacConfig, LacEngine};
+use lac_sim::{Lac, LacConfig};
 use linalg_ref::householder::{house, house_simple};
 use linalg_ref::Matrix;
 
@@ -48,7 +48,7 @@ pub fn fig6_5() -> Vec<Table> {
 
 /// Figure 6.6: vector-norm inner-kernel power efficiency vs hardware
 /// extensions and problem size — measured on the cycle-accurate simulator
-/// through `LacEngine` sessions.
+/// on `Lac` cores.
 pub fn fig6_6() -> Vec<Table> {
     let mut rows = Vec::new();
     for k in [16usize, 32, 64] {
@@ -81,10 +81,8 @@ pub fn fig6_6() -> Vec<Table> {
             ),
         ] {
             let w = VecnormWorkload::new(x.clone(), opts);
-            let mut eng = LacEngine::builder()
-                .config(w.config(LacConfig::default()))
-                .build();
-            let rep = w.run(&mut eng).expect(label);
+            let mut lac = Lac::new(w.config(LacConfig::default()));
+            let rep = w.run(&mut lac).expect(label);
             w.check(&rep).expect(label);
             let em = EnergyModel {
                 comparator_extension: opts.comparator,
@@ -115,7 +113,7 @@ pub fn fig6_6() -> Vec<Table> {
 
 /// Figure 6.7: LU-with-partial-pivoting inner-kernel power efficiency vs
 /// extensions and panel height — measured on the simulator through
-/// `LacEngine` sessions.
+/// `Lac` cores.
 pub fn fig6_7() -> Vec<Table> {
     let mut rows = Vec::new();
     for k in [16usize, 32, 64] {
@@ -130,10 +128,8 @@ pub fn fig6_7() -> Vec<Table> {
         let mut row = vec![format!("{kk}x4")];
         for (label, comparator) in [("no comparator (SW)", false), ("comparator", true)] {
             let w = LuPanelWorkload::new(a.clone(), LuOptions { comparator });
-            let mut eng = LacEngine::builder()
-                .config(w.config(LacConfig::default()))
-                .build();
-            let rep = w.run(&mut eng).expect(label);
+            let mut lac = Lac::new(w.config(LacConfig::default()));
+            let rep = w.run(&mut lac).expect(label);
             w.check(&rep).expect(label);
             let em = EnergyModel {
                 comparator_extension: comparator,

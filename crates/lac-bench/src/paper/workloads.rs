@@ -1,11 +1,11 @@
-//! The workload sweep: every `lac_kernels::registry()` workload through a
-//! `LacEngine` session on the default core, verified against `linalg-ref`.
+//! The workload sweep: every `lac_kernels::registry()` workload on a
+//! fresh `Lac` core (default configuration), verified against `linalg-ref`.
 
 use crate::Table;
 use lac_bench::{f, pct};
 use lac_kernels::registry;
 use lac_power::{EnergyModel, SessionEnergy};
-use lac_sim::{LacConfig, LacEngine};
+use lac_sim::{Lac, LacConfig};
 
 /// Cycles, utilization and energy of each registry workload; panics on a
 /// run error or a mismatch with the reference.
@@ -14,15 +14,13 @@ pub fn workloads() -> Vec<Table> {
     let rows = registry()
         .iter()
         .map(|w| {
-            let mut eng = LacEngine::builder()
-                .config(w.config(LacConfig::default()))
-                .build();
+            let mut lac = Lac::new(w.config(LacConfig::default()));
             let report = w
-                .run(&mut eng)
+                .run(&mut lac)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()));
             w.check(&report)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
-            let e = eng.energy_summary(&energy);
+            let e = lac.energy_summary(&energy);
             vec![
                 report.kernel.into(),
                 format!("{}", report.stats.cycles),

@@ -19,8 +19,8 @@ use lac_kernels::{gemm_program, GemmDataLayout, GemmParams};
 use lac_model::ChipGemmModel;
 use lac_power::ChipEnergyModel;
 use lac_sim::{
-    ChipConfig, ChipJob, ClusterConfig, ExecStats, ExternalMem, JobGraph, LacCluster, LacConfig,
-    LacEngine, Program, Scheduler, SimError,
+    ChipConfig, ChipJob, ClusterConfig, ExecStats, ExternalMem, JobGraph, Lac, LacCluster,
+    LacConfig, Program, Scheduler, SimError,
 };
 use linalg_ref::{gemm, max_abs_diff, Matrix};
 use rand::rngs::StdRng;
@@ -53,9 +53,9 @@ impl ChipJob for PanelJob<'_> {
         (2 * MC * KC * N) as u64
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<(Matrix, ExecStats), SimError> {
+    fn run_on(&self, lac: &mut Lac) -> Result<(Matrix, ExecStats), SimError> {
         let mut mem = ExternalMem::from_vec(self.image.clone());
-        let stats = eng.run_staged(self.prog, &mut mem)?;
+        let stats = lac.run(self.prog, &mut mem)?;
         Ok((self.lay.unpack_c(mem.as_slice()), stats))
     }
 }

@@ -27,8 +27,8 @@ use lac_kernels::{
     DdpJob, IpddpFleet, IpddpParams, IpmJob, IppmmParams, IppmmWorkload, KernelReport,
 };
 use lac_sim::{
-    ChipConfig, ChipJob, DynamicGraph, DynamicOutcome, LacCluster, LacConfig, LacEngine,
-    LacService, Scheduler, SimError, TenantConfig, TenantId,
+    ChipConfig, ChipJob, DynamicGraph, DynamicOutcome, Lac, LacCluster, LacConfig, LacService,
+    Scheduler, SimError, TenantConfig, TenantId,
 };
 use lac_traffic::{
     run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, OpenLoopBackend, OpenLoopConfig,
@@ -88,10 +88,10 @@ impl ChipJob for KernelJob {
         }
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
+    fn run_on(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
         match self {
-            KernelJob::Qp(j) => j.run_on(eng),
-            KernelJob::Ddp(j) => j.run_on(eng),
+            KernelJob::Qp(j) => j.run_on(lac),
+            KernelJob::Ddp(j) => j.run_on(lac),
         }
     }
 }

@@ -37,7 +37,7 @@ use crate::ippmm::{backward_solve, forward_solve, inf_norm, mat_tvec, mat_vec};
 use crate::trsm::blocked_trsm_run;
 use crate::workload::{demo_value, report, DdpDetails, Details, KernelReport};
 use lac_sim::dynamic::{Continue, DynamicGraph, DynamicOutcome};
-use lac_sim::{ChipJob, JobGraph, LacEngine, SimError};
+use lac_sim::{ChipJob, JobGraph, Lac, SimError};
 use linalg_ref::{cholesky, Matrix};
 use std::sync::{Arc, Mutex};
 
@@ -630,7 +630,7 @@ impl ChipJob for DdpJob {
         (NU * (NU + 1) / 2 + NU * (1 + NX)) as u64
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
+    fn run_on(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
         let p = &self.problem;
         let t = self.t;
         // Assemble Q_uu from the incoming value function, factor it on
@@ -640,7 +640,7 @@ impl ChipJob for DdpJob {
             let vxx_b = mul(&st.vxx[t + 1], &p.b);
             p.quu(&st, t, &vxx_b)
         };
-        let (l, mut stats) = blocked_cholesky_run(eng.core_mut(), &quu)?;
+        let (l, mut stats) = blocked_cholesky_run(lac, &quu)?;
         let (qu, qux) = {
             let mut st = self.state.lock().expect("ddp state poisoned");
             p.backward_step(&mut st, t, &l)
@@ -658,7 +658,7 @@ impl ChipJob for DdpJob {
                 0.0
             }
         });
-        let (_, trsm_stats) = blocked_trsm_run(eng.core_mut(), &l, &panel)?;
+        let (_, trsm_stats) = blocked_trsm_run(lac, &l, &panel)?;
         stats.merge(&trsm_stats);
         if t == 0 {
             let (grad, mu_pre, u, cost) = {
@@ -668,7 +668,7 @@ impl ChipJob for DdpJob {
                 (grad, mu_pre, u, st.next.cost)
             };
             Ok(report(
-                eng,
+                lac,
                 "ipddp-sweep",
                 stats,
                 None,
@@ -682,7 +682,7 @@ impl ChipJob for DdpJob {
             ))
         } else {
             Ok(report(
-                eng,
+                lac,
                 "ipddp-step",
                 stats,
                 None,

@@ -45,7 +45,7 @@ use crate::workload::{
     demo_matrix, demo_spd, demo_value, expect_details, report, Details, IpmDetails, KernelReport,
 };
 use lac_sim::dynamic::{Continue, DynamicGraph, DynamicOutcome};
-use lac_sim::{ChipJob, JobGraph, LacEngine, SimError};
+use lac_sim::{ChipJob, JobGraph, Lac, SimError};
 use linalg_ref::{cholesky, Matrix};
 use std::sync::{Arc, Mutex};
 
@@ -594,7 +594,7 @@ impl ChipJob for IpmJob {
         self.words.max(1)
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
+    fn run_on(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
         let p = &self.problem;
         match &self.step {
             IpmStep::Factor => {
@@ -607,10 +607,10 @@ impl ChipJob for IpmJob {
                     st.g = newton_rhs(p, &st.x, &st.z, &rd, mu);
                     newton_matrix(p, &st.x, &st.z, st.reg)
                 };
-                let (l, stats) = blocked_cholesky_run(eng.core_mut(), &gmat)?;
+                let (l, stats) = blocked_cholesky_run(lac, &gmat)?;
                 self.iterate.lock().expect("ipm state poisoned").l = l.clone();
                 Ok(report(
-                    eng,
+                    lac,
                     "ippmm-factor",
                     stats,
                     None,
@@ -633,13 +633,13 @@ impl ChipJob for IpmJob {
                     });
                     (st.l.clone(), panel)
                 };
-                let (x, stats) = blocked_trsm_run(eng.core_mut(), &l, &panel)?;
+                let (x, stats) = blocked_trsm_run(lac, &l, &panel)?;
                 {
                     let mut st = self.iterate.lock().expect("ipm state poisoned");
                     st.v = Matrix::from_fn(p.n, p.m, |i, j| x[(i, j)]);
                     st.w = (0..p.n).map(|i| x[(i, p.m)]).collect();
                 }
-                Ok(report(eng, "ippmm-solve", stats, None, Details::Trsm { x }))
+                Ok(report(lac, "ippmm-solve", stats, None, Details::Trsm { x }))
             }
             IpmStep::Schur => {
                 let (vt, reg) = {
@@ -648,7 +648,7 @@ impl ChipJob for IpmJob {
                 };
                 // S = Vᵀ·(Vᵀ)ᵀ = VᵀV, lower triangle, on the device.
                 let (s, syrk_stats) = syrk_update(
-                    eng.core_mut(),
+                    lac,
                     &vt,
                     &Matrix::zeros(p.m, p.m),
                     &SyrkParams::new(p.m, p.n),
@@ -657,7 +657,7 @@ impl ChipJob for IpmJob {
                     let v = if i >= j { s[(i, j)] } else { s[(j, i)] };
                     v + if i == j { reg } else { 0.0 }
                 });
-                let (lm, chol_stats) = blocked_cholesky_run(eng.core_mut(), &m)?;
+                let (lm, chol_stats) = blocked_cholesky_run(lac, &m)?;
                 {
                     let mut st = self.iterate.lock().expect("ipm state poisoned");
                     let (rp, _, _) = residuals(p, &st.x, &st.y, &st.z);
@@ -667,7 +667,7 @@ impl ChipJob for IpmJob {
                 let mut stats = syrk_stats;
                 stats.merge(&chol_stats);
                 Ok(report(
-                    eng,
+                    lac,
                     "ippmm-schur",
                     stats,
                     None,
@@ -681,7 +681,7 @@ impl ChipJob for IpmJob {
                         Matrix::from_fn(p.m, 4, |i, j| if j == 0 { st.rhs_y[i] } else { 0.0 });
                     (st.lm.clone(), panel)
                 };
-                let (sol, stats) = blocked_trsm_run(eng.core_mut(), &lm, &rhs_panel)?;
+                let (sol, stats) = blocked_trsm_run(lac, &lm, &rhs_panel)?;
                 let u: Vec<f64> = (0..p.m).map(|i| sol[(i, 0)]).collect();
                 let (x, y, z, rp, rd, mu) = {
                     let st = self.iterate.lock().expect("ipm state poisoned");
@@ -701,7 +701,7 @@ impl ChipJob for IpmJob {
                     )
                 };
                 Ok(report(
-                    eng,
+                    lac,
                     "ippmm-step",
                     stats,
                     None,

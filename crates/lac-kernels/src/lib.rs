@@ -10,11 +10,11 @@
 //! and compare cycle.
 //!
 //! Every kernel is exposed through the unified [`Workload`] trait and run
-//! on a [`lac_sim::LacEngine`] session (see [`workload`]); [`registry`]
+//! on a [`lac_sim::Lac`] core (see [`workload`]); [`registry`]
 //! enumerates one canonical instance of each for data-driven harnesses.
 //! Each kernel module states its external-memory layout once, in one
 //! crate-private staging function that takes matrices, packs them into
-//! a private bank, runs on the engine's core and returns the output with
+//! a private bank, runs on the core and returns the output with
 //! its [`lac_sim::ExecStats`]. Workloads, the blocked drivers and the
 //! solver, IP-PMM and IPDDP graph jobs all go through those functions,
 //! and one assembler turns every result into a [`KernelReport`].

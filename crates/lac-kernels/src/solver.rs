@@ -26,11 +26,11 @@
 //! factors for any round count. The reduction runs host-side in fixed
 //! panel order (the accumulate-at-memory step of a real chip), so the
 //! whole loop is bit-deterministic no matter where the graph scheduler
-//! places the jobs — and bit-identical to the serial single-engine run.
+//! places the jobs — and bit-identical to the serial single-core run.
 //!
 //! Two doors:
 //!
-//! * [`Workload`] (`run` on one `LacEngine`) — the graph's jobs serially
+//! * [`Workload`] (`run` on one `Lac`) — the graph's jobs serially
 //!   on one core, in id order, per-round reports rolled into one
 //!   [`KernelReport`] with [`Details::Solver`]. Registered in
 //!   [`crate::registry`] like any kernel.
@@ -46,10 +46,10 @@ use crate::chol::blocked_cholesky_run;
 use crate::syrk::{syrk_update, SyrkParams};
 use crate::trsm::blocked_trsm_run;
 use crate::workload::{
-    close, demo_matrix, demo_spd, expect_details, finish, report, Details, KernelReport,
-    SolverDetails, Workload,
+    close, demo_matrix, demo_spd, expect_details, report, Details, KernelReport, SolverDetails,
+    Workload,
 };
-use lac_sim::{ChipJob, ExecStats, JobGraph, JobId, LacEngine, SimError};
+use lac_sim::{ChipJob, ExecStats, JobGraph, JobId, Lac, SimError};
 use linalg_ref::{cholesky, gemm, max_abs_diff, trsm, Matrix, Side, Triangle};
 use std::sync::{Arc, Mutex};
 
@@ -370,25 +370,25 @@ impl Workload for SolverLoopWorkload {
             * (self.chol_cost() + self.params.panels as u64 * (self.trsm_cost() + self.syrk_cost()))
     }
 
-    /// The whole loop serially on one engine: the jobs of
+    /// The whole loop serially on one core: the jobs of
     /// [`SolverLoopWorkload::graph`] in id order, so the per-round factors
     /// are bit-identical between the two doors. `final_a` is `A₀` plus
     /// every SYRK update, rounds then panels in order.
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
         let sg = self.graph();
         let mut total = ExecStats::default();
         let mut factors = Vec::with_capacity(self.params.rounds);
         let mut final_a = self.a0.clone();
         for (k, &chol) in sg.chol.iter().enumerate() {
-            let rep = sg.graph.job(chol).run_on(eng)?;
+            let rep = sg.graph.job(chol).run_on(lac)?;
             total.merge(&rep.stats);
             let Details::Cholesky { l } = rep.details else {
                 unreachable!("a solver CHOL reports its factor");
             };
             factors.push(l);
             for (&trsm, &syrk) in sg.trsm[k].iter().zip(&sg.syrk[k]) {
-                total.merge(&sg.graph.job(trsm).run_on(eng)?.stats);
-                let rep = sg.graph.job(syrk).run_on(eng)?;
+                total.merge(&sg.graph.job(trsm).run_on(lac)?.stats);
+                let rep = sg.graph.job(syrk).run_on(lac)?;
                 total.merge(&rep.stats);
                 let Details::Syrk { c } = &rep.details else {
                     unreachable!("a solver SYRK reports its update");
@@ -396,8 +396,8 @@ impl Workload for SolverLoopWorkload {
                 add_sym_update(&mut final_a, c);
             }
         }
-        Ok(finish(
-            eng,
+        Ok(report(
+            lac,
             self.name(),
             total,
             None,
@@ -472,7 +472,7 @@ impl ChipJob for SolverJob {
         self.words.max(1)
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
+    fn run_on(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
         match &self.step {
             SolverStep::Chol { round } => {
                 let a = {
@@ -490,10 +490,10 @@ impl ChipJob for SolverJob {
                     st.a[round % 2] = a.clone();
                     a
                 };
-                let (l, stats) = blocked_cholesky_run(eng.core_mut(), &a)?;
+                let (l, stats) = blocked_cholesky_run(lac, &a)?;
                 self.state.lock().expect("solver state poisoned").l = l.clone();
                 Ok(report(
-                    eng,
+                    lac,
                     "solver-chol",
                     stats,
                     None,
@@ -502,23 +502,19 @@ impl ChipJob for SolverJob {
             }
             SolverStep::Trsm { panel, b } => {
                 let l = self.state.lock().expect("solver state poisoned").l.clone();
-                let (x, stats) = blocked_trsm_run(eng.core_mut(), &l, b)?;
+                let (x, stats) = blocked_trsm_run(lac, &l, b)?;
                 self.state.lock().expect("solver state poisoned").x[*panel] = x.clone();
-                Ok(report(eng, "solver-trsm", stats, None, Details::Trsm { x }))
+                Ok(report(lac, "solver-trsm", stats, None, Details::Trsm { x }))
             }
             SolverStep::Syrk { panel } => {
                 let x = self.state.lock().expect("solver state poisoned").x[*panel].clone();
                 // S = X·Xᵀ (lower) from a zeroed accumulator.
                 let (n, w) = (x.rows(), x.cols());
-                let (s, stats) = syrk_update(
-                    eng.core_mut(),
-                    &x,
-                    &Matrix::zeros(n, n),
-                    &SyrkParams::new(n, w),
-                )?;
+                let (s, stats) =
+                    syrk_update(lac, &x, &Matrix::zeros(n, n), &SyrkParams::new(n, w))?;
                 self.state.lock().expect("solver state poisoned").s[*panel] = s.clone();
                 Ok(report(
-                    eng,
+                    lac,
                     "solver-syrk",
                     stats,
                     None,
@@ -672,8 +668,8 @@ mod tests {
     #[test]
     fn serial_run_matches_reference_chain() {
         let w = small();
-        let mut eng = LacEngine::builder().config(LacConfig::default()).build();
-        let report = w.run(&mut eng).unwrap();
+        let mut lac = Lac::new(LacConfig::default());
+        let report = w.run(&mut lac).unwrap();
         w.check(&report).unwrap();
         assert_eq!(report.kernel, "solver-loop");
         assert!(report.stats.cycles > 0);
@@ -691,8 +687,8 @@ mod tests {
 
         // The serial door runs the identical arithmetic in the identical
         // order, so factors agree bit-for-bit, not just within tolerance.
-        let mut eng = LacEngine::builder().config(LacConfig::default()).build();
-        let serial = w.run(&mut eng).unwrap();
+        let mut lac = Lac::new(LacConfig::default());
+        let serial = w.run(&mut lac).unwrap();
         let Details::Solver(solved) = &serial.details else {
             panic!("solver report");
         };

@@ -1,5 +1,5 @@
-//! The unified workload API: every kernel as a [`Workload`] run through a
-//! [`LacEngine`] session.
+//! The unified workload API: every kernel as a [`Workload`] run on a
+//! [`Lac`] core, whose counters are the session.
 //!
 //! The dissertation evaluates one core across a dozen kernels; production
 //! use (e.g. the repeated Cholesky factorizations inside an interior-point
@@ -7,7 +7,7 @@
 //! all of them one shape:
 //!
 //! * [`Workload`] — a problem instance (operands + schedule options) that
-//!   knows how to run itself on a [`LacEngine`]'s core and report;
+//!   knows how to run itself on a [`Lac`] core and report;
 //! * [`KernelReport`] — the uniform result: session-mergeable [`ExecStats`],
 //!   useful-flop count, utilization, and a [`Details`] variant carrying the
 //!   kernel's functional outputs;
@@ -17,11 +17,11 @@
 //!
 //! ```no_run
 //! use lac_kernels::{registry, Workload};
-//! use lac_sim::{LacConfig, LacEngine};
+//! use lac_sim::{Lac, LacConfig};
 //!
 //! for w in registry() {
-//!     let mut eng = LacEngine::builder().config(w.config(LacConfig::default())).build();
-//!     let report = w.run(&mut eng).expect("hazard-free schedule");
+//!     let mut lac = Lac::new(w.config(LacConfig::default()));
+//!     let report = w.run(&mut lac).expect("hazard-free schedule");
 //!     w.check(&report).expect("matches linalg-ref");
 //!     println!("{:<14} {:>8} cycles", report.kernel, report.stats.cycles);
 //! }
@@ -38,15 +38,15 @@ use crate::trmm::blocked_trmm_run;
 use crate::trsm::{blocked_trsm_run, trsm_stacked, trsm_useful_macs};
 use crate::vecnorm::{vecnorm, VnormOptions};
 use lac_fpu::FpuConfig;
-use lac_sim::{ChipJob, ExecStats, LacConfig, LacEngine, SimError};
+use lac_sim::{ChipJob, ExecStats, Lac, LacConfig, SimError};
 use linalg_ref::householder::HouseholderReflector;
 use linalg_ref::{
     cholesky, fft_radix4, gemm, lu_partial_pivot, max_abs_diff, nrm2, qr_householder, symm, trmm,
     trsm, Complex, Matrix, Side, Triangle,
 };
 
-/// One workload: a problem instance that runs on a session engine's core
-/// (through its kernels' staging functions) and reports uniformly.
+/// One workload: a problem instance that runs on a core (through its
+/// kernels' staging functions) and reports uniformly.
 ///
 /// `Send + Sync` is part of the contract so workloads can be queued onto a
 /// multi-core chip through [`lac_sim::LacService`] (every implementor is
@@ -54,13 +54,11 @@ use linalg_ref::{
 ///
 /// ```
 /// use lac_kernels::{Details, GemmWorkload, Workload};
-/// use lac_sim::{LacConfig, LacEngine};
+/// use lac_sim::{Lac, LacConfig};
 ///
 /// let w = GemmWorkload::demo(); // 16×16×16, deterministic operands
-/// let mut eng = LacEngine::builder()
-///     .config(w.config(LacConfig::default()))
-///     .build();
-/// let report = w.run(&mut eng).expect("hazard-free schedule");
+/// let mut lac = Lac::new(w.config(LacConfig::default()));
+/// let report = w.run(&mut lac).expect("hazard-free schedule");
 ///
 /// // Every workload self-verifies against linalg-ref…
 /// w.check(&report).expect("matches the reference");
@@ -69,8 +67,8 @@ use linalg_ref::{
 /// assert_eq!(report.useful_flops, 2 * 16 * 16 * 16);
 /// let Details::Gemm { c } = &report.details else { panic!() };
 /// assert_eq!((c.rows(), c.cols()), (16, 16));
-/// // …and meters the session engine.
-/// assert_eq!(eng.workloads_run(), 1);
+/// // …and meters the core's session: the counters grew by this run.
+/// assert_eq!(*lac.session_stats(), report.stats);
 /// ```
 pub trait Workload: Send + Sync {
     /// Stable kernel name (registry key, display label). A `'static`
@@ -91,9 +89,9 @@ pub trait Workload: Send + Sync {
         1
     }
 
-    /// Execute on the engine. The core's counters (the engine session)
-    /// meter every cycle; the report carries this run's share.
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError>;
+    /// Execute on the core. Its counters (the session) meter every cycle;
+    /// the report carries this run's share.
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError>;
 
     /// Cross-check the report's functional outputs against `linalg-ref`.
     fn check(&self, report: &KernelReport) -> Result<(), String>;
@@ -110,8 +108,8 @@ impl ChipJob for Box<dyn Workload> {
         Workload::cost_hint(self.as_ref())
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        self.run(eng)
+    fn run_on(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        self.run(lac)
     }
 }
 
@@ -125,7 +123,7 @@ impl ChipJob for Box<dyn Workload> {
 pub struct KernelReport {
     /// Which workload (or graph step) produced this ([`Workload::name`]).
     pub kernel: &'static str,
-    /// Event counters of this run only (the engine's session counters
+    /// Event counters of this run only (the core's session counters
     /// advanced by them as the programs ran).
     pub stats: ExecStats,
     /// Mathematically necessary flops (2 per useful MAC); falls back to
@@ -253,17 +251,17 @@ pub struct DdpDetails {
     pub mu: f64,
 }
 
-/// Assemble the uniform report of one run on `eng` (the core's counters
+/// Assemble the uniform report of one run on `lac` (the core's counters
 /// metered its cycles as they ran). Kernels with a closed-form useful-MAC
 /// count rate against it; the rest against their executed flops.
 pub(crate) fn report(
-    eng: &LacEngine,
+    lac: &Lac,
     name: &'static str,
     stats: ExecStats,
     useful_macs: Option<u64>,
     details: Details,
 ) -> KernelReport {
-    let nr = eng.config().nr;
+    let nr = lac.config().nr;
     let (useful_flops, utilization) = match useful_macs {
         Some(m) => (2 * m, m as f64 / (stats.cycles as f64 * (nr * nr) as f64)),
         None => (stats.flops(), stats.utilization(nr)),
@@ -275,18 +273,6 @@ pub(crate) fn report(
         utilization,
         details,
     }
-}
-
-/// Count a finished workload on the engine, then [`report`] it.
-pub(crate) fn finish(
-    eng: &mut LacEngine,
-    name: &'static str,
-    stats: ExecStats,
-    useful_macs: Option<u64>,
-    details: Details,
-) -> KernelReport {
-    eng.note_workload();
-    report(eng, name, stats, useful_macs, details)
 }
 
 pub(crate) fn expect_details(kernel: &str, wanted: &str) -> String {
@@ -387,11 +373,11 @@ impl Workload for GemmWorkload {
         (2 * self.a.rows() * self.a.cols() * self.b.cols()) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (c, stats) = gemm_update(eng.core_mut(), &self.a, &self.b, &self.c, &self.params)?;
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (c, stats) = gemm_update(lac, &self.a, &self.b, &self.c, &self.params)?;
         let macs = gemm_useful_macs(&self.params);
-        Ok(finish(
-            eng,
+        Ok(report(
+            lac,
             self.name(),
             stats,
             Some(macs),
@@ -453,11 +439,11 @@ impl Workload for SyrkWorkload {
         (self.a.rows() * (self.a.rows() + 1) * self.a.cols()) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (c, stats) = syrk_update(eng.core_mut(), &self.a, &self.c, &self.params)?;
-        let macs = syrk_useful_macs(eng.config().nr, &self.params);
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (c, stats) = syrk_update(lac, &self.a, &self.c, &self.params)?;
+        let macs = syrk_useful_macs(lac.config().nr, &self.params);
+        Ok(report(
+            lac,
             self.name(),
             stats,
             Some(macs),
@@ -520,11 +506,11 @@ impl Workload for TrsmStackedWorkload {
         (self.l.rows() * self.l.rows() * self.b.cols()) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (x, stats) = trsm_stacked(eng.core_mut(), &self.l, &self.b)?;
-        let macs = trsm_useful_macs(eng.config().nr, self.b.cols());
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (x, stats) = trsm_stacked(lac, &self.l, &self.b)?;
+        let macs = trsm_useful_macs(lac.config().nr, self.b.cols());
+        Ok(report(
+            lac,
             self.name(),
             stats,
             Some(macs),
@@ -575,9 +561,9 @@ impl Workload for BlockedTrsmWorkload {
         (self.l.rows() * self.l.rows() * self.b.cols()) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (x, stats) = blocked_trsm_run(eng.core_mut(), &self.l, &self.b)?;
-        Ok(finish(eng, self.name(), stats, None, Details::Trsm { x }))
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (x, stats) = blocked_trsm_run(lac, &self.l, &self.b)?;
+        Ok(report(lac, self.name(), stats, None, Details::Trsm { x }))
     }
 
     fn check(&self, report: &KernelReport) -> Result<(), String> {
@@ -624,10 +610,10 @@ impl Workload for TrmmWorkload {
         (self.l.rows() * self.l.rows() * self.b.cols()) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (b, stats) = blocked_trmm_run(eng.core_mut(), &self.l, &self.b)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (b, stats) = blocked_trmm_run(lac, &self.l, &self.b)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -686,9 +672,9 @@ impl Workload for SymmWorkload {
         (2 * self.a_lower.rows() * self.a_lower.rows() * self.b.cols()) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (c, stats) = blocked_symm_run(eng.core_mut(), &self.a_lower, &self.b, &self.c)?;
-        Ok(finish(eng, self.name(), stats, None, Details::Gemm { c }))
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (c, stats) = blocked_symm_run(lac, &self.a_lower, &self.b, &self.c)?;
+        Ok(report(lac, self.name(), stats, None, Details::Gemm { c }))
     }
 
     fn check(&self, report: &KernelReport) -> Result<(), String> {
@@ -738,10 +724,10 @@ impl Workload for CholKernelWorkload {
         (self.a.rows().pow(3) / 3).max(1) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (l, stats) = cholesky_tile(eng.core_mut(), &self.a)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (l, stats) = cholesky_tile(lac, &self.a)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -787,10 +773,10 @@ impl Workload for BlockedCholWorkload {
         (self.a.rows().pow(3) / 3).max(1) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (l, stats) = blocked_cholesky_run(eng.core_mut(), &self.a)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (l, stats) = blocked_cholesky_run(lac, &self.a)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -839,10 +825,10 @@ impl Workload for LuPanelWorkload {
         (2 * self.a.rows() * self.a.cols() * self.a.cols()) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (factors, pivots, stats) = lu_panel_matrix_run(eng.core_mut(), &self.a, &self.opts)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (factors, pivots, stats) = lu_panel_matrix_run(lac, &self.a, &self.opts)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -904,10 +890,10 @@ impl Workload for BlockedLuWorkload {
         (2 * self.a.rows().pow(3) / 3).max(1) as u64
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (factors, pivots, stats) = blocked_lu_run(eng.core_mut(), &self.a, &self.opts)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (factors, pivots, stats) = blocked_lu_run(lac, &self.a, &self.opts)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -987,10 +973,10 @@ impl Workload for QrPanelWorkload {
         }
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (qr, stats) = qr_panel_run(eng.core_mut(), &self.a, &self.opts)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (qr, stats) = qr_panel_run(lac, &self.a, &self.opts)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -1060,10 +1046,10 @@ impl Workload for VecnormWorkload {
         }
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (norm, stats) = vecnorm(eng.core_mut(), &self.x, &self.opts)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (norm, stats) = vecnorm(lac, &self.x, &self.opts)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -1131,10 +1117,10 @@ impl Workload for Fft64Workload {
         }
     }
 
-    fn run(&self, eng: &mut LacEngine) -> Result<KernelReport, SimError> {
-        let (spectrum, stats) = fft64(eng.core_mut(), &self.signal)?;
-        Ok(finish(
-            eng,
+    fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
+        let (spectrum, stats) = fft64(lac, &self.signal)?;
+        Ok(report(
+            lac,
             self.name(),
             stats,
             None,
@@ -1314,24 +1300,26 @@ mod tests {
 
     #[test]
     fn session_accumulates_two_workloads() {
-        let mut eng = LacEngine::builder().config(LacConfig::default()).build();
+        let mut lac = Lac::new(LacConfig::default());
         let g = GemmWorkload::demo();
-        let r1 = g.run(&mut eng).unwrap();
-        let before = eng.cycles();
+        let r1 = g.run(&mut lac).unwrap();
+        // The session grew by exactly each report's stats.
+        assert_eq!(*lac.session_stats(), r1.stats);
         let c = BlockedCholWorkload::demo();
-        let r2 = c.run(&mut eng).unwrap();
-        assert_eq!(eng.workloads_run(), 2);
-        assert_eq!(eng.cycles(), r1.stats.cycles + r2.stats.cycles);
-        assert!(eng.cycles() > before);
+        let r2 = c.run(&mut lac).unwrap();
+        let mut both = r1.stats;
+        both.merge(&r2.stats);
+        assert_eq!(*lac.session_stats(), both);
+        assert!(r2.stats.cycles > 0);
         g.check(&r1).unwrap();
         c.check(&r2).unwrap();
     }
 
     #[test]
     fn check_rejects_foreign_details() {
-        let mut eng = LacEngine::builder().build();
+        let mut lac = Lac::new(LacConfig::default());
         let g = GemmWorkload::demo();
-        let rep = g.run(&mut eng).unwrap();
+        let rep = g.run(&mut lac).unwrap();
         assert!(Fft64Workload::demo().check(&rep).is_err());
     }
 

@@ -4,7 +4,7 @@
 
 use lac_kernels::{BlockedTrsmWorkload, GemmWorkload, Workload};
 use lac_model::CoreGemmModel;
-use lac_sim::LacEngine;
+use lac_sim::{Lac, LacConfig};
 use linalg_ref::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,8 +14,8 @@ fn sim_gemm_cycles(mc: usize, kc: usize, n: usize) -> (u64, f64) {
     let a = Matrix::random(mc, kc, &mut rng);
     let b = Matrix::random(kc, n, &mut rng);
     let c = Matrix::random(mc, n, &mut rng);
-    let mut eng = LacEngine::builder().build();
-    let rep = GemmWorkload::new(a, b, c).run(&mut eng).unwrap();
+    let mut lac = Lac::new(LacConfig::default());
+    let rep = GemmWorkload::new(a, b, c).run(&mut lac).unwrap();
     (rep.stats.cycles, rep.utilization)
 }
 
@@ -61,8 +61,8 @@ fn trsm_blocked_utilization_model_tracks_sim() {
     let w = 32;
     let l = Matrix::random_lower_triangular(kk, &mut rng);
     let b0 = Matrix::random(kk, w, &mut rng);
-    let mut eng = LacEngine::builder().build();
-    let rep = BlockedTrsmWorkload::new(l, b0).run(&mut eng).unwrap();
+    let mut lac = Lac::new(LacConfig::default());
+    let rep = BlockedTrsmWorkload::new(l, b0).run(&mut lac).unwrap();
     let stats = &rep.stats;
     let useful: u64 = stats.mac_ops + stats.fma_ops;
     let sim_util = useful as f64 / (stats.cycles as f64 * 16.0);

@@ -102,17 +102,16 @@ pub struct EnergySummary {
     pub gflops_per_w: f64,
 }
 
-/// Energy reporting for a whole [`lac_sim::LacEngine`] session.
+/// Energy reporting for a whole [`lac_sim::Lac`] session.
 ///
-/// Lives here rather than on the engine itself because `lac-power` depends
+/// Lives here rather than on the core itself because `lac-power` depends
 /// on `lac-sim` (for [`ExecStats`]); bring this trait into scope and every
-/// engine gains `.energy_summary(&model)` over its accumulated session
-/// stats.
+/// core gains `.energy_summary(&model)` over its session counters.
 pub trait SessionEnergy {
     fn energy_summary(&self, model: &EnergyModel) -> EnergySummary;
 }
 
-impl SessionEnergy for lac_sim::LacEngine {
+impl SessionEnergy for lac_sim::Lac {
     fn energy_summary(&self, model: &EnergyModel) -> EnergySummary {
         model.summarize(self.session_stats())
     }

@@ -1,4 +1,4 @@
-//! Chip-level simulation: a [`LacChip`] owns `S` [`LacEngine`] shards behind
+//! Chip-level simulation: a [`LacChip`] owns `S` [`Lac`] shards behind
 //! a shared external-memory bandwidth budget (Chapter 4's multi-core LAP,
 //! made executable), and [`ChipJob`]s are what runs on them.
 //!
@@ -11,8 +11,8 @@
 //! (with tenants and admission on top), and
 //! [`crate::cluster::LacCluster::run_graph`] the N-chip one. Either way:
 //!
-//! * every shard is one [`LacEngine`] session (per-core architectural state
-//!   and meters persist across graph runs);
+//! * every shard is one [`Lac`] core, whose architectural state and
+//!   session counters persist across graph runs;
 //! * the chip's aggregate external bandwidth budget is partitioned across
 //!   the shards (the paper's per-core `x = y/S` words/cycle share of the
 //!   on-chip memory's `y`, with the division remainder spread over the
@@ -37,14 +37,13 @@
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
 use crate::coord::SimMode;
-use crate::core::ExternalMem;
-use crate::engine::LacEngine;
+use crate::core::{ExternalMem, Lac};
 use crate::error::SimError;
 use crate::isa::Program;
 use crate::stats::ExecStats;
 
-/// One unit of schedulable work: a job knows how to run itself on a core's
-/// engine and how expensive it roughly is (for load-aware placement).
+/// One unit of schedulable work: a job knows how to run itself on a core
+/// and how expensive it roughly is (for load-aware placement).
 pub trait ChipJob: Send + Sync {
     /// What the job produces (functional outputs plus per-run stats).
     type Output: Send;
@@ -67,9 +66,9 @@ pub trait ChipJob: Send + Sync {
         1
     }
 
-    /// Execute on one core's engine. The core's counters meter whatever
-    /// the job simulates; the coordinator reads the job's share off them.
-    fn run_on(&self, eng: &mut LacEngine) -> Result<Self::Output, SimError>;
+    /// Execute on one core. The core's counters meter whatever the job
+    /// simulates; the coordinator reads the job's share off them.
+    fn run_on(&self, lac: &mut Lac) -> Result<Self::Output, SimError>;
 }
 
 /// References dispatch like the jobs they point at — this is what lets a
@@ -85,8 +84,8 @@ impl<J: ChipJob + ?Sized> ChipJob for &J {
         (**self).transfer_words()
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<Self::Output, SimError> {
-        (**self).run_on(eng)
+    fn run_on(&self, lac: &mut Lac) -> Result<Self::Output, SimError> {
+        (**self).run_on(lac)
     }
 }
 
@@ -115,9 +114,9 @@ impl ChipJob for ProgramJob {
         self.cost.max(1)
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
+    fn run_on(&self, lac: &mut Lac) -> Result<ExecStats, SimError> {
         let mut mem = ExternalMem::new(self.prog.ext_words());
-        eng.run_staged(&self.prog, &mut mem)
+        lac.run(&self.prog, &mut mem)
     }
 }
 
@@ -176,8 +175,7 @@ pub struct ChipConfig {
 }
 
 impl ChipConfig {
-    /// `cores` identical cores, no bandwidth cap, default bank size,
-    /// wave coordination.
+    /// `cores` identical cores, no bandwidth cap, wave coordination.
     pub fn new(cores: usize, core: LacConfig) -> Self {
         Self {
             cores,
@@ -310,11 +308,11 @@ impl ChipStats {
     }
 }
 
-/// A multi-core chip: `S` [`LacEngine`] shards behind one bandwidth
+/// A multi-core chip: `S` [`Lac`] shards behind one bandwidth
 /// budget, as [`crate::cluster::LacCluster::chip`] hands it out. Graphs
 /// run on chips only through the cluster (a one-chip cluster is
 /// [`crate::service::LacService`]); a chip itself only shows its shards,
-/// whose session meters survive every run.
+/// whose session counters survive every run.
 ///
 /// ```
 /// use lac_sim::{ChipConfig, ClusterConfig, JobGraph, LacCluster, LacConfig};
@@ -338,11 +336,11 @@ impl ChipStats {
 /// let chip = cluster.chip(0);
 /// assert_eq!(chip.num_cores(), 2);
 /// assert_eq!(chip.shard(0).config().ext_words_per_cycle, Some(4));
-/// let busy: u64 = (0..2).map(|i| chip.shard(i).cycles()).sum();
+/// let busy: u64 = (0..2).map(|i| chip.shard(i).session_stats().cycles).sum();
 /// assert_eq!(busy, run.stats.aggregate.cycles);
 /// ```
 pub struct LacChip {
-    shards: Vec<LacEngine>,
+    shards: Vec<Lac>,
 }
 
 impl LacChip {
@@ -353,9 +351,9 @@ impl LacChip {
         cfg.assert_budget_conserved();
         let shards = (0..cfg.cores)
             .map(|core| {
-                let mut eng = LacEngine::new(cfg.shard_config(core));
-                eng.core_mut().set_program_cache(cache.clone());
-                eng
+                let mut lac = Lac::new(cfg.shard_config(core));
+                lac.set_program_cache(cache.clone());
+                lac
             })
             .collect();
         Self { shards }
@@ -366,14 +364,14 @@ impl LacChip {
         self.shards.len()
     }
 
-    /// One shard's engine (per-core session meters survive graph runs).
-    pub fn shard(&self, i: usize) -> &LacEngine {
+    /// One shard's core (its session counters survive graph runs).
+    pub fn shard(&self, i: usize) -> &Lac {
         &self.shards[i]
     }
 
     /// Crate-internal: every shard at once — the cluster lends all of
     /// its chips' shards to one coordinated run.
-    pub(crate) fn shards_mut(&mut self) -> &mut [LacEngine] {
+    pub(crate) fn shards_mut(&mut self) -> &mut [Lac] {
         &mut self.shards
     }
 }
@@ -398,6 +396,18 @@ mod tests {
         ))
     }
 
+    /// A core's session cycles.
+    fn cycles(lac: &Lac) -> u64 {
+        lac.session_stats().cycles
+    }
+
+    /// The session cycles `job` leaves on a fresh core, failed or not.
+    fn standalone_cycles(job: &ProgramJob) -> u64 {
+        let mut lac = Lac::new(LacConfig::default());
+        let _ = job.run_on(&mut lac);
+        cycles(&lac)
+    }
+
     /// A program that issues one MAC and `extra` idle cycles.
     fn job(extra: usize) -> ProgramJob {
         let cfg = LacConfig::default();
@@ -413,8 +423,8 @@ mod tests {
 
     #[test]
     fn program_job_bank_covers_its_external_extent() {
-        // A load and a store at word 70,000: past the 65,536-word bank an
-        // engine used to carry, inside the job's own bank.
+        // A load and a store at word 70,000, beyond 2^16 words: the job's
+        // own bank is sized to cover them.
         let addr = 70_000;
         let mut b = ProgramBuilder::new(LacConfig::default().nr);
         let t = b.push_step();
@@ -425,8 +435,8 @@ mod tests {
         b.ext(t, ExtOp::Store { col: 0, addr });
         let job = ProgramJob::new(b.build());
         assert_eq!(job.prog.ext_words(), 70_001);
-        let mut eng = LacEngine::new(LacConfig::default());
-        let stats = job.run_on(&mut eng).expect("the bank covers every address");
+        let mut lac = Lac::new(LacConfig::default());
+        let stats = job.run_on(&mut lac).expect("the bank covers every address");
         assert_eq!((stats.ext_reads, stats.ext_writes), (1, 1));
     }
 
@@ -493,10 +503,10 @@ mod tests {
             stats.makespan_cycles,
             stats.per_core.iter().map(|s| s.cycles).max().unwrap()
         );
-        // Shards keep their session meters (they are LacEngine sessions).
+        // Shards keep their session counters.
         let chip = cluster.chip(0);
         assert_eq!(
-            chip.shard(0).cycles() + chip.shard(1).cycles(),
+            cycles(chip.shard(0)) + cycles(chip.shard(1)),
             stats.aggregate.cycles
         );
     }
@@ -565,11 +575,12 @@ mod tests {
         assert_eq!(err.cycle, 0, "the bad job fails on its first cycle");
         let chip = cluster.chip(0);
         // Partial work stays metered: Err means "graph incomplete", not
-        // "nothing ran". Core 0 completed job 0 (the bad job errored out
-        // mid-run, so it never counted); core 1 completed job 2.
-        assert!(chip.shard(0).cycles() > 0);
-        assert_eq!(chip.shard(0).programs_run(), 1);
-        assert_eq!(chip.shard(1).programs_run(), 1);
+        // "nothing ran". Core 0 ran job 0, then the bad job up to its
+        // failure; core 1 ran job 2.
+        let (ok, bad) = (standalone_cycles(&job(0)), standalone_cycles(&bad_job()));
+        assert!(ok > 0);
+        assert_eq!(cycles(chip.shard(0)), ok + bad);
+        assert_eq!(cycles(chip.shard(1)), ok);
     }
 
     #[test]
@@ -584,12 +595,19 @@ mod tests {
         let err = cluster.run_graph(&graph, Scheduler::Fifo).unwrap_err();
         assert_eq!(err.cycle, 0);
         let chip = cluster.chip(0);
+        let (ok, bad) = (standalone_cycles(&job(0)), standalone_cycles(&bad_job()));
+        assert!(ok > 0);
         assert_eq!(
-            chip.shard(0).programs_run(),
-            0,
+            cycles(chip.shard(0)),
+            bad,
             "bucket skipped after the failure"
         );
-        assert!(chip.shard(1).programs_run() <= 2);
+        // Core 1 ran whole jobs only, at most the two of its bucket.
+        let peer = cycles(chip.shard(1));
+        assert!(
+            peer.is_multiple_of(ok) && peer <= 2 * ok,
+            "core 1 metered {peer} cycles of {ok}-cycle jobs"
+        );
     }
 
     #[test]

@@ -454,7 +454,7 @@ impl ClusterSession {
 /// A cluster borrows the calling thread per run, plus a scoped worker for
 /// each other core a multi-core dispatch batch needs (a 1-core cluster
 /// never leaves the calling thread); every core's
-/// [`crate::engine::LacEngine`] is lent to the run for its duration.
+/// [`crate::Lac`] is lent to the run for its duration.
 /// Shard state and session meters persist across runs — the chips are
 /// owned, not rebuilt.
 ///

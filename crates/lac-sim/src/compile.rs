@@ -6,13 +6,13 @@
 //! that decode work dominates host time. This module removes it:
 //!
 //! ```text
-//!   Program ──structural_hash──▶ ProgramCache ──compile──▶ CompiledProgram
-//!                                     │                        │
-//!                                 (memoized,               flat op tape,
-//!                              shared cluster-wide)     pre-resolved offsets
-//!                                                            │
-//!                                            Lac::run ──▶ replay on the
-//!                                                       unified state arena
+//!   Lac::run_kernel ──(kernel, shape, fp)──┐
+//!                                          ├─▶ ProgramCache ──compile──▶ CompiledProgram
+//!   Lac::run ───(structural_hash, fp)──────┘        │                        │
+//!                                              (memoized,               flat op tape,
+//!                                           shared cluster-wide)     pre-resolved offsets
+//!                                                                         │
+//!                                                  replay on the unified state arena
 //! ```
 //!
 //! [`compile`] walks the program once, performing every static check the
@@ -27,11 +27,15 @@
 //! to select: results, [`ExecStats`], and hazard errors are bit-identical
 //! either way (property-tested in `tests/compiled_props.rs`).
 //!
-//! Compilation is memoized in a [`ProgramCache`] keyed by
-//! ([`Program::structural_hash`], config fingerprint). `LacCluster` (and
-//! so `LacService`, its one-chip front) shares one cache across all its
-//! chips' same-config shards, so each distinct program shape is hashed
-//! and compiled exactly once per cluster. See `docs/PERFORMANCE.md` for the
+//! Compilation is memoized in a [`ProgramCache`] under one of two keys,
+//! both ending in the config fingerprint (`fp` above): a kernel program
+//! run through [`Lac::run_kernel`] is keyed by `(kernel, shape,
+//! fingerprint)`, and the store builds it once, next to its lowering; a
+//! free-standing program run through [`Lac::run`] is keyed by
+//! ([`Program::structural_hash`], fingerprint). `LacCluster` (and so
+//! `LacService`, its one-chip front) shares one cache across all its
+//! chips' same-config shards, so each distinct kernel shape is built and
+//! each distinct program shape compiled exactly once per cluster. See `docs/PERFORMANCE.md` for the
 //! measured speedups and `docs/ARCHITECTURE.md` for the pipeline diagram.
 
 use std::collections::hash_map::DefaultHasher;
@@ -49,10 +53,11 @@ use lac_fpu::{DivSqrtImpl, DivSqrtOp, Precision};
 
 /// Why a program could not be lowered to a [`CompiledProgram`].
 ///
-/// A fallback is not an error: [`Lac::run_compiled`] transparently runs
-/// the program on the reference interpreter instead, which reproduces the
-/// exact result — including the exact [`SimError`] when the reason is
-/// [`FallbackReason::WouldHazard`].
+/// A fallback is not an error: on the compiled backend
+/// ([`ExecBackend::Compiled`]), [`Lac::run`] and [`Lac::run_kernel`]
+/// transparently run the program on the reference interpreter instead,
+/// which reproduces the exact result — including the exact [`SimError`]
+/// when the reason is [`FallbackReason::WouldHazard`].
 ///
 /// ```
 /// use lac_sim::{compile, FallbackReason, LacConfig, ProgramBuilder, Source};
@@ -550,7 +555,8 @@ enum COp {
 /// A program lowered to a flat, decode-free op tape.
 ///
 /// Produced by [`compile`] (usually via a [`ProgramCache`]) and replayed
-/// by [`Lac::run_compiled`]. Every operand is a precomputed offset into
+/// by [`Lac::run`] and [`Lac::run_kernel`] on the compiled backend
+/// ([`ExecBackend::Compiled`]). Every operand is a precomputed offset into
 /// the core's unified state arena; the tape carries the run's entire
 /// static [`ExecStats`] so execution only counts the one data-dependent
 /// event (comparator register updates).
@@ -616,9 +622,9 @@ impl CompiledProgram {
         &self.static_stats
     }
 
-    /// Smallest external bank (in words) the program can run against; a
-    /// smaller bank makes [`Lac::run_compiled`] fall back to the
-    /// interpreter, which raises the out-of-range error.
+    /// Smallest external bank (in words) the program can run against; on
+    /// a smaller bank [`Lac::run`] and [`Lac::run_kernel`] fall back to
+    /// the interpreter, which raises the out-of-range error.
     pub fn min_mem_words(&self) -> usize {
         self.min_mem_words
     }
@@ -1401,23 +1407,9 @@ impl Lac {
     /// not assume (in-flight pipelines, an external bank smaller than
     /// [`CompiledProgram::min_mem_words`]) transparently run on
     /// [`Lac::run_interpreted`] instead. Results, [`ExecStats`], and
-    /// errors are bit-identical between the two paths.
-    ///
-    /// ```
-    /// use lac_sim::{ExternalMem, Lac, LacConfig, ProgramBuilder, Source};
-    ///
-    /// let cfg = LacConfig::default();
-    /// let mut lac = Lac::new(cfg);
-    /// let mut b = ProgramBuilder::new(cfg.nr);
-    /// let t = b.push_step();
-    /// b.pe_mut(t, 0, 0).mac = Some((Source::Const(2.0), Source::Const(3.0)));
-    /// b.idle(cfg.fpu.pipeline_depth);
-    /// let mut mem = ExternalMem::new(1);
-    /// let stats = lac.run_compiled(&b.build(), &mut mem).unwrap();
-    /// assert_eq!(lac.acc(0, 0), 6.0);
-    /// assert_eq!(stats.mac_ops, 1);
-    /// ```
-    pub fn run_compiled(
+    /// errors are bit-identical between the two paths. [`Lac::run`] is
+    /// the public door; it picks this backend per [`LacConfig::backend`].
+    pub(crate) fn run_compiled(
         &mut self,
         prog: &Program,
         mem: &mut ExternalMem,
@@ -1635,7 +1627,7 @@ impl Lac {
 
         let mut run = cp.static_stats;
         run.rf_writes += rf_dyn;
-        self.stats_mut().merge(&run);
+        self.stats.merge(&run);
         run
     }
 }
@@ -1816,6 +1808,20 @@ mod tests {
         let (is, cs) = run_both(cfg, &prog, 0.0);
         assert_eq!(is, cs);
         assert_eq!(cs.sfu_ops, 1);
+    }
+
+    #[test]
+    fn compiled_run_replays_a_const_mac() {
+        let cfg = LacConfig::default();
+        let mut lac = Lac::new(cfg);
+        let mut b = ProgramBuilder::new(cfg.nr);
+        let t = b.push_step();
+        b.pe_mut(t, 0, 0).mac = Some((Source::Const(2.0), Source::Const(3.0)));
+        b.idle(cfg.fpu.pipeline_depth);
+        let mut mem = ExternalMem::new(1);
+        let stats = lac.run_compiled(&b.build(), &mut mem).unwrap();
+        assert_eq!(lac.acc(0, 0), 6.0);
+        assert_eq!(stats.mac_ops, 1);
     }
 
     #[test]

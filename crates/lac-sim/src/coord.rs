@@ -63,7 +63,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
 use crate::chip::{ChipJob, ChipStats, Scheduler};
-use crate::engine::LacEngine;
+use crate::core::Lac;
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultEvent;
 use crate::service::{critical_paths, plan_wave, plan_wave_tenanted_slo, JobGraph};
@@ -221,16 +221,16 @@ struct Done<T> {
     outcome: JobOutcome<T>,
 }
 
-/// Run one job on its core's engine, honoring the shared abort flag and
-/// measuring the session delta. Never unwinds: every dispatched job must
-/// produce a report, or the coordinator would wait forever.
-fn run_one<J: ChipJob>(eng: &mut LacEngine, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
+/// Run one job on its core, honoring the shared abort flag and measuring
+/// the session delta. Never unwinds: every dispatched job must produce a
+/// report, or the coordinator would wait forever.
+fn run_one<J: ChipJob>(lac: &mut Lac, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
     if abort.load(Ordering::Relaxed) {
         return JobOutcome::Skipped;
     }
-    let before = *eng.session_stats();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_on(eng))) {
-        Ok(Ok(out)) => JobOutcome::Completed(out, eng.session_stats().since(&before)),
+    let before = *lac.session_stats();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_on(lac))) {
+        Ok(Ok(out)) => JobOutcome::Completed(out, lac.session_stats().since(&before)),
         Ok(Err(e)) => {
             abort.store(true, Ordering::Relaxed);
             JobOutcome::Failed(e)
@@ -339,19 +339,19 @@ pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
     topo: &Topology,
     plan: Plan<'_>,
     dead: &mut [bool],
-    shards: Vec<&mut LacEngine>,
+    shards: Vec<&mut Lac>,
     job_of: &(dyn Fn(usize) -> &'j J + Sync),
 ) -> Result<CoordRun<J::Output>, SimError> {
     let abort = AtomicBool::new(false);
-    let shards: Vec<Mutex<&mut LacEngine>> = shards.into_iter().map(Mutex::new).collect();
+    let shards: Vec<Mutex<&mut Lac>> = shards.into_iter().map(Mutex::new).collect();
     let run_on = |core: usize, job: usize| {
         // `run_one` never unwinds, so no guard is dropped mid-panic and
         // the lock cannot be poisoned.
-        let mut eng = shards[core].lock().expect("shard lock poisoned");
+        let mut lac = shards[core].lock().expect("shard lock poisoned");
         Done {
             core,
             job,
-            outcome: run_one(&mut eng, job_of(job), &abort),
+            outcome: run_one(&mut lac, job_of(job), &abort),
         }
     };
     let run_on = &run_on;
@@ -1250,7 +1250,7 @@ mod tests {
 
     /// Coordinate against a pure in-memory backend: `dispatch` queues
     /// `(core, job)`, `collect` reports the job's cost hint as its
-    /// measured duration (and output). Tests the loop without engines or
+    /// measured duration (and output). Tests the loop without cores or
     /// threads.
     fn run(
         topo: &Topology,
@@ -1631,7 +1631,7 @@ mod tests {
     impl ChipJob for ThreadJob {
         type Output = ExecStats;
 
-        fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
+        fn run_on(&self, lac: &mut Lac) -> Result<ExecStats, SimError> {
             let thread = std::thread::current().id();
             self.ran.lock().unwrap().push((self.id, thread));
             if let Some(met) = &self.meet {
@@ -1643,9 +1643,9 @@ mod tests {
             }
             match self.end {
                 End::Ok => {
-                    let mut b = ProgramBuilder::new(eng.config().nr);
+                    let mut b = ProgramBuilder::new(lac.config().nr);
                     b.idle(4 + self.id);
-                    let out = eng.run_staged(&b.build(), &mut ExternalMem::new(0))?;
+                    let out = lac.run(&b.build(), &mut ExternalMem::new(0))?;
                     self.finished.fetch_add(1, Ordering::SeqCst);
                     Ok(out)
                 }

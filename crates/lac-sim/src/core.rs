@@ -149,7 +149,36 @@ enum Commit {
     Ext(usize, f64),
 }
 
-/// One simulated Linear Algebra Core.
+/// One simulated Linear Algebra Core: the machine, and — through its own
+/// counters — the session that meters every program run on it.
+///
+/// ```
+/// use lac_sim::{ExtOp, ExternalMem, Lac, LacConfig, ProgramBuilder, Source};
+///
+/// let cfg = LacConfig::default();
+/// let mut lac = Lac::new(cfg);
+///
+/// // A two-cycle microprogram: load a word onto PE (0,0)'s register,
+/// // then square it into the accumulator; idle out the FMAC pipeline.
+/// let mut b = ProgramBuilder::new(cfg.nr);
+/// let t = b.push_step();
+/// b.ext(t, ExtOp::Load { col: 0, addr: 0 });
+/// b.pe_mut(t, 0, 0).reg_write = Some((0, Source::ColBus));
+/// let t = b.push_step();
+/// b.pe_mut(t, 0, 0).mac = Some((Source::Reg(0), Source::Reg(0)));
+/// b.idle(cfg.fpu.pipeline_depth);
+/// let prog = b.build();
+///
+/// let mut mem = ExternalMem::from_vec(vec![3.0; prog.ext_words()]);
+/// let stats = lac.run(&prog, &mut mem).expect("hazard-free schedule");
+/// assert_eq!(stats.mac_ops, 1);
+///
+/// // Sessions meter: a second run accumulates into the same counters.
+/// lac.run(&prog, &mut mem).unwrap();
+/// assert_eq!(lac.session_stats().mac_ops, 2);
+/// assert_eq!(lac.session_stats().flops(), 4);
+/// assert_eq!(lac.acc(0, 0), 18.0);
+/// ```
 pub struct Lac {
     pub(crate) cfg: LacConfig,
     pub(crate) pes: Vec<PeState>,
@@ -157,7 +186,9 @@ pub struct Lac {
     /// backend's execution regions — grown on demand, prefix preserved).
     pub(crate) state: Vec<f64>,
     pub(crate) layout: ArenaLayout,
-    stats: ExecStats,
+    /// The session: every cycle simulated since [`Lac::new`] or the last
+    /// [`Lac::reset_session`].
+    pub(crate) stats: ExecStats,
     scratch: Scratch,
     /// The program store this core resolves programs through.
     pub(crate) cache: ProgramCache,
@@ -221,11 +252,19 @@ impl Lac {
         &self.cfg
     }
 
-    /// Stats accumulated so far (zeroed by
-    /// [`crate::LacEngine::reset_session`]; an engine's session is these
-    /// counters).
-    pub fn stats(&self) -> &ExecStats {
+    /// The core's counters: every cycle simulated since [`Lac::new`] (or
+    /// the last [`Lac::reset_session`]), whichever door ran the program,
+    /// failed runs' partial cycles included — sessions meter, they do not
+    /// roll back.
+    pub fn session_stats(&self) -> &ExecStats {
         &self.stats
+    }
+
+    /// Zero the counters. Architectural state (stores, registers,
+    /// accumulators) is kept: sessions meter, they do not reset the
+    /// machine.
+    pub fn reset_session(&mut self) {
+        self.stats = ExecStats::default();
     }
 
     fn pe_index(&self, r: usize, c: usize) -> usize {
@@ -262,12 +301,15 @@ impl Lac {
         self.pes[self.pe_index(r, c)].mac.acc_wide()
     }
 
-    /// Execute a whole program against `mem`, returning the run's stats.
+    /// Execute a whole program against `mem`, returning the run's stats
+    /// (the session counters advance by them).
     ///
-    /// Dispatches on [`LacConfig::backend`]: the interpreter walks the
-    /// program cycle by cycle; the compiled backend replays a memoized
-    /// decode-once lowering (falling back to the interpreter for programs
-    /// the lowering does not cover). The two are bit-identical.
+    /// Dispatches on [`LacConfig::backend`], the one backend selector:
+    /// the interpreter walks the program cycle by cycle; the compiled
+    /// backend replays a decode-once lowering memoized in the core's
+    /// [`ProgramCache`], falling back to the interpreter for programs the
+    /// lowering does not cover (see [`crate::FallbackReason`]). The two
+    /// are bit-identical.
     pub fn run(&mut self, prog: &Program, mem: &mut ExternalMem) -> Result<ExecStats, SimError> {
         match self.cfg.backend {
             ExecBackend::Interpreter => self.run_interpreted(prog, mem),
@@ -278,7 +320,7 @@ impl Lac {
     /// Execute a whole program on the reference interpreter, regardless of
     /// the configured backend (the semantics oracle and the fallback door
     /// of [`Lac::run_compiled`]).
-    pub fn run_interpreted(
+    pub(crate) fn run_interpreted(
         &mut self,
         prog: &Program,
         mem: &mut ExternalMem,
@@ -289,13 +331,6 @@ impl Lac {
             self.exec_step(t, step, mem)?;
         }
         Ok(self.stats.since(&start))
-    }
-
-    /// Crate-internal: the stats accumulator (the compiled backend merges
-    /// a run's static counters in one shot; the engine zeroes it on a
-    /// session reset).
-    pub(crate) fn stats_mut(&mut self) -> &mut ExecStats {
-        &mut self.stats
     }
 
     fn exec_step(
@@ -982,5 +1017,59 @@ mod tests {
             e.kind,
             HazardKind::BusUndriven { row_bus: true, .. }
         ));
+    }
+
+    /// Load word 0 onto PE (0,0)'s register, square it into the
+    /// accumulator, drain the FMAC pipeline.
+    fn square_program(cfg: &LacConfig) -> Program {
+        let mut b = ProgramBuilder::new(cfg.nr);
+        let t = b.push_step();
+        b.ext(t, ExtOp::Load { col: 0, addr: 0 });
+        b.pe_mut(t, 0, 0).reg_write = Some((0, Source::ColBus));
+        let t = b.push_step();
+        b.pe_mut(t, 0, 0).mac = Some((Source::Reg(0), Source::Reg(0)));
+        b.idle(cfg.fpu.pipeline_depth);
+        b.build()
+    }
+
+    #[test]
+    fn session_accumulates_across_runs() {
+        let cfg = LacConfig::default();
+        let mut lac = Lac::new(cfg);
+        let prog = square_program(&cfg);
+        let mut mem = ExternalMem::new(prog.ext_words());
+        let first = lac.run(&prog, &mut mem).unwrap();
+        let second = lac.run(&prog, &mut mem).unwrap();
+        assert_eq!(first.cycles, second.cycles);
+        let mut both = first;
+        both.merge(&second);
+        assert_eq!(*lac.session_stats(), both);
+        assert_eq!(lac.session_stats().mac_ops, 2);
+        assert_eq!(lac.session_stats().flops(), 4);
+    }
+
+    #[test]
+    fn staged_runs_are_metered_too() {
+        let cfg = LacConfig::default();
+        let mut lac = Lac::new(cfg);
+        let prog = square_program(&cfg);
+        let mut private = ExternalMem::new(8);
+        let stats = lac.run(&prog, &mut private).unwrap();
+        assert!(stats.cycles > 0);
+        assert_eq!(*lac.session_stats(), stats);
+    }
+
+    #[test]
+    fn reset_session_zeroes_meters_only() {
+        let cfg = LacConfig::default();
+        let mut lac = Lac::new(cfg);
+        let prog = square_program(&cfg);
+        let mut mem = ExternalMem::from_vec(vec![3.0; prog.ext_words()]);
+        lac.run(&prog, &mut mem).unwrap();
+        assert_eq!(lac.acc(0, 0), 9.0);
+        lac.reset_session();
+        assert_eq!(*lac.session_stats(), ExecStats::default());
+        // The machine is untouched: the accumulator keeps its value.
+        assert_eq!(lac.acc(0, 0), 9.0);
     }
 }

@@ -29,7 +29,6 @@ pub mod config;
 pub mod coord;
 pub mod core;
 pub mod dynamic;
-pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod isa;
@@ -47,7 +46,6 @@ pub use compile::{compile, CacheStats, CompiledProgram, FallbackReason, ProgramC
 pub use config::{ExecBackend, LacConfig};
 pub use coord::SimMode;
 pub use dynamic::{Continuation, Continue, DynamicGraph, DynamicOutcome};
-pub use engine::{LacEngine, LacEngineBuilder};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan};
 pub use isa::{
@@ -59,3 +57,7 @@ pub use service::{
 };
 pub use stats::ExecStats;
 pub use trace::{EventLog, TraceEvent};
+
+/// Former name of [`Lac`], kept only for `perfbench` (a crate outside
+/// the workspace that still names it); no workspace code uses it.
+pub type LacEngine = Lac;

@@ -655,7 +655,7 @@ pub struct ServiceRound<T> {
 
 /// A multi-core submission service: one chip whose shards stay warm
 /// across submissions (architectural state and session meters persist),
-/// so a solver loop submits round after round against the same engines.
+/// so a solver loop submits round after round against the same cores.
 /// It is the one-chip front of [`LacCluster`]: every door delegates to a
 /// `LacCluster` built with [`ClusterConfig::homogeneous`]`(1, cfg)`, whose
 /// runs borrow the calling thread plus a scoped worker for each other
@@ -845,7 +845,7 @@ mod tests {
     use super::*;
     use crate::chip::{ChipConfig, ProgramJob};
     use crate::config::LacConfig;
-    use crate::engine::LacEngine;
+    use crate::core::Lac;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
 
     /// The one-chip door on `cores` default cores.
@@ -1264,7 +1264,7 @@ mod tests {
     impl ChipJob for PanickyJob {
         type Output = ExecStats;
 
-        fn run_on(&self, _eng: &mut LacEngine) -> Result<ExecStats, crate::error::SimError> {
+        fn run_on(&self, _lac: &mut Lac) -> Result<ExecStats, crate::error::SimError> {
             panic!("operand shape rejected");
         }
     }
@@ -1292,9 +1292,9 @@ mod tests {
         struct MaybePanic(bool, ProgramJob);
         impl ChipJob for MaybePanic {
             type Output = ExecStats;
-            fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, crate::error::SimError> {
+            fn run_on(&self, lac: &mut Lac) -> Result<ExecStats, crate::error::SimError> {
                 assert!(!self.0, "bad operand");
-                self.1.run_on(eng)
+                self.1.run_on(lac)
             }
         }
         let mut svc: LacService<MaybePanic> =

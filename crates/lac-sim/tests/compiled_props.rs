@@ -58,7 +58,7 @@ fn assert_identical(base: LacConfig, prog: &Program, image: &[f64]) -> Result<Ex
         let mut lac = Lac::new(LacConfig { backend, ..base });
         let mut mem = ExternalMem::from_vec(image.to_vec());
         let res = lac.run(prog, &mut mem);
-        let lifetime = *lac.stats();
+        let lifetime = *lac.session_stats();
         outcomes.push((res, lifetime, snapshot(&mut lac, &mem)));
     }
     let (compiled, interp) = (outcomes.pop().unwrap(), outcomes.pop().unwrap());

@@ -80,7 +80,7 @@ proptest! {
         prop_assert_eq!(s1.mac_ops + s2.mac_ops, m1 + m2);
         prop_assert_eq!(s1.ext_reads + s2.ext_reads, e1 + e2);
         // lifetime counters equal the sum of the two run deltas
-        prop_assert_eq!(lac.stats().mac_ops, s1.mac_ops + s2.mac_ops);
-        prop_assert_eq!(lac.stats().cycles, s1.cycles + s2.cycles);
+        prop_assert_eq!(lac.session_stats().mac_ops, s1.mac_ops + s2.mac_ops);
+        prop_assert_eq!(lac.session_stats().cycles, s1.cycles + s2.cycles);
     }
 }

@@ -3,7 +3,7 @@
 //! least-squares and finite-element solvers).
 //!
 //! The blocked Cholesky workload runs the full Chol→TRSM→SYRK decomposition
-//! of Figure 6.1's algorithm-by-blocks through a `LacEngine` session; the
+//! of Figure 6.1's algorithm-by-blocks on one `Lac` core; the
 //! triangular solves then reuse the reference substrate (they are
 //! memory-bound level-2 work the host keeps, per the §1.2.2 programming
 //! model).
@@ -14,7 +14,7 @@
 
 use lap::lac_kernels::{BlockedCholWorkload, Details, Workload};
 use lap::lac_power::{EnergyModel, SessionEnergy};
-use lap::lac_sim::{LacConfig, LacEngine};
+use lap::lac_sim::{Lac, LacConfig};
 use lap::linalg_ref::{blas2, Matrix};
 
 fn main() {
@@ -33,10 +33,10 @@ fn main() {
     let mut f = vec![0.0; n];
     f[n / 2] = 1.0;
 
-    // Factor on the LAC through a session engine.
-    let mut eng = LacEngine::builder().config(LacConfig::default()).build();
+    // Factor on the LAC; the core meters the session.
+    let mut lac = Lac::new(LacConfig::default());
     let workload = BlockedCholWorkload::new(a.clone());
-    let report = workload.run(&mut eng).expect("SPD factorization");
+    let report = workload.run(&mut lac).expect("SPD factorization");
     workload
         .check(&report)
         .expect("factor agrees with linalg-ref");
@@ -69,7 +69,7 @@ fn main() {
     assert!(err < 1e-10, "residual {err}");
 
     let stats = &report.stats;
-    let energy = eng.energy_summary(&EnergyModel::lac_default());
+    let energy = lac.energy_summary(&EnergyModel::lac_default());
     println!("Cholesky solve of a {n}-node stiffness system on the LAC");
     println!("  factorization cycles : {}", stats.cycles);
     println!(

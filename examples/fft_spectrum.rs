@@ -1,5 +1,5 @@
 //! Spectral analysis on the hybrid LA/FFT core (Chapter 6.2): run the
-//! 64-point radix-4 FFT workload through a `LacEngine` session to pick the
+//! 64-point radix-4 FFT workload on one `Lac` core to pick the
 //! tones out of a noisy signal — the signal-processing workload the hybrid
 //! PE design exists for.
 //!
@@ -8,7 +8,7 @@
 //! ```
 
 use lap::lac_kernels::{Details, Fft64Workload, Workload};
-use lap::lac_sim::{LacConfig, LacEngine};
+use lap::lac_sim::{Lac, LacConfig};
 use lap::linalg_ref::Complex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,8 +37,8 @@ fn main() {
         sram_b_words: 8,
         ..Default::default()
     });
-    let mut eng = LacEngine::builder().config(cfg).build();
-    let report = workload.run(&mut eng).expect("FFT schedule");
+    let mut lac = Lac::new(cfg);
+    let report = workload.run(&mut lac).expect("FFT schedule");
     workload
         .check(&report)
         .expect("matches the reference radix-4 FFT");

@@ -6,8 +6,8 @@
 //! right-hand-side panels out across the cores (blocked TRSM), squares
 //! the solutions (SYRK), and folds the updates into the next round's
 //! matrix: a diamond-per-round DAG whose serial spine is the factorization
-//! and whose width is the panel fan-out. The `LacService` keeps one engine
-//! per core warm across submissions; every output is verified
+//! and whose width is the panel fan-out. The `LacService` keeps each of
+//! its cores warm across submissions; every output is verified
 //! against an independent `linalg-ref` chain.
 //!
 //! ```sh
@@ -27,7 +27,7 @@ fn main() {
         salt: 7,
     });
 
-    // A long-lived 4-core service: its engine shards stay warm across
+    // A long-lived 4-core service: its cores stay warm across
     // submissions.
     let mut service = LacService::new(ChipConfig::new(4, LacConfig::default()));
 

@@ -7,7 +7,7 @@
 //! - [`linalg_ref`] — reference BLAS / factorizations / FFT substrate.
 //! - [`lac_fpu`] — floating-point unit models (FMAC, reciprocal, rsqrt…).
 //! - [`lac_sim`] — cycle-accurate Linear Algebra Core simulator, from one
-//!   engine session through the multi-core chip and multi-tenant service
+//!   core (its counters the session) through the multi-core chip and multi-tenant service
 //!   to the multi-chip sharded cluster.
 //! - [`lac_kernels`] — algorithm→architecture microprogram generators.
 //! - [`lac_model`] — analytical performance / memory-hierarchy models.
@@ -17,7 +17,7 @@
 //!   dynamic replay door for convergence-driven requests.
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the experiment map,
-//! and `docs/ARCHITECTURE.md` for the layer diagram (engine → chip →
+//! and `docs/ARCHITECTURE.md` for the layer diagram (core → chip →
 //! service → cluster → traffic) and the paper-concept glossary.
 
 pub use lac_fpu;

@@ -9,7 +9,7 @@
 
 use lap::lac_kernels::{IppmmParams, IppmmWorkload};
 use lap::lac_sim::{
-    ChipJob, EventLog, ExecStats, JobGraph, LacConfig, LacEngine, ProgramJob, Scheduler, SimError,
+    ChipJob, EventLog, ExecStats, JobGraph, Lac, LacConfig, ProgramJob, Scheduler, SimError,
     TraceEvent,
 };
 use lap::lac_sim::{ExtOp, ExternalMem, ProgramBuilder, Source};
@@ -76,8 +76,8 @@ impl ChipJob for LogJob {
         self.inner.cost_hint()
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
-        let out = self.inner.run_on(eng)?;
+    fn run_on(&self, lac: &mut Lac) -> Result<ExecStats, SimError> {
+        let out = self.inner.run_on(lac)?;
         self.log.lock().unwrap().push(self.id);
         Ok(out)
     }
@@ -150,7 +150,7 @@ impl ChipJob for SizedJob {
         self.words
     }
 
-    fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, SimError> {
+    fn run_on(&self, lac: &mut Lac) -> Result<ExecStats, SimError> {
         let cfg = LacConfig::default();
         let mut b = ProgramBuilder::new(cfg.nr);
         let t = b.push_step();
@@ -160,7 +160,7 @@ impl ChipJob for SizedJob {
         b.pe_mut(t, 0, 0).mac = Some((Source::Reg(0), Source::Reg(0)));
         b.idle(cfg.fpu.pipeline_depth + self.extra);
         let prog = b.build();
-        eng.run_staged(&prog, &mut ExternalMem::new(prog.ext_words()))
+        lac.run(&prog, &mut ExternalMem::new(prog.ext_words()))
     }
 }
 

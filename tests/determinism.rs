@@ -1,6 +1,6 @@
 //! Determinism guarantees: the simulator is a pure function of
 //! (configuration, program, operands). Running the same workload twice on
-//! fresh engines — or through a multi-core chip's `LacService` graph
+//! fresh cores — or through a multi-core chip's `LacService` graph
 //! under any scheduler policy — must reproduce bit-identical functional
 //! outputs and identical cycle counts. Placement and host-thread
 //! interleaving must never leak into results.
@@ -9,7 +9,7 @@ use lap::lac_kernels::{
     registry, registry_chip_config, registry_sized, KernelReport, ProblemSize, SolverLoopWorkload,
     Workload,
 };
-use lap::lac_sim::{ChipConfig, JobGraph, LacConfig, LacEngine, LacService, Scheduler};
+use lap::lac_sim::{ChipConfig, JobGraph, Lac, LacConfig, LacService, Scheduler};
 
 const POLICIES: [Scheduler; 3] = [
     Scheduler::Fifo,
@@ -18,10 +18,8 @@ const POLICIES: [Scheduler; 3] = [
 ];
 
 fn run_fresh(w: &dyn Workload) -> KernelReport {
-    let mut eng = LacEngine::builder()
-        .config(w.config(LacConfig::default()))
-        .build();
-    w.run(&mut eng)
+    let mut lac = Lac::new(w.config(LacConfig::default()));
+    w.run(&mut lac)
         .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()))
 }
 
@@ -92,15 +90,15 @@ fn scheduler_policy_changes_placement_but_not_results() {
 
 #[test]
 fn engine_and_chip_shard_agree_per_workload() {
-    // A 1-core chip is just an engine with a graph in front: identical
+    // A 1-core chip is just a core with a graph in front: identical
     // reports for the whole registry run back-to-back.
     let shared = registry_chip_config(LacConfig::default());
     let jobs = registry();
-    let mut eng = LacEngine::builder().config(shared).build();
+    let mut lac = Lac::new(shared);
     let direct: Vec<KernelReport> = jobs
         .iter()
         .map(|w| {
-            w.run(&mut eng)
+            w.run(&mut lac)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()))
         })
         .collect();
@@ -111,8 +109,8 @@ fn engine_and_chip_shard_agree_per_workload() {
     assert_eq!(direct, chip_run.outputs);
     assert_eq!(
         chip_run.stats.makespan_cycles,
-        eng.cycles(),
-        "1-core chip session equals the plain engine session"
+        lac.session_stats().cycles,
+        "1-core chip session equals the plain core session"
     );
 }
 

@@ -1,5 +1,5 @@
 //! End-to-end integration tests spanning the whole stack: reference
-//! substrate → workload generators → `LacEngine` sessions on the
+//! substrate → workload generators → `Lac` sessions on the
 //! cycle-accurate simulator → energy model.
 
 use lap::lac_kernels::{
@@ -7,7 +7,7 @@ use lap::lac_kernels::{
     LuPanelWorkload, Workload,
 };
 use lap::lac_power::{ChipEnergyModel, EnergyModel, SessionEnergy};
-use lap::lac_sim::{ChipConfig, LacConfig, LacEngine, LacService, Scheduler};
+use lap::lac_sim::{ChipConfig, Lac, LacConfig, LacService, Scheduler};
 use lap::linalg_ref::{
     cholesky, fft_radix4, gemm, lu_partial_pivot, max_abs_diff, trsm, Complex, Matrix, Side,
     Triangle,
@@ -15,8 +15,8 @@ use lap::linalg_ref::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn engine() -> LacEngine {
-    LacEngine::builder().config(LacConfig::default()).build()
+fn fresh_core() -> Lac {
+    Lac::new(LacConfig::default())
 }
 
 #[test]
@@ -25,9 +25,9 @@ fn linear_system_via_lu_on_the_accelerator() {
     // factorization bit-for-bit in pivots and to 1e-9 in values.
     let mut rng = StdRng::seed_from_u64(1);
     let a = Matrix::random(32, 4, &mut rng);
-    let mut eng = engine();
+    let mut lac = fresh_core();
     let w = LuPanelWorkload::new(a.clone(), LuOptions::default());
-    let report = w.run(&mut eng).unwrap();
+    let report = w.run(&mut lac).unwrap();
     let Details::Lu(lu) = &report.details else {
         panic!("lu reports factors")
     };
@@ -41,36 +41,38 @@ fn linear_system_via_lu_on_the_accelerator() {
 #[test]
 fn gemm_chain_matches_reference_composition() {
     // (A·B)·C on the accelerator equals the reference composition — run
-    // back-to-back on ONE engine session, which meters both.
+    // back-to-back on ONE core, whose session meters both.
     let mut rng = StdRng::seed_from_u64(2);
     let a = Matrix::random(16, 16, &mut rng);
     let b = Matrix::random(16, 16, &mut rng);
     let c = Matrix::random(16, 16, &mut rng);
 
-    let mut eng = engine();
+    let mut lac = fresh_core();
     let mut run = |x: &Matrix, y: &Matrix| {
         let w = GemmWorkload::new(x.clone(), y.clone(), Matrix::zeros(16, 16));
-        let report = w.run(&mut eng).unwrap();
+        let report = w.run(&mut lac).unwrap();
         let Details::Gemm { c } = report.details else {
             panic!("gemm reports C")
         };
-        c
+        (c, report.stats)
     };
-    let ab = run(&a, &b);
-    let abc = run(&ab, &c);
+    let (ab, first) = run(&a, &b);
+    let (abc, second) = run(&ab, &c);
+    let mut both = first;
+    both.merge(&second);
     assert_eq!(
-        eng.workloads_run(),
-        2,
+        *lac.session_stats(),
+        both,
         "one session metered both chained GEMMs"
     );
     // Session accumulation across back-to-back workloads: both runs were
     // identical in shape, so every session counter is exactly double one
     // run's (cycles, MACs, and external traffic alike).
-    let s = eng.session_stats();
+    let s = lac.session_stats();
     assert_eq!(s.cycles % 2, 0);
     assert_eq!(s.mac_ops, 2 * (16 * 16 * 16));
     assert_eq!(s.ext_reads % 2, 0);
-    assert_eq!(eng.flops(), 2 * s.mac_ops + s.sfu_ops);
+    assert_eq!(lac.session_stats().flops(), 2 * s.mac_ops + s.sfu_ops);
 
     let mut expect_ab = Matrix::zeros(16, 16);
     gemm(&a, &b, &mut expect_ab);
@@ -87,16 +89,16 @@ fn cholesky_then_trsm_solves_spd_system() {
     let a = Matrix::random_spd(16, &mut rng);
     let b = Matrix::random(16, 8, &mut rng);
 
-    let mut eng = engine();
+    let mut lac = fresh_core();
     let chol_w = BlockedCholWorkload::new(a.clone());
-    let chol_rep = chol_w.run(&mut eng).unwrap();
+    let chol_rep = chol_w.run(&mut lac).unwrap();
     let Details::Cholesky { l } = &chol_rep.details else {
         panic!("chol reports L")
     };
     assert!(max_abs_diff(l, &cholesky(&a).unwrap()) < 1e-8);
 
     let trsm_w = BlockedTrsmWorkload::new(l.clone(), b.clone());
-    let trsm_rep = trsm_w.run(&mut eng).unwrap();
+    let trsm_rep = trsm_w.run(&mut lac).unwrap();
     let Details::Trsm { x } = &trsm_rep.details else {
         panic!("trsm reports X")
     };
@@ -105,15 +107,17 @@ fn cholesky_then_trsm_solves_spd_system() {
     assert!(max_abs_diff(x, &expect) < 1e-8);
 
     // Session accounting covers both factor and solve, counter for counter.
-    assert_eq!(eng.cycles(), chol_rep.stats.cycles + trsm_rep.stats.cycles);
+    assert_eq!(
+        lac.session_stats().cycles,
+        chol_rep.stats.cycles + trsm_rep.stats.cycles
+    );
     let mut expect_session = chol_rep.stats;
     expect_session.merge(&trsm_rep.stats);
     assert_eq!(
-        *eng.session_stats(),
+        *lac.session_stats(),
         expect_session,
         "session is exactly the sum of its workloads"
     );
-    assert_eq!(eng.workloads_run(), 2);
 }
 
 #[test]
@@ -123,14 +127,12 @@ fn fft_parseval_on_the_core() {
         .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
         .collect();
     let w = Fft64Workload::new(x.clone());
-    let mut eng = LacEngine::builder()
-        .config(w.config(LacConfig {
-            sram_a_words: 64,
-            sram_b_words: 64,
-            ..Default::default()
-        }))
-        .build();
-    let report = w.run(&mut eng).unwrap();
+    let mut lac = Lac::new(w.config(LacConfig {
+        sram_a_words: 64,
+        sram_b_words: 64,
+        ..Default::default()
+    }));
+    let report = w.run(&mut lac).unwrap();
     let Details::Fft { spectrum } = &report.details else {
         panic!("fft reports spectrum")
     };
@@ -154,11 +156,11 @@ fn energy_model_scales_with_work() {
         let mut rng = StdRng::seed_from_u64(4);
         let a = Matrix::random(16, 16, &mut rng);
         let b = Matrix::random(16, n, &mut rng);
-        let mut eng = engine();
+        let mut lac = fresh_core();
         GemmWorkload::new(a, b, Matrix::zeros(16, n))
-            .run(&mut eng)
+            .run(&mut lac)
             .unwrap();
-        eng.energy_summary(&EnergyModel::lac_default()).energy_nj
+        lac.energy_summary(&EnergyModel::lac_default()).energy_nj
     };
     let e1 = energy_of(32);
     let e2 = energy_of(64);
@@ -236,9 +238,9 @@ fn bandwidth_cap_respected_by_all_kernels() {
     let mut rng = StdRng::seed_from_u64(5);
     let a = Matrix::random(16, 32, &mut rng);
     let b = Matrix::random(32, 16, &mut rng);
-    let mut eng = LacEngine::builder().config(cfg).build();
+    let mut lac = Lac::new(cfg);
     GemmWorkload::new(a, b, Matrix::zeros(16, 16))
-        .run(&mut eng)
+        .run(&mut lac)
         .unwrap();
-    assert!(eng.ext_words_per_cycle() <= 4.0);
+    assert!(lac.session_stats().ext_words_per_cycle() <= 4.0);
 }

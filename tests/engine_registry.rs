@@ -1,5 +1,6 @@
-//! Engine-level integration test: every workload in the registry runs on
-//! the default 4×4 configuration through a `LacEngine` session, and its
+//! Core-level integration test: every workload in the registry runs on
+//! one `Lac` core in the default 4×4 configuration (its counters are the
+//! session), and its
 //! functional output is cross-checked against `linalg-ref` by the
 //! workload's own `check`. No kernel is named — new registry entries are
 //! covered automatically. The session is the core's counters: one meter,
@@ -12,7 +13,7 @@ use lap::lac_kernels::{
 use lap::lac_power::{EnergyModel, SessionEnergy};
 use lap::lac_sim::error::HazardKind;
 use lap::lac_sim::{
-    ChipJob, ExecBackend, ExecStats, ExtOp, ExternalMem, JobGraph, LacConfig, LacEngine, Program,
+    ChipJob, ExecBackend, ExecStats, ExtOp, ExternalMem, JobGraph, Lac, LacConfig, Program,
     ProgramBuilder, Source,
 };
 use proptest::prelude::*;
@@ -23,9 +24,9 @@ fn every_registry_workload_runs_and_verifies_on_default_config() {
     assert!(workloads.len() >= 12, "registry covers every kernel");
     for w in &workloads {
         let cfg = w.config(LacConfig::default());
-        let mut eng = LacEngine::builder().config(cfg).build();
+        let mut lac = Lac::new(cfg);
         let report = w
-            .run(&mut eng)
+            .run(&mut lac)
             .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()));
         w.check(&report)
             .unwrap_or_else(|e| panic!("verification failed: {e}"));
@@ -39,11 +40,11 @@ fn every_registry_workload_runs_and_verifies_on_default_config() {
             w.name(),
             report.utilization
         );
-        assert_eq!(eng.workloads_run(), 1, "{}: workload not metered", w.name());
+        // The session grew by exactly this run's stats.
         assert_eq!(
-            eng.cycles(),
-            report.stats.cycles,
-            "{}: session stats disagree with report",
+            *lac.session_stats(),
+            report.stats,
+            "{}: workload not metered",
             w.name()
         );
     }
@@ -51,24 +52,21 @@ fn every_registry_workload_runs_and_verifies_on_default_config() {
 
 #[test]
 fn one_session_runs_the_whole_registry_back_to_back() {
-    // The engine survives arbitrary workload sequences with state reuse;
-    // the session accumulator equals the sum of the per-run reports, and
-    // the accumulated stats price out to a positive energy.
-    let mut eng = LacEngine::builder().config(shared_config()).build();
-    let mut total_cycles = 0u64;
-    let mut ran = 0u64;
+    // The core survives arbitrary workload sequences with state reuse;
+    // its session equals the sum of the per-run reports, and the
+    // accumulated stats price out to a positive energy.
+    let mut lac = Lac::new(shared_config());
+    let mut total = ExecStats::default();
     for w in registry() {
         let report = w
-            .run(&mut eng)
+            .run(&mut lac)
             .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()));
         w.check(&report)
             .unwrap_or_else(|e| panic!("verification failed: {e}"));
-        total_cycles += report.stats.cycles;
-        ran += 1;
+        total.merge(&report.stats);
     }
-    assert_eq!(eng.workloads_run(), ran);
-    assert_eq!(eng.cycles(), total_cycles);
-    let energy = eng.energy_summary(&EnergyModel::lac_default());
+    assert_eq!(*lac.session_stats(), total);
+    let energy = lac.energy_summary(&EnergyModel::lac_default());
     assert!(energy.energy_nj > 0.0 && energy.avg_power_mw > 0.0);
 }
 
@@ -104,8 +102,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // After any sequence of registry workloads, solver-graph jobs,
-    // hazarding programs and resets, the session is the core's counters
-    // and equals the sum of what every run since the last reset reported
+    // hazarding programs and resets, the session (the core's counters)
+    // equals the sum of what every run since the last reset reported
     // — a failed program's partial cycles included.
     #[test]
     fn the_session_is_the_cores_counters(
@@ -116,39 +114,38 @@ proptest! {
         let cfg = LacConfig { backend, ..shared_config() };
         let workloads = registry();
         let (nr, depth) = (cfg.nr, cfg.fpu.pipeline_depth);
-        let partial = LacEngine::new(cfg)
-            .run_staged(&mac_program(nr, depth, false), &mut ExternalMem::new(8))
+        let partial = Lac::new(cfg)
+            .run(&mac_program(nr, depth, false), &mut ExternalMem::new(8))
             .unwrap();
-        let mut eng = LacEngine::new(cfg);
+        let mut lac = Lac::new(cfg);
         let mut expected = ExecStats::default();
         for (op, pick) in ops {
             match op {
                 0 => {
                     let w = &workloads[pick as usize % workloads.len()];
-                    expected.merge(&w.run(&mut eng).unwrap().stats);
+                    expected.merge(&w.run(&mut lac).unwrap().stats);
                 }
                 1 => {
                     // Submission order is a topological order.
                     let mut solver = JobGraph::new();
                     for id in solver.append(SolverLoopWorkload::demo().graph().graph) {
-                        expected.merge(&solver.job(id).run_on(&mut eng).unwrap().stats);
+                        expected.merge(&solver.job(id).run_on(&mut lac).unwrap().stats);
                     }
                 }
                 2 => {
-                    let err = eng
-                        .run_staged(&mac_program(nr, depth, true), &mut ExternalMem::new(8))
+                    let err = lac
+                        .run(&mac_program(nr, depth, true), &mut ExternalMem::new(8))
                         .unwrap_err();
                     prop_assert!(matches!(err.kind, HazardKind::ExtOutOfRange { .. }));
                     prop_assert_eq!(err.cycle as u64, partial.cycles);
                     expected.merge(&partial);
                 }
                 _ => {
-                    eng.reset_session();
+                    lac.reset_session();
                     expected = ExecStats::default();
                 }
             }
-            prop_assert_eq!(eng.session_stats(), eng.core().stats());
-            prop_assert_eq!(eng.session_stats(), &expected);
+            prop_assert_eq!(lac.session_stats(), &expected);
         }
     }
 }
@@ -257,15 +254,15 @@ fn registry_reports_are_pinned() {
     let digests: Vec<(&str, u64)> = suites
         .into_iter()
         .map(|(name, workloads)| {
-            let mut eng = LacEngine::new(cfg);
+            let mut lac = Lac::new(cfg);
             let mut h = Fnv(0xcbf2_9ce4_8422_2325);
             for w in &workloads {
                 let report = w
-                    .run(&mut eng)
+                    .run(&mut lac)
                     .unwrap_or_else(|e| panic!("{name} {}: {e:?}", w.name()));
                 h.report(&report);
             }
-            h.stats(eng.session_stats());
+            h.stats(lac.session_stats());
             (name, h.0)
         })
         .collect();

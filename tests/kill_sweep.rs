@@ -10,7 +10,7 @@
 //! * **Reuse** — a used solver graph, or a second `dynamic()` of the
 //!   same request, reruns to the same bits.
 //! * **Purity** — run serially in id order, every job of every segment
-//!   gives the same output and the same `ExecStats` on a fresh engine
+//!   gives the same output and the same `ExecStats` on a fresh core
 //!   and on a warm one, run back to back (so each job also reruns).
 
 mod common;
@@ -19,8 +19,8 @@ use common::qp;
 use lap::lac_kernels::{IpddpFleet, IpddpParams, KernelReport, SolverFleet, SolverLoopParams};
 use lap::lac_sim::{
     ChipConfig, ChipJob, ClusterConfig, Continue, DynamicGraph, DynamicOutcome, EventLog,
-    ExecStats, FaultPlan, JobGraph, LacCluster, LacConfig, LacEngine, Scheduler, SimMode,
-    TenantConfig, TraceEvent,
+    ExecStats, FaultPlan, JobGraph, Lac, LacCluster, LacConfig, Scheduler, SimMode, TenantConfig,
+    TraceEvent,
 };
 use lap::lac_traffic::{run_open_loop_dynamic, ArrivalTrace, OpenLoopConfig};
 
@@ -199,22 +199,22 @@ fn used_graphs_and_second_requests_rerun_to_the_same_bits() {
     }
 }
 
-fn engine() -> LacEngine {
-    LacEngine::builder().config(LacConfig::default()).build()
+fn fresh_core() -> Lac {
+    Lac::new(LacConfig::default())
 }
 
-/// Run `job` on `eng`; its output and the core's metered delta.
-fn metered<J: ChipJob>(job: &J, eng: &mut LacEngine) -> (J::Output, ExecStats) {
-    let before = *eng.session_stats();
-    let out = job.run_on(eng).expect("hazard-free job");
-    (out, eng.session_stats().since(&before))
+/// Run `job` on `lac`; its output and the core's metered delta.
+fn metered<J: ChipJob>(job: &J, lac: &mut Lac) -> (J::Output, ExecStats) {
+    let before = *lac.session_stats();
+    let out = job.run_on(lac).expect("hazard-free job");
+    (out, lac.session_stats().since(&before))
 }
 
 /// Walk a dynamic request serially, segment by segment, running every job
-/// in id order once on a fresh engine and once on `warm`; returns the
+/// in id order once on a fresh core and once on `warm`; returns the
 /// segment count.
 fn assert_pure<J: ChipJob<Output = KernelReport>>(name: &str, request: DynamicGraph<J>) -> usize {
-    let mut warm = engine();
+    let mut warm = fresh_core();
     let (mut segment, mut cont) = request.into_parts();
     for seg in 0.. {
         let mut graph = JobGraph::new();
@@ -222,7 +222,7 @@ fn assert_pure<J: ChipJob<Output = KernelReport>>(name: &str, request: DynamicGr
         let mut outputs = Vec::with_capacity(ids.len());
         for id in ids {
             let job = graph.job(id);
-            let fresh = metered(job, &mut engine());
+            let fresh = metered(job, &mut fresh_core());
             let again = metered(job, &mut warm);
             assert!(
                 fresh == again,

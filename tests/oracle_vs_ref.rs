@@ -5,7 +5,7 @@
 //! here — so a tolerance bug in `check` itself cannot hide a wrong result.
 
 use lap::lac_kernels::{registry, registry_sized, Details, ProblemSize, Workload};
-use lap::lac_sim::{LacConfig, LacEngine};
+use lap::lac_sim::{Lac, LacConfig};
 use lap::linalg_ref::{gemm, max_abs_diff, trmm, Matrix, Side, Triangle};
 
 /// Per-kernel residual tolerances for the independent checks below. The
@@ -29,11 +29,9 @@ fn residual_tol(kernel: &str, size: ProblemSize) -> f64 {
 }
 
 fn run_one(w: &dyn Workload) -> lap::lac_kernels::KernelReport {
-    let mut eng = LacEngine::builder()
-        .config(w.config(LacConfig::default()))
-        .build();
+    let mut lac = Lac::new(w.config(LacConfig::default()));
     let report = w
-        .run(&mut eng)
+        .run(&mut lac)
         .unwrap_or_else(|e| panic!("{}: simulation error {e:?}", w.name()));
     w.check(&report)
         .unwrap_or_else(|e| panic!("oracle mismatch: {e}"));

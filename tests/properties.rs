@@ -4,7 +4,7 @@
 
 use lap::lac_fpu::{magnitude_max_index, recip_newton_raphson, ExtendedAccumulator};
 use lap::lac_kernels::{Details, GemmWorkload, Workload};
-use lap::lac_sim::LacEngine;
+use lap::lac_sim::{Lac, LacConfig};
 use lap::linalg_ref::{
     blas1, gemm, gemm_blocked, gemm_naive, max_abs_diff, trmm, trsm, BlockSizes, Matrix, Side,
     Transpose, Triangle,
@@ -109,8 +109,8 @@ proptest! {
         let a = Matrix::random(m, k, &mut rng);
         let b = Matrix::random(k, n, &mut rng);
         let c0 = Matrix::random(m, n, &mut rng);
-        let mut eng = LacEngine::builder().build();
-        let report = GemmWorkload::new(a.clone(), b.clone(), c0.clone()).run(&mut eng).unwrap();
+        let mut lac = Lac::new(LacConfig::default());
+        let report = GemmWorkload::new(a.clone(), b.clone(), c0.clone()).run(&mut lac).unwrap();
         let Details::Gemm { c } = report.details else { panic!("gemm reports C") };
         let mut expect = c0;
         gemm(&a, &b, &mut expect);

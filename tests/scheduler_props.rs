@@ -176,7 +176,7 @@ proptest! {
         // …while the shard sessions keep the running total of both runs.
         let chip = cluster.chip(0);
         let session_total: u64 = (0..chip.num_cores())
-            .map(|i| chip.shard(i).cycles())
+            .map(|i| chip.shard(i).session_stats().cycles)
             .sum();
         prop_assert_eq!(session_total, 2 * first.stats.aggregate.cycles);
     }
