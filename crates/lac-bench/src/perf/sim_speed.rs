@@ -25,10 +25,12 @@
 //! * `memo_heap_bytes`: one cold fleet shaped like perfbench's
 //!   `fleet_batch` (loops of n = 44, 48 and 52, 4 rounds, 4 panels of
 //!   width 8, on 2 chips × 1 core) fills its cluster's program store,
-//!   whose kernel-program totals ([`lac_sim::CacheStats::programs`] and
-//!   [`lac_sim::CacheStats::program_heap_bytes`]) are archived as
-//!   `memo_shapes` and `memo_heap_bytes`. Program content is a pure
-//!   function of the shapes, so the bytes are exact across hosts, and
+//!   whose lowered shapes ([`lac_sim::CacheStats::entries`]) and whole
+//!   footprint, programs plus tapes
+//!   ([`lac_sim::CacheStats::program_heap_bytes`] plus
+//!   [`lac_sim::CacheStats::tape_heap_bytes`]), are archived as
+//!   `memo_shapes` and `memo_heap_bytes`. Both are pure functions of the
+//!   shapes, so the bytes are exact across hosts, and
 //!   `perf_compare` gates them as worse-if-higher. The fleet's cold run
 //!   minus an immediate warm rerun is archived, ungated, as
 //!   `cold_extra_ms`: the host cost of building and compiling its
@@ -233,23 +235,24 @@ pub fn run() -> Json {
         "-".to_string(),
     ]);
 
-    // The kernel programs one cold fleet leaves in its cluster's store.
+    // What one cold fleet leaves in its cluster's store.
     let mut cluster = super::cluster(2, 1);
     let cold_s = run_fleet(&mut cluster);
     let memo = cluster.program_cache().stats();
+    let memo_bytes = memo.program_heap_bytes + memo.tape_heap_bytes;
     let cold_extra_ms = (cold_s - run_fleet(&mut cluster)) * 1e3;
     points.push(Json::obj([
         ("bench", Json::from("sim_speed")),
         ("backend", Json::from("memo")),
-        ("memo_shapes", Json::from(memo.programs)),
-        ("memo_heap_bytes", Json::from(memo.program_heap_bytes)),
+        ("memo_shapes", Json::from(memo.entries)),
+        ("memo_heap_bytes", Json::from(memo_bytes)),
         ("cold_extra_ms", Json::from(cold_extra_ms)),
     ]));
     rows.push(vec![
         "2x1".to_string(),
         "memo".to_string(),
-        format!("{} shapes", memo.programs),
-        format!("{} B", memo.program_heap_bytes),
+        format!("{} shapes", memo.entries),
+        format!("{memo_bytes} B"),
         "-".to_string(),
         "-".to_string(),
         format!("cold +{cold_extra_ms:.1} ms"),

@@ -21,8 +21,8 @@
 //! Program generators are pure functions of the job *shape*, so the
 //! shape-pure kernels (GEMM, SYRK, stacked TRSM, the Cholesky tile) run
 //! through [`lac_sim::Lac::run_kernel`]: each distinct shape's program is
-//! built once per program store, the [`lac_sim::ProgramCache`] a cluster
-//! shares across its cores — see `docs/PERFORMANCE.md`.
+//! built and lowered once per program store, the [`lac_sim::ProgramCache`]
+//! a cluster shares across its cores — see `docs/PERFORMANCE.md`.
 //!
 //! All kernels are functionally verified against `linalg-ref` in their tests,
 //! and their measured cycle counts are compared against the dissertation's
@@ -83,8 +83,47 @@ mod tests {
         SyrkDataLayout, SyrkParams,
     };
     use lac_sim::{
-        CacheStats, ChipConfig, ClusterConfig, LacCluster, LacConfig, Program, Scheduler,
+        compile, CacheStats, ChipConfig, ClusterConfig, LacCluster, LacConfig, Program, Scheduler,
     };
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// The system allocator, counting each thread's live heap bytes so a
+    /// test can read what one call leaves allocated (test threads run
+    /// side by side, so the count is per thread).
+    struct Counting;
+
+    thread_local! {
+        static LIVE: Cell<isize> = const { Cell::new(0) };
+    }
+
+    fn count(bytes: isize) {
+        let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // so the caller's guarantees are the ones `System` needs and its
+    // results are returned as they are; the count touches only a
+    // thread-local `Cell`, which never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count(layout.size() as isize);
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            count(-(layout.size() as isize));
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count(new_size as isize - layout.size() as isize);
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: Counting = Counting;
 
     /// The solver's SYRK panel update at n = 52, kc = 8 (default `nr = 4`,
     /// `p = 5`): the largest shape the solver workloads build.
@@ -137,13 +176,25 @@ mod tests {
         let mut b: LacCluster<SolverJob> = LacCluster::new(cfg);
         a.run_graph(&w.graph().graph, Scheduler::Fifo).unwrap();
         let first = a.program_cache().stats();
-        assert!(first.programs > 0 && first.entries > 0);
+        assert!(first.tape_heap_bytes > 0 && first.entries > 0);
         assert_eq!(b.program_cache().stats(), CacheStats::default());
         // The second cluster builds and compiles every shape again; the
         // first cluster's store does not move.
         b.run_graph(&w.graph().graph, Scheduler::Fifo).unwrap();
         assert_eq!(a.program_cache().stats(), first);
         assert_eq!(b.program_cache().stats(), first);
+    }
+
+    #[test]
+    fn compiled_tapes_carry_no_slack() {
+        // Every table of the tape is exact-fit: what compiling leaves
+        // allocated is the tape's `len × size_of` bytes, no more.
+        let prog = syrk_panel_52();
+        let before = LIVE.with(Cell::get);
+        let cp = compile(&LacConfig::default(), &prog).unwrap();
+        let held = LIVE.with(Cell::get) - before;
+        assert!(cp.heap_bytes() > 100_000, "{} bytes", cp.heap_bytes());
+        assert_eq!(held, cp.heap_bytes() as isize);
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! Compilation is memoized in a [`ProgramCache`] under one of two keys,
 //! both ending in the config fingerprint (`fp` above): a kernel program
 //! run through [`Lac::run_kernel`] is keyed by `(kernel, shape,
-//! fingerprint)`, and the store builds it once, next to its lowering; a
-//! free-standing program run through [`Lac::run`] is keyed by
+//! fingerprint)`, and the store builds and lowers it once and keeps only
+//! the tape; a free-standing program run through [`Lac::run`] is keyed by
 //! ([`Program::structural_hash`], fingerprint). `LacCluster` (and so
 //! `LacService`, its one-chip front) shares one cache across all its
 //! chips' same-config shards, so each distinct kernel shape is built and
@@ -310,11 +310,19 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compile.
     pub misses: u64,
-    /// Kernel programs the store holds, one per `(kernel, shape, config)`
-    /// (see [`Lac::run_kernel`]), whichever backend ran them.
+    /// Kernel programs the store holds. A compiled kernel shape keeps
+    /// only its tape, so a program is held only where a run may need it
+    /// (see [`Lac::run_kernel`]): for interpreter-backend runs, for
+    /// shapes the lowering does not cover, and for shapes a compiled run
+    /// had to interpret.
     pub programs: usize,
     /// The sum of their [`Program::heap_bytes`].
     pub program_heap_bytes: usize,
+    /// The sum of the store's tapes' [`CompiledProgram::heap_bytes`]. Like
+    /// the programs' bytes, a pure function of the shapes and
+    /// configuration, so `program_heap_bytes + tape_heap_bytes`, all the
+    /// store holds, is exact across hosts.
+    pub tape_heap_bytes: usize,
 }
 
 /// Words of shape a kernel key holds (GEMM's shape is the longest).
@@ -330,11 +338,12 @@ enum Key {
     Kernel(&'static str, [u64; SHAPE_WORDS], u64),
 }
 
-/// One entry. A kernel entry's program is built by its first caller (a
-/// free-standing program stays with its caller); the compile outcome is
-/// resolved by the first compiled-backend lookup, so interpreter runs
-/// never compile. Both are filled outside the table lock, and racing
-/// callers wait on them instead of building or compiling again.
+/// One entry. Its compile outcome is resolved by the first
+/// compiled-backend lookup, so interpreter runs never compile. A
+/// free-standing program stays with its caller; a kernel entry holds its
+/// program only where a run needs one (see [`Lac::run_kernel`]). Both
+/// are filled outside the table lock, and racing callers wait on them
+/// instead of building or compiling again.
 #[derive(Debug, Default)]
 struct Entry {
     program: OnceLock<Program>,
@@ -353,8 +362,8 @@ struct CacheInner {
 ///
 /// Kernel programs are keyed by `(kernel, shape, config fingerprint)`:
 /// a kernel generator is a pure function of its shape, so each shape is
-/// built once per store, next to its compile outcome
-/// ([`Lac::run_kernel`]). Free-standing programs ([`Lac::run`]) are keyed
+/// built and lowered once per store, and a compiled shape keeps only its
+/// tape ([`Lac::run_kernel`]). Free-standing programs ([`Lac::run`]) are keyed
 /// by ([`Program::structural_hash`], configuration fingerprint). Either
 /// way shards with the same configuration share every lowering — a
 /// cluster compiles each distinct program shape once, no matter how many
@@ -396,17 +405,27 @@ impl ProgramCache {
         Self::default()
     }
 
-    /// Current effectiveness counters and the kernel programs' footprint.
+    /// Current effectiveness counters and the store's footprint.
     pub fn stats(&self) -> CacheStats {
         let map = self.inner.map.lock().expect("program cache poisoned");
-        let programs = map.values().filter_map(|e| e.program.get());
-        CacheStats {
-            entries: map.values().filter(|e| e.outcome.get().is_some()).count(),
+        let mut stats = CacheStats {
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
-            programs: programs.clone().count(),
-            program_heap_bytes: programs.map(Program::heap_bytes).sum(),
+            ..CacheStats::default()
+        };
+        for entry in map.values() {
+            if let Some(outcome) = entry.outcome.get() {
+                stats.entries += 1;
+                if let CompileOutcome::Compiled(cp) = &**outcome {
+                    stats.tape_heap_bytes += cp.heap_bytes();
+                }
+            }
+            if let Some(prog) = entry.program.get() {
+                stats.programs += 1;
+                stats.program_heap_bytes += prog.heap_bytes();
+            }
         }
+        stats
     }
 
     /// `key`'s entry, inserted empty on first sight.
@@ -415,16 +434,17 @@ impl ProgramCache {
         Arc::clone(map.entry(key).or_default())
     }
 
-    /// Compile `prog` into `entry` on first use, counting a miss for the
-    /// lookup that compiles and a hit for every other.
-    fn resolve(&self, entry: &Entry, cfg: &LacConfig, prog: &Program) -> Arc<CompileOutcome> {
+    /// Resolve `entry`'s outcome with `lower` on first use, counting a
+    /// miss for the lookup that lowers and a hit for every other.
+    fn resolve(
+        &self,
+        entry: &Entry,
+        lower: impl FnOnce() -> CompileOutcome,
+    ) -> Arc<CompileOutcome> {
         let mut compiled = false;
         let outcome = entry.outcome.get_or_init(|| {
             compiled = true;
-            Arc::new(match compile(cfg, prog) {
-                Ok(cp) => CompileOutcome::Compiled(Box::new(cp)),
-                Err(reason) => CompileOutcome::Fallback(reason),
-            })
+            Arc::new(lower())
         });
         let counter = if compiled {
             &self.inner.misses
@@ -445,6 +465,14 @@ pub(crate) enum CompileOutcome {
 }
 
 impl CompileOutcome {
+    /// Lower `prog` under `cfg`.
+    fn of(cfg: &LacConfig, prog: &Program) -> Self {
+        match compile(cfg, prog) {
+            Ok(cp) => CompileOutcome::Compiled(Box::new(cp)),
+            Err(reason) => CompileOutcome::Fallback(reason),
+        }
+    }
+
     /// `Some(reason)` when the outcome is a fallback (diagnostics/tests).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn fallback_reason(&self) -> Option<FallbackReason> {
@@ -634,6 +662,29 @@ impl CompiledProgram {
     /// cycle-local temps).
     pub fn arena_words(&self) -> usize {
         self.arena_words
+    }
+
+    /// Bytes the tape holds on the heap: `len × size_of` summed over its
+    /// tables. [`compile`] returns every table exact-fit, so this is what
+    /// the allocator holds, and it is a pure function of the program and
+    /// configuration.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.ops[..])
+            + size_of_val(&self.moves[..])
+            + size_of_val(&self.ext_loads[..])
+            + size_of_val(&self.ext_stores[..])
+            + size_of_val(&self.mac_issues[..])
+            + size_of_val(&self.fma_issues[..])
+            + size_of_val(&self.mac_retires[..])
+            + size_of_val(&self.fma_retires[..])
+            + size_of_val(&self.cmps[..])
+            + size_of_val(&self.sfus[..])
+            + size_of_val(&self.consts[..])
+            + size_of_val(&self.mac_issue_counts[..])
+            + size_of_val(&self.sfu_issue_counts[..])
+            + size_of_val(&self.mac_latched[..])
+            + size_of_val(&self.sfu_latched[..])
     }
 }
 
@@ -884,34 +935,44 @@ impl<'a> Compiler<'a> {
         }
         let arena_words = self.temps_base + self.max_temps;
         debug_assert!(arena_words <= u32::MAX as usize);
+        // The tables grew by doubling; a stored tape keeps none of that
+        // slack.
+        fn exact<T>(mut v: Vec<T>) -> Vec<T> {
+            v.shrink_to_fit();
+            v
+        }
         let pack = |counts: &[u64]| {
-            counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(i, &n)| (i as u32, n))
-                .collect::<Vec<_>>()
+            exact(
+                counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &n)| n > 0)
+                    .map(|(i, &n)| (i as u32, n))
+                    .collect(),
+            )
         };
         let indices = |flags: &[bool]| {
-            flags
-                .iter()
-                .enumerate()
-                .filter(|(_, &f)| f)
-                .map(|(i, _)| i as u32)
-                .collect::<Vec<_>>()
+            exact(
+                flags
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &f)| f)
+                    .map(|(i, _)| i as u32)
+                    .collect(),
+            )
         };
         Ok(CompiledProgram {
-            ops: self.ops,
-            moves: self.moves,
-            ext_loads: self.ext_loads,
-            ext_stores: self.ext_stores,
-            mac_issues: self.mac_issues,
-            fma_issues: self.fma_issues,
-            mac_retires: self.mac_retires,
-            fma_retires: self.fma_retires,
-            cmps: self.cmps,
-            sfus: self.sfus,
-            consts: self.consts,
+            ops: exact(self.ops),
+            moves: exact(self.moves),
+            ext_loads: exact(self.ext_loads),
+            ext_stores: exact(self.ext_stores),
+            mac_issues: exact(self.mac_issues),
+            fma_issues: exact(self.fma_issues),
+            mac_retires: exact(self.mac_retires),
+            fma_retires: exact(self.fma_retires),
+            cmps: exact(self.cmps),
+            sfus: exact(self.sfus),
+            consts: exact(self.consts),
             static_stats: self.stats,
             min_mem_words: self.prog.ext_words(),
             arena_words,
@@ -1414,35 +1475,57 @@ impl Lac {
         prog: &Program,
         mem: &mut ExternalMem,
     ) -> Result<ExecStats, SimError> {
+        assert_eq!(prog.nr(), self.cfg.nr, "program/mesh dimension mismatch");
         let key = Key::Program(prog.structural_hash(), self.fingerprint);
-        let outcome = self.cache.resolve(&self.cache.entry(key), &self.cfg, prog);
-        self.replay(&outcome, prog, mem)
+        let outcome = self.cache.resolve(&self.cache.entry(key), || {
+            CompileOutcome::of(&self.cfg, prog)
+        });
+        match &*outcome {
+            CompileOutcome::Compiled(cp) if self.compiled_eligible(cp, mem) => {
+                Ok(self.exec_compiled(cp, mem))
+            }
+            _ => self.run_interpreted(prog, mem),
+        }
     }
 
     /// Execute kernel `kernel`'s program for `shape` against `mem` on the
-    /// configured backend, building it with `build` on the store's first
-    /// sight of the shape.
+    /// configured backend, building it with `build` only when the store
+    /// needs it.
     ///
     /// Kernel generators are pure functions of their shape, so the store
-    /// ([`ProgramCache`]) keeps one program per `(kernel, shape, config)`:
-    /// a repeated call takes one locked lookup and allocates nothing, and
-    /// the program's compile outcome is resolved on its first
-    /// compiled-backend run. `shape` must encode every input `build`
+    /// ([`ProgramCache`]) resolves each `(kernel, shape, config)` once:
+    /// a repeated call takes one locked lookup and allocates nothing.
+    /// On the compiled backend the first call builds the program, lowers
+    /// it and drops it, so the entry keeps only the tape. The entry keeps
+    /// a program only where a run needs one: on the interpreter backend,
+    /// for a shape the lowering does not cover ([`FallbackReason`]), and
+    /// once a compiled run has to interpret (in-flight pipelines, or a
+    /// bank smaller than [`CompiledProgram::min_mem_words`]), which builds
+    /// it again through `build`. `shape` must encode every input `build`
     /// reads, in at most 13 words (a longer shape panics). Results are
     /// those of [`Lac::run`] on the built program.
     ///
     /// ```
-    /// use lac_sim::{ExternalMem, Lac, LacConfig, ProgramBuilder};
+    /// use lac_sim::{ExecBackend, ExternalMem, Lac, LacConfig, ProgramBuilder};
     ///
-    /// let mut lac = Lac::new(LacConfig::default());
     /// let idle = || {
     ///     let mut b = ProgramBuilder::new(4);
     ///     b.idle(3);
     ///     b.build()
     /// };
     /// let mut mem = ExternalMem::new(0);
+    /// let mut lac = Lac::new(LacConfig::default());
     /// lac.run_kernel("idle", &[3], idle, &mut mem).unwrap();
-    /// lac.run_kernel("idle", &[3], || unreachable!("built once"), &mut mem).unwrap();
+    /// lac.run_kernel("idle", &[3], || unreachable!("lowered once"), &mut mem).unwrap();
+    /// let stats = lac.program_cache().stats();
+    /// assert_eq!((stats.entries, stats.programs), (1, 0)); // the tape alone
+    ///
+    /// // The interpreter backend keeps the program it runs.
+    /// let mut lac = Lac::new(LacConfig {
+    ///     backend: ExecBackend::Interpreter,
+    ///     ..LacConfig::default()
+    /// });
+    /// lac.run_kernel("idle", &[3], idle, &mut mem).unwrap();
     /// assert_eq!(lac.program_cache().stats().programs, 1);
     /// ```
     pub fn run_kernel(
@@ -1457,28 +1540,33 @@ impl Lac {
         let entry = self
             .cache
             .entry(Key::Kernel(kernel, padded, self.fingerprint));
-        let prog = entry.program.get_or_init(build);
         if self.cfg.backend == ExecBackend::Interpreter {
-            return self.run_interpreted(prog, mem);
+            return self.run_interpreted(entry.program.get_or_init(build), mem);
         }
-        let outcome = self.cache.resolve(&entry, &self.cfg, prog);
-        self.replay(&outcome, prog, mem)
-    }
-
-    /// Replay `outcome`'s tape, or interpret `prog` when there is none or
-    /// the core's entry state does not fit it.
-    fn replay(
-        &mut self,
-        outcome: &CompileOutcome,
-        prog: &Program,
-        mem: &mut ExternalMem,
-    ) -> Result<ExecStats, SimError> {
-        assert_eq!(prog.nr(), self.cfg.nr, "program/mesh dimension mismatch");
-        match outcome {
+        let mut build = Some(build);
+        let outcome = self.cache.resolve(&entry, || match entry.program.get() {
+            Some(prog) => CompileOutcome::of(&self.cfg, prog),
+            None => {
+                let prog = build.take().expect("built at most once")();
+                let outcome = CompileOutcome::of(&self.cfg, &prog);
+                match &outcome {
+                    // This run replays the tape; the program is dropped.
+                    CompileOutcome::Compiled(cp) if self.compiled_eligible(cp, mem) => {}
+                    _ => _ = entry.program.set(prog),
+                }
+                outcome
+            }
+        });
+        match &*outcome {
             CompileOutcome::Compiled(cp) if self.compiled_eligible(cp, mem) => {
                 Ok(self.exec_compiled(cp, mem))
             }
-            _ => self.run_interpreted(prog, mem),
+            _ => {
+                let prog = entry
+                    .program
+                    .get_or_init(|| build.take().expect("built at most once")());
+                self.run_interpreted(prog, mem)
+            }
         }
     }
 
@@ -1639,6 +1727,7 @@ mod tests {
     use crate::isa::{CmpUpdate, ProgramBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
 
     /// The structural hash recomputed from dense drafts: one [`PeInstr`]
     /// per PE per step, idle ones skipped. This is the hash's definition,
@@ -1872,7 +1961,7 @@ mod tests {
     /// Resolve a free-standing program the way [`Lac::run_compiled`] does.
     fn lookup(cache: &ProgramCache, cfg: &LacConfig, prog: &Program) -> Arc<CompileOutcome> {
         let key = Key::Program(prog.structural_hash(), config_fingerprint(cfg));
-        cache.resolve(&cache.entry(key), cfg, prog)
+        cache.resolve(&cache.entry(key), || CompileOutcome::of(cfg, prog))
     }
 
     #[test]
@@ -1954,38 +2043,53 @@ mod tests {
 
     #[test]
     fn racing_callers_build_once() {
-        let cfg = small_cfg();
-        let cache = ProgramCache::new();
-        let builds = AtomicU64::new(0);
-        let key = Key::Kernel("store-race", [7; SHAPE_WORDS], config_fingerprint(&cfg));
-        // Holders of the shape's entry: the table plus one per caller.
-        let holders = || {
-            let map = cache.inner.map.lock().unwrap();
-            map.get(&key).map_or(0, Arc::strong_count)
-        };
-        let build = || {
-            builds.fetch_add(1, Ordering::Relaxed);
-            // Finish only once all four callers hold the entry, so the
-            // other three must wait on it.
-            while holders() < 5 {
-                std::thread::yield_now();
-            }
-            idle_program(7)
-        };
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let mut lac = Lac::new(cfg);
-                lac.set_program_cache(cache.clone());
-                s.spawn(move || {
-                    let mut mem = ExternalMem::new(0);
-                    lac.run_kernel("store-race", &[7; SHAPE_WORDS], build, &mut mem)
-                        .unwrap();
-                });
-            }
-        });
-        assert_eq!(builds.load(Ordering::Relaxed), 1);
-        let s = cache.stats();
-        assert_eq!((s.programs, s.entries, s.misses, s.hits), (1, 1, 1, 3));
+        for backend in [ExecBackend::Interpreter, ExecBackend::Compiled] {
+            let cfg = LacConfig {
+                backend,
+                ..small_cfg()
+            };
+            let cache = ProgramCache::new();
+            let builds = AtomicU64::new(0);
+            let key = Key::Kernel("store-race", [7; SHAPE_WORDS], config_fingerprint(&cfg));
+            // Holders of the shape's entry: the table plus one per caller.
+            let holders = || {
+                let map = cache.inner.map.lock().unwrap();
+                map.get(&key).map_or(0, Arc::strong_count)
+            };
+            let build = || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                // Finish only once all four callers hold the entry, so the
+                // other three must wait on it.
+                while holders() < 5 {
+                    std::thread::yield_now();
+                }
+                idle_program(7)
+            };
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    let mut lac = Lac::new(cfg);
+                    lac.set_program_cache(cache.clone());
+                    s.spawn(move || {
+                        let mut mem = ExternalMem::new(0);
+                        lac.run_kernel("store-race", &[7; SHAPE_WORDS], build, &mut mem)
+                            .unwrap();
+                    });
+                }
+            });
+            assert_eq!(builds.load(Ordering::Relaxed), 1, "{backend:?}");
+            let s = cache.stats();
+            let expected = match backend {
+                // The interpreter keeps the program it runs and never compiles.
+                ExecBackend::Interpreter => (1, 0, 0, 0),
+                // One compile; the entry keeps only the tape.
+                ExecBackend::Compiled => (0, 1, 1, 3),
+            };
+            assert_eq!(
+                (s.programs, s.entries, s.misses, s.hits),
+                expected,
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
@@ -2017,6 +2121,143 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.programs, s.program_heap_bytes), (2, bytes));
         assert_eq!((s.entries, s.misses, s.hits), (1, 1, 0));
+    }
+
+    /// `make`, counting its calls in `builds`.
+    fn counting<'a>(
+        builds: &'a Cell<u32>,
+        make: impl Fn() -> Program + Copy + 'a,
+    ) -> impl Fn() -> Program + Copy + 'a {
+        move || {
+            builds.set(builds.get() + 1);
+            make()
+        }
+    }
+
+    #[test]
+    fn compiled_kernel_entry_keeps_only_its_tape() {
+        let cfg = small_cfg();
+        let mut lac = Lac::new(cfg);
+        let builds = Cell::new(0);
+        let build = counting(&builds, || mixed_program(&cfg));
+        let mut mem = ExternalMem::from_vec(vec![1.0, 0.0]);
+        lac.run_kernel("store-tape", &[2], build, &mut mem).unwrap();
+        lac.run_kernel("store-tape", &[2], build, &mut mem).unwrap();
+        assert_eq!(builds.get(), 1);
+        let tape = compile(&cfg, &mixed_program(&cfg)).unwrap().heap_bytes();
+        assert!(tape > 0);
+        let s = lac.program_cache().stats();
+        assert_eq!((s.programs, s.program_heap_bytes), (0, 0));
+        assert_eq!(s.tape_heap_bytes, tape);
+        assert_eq!((s.entries, s.misses, s.hits), (1, 1, 1));
+    }
+
+    /// Run `mixed_program` through `run_kernel` on a compiled core and
+    /// through `run` on an interpreter-only core, both prepared by
+    /// `prepare` and given a `words`-word bank, and require the same
+    /// result, bank, accumulators and registers.
+    fn kernel_run_matches_the_interpreter(
+        words: usize,
+        prepare: impl Fn(&mut Lac),
+    ) -> (Lac, Result<ExecStats, SimError>) {
+        let cfg = small_cfg();
+        let mut clac = Lac::new(cfg);
+        let mut ilac = Lac::new(LacConfig {
+            backend: ExecBackend::Interpreter,
+            ..cfg
+        });
+        prepare(&mut clac);
+        prepare(&mut ilac);
+        let mut cmem = ExternalMem::from_vec(vec![1.5; words]);
+        let mut imem = ExternalMem::from_vec(vec![1.5; words]);
+        let builds = Cell::new(0);
+        let build = counting(&builds, || mixed_program(&cfg));
+        let got = clac.run_kernel("store-reject", &[2], build, &mut cmem);
+        let want = ilac.run(&mixed_program(&cfg), &mut imem);
+        assert_eq!(got, want);
+        assert_eq!(builds.get(), 1);
+        assert_eq!(cmem.as_slice(), imem.as_slice());
+        for r in 0..cfg.nr {
+            for c in 0..cfg.nr {
+                assert_eq!(clac.acc(r, c).to_bits(), ilac.acc(r, c).to_bits());
+                for i in 0..cfg.rf_entries {
+                    assert_eq!(clac.reg(r, c, i).to_bits(), ilac.reg(r, c, i).to_bits());
+                }
+            }
+        }
+        (clac, got)
+    }
+
+    #[test]
+    fn rejected_compiled_runs_build_once_and_interpret() {
+        let cfg = small_cfg();
+        let tape = compile(&cfg, &mixed_program(&cfg)).unwrap();
+        let program = mixed_program(&cfg).heap_bytes();
+        // A MAC still in flight at entry: the run is correct, interpreted.
+        let (in_flight, ok) = kernel_run_matches_the_interpreter(2, |lac| {
+            let mut carry = ProgramBuilder::new(cfg.nr);
+            let t = carry.push_step();
+            carry.pe_mut(t, 0, 0).mac = Some((Source::Const(2.0), Source::Const(5.0)));
+            lac.run_interpreted(&carry.build(), &mut ExternalMem::new(0))
+                .unwrap();
+        });
+        assert!(ok.is_ok());
+        // A bank smaller than the tape's reach: the same range error.
+        assert!(tape.min_mem_words() > 1);
+        let (short, err) = kernel_run_matches_the_interpreter(1, |_| {});
+        assert!(err.is_err());
+        for lac in [in_flight, short] {
+            // The entry keeps the tape and the program built for the run.
+            let s = lac.program_cache().stats();
+            assert_eq!((s.programs, s.program_heap_bytes), (1, program));
+            assert_eq!(s.tape_heap_bytes, tape.heap_bytes());
+            assert_eq!((s.entries, s.misses, s.hits), (1, 1, 0));
+        }
+
+        // A rejected run after the tape was stored builds the program
+        // again, once, and keeps it.
+        let mut lac = Lac::new(cfg);
+        let builds = Cell::new(0);
+        let build = counting(&builds, || mixed_program(&cfg));
+        let mut mem = ExternalMem::from_vec(vec![1.0, 0.0]);
+        lac.run_kernel("store-reject", &[2], build, &mut mem)
+            .unwrap();
+        assert_eq!(lac.program_cache().stats().programs, 0);
+        let mut short = ExternalMem::new(1);
+        for _ in 0..2 {
+            assert!(lac
+                .run_kernel("store-reject", &[2], build, &mut short)
+                .is_err());
+        }
+        assert_eq!(builds.get(), 2);
+        assert_eq!(lac.program_cache().stats().programs, 1);
+    }
+
+    #[test]
+    fn static_fallback_shape_keeps_its_program() {
+        let cfg = small_cfg();
+        let carry_out = || {
+            let mut b = ProgramBuilder::new(cfg.nr);
+            let t = b.push_step();
+            b.pe_mut(t, 0, 0).mac = Some((Source::Const(1.0), Source::Const(1.0)));
+            b.build()
+        };
+        let mut lac = Lac::new(cfg);
+        let builds = Cell::new(0);
+        let build = counting(&builds, carry_out);
+        let mut mem = ExternalMem::new(0);
+        for _ in 0..3 {
+            lac.run_kernel("store-fallback", &[1], build, &mut mem)
+                .unwrap();
+        }
+        assert_eq!(builds.get(), 1);
+        let s = lac.program_cache().stats();
+        assert_eq!(
+            (s.programs, s.program_heap_bytes),
+            (1, carry_out().heap_bytes())
+        );
+        assert_eq!(s.tape_heap_bytes, 0);
+        assert_eq!((s.entries, s.misses, s.hits), (1, 1, 2));
     }
 
     #[test]

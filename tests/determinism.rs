@@ -28,7 +28,7 @@ fn registry_graph(size: ProblemSize) -> JobGraph<Box<dyn Workload>> {
 }
 
 #[test]
-fn every_workload_is_bit_deterministic_on_fresh_engines() {
+fn every_workload_is_bit_deterministic_on_fresh_cores() {
     for w in registry() {
         let first = run_fresh(w.as_ref());
         let second = run_fresh(w.as_ref());
@@ -89,7 +89,7 @@ fn scheduler_policy_changes_placement_but_not_results() {
 }
 
 #[test]
-fn engine_and_chip_shard_agree_per_workload() {
+fn core_and_chip_shard_agree_per_workload() {
     // A 1-core chip is just a core with a graph in front: identical
     // reports for the whole registry run back-to-back.
     let shared = registry_chip_config(LacConfig::default());

@@ -240,7 +240,7 @@ fn assert_pure<J: ChipJob<Output = KernelReport>>(name: &str, request: DynamicGr
 }
 
 #[test]
-fn every_job_is_pure_on_fresh_and_warm_engines() {
+fn every_job_is_pure_on_fresh_and_warm_cores() {
     for rounds in 1..=3 {
         let f = fleet(rounds);
         let segments = assert_pure("solver", DynamicGraph::fixed(f.graph));
