@@ -18,8 +18,9 @@
 //! * metrics containing `throughput` or `speedup` regress when they
 //!   **shrink** by more than 15%;
 //! * `*_heap_bytes` footprints (from `sim_speed`: the kernel program
-//!   store's `memo_heap_bytes` and the timed graph's `report_heap_bytes`)
-//!   regress when they **grow** by more than 15%.
+//!   store's `memo_heap_bytes`, the timed graph's `report_heap_bytes` and
+//!   its own buffers' `graph_heap_bytes`) regress when they **grow** by
+//!   more than 15%.
 //!
 //! Everything here is simulated cycles, program content or output layout,
 //! so baselines are exact across machines; the 15% tolerance only

@@ -39,6 +39,9 @@
 //!   report's `size_of` plus its payload matrix's `rows × cols × 8`. Both
 //!   are exact across hosts, so `perf_compare` gates the sum as
 //!   worse-if-higher, like every `*_heap_bytes` field.
+//! * `graph_heap_bytes`: the timed graph's own buffers
+//!   ([`lac_sim::JobGraph::heap_bytes`]: its job vector and flat parent
+//!   lists), exact across hosts and gated worse-if-higher.
 
 use lac_bench::json::Json;
 use lac_bench::{f, table};
@@ -235,6 +238,24 @@ pub fn run() -> Json {
         "-".to_string(),
     ]);
 
+    // The timed graph's own buffers (jobs and flat parent lists).
+    let graph_bytes = w.graph().graph.heap_bytes();
+    points.push(Json::obj([
+        ("bench", Json::from("sim_speed")),
+        ("backend", Json::from("graph")),
+        ("jobs", Json::from(jobs)),
+        ("graph_heap_bytes", Json::from(graph_bytes)),
+    ]));
+    rows.push(vec![
+        "-".to_string(),
+        "graph".to_string(),
+        format!("{jobs}"),
+        format!("{graph_bytes} B"),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+    ]);
+
     // What one cold fleet leaves in its cluster's store.
     let mut cluster = super::cluster(2, 1);
     let cold_s = run_fleet(&mut cluster);
@@ -262,7 +283,7 @@ pub fn run() -> Json {
         "Simulator throughput — host seconds per simulated megacycle \
          (host fields machine-dependent, ungated; makespan gated to pin \
          the timed workload; compiled_speedup gated at its 3x floor; \
-         memo_heap_bytes and report_heap_bytes gated)",
+         memo_heap_bytes, report_heap_bytes and graph_heap_bytes gated)",
         &[
             "cores",
             "backend",

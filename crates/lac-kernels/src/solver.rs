@@ -38,7 +38,9 @@
 //!   [`SolverJob`]s for a multi-core chip/service; rounds chain through
 //!   single-assignment slots behind the graph's dependency edges, so a
 //!   job revoked by a chip kill reruns to the same bits, and so does a
-//!   used graph.
+//!   used graph. A slot holds only what a later job reads, and the
+//!   graph shares the workload's `A₀` and right-hand sides instead of
+//!   copying them.
 //!   [`SolverLoopWorkload::check_graph`] verifies every per-round output
 //!   against an independent `linalg-ref` chain.
 
@@ -103,10 +105,31 @@ pub struct SolverReference {
 pub struct SolverLoopWorkload {
     /// The loop's shape.
     pub params: SolverLoopParams,
-    /// Round 0's SPD system matrix.
-    pub a0: Matrix,
-    /// The stacked right-hand sides, `n × (panels · width)`.
-    pub b: Matrix,
+    /// Round 0's SPD system matrix, shared with every graph of the loop.
+    pub a0: Arc<Matrix>,
+    /// The right-hand-side panels, `n × width` each, shared with every
+    /// graph of the loop (every round's solve of panel `p` reads `b[p]`).
+    pub b: Arc<[Matrix]>,
+}
+
+/// What every job of one loop graph shares: the workload's operands (not
+/// copies), the per-step hints and the slots.
+struct SolverShared {
+    /// The workload's `A₀`, full symmetric: rounds 0 and 1 read it here.
+    a0: Arc<Matrix>,
+    /// The workload's right-hand-side panels.
+    b: Arc<[Matrix]>,
+    /// Rounds in the loop (the last round feeds no later CHOL).
+    rounds: usize,
+    /// `(cost hint, output words)` of a CHOL, a TRSM and a SYRK step.
+    hints: [(u64, u64); 3],
+    slots: Mutex<SolverSlots>,
+}
+
+impl SolverShared {
+    fn slots(&self) -> std::sync::MutexGuard<'_, SolverSlots> {
+        self.slots.lock().expect("solver slots poisoned")
+    }
 }
 
 /// Single-assignment slots the graph jobs communicate through. A job
@@ -116,18 +139,29 @@ pub struct SolverLoopWorkload {
 /// chip kill and rerun, or rerun with the whole graph, reads exactly what
 /// its first execution read. Reductions walk panels in fixed order, so
 /// the contents are bit-deterministic regardless of placement.
-struct SolverState {
-    /// Round 0's `A₀`, full symmetric.
-    a0: Matrix,
-    /// `Aₖ` in `a[k % 2]`: round `k`'s CHOL builds it from `a[(k+1) % 2]`
-    /// while round `k−1`'s CHOL, the only other reader, is released.
-    a: [Matrix; 2],
+///
+/// A slot holds only what a later job reads: slots start empty, `A₀`
+/// stays with the workload, `Aₖ` is stored only when round `k + 1`
+/// exists to read it (and `k ≥ 1`), and the last round's updates are
+/// reported but not stored.
+struct SolverSlots {
+    /// `Aₖ` in `a[k % 2]` for `1 ≤ k ≤ rounds − 2`: round `k`'s CHOL
+    /// builds it from `a[(k+1) % 2]` while round `k−1`'s CHOL, the only
+    /// other reader, is released.
+    a: [Option<Matrix>; 2],
     /// Current round's factor.
-    l: Matrix,
+    l: Option<Matrix>,
     /// Current round's per-panel solutions.
-    x: Vec<Matrix>,
+    x: Vec<Option<Matrix>>,
     /// Current round's per-panel updates, read by the next CHOL.
-    s: Vec<Matrix>,
+    s: Vec<Option<Matrix>>,
+}
+
+/// A written slot; reading one before its writer ran breaks the graph's
+/// edges.
+fn slot(m: &Option<Matrix>) -> &Matrix {
+    m.as_ref()
+        .expect("solver slot read before the job that writes it ran")
 }
 
 /// `A (full symmetric) += S (lower triangle)`, mirroring the update into
@@ -147,20 +181,18 @@ impl SolverLoopWorkload {
     /// A loop over deterministic demo operands shaped by `params`.
     pub fn new(params: SolverLoopParams) -> Self {
         assert!(params.rounds >= 1 && params.panels >= 1);
-        let a0 = demo_spd(params.n, params.salt);
-        let b = demo_matrix(params.n, params.panels * params.width, params.salt + 1);
+        let a0 = Arc::new(demo_spd(params.n, params.salt));
+        let (n, w) = (params.n, params.width);
+        let stacked = demo_matrix(n, params.panels * w, params.salt + 1);
+        let b = (0..params.panels)
+            .map(|p| stacked.block(0, p * w, n, w))
+            .collect();
         Self { params, a0, b }
     }
 
     /// The default registry-sized loop.
     pub fn demo() -> Self {
         Self::new(SolverLoopParams::default())
-    }
-
-    /// Panel `p` of the right-hand-side block.
-    pub fn b_panel(&self, p: usize) -> Matrix {
-        self.b
-            .block(0, p * self.params.width, self.params.n, self.params.width)
     }
 
     /// Scheduler cost hint of one CHOL step (flop-count shaped). The step
@@ -193,7 +225,7 @@ impl SolverLoopWorkload {
     /// simulator.
     pub fn reference(&self) -> Result<SolverReference, String> {
         let p = self.params;
-        let mut a = self.a0.clone();
+        let mut a = Matrix::clone(&self.a0);
         let mut factors = Vec::with_capacity(p.rounds);
         let mut xs = Vec::with_capacity(p.rounds);
         let mut ss = Vec::with_capacity(p.rounds);
@@ -201,8 +233,8 @@ impl SolverLoopWorkload {
             let l = cholesky(&a).map_err(|e| format!("solver-loop: reference round {k}: {e:?}"))?;
             let mut round_x = Vec::with_capacity(p.panels);
             let mut round_s = Vec::with_capacity(p.panels);
-            for panel in 0..p.panels {
-                let mut x = self.b_panel(panel);
+            for b in self.b.iter() {
+                let mut x = b.clone();
                 trsm(Side::Left, Triangle::Lower, &l, &mut x);
                 let mut s = Matrix::zeros(p.n, p.n);
                 gemm(&x, &x.transpose(), &mut s);
@@ -229,63 +261,46 @@ impl SolverLoopWorkload {
     /// `panels` TRSM jobs fanning out of it, and `panels` SYRK jobs
     /// feeding the next round. Job ids follow construction order, so
     /// [`GraphRun::outputs`](lac_sim::GraphRun) line up with
-    /// [`SolverLoopWorkload::check_graph`].
+    /// [`SolverLoopWorkload::check_graph`]. The graph shares the loop's
+    /// `A₀` and panels, and its slots start empty.
     pub fn graph(&self) -> SolverGraph {
         let p = self.params;
-        let zeros = Matrix::zeros(p.n, p.n);
-        let state = Arc::new(Mutex::new(SolverState {
-            a0: self.a0.clone(),
-            a: [zeros.clone(), zeros.clone()],
-            l: zeros.clone(),
-            x: vec![Matrix::zeros(p.n, p.width); p.panels],
-            s: vec![zeros; p.panels],
-        }));
-        let b_panels: Vec<Arc<Matrix>> = (0..p.panels)
-            .map(|panel| Arc::new(self.b_panel(panel)))
-            .collect();
+        let (factor_words, panel_words) = ((p.n * (p.n + 1) / 2) as u64, (p.n * p.width) as u64);
+        let shared = Arc::new(SolverShared {
+            a0: Arc::clone(&self.a0),
+            b: Arc::clone(&self.b),
+            rounds: p.rounds,
+            // Output words: the factor L and the update S are n × n lower
+            // triangles, the solved panel X is n × width.
+            hints: [
+                (self.chol_cost(), factor_words),
+                (self.trsm_cost(), panel_words),
+                (self.syrk_cost(), factor_words),
+            ],
+            slots: Mutex::new(SolverSlots {
+                a: [None, None],
+                l: None,
+                x: vec![None; p.panels],
+                s: vec![None; p.panels],
+            }),
+        });
+        let job = |step| SolverJob {
+            shared: Arc::clone(&shared),
+            step,
+        };
         let mut graph = JobGraph::new();
         let mut chol_ids = Vec::with_capacity(p.rounds);
         let mut trsm_ids = Vec::with_capacity(p.rounds);
         let mut syrk_ids = Vec::with_capacity(p.rounds);
         let mut prev_syrks: Vec<JobId> = Vec::new();
         for round in 0..p.rounds {
-            let chol = graph.add_after(
-                SolverJob {
-                    state: Arc::clone(&state),
-                    cost: self.chol_cost(),
-                    // The factor L: an n × n lower triangle.
-                    words: (p.n * (p.n + 1) / 2) as u64,
-                    step: SolverStep::Chol { round },
-                },
-                &prev_syrks,
-            );
+            let chol = graph.add_after(job(SolverStep::Chol { round }), &prev_syrks);
             prev_syrks.clear();
             let mut round_trsm = Vec::with_capacity(p.panels);
             let mut round_syrk = Vec::with_capacity(p.panels);
-            for (panel, b) in b_panels.iter().enumerate() {
-                let t = graph.add_after(
-                    SolverJob {
-                        state: Arc::clone(&state),
-                        cost: self.trsm_cost(),
-                        // The solved panel X: n × width.
-                        words: (p.n * p.width) as u64,
-                        step: SolverStep::Trsm {
-                            panel,
-                            b: Arc::clone(b),
-                        },
-                    },
-                    &[chol],
-                );
-                let s = graph.add_after(
-                    SolverJob {
-                        state: Arc::clone(&state),
-                        cost: self.syrk_cost(),
-                        // The update S: an n × n lower triangle.
-                        words: (p.n * (p.n + 1) / 2) as u64,
-                        step: SolverStep::Syrk { panel },
-                    },
-                    &[t],
-                );
+            for panel in 0..p.panels {
+                let t = graph.add_after(job(SolverStep::Trsm { panel }), &[chol]);
+                let s = graph.add_after(job(SolverStep::Syrk { round, panel }), &[t]);
                 round_trsm.push(t);
                 round_syrk.push(s);
                 prev_syrks.push(s);
@@ -378,7 +393,7 @@ impl Workload for SolverLoopWorkload {
         let sg = self.graph();
         let mut total = ExecStats::default();
         let mut factors = Vec::with_capacity(self.params.rounds);
-        let mut final_a = self.a0.clone();
+        let mut final_a = Matrix::clone(&self.a0);
         for (k, &chol) in sg.chol.iter().enumerate() {
             let rep = sg.graph.job(chol).run_on(lac)?;
             total.merge(&rep.stats);
@@ -442,56 +457,73 @@ pub struct SolverGraph {
 /// One step of the solver loop as a chip job. Steps communicate through
 /// the loop's single-assignment slots; the graph's edges order every access.
 pub struct SolverJob {
-    state: Arc<Mutex<SolverState>>,
-    cost: u64,
-    /// Output footprint in words ([`lac_sim::ChipJob::transfer_words`]) —
-    /// what a cross-chip dependent would pull over the link.
-    words: u64,
+    shared: Arc<SolverShared>,
     step: SolverStep,
 }
 
+#[derive(Clone, Copy)]
 enum SolverStep {
     /// Fold the previous round's updates into `A` (fixed panel order),
     /// then factor.
     Chol { round: usize },
     /// Solve `L·X = Bₚ` against the current factor. Every round's solve
-    /// of panel `p` shares the one `Bₚ`.
-    Trsm { panel: usize, b: Arc<Matrix> },
+    /// of panel `p` reads the workload's one `Bₚ`.
+    Trsm { panel: usize },
     /// `Sₚ = Xₚ·Xₚᵀ` for the next round's matrix.
-    Syrk { panel: usize },
+    Syrk { round: usize, panel: usize },
+}
+
+impl SolverJob {
+    /// `(cost hint, output words)` of this step.
+    fn hints(&self) -> (u64, u64) {
+        let kind = match self.step {
+            SolverStep::Chol { .. } => 0,
+            SolverStep::Trsm { .. } => 1,
+            SolverStep::Syrk { .. } => 2,
+        };
+        self.shared.hints[kind]
+    }
 }
 
 impl ChipJob for SolverJob {
     type Output = KernelReport;
 
     fn cost_hint(&self) -> u64 {
-        self.cost.max(1)
+        self.hints().0.max(1)
     }
 
+    /// Output footprint in words — what a cross-chip dependent would pull
+    /// over the link.
     fn transfer_words(&self) -> u64 {
-        self.words.max(1)
+        self.hints().1.max(1)
     }
 
     fn run_on(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
-        match &self.step {
+        let sh = &*self.shared;
+        match self.step {
             SolverStep::Chol { round } => {
-                let a = {
-                    let mut st = self.state.lock().expect("solver state poisoned");
-                    let mut a = if *round == 0 {
-                        st.a0.clone()
+                // Round 0 factors the shared `A₀` in place; a later round
+                // folds the previous updates into a fresh `A`.
+                let folded = (round > 0).then(|| {
+                    let slots = sh.slots();
+                    let mut a = if round == 1 {
+                        Matrix::clone(&sh.a0)
                     } else {
-                        st.a[(round + 1) % 2].clone()
+                        slot(&slots.a[(round + 1) % 2]).clone()
                     };
-                    if *round > 0 {
-                        for s in &st.s {
-                            add_sym_update(&mut a, s);
-                        }
+                    for s in &slots.s {
+                        add_sym_update(&mut a, slot(s));
                     }
-                    st.a[round % 2] = a.clone();
                     a
-                };
-                let (l, stats) = blocked_cholesky_run(lac, &a)?;
-                self.state.lock().expect("solver state poisoned").l = l.clone();
+                });
+                let (l, stats) = blocked_cholesky_run(lac, folded.as_ref().unwrap_or(&sh.a0))?;
+                let mut slots = sh.slots();
+                // Only the next round's CHOL reads this round's `A`.
+                if round + 1 < sh.rounds {
+                    slots.a[round % 2] = folded;
+                }
+                slots.l = Some(l.clone());
+                drop(slots);
                 Ok(report(
                     lac,
                     "solver-chol",
@@ -500,19 +532,22 @@ impl ChipJob for SolverJob {
                     Details::Cholesky { l },
                 ))
             }
-            SolverStep::Trsm { panel, b } => {
-                let l = self.state.lock().expect("solver state poisoned").l.clone();
-                let (x, stats) = blocked_trsm_run(lac, &l, b)?;
-                self.state.lock().expect("solver state poisoned").x[*panel] = x.clone();
+            SolverStep::Trsm { panel } => {
+                let l = slot(&sh.slots().l).clone();
+                let (x, stats) = blocked_trsm_run(lac, &l, &sh.b[panel])?;
+                sh.slots().x[panel] = Some(x.clone());
                 Ok(report(lac, "solver-trsm", stats, None, Details::Trsm { x }))
             }
-            SolverStep::Syrk { panel } => {
-                let x = self.state.lock().expect("solver state poisoned").x[*panel].clone();
+            SolverStep::Syrk { round, panel } => {
+                let x = slot(&sh.slots().x[panel]).clone();
                 // S = X·Xᵀ (lower) from a zeroed accumulator.
                 let (n, w) = (x.rows(), x.cols());
                 let (s, stats) =
                     syrk_update(lac, &x, &Matrix::zeros(n, n), &SyrkParams::new(n, w))?;
-                self.state.lock().expect("solver state poisoned").s[*panel] = s.clone();
+                // The last round's updates feed no later CHOL.
+                if round + 1 < sh.rounds {
+                    sh.slots().s[panel] = Some(s.clone());
+                }
                 Ok(report(
                     lac,
                     "solver-syrk",
@@ -675,29 +710,79 @@ mod tests {
         assert!(report.stats.cycles > 0);
     }
 
-    #[test]
-    fn graph_matches_reference_and_serial_bitwise() {
-        let w = small();
-        let sg = w.graph();
-        assert_eq!(sg.graph.len(), 2 * (1 + 2 * 2));
-        let run = service(2)
-            .submit(&sg.graph, Scheduler::CriticalPath)
-            .unwrap();
-        w.check_graph(&run.outputs).unwrap();
+    /// Payload bytes the graph's slot store holds right now.
+    fn slot_bytes(sg: &SolverGraph) -> usize {
+        let slots = sg.graph.job(sg.chol[0]).shared.slots();
+        slots
+            .a
+            .iter()
+            .chain([&slots.l])
+            .chain(&slots.x)
+            .chain(&slots.s)
+            .flatten()
+            .map(|m| m.rows() * m.cols() * 8)
+            .sum()
+    }
 
-        // The serial door runs the identical arithmetic in the identical
-        // order, so factors agree bit-for-bit, not just within tolerance.
-        let mut lac = Lac::new(LacConfig::default());
-        let serial = w.run(&mut lac).unwrap();
-        let Details::Solver(solved) = &serial.details else {
-            panic!("solver report");
-        };
-        let factors = &solved.factors;
-        for (k, &chol_id) in sg.chol.iter().enumerate() {
-            let Details::Cholesky { l } = &run.outputs[chol_id.index()].details else {
-                panic!("chol report");
+    #[test]
+    fn slots_hold_only_what_a_later_job_reads() {
+        let (n, panels, width) = (8, 2, 4);
+        for rounds in 1..=5 {
+            let w = SolverLoopWorkload::new(SolverLoopParams {
+                n,
+                rounds,
+                panels,
+                width,
+                salt: 31 + rounds as u64,
+            });
+            let sg = w.graph();
+            assert_eq!(slot_bytes(&sg), 0, "rounds {rounds}: slots start empty");
+            // Every job shares the workload's operands instead of copying.
+            let ids = sg
+                .chol
+                .iter()
+                .chain(sg.trsm.iter().chain(&sg.syrk).flatten());
+            for job in ids.map(|&id| sg.graph.job(id)) {
+                assert!(Arc::ptr_eq(&job.shared.a0, &w.a0));
+                assert!(Arc::ptr_eq(&job.shared.b, &w.b));
+            }
+
+            let mut svc = service(2);
+            let run = svc.submit(&sg.graph, Scheduler::CriticalPath).unwrap();
+            w.check_graph(&run.outputs).unwrap();
+
+            // Bitwise equal to the serial door: every factor, and A₀ plus
+            // every update, rounds then panels in order.
+            let serial = w.run(&mut Lac::new(LacConfig::default())).unwrap();
+            let Details::Solver(solved) = &serial.details else {
+                panic!("solver report");
             };
-            assert_eq!(l, &factors[k], "round {k} factor must be bit-identical");
+            let mut final_a = Matrix::clone(&w.a0);
+            for k in 0..rounds {
+                let Details::Cholesky { l } = &run.outputs[sg.chol[k].index()].details else {
+                    panic!("chol report");
+                };
+                assert_eq!(l, &solved.factors[k], "rounds {rounds}: factor {k}");
+                for &s in &sg.syrk[k] {
+                    let Details::Syrk { c } = &run.outputs[s.index()].details else {
+                        panic!("syrk report");
+                    };
+                    add_sym_update(&mut final_a, c);
+                }
+            }
+            assert_eq!(final_a, solved.final_a, "rounds {rounds}: final A");
+
+            // A used graph reruns to the same bits.
+            let again = svc.submit(&sg.graph, Scheduler::CriticalPath).unwrap();
+            assert_eq!(run.outputs, again.outputs, "rounds {rounds}: rerun");
+
+            // What stays: the two newest stored `Aₖ` (1 ≤ k ≤ rounds − 2),
+            // the last factor and solutions, and the updates of the
+            // second-to-last round.
+            let stored_a = rounds.saturating_sub(2).min(2);
+            let stored_s = if rounds >= 2 { panels } else { 0 };
+            let want = 8 * (n * n * (stored_a + 1 + stored_s) + panels * n * width);
+            assert_eq!(slot_bytes(&sg), want, "rounds {rounds}: slot store");
         }
     }
 

@@ -65,8 +65,8 @@ use crate::coord::{coordinate, Hints, Plan, SimMode, TenantDelta, Topology};
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultPlan;
 use crate::service::{
-    cap_banked_credit, GraphCompletion, GraphTicket, JobGraph, JobId, PendingGraph, Rejected,
-    TenantConfig, TenantId, TenantSession,
+    cap_banked_credit, Adjacency, GraphCompletion, GraphTicket, JobGraph, JobId, PendingGraph,
+    Rejected, TenantConfig, TenantId, TenantSession,
 };
 use crate::stats::ExecStats;
 use crate::trace::EventLog;
@@ -198,7 +198,7 @@ impl Partitioner {
 pub(crate) fn partition_costs(
     p: Partitioner,
     costs: &[u64],
-    parents: &[Vec<usize>],
+    parents: &Adjacency,
     chips: usize,
 ) -> Partition {
     assert!(chips >= 1, "a cluster has at least one chip");
@@ -222,7 +222,7 @@ pub(crate) fn partition_costs(
                 }
                 j
             }
-            for (child, ps) in parents.iter().enumerate() {
+            for (child, ps) in parents.rows().enumerate() {
                 for &parent in ps {
                     let (a, b) = (find(&mut root, parent), find(&mut root, child));
                     let (lo, hi) = (a.min(b), a.max(b));
@@ -257,7 +257,7 @@ pub(crate) fn partition_costs(
         chip_cost[chip_of[j]] += costs[j];
     }
     let cut_edges = parents
-        .iter()
+        .rows()
         .enumerate()
         .flat_map(|(child, ps)| ps.iter().map(move |&parent| (parent, child)))
         .filter(|&(p, c)| chip_of[p] != chip_of[c])
@@ -588,11 +588,7 @@ impl<J: ChipJob> LacCluster<J> {
     /// chips only, then remap onto real chip indices — a dead chip never
     /// receives new work. Errors with [`HazardKind::AllChipsDead`] when no
     /// chip survives to take a job.
-    fn partition_alive(
-        &self,
-        costs: &[u64],
-        parents: &[Vec<usize>],
-    ) -> Result<Partition, SimError> {
+    fn partition_alive(&self, costs: &[u64], parents: &Adjacency) -> Result<Partition, SimError> {
         let chips = self.chips.len();
         let alive: Vec<usize> = (0..chips).filter(|&c| !self.dead[c]).collect();
         if alive.is_empty() {
@@ -741,8 +737,14 @@ impl<J: ChipJob> LacCluster<J> {
     /// enqueue/run history, never of host timing — and the tenant's
     /// rejection counter bumps. Admitted graphs wait (order-tagged by
     /// [`GraphTicket::seq`]) for the next [`LacCluster::run_admitted`]
-    /// round; in-flight cost drains when their round completes.
-    pub fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
+    /// round; in-flight cost drains when their round completes. An
+    /// admitted graph's buffers are trimmed to fit, so the queue holds no
+    /// growth slack.
+    pub fn enqueue(
+        &mut self,
+        t: TenantId,
+        mut graph: JobGraph<J>,
+    ) -> Result<GraphTicket, Rejected<J>> {
         let cost = graph.total_cost();
         let (cfg, session) = &mut self.tenants[t.index()];
         if let Some(budget) = cfg.max_inflight_cost {
@@ -764,6 +766,7 @@ impl<J: ChipJob> LacCluster<J> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
+        graph.shrink_to_fit();
         self.pending.push(PendingGraph {
             ticket,
             graph,
@@ -817,26 +820,26 @@ impl<J: ChipJob> LacCluster<J> {
             "one boost slack per registered tenant"
         );
         // Fuse the round into one graph: the admitted graphs laid end to
-        // end in admission order (edges never cross graphs), their edge
+        // end in admission order (edges never cross graphs), their parent
         // lists moved over and their jobs borrowed where they sit, so no
-        // job or edge is copied; one tenant tag per job.
+        // job is copied; one tenant tag per job.
         let mut pending = take(&mut self.pending);
         let edges: Vec<_> = pending
             .iter_mut()
-            .map(|p| (take(&mut p.graph.parents), take(&mut p.graph.children)))
+            .map(|p| take(&mut p.graph.parents))
             .collect();
         let jobs = pending.iter().map(|p| p.graph.len()).sum();
-        let mut pool = JobGraph::with_capacity(jobs);
+        let edge_count = edges.iter().map(Adjacency::edge_count).sum();
+        let mut pool = JobGraph::with_capacity(jobs, edge_count);
         let mut tenant_of = Vec::with_capacity(jobs);
         let mut backlog = vec![0u64; self.tenants.len()];
-        for (p, (parents, children)) in pending.iter().zip(edges) {
+        for (p, parents) in pending.iter().zip(edges) {
             let t = p.ticket.tenant.index();
             tenant_of.extend(std::iter::repeat_n(t, p.graph.len()));
             backlog[t] += p.cost;
             pool.append(JobGraph {
                 jobs: p.graph.jobs.iter().collect(),
                 parents,
-                children,
             });
         }
         let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();

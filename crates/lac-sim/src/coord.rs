@@ -66,7 +66,7 @@ use crate::chip::{ChipJob, ChipStats, Scheduler};
 use crate::core::Lac;
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultEvent;
-use crate::service::{critical_paths, plan_wave, plan_wave_tenanted_slo, JobGraph};
+use crate::service::{critical_paths, plan_wave, plan_wave_tenanted_slo, Adjacency, JobGraph};
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
 
@@ -127,10 +127,11 @@ pub(crate) struct Plan<'a> {
     pub(crate) costs: &'a [u64],
     /// Output size per job, words (prices cut edges).
     pub(crate) transfer_words: &'a [u64],
-    /// `parents[j]` — jobs that must complete before `j` runs.
-    pub(crate) parents: &'a [Vec<usize>],
-    /// `children[j]` — inverse of `parents`.
-    pub(crate) children: &'a [Vec<usize>],
+    /// Row `j` — jobs that must complete before `j` runs.
+    pub(crate) parents: &'a Adjacency,
+    /// Row `j` — jobs that wait on `j`: the inverse of `parents`, derived
+    /// once per run.
+    pub(crate) children: &'a Adjacency,
     /// Tenant index per job.
     pub(crate) tenant_of: &'a [usize],
     /// Fair-share weight per tenant.
@@ -150,7 +151,8 @@ pub(crate) struct Plan<'a> {
     pub(crate) chip_of: Vec<usize>,
 }
 
-/// Per-job hints of one graph plus its tenant tags. An untenanted graph
+/// Per-job hints of one graph plus its tenant tags and the children its
+/// run releases (derived from the graph's parents). An untenanted graph
 /// (the cluster's `run_graph`, which the service's `submit` fronts) puts
 /// every job in one anonymous tenant with fresh usage; a round's fused
 /// graph tags each job with its tenant.
@@ -158,6 +160,7 @@ pub(crate) struct Hints {
     costs: Vec<u64>,
     transfer_words: Vec<u64>,
     tenant_of: Vec<usize>,
+    children: Adjacency,
 }
 
 impl Hints {
@@ -167,12 +170,13 @@ impl Hints {
     }
 
     /// Read `graph`'s cost and transfer hints, with `tenant_of[j]` job
-    /// `j`'s tenant index.
+    /// `j`'s tenant index, and derive its children.
     pub(crate) fn tenanted<J: ChipJob>(graph: &JobGraph<J>, tenant_of: Vec<usize>) -> Self {
         Self {
             costs: graph.jobs.iter().map(|j| j.cost_hint()).collect(),
             transfer_words: graph.jobs.iter().map(|j| j.transfer_words()).collect(),
             tenant_of,
+            children: graph.children(),
         }
     }
 
@@ -184,7 +188,7 @@ impl Hints {
             costs: &self.costs,
             transfer_words: &self.transfer_words,
             parents: &graph.parents,
-            children: &graph.children,
+            children: &self.children,
             tenant_of: &self.tenant_of,
             weights: &[1],
             boost: &[u64::MAX],
@@ -633,7 +637,7 @@ fn drive<T>(
     let chip_cores: Vec<Range<usize>> = topo.chip_ranges().collect();
     let total_cores: usize = topo.cores_per_chip.iter().sum();
 
-    let priority = critical_paths(costs, children);
+    let priority = critical_paths(costs, parents);
     let order = PickOrder {
         sched,
         priority: &priority,
@@ -641,7 +645,7 @@ fn drive<T>(
         weights,
         boost,
     };
-    let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
+    let mut indegree: Vec<usize> = parents.rows().map(<[usize]>::len).collect();
     let mut ready_at = vec![0u64; n];
     // In the dispatchable pool: all parents released, not dispatched.
     let mut queued: Vec<bool> = indegree.iter().map(|&d| d == 0).collect();
@@ -777,7 +781,7 @@ fn drive<T>(
             if !wave {
                 ready_at[j] = ready_at[j].max(now);
             }
-            for &p in &parents[j] {
+            for &p in parents.row(j) {
                 if released[p] && chip_of[p] != target {
                     let arrival = charge_transfer!(p, j, target);
                     ready_at[j] = ready_at[j].max(arrival);
@@ -793,7 +797,7 @@ fn drive<T>(
             let j = $j;
             released[j] = true;
             released_count += 1;
-            for &child in &children[j] {
+            for &child in children.row(j) {
                 indegree[child] -= 1;
                 let arrival = if chip_of[child] != chip_of[j] {
                     charge_transfer!(j, child, chip_of[child])
@@ -1243,10 +1247,25 @@ mod tests {
     use crate::config::LacConfig;
     use crate::core::ExternalMem;
     use crate::isa::ProgramBuilder;
+    use crate::service::JobId;
     use crate::service::LacService;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::thread::ThreadId;
+
+    /// A payload-free graph of `n` jobs with `edges` as `(parent, child)`.
+    fn edge_graph(n: usize, edges: &[(usize, usize)]) -> JobGraph<()> {
+        let mut g = JobGraph::new();
+        for c in 0..n {
+            let parents: Vec<JobId> = edges
+                .iter()
+                .filter(|&&(_, child)| child == c)
+                .map(|&(p, _)| JobId::from_index(p))
+                .collect();
+            g.add_after((), &parents);
+        }
+        g
+    }
 
     /// Coordinate against a pure in-memory backend: `dispatch` queues
     /// `(core, job)`, `collect` reports the job's cost hint as its
@@ -1274,17 +1293,13 @@ mod tests {
         faults: &[FaultEvent],
     ) -> Result<CoordRun<ExecStats>, SimError> {
         let n = costs.len();
-        let mut parents = vec![Vec::new(); n];
-        let mut children = vec![Vec::new(); n];
-        for &(p, c) in edges {
-            parents[c].push(p);
-            children[p].push(c);
-        }
+        let graph = edge_graph(n, edges);
+        let children = graph.children();
         let tenant_of = vec![0; n];
         let plan = Plan {
             costs,
             transfer_words: words,
-            parents: &parents,
+            parents: &graph.parents,
             children: &children,
             tenant_of: &tenant_of,
             weights: &[1],
@@ -1326,12 +1341,14 @@ mod tests {
         // must end the run with an error, not a panic or a hang.
         let (tx, rx) = channel::<Done<ExecStats>>();
         drop(tx);
+        let graph = edge_graph(2, &[(0, 1)]);
+        let children = graph.children();
         for mode in [SimMode::Event, SimMode::Wave] {
             let plan = Plan {
                 costs: &[3, 4],
                 transfer_words: &[0, 0],
-                parents: &[vec![], vec![0]],
-                children: &[vec![1], vec![]],
+                parents: &graph.parents,
+                children: &children,
                 tenant_of: &[0, 0],
                 weights: &[1],
                 boost: &[u64::MAX],

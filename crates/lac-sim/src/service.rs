@@ -11,9 +11,11 @@
 //! it:
 //!
 //! * **[`JobGraph`]** — jobs are added in submission order and may depend
-//!   on previously added jobs (`add_after` / `add_dep`). Because an edge
-//!   can only point backwards, the graph is acyclic by construction. A job
-//!   becomes *ready* only when all its parents completed.
+//!   on previously added jobs (`add_after`). Because an edge can only
+//!   point backwards, the graph is acyclic by construction. A job becomes
+//!   *ready* only when all its parents completed. The graph stores each
+//!   job's parents once, flat ([`Adjacency`]); a run derives the children
+//!   from them.
 //! * **Deterministic dispatch** — the coordinator ([`crate::coord`])
 //!   hands ready jobs to cores under the [`Scheduler`] policy, picking
 //!   each off an index of the ready set: `Fifo` round-robins in job-id
@@ -92,6 +94,95 @@ impl JobId {
     }
 }
 
+/// One id list per job, stored flat: row `j` is
+/// `ids[ends[j − 1]..ends[j]]` (row 0 starts at 0). A [`JobGraph`] keeps
+/// its parents this way, and a run derives the children once in the same
+/// form ([`JobGraph::children`]), so a job's edges cost one id each, not a
+/// vector each.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Adjacency {
+    /// `ends[j]` — one past row `j`'s last id.
+    ends: Vec<usize>,
+    /// Every row's ids, rows laid end to end.
+    ids: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Room for `rows` rows holding `ids` ids in all.
+    pub(crate) fn with_capacity(rows: usize, ids: usize) -> Self {
+        Self {
+            ends: Vec::with_capacity(rows),
+            ids: Vec::with_capacity(ids),
+        }
+    }
+
+    /// Number of rows (one per job).
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Total ids over all rows (the graph's edge count).
+    pub fn edge_count(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Row `j`'s ids.
+    pub fn row(&self, j: usize) -> &[usize] {
+        let start = if j == 0 { 0 } else { self.ends[j - 1] };
+        &self.ids[start..self.ends[j]]
+    }
+
+    /// Every row, in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        (0..self.len()).map(|j| self.row(j))
+    }
+
+    /// Close the row being built from the ids pushed since the last one.
+    fn end_row(&mut self) {
+        self.ends.push(self.ids.len());
+    }
+
+    /// Lay `other`'s rows after this one's, adding `shift` to every id.
+    fn append(&mut self, other: Adjacency, shift: usize) {
+        let base = self.ids.len();
+        self.ends.extend(other.ends.into_iter().map(|e| e + base));
+        self.ids.extend(other.ids.into_iter().map(|id| id + shift));
+    }
+
+    /// The inverse: row `p` lists every `c` whose row holds `p`, once per
+    /// occurrence, in ascending `c` (a counting sort, two passes).
+    pub(crate) fn inverse(&self) -> Adjacency {
+        // Row sizes, then each row's start; filling in ascending `c`
+        // moves every start to its row's end.
+        let mut ends = vec![0usize; self.len()];
+        for &p in &self.ids {
+            ends[p] += 1;
+        }
+        let mut start = 0;
+        for e in &mut ends {
+            (*e, start) = (start, start + *e);
+        }
+        let mut ids = vec![0usize; self.ids.len()];
+        for (c, row) in self.rows().enumerate() {
+            for &p in row {
+                ids[ends[p]] = c;
+                ends[p] += 1;
+            }
+        }
+        Adjacency { ends, ids }
+    }
+
+    /// Bytes the two vectors reserve (`capacity × size_of`).
+    fn heap_bytes(&self) -> usize {
+        (self.ends.capacity() + self.ids.capacity()) * std::mem::size_of::<usize>()
+    }
+}
+
 /// A DAG of jobs: nodes are [`ChipJob`]s, edges are dependencies. A job
 /// may only depend on previously added jobs, so the graph is acyclic by
 /// construction.
@@ -115,10 +206,9 @@ impl JobId {
 #[derive(Clone, Debug)]
 pub struct JobGraph<J> {
     pub(crate) jobs: Vec<J>,
-    /// `parents[j]` — indices of jobs that must complete before `j` runs.
-    pub(crate) parents: Vec<Vec<usize>>,
-    /// `children[j]` — inverse of `parents`.
-    pub(crate) children: Vec<Vec<usize>>,
+    /// Row `j` — indices of jobs that must complete before `j` runs, in
+    /// the order they were given, each once.
+    pub(crate) parents: Adjacency,
 }
 
 impl<J> Default for JobGraph<J> {
@@ -132,18 +222,16 @@ impl<J> JobGraph<J> {
     pub fn new() -> Self {
         Self {
             jobs: Vec::new(),
-            parents: Vec::new(),
-            children: Vec::new(),
+            parents: Adjacency::default(),
         }
     }
 
-    /// An empty graph with room for `jobs` jobs (a round fuses its
-    /// admitted graphs into one without regrowing).
-    pub(crate) fn with_capacity(jobs: usize) -> Self {
+    /// An empty graph with room for `jobs` jobs and `edges` edges (a
+    /// round fuses its admitted graphs into one without regrowing).
+    pub(crate) fn with_capacity(jobs: usize, edges: usize) -> Self {
         Self {
             jobs: Vec::with_capacity(jobs),
-            parents: Vec::with_capacity(jobs),
-            children: Vec::with_capacity(jobs),
+            parents: Adjacency::with_capacity(jobs, edges),
         }
     }
 
@@ -153,33 +241,31 @@ impl<J> JobGraph<J> {
     }
 
     /// Add a job that becomes ready only after every job in `parents`
-    /// completed. Duplicate parents are deduplicated.
+    /// completed. Duplicate parents are deduplicated. Panics unless every
+    /// parent was added before — the invariant that keeps every graph a
+    /// DAG.
     pub fn add_after(&mut self, job: J, parents: &[JobId]) -> JobId {
         let id = JobId(self.jobs.len());
-        self.jobs.push(job);
-        self.parents.push(Vec::new());
-        self.children.push(Vec::new());
-        for &p in parents {
-            self.add_dep(p, id);
+        if let Some(p) = parents.iter().find(|p| p.0 >= id.0) {
+            panic!("a job can only depend on earlier-submitted jobs ({p:?} !< {id:?})");
         }
+        let start = self.parents.ids.len();
+        for p in parents {
+            if !self.parents.ids[start..].contains(&p.0) {
+                self.parents.ids.push(p.0);
+            }
+        }
+        self.parents.end_row();
+        self.jobs.push(job);
         id
     }
 
-    /// Record that `child` depends on `parent`. Panics unless `parent` was
-    /// added before `child` — the invariant that keeps every graph a DAG.
-    pub fn add_dep(&mut self, parent: JobId, child: JobId) {
-        assert!(
-            child.0 < self.jobs.len(),
-            "child {child:?} is not in this graph"
-        );
-        assert!(
-            parent.0 < child.0,
-            "a job can only depend on earlier-submitted jobs ({parent:?} !< {child:?})"
-        );
-        if !self.parents[child.0].contains(&parent.0) {
-            self.parents[child.0].push(parent.0);
-            self.children[parent.0].push(child.0);
-        }
+    /// Drop the growth slack of the job vector and the parent lists (an
+    /// admitted graph waits for its round at its exact size).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.jobs.shrink_to_fit();
+        self.parents.ends.shrink_to_fit();
+        self.parents.ids.shrink_to_fit();
     }
 
     /// Number of jobs.
@@ -199,15 +285,37 @@ impl<J> JobGraph<J> {
 
     /// Parents of `id`, in the order the edges were added.
     pub fn parents_of(&self, id: JobId) -> impl Iterator<Item = JobId> + '_ {
-        self.parents[id.0].iter().map(|&p| JobId(p))
+        self.parents.row(id.0).iter().map(|&p| JobId(p))
     }
 
-    /// All edges `(parent, child)` of the graph.
+    /// All edges `(parent, child)` of the graph, in child-id order.
     pub fn edges(&self) -> impl Iterator<Item = (JobId, JobId)> + '_ {
         self.parents
-            .iter()
+            .rows()
             .enumerate()
             .flat_map(|(c, ps)| ps.iter().map(move |&p| (JobId(p), JobId(c))))
+    }
+
+    /// Every job's children, derived from the stored parents: row `p`
+    /// holds each child of `p` once, in ascending id order. A run derives
+    /// this once; the graph does not store it.
+    pub fn children(&self) -> Adjacency {
+        self.parents.inverse()
+    }
+
+    /// Longest remaining cost path from each job to a sink, inclusive of
+    /// the job's own cost (`costs[j]`, zero counting as 1) — the
+    /// [`Scheduler::CriticalPath`] priority.
+    pub fn critical_paths(&self, costs: &[u64]) -> Vec<u64> {
+        critical_paths(costs, &self.parents)
+    }
+
+    /// Bytes the graph's own buffers reserve: the job vector and the flat
+    /// parent lists, `capacity × size_of` each (what jobs own behind
+    /// pointers is theirs). A pure function of the build sequence, so
+    /// exact across hosts.
+    pub fn heap_bytes(&self) -> usize {
+        self.jobs.capacity() * std::mem::size_of::<J>() + self.parents.heap_bytes()
     }
 
     /// Splice another graph onto the end of this one, keeping `other`'s
@@ -219,12 +327,8 @@ impl<J> JobGraph<J> {
     /// into one cluster submission).
     pub fn append(&mut self, mut other: JobGraph<J>) -> Vec<JobId> {
         let offset = self.jobs.len();
-        for ids in other.parents.iter_mut().chain(&mut other.children) {
-            ids.iter_mut().for_each(|id| *id += offset);
-        }
         self.jobs.append(&mut other.jobs);
-        self.parents.append(&mut other.parents);
-        self.children.append(&mut other.children);
+        self.parents.append(other.parents, offset);
         (offset..self.jobs.len()).map(JobId).collect()
     }
 
@@ -237,7 +341,6 @@ impl<J> JobGraph<J> {
         JobGraph {
             jobs: self.jobs.into_iter().map(f).collect(),
             parents: self.parents,
-            children: self.children,
         }
     }
 }
@@ -265,12 +368,18 @@ impl<J> FromIterator<J> for JobGraph<J> {
 }
 
 /// Longest remaining cost-hint path from each job to a sink (inclusive of
-/// the job's own cost) — the [`Scheduler::CriticalPath`] priority.
-pub(crate) fn critical_paths(costs: &[u64], children: &[Vec<usize>]) -> Vec<u64> {
+/// the job's own cost) — the [`Scheduler::CriticalPath`] priority. One
+/// reverse sweep over the parents: every child has a higher id than its
+/// parents, so a job's path is final when the sweep reaches it, and it
+/// then raises each parent's longest tail.
+pub(crate) fn critical_paths(costs: &[u64], parents: &Adjacency) -> Vec<u64> {
+    // `cp[j]` holds job `j`'s longest tail until the sweep reaches it.
     let mut cp = vec![0u64; costs.len()];
     for j in (0..costs.len()).rev() {
-        let tail = children[j].iter().map(|&c| cp[c]).max().unwrap_or(0);
-        cp[j] = costs[j].max(1) + tail;
+        cp[j] += costs[j].max(1);
+        for &p in parents.row(j) {
+            cp[p] = cp[p].max(cp[j]);
+        }
     }
     cp
 }
@@ -883,18 +992,42 @@ mod tests {
     #[test]
     #[should_panic(expected = "earlier-submitted")]
     fn forward_edges_are_rejected() {
+        // A handle from a longer graph names a job this one does not have
+        // yet: depending on it would point forwards.
+        let mut other = JobGraph::new();
+        let ahead = (0..3).map(|i| other.add(i as u8)).last().unwrap();
         let mut g = JobGraph::new();
         let a = g.add(0u8);
-        let b = g.add(1u8);
-        g.add_dep(b, a);
+        g.add_after(1u8, &[a, ahead]);
     }
 
     #[test]
     fn critical_path_is_longest_cost_chain() {
         // chain 0→1→2 (costs 1,2,3) plus lone 3 (cost 10).
-        let costs = [1, 2, 3, 10];
-        let children = vec![vec![1], vec![2], vec![], vec![]];
-        assert_eq!(critical_paths(&costs, &children), vec![6, 5, 3, 10]);
+        let mut g = JobGraph::new();
+        let a = g.add(());
+        let b = g.add_after((), &[a]);
+        g.add_after((), &[b]);
+        g.add(());
+        assert_eq!(g.critical_paths(&[1, 2, 3, 10]), vec![6, 5, 3, 10]);
+    }
+
+    #[test]
+    fn flat_edges_append_and_invert() {
+        let mut g = JobGraph::new();
+        let a = g.add('a');
+        let b = g.add_after('b', &[a]);
+        g.add_after('c', &[b, a, b]);
+        let mut fused = g.clone();
+        assert_eq!(fused.append(g), (3..6).map(JobId).collect::<Vec<_>>());
+        let edges: Vec<(usize, usize)> =
+            fused.edges().map(|(p, c)| (p.index(), c.index())).collect();
+        assert_eq!(edges, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
+        let children = fused.children();
+        let rows: Vec<&[usize]> = children.rows().collect();
+        assert_eq!(rows, [&[1, 2][..], &[2], &[], &[4, 5], &[5], &[]]);
+        assert_eq!(children.edge_count(), fused.parents.edge_count());
+        assert_eq!(JobGraph::<u8>::new().children(), Adjacency::default());
     }
 
     #[test]

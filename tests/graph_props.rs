@@ -7,7 +7,10 @@
 //! * wave planning is work-conserving: no core idles while a ready job
 //!   exists, and no core hoards when jobs are scarcer than cores;
 //! * named shapes (chain, diamond, fan-out) produce the wave structure
-//!   they must.
+//!   they must;
+//! * the graph stores only parents: the children a run derives are
+//!   exactly their inverse, and the parents-only critical path equals
+//!   the classic recursion over children.
 
 mod common;
 
@@ -17,6 +20,22 @@ use lap::lac_sim::{
     Scheduler,
 };
 use proptest::prelude::*;
+
+/// Longest cost path from `j` to a sink (zero costs count as 1), by
+/// recursion over explicit child lists — the textbook definition.
+fn longest_path(j: usize, costs: &[u64], children: &[Vec<usize>], memo: &mut [Option<u64>]) -> u64 {
+    if let Some(v) = memo[j] {
+        return v;
+    }
+    let tail = children[j]
+        .iter()
+        .map(|&c| longest_path(c, costs, children, memo))
+        .max()
+        .unwrap_or(0);
+    let v = costs[j].max(1) + tail;
+    memo[j] = Some(v);
+    v
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -91,6 +110,36 @@ proptest! {
                 Some(b) => prop_assert_eq!(b, &svc_run.outputs, "{:?} changed results", sched),
             }
         }
+    }
+
+    #[test]
+    fn derived_children_invert_parents_and_critical_paths_agree(
+        extras in prop::collection::vec(0usize..16, 1..48),
+        seeds in prop::collection::vec(any::<u64>(), 8..9),
+        costs in prop::collection::vec(0u64..100, 48..49),
+    ) {
+        // `random_log_dag` may name one parent twice; `edges` is the
+        // sorted, deduplicated edge set.
+        let (graph, edges, _) = random_log_dag(&extras, &seeds);
+        let n = extras.len();
+        prop_assert_eq!(graph.edges().count(), edges.len(), "each edge stored once");
+        let mut children = vec![Vec::new(); n];
+        for &(p, c) in &edges {
+            children[p].push(c);
+        }
+        let derived = graph.children();
+        prop_assert_eq!(derived.len(), n);
+        prop_assert_eq!(derived.edge_count(), edges.len());
+        for (p, want) in children.iter().enumerate() {
+            // Each child once, in ascending id order.
+            prop_assert_eq!(derived.row(p), &want[..], "children of {}", p);
+        }
+        let costs = &costs[..n];
+        let mut memo = vec![None; n];
+        let want: Vec<u64> = (0..n)
+            .map(|j| longest_path(j, costs, &children, &mut memo))
+            .collect();
+        prop_assert_eq!(graph.critical_paths(costs), want);
     }
 
     #[test]

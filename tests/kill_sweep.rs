@@ -1,5 +1,6 @@
 //! Chip loss, graph reuse and job purity for the real interior-point
-//! clients: `SolverFleet` (1–3 rounds), `IppmmWorkload` and `IpddpFleet`.
+//! clients: `SolverFleet` (1–4 rounds, so round 3 reads the `A` slot
+//! round 2 wrote), `IppmmWorkload` and `IpddpFleet`.
 //!
 //! * **Kill sweep** — on 2 chips × 2 cores, in both time models, each
 //!   chip is killed at every distinct wave-end tick (wave mode) or
@@ -139,7 +140,7 @@ fn sweep_dynamic<J: ChipJob<Output = KernelReport>>(
 
 #[test]
 fn solver_fleets_survive_a_kill_at_every_tick() {
-    for rounds in 1..=3 {
+    for rounds in 1..=4 {
         for mode in MODES {
             let f = fleet(rounds);
             let clean = cluster(mode, None).run_graph(&f.graph, SCHED).unwrap();
@@ -177,8 +178,8 @@ fn ipddp_survives_a_kill_at_every_tick() {
 #[test]
 fn used_graphs_and_second_requests_rerun_to_the_same_bits() {
     for mode in MODES {
-        // A used 1–3 round solver graph, rerun warm and on a fresh cluster.
-        for rounds in 1..=3 {
+        // A used 1–4 round solver graph, rerun warm and on a fresh cluster.
+        for rounds in 1..=4 {
             let f = fleet(rounds);
             let mut cl = cluster(mode, None);
             let first = cl.run_graph(&f.graph, SCHED).unwrap();
@@ -241,7 +242,7 @@ fn assert_pure<J: ChipJob<Output = KernelReport>>(name: &str, request: DynamicGr
 
 #[test]
 fn every_job_is_pure_on_fresh_and_warm_cores() {
-    for rounds in 1..=3 {
+    for rounds in 1..=4 {
         let f = fleet(rounds);
         let segments = assert_pure("solver", DynamicGraph::fixed(f.graph));
         assert_eq!(segments, 1);

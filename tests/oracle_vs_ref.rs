@@ -198,7 +198,7 @@ fn solver_loop_factors_reconstruct_every_round() {
     };
     let (factors, final_a) = (&solved.factors, &solved.final_a);
     assert_eq!(factors.len(), 4);
-    let mut a = wl.a0.clone();
+    let mut a = Matrix::clone(&wl.a0);
     for (k, l) in factors.iter().enumerate() {
         let mut llt = Matrix::zeros(a.rows(), a.cols());
         gemm(l, &l.transpose(), &mut llt);
@@ -206,7 +206,7 @@ fn solver_loop_factors_reconstruct_every_round() {
         let err = max_abs_diff(&llt, &a) / scale;
         assert!(err < 1e-7, "round {k}: ‖L·Lᵀ − A‖/‖A‖ = {err:.3e}");
         for p in 0..wl.params.panels {
-            let mut x = wl.b_panel(p);
+            let mut x = Matrix::clone(&wl.b[p]);
             trsm(Side::Left, Triangle::Lower, l, &mut x);
             let mut s = Matrix::zeros(a.rows(), a.cols());
             gemm(&x, &x.transpose(), &mut s);
