@@ -16,7 +16,10 @@
 //!
 //! Host µs/job is machine-dependent and archived **ungated**;
 //! `makespan_cycles` is simulated, exact on every host, and gated by
-//! `perf_compare` to pin the workload. Repetitions must agree on it.
+//! `perf_compare` to pin the workload. `coord_heap_bytes` — the bytes the
+//! coordinator's per-job table, ready index and event log reserved for
+//! the round — is exact on every host too, and gated worse-if-higher.
+//! Repetitions must agree on both.
 
 use lac_bench::json::Json;
 use lac_bench::table;
@@ -50,9 +53,16 @@ fn flat(n: usize) -> JobGraph<ProgramJob> {
     (0..n).map(|_| ProgramJob::new(prog.clone())).collect()
 }
 
-/// One round of `jobs` jobs: `(makespan cycles, host seconds)`. Only
-/// `run_admitted` is timed; building and enqueueing the graphs is not.
-fn round(mode: SimMode, sched: Scheduler, jobs: usize) -> (u64, f64) {
+/// What one round measured.
+struct Point {
+    makespan: u64,
+    coord_heap_bytes: usize,
+    host_s: f64,
+}
+
+/// One round of `jobs` jobs. Only `run_admitted` is timed; building and
+/// enqueueing the graphs is not.
+fn round(mode: SimMode, sched: Scheduler, jobs: usize) -> Point {
     let cfg = ChipConfig::new(CORES, LacConfig::default()).with_sim_mode(mode);
     let mut svc: LacService<ProgramJob> = LacService::new(cfg);
     for t in 0..TENANTS {
@@ -65,7 +75,11 @@ fn round(mode: SimMode, sched: Scheduler, jobs: usize) -> (u64, f64) {
     let run = svc.run_admitted(sched).expect("round runs");
     let host = start.elapsed().as_secs_f64();
     assert_eq!(run.stats.jobs(), jobs as u64, "every job ran once");
-    (run.stats.makespan_cycles, host)
+    Point {
+        makespan: run.stats.makespan_cycles,
+        coord_heap_bytes: run.coord_heap_bytes,
+        host_s: host,
+    }
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -73,37 +87,50 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Measure every size of `case`: `(jobs, makespan cycles, median host
-/// µs/job)` per size. Host speed drifts in phases tens of seconds long,
-/// so every repetition visits every size back to back and the sizes are
-/// compared within one phase. An untimed round first takes the process's
-/// one-time costs (page faults, compiles).
-fn measure(case: &Case) -> Vec<(usize, u64, f64)> {
+/// One size of one case: the repetitions' exact fields and median host
+/// µs/job.
+struct Measured {
+    jobs: usize,
+    makespan: u64,
+    coord_heap_bytes: usize,
+    us_per_job: f64,
+}
+
+/// Measure every size of `case`. Host speed drifts in phases tens of
+/// seconds long, so every repetition visits every size back to back and
+/// the sizes are compared within one phase. An untimed round first takes
+/// the process's one-time costs (page faults, compiles).
+fn measure(case: &Case) -> Vec<Measured> {
     round(case.mode, case.sched, SIZES[0]);
-    let mut samples = vec![(Vec::new(), Vec::new()); SIZES.len()];
+    let mut samples: Vec<Vec<Point>> = SIZES.iter().map(|_| Vec::new()).collect();
     for _ in 0..REPS {
-        for (&jobs, (makespans, hosts)) in SIZES.iter().zip(&mut samples) {
-            let (makespan, host) = round(case.mode, case.sched, jobs);
-            makespans.push(makespan);
-            hosts.push(host);
+        for (&jobs, points) in SIZES.iter().zip(&mut samples) {
+            points.push(round(case.mode, case.sched, jobs));
         }
     }
     SIZES
         .iter()
         .zip(samples)
-        .map(|(&jobs, (makespans, hosts))| {
+        .map(|(&jobs, points)| {
+            let first = &points[0];
             assert!(
-                makespans.iter().all(|&m| m == makespans[0]),
-                "{jobs} jobs: repetitions disagree on makespan: {makespans:?}"
+                points.iter().all(|p| (p.makespan, p.coord_heap_bytes)
+                    == (first.makespan, first.coord_heap_bytes)),
+                "{jobs} jobs: repetitions disagree on makespan or coordinator bytes"
             );
-            (jobs, makespans[0], median(hosts) * 1e6 / jobs as f64)
+            Measured {
+                jobs,
+                makespan: first.makespan,
+                coord_heap_bytes: first.coord_heap_bytes,
+                us_per_job: median(points.iter().map(|p| p.host_s).collect()) * 1e6 / jobs as f64,
+            }
         })
         .collect()
 }
 
 /// Host µs/job at 10⁴ jobs over 10³ jobs.
-fn exponent(points: &[(usize, u64, f64)]) -> f64 {
-    points[1].2 / points[0].2
+fn exponent(points: &[Measured]) -> f64 {
+    points[1].us_per_job / points[0].us_per_job
 }
 
 pub fn run() -> Json {
@@ -144,14 +171,16 @@ pub fn run() -> Json {
             );
             measured = measure(case);
         }
-        for &(jobs, makespan, us_per_job) in &measured {
+        for m in &measured {
+            let (jobs, us_per_job) = (m.jobs, m.us_per_job);
             rows.push(vec![
                 mode.to_string(),
                 policy.clone(),
                 format!("{jobs}"),
-                format!("{makespan}"),
+                format!("{}", m.makespan),
+                format!("{}", m.coord_heap_bytes),
                 format!("{us_per_job:.2}"),
-                format!("{:.2}x", us_per_job / measured[0].2),
+                format!("{:.2}x", us_per_job / measured[0].us_per_job),
             ]);
             points.push(Json::obj([
                 ("bench", Json::from("coordinator_scale")),
@@ -160,7 +189,8 @@ pub fn run() -> Json {
                 ("tenants", Json::from(TENANTS)),
                 ("cores", Json::from(CORES)),
                 ("jobs", Json::from(jobs)),
-                ("makespan_cycles", Json::from(makespan)),
+                ("makespan_cycles", Json::from(m.makespan)),
+                ("coord_heap_bytes", Json::from(m.coord_heap_bytes)),
                 ("host_us_per_job", Json::from(us_per_job)),
             ]));
         }
@@ -176,12 +206,14 @@ pub fn run() -> Json {
     table(
         "Coordinator scaling — one round of flat 4-cycle jobs, 4 weighted tenants, \
          2 cores (host us/job: median of 3, ungated; makespan gated to pin the \
-         workload; every case gated: 10^4 over 10^3 <= 1.5x)",
+         workload; coordinator bytes gated worse-if-higher; every case gated: \
+         10^4 over 10^3 <= 1.5x)",
         &[
             "mode",
             "policy",
             "jobs",
             "makespan_cycles",
+            "coord_heap_bytes",
             "host_us/job",
             "vs 10^3",
         ],

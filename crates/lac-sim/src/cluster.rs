@@ -203,6 +203,14 @@ pub(crate) fn partition_costs(
 ) -> Partition {
     assert!(chips >= 1, "a cluster has at least one chip");
     let n = costs.len();
+    if chips == 1 {
+        // Every job on chip 0, no edge cut: no components to find.
+        return Partition {
+            chip_of: vec![0; n],
+            cut_edges: Vec::new(),
+            chip_cost: vec![costs.iter().sum()],
+        };
+    }
     let mut chip_of = vec![0usize; n];
     match p {
         Partitioner::Striped => {
@@ -366,6 +374,10 @@ pub struct ClusterRun<T> {
     /// fault-free path; a fault's requeue may re-charge an edge to move a
     /// durable output to a job's new home.
     pub events: EventLog,
+    /// Bytes the coordinator's bookkeeping reserved for this run
+    /// (`capacity × size_of`): its per-job table, its ready index and
+    /// `events`. Exact on every host.
+    pub coord_heap_bytes: usize,
 }
 
 /// Everything one multi-tenant cluster round produces: per-graph
@@ -397,6 +409,9 @@ pub struct ClusterRound<T> {
     /// clock (the open-loop driver rebases and merges these — see
     /// [`EventLog::shift`]).
     pub events: EventLog,
+    /// Bytes the coordinator's bookkeeping reserved for the round (see
+    /// [`ClusterRun::coord_heap_bytes`]).
+    pub coord_heap_bytes: usize,
 }
 
 /// Lifetime meters of a [`LacCluster`] (and so of a
@@ -605,6 +620,16 @@ impl<J: ChipJob> LacCluster<J> {
                 kind: HazardKind::AllChipsDead { chips },
             });
         }
+        if let [chip] = alive[..] {
+            // One survivor takes every job and cuts no edge.
+            let mut chip_cost = vec![0u64; chips];
+            chip_cost[chip] = costs.iter().map(|&c| c.max(1)).sum();
+            return Ok(Partition {
+                chip_of: vec![chip; costs.len()],
+                cut_edges: Vec::new(),
+                chip_cost,
+            });
+        }
         let costs: Vec<u64> = costs.iter().map(|&c| c.max(1)).collect();
         let part = partition_costs(self.partitioner, &costs, parents, alive.len());
         if alive.len() == chips {
@@ -675,7 +700,12 @@ impl<J: ChipJob> LacCluster<J> {
         sched: Scheduler,
     ) -> Result<ClusterRun<J::Output>, SimError> {
         let hints = Hints::of(graph);
-        let (run, _) = self.run_pool(graph, hints.plan(graph, sched), 1)?;
+        let PoolRun {
+            mut run,
+            mut outputs,
+            ..
+        } = self.run_pool(graph, hints.plan(graph, sched), 1)?;
+        run.outputs = outputs.pop().expect("one graph, one output vector");
         Ok(run)
     }
 
@@ -832,6 +862,7 @@ impl<J: ChipJob> LacCluster<J> {
         let edge_count = edges.iter().map(Adjacency::edge_count).sum();
         let mut pool = JobGraph::with_capacity(jobs, edge_count);
         let mut tenant_of = Vec::with_capacity(jobs);
+        let mut graph_ends = Vec::with_capacity(pending.len());
         let mut backlog = vec![0u64; self.tenants.len()];
         for (p, parents) in pending.iter().zip(edges) {
             let t = p.ticket.tenant.index();
@@ -841,11 +872,12 @@ impl<J: ChipJob> LacCluster<J> {
                 jobs: p.graph.jobs.iter().collect(),
                 parents,
             });
+            graph_ends.push(pool.len());
         }
         let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
         let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
         cap_banked_credit(&mut usage, &weights, &backlog);
-        let hints = Hints::tenanted(&pool, tenant_of);
+        let hints = Hints::tenanted(&pool, tenant_of, graph_ends);
         let plan = Plan {
             weights: &weights,
             boost,
@@ -861,38 +893,37 @@ impl<J: ChipJob> LacCluster<J> {
             session.inflight_cost -= p.cost;
             session.graphs_completed += u64::from(done.is_ok());
         }
-        let (run, per_tenant) = done?;
+        let PoolRun {
+            run,
+            outputs,
+            per_tenant,
+        } = done?;
         for ((_, session), delta) in self.tenants.iter_mut().zip(&per_tenant) {
             session.busy.merge(&delta.busy);
             session.jobs_run += delta.jobs;
             session.wait_cycles += delta.wait_cycles;
             session.cost_completed += delta.cost_dispatched;
         }
-        // Each graph's completion is its contiguous slice of the pool,
-        // with cores numbered globally (chips laid end to end). The fused
-        // outputs are split from the back, last graph first: each split
-        // moves one graph's outputs out and hands the freed tail back, so
-        // the round never holds its outputs twice, and the first graph
-        // takes the fused buffer itself, trimmed to its own length.
+        // The round is over: its pool, hints and graphs (whose jobs own
+        // their solver slots) go before the per-graph results are built.
+        let tickets: Vec<GraphTicket> = pending.iter().map(|p| p.ticket).collect();
+        drop(pool);
+        drop(hints);
+        drop(pending);
+        // Each graph takes its own output vector, kept apart since the run
+        // began, and its contiguous slice of the pool's placement, with
+        // cores numbered globally (chips laid end to end).
         let starts: Vec<usize> = self.cfg.topology().chip_ranges().map(|r| r.start).collect();
-        let mut outputs = run.outputs;
-        let mut end = outputs.len();
-        let mut graphs: Vec<_> = pending
-            .iter()
-            .rev()
-            .map(|p| {
-                let jobs = end - p.graph.len()..end;
-                end = jobs.start;
-                let own = if jobs.start == 0 {
-                    take(&mut outputs)
-                } else {
-                    let own = outputs.split_off(jobs.start);
-                    outputs.shrink_to_fit();
-                    own
-                };
+        let mut start = 0;
+        let graphs = tickets
+            .into_iter()
+            .zip(outputs)
+            .map(|(ticket, outputs)| {
+                let jobs = start..start + outputs.len();
+                start = jobs.end;
                 GraphCompletion {
-                    ticket: p.ticket,
-                    outputs: own,
+                    ticket,
+                    outputs,
                     assignment: run.assignment[jobs.clone()]
                         .iter()
                         .map(|&(chip, core)| starts[chip] + core)
@@ -901,7 +932,6 @@ impl<J: ChipJob> LacCluster<J> {
                 }
             })
             .collect();
-        graphs.reverse();
         Ok(ClusterRound {
             graphs,
             partition: run.partition,
@@ -910,6 +940,7 @@ impl<J: ChipJob> LacCluster<J> {
             idle_per_core: run.idle_per_core,
             stats: run.stats,
             events: run.events,
+            coord_heap_bytes: run.coord_heap_bytes,
         })
     }
 
@@ -919,17 +950,16 @@ impl<J: ChipJob> LacCluster<J> {
     /// scoped workers on demand), honoring the fault plan on the session
     /// clock; chips killed during the run stay dead for every later run.
     /// On success the run of `graphs` graphs folds into the session.
-    /// Returns the run and its per-tenant meter deltas.
     fn run_pool<K: ChipJob<Output = J::Output>>(
         &mut self,
         graph: &JobGraph<K>,
         plan: Plan<'_>,
         graphs: u64,
-    ) -> Result<(ClusterRun<J::Output>, Vec<TenantDelta>), SimError> {
+    ) -> Result<PoolRun<J::Output>, SimError> {
         let partition = self.partition_alive(plan.costs, plan.parents)?;
         let topo = self.cfg.topology();
         let plan = Plan {
-            chip_of: partition.chip_of.clone(),
+            chip_of: &partition.chip_of,
             faults: self.fault_plan.kills(),
             base: self.session.clock_cycles,
             ..plan
@@ -968,7 +998,7 @@ impl<J: ChipJob> LacCluster<J> {
             .map(|r| run.idle_per_core[r].to_vec())
             .collect();
         let cluster_run = ClusterRun {
-            outputs: run.outputs,
+            outputs: Vec::new(),
             partition,
             assignment: run.assignment,
             wave_of: run.wave_of,
@@ -977,9 +1007,24 @@ impl<J: ChipJob> LacCluster<J> {
             idle_per_core,
             stats,
             events: run.events,
+            coord_heap_bytes: run.coord_heap_bytes,
         };
-        Ok((cluster_run, run.per_tenant))
+        Ok(PoolRun {
+            run: cluster_run,
+            outputs: run.outputs,
+            per_tenant: run.per_tenant,
+        })
     }
+}
+
+/// What [`LacCluster::run_pool`] hands its door: the cluster-level
+/// result, whose `outputs` stay empty for the door to fill, beside the
+/// outputs themselves, one vector per graph of the plan, and the
+/// per-tenant meter deltas.
+struct PoolRun<T> {
+    run: ClusterRun<T>,
+    outputs: Vec<Vec<T>>,
+    per_tenant: Vec<TenantDelta>,
 }
 
 #[cfg(test)]

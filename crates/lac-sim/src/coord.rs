@@ -54,9 +54,12 @@
 //! overlaps transfers with compute, so on cut-edge graphs its makespan is
 //! typically well below wave mode's.
 
+#![warn(clippy::too_many_lines)]
+
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::mem::take;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -147,8 +150,13 @@ pub(crate) struct Plan<'a> {
     /// Fair-share usage per tenant, charged as jobs dispatch, so
     /// quantum-capped waves see usage evolve within the run.
     pub(crate) usage: Vec<u64>,
-    /// Chip per job; a fault requeues jobs off a dead chip in place.
-    pub(crate) chip_of: Vec<usize>,
+    /// Chip per job at run start (the run keeps the live placement in its
+    /// own table).
+    pub(crate) chip_of: &'a [usize],
+    /// One past each graph's last job, in pool order: the pool is its
+    /// graphs laid end to end, and the run keeps one output vector per
+    /// graph.
+    pub(crate) graph_ends: &'a [usize],
 }
 
 /// Per-job hints of one graph plus its tenant tags and the children its
@@ -161,28 +169,36 @@ pub(crate) struct Hints {
     transfer_words: Vec<u64>,
     tenant_of: Vec<usize>,
     children: Adjacency,
+    graph_ends: Vec<usize>,
 }
 
 impl Hints {
-    /// Read `graph`'s cost and transfer hints; every job is tenant 0.
+    /// Read `graph`'s cost and transfer hints; every job is tenant 0, and
+    /// the graph is one.
     pub(crate) fn of<J: ChipJob>(graph: &JobGraph<J>) -> Self {
-        Self::tenanted(graph, vec![0; graph.len()])
+        Self::tenanted(graph, vec![0; graph.len()], vec![graph.len()])
     }
 
     /// Read `graph`'s cost and transfer hints, with `tenant_of[j]` job
-    /// `j`'s tenant index, and derive its children.
-    pub(crate) fn tenanted<J: ChipJob>(graph: &JobGraph<J>, tenant_of: Vec<usize>) -> Self {
+    /// `j`'s tenant index and `graph_ends` the end of each fused graph's
+    /// jobs, and derive its children.
+    pub(crate) fn tenanted<J: ChipJob>(
+        graph: &JobGraph<J>,
+        tenant_of: Vec<usize>,
+        graph_ends: Vec<usize>,
+    ) -> Self {
         Self {
             costs: graph.jobs.iter().map(|j| j.cost_hint()).collect(),
             transfer_words: graph.jobs.iter().map(|j| j.transfer_words()).collect(),
             tenant_of,
             children: graph.children(),
+            graph_ends,
         }
     }
 
-    /// The fault-free, single-chip, single-tenant plan of `graph` under
-    /// `sched` (a round overrides the tenancy, a cluster the placement
-    /// and faults).
+    /// The fault-free, single-tenant plan of `graph` under `sched`, not
+    /// yet placed: a round overrides the tenancy, and the cluster sets the
+    /// placement and the faults.
     pub(crate) fn plan<'a, J>(&'a self, graph: &'a JobGraph<J>, sched: Scheduler) -> Plan<'a> {
         Plan {
             costs: &self.costs,
@@ -196,7 +212,8 @@ impl Hints {
             base: 0,
             sched,
             usage: vec![0],
-            chip_of: vec![0; self.costs.len()],
+            chip_of: &[],
+            graph_ends: &self.graph_ends,
         }
     }
 }
@@ -270,8 +287,9 @@ pub(crate) struct TenantDelta {
 /// [`Topology::chip_ranges`].
 #[derive(Debug)]
 pub(crate) struct CoordRun<T> {
-    /// One output per job, pool order.
-    pub(crate) outputs: Vec<T>,
+    /// One output vector per graph of the plan (`Plan::graph_ends`), each
+    /// in job order.
+    pub(crate) outputs: Vec<Vec<T>>,
     /// `(chip, core-within-chip)` of each job's last, non-revoked
     /// execution.
     pub(crate) assignment: Vec<(usize, usize)>,
@@ -302,6 +320,9 @@ pub(crate) struct CoordRun<T> {
     /// Job spans, transfers (the run's one record of them), faults,
     /// requeues and idle fast-forwards on the run-relative clock.
     pub(crate) events: EventLog,
+    /// Bytes the run's bookkeeping reserved (`capacity × size_of`): the
+    /// per-job table, the ready index and the log.
+    pub(crate) coord_heap_bytes: usize,
 }
 
 impl<T> CoordRun<T> {
@@ -368,10 +389,7 @@ pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
         // that share, in dispatch order.
         let caller_core: Cell<Option<usize>> = Cell::new(None);
         let caller_jobs: RefCell<VecDeque<usize>> = RefCell::new(VecDeque::new());
-        drive(
-            topo,
-            plan,
-            dead,
+        Run::new(topo, plan, dead).run(
             &|core, job| {
                 if caller_core.get().unwrap_or(core) == core {
                     caller_core.set(Some(core));
@@ -428,23 +446,6 @@ fn recv_report<T>(rx: &Receiver<Done<T>>) -> Result<Done<T>, SimError> {
     rx.recv().map_err(|_| worker_lost())
 }
 
-/// Per-core and per-tenant meters of one run.
-struct Meters {
-    per_core: Vec<ExecStats>,
-    jobs_per_core: Vec<u64>,
-    per_tenant: Vec<TenantDelta>,
-}
-
-impl Meters {
-    fn new(cores: usize, tenants: usize) -> Self {
-        Self {
-            per_core: vec![ExecStats::default(); cores],
-            jobs_per_core: vec![0; cores],
-            per_tenant: vec![TenantDelta::default(); tenants],
-        }
-    }
-}
-
 /// Collect exactly `dispatched` reports for one dispatch batch and fold
 /// the completions into `meters` and `outputs`, in job-id order whatever
 /// order the host delivered them in. Returns `(job, global core, busy
@@ -455,14 +456,14 @@ impl Meters {
 fn collect_batch<T>(
     dispatched: usize,
     collect: &dyn Fn() -> Result<Done<T>, SimError>,
-    dispatch_seq: &[usize],
+    dispatch_seq: &[u32],
     tenant_of: &[usize],
     meters: &mut Meters,
-    outputs: &mut [Option<T>],
+    outputs: &mut Outputs<'_, T>,
 ) -> Result<Vec<(usize, usize, u64)>, SimError> {
     let mut done: Vec<(usize, usize, T, ExecStats)> = Vec::with_capacity(dispatched);
-    let mut first_err: Option<(usize, SimError)> = None;
-    let mut first_panic: Option<(usize, usize, usize, String)> = None;
+    let mut first_err: Option<(u32, SimError)> = None;
+    let mut first_panic: Option<(u32, usize, usize, String)> = None;
     for _ in 0..dispatched {
         let report = collect()?;
         let slot = dispatch_seq[report.job];
@@ -498,19 +499,70 @@ fn collect_batch<T>(
             let t = &mut meters.per_tenant[tenant_of[j]];
             t.busy.merge(&delta);
             t.jobs += 1;
-            outputs[j] = Some(out);
+            *outputs.slot(j) = Some(out);
             (j, core, delta.cycles)
         })
         .collect())
 }
 
-/// Unwrap the per-job output slots once every job completed.
-fn finish_outputs<T>(outputs: Vec<Option<T>>) -> Vec<T> {
-    outputs
-        .into_iter()
-        .enumerate()
-        .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
-        .collect()
+/// One output slot per job, kept as one vector per graph of the pool
+/// from the start, so a round hands each graph its own outputs without
+/// splitting or copying a fused buffer.
+struct Outputs<'a, T> {
+    /// One past each graph's last job.
+    ends: &'a [usize],
+    graphs: Vec<Vec<Option<T>>>,
+}
+
+impl<'a, T> Outputs<'a, T> {
+    fn new(ends: &'a [usize]) -> Self {
+        let mut start = 0;
+        let graphs = ends
+            .iter()
+            .map(|&end| {
+                let slots = (start..end).map(|_| None).collect();
+                start = end;
+                slots
+            })
+            .collect();
+        Self { ends, graphs }
+    }
+
+    /// Number of jobs.
+    fn len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Job `j`'s slot.
+    fn slot(&mut self, j: usize) -> &mut Option<T> {
+        let g = self.ends.partition_point(|&end| end <= j);
+        let start = if g == 0 { 0 } else { self.ends[g - 1] };
+        &mut self.graphs[g][j - start]
+    }
+
+    /// Unwrap every slot once every job completed. The unwrap reuses each
+    /// graph's buffer, which is then trimmed to fit where an output is
+    /// smaller than its slot.
+    fn finish(self) -> Vec<Vec<T>> {
+        let mut start = 0;
+        self.graphs
+            .into_iter()
+            .map(|slots| {
+                let base = start;
+                start += slots.len();
+                let mut outputs: Vec<T> = slots
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, o)| {
+                        let j = base + j;
+                        o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)"))
+                    })
+                    .collect();
+                outputs.shrink_to_fit();
+                outputs
+            })
+            .collect()
+    }
 }
 
 /// A simulated component owning a clock on the event heap. The derived
@@ -566,26 +618,132 @@ impl Ord for Event {
     }
 }
 
-/// Schedule an event, stamping the next sequence number — pushes only
-/// happen at deterministic points, so the stamp (the final heap
-/// tie-break) is itself deterministic.
-fn push_event(
-    heap: &mut BinaryHeap<Reverse<Event>>,
-    next_seq: &mut u64,
-    tick: u64,
-    comp: ComponentId,
-    kind: EventKind,
-) {
-    heap.push(Reverse(Event {
-        tick,
-        comp,
-        seq: *next_seq,
-        kind,
-    }));
-    *next_seq += 1;
+/// A pool index as a table entry. Every id column of the per-job table is
+/// `u32`; a run's job count, in-degrees, batch positions and log indices
+/// all fit.
+fn id32(x: usize) -> u32 {
+    u32::try_from(x).expect("invariant: a run indexes fewer than 2^32 jobs and events")
 }
 
-/// The one timing loop, run against a dispatch/collect pair:
+/// The run's per-job bookkeeping: one struct of arrays, every column
+/// allocated once at the job count and never grown. Ids are `u32`, flags
+/// one byte each. A column only one time model reads exists only in that
+/// mode (empty in the other): event mode keeps each job's dispatch tick,
+/// waves keep each job's wave, busy cycles and span index.
+struct JobTable {
+    /// Chip per job; a fault requeues jobs off a dead chip in place.
+    chip: Vec<u32>,
+    /// Parents not yet released.
+    indegree: Vec<u32>,
+    /// Tick the job's last parent payload is available on its chip.
+    ready_at: Vec<u64>,
+    /// Position in its dispatch batch (the failure tie-break).
+    dispatch_seq: Vec<u32>,
+    /// In the dispatchable pool: all parents released, not dispatched.
+    queued: Vec<bool>,
+    /// The job's output stands.
+    finished: Vec<bool>,
+    /// Its children were freed. Event mode sets `finished` and
+    /// `released` at once; a wave's jobs sit between the two until the
+    /// kills due at their barrier have fired.
+    released: Vec<bool>,
+    /// A kill hit the job while it ran (event mode): its completion
+    /// requeues it instead of finishing it.
+    revoked: Vec<bool>,
+    /// Event mode: the tick the job's current execution started.
+    dispatch_tick: Vec<u64>,
+    /// Waves: the wave that dispatched the job.
+    wave_of: Vec<usize>,
+    /// Waves: the job's busy cycles in its wave.
+    job_cycles: Vec<u64>,
+    /// Waves: the log index of the job's span, flipped to discarded if a
+    /// kill at its barrier revokes it.
+    log_at: Vec<u32>,
+}
+
+impl JobTable {
+    /// The table of `plan`'s jobs, placed by `plan.chip_of`, for the time
+    /// model `wave` selects.
+    fn new(plan: &Plan<'_>, wave: bool) -> Self {
+        let n = plan.costs.len();
+        let indegree: Vec<u32> = plan.parents.rows().map(|r| id32(r.len())).collect();
+        let (event_only, wave_only) = if wave { (0, n) } else { (n, 0) };
+        Self {
+            chip: plan.chip_of.iter().map(|&c| id32(c)).collect(),
+            queued: indegree.iter().map(|&d| d == 0).collect(),
+            indegree,
+            ready_at: vec![0; n],
+            dispatch_seq: vec![0; n],
+            finished: vec![false; n],
+            released: vec![false; n],
+            revoked: vec![false; n],
+            dispatch_tick: vec![0; event_only],
+            wave_of: vec![0; wave_only],
+            job_cycles: vec![0; wave_only],
+            log_at: vec![0; wave_only],
+        }
+    }
+
+    /// The waves column, the one column that outlives the run; the
+    /// others are freed here.
+    fn into_wave_of(self) -> Vec<usize> {
+        self.wave_of
+    }
+
+    /// Job `j`'s chip.
+    fn chip(&self, j: usize) -> usize {
+        self.chip[j] as usize
+    }
+
+    /// Bytes the columns reserve (`capacity × size_of`).
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.chip)
+            + vec_bytes(&self.indegree)
+            + vec_bytes(&self.ready_at)
+            + vec_bytes(&self.dispatch_seq)
+            + vec_bytes(&self.queued)
+            + vec_bytes(&self.finished)
+            + vec_bytes(&self.released)
+            + vec_bytes(&self.revoked)
+            + vec_bytes(&self.dispatch_tick)
+            + vec_bytes(&self.wave_of)
+            + vec_bytes(&self.job_cycles)
+            + vec_bytes(&self.log_at)
+    }
+}
+
+/// `capacity × size_of` of one vector.
+fn vec_bytes<X>(v: &Vec<X>) -> usize {
+    v.capacity() * std::mem::size_of::<X>()
+}
+
+/// Per-core and per-tenant meters and the link and stall clocks of one
+/// run.
+struct Meters {
+    per_core: Vec<ExecStats>,
+    jobs_per_core: Vec<u64>,
+    per_tenant: Vec<TenantDelta>,
+    stall_cycles: u64,
+    transferred_words: u64,
+    transfer_cycles: u64,
+}
+
+impl Meters {
+    fn new(cores: usize, tenants: usize) -> Self {
+        Self {
+            per_core: vec![ExecStats::default(); cores],
+            jobs_per_core: vec![0; cores],
+            per_tenant: vec![TenantDelta::default(); tenants],
+            stall_cycles: 0,
+            transferred_words: 0,
+            transfer_cycles: 0,
+        }
+    }
+}
+
+/// One coordinated run: the one timing loop and everything it mutates —
+/// the plan, the per-job table, the ready index, the event heap, the
+/// meters and the log — run against a dispatch/collect pair.
 /// `dispatch(core, job)` hands a pool job to a core, `collect()` blocks
 /// for the next report; either fails only when a worker hung up
 /// ([`HazardKind::WorkerLost`]), which ends the run. Workers report real
@@ -593,9 +751,10 @@ fn push_event(
 /// before the simulated clock moves, so job durations are known before
 /// the clock passes them.
 ///
-/// Each pass fires the heap's due events (phase 1), releases a finished
-/// wave, dispatches (phase 2), drains the batch (phase 3) and hops to the
-/// next event (phase 4). The time model is only the dispatch rule:
+/// Each pass fires the heap's due events, one handler per
+/// [`EventKind`], and releases a finished wave ([`Run::fire_due`]);
+/// dispatches ([`Run::dispatch_ready`]); drains the batch; and hops to the
+/// next event ([`Run::hop`]). The time model is only the dispatch rule:
 ///
 /// * **Events** give every idle core on an alive chip the policy's best
 ///   ready job; its completion becomes a heap event at its measured tick.
@@ -610,509 +769,686 @@ fn push_event(
 /// Fault model, requeue rules and metering are shared (see
 /// [`crate::fault`]); in event mode a kill fires at its exact tick,
 /// revoking whatever runs on the dying chip then.
-fn drive<T>(
-    topo: &Topology,
-    plan: Plan<'_>,
-    dead: &mut [bool],
-    dispatch: &dyn Fn(usize, usize) -> Result<(), SimError>,
-    collect: &dyn Fn() -> Result<Done<T>, SimError>,
-) -> Result<CoordRun<T>, SimError> {
-    let Plan {
-        costs,
-        transfer_words,
-        parents,
-        children,
-        tenant_of,
-        weights,
-        boost,
-        faults,
-        base,
-        sched,
-        mut usage,
-        mut chip_of,
-    } = plan;
-    let wave = topo.mode == SimMode::Wave;
-    let n = costs.len();
-    let chips = topo.cores_per_chip.len();
-    let chip_cores: Vec<Range<usize>> = topo.chip_ranges().collect();
-    let total_cores: usize = topo.cores_per_chip.iter().sum();
+///
+/// Nothing is sized by growth: the table is allocated once at the job
+/// count, and the log is reserved once for one span per job, one transfer
+/// per cut edge and one record per scheduled kill — the exact count of a
+/// run without faults or stalls.
+struct Run<'a, T> {
+    topo: &'a Topology,
+    /// Hints, edges, tenancy and faults. `plan.chip_of` is the initial
+    /// placement; the table's `chip` column is the live one.
+    plan: Plan<'a>,
+    /// Chips killed so far, updated in place as faults fire.
+    dead: &'a mut [bool],
+    wave: bool,
+    /// Every chip's slice of the global cores.
+    chip_cores: Vec<Range<usize>>,
+    /// `(chip, core-within-chip)` per global core.
+    core_place: Vec<(usize, usize)>,
+    jobs: JobTable,
+    /// One output slot per job, filled as jobs complete.
+    outputs: Outputs<'a, T>,
+    index: ReadyIndex<'a>,
+    heap: BinaryHeap<Reverse<Event>>,
+    /// The next event's sequence number.
+    next_seq: u64,
+    meters: Meters,
+    events: EventLog,
+    /// The job each global core runs (event mode).
+    core_job: Vec<Option<usize>>,
+    busy_cores: usize,
+    /// Tick each directed link `from * chips + to` frees (event mode).
+    link_free: Vec<u64>,
+    /// The batch being dispatched per global core (a wave's buckets).
+    by_core: Vec<Vec<usize>>,
+    /// Hint load dealt to each global core in the current wave.
+    core_load: Vec<u64>,
+    /// A wave's jobs in id order, from its barrier until their release.
+    barrier: Vec<usize>,
+    /// Waves: the clock at each barrier.
+    wave_ends: Vec<u64>,
+    now: u64,
+    released_count: usize,
+}
 
-    let priority = critical_paths(costs, parents);
-    let order = PickOrder {
-        sched,
-        priority: &priority,
-        tenant_of,
-        weights,
-        boost,
-    };
-    let mut indegree: Vec<usize> = parents.rows().map(<[usize]>::len).collect();
-    let mut ready_at = vec![0u64; n];
-    // In the dispatchable pool: all parents released, not dispatched.
-    let mut queued: Vec<bool> = indegree.iter().map(|&d| d == 0).collect();
-    let mut index = ReadyIndex::new(&order, chips, n);
-    for j in (0..n).filter(|&j| queued[j]) {
-        index.insert(j, chip_of[j], 0, 0);
-    }
-    // `finished`: the job's output stands. `released`: its children were
-    // freed. Event mode sets both at once; a wave's jobs sit between the
-    // two until the kills due at their barrier have fired.
-    let mut finished = vec![false; n];
-    let mut released = vec![false; n];
-    let mut revoked = vec![false; n];
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut assignment = vec![(0usize, 0usize); n];
-    let mut wave_of = vec![0usize; n];
-    let mut wave_ends: Vec<u64> = Vec::new();
-    let mut completion_tick = vec![0u64; n];
-    let mut dispatch_tick = vec![0u64; n];
-    let mut dispatch_seq = vec![0usize; n];
-    // Wave mode: each job's busy cycles and the log index of its span.
-    let mut job_cycles = vec![0u64; n];
-    let mut log_at = vec![0usize; n];
-    let mut meters = Meters::new(total_cores, weights.len());
-    let mut events = EventLog::new();
-
-    // Core and link occupancy; the batch being dispatched per global core
-    // (a wave's buckets); a wave's jobs in id order, from its barrier
-    // until their release.
-    let mut core_job: Vec<Option<usize>> = vec![None; total_cores];
-    let mut link_free = vec![0u64; chips * chips];
-    let mut busy_cores = 0usize;
-    let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); total_cores];
-    let mut core_load = vec![0u64; total_cores];
-    let mut barrier: Vec<usize> = Vec::new();
-
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut next_seq = 0u64;
-    // Faults are ordinary events from the start; kills already due at
-    // run start fire at tick 0, before anything dispatches. Events order
-    // one tick's kills by chip; waves fire every kill due at a barrier in
-    // plan order, so they file them all under chip 0.
-    if n > 0 {
+impl<'a, T> Run<'a, T> {
+    /// The run of `plan` on `topo`, before anything dispatches. Faults are
+    /// ordinary events from the start; kills already due at run start
+    /// fire at tick 0, before anything dispatches. Events order one tick's
+    /// kills by chip; waves fire every kill due at a barrier in plan
+    /// order, so they file them all under chip 0.
+    fn new(topo: &'a Topology, plan: Plan<'a>, dead: &'a mut [bool]) -> Self {
+        let n = plan.costs.len();
+        assert_eq!(
+            plan.chip_of.len(),
+            n,
+            "invariant: the caller places every job"
+        );
+        assert_eq!(
+            plan.graph_ends.last().copied().unwrap_or(0),
+            n,
+            "invariant: the graphs cover the pool"
+        );
+        let wave = topo.mode == SimMode::Wave;
+        let chips = topo.cores_per_chip.len();
+        let chip_cores: Vec<Range<usize>> = topo.chip_ranges().collect();
+        let core_place: Vec<(usize, usize)> = chip_cores
+            .iter()
+            .enumerate()
+            .flat_map(|(chip, cores)| (0..cores.len()).map(move |c| (chip, c)))
+            .collect();
+        let cores = core_place.len();
+        let jobs = JobTable::new(&plan, wave);
+        let order = PickOrder {
+            sched: plan.sched,
+            priority: critical_paths(plan.costs, plan.parents),
+            tenant_of: plan.tenant_of,
+            weights: plan.weights,
+            boost: plan.boost,
+        };
+        let mut index = ReadyIndex::new(order, chips, n);
+        for j in (0..n).filter(|&j| jobs.queued[j]) {
+            index.insert(j, jobs.chip(j), 0, 0);
+        }
+        let faults = if n > 0 { plan.faults } else { &[] };
+        let cut_edges: usize = plan
+            .parents
+            .rows()
+            .enumerate()
+            .map(|(c, ps)| ps.iter().filter(|&&p| jobs.chip[p] != jobs.chip[c]).count())
+            .sum();
+        let outputs = Outputs::new(plan.graph_ends);
+        let mut run = Self {
+            topo,
+            meters: Meters::new(cores, plan.weights.len()),
+            events: EventLog::with_capacity(n + cut_edges + faults.len()),
+            plan,
+            dead,
+            wave,
+            chip_cores,
+            core_place,
+            jobs,
+            outputs,
+            index,
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            core_job: vec![None; cores],
+            busy_cores: 0,
+            link_free: vec![0; chips * chips],
+            by_core: vec![Vec::new(); cores],
+            core_load: vec![0; cores],
+            barrier: Vec::new(),
+            wave_ends: Vec::new(),
+            now: 0,
+            released_count: 0,
+        };
         for (i, f) in faults.iter().enumerate() {
-            push_event(
-                &mut heap,
-                &mut next_seq,
-                f.tick.saturating_sub(base),
-                ComponentId::Chip(if wave { 0 } else { f.chip }),
+            let chip = if wave { 0 } else { f.chip };
+            run.schedule(
+                f.tick.saturating_sub(run.plan.base),
+                ComponentId::Chip(chip),
                 EventKind::Fault(i),
             );
         }
+        run
     }
 
-    let mut now = 0u64;
-    let mut released_count = 0usize;
-    let mut stall_cycles = 0u64;
-    let mut transferred_words = 0u64;
-    let mut transfer_cycles = 0u64;
-
-    // Charge the modeled movement of `parent`'s output to `child`'s chip,
-    // logged once as a transfer event. An event-mode transfer serializes
-    // behind whatever its link already carries; a wave transfer starts at
-    // its barrier. The pipelined hop latency is added on top without
-    // occupying the link.
-    macro_rules! charge_transfer {
-        ($parent:expr, $child:expr, $to:expr) => {{
-            let p = $parent;
-            let from = chip_of[p];
-            let to = $to;
-            let words = transfer_words[p].max(1);
-            let ser = words.div_ceil(topo.link_words_per_cycle.max(1));
-            let link = from * chips + to;
-            let start = if wave { now } else { now.max(link_free[link]) };
-            link_free[link] = start + ser;
-            let arrival = start + ser + topo.hop_latency_cycles;
-            transferred_words += words;
-            transfer_cycles += arrival - now;
-            events.push(TraceEvent::Transfer {
-                parent: p,
-                child: $child,
-                from_chip: from,
-                to_chip: to,
-                words,
-                start: now,
-                end: arrival,
-            });
-            push_event(
-                &mut heap,
-                &mut next_seq,
-                arrival,
-                ComponentId::Link(from, to),
-                EventKind::TransferArrive,
-            );
-            arrival
-        }};
-    }
-
-    // Remaining (unfinished) cost hint per alive chip: the requeue
-    // balance.
-    macro_rules! unfinished_load {
-        () => {{
-            let mut load = vec![0u64; chips];
-            for j in 0..n {
-                if !finished[j] && !dead[chip_of[j]] {
-                    load[chip_of[j]] += costs[j].max(1);
-                }
+    /// Drive the run to completion: fire the due events (faults first,
+    /// then arrivals, then completions), dispatch, drain the batch, hop
+    /// to the next event.
+    fn run(
+        mut self,
+        dispatch: &dyn Fn(usize, usize) -> Result<(), SimError>,
+        collect: &dyn Fn() -> Result<Done<T>, SimError>,
+    ) -> Result<CoordRun<T>, SimError> {
+        let n = self.outputs.len();
+        while self.released_count < n {
+            self.fire_due()?;
+            if self.released_count == n {
+                break;
             }
-            load
-        }};
-    }
-
-    // Move job `j` off the dead chip `from` onto the surviving chip with
-    // the least remaining cost, ties to the lower index. Released parents
-    // on other chips pay one fresh modeled transfer to the job's new home.
-    macro_rules! requeue {
-        ($j:expr, $from:expr, $load:expr) => {{
-            let j = $j;
-            let target = (0..chips)
-                .filter(|&c| !dead[c])
-                .min_by_key(|&c| ($load[c], c))
-                .expect("a survivor exists (checked at the kill)");
-            $load[target] += costs[j].max(1);
-            events.push(TraceEvent::Requeue {
-                job: j,
-                from_chip: $from,
-                to_chip: target,
-                tick: now,
-            });
-            chip_of[j] = target;
-            // A wave requeue keeps the job's first readiness: its tenant
-            // wait runs from there.
-            if !wave {
-                ready_at[j] = ready_at[j].max(now);
-            }
-            for &p in parents.row(j) {
-                if released[p] && chip_of[p] != target {
-                    let arrival = charge_transfer!(p, j, target);
-                    ready_at[j] = ready_at[j].max(arrival);
-                }
-            }
-        }};
-    }
-
-    // Free a finished job's children; a cross-chip edge delays the child
-    // by the modeled transfer.
-    macro_rules! release {
-        ($j:expr) => {{
-            let j = $j;
-            released[j] = true;
-            released_count += 1;
-            for &child in children.row(j) {
-                indegree[child] -= 1;
-                let arrival = if chip_of[child] != chip_of[j] {
-                    charge_transfer!(j, child, chip_of[child])
-                } else {
-                    now
-                };
-                ready_at[child] = ready_at[child].max(arrival);
-                if indegree[child] == 0 {
-                    queued[child] = true;
-                    index.insert(child, chip_of[child], ready_at[child], now);
-                }
-            }
-        }};
-    }
-
-    // The wave planners, over `chip`'s ready set and `cores` cores: the
-    // debug-build oracle of every dispatch. A wave deals exactly their
-    // plan, and an event-mode pick is the first job of a one-core wave.
-    macro_rules! plan {
-        ($chip:expr, $cores:expr) => {{
-            let chip = $chip;
-            let ready: Vec<usize> = (0..n)
-                .filter(|&j| queued[j] && chip_of[j] == chip && ready_at[j] <= now)
-                .collect();
-            match sched {
-                Scheduler::FairShare => plan_wave_tenanted_slo(
-                    &ready, costs, &priority, tenant_of, &usage, weights, boost, $cores,
-                ),
-                _ => plan_wave(sched, &ready, costs, &priority, $cores),
-            }
-        }};
-    }
-
-    while released_count < n {
-        // Phase 1: fire every event due by now, in (tick, component, seq)
-        // order — faults first, then arrivals, then completions.
-        while heap.peek().is_some_and(|Reverse(e)| e.tick <= now) {
-            let Reverse(e) = heap.pop().expect("peeked");
-            match e.kind {
-                EventKind::Fault(idx) => {
-                    let f = &faults[idx];
-                    if dead[f.chip] {
-                        continue; // killing a dead chip is a no-op
-                    }
-                    dead[f.chip] = true;
-                    events.push(TraceEvent::Fault {
-                        chip: f.chip,
-                        tick: now,
-                    });
-                    if dead.iter().all(|&d| d) {
-                        return Err(SimError {
-                            cycle: (base + now) as usize,
-                            pe: None,
-                            kind: HazardKind::AllChipsDead { chips },
-                        });
-                    }
-                    // The dying chip's unreleased work is revoked but stays
-                    // metered (the energy was burned): a job in flight at
-                    // its completion tick, a finished wave job now.
-                    for g in chip_cores[f.chip].clone() {
-                        if let Some(j) = core_job[g] {
-                            revoked[j] = true;
-                        }
-                    }
-                    for &j in &barrier {
-                        if assignment[j].0 == f.chip && finished[j] {
-                            finished[j] = false;
-                            outputs[j] = None;
-                            queued[j] = true;
-                            if let TraceEvent::Job { discarded, .. } =
-                                &mut events.events_mut()[log_at[j]]
-                            {
-                                *discarded = true;
-                            }
-                        }
-                    }
-                    // Everything else the chip owned requeues now,
-                    // least-remaining-load-first, jobs in id order (its
-                    // revoked in-flight jobs requeue as they complete).
-                    let mut load = unfinished_load!();
-                    for j in 0..n {
-                        if chip_of[j] == f.chip && !finished[j] && !revoked[j] {
-                            if queued[j] {
-                                index.remove(j, f.chip);
-                            }
-                            requeue!(j, f.chip, load);
-                            if queued[j] {
-                                index.insert(j, chip_of[j], ready_at[j], now);
-                            }
-                        }
-                    }
-                }
-                EventKind::TransferArrive => {} // the tick was the point
-                EventKind::JobDone { core, job } => {
-                    core_job[core] = None;
-                    busy_cores -= 1;
-                    let (chip, c) = assignment[job];
-                    events.push(TraceEvent::Job {
-                        job,
-                        tenant: tenant_of[job],
-                        chip,
-                        core: c,
-                        start: dispatch_tick[job],
-                        end: now,
-                        discarded: revoked[job],
-                    });
-                    if std::mem::take(&mut revoked[job]) {
-                        outputs[job] = None;
-                        let mut load = unfinished_load!();
-                        requeue!(job, chip, load);
-                        queued[job] = true;
-                        index.insert(job, chip_of[job], ready_at[job], now);
-                    } else {
-                        finished[job] = true;
-                        completion_tick[job] = now;
-                        release!(job);
-                    }
-                }
-            }
-        }
-        // A wave's survivors release once its barrier's kills have fired.
-        for j in barrier.drain(..) {
-            if finished[j] {
-                release!(j);
-            }
-        }
-        if released_count == n {
-            break;
-        }
-
-        // Phase 2: dispatch, chips and cores in index order (the
-        // deterministic tie-break).
-        index.promote(now, &queued, &chip_of, &ready_at);
-        let mut batch = 0usize;
-        for chip in 0..chips {
-            if dead[chip] {
+            let batch = self.dispatch_ready(dispatch)?;
+            // Drain the whole batch before the clock moves.
+            let done = collect_batch(
+                batch,
+                collect,
+                &self.jobs.dispatch_seq,
+                self.plan.tenant_of,
+                &mut self.meters,
+                &mut self.outputs,
+            )?;
+            if self.wave && batch > 0 {
+                self.close_wave(done);
                 continue;
             }
-            let cores = chip_cores[chip].clone();
-            let expected = (cfg!(debug_assertions) && wave).then(|| plan!(chip, cores.len()));
-            core_load[cores.clone()].fill(0);
-            let mut idle = cores.clone().filter(|&g| core_job[g].is_none());
-            for k in 0.. {
-                // Events give each idle core one job. Waves deal the whole
-                // ready set: FairShare one job per core, Fifo round-robin,
-                // the others onto the least hint-loaded core.
-                let g = if !wave {
-                    match idle.next() {
-                        Some(g) => g,
-                        None => break,
-                    }
-                } else {
-                    match sched {
-                        Scheduler::FairShare if k == cores.len() => break,
-                        Scheduler::Fifo | Scheduler::FairShare => cores.start + k % cores.len(),
-                        Scheduler::LeastLoaded | Scheduler::CriticalPath => cores
-                            .clone()
-                            .min_by_key(|&g| (core_load[g], g))
-                            .expect("a chip has at least one core"),
-                    }
-                };
-                let pick = index.pick(chip, &usage);
-                if !wave {
-                    debug_assert_eq!(
-                        pick,
-                        plan!(chip, 1)[0].first().copied(),
-                        "the ready index and the wave planner disagree at tick {now} on chip {chip}"
-                    );
-                }
-                let Some(j) = pick else {
-                    break; // nothing more ready on this chip
-                };
-                queued[j] = false;
-                usage[tenant_of[j]] += costs[j].max(1);
-                core_load[g] += costs[j].max(1);
-                by_core[g].push(j);
-            }
-            if let Some(expected) = expected {
-                assert_eq!(
-                    expected.as_slice(),
-                    &by_core[cores.clone()],
-                    "the ready index and the wave planner disagree at tick {now} on chip {chip}"
+            // Completion events are pushed in job-id order, so the heap
+            // (and the seq counter) stay deterministic.
+            for (j, core, cycles) in done {
+                self.schedule(
+                    self.now + cycles,
+                    ComponentId::Core(core),
+                    EventKind::JobDone { core, job: j },
                 );
             }
+            if !self.hop() {
+                break; // nothing running, nothing scheduled: dangling parents
+            }
+        }
+        Ok(self.finish())
+    }
+
+    /// Schedule an event, stamping the next sequence number — pushes only
+    /// happen at deterministic points, so the stamp (the final heap
+    /// tie-break) is itself deterministic.
+    fn schedule(&mut self, tick: u64, comp: ComponentId, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Event {
+            tick,
+            comp,
+            seq,
+            kind,
+        }));
+    }
+
+    /// Job `j`'s cost hint, zero counting as 1: the unit of usage, load
+    /// and requeue balance.
+    fn cost(&self, j: usize) -> u64 {
+        self.plan.costs[j].max(1)
+    }
+
+    /// Fire every event due by now in `(tick, component, seq)` order, then
+    /// release a wave's survivors: its barrier's kills have fired.
+    fn fire_due(&mut self) -> Result<(), SimError> {
+        while let Some(Reverse(e)) = self.heap.peek().copied() {
+            if e.tick > self.now {
+                break;
+            }
+            self.heap.pop();
+            match e.kind {
+                EventKind::Fault(idx) => self.on_fault(idx)?,
+                EventKind::TransferArrive => {} // the tick was the point
+                EventKind::JobDone { core, job } => self.on_job_done(core, job),
+            }
+        }
+        let barrier = take(&mut self.barrier);
+        for &j in &barrier {
+            if self.jobs.finished[j] {
+                self.release(j);
+            }
+        }
+        self.barrier = barrier;
+        self.barrier.clear();
+        Ok(())
+    }
+
+    /// A scheduled kill is due: the chip dies. Its unreleased work is
+    /// revoked but stays metered (the energy was burned): a job in flight
+    /// at its completion tick, a finished wave job now. Everything else
+    /// the chip owned requeues now, least-remaining-load-first, jobs in id
+    /// order (its revoked in-flight jobs requeue as they complete).
+    fn on_fault(&mut self, idx: usize) -> Result<(), SimError> {
+        let chip = self.plan.faults[idx].chip;
+        if self.dead[chip] {
+            return Ok(()); // killing a dead chip is a no-op
+        }
+        self.dead[chip] = true;
+        self.events.push(TraceEvent::Fault {
+            chip,
+            tick: self.now,
+        });
+        if self.dead.iter().all(|&d| d) {
+            return Err(SimError {
+                cycle: (self.plan.base + self.now) as usize,
+                pe: None,
+                kind: HazardKind::AllChipsDead {
+                    chips: self.chip_cores.len(),
+                },
+            });
+        }
+        for g in self.chip_cores[chip].clone() {
+            if let Some(j) = self.core_job[g] {
+                self.jobs.revoked[j] = true;
+            }
+        }
+        // A finished wave job has not moved since its dispatch.
+        for &j in &self.barrier {
+            if self.jobs.chip(j) == chip && self.jobs.finished[j] {
+                self.jobs.finished[j] = false;
+                *self.outputs.slot(j) = None;
+                self.jobs.queued[j] = true;
+                let at = self.jobs.log_at[j] as usize;
+                if let TraceEvent::Job { discarded, .. } = &mut self.events.events_mut()[at] {
+                    *discarded = true;
+                }
+            }
+        }
+        let mut load = self.unfinished_load();
+        for j in 0..self.outputs.len() {
+            if self.jobs.chip(j) == chip && !self.jobs.finished[j] && !self.jobs.revoked[j] {
+                let queued = self.jobs.queued[j];
+                if queued {
+                    self.index.remove(j, chip);
+                }
+                self.requeue(j, chip, &mut load);
+                if queued {
+                    self.index
+                        .insert(j, self.jobs.chip(j), self.jobs.ready_at[j], self.now);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The job on global core `core` retired (event mode): log its span,
+    /// then requeue it if a kill revoked it, or finish and release it.
+    fn on_job_done(&mut self, core: usize, job: usize) {
+        self.core_job[core] = None;
+        self.busy_cores -= 1;
+        let (chip, c) = self.core_place[core];
+        self.events.push(TraceEvent::Job {
+            job,
+            tenant: self.plan.tenant_of[job],
+            chip,
+            core: c,
+            start: self.jobs.dispatch_tick[job],
+            end: self.now,
+            discarded: self.jobs.revoked[job],
+        });
+        if take(&mut self.jobs.revoked[job]) {
+            *self.outputs.slot(job) = None;
+            let mut load = self.unfinished_load();
+            self.requeue(job, chip, &mut load);
+            self.jobs.queued[job] = true;
+            self.index
+                .insert(job, self.jobs.chip(job), self.jobs.ready_at[job], self.now);
+        } else {
+            self.jobs.finished[job] = true;
+            self.release(job);
+        }
+    }
+
+    /// Remaining (unfinished) cost hint per alive chip: the requeue
+    /// balance.
+    fn unfinished_load(&self) -> Vec<u64> {
+        let mut load = vec![0u64; self.chip_cores.len()];
+        for j in 0..self.outputs.len() {
+            let chip = self.jobs.chip(j);
+            if !self.jobs.finished[j] && !self.dead[chip] {
+                load[chip] += self.cost(j);
+            }
+        }
+        load
+    }
+
+    /// Move job `j` off the dead chip `from` onto the surviving chip with
+    /// the least remaining cost, ties to the lower index. Released parents
+    /// on other chips pay one fresh modeled transfer to the job's new home.
+    fn requeue(&mut self, j: usize, from: usize, load: &mut [u64]) {
+        let target = (0..load.len())
+            .filter(|&c| !self.dead[c])
+            .min_by_key(|&c| (load[c], c))
+            .expect("a survivor exists (checked at the kill)");
+        load[target] += self.cost(j);
+        self.events.push(TraceEvent::Requeue {
+            job: j,
+            from_chip: from,
+            to_chip: target,
+            tick: self.now,
+        });
+        self.jobs.chip[j] = id32(target);
+        // A wave requeue keeps the job's first readiness: its tenant wait
+        // runs from there.
+        if !self.wave {
+            self.jobs.ready_at[j] = self.jobs.ready_at[j].max(self.now);
+        }
+        let parents = self.plan.parents;
+        for &p in parents.row(j) {
+            if self.jobs.released[p] && self.jobs.chip(p) != target {
+                let arrival = self.charge_transfer(p, j, target);
+                self.jobs.ready_at[j] = self.jobs.ready_at[j].max(arrival);
+            }
+        }
+    }
+
+    /// Free a finished job's children; a cross-chip edge delays the child
+    /// by the modeled transfer.
+    fn release(&mut self, j: usize) {
+        self.jobs.released[j] = true;
+        self.released_count += 1;
+        let children = self.plan.children;
+        for &child in children.row(j) {
+            self.jobs.indegree[child] -= 1;
+            let to = self.jobs.chip(child);
+            let arrival = if to != self.jobs.chip(j) {
+                self.charge_transfer(j, child, to)
+            } else {
+                self.now
+            };
+            self.jobs.ready_at[child] = self.jobs.ready_at[child].max(arrival);
+            if self.jobs.indegree[child] == 0 {
+                self.jobs.queued[child] = true;
+                self.index
+                    .insert(child, to, self.jobs.ready_at[child], self.now);
+            }
+        }
+    }
+
+    /// Charge the modeled movement of `parent`'s output to `child` on chip
+    /// `to`, logged once as a transfer event, and return its arrival. An
+    /// event-mode transfer serializes behind whatever its link already
+    /// carries; a wave transfer starts at its barrier. The pipelined hop
+    /// latency is added on top without occupying the link.
+    fn charge_transfer(&mut self, parent: usize, child: usize, to: usize) -> u64 {
+        let from = self.jobs.chip(parent);
+        let words = self.plan.transfer_words[parent].max(1);
+        let ser = words.div_ceil(self.topo.link_words_per_cycle.max(1));
+        let link = from * self.chip_cores.len() + to;
+        let start = if self.wave {
+            self.now
+        } else {
+            self.now.max(self.link_free[link])
+        };
+        self.link_free[link] = start + ser;
+        let arrival = start + ser + self.topo.hop_latency_cycles;
+        self.meters.transferred_words += words;
+        self.meters.transfer_cycles += arrival - self.now;
+        self.events.push(TraceEvent::Transfer {
+            parent,
+            child,
+            from_chip: from,
+            to_chip: to,
+            words,
+            start: self.now,
+            end: arrival,
+        });
+        self.schedule(
+            arrival,
+            ComponentId::Link(from, to),
+            EventKind::TransferArrive,
+        );
+        arrival
+    }
+
+    /// Deal and dispatch, chips and cores in index order (the
+    /// deterministic tie-break). Returns the batch size.
+    fn dispatch_ready(
+        &mut self,
+        dispatch: &dyn Fn(usize, usize) -> Result<(), SimError>,
+    ) -> Result<usize, SimError> {
+        self.index.promote(self.now, &self.jobs);
+        let mut batch = 0;
+        for chip in 0..self.chip_cores.len() {
+            if self.dead[chip] {
+                continue;
+            }
+            self.deal(chip);
             // Dispatch in bucket order: core, then position.
-            for g in cores.clone() {
-                for &j in &by_core[g] {
-                    assignment[j] = (chip, g - cores.start);
-                    wave_of[j] = wave_ends.len();
-                    dispatch_tick[j] = now;
-                    dispatch_seq[j] = batch;
-                    let delta = &mut meters.per_tenant[tenant_of[j]];
-                    delta.wait_cycles += now - ready_at[j];
-                    delta.cost_dispatched += costs[j].max(1);
+            for g in self.chip_cores[chip].clone() {
+                for &j in &self.by_core[g] {
+                    if self.wave {
+                        self.jobs.wave_of[j] = self.wave_ends.len();
+                    } else {
+                        self.jobs.dispatch_tick[j] = self.now;
+                    }
+                    self.jobs.dispatch_seq[j] = id32(batch);
+                    let cost = self.cost(j);
+                    let delta = &mut self.meters.per_tenant[self.plan.tenant_of[j]];
+                    delta.wait_cycles += self.now - self.jobs.ready_at[j];
+                    delta.cost_dispatched += cost;
                     dispatch(g, j)?;
                     batch += 1;
                 }
-                if !wave {
-                    if let Some(j) = by_core[g].pop() {
-                        core_job[g] = Some(j);
-                        busy_cores += 1;
+                if !self.wave {
+                    if let Some(j) = self.by_core[g].pop() {
+                        self.core_job[g] = Some(j);
+                        self.busy_cores += 1;
                     }
                 }
             }
         }
+        Ok(batch)
+    }
 
-        // Phase 3: drain the whole batch before the clock moves.
-        let done = collect_batch(
-            batch,
-            collect,
-            &dispatch_seq,
-            tenant_of,
-            &mut meters,
-            &mut outputs,
-        )?;
-        if wave && batch > 0 {
-            // The wave finishes at its barrier: a core runs its bucket in
-            // position order, so its spans are prefix sums, and the clock
-            // advances by the slowest bucket.
-            for (j, _, cycles) in done {
-                job_cycles[j] = cycles;
-                finished[j] = true;
-                barrier.push(j);
+    /// Deal `chip`'s ready jobs into its cores' buckets, charging usage as
+    /// each is picked. Events give each idle core one job. Waves deal the
+    /// whole ready set: `FairShare` one job per core, `Fifo` round-robin,
+    /// the others onto the least hint-loaded core. In debug builds every
+    /// deal is checked against the wave planners.
+    fn deal(&mut self, chip: usize) {
+        let cores = self.chip_cores[chip].clone();
+        let expected =
+            (cfg!(debug_assertions) && self.wave).then(|| self.oracle(chip, cores.len()));
+        self.core_load[cores.clone()].fill(0);
+        for k in 0.. {
+            let Some(g) = self.next_core(k, &cores) else {
+                break;
+            };
+            let pick = self.index.pick(chip, &self.plan.usage);
+            if !self.wave {
+                debug_assert_eq!(
+                    pick,
+                    self.oracle(chip, 1)[0].first().copied(),
+                    "the ready index and the wave planner disagree at tick {} on chip {chip}",
+                    self.now
+                );
             }
-            let start = now;
-            for bucket in by_core.iter_mut() {
-                let mut t = start;
-                for j in bucket.drain(..) {
-                    let (chip, core) = assignment[j];
-                    log_at[j] = events.len();
-                    events.push(TraceEvent::Job {
-                        job: j,
-                        tenant: tenant_of[j],
-                        chip,
-                        core,
-                        start: t,
-                        end: t + job_cycles[j],
-                        discarded: false,
-                    });
-                    t += job_cycles[j];
-                }
-                now = now.max(t);
-            }
-            wave_ends.push(now);
-            continue;
+            let Some(j) = pick else {
+                break; // nothing more ready on this chip
+            };
+            self.jobs.queued[j] = false;
+            let cost = self.cost(j);
+            self.plan.usage[self.plan.tenant_of[j]] += cost;
+            self.core_load[g] += cost;
+            self.by_core[g].push(j);
         }
-        // Completion events are pushed in job-id order, so the heap (and
-        // the seq counter) stay deterministic.
-        for (j, core, cycles) in done {
-            push_event(
-                &mut heap,
-                &mut next_seq,
-                now + cycles,
-                ComponentId::Core(core),
-                EventKind::JobDone { core, job: j },
+        if let Some(expected) = expected {
+            assert_eq!(
+                expected.as_slice(),
+                &self.by_core[cores],
+                "the ready index and the wave planner disagree at tick {} on chip {chip}",
+                self.now
             );
         }
+    }
 
-        // Phase 4: hop to the next event. A gap with every core idle is a
-        // stall (a transfer or fault wait), logged as one idle
-        // fast-forward however many events it crosses.
-        let Some(Reverse(next)) = heap.peek() else {
-            break; // nothing running, nothing scheduled: dangling parents
+    /// The global core that takes the `k`-th pick of a deal over `cores`,
+    /// or `None` once the deal is full.
+    fn next_core(&self, k: usize, cores: &Range<usize>) -> Option<usize> {
+        if !self.wave {
+            return cores.clone().filter(|&g| self.core_job[g].is_none()).nth(k);
+        }
+        match self.plan.sched {
+            Scheduler::FairShare if k == cores.len() => None,
+            Scheduler::Fifo | Scheduler::FairShare => Some(cores.start + k % cores.len()),
+            Scheduler::LeastLoaded | Scheduler::CriticalPath => {
+                cores.clone().min_by_key(|&g| (self.core_load[g], g))
+            }
+        }
+    }
+
+    /// The wave planners over `chip`'s ready set and `cores` cores: the
+    /// debug-build oracle of every deal. A wave deals exactly their plan,
+    /// and an event-mode pick is the first job of a one-core wave.
+    fn oracle(&self, chip: usize, cores: usize) -> Vec<Vec<usize>> {
+        let jobs = &self.jobs;
+        let ready: Vec<usize> = (0..self.outputs.len())
+            .filter(|&j| jobs.queued[j] && jobs.chip(j) == chip && jobs.ready_at[j] <= self.now)
+            .collect();
+        let (plan, priority) = (&self.plan, &self.index.order.priority);
+        match plan.sched {
+            Scheduler::FairShare => plan_wave_tenanted_slo(
+                &ready,
+                plan.costs,
+                priority,
+                plan.tenant_of,
+                &plan.usage,
+                plan.weights,
+                plan.boost,
+                cores,
+            ),
+            _ => plan_wave(plan.sched, &ready, plan.costs, priority, cores),
+        }
+    }
+
+    /// Close a drained wave at its barrier: a core runs its bucket in
+    /// position order, so its spans are prefix sums, and the clock
+    /// advances by the slowest bucket. The jobs wait in the barrier for
+    /// the kills due by then.
+    fn close_wave(&mut self, done: Vec<(usize, usize, u64)>) {
+        for (j, _, cycles) in done {
+            self.jobs.job_cycles[j] = cycles;
+            self.jobs.finished[j] = true;
+            self.barrier.push(j);
+        }
+        let start = self.now;
+        for (g, bucket) in self.by_core.iter_mut().enumerate() {
+            let (chip, core) = self.core_place[g];
+            let mut t = start;
+            for j in bucket.drain(..) {
+                let cycles = self.jobs.job_cycles[j];
+                self.jobs.log_at[j] = id32(self.events.len());
+                self.events.push(TraceEvent::Job {
+                    job: j,
+                    tenant: self.plan.tenant_of[j],
+                    chip,
+                    core,
+                    start: t,
+                    end: t + cycles,
+                    discarded: false,
+                });
+                t += cycles;
+            }
+            self.now = self.now.max(t);
+        }
+        self.wave_ends.push(self.now);
+    }
+
+    /// Hop to the next event; `false` when nothing is scheduled. A gap
+    /// with every core idle is a stall (a transfer or fault wait), logged
+    /// as one idle fast-forward however many events it crosses.
+    fn hop(&mut self) -> bool {
+        let Some(&Reverse(Event { tick: next, .. })) = self.heap.peek() else {
+            return false;
         };
-        if next.tick > now {
-            if busy_cores == 0 {
-                match events.events_mut().last_mut() {
-                    Some(TraceEvent::IdleFastForward { end, .. }) if *end == now => {
-                        *end = next.tick;
+        if next > self.now {
+            if self.busy_cores == 0 {
+                match self.events.events_mut().last_mut() {
+                    Some(TraceEvent::IdleFastForward { end, .. }) if *end == self.now => {
+                        *end = next;
                     }
-                    _ => events.push(TraceEvent::IdleFastForward {
-                        start: now,
-                        end: next.tick,
+                    _ => self.events.push(TraceEvent::IdleFastForward {
+                        start: self.now,
+                        end: next,
                     }),
                 }
-                stall_cycles += next.tick - now;
+                self.meters.stall_cycles += next - self.now;
             }
-            now = next.tick;
+            self.now = next;
         }
+        true
     }
 
-    let makespan = now;
-    // Event mode: a core's busy intervals never intersect an all-idle
-    // stall window, so `busy + idle + stall = makespan` per core. Wave
-    // idle includes the stalls: `busy + idle = makespan`.
-    let idle_per_core: Vec<u64> = meters
-        .per_core
-        .iter()
-        .map(|s| makespan.saturating_sub(s.cycles + if wave { 0 } else { stall_cycles }))
-        .collect();
-    if !wave {
-        // Event mode's waves are the distinct completion ticks.
-        wave_ends = completion_tick.clone();
-        wave_ends.sort_unstable();
-        wave_ends.dedup();
-        for (w, t) in wave_of.iter_mut().zip(&completion_tick) {
-            *w = wave_ends.binary_search(t).expect("own completion tick");
+    /// The run's result. The bookkeeping is released before the result
+    /// columns are built: every completed job has exactly one kept
+    /// (undiscarded) span in the log, which holds its placement and, in
+    /// event mode, its completion tick.
+    fn finish(self) -> CoordRun<T> {
+        let coord_heap_bytes =
+            self.jobs.heap_bytes() + self.index.heap_bytes() + self.events.heap_bytes();
+        let Run {
+            jobs,
+            index,
+            outputs,
+            events,
+            meters,
+            wave,
+            wave_ends,
+            now: makespan,
+            ..
+        } = self;
+        let waves = jobs.into_wave_of();
+        drop(index);
+        let n = outputs.len();
+        let mut assignment = vec![(0usize, 0usize); n];
+        for e in events.events() {
+            if let TraceEvent::Job {
+                job,
+                chip,
+                core,
+                discarded: false,
+                ..
+            } = *e
+            {
+                assignment[job] = (chip, core);
+            }
+        }
+        let (wave_of, wave_ends) = if wave {
+            (waves, wave_ends)
+        } else {
+            completion_waves(&events, n)
+        };
+        // Event mode: a core's busy intervals never intersect an all-idle
+        // stall window, so `busy + idle + stall = makespan` per core. Wave
+        // idle includes the stalls: `busy + idle = makespan`.
+        let stall = if wave { 0 } else { meters.stall_cycles };
+        let idle_per_core = meters
+            .per_core
+            .iter()
+            .map(|s| makespan.saturating_sub(s.cycles + stall))
+            .collect();
+        CoordRun {
+            outputs: outputs.finish(),
+            assignment,
+            wave_of,
+            wave_ends,
+            per_core: meters.per_core,
+            jobs_per_core: meters.jobs_per_core,
+            idle_per_core,
+            makespan,
+            stall_cycles: meters.stall_cycles,
+            transferred_words: meters.transferred_words,
+            transfer_cycles: meters.transfer_cycles,
+            per_tenant: meters.per_tenant,
+            events,
+            coord_heap_bytes,
         }
     }
+}
 
-    Ok(CoordRun {
-        outputs: finish_outputs(outputs),
-        assignment,
-        wave_of,
-        wave_ends,
-        per_core: meters.per_core,
-        jobs_per_core: meters.jobs_per_core,
-        idle_per_core,
-        makespan,
-        stall_cycles,
-        transferred_words,
-        transfer_cycles,
-        per_tenant: meters.per_tenant,
-        events,
-    })
+/// Event mode's waves: the distinct completion ticks, read off the log's
+/// kept job spans (logged as they retire, so already in tick order) into
+/// an exact-fit vector, and each job's rank among them.
+fn completion_waves(events: &EventLog, n: usize) -> (Vec<usize>, Vec<u64>) {
+    let kept = || {
+        events.events().iter().filter_map(|e| match *e {
+            TraceEvent::Job {
+                job,
+                end,
+                discarded: false,
+                ..
+            } => Some((job, end)),
+            _ => None,
+        })
+    };
+    let mut last = None;
+    let distinct = kept()
+        .filter(|&(_, end)| last.replace(end) != Some(end))
+        .count();
+    let mut wave_ends: Vec<u64> = Vec::with_capacity(distinct);
+    let mut wave_of = vec![0usize; n];
+    for (job, end) in kept() {
+        if wave_ends.last() != Some(&end) {
+            debug_assert!(
+                wave_ends.last().is_none_or(|&t| t < end),
+                "spans retire in tick order"
+            );
+            wave_ends.push(end);
+        }
+        wave_of[job] = wave_ends.len() - 1;
+    }
+    (wave_of, wave_ends)
 }
 
 /// The pick order: the wave planners' order, one job at a time.
@@ -1123,7 +1459,9 @@ fn drive<T>(
 /// live usage counters. Every order ends on the job id, so it is total.
 struct PickOrder<'a> {
     sched: Scheduler,
-    priority: &'a [u64],
+    /// Longest remaining path per job (read by `CriticalPath` and
+    /// `FairShare`).
+    priority: Vec<u64>,
     tenant_of: &'a [usize],
     weights: &'a [u64],
     boost: &'a [u64],
@@ -1165,7 +1503,7 @@ impl PickOrder<'_> {
 /// the tenants' heads, which yields the wave planners' pick because the
 /// tenant-level terms of [`PickOrder::cmp`] are shared within a tenant.
 struct ReadyIndex<'a> {
-    order: &'a PickOrder<'a>,
+    order: PickOrder<'a>,
     tenants: usize,
     /// `ready[chip * tenants + tenant]`.
     ready: Vec<BTreeSet<(Reverse<u64>, usize)>>,
@@ -1178,7 +1516,7 @@ struct ReadyIndex<'a> {
 }
 
 impl<'a> ReadyIndex<'a> {
-    fn new(order: &'a PickOrder<'a>, chips: usize, jobs: usize) -> Self {
+    fn new(order: PickOrder<'a>, chips: usize, jobs: usize) -> Self {
         let tenants = order.weights.len();
         Self {
             order,
@@ -1215,14 +1553,14 @@ impl<'a> ReadyIndex<'a> {
 
     /// Move every queued job whose transfer has landed by `now` into its
     /// chip's ready set.
-    fn promote(&mut self, now: u64, queued: &[bool], chip_of: &[usize], ready_at: &[u64]) {
+    fn promote(&mut self, now: u64, jobs: &JobTable) {
         while let Some(&Reverse((tick, j))) = self.waiting.peek() {
             if tick > now {
                 break;
             }
             self.waiting.pop();
-            if queued[j] && !self.in_ready[j] && ready_at[j] <= now {
-                self.insert(j, chip_of[j], ready_at[j], now);
+            if jobs.queued[j] && !self.in_ready[j] && jobs.ready_at[j] <= now {
+                self.insert(j, jobs.chip(j), jobs.ready_at[j], now);
             }
         }
     }
@@ -1237,6 +1575,17 @@ impl<'a> ReadyIndex<'a> {
         self.remove(j, chip);
         Some(j)
     }
+
+    /// Bytes the index's vectors reserve (`capacity × size_of`): the
+    /// priorities, the flags, the per-(chip, tenant) set headers and the
+    /// waiting heap. The sets' nodes are not counted: they hold only the
+    /// jobs ready at one time, and `BTreeSet` does not expose their size.
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.order.priority)
+            + vec_bytes(&self.in_ready)
+            + vec_bytes(&self.ready)
+            + self.waiting.capacity() * std::mem::size_of::<Reverse<(u64, usize)>>()
+    }
 }
 
 #[cfg(test)]
@@ -1248,7 +1597,7 @@ mod tests {
     use crate::core::ExternalMem;
     use crate::isa::ProgramBuilder;
     use crate::service::JobId;
-    use crate::service::LacService;
+    use crate::service::{LacService, TenantConfig};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::thread::ThreadId;
@@ -1308,14 +1657,13 @@ mod tests {
             base,
             sched: Scheduler::Fifo,
             usage: vec![0],
-            chip_of,
+            chip_of: &chip_of,
+            // One graph, or none in an empty pool.
+            graph_ends: &[n][..usize::from(n > 0)],
         };
         let queue = RefCell::new(VecDeque::new());
         let mut dead = vec![false; topo.cores_per_chip.len()];
-        drive(
-            topo,
-            plan,
-            &mut dead,
+        Run::new(topo, plan, &mut dead).run(
             &|core, job| {
                 queue.borrow_mut().push_back((core, job));
                 Ok(())
@@ -1356,17 +1704,14 @@ mod tests {
                 base: 0,
                 sched: Scheduler::Fifo,
                 usage: vec![0],
-                chip_of: vec![0, 0],
+                chip_of: &[0, 0],
+                graph_ends: &[2],
             };
-            let err = drive(
-                &topo(vec![1], 1, 0, mode),
-                plan,
-                &mut [false],
-                &|_, _| Ok(()),
-                &|| recv_report(&rx),
-            )
-            .map(|_| ())
-            .unwrap_err();
+            let topo = topo(vec![1], 1, 0, mode);
+            let err = Run::new(&topo, plan, &mut [false])
+                .run(&|_, _| Ok(()), &|| recv_report(&rx))
+                .map(|_| ())
+                .unwrap_err();
             assert_eq!(err, worker_lost(), "{mode:?}");
             assert_eq!(err.kind, HazardKind::WorkerLost);
         }
@@ -1399,7 +1744,7 @@ mod tests {
         // Job 0 retires at 10; transfer lands at 10 + 4 + 100 = 114;
         // job 2 runs 114..124 on chip 1 while chip 0 still runs job 1
         // (10..120) — the transfer fully overlaps with compute.
-        let cycles: Vec<u64> = r.outputs.iter().map(|o| o.cycles).collect();
+        let cycles: Vec<u64> = r.outputs[0].iter().map(|o| o.cycles).collect();
         assert_eq!(cycles, vec![10, 110, 10], "outputs in job order");
         assert_eq!(r.makespan, 124);
         assert_eq!(r.transferred_words, 4);
@@ -1623,6 +1968,67 @@ mod tests {
             assert_eq!(empty.makespan, 0);
             assert!(empty.outputs.is_empty() && empty.wave_ends.is_empty());
         }
+    }
+
+    #[test]
+    fn coord_heap_bytes_is_the_tables_closed_form_in_both_modes() {
+        // Seven jobs (a chain, a fork and a join) on one chip: no
+        // transfer, no stall, no fault, so every column is sized once at
+        // the job count, the log holds one span per job, and no job ever
+        // waits on a payload.
+        use std::mem::size_of;
+        let n = 7;
+        let edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)];
+        // Chip, in-degree and batch position; ready tick; four flags.
+        let shared = 3 * size_of::<u32>() + size_of::<u64>() + 4 * size_of::<bool>();
+        // The index: priority and the in-ready flag per job, plus the one
+        // (chip, tenant) set's header.
+        let index = size_of::<u64>() + size_of::<bool>();
+        let sets = size_of::<BTreeSet<(Reverse<u64>, usize)>>();
+        for (mode, own) in [
+            // Event mode: the dispatch tick.
+            (SimMode::Event, size_of::<u64>()),
+            // Waves: the wave, the busy cycles and the span's log index.
+            (
+                SimMode::Wave,
+                size_of::<usize>() + size_of::<u64>() + size_of::<u32>(),
+            ),
+        ] {
+            let topo = topo(vec![2], 1, 0, mode);
+            let r = run(&topo, &[3; 7], &[1; 7], &edges, vec![0; n], &[]).unwrap();
+            assert_eq!(r.events.len(), n, "{mode:?}: one span per job");
+            assert_eq!(
+                r.coord_heap_bytes,
+                n * (shared + own + index + size_of::<TraceEvent>()) + sets,
+                "{mode:?}"
+            );
+            if mode == SimMode::Event {
+                assert_eq!(r.wave_ends.capacity(), r.wave_ends.len(), "exact-fit waves");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_free_one_chip_event_round_reserves_its_log_once() {
+        // Three tenants' graphs in one round on one event-mode chip: the
+        // log is reserved once, at one span per job, and filled exactly.
+        let probe = Probe::default();
+        let mut svc = chip(2, SimMode::Event);
+        for (t, jobs) in [4, 7, 9].into_iter().enumerate() {
+            let tenant =
+                svc.add_tenant(TenantConfig::new(format!("t{t}")).with_weight(t as u64 + 1));
+            assert!(svc.enqueue(tenant, probe.dag(jobs)).is_ok());
+        }
+        let round = svc.run_admitted(Scheduler::FairShare).unwrap();
+        let jobs = round.stats.jobs() as usize;
+        assert_eq!(jobs, 20);
+        assert_eq!(round.events.len(), jobs);
+        assert_eq!(
+            round.events.heap_bytes(),
+            jobs * std::mem::size_of::<TraceEvent>(),
+            "capacity == len == jobs"
+        );
+        assert!(round.coord_heap_bytes > round.events.heap_bytes());
     }
 
     /// How a [`ThreadJob`] ends.

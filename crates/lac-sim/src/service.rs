@@ -532,6 +532,9 @@ pub struct GraphRun<T> {
     /// fast-forwards) on the run-relative simulated clock — the same log
     /// the cluster doors return.
     pub events: EventLog,
+    /// Bytes the coordinator's bookkeeping reserved for the run (see
+    /// [`crate::ClusterRun::coord_heap_bytes`]).
+    pub coord_heap_bytes: usize,
 }
 
 /// A tenant of the multi-tenant service door: a client whose submissions
@@ -760,6 +763,9 @@ pub struct ServiceRound<T> {
     /// fast-forwards) on the round-relative simulated clock — the same
     /// log a cluster round returns (see [`EventLog::shift`] to rebase).
     pub events: EventLog,
+    /// Bytes the coordinator's bookkeeping reserved for the round (see
+    /// [`crate::ClusterRun::coord_heap_bytes`]).
+    pub coord_heap_bytes: usize,
 }
 
 /// A multi-core submission service: one chip whose shards stay warm
@@ -854,6 +860,7 @@ impl<J: ChipJob> LacService<J> {
             idle_per_core: run.idle_per_core.swap_remove(0),
             stats: run.stats.per_chip.swap_remove(0),
             events: run.events,
+            coord_heap_bytes: run.coord_heap_bytes,
         })
     }
 
@@ -931,6 +938,7 @@ impl<J: ChipJob> LacService<J> {
             idle_per_core: round.idle_per_core.swap_remove(0),
             stats: round.stats.per_chip.swap_remove(0),
             events: round.events,
+            coord_heap_bytes: round.coord_heap_bytes,
         })
     }
 

@@ -187,6 +187,20 @@ impl EventLog {
         Self::default()
     }
 
+    /// An empty log with room for `events` events: how a run reserves
+    /// its log once, from its job and edge counts.
+    pub(crate) fn with_capacity(events: usize) -> Self {
+        Self {
+            events: Vec::with_capacity(events),
+        }
+    }
+
+    /// Bytes the log reserves (`capacity × size_of`; an event owns no
+    /// heap of its own).
+    pub fn heap_bytes(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<TraceEvent>()
+    }
+
     /// Append one event.
     pub fn push(&mut self, e: TraceEvent) {
         self.events.push(e);

@@ -3,7 +3,8 @@
 //! partitioner —
 //!
 //! * the partitioner places every job on exactly one chip and its
-//!   per-chip loads account for every cost hint;
+//!   per-chip loads account for every cost hint; on one chip that is
+//!   the closed form (chip 0 for all, no cut edge, one total load);
 //! * `CostBins` never splits a weakly-connected component (no cut edges
 //!   within a component), and the union of chips' jobs is the graph;
 //! * every cross-chip edge is charged exactly one transfer, with the
@@ -77,6 +78,23 @@ proptest! {
         }
         // Determinism: partitioning twice gives the same answer.
         prop_assert_eq!(part, partitioner.partition(&graph, chips));
+    }
+
+    #[test]
+    fn one_chip_partitions_are_the_closed_form(
+        extras in prop::collection::vec(0usize..12, 0..32),
+        seeds in prop::collection::vec(any::<u64>(), 8..9),
+        striped in any::<bool>(),
+    ) {
+        // One chip takes every job and cuts no edge, whatever the DAG and
+        // the partitioner; its load is every cost hint, zero counting as 1.
+        let graph = random_sized_dag(&extras, &seeds);
+        let partitioner = if striped { Partitioner::Striped } else { Partitioner::CostBins };
+        let part = partitioner.partition(&graph, 1);
+        let load: u64 = extras.iter().map(|&e| (1 + (e as u64) * 7 % 13).max(1)).sum();
+        prop_assert_eq!(part.chip_of, vec![0; extras.len()]);
+        prop_assert!(part.cut_edges.is_empty());
+        prop_assert_eq!(part.chip_cost, vec![load]);
     }
 
     #[test]
