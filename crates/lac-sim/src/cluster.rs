@@ -699,12 +699,13 @@ impl<J: ChipJob> LacCluster<J> {
         graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<ClusterRun<J::Output>, SimError> {
-        let hints = Hints::of(graph);
+        let hints = Hints::of(graph, self.chips.len());
+        let plan = hints.plan(&graph.parents, sched);
         let PoolRun {
             mut run,
             mut outputs,
             ..
-        } = self.run_pool(graph, hints.plan(graph, sched), 1)?;
+        } = self.run_pool(graph.jobs.iter().collect(), plan, 1)?;
         run.outputs = outputs.pop().expect("one graph, one output vector");
         Ok(run)
     }
@@ -825,6 +826,15 @@ impl<J: ChipJob> LacCluster<J> {
     /// [`LacCluster::run_graph`]), the round's graphs are dropped, their
     /// in-flight cost drains, and neither the session nor the tenant
     /// meters advance — `Err` means "the round did not complete".
+    ///
+    /// The round owns its jobs: they move out of the admission queue into
+    /// the round's pool, each is lent to a core's thread for every
+    /// dispatch, and each is dropped — with whatever only it keeps alive,
+    /// such as a solver loop's shared slots — at its release: in event
+    /// mode at its completion, in waves at its barrier once the kills due
+    /// there have fired. A job a kill revoked is kept until it runs again.
+    /// A round therefore holds its outputs plus its live frontier.
+    /// ([`LacCluster::run_graph`] only borrows its graph's jobs.)
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ClusterRound<J::Output>, SimError> {
         let boost = vec![u64::MAX; self.tenants.len()];
         self.run_admitted_boosted(sched, &boost)
@@ -838,7 +848,8 @@ impl<J: ChipJob> LacCluster<J> {
     /// running jobs; other policies ignore the boost. Because planning is
     /// cost-hint-only and outputs are placement-independent, boosting
     /// changes *when* jobs run — sojourn times, wave shapes — but never
-    /// the output bits.
+    /// the output bits. Jobs are owned by the round and dropped at their
+    /// release, as in [`LacCluster::run_admitted`].
     pub fn run_admitted_boosted(
         &mut self,
         sched: Scheduler,
@@ -849,48 +860,48 @@ impl<J: ChipJob> LacCluster<J> {
             self.tenants.len(),
             "one boost slack per registered tenant"
         );
-        // Fuse the round into one graph: the admitted graphs laid end to
-        // end in admission order (edges never cross graphs), their parent
-        // lists moved over and their jobs borrowed where they sit, so no
-        // job is copied; one tenant tag per job.
-        let mut pending = take(&mut self.pending);
-        let edges: Vec<_> = pending
-            .iter_mut()
-            .map(|p| take(&mut p.graph.parents))
-            .collect();
+        // Fuse the round into one graph: the admitted graphs moved, jobs
+        // and parent lists, end to end in admission order (edges never
+        // cross graphs); one tenant tag per job. The run owns the jobs and
+        // drops each at its release.
+        let pending = take(&mut self.pending);
         let jobs = pending.iter().map(|p| p.graph.len()).sum();
-        let edge_count = edges.iter().map(Adjacency::edge_count).sum();
+        let edge_count = pending.iter().map(|p| p.graph.parents.edge_count()).sum();
         let mut pool = JobGraph::with_capacity(jobs, edge_count);
         let mut tenant_of = Vec::with_capacity(jobs);
         let mut graph_ends = Vec::with_capacity(pending.len());
+        let mut admitted = Vec::with_capacity(pending.len());
         let mut backlog = vec![0u64; self.tenants.len()];
-        for (p, parents) in pending.iter().zip(edges) {
+        for p in pending {
             let t = p.ticket.tenant.index();
             tenant_of.extend(std::iter::repeat_n(t, p.graph.len()));
             backlog[t] += p.cost;
-            pool.append(JobGraph {
-                jobs: p.graph.jobs.iter().collect(),
-                parents,
-            });
+            pool.append(p.graph);
             graph_ends.push(pool.len());
+            admitted.push((p.ticket, p.cost));
         }
         let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
         let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
         cap_banked_credit(&mut usage, &weights, &backlog);
-        let hints = Hints::tenanted(&pool, tenant_of, graph_ends);
-        let plan = Plan {
-            weights: &weights,
-            boost,
-            usage,
-            ..hints.plan(&pool, sched)
+        // The hints and edges are freed as the run returns, before the
+        // per-graph results are built.
+        let done = {
+            let hints = Hints::tenanted(&pool, tenant_of, graph_ends, self.chips.len());
+            let JobGraph { jobs, parents } = pool;
+            let plan = Plan {
+                weights: &weights,
+                boost,
+                usage,
+                ..hints.plan(&parents, sched)
+            };
+            self.run_pool(jobs, plan, admitted.len() as u64)
         };
-        let done = self.run_pool(&pool, plan, pending.len() as u64);
         // The round's admitted cost drains either way, so a failed round
         // cannot pin its tenants' budgets; only a completed round counts
         // its graphs and folds its tenant meters.
-        for p in &pending {
-            let session = &mut self.tenants[p.ticket.tenant.index()].1;
-            session.inflight_cost -= p.cost;
+        for &(ticket, cost) in &admitted {
+            let session = &mut self.tenants[ticket.tenant.index()].1;
+            session.inflight_cost -= cost;
             session.graphs_completed += u64::from(done.is_ok());
         }
         let PoolRun {
@@ -904,21 +915,15 @@ impl<J: ChipJob> LacCluster<J> {
             session.wait_cycles += delta.wait_cycles;
             session.cost_completed += delta.cost_dispatched;
         }
-        // The round is over: its pool, hints and graphs (whose jobs own
-        // their solver slots) go before the per-graph results are built.
-        let tickets: Vec<GraphTicket> = pending.iter().map(|p| p.ticket).collect();
-        drop(pool);
-        drop(hints);
-        drop(pending);
         // Each graph takes its own output vector, kept apart since the run
         // began, and its contiguous slice of the pool's placement, with
         // cores numbered globally (chips laid end to end).
         let starts: Vec<usize> = self.cfg.topology().chip_ranges().map(|r| r.start).collect();
         let mut start = 0;
-        let graphs = tickets
+        let graphs = admitted
             .into_iter()
             .zip(outputs)
-            .map(|(ticket, outputs)| {
+            .map(|((ticket, _), outputs)| {
                 let jobs = start..start + outputs.len();
                 start = jobs.end;
                 GraphCompletion {
@@ -946,13 +951,14 @@ impl<J: ChipJob> LacCluster<J> {
 
     /// The one path [`LacCluster::run_graph`] and every round take:
     /// partition `plan`'s pool over the alive chips, then coordinate
-    /// `graph` over every core of every chip (the calling thread plus
+    /// `jobs` over every core of every chip (the calling thread plus
     /// scoped workers on demand), honoring the fault plan on the session
     /// clock; chips killed during the run stay dead for every later run.
-    /// On success the run of `graphs` graphs folds into the session.
+    /// The run owns `jobs` and drops each at its release. On success the
+    /// run of `graphs` graphs folds into the session.
     fn run_pool<K: ChipJob<Output = J::Output>>(
         &mut self,
-        graph: &JobGraph<K>,
+        jobs: Vec<K>,
         plan: Plan<'_>,
         graphs: u64,
     ) -> Result<PoolRun<J::Output>, SimError> {
@@ -969,7 +975,7 @@ impl<J: ChipJob> LacCluster<J> {
             .iter_mut()
             .flat_map(|chip| chip.shards_mut().iter_mut())
             .collect();
-        let run = coordinate(&topo, plan, &mut self.dead, shards, &|job| &graph.jobs[job])?;
+        let run = coordinate(&topo, plan, &mut self.dead, shards, jobs)?;
         let session = &mut self.session;
         session.clock_cycles += run.makespan;
         session.graphs_run += graphs;

@@ -13,7 +13,9 @@
 //! one timing loop, collects every dispatch batch through one
 //! failure-slot routine and returns one result type, `CoordRun`. Failure
 //! and metering semantics therefore cannot drift between deployment
-//! layers or time models.
+//! layers or time models. A run owns its jobs: each travels to its thread
+//! with its dispatch, comes back with its report, and is dropped at its
+//! release, so a round holds its outputs plus its live frontier.
 //!
 //! The loop is a classic discrete-event simulator over *components with
 //! independent clocks*: cores, directed inter-chip links and chips (which
@@ -128,7 +130,8 @@ impl Topology {
 pub(crate) struct Plan<'a> {
     /// Scheduler cost hint per job.
     pub(crate) costs: &'a [u64],
-    /// Output size per job, words (prices cut edges).
+    /// Output size per job, words (prices cut edges; empty on one chip,
+    /// where no edge is cut).
     pub(crate) transfer_words: &'a [u64],
     /// Row `j` — jobs that must complete before `j` runs.
     pub(crate) parents: &'a Adjacency,
@@ -173,37 +176,46 @@ pub(crate) struct Hints {
 }
 
 impl Hints {
-    /// Read `graph`'s cost and transfer hints; every job is tenant 0, and
-    /// the graph is one.
-    pub(crate) fn of<J: ChipJob>(graph: &JobGraph<J>) -> Self {
-        Self::tenanted(graph, vec![0; graph.len()], vec![graph.len()])
+    /// Read `graph`'s hints for a run over `chips` chips; every job is
+    /// tenant 0, and the graph is one.
+    pub(crate) fn of<J: ChipJob>(graph: &JobGraph<J>, chips: usize) -> Self {
+        Self::tenanted(graph, vec![0; graph.len()], vec![graph.len()], chips)
     }
 
-    /// Read `graph`'s cost and transfer hints, with `tenant_of[j]` job
-    /// `j`'s tenant index and `graph_ends` the end of each fused graph's
-    /// jobs, and derive its children.
+    /// Read `graph`'s hints for a run over `chips` chips, with
+    /// `tenant_of[j]` job `j`'s tenant index and `graph_ends` the end of
+    /// each fused graph's jobs, and derive its children. Transfer words
+    /// price cut edges, so one chip reads none; on more, they are read
+    /// here, up front, because a transfer is charged after its parent
+    /// was released and the run has dropped the job.
     pub(crate) fn tenanted<J: ChipJob>(
         graph: &JobGraph<J>,
         tenant_of: Vec<usize>,
         graph_ends: Vec<usize>,
+        chips: usize,
     ) -> Self {
+        let transfer_words = if chips > 1 {
+            graph.jobs.iter().map(|j| j.transfer_words()).collect()
+        } else {
+            Vec::new()
+        };
         Self {
             costs: graph.jobs.iter().map(|j| j.cost_hint()).collect(),
-            transfer_words: graph.jobs.iter().map(|j| j.transfer_words()).collect(),
+            transfer_words,
             tenant_of,
             children: graph.children(),
             graph_ends,
         }
     }
 
-    /// The fault-free, single-tenant plan of `graph` under `sched`, not
-    /// yet placed: a round overrides the tenancy, and the cluster sets the
-    /// placement and the faults.
-    pub(crate) fn plan<'a, J>(&'a self, graph: &'a JobGraph<J>, sched: Scheduler) -> Plan<'a> {
+    /// The fault-free, single-tenant plan over `parents` under `sched`,
+    /// not yet placed: a round overrides the tenancy, and the cluster sets
+    /// the placement and the faults.
+    pub(crate) fn plan<'a>(&'a self, parents: &'a Adjacency, sched: Scheduler) -> Plan<'a> {
         Plan {
             costs: &self.costs,
             transfer_words: &self.transfer_words,
-            parents: &graph.parents,
+            parents,
             children: &self.children,
             tenant_of: &self.tenant_of,
             weights: &[1],
@@ -232,12 +244,18 @@ enum JobOutcome<T> {
     Panicked(String),
 }
 
-/// What the caller or a worker reports back per dispatched job.
-struct Done<T> {
+/// A dispatched job on its way to a thread: its pool index and the job.
+type Handoff<K> = (usize, K);
+
+/// What the caller or a worker reports back per dispatched job: the job
+/// itself travels back with its outcome.
+struct Done<K, T> {
     /// Global core index the job ran on.
     core: usize,
     /// Pool index of the job.
     job: usize,
+    /// The job, returned to the run that owns it.
+    work: K,
     /// How it ended.
     outcome: JobOutcome<T>,
 }
@@ -245,7 +263,7 @@ struct Done<T> {
 /// Run one job on its core, honoring the shared abort flag and measuring
 /// the session delta. Never unwinds: every dispatched job must produce a
 /// report, or the coordinator would wait forever.
-fn run_one<J: ChipJob>(lac: &mut Lac, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
+fn run_one<K: ChipJob>(lac: &mut Lac, job: &K, abort: &AtomicBool) -> JobOutcome<K::Output> {
     if abort.load(Ordering::Relaxed) {
         return JobOutcome::Skipped;
     }
@@ -345,7 +363,7 @@ impl<T> CoordRun<T> {
 }
 
 /// Coordinate one run of `plan` on `topo` over `shards` (global core
-/// order); `job_of` maps a pool index to its job. Drives the timing loop
+/// order); `jobs` is the pool, in pool order. Drives the timing loop
 /// and runs every dispatch batch: the calling thread runs the share
 /// of the batch's first-dispatched core itself, and every other core's
 /// jobs go to that core's scoped worker — spawned the first time a batch
@@ -356,73 +374,83 @@ impl<T> CoordRun<T> {
 /// dispatch. `dead` marks chips killed so far and is updated in place as
 /// faults fire (a dead chip stays dead for every later run).
 ///
+/// The run owns its jobs. A job is lent to a thread with each dispatch
+/// (it travels with the dispatch and comes back with the report) and is
+/// dropped at its release, once its output stands, with whatever only it
+/// keeps alive; a revoked job is kept until it runs again. A round passes
+/// its jobs by value, so its memory is its outputs plus its live
+/// frontier; `run_graph` passes references (`&J` is a [`ChipJob`]), so
+/// the caller's graph survives the run.
+///
 /// On a simulation error the earliest *observed* failure by dispatch
 /// order (global core, then bucket position within a wave) is returned;
 /// peers stop at their next job boundary and nothing later dispatches. A
 /// panicking job is re-raised once its batch drains, so no worker dies.
-pub(crate) fn coordinate<'j, J: ChipJob + 'j>(
+pub(crate) fn coordinate<K: ChipJob>(
     topo: &Topology,
     plan: Plan<'_>,
     dead: &mut [bool],
     shards: Vec<&mut Lac>,
-    job_of: &(dyn Fn(usize) -> &'j J + Sync),
-) -> Result<CoordRun<J::Output>, SimError> {
+    jobs: Vec<K>,
+) -> Result<CoordRun<K::Output>, SimError> {
     let abort = AtomicBool::new(false);
     let shards: Vec<Mutex<&mut Lac>> = shards.into_iter().map(Mutex::new).collect();
-    let run_on = |core: usize, job: usize| {
+    let run_on = |core: usize, job: usize, work: K| {
         // `run_one` never unwinds, so no guard is dropped mid-panic and
         // the lock cannot be poisoned.
         let mut lac = shards[core].lock().expect("shard lock poisoned");
+        let outcome = run_one(&mut lac, &work, &abort);
         Done {
             core,
             job,
-            outcome: run_one(&mut lac, job_of(job), &abort),
+            work,
+            outcome,
         }
     };
     let run_on = &run_on;
     std::thread::scope(|scope| {
-        let (done_tx, done_rx) = channel::<Done<J::Output>>();
+        let (done_tx, done_rx) = channel::<Done<K, K::Output>>();
         // Each core's worker, once a batch has needed it.
-        let workers: RefCell<Vec<Option<Sender<usize>>>> =
+        let workers: RefCell<Vec<Option<Sender<Handoff<K>>>>> =
             RefCell::new((0..shards.len()).map(|_| None).collect());
         // The core whose share of the current batch the caller runs, and
         // that share, in dispatch order.
         let caller_core: Cell<Option<usize>> = Cell::new(None);
-        let caller_jobs: RefCell<VecDeque<usize>> = RefCell::new(VecDeque::new());
-        Run::new(topo, plan, dead).run(
-            &|core, job| {
+        let caller_jobs: RefCell<VecDeque<Handoff<K>>> = RefCell::new(VecDeque::new());
+        Run::new(topo, plan, dead, jobs).run(
+            &|core, job, work| {
                 if caller_core.get().unwrap_or(core) == core {
                     caller_core.set(Some(core));
-                    caller_jobs.borrow_mut().push_back(job);
+                    caller_jobs.borrow_mut().push_back((job, work));
                     return Ok(());
                 }
                 let mut workers = workers.borrow_mut();
                 let tx = workers[core].get_or_insert_with(|| {
-                    let (tx, rx) = channel::<usize>();
+                    let (tx, rx) = channel::<Handoff<K>>();
                     let done_tx = done_tx.clone();
                     scope.spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            if done_tx.send(run_on(core, job)).is_err() {
+                        while let Ok((job, work)) = rx.recv() {
+                            if done_tx.send(run_on(core, job, work)).is_err() {
                                 break;
                             }
                         }
                     });
                     tx
                 });
-                tx.send(job).map_err(|_| worker_lost())
+                tx.send((job, work)).map_err(|_| worker_lost())
             },
             &|| {
                 // The caller's own share first (the workers run theirs
                 // meanwhile), then the workers' reports as they land.
                 let mut own = caller_jobs.borrow_mut();
                 match own.pop_front() {
-                    Some(job) => {
+                    Some((job, work)) => {
                         let core = caller_core.get().expect("the caller's core is set");
                         if own.is_empty() {
                             caller_core.set(None); // the next batch picks afresh
                         }
                         drop(own);
-                        Ok(run_on(core, job))
+                        Ok(run_on(core, job, work))
                     }
                     None => recv_report(&done_rx),
                 }
@@ -442,23 +470,25 @@ fn worker_lost() -> SimError {
 
 /// The next worker report, or [`HazardKind::WorkerLost`] once every
 /// worker has hung up.
-fn recv_report<T>(rx: &Receiver<Done<T>>) -> Result<Done<T>, SimError> {
+fn recv_report<K, T>(rx: &Receiver<Done<K, T>>) -> Result<Done<K, T>, SimError> {
     rx.recv().map_err(|_| worker_lost())
 }
 
-/// Collect exactly `dispatched` reports for one dispatch batch and fold
-/// the completions into `meters` and `outputs`, in job-id order whatever
-/// order the host delivered them in. Returns `(job, global core, busy
-/// cycles)` per completion, by job id. Among observed failures the job
-/// earliest in dispatch order (`dispatch_seq`) wins; panics are re-raised
-/// first (they are harness bugs, not schedule rejections). Once this
-/// returns nothing is in flight, so the workers stay usable.
-fn collect_batch<T>(
+/// Collect exactly `dispatched` reports for one dispatch batch, return
+/// each job to its `pool` slot, and fold the completions into `meters`
+/// and `outputs`, in job-id order whatever order the host delivered them
+/// in. Returns `(job, global core, busy cycles)` per completion, by job
+/// id. Among observed failures the job earliest in dispatch order
+/// (`dispatch_seq`) wins; panics are re-raised first (they are harness
+/// bugs, not schedule rejections). Once this returns nothing is in
+/// flight, so the workers stay usable.
+fn collect_batch<K, T>(
     dispatched: usize,
-    collect: &dyn Fn() -> Result<Done<T>, SimError>,
+    collect: &dyn Fn() -> Result<Done<K, T>, SimError>,
     dispatch_seq: &[u32],
     tenant_of: &[usize],
     meters: &mut Meters,
+    pool: &mut [Option<K>],
     outputs: &mut Outputs<'_, T>,
 ) -> Result<Vec<(usize, usize, u64)>, SimError> {
     let mut done: Vec<(usize, usize, T, ExecStats)> = Vec::with_capacity(dispatched);
@@ -466,6 +496,7 @@ fn collect_batch<T>(
     let mut first_panic: Option<(u32, usize, usize, String)> = None;
     for _ in 0..dispatched {
         let report = collect()?;
+        pool[report.job] = Some(report.work);
         let slot = dispatch_seq[report.job];
         match report.outcome {
             JobOutcome::Completed(out, delta) => done.push((report.job, report.core, out, delta)),
@@ -742,14 +773,15 @@ impl Meters {
 }
 
 /// One coordinated run: the one timing loop and everything it mutates —
-/// the plan, the per-job table, the ready index, the event heap, the
-/// meters and the log — run against a dispatch/collect pair.
-/// `dispatch(core, job)` hands a pool job to a core, `collect()` blocks
-/// for the next report; either fails only when a worker hung up
-/// ([`HazardKind::WorkerLost`]), which ends the run. Workers report real
-/// measured [`ExecStats`] deltas, and every dispatch batch is drained
-/// before the simulated clock moves, so job durations are known before
-/// the clock passes them.
+/// the plan, the jobs, the per-job table, the ready index, the event
+/// heap, the meters and the log — run against a dispatch/collect pair.
+/// `dispatch(core, job, work)` hands pool job `job` (its body `work`,
+/// taken out of the pool) to a core, `collect()` blocks for the next
+/// report, which brings the body back; either fails only when a worker
+/// hung up ([`HazardKind::WorkerLost`]), which ends the run. Workers
+/// report real measured [`ExecStats`] deltas, and every dispatch batch is
+/// drained before the simulated clock moves, so job durations are known
+/// before the clock passes them.
 ///
 /// Each pass fires the heap's due events, one handler per
 /// [`EventKind`], and releases a finished wave ([`Run::fire_due`]);
@@ -770,11 +802,16 @@ impl Meters {
 /// [`crate::fault`]); in event mode a kill fires at its exact tick,
 /// revoking whatever runs on the dying chip then.
 ///
+/// A job lives in the run's pool until its release, where it is dropped:
+/// in event mode at its completion tick, unless a kill revoked that
+/// completion; in waves at its barrier, after the kills due there fired.
+/// A revoked job stays in the pool until it runs again.
+///
 /// Nothing is sized by growth: the table is allocated once at the job
 /// count, and the log is reserved once for one span per job, one transfer
 /// per cut edge and one record per scheduled kill — the exact count of a
 /// run without faults or stalls.
-struct Run<'a, T> {
+struct Run<'a, K, T> {
     topo: &'a Topology,
     /// Hints, edges, tenancy and faults. `plan.chip_of` is the initial
     /// placement; the table's `chip` column is the live one.
@@ -787,6 +824,8 @@ struct Run<'a, T> {
     /// `(chip, core-within-chip)` per global core.
     core_place: Vec<(usize, usize)>,
     jobs: JobTable,
+    /// Each job until its release, except while it is dispatched.
+    pool: Vec<Option<K>>,
     /// One output slot per job, filled as jobs complete.
     outputs: Outputs<'a, T>,
     index: ReadyIndex<'a>,
@@ -812,19 +851,20 @@ struct Run<'a, T> {
     released_count: usize,
 }
 
-impl<'a, T> Run<'a, T> {
-    /// The run of `plan` on `topo`, before anything dispatches. Faults are
-    /// ordinary events from the start; kills already due at run start
-    /// fire at tick 0, before anything dispatches. Events order one tick's
-    /// kills by chip; waves fire every kill due at a barrier in plan
-    /// order, so they file them all under chip 0.
-    fn new(topo: &'a Topology, plan: Plan<'a>, dead: &'a mut [bool]) -> Self {
+impl<'a, K, T> Run<'a, K, T> {
+    /// The run of `plan`'s `jobs` on `topo`, before anything dispatches.
+    /// Faults are ordinary events from the start; kills already due at
+    /// run start fire at tick 0, before anything dispatches. Events order
+    /// one tick's kills by chip; waves fire every kill due at a barrier in
+    /// plan order, so they file them all under chip 0.
+    fn new(topo: &'a Topology, plan: Plan<'a>, dead: &'a mut [bool], jobs: Vec<K>) -> Self {
         let n = plan.costs.len();
         assert_eq!(
             plan.chip_of.len(),
             n,
             "invariant: the caller places every job"
         );
+        assert_eq!(jobs.len(), n, "invariant: one hint per job");
         assert_eq!(
             plan.graph_ends.last().copied().unwrap_or(0),
             n,
@@ -839,10 +879,18 @@ impl<'a, T> Run<'a, T> {
             .flat_map(|(chip, cores)| (0..cores.len()).map(move |c| (chip, c)))
             .collect();
         let cores = core_place.len();
+        let pool = jobs.into_iter().map(Some).collect();
         let jobs = JobTable::new(&plan, wave);
+        // Only the priority-ordered policies read critical paths.
+        let priority = match plan.sched {
+            Scheduler::CriticalPath | Scheduler::FairShare => {
+                critical_paths(plan.costs, plan.parents)
+            }
+            Scheduler::Fifo | Scheduler::LeastLoaded => Vec::new(),
+        };
         let order = PickOrder {
             sched: plan.sched,
-            priority: critical_paths(plan.costs, plan.parents),
+            priority,
             tenant_of: plan.tenant_of,
             weights: plan.weights,
             boost: plan.boost,
@@ -869,6 +917,7 @@ impl<'a, T> Run<'a, T> {
             chip_cores,
             core_place,
             jobs,
+            pool,
             outputs,
             index,
             heap: BinaryHeap::new(),
@@ -899,8 +948,8 @@ impl<'a, T> Run<'a, T> {
     /// to the next event.
     fn run(
         mut self,
-        dispatch: &dyn Fn(usize, usize) -> Result<(), SimError>,
-        collect: &dyn Fn() -> Result<Done<T>, SimError>,
+        dispatch: &dyn Fn(usize, usize, K) -> Result<(), SimError>,
+        collect: &dyn Fn() -> Result<Done<K, T>, SimError>,
     ) -> Result<CoordRun<T>, SimError> {
         let n = self.outputs.len();
         while self.released_count < n {
@@ -916,6 +965,7 @@ impl<'a, T> Run<'a, T> {
                 &self.jobs.dispatch_seq,
                 self.plan.tenant_of,
                 &mut self.meters,
+                &mut self.pool,
                 &mut self.outputs,
             )?;
             if self.wave && batch > 0 {
@@ -1112,9 +1162,10 @@ impl<'a, T> Run<'a, T> {
         }
     }
 
-    /// Free a finished job's children; a cross-chip edge delays the child
-    /// by the modeled transfer.
+    /// Its output stands: drop the job and free its children; a
+    /// cross-chip edge delays the child by the modeled transfer.
     fn release(&mut self, j: usize) {
+        self.pool[j] = None;
         self.jobs.released[j] = true;
         self.released_count += 1;
         let children = self.plan.children;
@@ -1175,7 +1226,7 @@ impl<'a, T> Run<'a, T> {
     /// deterministic tie-break). Returns the batch size.
     fn dispatch_ready(
         &mut self,
-        dispatch: &dyn Fn(usize, usize) -> Result<(), SimError>,
+        dispatch: &dyn Fn(usize, usize, K) -> Result<(), SimError>,
     ) -> Result<usize, SimError> {
         self.index.promote(self.now, &self.jobs);
         let mut batch = 0;
@@ -1197,7 +1248,10 @@ impl<'a, T> Run<'a, T> {
                     let delta = &mut self.meters.per_tenant[self.plan.tenant_of[j]];
                     delta.wait_cycles += self.now - self.jobs.ready_at[j];
                     delta.cost_dispatched += cost;
-                    dispatch(g, j)?;
+                    let work = self.pool[j]
+                        .take()
+                        .expect("invariant: a queued job is home");
+                    dispatch(g, j, work)?;
                     batch += 1;
                 }
                 if !self.wave {
@@ -1459,8 +1513,8 @@ fn completion_waves(events: &EventLog, n: usize) -> (Vec<usize>, Vec<u64>) {
 /// live usage counters. Every order ends on the job id, so it is total.
 struct PickOrder<'a> {
     sched: Scheduler,
-    /// Longest remaining path per job (read by `CriticalPath` and
-    /// `FairShare`).
+    /// Longest remaining path per job, built for the two policies that
+    /// read it, `CriticalPath` and `FairShare` (empty for the others).
     priority: Vec<u64>,
     tenant_of: &'a [usize],
     weights: &'a [u64],
@@ -1595,6 +1649,7 @@ mod tests {
     use crate::cluster::{ClusterConfig, LacCluster};
     use crate::config::LacConfig;
     use crate::core::ExternalMem;
+    use crate::fault::FaultPlan;
     use crate::isa::ProgramBuilder;
     use crate::service::JobId;
     use crate::service::{LacService, TenantConfig};
@@ -1628,12 +1683,23 @@ mod tests {
         chip_of: Vec<usize>,
         faults: &[FaultEvent],
     ) -> Result<CoordRun<ExecStats>, SimError> {
-        run_from(0, topo, costs, words, edges, chip_of, faults)
+        run_from(
+            0,
+            Scheduler::Fifo,
+            topo,
+            costs,
+            words,
+            edges,
+            chip_of,
+            faults,
+        )
     }
 
-    /// [`run`] starting at session tick `base`.
+    /// [`run`] starting at session tick `base`, under `sched`.
+    #[allow(clippy::too_many_arguments)]
     fn run_from(
         base: u64,
+        sched: Scheduler,
         topo: &Topology,
         costs: &[u64],
         words: &[u64],
@@ -1655,7 +1721,7 @@ mod tests {
             boost: &[u64::MAX],
             faults,
             base,
-            sched: Scheduler::Fifo,
+            sched,
             usage: vec![0],
             chip_of: &chip_of,
             // One graph, or none in an empty pool.
@@ -1663,13 +1729,13 @@ mod tests {
         };
         let queue = RefCell::new(VecDeque::new());
         let mut dead = vec![false; topo.cores_per_chip.len()];
-        Run::new(topo, plan, &mut dead).run(
-            &|core, job| {
-                queue.borrow_mut().push_back((core, job));
+        Run::new(topo, plan, &mut dead, vec![(); n]).run(
+            &|core, job, work| {
+                queue.borrow_mut().push_back((core, job, work));
                 Ok(())
             },
             &|| {
-                let (core, job) = queue.borrow_mut().pop_front().expect("a dispatched job");
+                let (core, job, work) = queue.borrow_mut().pop_front().expect("a dispatched job");
                 let delta = ExecStats {
                     cycles: costs[job],
                     ..Default::default()
@@ -1677,6 +1743,7 @@ mod tests {
                 Ok(Done {
                     core,
                     job,
+                    work,
                     outcome: JobOutcome::Completed(delta, delta),
                 })
             },
@@ -1687,7 +1754,7 @@ mod tests {
     fn a_lost_worker_is_a_typed_error() {
         // Every sender of the report channel is gone: the collect side
         // must end the run with an error, not a panic or a hang.
-        let (tx, rx) = channel::<Done<ExecStats>>();
+        let (tx, rx) = channel::<Done<(), ExecStats>>();
         drop(tx);
         let graph = edge_graph(2, &[(0, 1)]);
         let children = graph.children();
@@ -1708,8 +1775,8 @@ mod tests {
                 graph_ends: &[2],
             };
             let topo = topo(vec![1], 1, 0, mode);
-            let err = Run::new(&topo, plan, &mut [false])
-                .run(&|_, _| Ok(()), &|| recv_report(&rx))
+            let err = Run::new(&topo, plan, &mut [false], vec![(); 2])
+                .run(&|_, _, _| Ok(()), &|| recv_report(&rx))
                 .map(|_| ())
                 .unwrap_err();
             assert_eq!(err, worker_lost(), "{mode:?}");
@@ -1942,7 +2009,17 @@ mod tests {
         ];
         for (mode, order) in [(SimMode::Wave, [2, 1]), (SimMode::Event, [1, 2])] {
             let topo = topo(vec![1, 1, 1], 1, 0, mode);
-            let r = run_from(100, &topo, &[4], &[1], &[], vec![0], &kills).unwrap();
+            let r = run_from(
+                100,
+                Scheduler::Fifo,
+                &topo,
+                &[4],
+                &[1],
+                &[],
+                vec![0],
+                &kills,
+            )
+            .unwrap();
             let fired: Vec<usize> = r
                 .events
                 .events()
@@ -1981,9 +2058,9 @@ mod tests {
         let edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)];
         // Chip, in-degree and batch position; ready tick; four flags.
         let shared = 3 * size_of::<u32>() + size_of::<u64>() + 4 * size_of::<bool>();
-        // The index: priority and the in-ready flag per job, plus the one
-        // (chip, tenant) set's header.
-        let index = size_of::<u64>() + size_of::<bool>();
+        // The index: the in-ready flag per job, plus the one (chip,
+        // tenant) set's header.
+        let index = size_of::<bool>();
         let sets = size_of::<BTreeSet<(Reverse<u64>, usize)>>();
         for (mode, own) in [
             // Event mode: the dispatch tick.
@@ -1994,16 +2071,26 @@ mod tests {
                 size_of::<usize>() + size_of::<u64>() + size_of::<u32>(),
             ),
         ] {
-            let topo = topo(vec![2], 1, 0, mode);
-            let r = run(&topo, &[3; 7], &[1; 7], &edges, vec![0; n], &[]).unwrap();
-            assert_eq!(r.events.len(), n, "{mode:?}: one span per job");
-            assert_eq!(
-                r.coord_heap_bytes,
-                n * (shared + own + index + size_of::<TraceEvent>()) + sets,
-                "{mode:?}"
-            );
-            if mode == SimMode::Event {
-                assert_eq!(r.wave_ends.capacity(), r.wave_ends.len(), "exact-fit waves");
+            // Only the priority-ordered policies keep a critical path per
+            // job.
+            for (sched, priority) in [
+                (Scheduler::Fifo, 0),
+                (Scheduler::LeastLoaded, 0),
+                (Scheduler::CriticalPath, size_of::<u64>()),
+                (Scheduler::FairShare, size_of::<u64>()),
+            ] {
+                let topo = topo(vec![2], 1, 0, mode);
+                let r =
+                    run_from(0, sched, &topo, &[3; 7], &[1; 7], &edges, vec![0; n], &[]).unwrap();
+                assert_eq!(r.events.len(), n, "{mode:?} {sched:?}: one span per job");
+                assert_eq!(
+                    r.coord_heap_bytes,
+                    n * (shared + own + index + priority + size_of::<TraceEvent>()) + sets,
+                    "{mode:?} {sched:?}"
+                );
+                if mode == SimMode::Event {
+                    assert_eq!(r.wave_ends.capacity(), r.wave_ends.len(), "exact-fit waves");
+                }
             }
         }
     }
@@ -2220,5 +2307,168 @@ mod tests {
             let run = chip.submit(&probe.dag(5), Scheduler::Fifo).unwrap();
             assert_eq!(run.outputs.len(), 5, "{mode:?}");
         }
+    }
+
+    /// Live and dropped jobs of a [`LiveJob`] graph, shared by its jobs.
+    #[derive(Default)]
+    struct Ledger {
+        /// Jobs built and not yet dropped, per tenant.
+        live: [AtomicUsize; 2],
+        /// Times each job was dropped, by id.
+        drops: Mutex<Vec<usize>>,
+        /// `(job, tenant 1's live jobs)` as each job began to run.
+        saw: Mutex<Vec<(usize, usize)>>,
+    }
+
+    impl Ledger {
+        fn job(self: &Arc<Self>, tenant: usize, cycles: usize) -> LiveJob {
+            self.live[tenant].fetch_add(1, Ordering::SeqCst);
+            let mut drops = self.drops.lock().unwrap();
+            drops.push(0);
+            LiveJob {
+                id: drops.len() - 1,
+                tenant,
+                cycles,
+                ledger: Arc::clone(self),
+            }
+        }
+
+        /// `chains` chains of `len` jobs each, all of `tenant`.
+        fn chains(self: &Arc<Self>, tenant: usize, chains: usize, len: usize) -> JobGraph<LiveJob> {
+            let mut g = JobGraph::new();
+            for _ in 0..chains {
+                let mut prev: Option<JobId> = None;
+                for k in 0..len {
+                    let parents: Vec<JobId> = prev.into_iter().collect();
+                    prev = Some(g.add_after(self.job(tenant, 4 + k), &parents));
+                }
+            }
+            g
+        }
+
+        fn drops(&self) -> Vec<usize> {
+            self.drops.lock().unwrap().clone()
+        }
+
+        fn live(&self, tenant: usize) -> usize {
+            self.live[tenant].load(Ordering::SeqCst)
+        }
+    }
+
+    /// A job that counts itself live in its [`Ledger`] from construction
+    /// to drop, and fails the run if it ever runs after a drop of its id.
+    struct LiveJob {
+        id: usize,
+        tenant: usize,
+        cycles: usize,
+        ledger: Arc<Ledger>,
+    }
+
+    impl ChipJob for LiveJob {
+        type Output = ExecStats;
+
+        fn run_on(&self, lac: &mut Lac) -> Result<ExecStats, SimError> {
+            assert_eq!(
+                self.ledger.drops.lock().unwrap()[self.id],
+                0,
+                "job {} runs after it was dropped",
+                self.id
+            );
+            let tenant1 = self.ledger.live(1);
+            self.ledger.saw.lock().unwrap().push((self.id, tenant1));
+            let mut b = ProgramBuilder::new(lac.config().nr);
+            b.idle(self.cycles);
+            lac.run(&b.build(), &mut ExternalMem::new(0))
+        }
+    }
+
+    impl Drop for LiveJob {
+        fn drop(&mut self) {
+            self.ledger.live[self.tenant].fetch_sub(1, Ordering::SeqCst);
+            self.ledger.drops.lock().unwrap()[self.id] += 1;
+        }
+    }
+
+    #[test]
+    fn a_fair_share_round_drops_each_job_once_as_its_output_stands() {
+        // Tenant 0 (weight 1) runs one 16-job chain; tenant 1 (weight 4)
+        // eight single jobs, done long before the chain's last link. The
+        // round owns both graphs' jobs and drops each at its release.
+        let ledger = Arc::new(Ledger::default());
+        let mut svc: LacService<LiveJob> =
+            LacService::new(ChipConfig::new(2, LacConfig::default()).with_sim_mode(SimMode::Event));
+        let light = svc.add_tenant(TenantConfig::new("light").with_weight(1));
+        let heavy = svc.add_tenant(TenantConfig::new("heavy").with_weight(4));
+        assert!(svc.enqueue(light, ledger.chains(0, 1, 16)).is_ok());
+        assert!(svc.enqueue(heavy, ledger.chains(1, 8, 1)).is_ok());
+        let round = svc.run_admitted(Scheduler::FairShare).unwrap();
+        assert_eq!(round.stats.jobs(), 24);
+        assert_eq!(
+            ledger.drops(),
+            vec![1; 24],
+            "every job dropped exactly once"
+        );
+        assert_eq!((ledger.live(0), ledger.live(1)), (0, 0));
+        let saw = ledger.saw.lock().unwrap().clone();
+        let tenant1_at = |job: usize| saw.iter().find(|&&(j, _)| j == job).unwrap().1;
+        // The chain's first link runs beside the first heavy batch, and
+        // its last link after every heavy job was dropped.
+        assert_eq!(tenant1_at(0), 8);
+        assert_eq!(tenant1_at(15), 0, "no heavy job outlives its release");
+    }
+
+    #[test]
+    fn a_killed_round_keeps_revoked_jobs_until_they_rerun() {
+        // Three tenant-0 chains on a 2-chip cluster, chip `k` killed at
+        // every few ticks of the fault-free makespan: every job still drops
+        // exactly once, never before its last run, and the outputs match
+        // the fault-free round's.
+        let round = |mode: SimMode, plan: FaultPlan| {
+            let ledger = Arc::new(Ledger::default());
+            let chip = ChipConfig::new(1, LacConfig::default());
+            let cfg = ClusterConfig::homogeneous(2, chip).with_sim_mode(mode);
+            let mut cluster: LacCluster<LiveJob> = LacCluster::new(cfg).with_fault_plan(plan);
+            let t = cluster.add_tenant(TenantConfig::new("t"));
+            assert!(cluster.enqueue(t, ledger.chains(0, 3, 4)).is_ok());
+            let round = cluster.run_admitted(Scheduler::CriticalPath).unwrap();
+            assert_eq!(ledger.drops(), vec![1; 12], "{mode:?}: drops equal jobs");
+            assert_eq!(ledger.live(0), 0, "{mode:?}");
+            round
+        };
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let clean = round(mode, FaultPlan::new());
+            let makespan = clean.stats.makespan_cycles;
+            let mut revoked = 0;
+            for chip in 0..2 {
+                for tick in (0..makespan).step_by(3) {
+                    let r = round(mode, FaultPlan::new().kill(chip, tick));
+                    assert_eq!(r.graphs[0].outputs, clean.graphs[0].outputs, "{mode:?}");
+                    revoked += r.events.count(|e| {
+                        matches!(
+                            e,
+                            TraceEvent::Job {
+                                discarded: true,
+                                ..
+                            }
+                        )
+                    });
+                }
+            }
+            assert!(revoked > 0, "{mode:?}: some kill revoked a finished run");
+        }
+    }
+
+    #[test]
+    fn run_graph_lends_its_jobs_so_the_graph_reruns() {
+        let ledger = Arc::new(Ledger::default());
+        let graph = ledger.chains(0, 2, 3);
+        let cfg = ClusterConfig::homogeneous(2, ChipConfig::new(1, LacConfig::default()));
+        let mut cluster: LacCluster<LiveJob> = LacCluster::new(cfg);
+        let first = cluster.run_graph(&graph, Scheduler::Fifo).unwrap();
+        let second = cluster.run_graph(&graph, Scheduler::Fifo).unwrap();
+        assert_eq!(first.outputs, second.outputs);
+        assert_eq!(ledger.drops(), vec![0; 6], "the graph still owns its jobs");
+        drop(graph);
+        assert_eq!(ledger.drops(), vec![1; 6]);
     }
 }

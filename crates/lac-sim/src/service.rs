@@ -914,7 +914,9 @@ impl<J: ChipJob> LacService<J> {
     /// [`LacCluster::run_admitted`]. On success the round's makespan
     /// advances the service clock once and its per-core meters fold into
     /// the service session; on error neither the session nor the tenant
-    /// meters advance.
+    /// meters advance. The round takes ownership of the admitted jobs and
+    /// drops each one as its output stands, so a round holds its outputs
+    /// plus its live frontier, not every job until it returns.
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ServiceRound<J::Output>, SimError> {
         let boost = vec![u64::MAX; self.num_tenants()];
         self.run_admitted_boosted(sched, &boost)
@@ -924,7 +926,9 @@ impl<J: ChipJob> LacService<J> {
     /// `boost[t]` is tenant `t`'s current deadline slack in simulated
     /// cycles (`u64::MAX` = unboosted), served least-slack-first under
     /// [`Scheduler::FairShare`] (see [`LacCluster::run_admitted_boosted`]).
-    /// Boosting changes *when* jobs run, never the output bits.
+    /// Boosting changes *when* jobs run, never the output bits. Jobs are
+    /// owned by the round and dropped at their release, as in
+    /// [`LacService::run_admitted`].
     pub fn run_admitted_boosted(
         &mut self,
         sched: Scheduler,
