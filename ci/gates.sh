@@ -185,6 +185,22 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 12: the coordinator fails through one channel. A job's failure —
+# a schedule rejection or a panic caught where the job ran
+# (`HazardKind::JobPanicked`) — is a `SimError` that `collect_batch`
+# orders by dispatch, and an internal invariant is an `expect("invariant:
+# …")` that says why no caller reaches it. A `panic!(` or `unreachable!(`
+# in coord.rs's non-test code (lines before its first `#[cfg(test)]`)
+# would be a second, untyped exit from a run.
+hits=$(awk '/#\[cfg\(test\)\]/ { exit }
+            /(panic|unreachable)!\(/ { print FILENAME ":" FNR ": " $0 }' \
+  ./crates/lac-sim/src/coord.rs)
+if [ -n "$hits" ]; then
+  echo "a panic in the coordinator (failures are SimErrors, invariants expect(\"invariant: …\")):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

@@ -61,7 +61,7 @@
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, LacChip, Scheduler};
 use crate::compile::ProgramCache;
-use crate::coord::{coordinate, Hints, Plan, SimMode, TenantDelta, Topology};
+use crate::coord::{coordinate, Plan, SimMode, TenantDelta, Topology};
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultPlan;
 use crate::service::{
@@ -685,10 +685,12 @@ impl<J: ChipJob> LacCluster<J> {
     ///
     /// On a simulation error the earliest *observed* failure (by global
     /// core index, then bucket position) is returned; peers stop at their
-    /// next job boundary and nothing later dispatches. (If several jobs of
-    /// one batch would fail, which of them still ran before seeing the
-    /// abort flag is host-timing dependent, so the reported error may vary
-    /// — determinism covers successful runs, not failure identity.) Work
+    /// next job boundary and nothing later dispatches. A job that panics
+    /// fails the run the same way, as [`HazardKind::JobPanicked`]. (If
+    /// several jobs of one batch would fail, which of them still ran
+    /// before seeing the abort flag is host-timing dependent, so the
+    /// reported error may vary — determinism covers successful runs, not
+    /// failure identity.) Work
     /// that already simulated stays metered in the shard sessions —
     /// sessions meter, they do not roll back — but the cluster session
     /// does not advance, so `Err` means "the graph did not complete", not
@@ -699,13 +701,14 @@ impl<J: ChipJob> LacCluster<J> {
         graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<ClusterRun<J::Output>, SimError> {
-        let hints = Hints::of(graph, self.chips.len());
-        let plan = hints.plan(&graph.parents, sched);
+        let JobGraph { jobs, parents } = graph;
+        let (n, chips) = (jobs.len(), self.chips.len());
+        let plan = Plan::new(jobs, parents, vec![0; n], vec![n], chips, sched);
         let PoolRun {
             mut run,
             mut outputs,
             ..
-        } = self.run_pool(graph.jobs.iter().collect(), plan, 1)?;
+        } = self.run_pool(jobs.iter().collect(), plan, 1)?;
         run.outputs = outputs.pop().expect("one graph, one output vector");
         Ok(run)
     }
@@ -843,7 +846,7 @@ impl<J: ChipJob> LacCluster<J> {
     /// [`LacCluster::run_admitted`] with a per-tenant SLO boost:
     /// `boost[t]` is tenant `t`'s current deadline slack in simulated
     /// cycles (`u64::MAX` = unboosted). Under [`Scheduler::FairShare`] the
-    /// wave planner ([`crate::plan_wave_tenanted_slo`]) serves boosted
+    /// wave planner ([`crate::plan_wave_tenanted`]) serves boosted
     /// tenants first on every chip, least slack first, without preempting
     /// running jobs; other policies ignore the boost. Because planning is
     /// cost-hint-only and outputs are placement-independent, boosting
@@ -880,20 +883,16 @@ impl<J: ChipJob> LacCluster<J> {
             graph_ends.push(pool.len());
             admitted.push((p.ticket, p.cost));
         }
-        let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
-        let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
-        cap_banked_credit(&mut usage, &weights, &backlog);
-        // The hints and edges are freed as the run returns, before the
+        // The plan and the edges are freed as the run returns, before the
         // per-graph results are built.
         let done = {
-            let hints = Hints::tenanted(&pool, tenant_of, graph_ends, self.chips.len());
             let JobGraph { jobs, parents } = pool;
-            let plan = Plan {
-                weights: &weights,
-                boost,
-                usage,
-                ..hints.plan(&parents, sched)
-            };
+            let chips = self.chips.len();
+            let mut plan = Plan::new(&jobs, &parents, tenant_of, graph_ends, chips, sched);
+            plan.weights = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
+            plan.boost = boost.to_vec();
+            plan.usage = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
+            cap_banked_credit(&mut plan.usage, &plan.weights, &backlog);
             self.run_pool(jobs, plan, admitted.len() as u64)
         };
         // The round's admitted cost drains either way, so a failed round
@@ -959,23 +958,21 @@ impl<J: ChipJob> LacCluster<J> {
     fn run_pool<K: ChipJob<Output = J::Output>>(
         &mut self,
         jobs: Vec<K>,
-        plan: Plan<'_>,
+        mut plan: Plan<'_>,
         graphs: u64,
     ) -> Result<PoolRun<J::Output>, SimError> {
-        let partition = self.partition_alive(plan.costs, plan.parents)?;
+        let mut partition = self.partition_alive(&plan.costs, plan.parents)?;
+        plan.chip_of = take(&mut partition.chip_of);
+        plan.faults = self.fault_plan.kills().to_vec();
+        plan.base = self.session.clock_cycles;
         let topo = self.cfg.topology();
-        let plan = Plan {
-            chip_of: &partition.chip_of,
-            faults: self.fault_plan.kills(),
-            base: self.session.clock_cycles,
-            ..plan
-        };
         let shards = self
             .chips
             .iter_mut()
             .flat_map(|chip| chip.shards_mut().iter_mut())
             .collect();
-        let run = coordinate(&topo, plan, &mut self.dead, shards, jobs)?;
+        let run = coordinate(&topo, &plan, &mut self.dead, shards, jobs)?;
+        partition.chip_of = plan.chip_of;
         let session = &mut self.session;
         session.clock_cycles += run.makespan;
         session.graphs_run += graphs;

@@ -638,11 +638,6 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Number of tape records (batched runs count as one).
-    pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
     /// The run's statically-known [`ExecStats`]. The only counter missing
     /// is the data-dependent part of `rf_writes` (comparator updates),
     /// which execution adds.

@@ -71,7 +71,7 @@ use crate::chip::{ChipJob, ChipStats, Scheduler};
 use crate::core::Lac;
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultEvent;
-use crate::service::{critical_paths, plan_wave, plan_wave_tenanted_slo, Adjacency, JobGraph};
+use crate::service::{critical_paths, plan_wave, plan_wave_tenanted, Adjacency};
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
 
@@ -124,108 +124,80 @@ impl Topology {
     }
 }
 
-/// Everything one run schedules: the fused job pool (per-job hints, edges
-/// and tenant tags), the tenancy, the fault schedule and the run state the
-/// loop mutates in place.
-pub(crate) struct Plan<'a> {
+/// Everything one run schedules, built once per door: the fused job
+/// pool's per-job hints, edges and tenant tags, the tenancy, the placement
+/// and the fault schedule. A run borrows it; the live fair-share usage is
+/// the run's own.
+pub(crate) struct Plan<'g> {
     /// Scheduler cost hint per job.
-    pub(crate) costs: &'a [u64],
+    pub(crate) costs: Vec<u64>,
     /// Output size per job, words (prices cut edges; empty on one chip,
     /// where no edge is cut).
-    pub(crate) transfer_words: &'a [u64],
+    pub(crate) transfer_words: Vec<u64>,
     /// Row `j` — jobs that must complete before `j` runs.
-    pub(crate) parents: &'a Adjacency,
-    /// Row `j` — jobs that wait on `j`: the inverse of `parents`, derived
-    /// once per run.
-    pub(crate) children: &'a Adjacency,
+    pub(crate) parents: &'g Adjacency,
+    /// Row `j` — jobs that wait on `j`: the inverse of `parents`.
+    pub(crate) children: Adjacency,
     /// Tenant index per job.
-    pub(crate) tenant_of: &'a [usize],
-    /// Fair-share weight per tenant.
-    pub(crate) weights: &'a [u64],
-    /// SLO deadline slack per tenant (`u64::MAX` = unboosted).
-    pub(crate) boost: &'a [u64],
-    /// Scheduled chip kills, on the session clock, sorted by tick.
-    pub(crate) faults: &'a [FaultEvent],
-    /// Session clock at run start (fault ticks are relative to it).
-    pub(crate) base: u64,
-    /// The dispatch policy.
-    pub(crate) sched: Scheduler,
-    /// Fair-share usage per tenant, charged as jobs dispatch, so
-    /// quantum-capped waves see usage evolve within the run.
-    pub(crate) usage: Vec<u64>,
-    /// Chip per job at run start (the run keeps the live placement in its
-    /// own table).
-    pub(crate) chip_of: &'a [usize],
+    pub(crate) tenant_of: Vec<usize>,
     /// One past each graph's last job, in pool order: the pool is its
     /// graphs laid end to end, and the run keeps one output vector per
     /// graph.
-    pub(crate) graph_ends: &'a [usize],
+    pub(crate) graph_ends: Vec<usize>,
+    /// Fair-share weight per tenant.
+    pub(crate) weights: Vec<u64>,
+    /// SLO deadline slack per tenant (`u64::MAX` = unboosted).
+    pub(crate) boost: Vec<u64>,
+    /// Fair-share usage per tenant at run start.
+    pub(crate) usage: Vec<u64>,
+    /// The dispatch policy.
+    pub(crate) sched: Scheduler,
+    /// Chip per job at run start (the run keeps the live placement in its
+    /// own table).
+    pub(crate) chip_of: Vec<usize>,
+    /// Scheduled chip kills, on the session clock, sorted by tick.
+    pub(crate) faults: Vec<FaultEvent>,
+    /// Session clock at run start (fault ticks are relative to it).
+    pub(crate) base: u64,
 }
 
-/// Per-job hints of one graph plus its tenant tags and the children its
-/// run releases (derived from the graph's parents). An untenanted graph
-/// (the cluster's `run_graph`, which the service's `submit` fronts) puts
-/// every job in one anonymous tenant with fresh usage; a round's fused
-/// graph tags each job with its tenant.
-pub(crate) struct Hints {
-    costs: Vec<u64>,
-    transfer_words: Vec<u64>,
-    tenant_of: Vec<usize>,
-    children: Adjacency,
-    graph_ends: Vec<usize>,
-}
-
-impl Hints {
-    /// Read `graph`'s hints for a run over `chips` chips; every job is
-    /// tenant 0, and the graph is one.
-    pub(crate) fn of<J: ChipJob>(graph: &JobGraph<J>, chips: usize) -> Self {
-        Self::tenanted(graph, vec![0; graph.len()], vec![graph.len()], chips)
-    }
-
-    /// Read `graph`'s hints for a run over `chips` chips, with
-    /// `tenant_of[j]` job `j`'s tenant index and `graph_ends` the end of
-    /// each fused graph's jobs, and derive its children. Transfer words
-    /// price cut edges, so one chip reads none; on more, they are read
-    /// here, up front, because a transfer is charged after its parent
-    /// was released and the run has dropped the job.
-    pub(crate) fn tenanted<J: ChipJob>(
-        graph: &JobGraph<J>,
+impl<'g> Plan<'g> {
+    /// The plan of `jobs` over `parents` under `sched`, for a run over
+    /// `chips` chips: `tenant_of[j]` is job `j`'s tenant and `graph_ends`
+    /// the end of each fused graph's jobs. One tenant of weight 1,
+    /// unboosted, with fresh usage; unplaced and fault-free. A round sets
+    /// the weights, boost and usage, the cluster the placement, the faults
+    /// and the base. Transfer words price cut edges, so one chip reads
+    /// none; on more, they are read here, up front, because a transfer is
+    /// charged after its parent was released and the run has dropped the
+    /// job.
+    pub(crate) fn new<J: ChipJob>(
+        jobs: &[J],
+        parents: &'g Adjacency,
         tenant_of: Vec<usize>,
         graph_ends: Vec<usize>,
         chips: usize,
+        sched: Scheduler,
     ) -> Self {
         let transfer_words = if chips > 1 {
-            graph.jobs.iter().map(|j| j.transfer_words()).collect()
+            jobs.iter().map(ChipJob::transfer_words).collect()
         } else {
             Vec::new()
         };
         Self {
-            costs: graph.jobs.iter().map(|j| j.cost_hint()).collect(),
+            costs: jobs.iter().map(ChipJob::cost_hint).collect(),
             transfer_words,
-            tenant_of,
-            children: graph.children(),
-            graph_ends,
-        }
-    }
-
-    /// The fault-free, single-tenant plan over `parents` under `sched`,
-    /// not yet placed: a round overrides the tenancy, and the cluster sets
-    /// the placement and the faults.
-    pub(crate) fn plan<'a>(&'a self, parents: &'a Adjacency, sched: Scheduler) -> Plan<'a> {
-        Plan {
-            costs: &self.costs,
-            transfer_words: &self.transfer_words,
             parents,
-            children: &self.children,
-            tenant_of: &self.tenant_of,
-            weights: &[1],
-            boost: &[u64::MAX],
-            faults: &[],
-            base: 0,
-            sched,
+            children: parents.inverse(),
+            tenant_of,
+            graph_ends,
+            weights: vec![1],
+            boost: vec![u64::MAX],
             usage: vec![0],
-            chip_of: &[],
-            graph_ends: &self.graph_ends,
+            sched,
+            chip_of: Vec::new(),
+            faults: Vec::new(),
+            base: 0,
         }
     }
 }
@@ -236,12 +208,9 @@ enum JobOutcome<T> {
     Completed(T, ExecStats),
     /// Skipped at the job boundary because a peer already failed.
     Skipped,
-    /// The simulation rejected the schedule.
+    /// The simulation rejected the schedule, or the job panicked
+    /// ([`HazardKind::JobPanicked`]).
     Failed(SimError),
-    /// The job itself panicked (caught so the job can still report —
-    /// an unreported job would deadlock batch collection). The
-    /// coordinator re-raises after the batch drains.
-    Panicked(String),
 }
 
 /// A dispatched job on its way to a thread: its pool index and the job.
@@ -260,30 +229,39 @@ struct Done<K, T> {
     outcome: JobOutcome<T>,
 }
 
-/// Run one job on its core, honoring the shared abort flag and measuring
-/// the session delta. Never unwinds: every dispatched job must produce a
-/// report, or the coordinator would wait forever.
-fn run_one<K: ChipJob>(lac: &mut Lac, job: &K, abort: &AtomicBool) -> JobOutcome<K::Output> {
+/// Run pool job `job` (its body `work`) on global core `core`, honoring
+/// the shared abort flag and measuring the session delta. Never unwinds:
+/// every dispatched job must produce a report, or the coordinator would
+/// wait forever, so a panic becomes a [`HazardKind::JobPanicked`] error.
+fn run_one<K: ChipJob>(
+    lac: &mut Lac,
+    core: usize,
+    job: usize,
+    work: &K,
+    abort: &AtomicBool,
+) -> JobOutcome<K::Output> {
     if abort.load(Ordering::Relaxed) {
         return JobOutcome::Skipped;
     }
     let before = *lac.session_stats();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_on(lac))) {
-        Ok(Ok(out)) => JobOutcome::Completed(out, lac.session_stats().since(&before)),
-        Ok(Err(e)) => {
-            abort.store(true, Ordering::Relaxed);
-            JobOutcome::Failed(e)
-        }
+    let error = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work.run_on(lac))) {
+        Ok(Ok(out)) => return JobOutcome::Completed(out, lac.session_stats().since(&before)),
+        Ok(Err(e)) => e,
         Err(payload) => {
-            abort.store(true, Ordering::Relaxed);
-            let msg = payload
+            let message = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            JobOutcome::Panicked(msg)
+            SimError {
+                cycle: 0,
+                pe: None,
+                kind: HazardKind::JobPanicked { job, core, message },
+            }
         }
-    }
+    };
+    abort.store(true, Ordering::Relaxed);
+    JobOutcome::Failed(error)
 }
 
 /// Per-tenant meter deltas of one run.
@@ -383,12 +361,13 @@ impl<T> CoordRun<T> {
 /// the caller's graph survives the run.
 ///
 /// On a simulation error the earliest *observed* failure by dispatch
-/// order (global core, then bucket position within a wave) is returned;
-/// peers stop at their next job boundary and nothing later dispatches. A
-/// panicking job is re-raised once its batch drains, so no worker dies.
+/// order (global core, then bucket position within a wave) is returned
+/// once its batch drains; peers stop at their next job boundary and
+/// nothing later dispatches. A panicking job is one such failure, a
+/// [`HazardKind::JobPanicked`], so no worker dies.
 pub(crate) fn coordinate<K: ChipJob>(
     topo: &Topology,
-    plan: Plan<'_>,
+    plan: &Plan<'_>,
     dead: &mut [bool],
     shards: Vec<&mut Lac>,
     jobs: Vec<K>,
@@ -399,7 +378,7 @@ pub(crate) fn coordinate<K: ChipJob>(
         // `run_one` never unwinds, so no guard is dropped mid-panic and
         // the lock cannot be poisoned.
         let mut lac = shards[core].lock().expect("shard lock poisoned");
-        let outcome = run_one(&mut lac, &work, &abort);
+        let outcome = run_one(&mut lac, core, job, &work, &abort);
         Done {
             core,
             job,
@@ -478,10 +457,9 @@ fn recv_report<K, T>(rx: &Receiver<Done<K, T>>) -> Result<Done<K, T>, SimError> 
 /// each job to its `pool` slot, and fold the completions into `meters`
 /// and `outputs`, in job-id order whatever order the host delivered them
 /// in. Returns `(job, global core, busy cycles)` per completion, by job
-/// id. Among observed failures the job earliest in dispatch order
-/// (`dispatch_seq`) wins; panics are re-raised first (they are harness
-/// bugs, not schedule rejections). Once this returns nothing is in
-/// flight, so the workers stay usable.
+/// id. Among observed failures (schedule rejections and panics alike) the
+/// job earliest in dispatch order (`dispatch_seq`) wins. Once this returns
+/// nothing is in flight, so the workers stay usable.
 fn collect_batch<K, T>(
     dispatched: usize,
     collect: &dyn Fn() -> Result<Done<K, T>, SimError>,
@@ -493,7 +471,6 @@ fn collect_batch<K, T>(
 ) -> Result<Vec<(usize, usize, u64)>, SimError> {
     let mut done: Vec<(usize, usize, T, ExecStats)> = Vec::with_capacity(dispatched);
     let mut first_err: Option<(u32, SimError)> = None;
-    let mut first_panic: Option<(u32, usize, usize, String)> = None;
     for _ in 0..dispatched {
         let report = collect()?;
         pool[report.job] = Some(report.work);
@@ -508,15 +485,7 @@ fn collect_batch<K, T>(
                     first_err = Some((slot, e));
                 }
             }
-            JobOutcome::Panicked(msg) => {
-                if first_panic.as_ref().is_none_or(|(s, ..)| slot < *s) {
-                    first_panic = Some((slot, report.job, report.core, msg));
-                }
-            }
         }
-    }
-    if let Some((_, job, core, msg)) = first_panic {
-        panic!("job {job} panicked on core {core}: {msg}");
     }
     if let Some((_, e)) = first_err {
         return Err(e);
@@ -575,18 +544,16 @@ impl<'a, T> Outputs<'a, T> {
     /// graph's buffer, which is then trimmed to fit where an output is
     /// smaller than its slot.
     fn finish(self) -> Vec<Vec<T>> {
-        let mut start = 0;
         self.graphs
             .into_iter()
             .map(|slots| {
-                let base = start;
-                start += slots.len();
                 let mut outputs: Vec<T> = slots
                     .into_iter()
-                    .enumerate()
-                    .map(|(j, o)| {
-                        let j = base + j;
-                        o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)"))
+                    .map(|o| {
+                        o.expect(
+                            "invariant: every job completes — parents precede children in a \
+                             JobGraph, and a dead chip's work is always requeued",
+                        )
                     })
                     .collect();
                 outputs.shrink_to_fit();
@@ -656,9 +623,40 @@ fn id32(x: usize) -> u32 {
     u32::try_from(x).expect("invariant: a run indexes fewer than 2^32 jobs and events")
 }
 
+/// Where a job is in its run, one byte per job:
+///
+/// `Blocked → Waiting | Ready → Running (→ Revoked → Waiting | Ready) →
+/// Finished → Released`
+///
+/// Each handler that moves a job checks, in debug builds, the state it
+/// leaves. A kill sends a wave's `Finished` job on the dying chip back to
+/// `Waiting | Ready` and moves that chip's `Blocked`, `Waiting` and
+/// `Ready` jobs to a survivor in their state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum JobState {
+    /// A parent is not yet released.
+    Blocked,
+    /// Every parent released; a payload is still in flight, so the job
+    /// sits in the ready index's waiting heap.
+    Waiting,
+    /// Dispatchable: filed in its (chip, tenant) ready set.
+    Ready,
+    /// Dealt to a core: its run is in flight (event mode) or its wave not
+    /// yet closed.
+    Running,
+    /// A kill hit its chip while it ran (event mode): its completion
+    /// requeues it instead of finishing it.
+    Revoked,
+    /// Its output stands. Event mode releases it at once; a wave's job
+    /// waits here for the kills due at its barrier.
+    Finished,
+    /// Its children were freed and the job dropped.
+    Released,
+}
+
 /// The run's per-job bookkeeping: one struct of arrays, every column
-/// allocated once at the job count and never grown. Ids are `u32`, flags
-/// one byte each. A column only one time model reads exists only in that
+/// allocated once at the job count and never grown. Ids are `u32`, the
+/// state one byte. A column only one time model reads exists only in that
 /// mode (empty in the other): event mode keeps each job's dispatch tick,
 /// waves keep each job's wave, busy cycles and span index.
 struct JobTable {
@@ -670,17 +668,8 @@ struct JobTable {
     ready_at: Vec<u64>,
     /// Position in its dispatch batch (the failure tie-break).
     dispatch_seq: Vec<u32>,
-    /// In the dispatchable pool: all parents released, not dispatched.
-    queued: Vec<bool>,
-    /// The job's output stands.
-    finished: Vec<bool>,
-    /// Its children were freed. Event mode sets `finished` and
-    /// `released` at once; a wave's jobs sit between the two until the
-    /// kills due at their barrier have fired.
-    released: Vec<bool>,
-    /// A kill hit the job while it ran (event mode): its completion
-    /// requeues it instead of finishing it.
-    revoked: Vec<bool>,
+    /// Where each job is in its run.
+    state: Vec<JobState>,
     /// Event mode: the tick the job's current execution started.
     dispatch_tick: Vec<u64>,
     /// Waves: the wave that dispatched the job.
@@ -693,32 +682,22 @@ struct JobTable {
 }
 
 impl JobTable {
-    /// The table of `plan`'s jobs, placed by `plan.chip_of`, for the time
-    /// model `wave` selects.
+    /// The table of `plan`'s jobs, placed by `plan.chip_of` and all
+    /// blocked, for the time model `wave` selects.
     fn new(plan: &Plan<'_>, wave: bool) -> Self {
         let n = plan.costs.len();
-        let indegree: Vec<u32> = plan.parents.rows().map(|r| id32(r.len())).collect();
         let (event_only, wave_only) = if wave { (0, n) } else { (n, 0) };
         Self {
             chip: plan.chip_of.iter().map(|&c| id32(c)).collect(),
-            queued: indegree.iter().map(|&d| d == 0).collect(),
-            indegree,
+            indegree: plan.parents.rows().map(|r| id32(r.len())).collect(),
             ready_at: vec![0; n],
             dispatch_seq: vec![0; n],
-            finished: vec![false; n],
-            released: vec![false; n],
-            revoked: vec![false; n],
+            state: vec![JobState::Blocked; n],
             dispatch_tick: vec![0; event_only],
             wave_of: vec![0; wave_only],
             job_cycles: vec![0; wave_only],
             log_at: vec![0; wave_only],
         }
-    }
-
-    /// The waves column, the one column that outlives the run; the
-    /// others are freed here.
-    fn into_wave_of(self) -> Vec<usize> {
-        self.wave_of
     }
 
     /// Job `j`'s chip.
@@ -732,10 +711,7 @@ impl JobTable {
             + vec_bytes(&self.indegree)
             + vec_bytes(&self.ready_at)
             + vec_bytes(&self.dispatch_seq)
-            + vec_bytes(&self.queued)
-            + vec_bytes(&self.finished)
-            + vec_bytes(&self.released)
-            + vec_bytes(&self.revoked)
+            + vec_bytes(&self.state)
             + vec_bytes(&self.dispatch_tick)
             + vec_bytes(&self.wave_of)
             + vec_bytes(&self.job_cycles)
@@ -772,9 +748,10 @@ impl Meters {
     }
 }
 
-/// One coordinated run: the one timing loop and everything it mutates —
-/// the plan, the jobs, the per-job table, the ready index, the event
-/// heap, the meters and the log — run against a dispatch/collect pair.
+/// One coordinated run: the one timing loop over a borrowed plan and
+/// everything it mutates — the live usage, the jobs, the per-job table,
+/// the ready index, the event heap, the meters and the log — run against
+/// a dispatch/collect pair.
 /// `dispatch(core, job, work)` hands pool job `job` (its body `work`,
 /// taken out of the pool) to a core, `collect()` blocks for the next
 /// report, which brings the body back; either fails only when a worker
@@ -793,7 +770,7 @@ impl Meters {
 /// * **Waves** dispatch only when every core is idle (which a wave leaves
 ///   them at its barrier): each alive chip deals its whole ready set into
 ///   per-core buckets (`FairShare`: one job per core), exactly as
-///   [`plan_wave`] and [`plan_wave_tenanted_slo`] plan it. The wave finishes
+///   [`plan_wave`] and [`plan_wave_tenanted`] plan it. The wave finishes
 ///   at its barrier — the clock advances by the slowest bucket — but is
 ///   released only after the kills due by then have fired (revoking the
 ///   dying chip's share of it).
@@ -815,7 +792,10 @@ struct Run<'a, K, T> {
     topo: &'a Topology,
     /// Hints, edges, tenancy and faults. `plan.chip_of` is the initial
     /// placement; the table's `chip` column is the live one.
-    plan: Plan<'a>,
+    plan: &'a Plan<'a>,
+    /// Fair-share usage per tenant, charged as jobs dispatch, so
+    /// quantum-capped waves see usage evolve within the run.
+    usage: Vec<u64>,
     /// Chips killed so far, updated in place as faults fire.
     dead: &'a mut [bool],
     wave: bool,
@@ -836,7 +816,6 @@ struct Run<'a, K, T> {
     events: EventLog,
     /// The job each global core runs (event mode).
     core_job: Vec<Option<usize>>,
-    busy_cores: usize,
     /// Tick each directed link `from * chips + to` frees (event mode).
     link_free: Vec<u64>,
     /// The batch being dispatched per global core (a wave's buckets).
@@ -857,7 +836,7 @@ impl<'a, K, T> Run<'a, K, T> {
     /// run start fire at tick 0, before anything dispatches. Events order
     /// one tick's kills by chip; waves fire every kill due at a barrier in
     /// plan order, so they file them all under chip 0.
-    fn new(topo: &'a Topology, plan: Plan<'a>, dead: &'a mut [bool], jobs: Vec<K>) -> Self {
+    fn new(topo: &'a Topology, plan: &'a Plan<'a>, dead: &'a mut [bool], jobs: Vec<K>) -> Self {
         let n = plan.costs.len();
         assert_eq!(
             plan.chip_of.len(),
@@ -880,38 +859,41 @@ impl<'a, K, T> Run<'a, K, T> {
             .collect();
         let cores = core_place.len();
         let pool = jobs.into_iter().map(Some).collect();
-        let jobs = JobTable::new(&plan, wave);
+        let mut jobs = JobTable::new(plan, wave);
         // Only the priority-ordered policies read critical paths.
         let priority = match plan.sched {
             Scheduler::CriticalPath | Scheduler::FairShare => {
-                critical_paths(plan.costs, plan.parents)
+                critical_paths(&plan.costs, plan.parents)
             }
             Scheduler::Fifo | Scheduler::LeastLoaded => Vec::new(),
         };
         let order = PickOrder {
             sched: plan.sched,
             priority,
-            tenant_of: plan.tenant_of,
-            weights: plan.weights,
-            boost: plan.boost,
+            tenant_of: &plan.tenant_of,
+            weights: &plan.weights,
+            boost: &plan.boost,
         };
-        let mut index = ReadyIndex::new(order, chips, n);
-        for j in (0..n).filter(|&j| jobs.queued[j]) {
-            index.insert(j, jobs.chip(j), 0, 0);
+        let mut index = ReadyIndex::new(order, chips);
+        for j in 0..n {
+            if jobs.indegree[j] == 0 {
+                jobs.state[j] = index.insert(j, jobs.chip(j), 0, 0);
+            }
         }
-        let faults = if n > 0 { plan.faults } else { &[] };
+        let faults = if n > 0 { &plan.faults[..] } else { &[] };
         let cut_edges: usize = plan
             .parents
             .rows()
             .enumerate()
             .map(|(c, ps)| ps.iter().filter(|&&p| jobs.chip[p] != jobs.chip[c]).count())
             .sum();
-        let outputs = Outputs::new(plan.graph_ends);
+        let outputs = Outputs::new(&plan.graph_ends);
         let mut run = Self {
             topo,
             meters: Meters::new(cores, plan.weights.len()),
             events: EventLog::with_capacity(n + cut_edges + faults.len()),
             plan,
+            usage: plan.usage.clone(),
             dead,
             wave,
             chip_cores,
@@ -923,7 +905,6 @@ impl<'a, K, T> Run<'a, K, T> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             core_job: vec![None; cores],
-            busy_cores: 0,
             link_free: vec![0; chips * chips],
             by_core: vec![Vec::new(); cores],
             core_load: vec![0; cores],
@@ -963,7 +944,7 @@ impl<'a, K, T> Run<'a, K, T> {
                 batch,
                 collect,
                 &self.jobs.dispatch_seq,
-                self.plan.tenant_of,
+                &self.plan.tenant_of,
                 &mut self.meters,
                 &mut self.pool,
                 &mut self.outputs,
@@ -1024,7 +1005,7 @@ impl<'a, K, T> Run<'a, K, T> {
         }
         let barrier = take(&mut self.barrier);
         for &j in &barrier {
-            if self.jobs.finished[j] {
+            if self.jobs.state[j] == JobState::Finished {
                 self.release(j);
             }
         }
@@ -1057,35 +1038,33 @@ impl<'a, K, T> Run<'a, K, T> {
                 },
             });
         }
-        for g in self.chip_cores[chip].clone() {
-            if let Some(j) = self.core_job[g] {
-                self.jobs.revoked[j] = true;
-            }
-        }
-        // A finished wave job has not moved since its dispatch.
-        for &j in &self.barrier {
-            if self.jobs.chip(j) == chip && self.jobs.finished[j] {
-                self.jobs.finished[j] = false;
-                *self.outputs.slot(j) = None;
-                self.jobs.queued[j] = true;
-                let at = self.jobs.log_at[j] as usize;
-                if let TraceEvent::Job { discarded, .. } = &mut self.events.events_mut()[at] {
-                    *discarded = true;
-                }
-            }
-        }
         let mut load = self.unfinished_load();
         for j in 0..self.outputs.len() {
-            if self.jobs.chip(j) == chip && !self.jobs.finished[j] && !self.jobs.revoked[j] {
-                let queued = self.jobs.queued[j];
-                if queued {
-                    self.index.remove(j, chip);
+            if self.jobs.chip(j) != chip {
+                continue;
+            }
+            let state = self.jobs.state[j];
+            match state {
+                JobState::Running => {
+                    self.jobs.state[j] = JobState::Revoked;
+                    continue;
                 }
-                self.requeue(j, chip, &mut load);
-                if queued {
-                    self.index
-                        .insert(j, self.jobs.chip(j), self.jobs.ready_at[j], self.now);
+                JobState::Revoked | JobState::Released => continue,
+                // A finished wave job has not moved since its dispatch.
+                JobState::Finished => {
+                    *self.outputs.slot(j) = None;
+                    let at = self.jobs.log_at[j] as usize;
+                    if let TraceEvent::Job { discarded, .. } = &mut self.events.events_mut()[at] {
+                        *discarded = true;
+                    }
                 }
+                // A waiting entry goes stale instead.
+                JobState::Ready => self.index.remove(j, chip),
+                JobState::Blocked | JobState::Waiting => {}
+            }
+            self.requeue(j, chip, &mut load);
+            if state != JobState::Blocked {
+                self.enqueue(j);
             }
         }
         Ok(())
@@ -1095,8 +1074,8 @@ impl<'a, K, T> Run<'a, K, T> {
     /// then requeue it if a kill revoked it, or finish and release it.
     fn on_job_done(&mut self, core: usize, job: usize) {
         self.core_job[core] = None;
-        self.busy_cores -= 1;
         let (chip, c) = self.core_place[core];
+        let revoked = self.jobs.state[job] == JobState::Revoked;
         self.events.push(TraceEvent::Job {
             job,
             tenant: self.plan.tenant_of[job],
@@ -1104,17 +1083,16 @@ impl<'a, K, T> Run<'a, K, T> {
             core: c,
             start: self.jobs.dispatch_tick[job],
             end: self.now,
-            discarded: self.jobs.revoked[job],
+            discarded: revoked,
         });
-        if take(&mut self.jobs.revoked[job]) {
+        if revoked {
             *self.outputs.slot(job) = None;
             let mut load = self.unfinished_load();
             self.requeue(job, chip, &mut load);
-            self.jobs.queued[job] = true;
-            self.index
-                .insert(job, self.jobs.chip(job), self.jobs.ready_at[job], self.now);
+            self.enqueue(job);
         } else {
-            self.jobs.finished[job] = true;
+            debug_assert_eq!(self.jobs.state[job], JobState::Running, "job {job}");
+            self.jobs.state[job] = JobState::Finished;
             self.release(job);
         }
     }
@@ -1125,7 +1103,8 @@ impl<'a, K, T> Run<'a, K, T> {
         let mut load = vec![0u64; self.chip_cores.len()];
         for j in 0..self.outputs.len() {
             let chip = self.jobs.chip(j);
-            if !self.jobs.finished[j] && !self.dead[chip] {
+            let finished = matches!(self.jobs.state[j], JobState::Finished | JobState::Released);
+            if !finished && !self.dead[chip] {
                 load[chip] += self.cost(j);
             }
         }
@@ -1155,7 +1134,7 @@ impl<'a, K, T> Run<'a, K, T> {
         }
         let parents = self.plan.parents;
         for &p in parents.row(j) {
-            if self.jobs.released[p] && self.jobs.chip(p) != target {
+            if self.jobs.state[p] == JobState::Released && self.jobs.chip(p) != target {
                 let arrival = self.charge_transfer(p, j, target);
                 self.jobs.ready_at[j] = self.jobs.ready_at[j].max(arrival);
             }
@@ -1165,11 +1144,12 @@ impl<'a, K, T> Run<'a, K, T> {
     /// Its output stands: drop the job and free its children; a
     /// cross-chip edge delays the child by the modeled transfer.
     fn release(&mut self, j: usize) {
+        debug_assert_eq!(self.jobs.state[j], JobState::Finished, "job {j}");
+        self.jobs.state[j] = JobState::Released;
         self.pool[j] = None;
-        self.jobs.released[j] = true;
         self.released_count += 1;
-        let children = self.plan.children;
-        for &child in children.row(j) {
+        let plan = self.plan;
+        for &child in plan.children.row(j) {
             self.jobs.indegree[child] -= 1;
             let to = self.jobs.chip(child);
             let arrival = if to != self.jobs.chip(j) {
@@ -1179,11 +1159,17 @@ impl<'a, K, T> Run<'a, K, T> {
             };
             self.jobs.ready_at[child] = self.jobs.ready_at[child].max(arrival);
             if self.jobs.indegree[child] == 0 {
-                self.jobs.queued[child] = true;
-                self.index
-                    .insert(child, to, self.jobs.ready_at[child], self.now);
+                debug_assert_eq!(self.jobs.state[child], JobState::Blocked, "job {child}");
+                self.enqueue(child);
             }
         }
+    }
+
+    /// File job `j`, every parent released, under its chip: `Ready` once
+    /// its payloads have landed, `Waiting` until then.
+    fn enqueue(&mut self, j: usize) {
+        let (chip, ready_at) = (self.jobs.chip(j), self.jobs.ready_at[j]);
+        self.jobs.state[j] = self.index.insert(j, chip, ready_at, self.now);
     }
 
     /// Charge the modeled movement of `parent`'s output to `child` on chip
@@ -1228,7 +1214,7 @@ impl<'a, K, T> Run<'a, K, T> {
         &mut self,
         dispatch: &dyn Fn(usize, usize, K) -> Result<(), SimError>,
     ) -> Result<usize, SimError> {
-        self.index.promote(self.now, &self.jobs);
+        self.index.promote(self.now, &mut self.jobs);
         let mut batch = 0;
         for chip in 0..self.chip_cores.len() {
             if self.dead[chip] {
@@ -1257,7 +1243,6 @@ impl<'a, K, T> Run<'a, K, T> {
                 if !self.wave {
                     if let Some(j) = self.by_core[g].pop() {
                         self.core_job[g] = Some(j);
-                        self.busy_cores += 1;
                     }
                 }
             }
@@ -1279,7 +1264,7 @@ impl<'a, K, T> Run<'a, K, T> {
             let Some(g) = self.next_core(k, &cores) else {
                 break;
             };
-            let pick = self.index.pick(chip, &self.plan.usage);
+            let pick = self.index.pick(chip, &self.usage);
             if !self.wave {
                 debug_assert_eq!(
                     pick,
@@ -1291,9 +1276,10 @@ impl<'a, K, T> Run<'a, K, T> {
             let Some(j) = pick else {
                 break; // nothing more ready on this chip
             };
-            self.jobs.queued[j] = false;
+            debug_assert_eq!(self.jobs.state[j], JobState::Ready, "job {j}");
+            self.jobs.state[j] = JobState::Running;
             let cost = self.cost(j);
-            self.plan.usage[self.plan.tenant_of[j]] += cost;
+            self.usage[self.plan.tenant_of[j]] += cost;
             self.core_load[g] += cost;
             self.by_core[g].push(j);
         }
@@ -1324,25 +1310,31 @@ impl<'a, K, T> Run<'a, K, T> {
 
     /// The wave planners over `chip`'s ready set and `cores` cores: the
     /// debug-build oracle of every deal. A wave deals exactly their plan,
-    /// and an event-mode pick is the first job of a one-core wave.
+    /// and an event-mode pick is the first job of a one-core wave. The
+    /// ready set is read off the table, not the index (every queued job
+    /// whose payloads have landed), so the oracle also checks promotion.
     fn oracle(&self, chip: usize, cores: usize) -> Vec<Vec<usize>> {
         let jobs = &self.jobs;
         let ready: Vec<usize> = (0..self.outputs.len())
-            .filter(|&j| jobs.queued[j] && jobs.chip(j) == chip && jobs.ready_at[j] <= self.now)
+            .filter(|&j| {
+                matches!(jobs.state[j], JobState::Waiting | JobState::Ready)
+                    && jobs.chip(j) == chip
+                    && jobs.ready_at[j] <= self.now
+            })
             .collect();
-        let (plan, priority) = (&self.plan, &self.index.order.priority);
+        let (plan, priority) = (self.plan, &self.index.order.priority);
         match plan.sched {
-            Scheduler::FairShare => plan_wave_tenanted_slo(
+            Scheduler::FairShare => plan_wave_tenanted(
                 &ready,
-                plan.costs,
+                &plan.costs,
                 priority,
-                plan.tenant_of,
-                &plan.usage,
-                plan.weights,
-                plan.boost,
+                &plan.tenant_of,
+                &self.usage,
+                &plan.weights,
+                &plan.boost,
                 cores,
             ),
-            _ => plan_wave(plan.sched, &ready, plan.costs, priority, cores),
+            _ => plan_wave(plan.sched, &ready, &plan.costs, priority, cores),
         }
     }
 
@@ -1352,8 +1344,9 @@ impl<'a, K, T> Run<'a, K, T> {
     /// the kills due by then.
     fn close_wave(&mut self, done: Vec<(usize, usize, u64)>) {
         for (j, _, cycles) in done {
+            debug_assert_eq!(self.jobs.state[j], JobState::Running, "job {j}");
+            self.jobs.state[j] = JobState::Finished;
             self.jobs.job_cycles[j] = cycles;
-            self.jobs.finished[j] = true;
             self.barrier.push(j);
         }
         let start = self.now;
@@ -1387,7 +1380,7 @@ impl<'a, K, T> Run<'a, K, T> {
             return false;
         };
         if next > self.now {
-            if self.busy_cores == 0 {
+            if self.core_job.iter().all(Option::is_none) {
                 match self.events.events_mut().last_mut() {
                     Some(TraceEvent::IdleFastForward { end, .. }) if *end == self.now => {
                         *end = next;
@@ -1404,11 +1397,15 @@ impl<'a, K, T> Run<'a, K, T> {
         true
     }
 
-    /// The run's result. The bookkeeping is released before the result
-    /// columns are built: every completed job has exactly one kept
-    /// (undiscarded) span in the log, which holds its placement and, in
-    /// event mode, its completion tick.
+    /// The run's result, once every job is released. The bookkeeping is
+    /// released before the result columns are built: every completed job
+    /// has exactly one kept (undiscarded) span in the log, which holds its
+    /// placement and, in event mode, its completion tick.
     fn finish(self) -> CoordRun<T> {
+        debug_assert!(
+            self.jobs.state.iter().all(|&s| s == JobState::Released),
+            "every job ends released"
+        );
         let coord_heap_bytes =
             self.jobs.heap_bytes() + self.index.heap_bytes() + self.events.heap_bytes();
         let Run {
@@ -1422,7 +1419,8 @@ impl<'a, K, T> Run<'a, K, T> {
             now: makespan,
             ..
         } = self;
-        let waves = jobs.into_wave_of();
+        // The waves column is the one that outlives the run.
+        let waves = jobs.wave_of;
         drop(index);
         let n = outputs.len();
         let mut assignment = vec![(0usize, 0usize); n];
@@ -1509,7 +1507,7 @@ fn completion_waves(events: &EventLog, n: usize) -> (Vec<usize>, Vec<u64>) {
 /// `Fifo`/`LeastLoaded` take the lowest ready id (they differ only in
 /// which core a wave places the pick on); `CriticalPath` takes the
 /// longest remaining path; `FairShare` replays the streaming tenant
-/// comparator of [`crate::service::plan_wave_tenanted_slo`] against the
+/// comparator of [`crate::service::plan_wave_tenanted`] against the
 /// live usage counters. Every order ends on the job id, so it is total.
 struct PickOrder<'a> {
     sched: Scheduler,
@@ -1559,24 +1557,21 @@ impl PickOrder<'_> {
 struct ReadyIndex<'a> {
     order: PickOrder<'a>,
     tenants: usize,
-    /// `ready[chip * tenants + tenant]`.
+    /// `ready[chip * tenants + tenant]`: the [`JobState::Ready`] jobs.
     ready: Vec<BTreeSet<(Reverse<u64>, usize)>>,
-    /// Whether each job sits in a `ready` set.
-    in_ready: Vec<bool>,
-    /// `(ready_at, job)` of queued jobs not yet arrived. An entry whose
-    /// job has since dispatched, moved or been re-pushed is stale and is
+    /// `(ready_at, job)` of [`JobState::Waiting`] jobs. An entry whose job
+    /// has since dispatched, moved or been re-pushed is stale and is
     /// dropped when it surfaces.
     waiting: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl<'a> ReadyIndex<'a> {
-    fn new(order: PickOrder<'a>, chips: usize, jobs: usize) -> Self {
+    fn new(order: PickOrder<'a>, chips: usize) -> Self {
         let tenants = order.weights.len();
         Self {
             order,
             tenants,
             ready: (0..chips * tenants).map(|_| BTreeSet::new()).collect(),
-            in_ready: vec![false; jobs],
             waiting: BinaryHeap::new(),
         }
     }
@@ -1585,36 +1580,37 @@ impl<'a> ReadyIndex<'a> {
         &mut self.ready[chip * self.tenants + self.order.tenant_of[j]]
     }
 
-    /// File a newly queued job under `chip`: ready now, or waiting.
-    fn insert(&mut self, j: usize, chip: usize, ready_at: u64, now: u64) {
+    /// File a newly queued job under `chip` and return its state: ready
+    /// now, or waiting.
+    fn insert(&mut self, j: usize, chip: usize, ready_at: u64, now: u64) -> JobState {
         if ready_at <= now {
             let key = self.order.key(j);
             self.set(chip, j).insert(key);
-            self.in_ready[j] = true;
+            JobState::Ready
         } else {
             self.waiting.push(Reverse((ready_at, j)));
+            JobState::Waiting
         }
     }
 
-    /// Withdraw a queued job filed under `chip` (a fault requeue moves
-    /// it); a waiting entry goes stale instead.
+    /// Withdraw a ready job filed under `chip` (a pick takes it, or a
+    /// fault requeue moves it).
     fn remove(&mut self, j: usize, chip: usize) {
-        if std::mem::take(&mut self.in_ready[j]) {
-            let key = self.order.key(j);
-            self.set(chip, j).remove(&key);
-        }
+        let key = self.order.key(j);
+        let filed = self.set(chip, j).remove(&key);
+        debug_assert!(filed, "job {j} is filed under chip {chip}");
     }
 
-    /// Move every queued job whose transfer has landed by `now` into its
-    /// chip's ready set.
-    fn promote(&mut self, now: u64, jobs: &JobTable) {
+    /// Make every waiting job whose payloads have landed by `now` ready in
+    /// its chip's set.
+    fn promote(&mut self, now: u64, jobs: &mut JobTable) {
         while let Some(&Reverse((tick, j))) = self.waiting.peek() {
             if tick > now {
                 break;
             }
             self.waiting.pop();
-            if jobs.queued[j] && !self.in_ready[j] && jobs.ready_at[j] <= now {
-                self.insert(j, jobs.chip(j), jobs.ready_at[j], now);
+            if jobs.state[j] == JobState::Waiting && jobs.ready_at[j] <= now {
+                jobs.state[j] = self.insert(j, jobs.chip(j), jobs.ready_at[j], now);
             }
         }
     }
@@ -1631,12 +1627,11 @@ impl<'a> ReadyIndex<'a> {
     }
 
     /// Bytes the index's vectors reserve (`capacity × size_of`): the
-    /// priorities, the flags, the per-(chip, tenant) set headers and the
-    /// waiting heap. The sets' nodes are not counted: they hold only the
+    /// priorities, the per-(chip, tenant) set headers and the waiting
+    /// heap. The sets' nodes are not counted: they hold only the
     /// jobs ready at one time, and `BTreeSet` does not expose their size.
     fn heap_bytes(&self) -> usize {
         vec_bytes(&self.order.priority)
-            + vec_bytes(&self.in_ready)
             + vec_bytes(&self.ready)
             + self.waiting.capacity() * std::mem::size_of::<Reverse<(u64, usize)>>()
     }
@@ -1651,7 +1646,7 @@ mod tests {
     use crate::core::ExternalMem;
     use crate::fault::FaultPlan;
     use crate::isa::ProgramBuilder;
-    use crate::service::JobId;
+    use crate::service::{JobGraph, JobId};
     use crate::service::{LacService, TenantConfig};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -1669,6 +1664,28 @@ mod tests {
             g.add_after((), &parents);
         }
         g
+    }
+
+    /// The one-tenant, one-graph plan of jobs costing `costs` over
+    /// `parents`, all on chip 0.
+    fn plan_of<'g>(costs: &[u64], parents: &'g Adjacency, sched: Scheduler) -> Plan<'g> {
+        let n = costs.len();
+        Plan {
+            costs: costs.to_vec(),
+            transfer_words: Vec::new(),
+            parents,
+            children: parents.inverse(),
+            tenant_of: vec![0; n],
+            // One graph, or none in an empty pool.
+            graph_ends: vec![n; usize::from(n > 0)],
+            weights: vec![1],
+            boost: vec![u64::MAX],
+            usage: vec![0],
+            sched,
+            chip_of: vec![0; n],
+            faults: Vec::new(),
+            base: 0,
+        }
     }
 
     /// Coordinate against a pure in-memory backend: `dispatch` queues
@@ -1709,27 +1726,16 @@ mod tests {
     ) -> Result<CoordRun<ExecStats>, SimError> {
         let n = costs.len();
         let graph = edge_graph(n, edges);
-        let children = graph.children();
-        let tenant_of = vec![0; n];
         let plan = Plan {
-            costs,
-            transfer_words: words,
-            parents: &graph.parents,
-            children: &children,
-            tenant_of: &tenant_of,
-            weights: &[1],
-            boost: &[u64::MAX],
-            faults,
+            transfer_words: words.to_vec(),
+            chip_of,
+            faults: faults.to_vec(),
             base,
-            sched,
-            usage: vec![0],
-            chip_of: &chip_of,
-            // One graph, or none in an empty pool.
-            graph_ends: &[n][..usize::from(n > 0)],
+            ..plan_of(costs, &graph.parents, sched)
         };
         let queue = RefCell::new(VecDeque::new());
         let mut dead = vec![false; topo.cores_per_chip.len()];
-        Run::new(topo, plan, &mut dead, vec![(); n]).run(
+        Run::new(topo, &plan, &mut dead, vec![(); n]).run(
             &|core, job, work| {
                 queue.borrow_mut().push_back((core, job, work));
                 Ok(())
@@ -1757,25 +1763,10 @@ mod tests {
         let (tx, rx) = channel::<Done<(), ExecStats>>();
         drop(tx);
         let graph = edge_graph(2, &[(0, 1)]);
-        let children = graph.children();
+        let plan = plan_of(&[3, 4], &graph.parents, Scheduler::Fifo);
         for mode in [SimMode::Event, SimMode::Wave] {
-            let plan = Plan {
-                costs: &[3, 4],
-                transfer_words: &[0, 0],
-                parents: &graph.parents,
-                children: &children,
-                tenant_of: &[0, 0],
-                weights: &[1],
-                boost: &[u64::MAX],
-                faults: &[],
-                base: 0,
-                sched: Scheduler::Fifo,
-                usage: vec![0],
-                chip_of: &[0, 0],
-                graph_ends: &[2],
-            };
             let topo = topo(vec![1], 1, 0, mode);
-            let err = Run::new(&topo, plan, &mut [false], vec![(); 2])
+            let err = Run::new(&topo, &plan, &mut [false], vec![(); 2])
                 .run(&|_, _, _| Ok(()), &|| recv_report(&rx))
                 .map(|_| ())
                 .unwrap_err();
@@ -2056,11 +2047,12 @@ mod tests {
         use std::mem::size_of;
         let n = 7;
         let edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)];
-        // Chip, in-degree and batch position; ready tick; four flags.
-        let shared = 3 * size_of::<u32>() + size_of::<u64>() + 4 * size_of::<bool>();
-        // The index: the in-ready flag per job, plus the one (chip,
-        // tenant) set's header.
-        let index = size_of::<bool>();
+        // Chip, in-degree and batch position; ready tick; the one-byte
+        // state.
+        assert_eq!(size_of::<JobState>(), 1);
+        let shared = 3 * size_of::<u32>() + size_of::<u64>() + size_of::<JobState>();
+        // The index keeps nothing per job: only the one (chip, tenant)
+        // set's header.
         let sets = size_of::<BTreeSet<(Reverse<u64>, usize)>>();
         for (mode, own) in [
             // Event mode: the dispatch tick.
@@ -2085,7 +2077,7 @@ mod tests {
                 assert_eq!(r.events.len(), n, "{mode:?} {sched:?}: one span per job");
                 assert_eq!(
                     r.coord_heap_bytes,
-                    n * (shared + own + index + priority + size_of::<TraceEvent>()) + sets,
+                    n * (shared + own + priority + size_of::<TraceEvent>()) + sets,
                     "{mode:?} {sched:?}"
                 );
                 if mode == SimMode::Event {
@@ -2291,21 +2283,70 @@ mod tests {
             g.add(probe.job(0, End::Panic, Some(&meet)));
             g.add(probe.job(1, End::Ok, Some(&meet)));
             let mut chip = chip(2, mode);
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                chip.submit(&g, Scheduler::Fifo)
-            }))
-            .expect_err("the job's panic must surface");
-            let msg = caught.downcast_ref::<String>().expect("panic message");
-            assert!(msg.contains("job 0 panicked on core 0"), "{mode:?}: {msg}");
+            let err = chip.submit(&g, Scheduler::Fifo).unwrap_err();
+            assert_eq!(
+                err,
+                SimError {
+                    cycle: 0,
+                    pe: None,
+                    kind: HazardKind::JobPanicked {
+                        job: 0,
+                        core: 0,
+                        message: "job 0 refuses".to_string(),
+                    },
+                },
+                "{mode:?}"
+            );
             assert_eq!(
                 probe.finished.load(Ordering::SeqCst),
                 1,
-                "{mode:?}: the worker's peer finished before the panic was re-raised"
+                "{mode:?}: the worker's peer finished before the error returned"
             );
             // The chip stays usable: its shards and the next run's
             // workers are intact.
             let run = chip.submit(&probe.dag(5), Scheduler::Fifo).unwrap();
             assert_eq!(run.outputs.len(), 5, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_failure_and_a_panic_in_one_batch_return_the_first_dispatched() {
+        // Jobs 0 and 1 share the first batch: job 0 on core 0, job 1 on
+        // core 1, both in flight together. One fails, the other panics;
+        // in either order the first in dispatch order is the run's one
+        // error, and the service's cores and workers serve the next run.
+        let failed = SimError {
+            cycle: 100,
+            pe: None,
+            kind: HazardKind::AccHazard,
+        };
+        let panicked = SimError {
+            cycle: 0,
+            pe: None,
+            kind: HazardKind::JobPanicked {
+                job: 0,
+                core: 0,
+                message: "job 0 refuses".to_string(),
+            },
+        };
+        for mode in [SimMode::Wave, SimMode::Event] {
+            for (first, second, expected) in [
+                (End::Fail(100), End::Panic, &failed),
+                (End::Panic, End::Fail(200), &panicked),
+            ] {
+                let probe = Probe::default();
+                let meet = Arc::new(AtomicUsize::new(0));
+                let mut g = JobGraph::new();
+                let a = g.add(probe.job(0, first, Some(&meet)));
+                let b = g.add(probe.job(1, second, Some(&meet)));
+                g.add_after(probe.job(2, End::Ok, None), &[a, b]);
+                let mut svc = chip(2, mode);
+                let err = svc.submit(&g, Scheduler::Fifo).unwrap_err();
+                assert_eq!(&err, expected, "{mode:?}");
+                assert!(probe.ran(0) && probe.ran(1) && !probe.ran(2), "{mode:?}");
+                let run = svc.submit(&probe.dag(5), Scheduler::Fifo).unwrap();
+                assert_eq!(run.outputs.len(), 5, "{mode:?}");
+            }
         }
     }
 

@@ -101,6 +101,20 @@ pub enum HazardKind {
     /// so the run cannot account for it. A host failure, not a schedule
     /// violation: `cycle` is 0 and no PE is named.
     WorkerLost,
+    /// A job panicked in its `run_on`. The coordinator catches the panic
+    /// where the job ran, so its batch still drains and no worker dies,
+    /// and returns it like any other failure. A job failure, not a
+    /// schedule violation: `cycle` is 0 and no PE is named.
+    JobPanicked {
+        /// The job's index in the run's pool: its id in a `run_graph`
+        /// graph; in a round, its place in the admitted graphs laid end
+        /// to end.
+        job: usize,
+        /// Global core index the job ran on (chips laid end to end).
+        core: usize,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {

@@ -52,9 +52,8 @@ pub use isa::{
     CmpUpdate, ExtOp, MicroOp, PeInstr, PeMut, PeOps, Program, ProgramBuilder, Source, Step,
 };
 pub use service::{
-    plan_wave, plan_wave_tenanted, plan_wave_tenanted_slo, Adjacency, GraphCompletion, GraphRun,
-    GraphTicket, JobGraph, JobId, LacService, Rejected, ServiceRound, TenantConfig, TenantId,
-    TenantSession,
+    plan_wave, plan_wave_tenanted, Adjacency, GraphCompletion, GraphRun, GraphTicket, JobGraph,
+    JobId, LacService, Rejected, ServiceRound, TenantConfig, TenantId, TenantSession,
 };
 pub use stats::ExecStats;
 pub use trace::{EventLog, TraceEvent};

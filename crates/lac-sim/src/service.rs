@@ -423,7 +423,16 @@ pub fn plan_wave(
             // belongs to one tenant with zero accumulated usage, so the
             // pick order is critical-path order, one job per core.
             let tenant_of = vec![0usize; costs.len()];
-            return plan_wave_tenanted(ready, costs, priority, &tenant_of, &[0], &[1], cores);
+            return plan_wave_tenanted(
+                ready,
+                costs,
+                priority,
+                &tenant_of,
+                &[0],
+                &[1],
+                &[u64::MAX],
+                cores,
+            );
         }
     }
     buckets
@@ -437,37 +446,21 @@ pub fn plan_wave(
 /// pick charges the tenant's usage locally, so one wave interleaves
 /// tenants instead of letting the hungriest tenant take every slot.
 ///
-/// `tenant_of[j]` maps a job to its tenant index; `usage`/`weights` are
-/// indexed by tenant. Like [`plan_wave`] this is a pure function of its
-/// arguments — the determinism anchor — and public so fairness and
-/// work-conservation invariants can be property-tested directly.
-pub fn plan_wave_tenanted(
-    ready: &[usize],
-    costs: &[u64],
-    priority: &[u64],
-    tenant_of: &[usize],
-    usage: &[u64],
-    weights: &[u64],
-    cores: usize,
-) -> Vec<Vec<usize>> {
-    let boost = vec![u64::MAX; weights.len()];
-    plan_wave_tenanted_slo(
-        ready, costs, priority, tenant_of, usage, weights, &boost, cores,
-    )
-}
-
-/// [`plan_wave_tenanted`] with a preemption-free SLO boost layered on top:
-/// `boost[t]` is tenant `t`'s current deadline slack in simulated cycles
-/// (`u64::MAX` means unboosted). Boosted tenants outrank every unboosted
-/// one, least slack first; ties — and the whole unboosted remainder —
-/// fall through to the exact weight-normalized fair-share deficit
-/// comparison. Dispatched boosted jobs still charge their tenant's usage,
-/// so fairness re-converges once the deadline pressure clears. Jobs
-/// already running are never preempted: the boost only reorders picks at
-/// wave boundaries. Still a pure function of its arguments, so boosted
-/// rounds stay bit-identical across reruns and host interleavings.
+/// `tenant_of[j]` maps a job to its tenant index; `usage`/`weights`/`boost`
+/// are indexed by tenant. `boost[t]` is a preemption-free SLO boost:
+/// tenant `t`'s current deadline slack in simulated cycles (`u64::MAX`
+/// means unboosted). Boosted tenants outrank every unboosted one, least
+/// slack first; ties — and the whole unboosted remainder — fall through to
+/// the fair-share deficit comparison. Dispatched boosted jobs still charge
+/// their tenant's usage, so fairness re-converges once the deadline
+/// pressure clears. Jobs already running are never preempted: the boost
+/// only reorders picks at wave boundaries. Like [`plan_wave`] this is a
+/// pure function of its arguments — the determinism anchor, so boosted
+/// rounds stay bit-identical across reruns and host interleavings — and
+/// public so fairness and work-conservation invariants can be
+/// property-tested directly.
 #[allow(clippy::too_many_arguments)] // the planner's full deterministic context
-pub fn plan_wave_tenanted_slo(
+pub fn plan_wave_tenanted(
     ready: &[usize],
     costs: &[u64],
     priority: &[u64],
@@ -575,7 +568,7 @@ pub struct TenantConfig {
     /// cycles. `None` means best-effort (no deadline). The scheduler never
     /// reads this directly — the open-loop traffic layer (`lac-traffic`)
     /// turns it into per-round deadline slack and feeds
-    /// [`plan_wave_tenanted_slo`] through
+    /// [`plan_wave_tenanted`] through
     /// [`LacService::run_admitted_boosted`].
     pub deadline_cycles: Option<u64>,
 }
@@ -967,6 +960,7 @@ mod tests {
     use crate::chip::{ChipConfig, ProgramJob};
     use crate::config::LacConfig;
     use crate::core::Lac;
+    use crate::error::HazardKind;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
 
     /// The one-chip door on `cores` default cores.
@@ -1080,6 +1074,7 @@ mod tests {
             &tenant_of,
             &[0, 0],
             &[1, 1],
+            &[u64::MAX; 2],
             4,
         );
         let picked: Vec<usize> = buckets.iter().flatten().copied().collect();
@@ -1092,6 +1087,7 @@ mod tests {
             &tenant_of,
             &[0, 0],
             &[1, 3],
+            &[u64::MAX; 2],
             4,
         );
         let t1_share = buckets
@@ -1403,7 +1399,8 @@ mod tests {
     }
 
     /// A job whose `run_on` panics (e.g. an operand assert) — must not
-    /// deadlock the coordinator's wave collection.
+    /// deadlock the coordinator's wave collection, and comes back as a
+    /// typed error.
     struct PanickyJob;
 
     impl ChipJob for PanickyJob {
@@ -1418,22 +1415,25 @@ mod tests {
     fn panicking_job_propagates_instead_of_deadlocking() {
         let mut svc = service(2);
         let graph: JobGraph<PanickyJob> = [PanickyJob, PanickyJob].into_iter().collect();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            svc.submit(&graph, Scheduler::Fifo)
-        }))
-        .expect_err("the job's panic must surface");
-        let msg = caught.downcast_ref::<String>().expect("panic message");
-        assert!(
-            msg.contains("operand shape rejected"),
-            "panic message lost: {msg}"
-        );
+        let err = svc.submit(&graph, Scheduler::Fifo).unwrap_err();
+        // Both jobs panic, but one may be skipped once the other has:
+        // either way the error names a job of the batch, on its core.
+        match err.kind {
+            HazardKind::JobPanicked { job, core, message } => {
+                assert_eq!(job, core, "Fifo deals job k to core k");
+                assert!(job < 2);
+                assert_eq!(message, "operand shape rejected");
+            }
+            kind => panic!("expected a panicked job, got {kind:?}"),
+        }
+        assert_eq!((err.cycle, err.pe), (0, None));
     }
 
     #[test]
     fn service_survives_a_panicking_job() {
-        // Mixed graph: the panicking job is caught and re-raised by the
-        // coordinator after the wave drains, so no worker dies and the
-        // service keeps serving.
+        // Mixed graph: the panicking job is caught where it ran and
+        // returned as a typed error once the wave drains, so no worker
+        // dies and the service keeps serving.
         struct MaybePanic(bool, ProgramJob);
         impl ChipJob for MaybePanic {
             type Output = ExecStats;
@@ -1451,10 +1451,16 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            svc.submit(&bad, Scheduler::Fifo)
-        }))
-        .expect_err("panic surfaces through submit");
+        let err = svc.submit(&bad, Scheduler::Fifo).unwrap_err();
+        assert_eq!(
+            err.kind,
+            HazardKind::JobPanicked {
+                job: 1,
+                core: 1,
+                message: "bad operand".to_string(),
+            },
+            "the panic surfaces through submit"
+        );
         let ok: JobGraph<MaybePanic> = (0..4).map(|i| MaybePanic(false, job(i, 1))).collect();
         let run = svc.submit(&ok, Scheduler::LeastLoaded).unwrap();
         assert_eq!(run.outputs.len(), 4, "workers outlive a job panic");

@@ -35,7 +35,7 @@
 //!    Tenants with a deadline SLO get a boost equal to their *deadline
 //!    slack* (earliest pending arrival's deadline minus now): the
 //!    fair-share planner serves boosted tenants least-slack-first,
-//!    preemption-free ([`lac_sim::plan_wave_tenanted_slo`]).
+//!    preemption-free ([`lac_sim::plan_wave_tenanted`]).
 //! 4. **Account** — each completed segment goes to its continuation. An
 //!    appended segment waits for the next admission pass; a finished
 //!    request's sojourn (its *final* segment's completion tick − arrival
@@ -268,7 +268,7 @@ pub struct OpenLoopConfig {
     /// The wave-planning policy of every round. SLO boosting only takes
     /// effect under [`Scheduler::FairShare`] (other policies ignore it).
     pub sched: Scheduler,
-    /// Feed deadline slack to the planner ([`lac_sim::plan_wave_tenanted_slo`]).
+    /// Feed deadline slack to the planner ([`lac_sim::plan_wave_tenanted`]).
     /// Off = plain fair share; deadlines still meter misses either way.
     pub slo_boost: bool,
     /// Bound head-of-line blocking: stop admitting into a round once its

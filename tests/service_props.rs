@@ -69,8 +69,10 @@ proptest! {
         let tenant_of: Vec<usize> = (0..costs.len()).map(|j| j % tenants).collect();
         let usage: Vec<u64> = (0..tenants).map(|t| usage_seed[t % usage_seed.len()]).collect();
         let weights = vec![1u64; tenants];
-        let buckets =
-            plan_wave_tenanted(&ready, &costs, &costs, &tenant_of, &usage, &weights, cores);
+        let boost = vec![u64::MAX; tenants];
+        let buckets = plan_wave_tenanted(
+            &ready, &costs, &costs, &tenant_of, &usage, &weights, &boost, cores,
+        );
         // At most one job per core per wave (the streaming quantum)…
         prop_assert!(buckets.iter().all(|b| b.len() <= 1));
         // …work-conserving: exactly min(ready, cores) jobs dispatch…
@@ -235,8 +237,9 @@ proptest! {
         // are CriticalPath's highest-priority jobs, one per core.
         let ready: Vec<usize> = (0..costs.len().min(cores)).collect();
         let tenant_of = vec![0usize; costs.len()];
-        let fair =
-            plan_wave_tenanted(&ready, &costs, &costs, &tenant_of, &[0], &[1], cores);
+        let fair = plan_wave_tenanted(
+            &ready, &costs, &costs, &tenant_of, &[0], &[1], &[u64::MAX], cores,
+        );
         let cp_wave = plan_wave(Scheduler::CriticalPath, &ready, &costs, &costs, cores);
         let fair_jobs: Vec<usize> = fair.iter().flatten().copied().collect();
         let mut cp_jobs: Vec<usize> = cp_wave.iter().flatten().copied().collect();
