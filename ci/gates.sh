@@ -201,6 +201,30 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 13: one meter per job. A job's event counters live in the core's
+# session (`Lac::session_stats`; a standalone run's share is a delta via
+# `ExecStats::since`), and the coordinator meters each graph job into its
+# shard. An `ExecStats` field in a lac-kernels struct or enum (a report,
+# its details, a job output) would copy that meter into every output: a
+# second record of the same cycles, free to drift from the first, paid
+# for in every report a run keeps. Scans non-test code (lines before a
+# file's first `#[cfg(test)]`), skipping comment lines.
+hits=$(for f in ./crates/lac-kernels/src/*.rs; do
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?(struct|enum)[[:space:]]/ { item = 1; depth = 0; opened = 0 }
+       item {
+         if ($0 ~ /ExecStats/ && $0 !~ /^[[:space:]]*\/\//) print FILENAME ":" FNR ": " $0
+         o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c
+         if (o > 0) opened = 1
+         if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) item = 0
+       }' "$f"
+done)
+if [ -n "$hits" ]; then
+  echo "a job output carrying its own counters (the core's session is the one meter):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

@@ -33,10 +33,9 @@ fn measure(w: &dyn Workload, imp: DivSqrtImpl) -> lac_sim::ExecStats {
         ..Default::default()
     };
     let mut lac = Lac::new(w.config(base));
-    let rep = w
-        .run(&mut lac)
+    w.run(&mut lac)
         .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()));
-    rep.stats
+    *lac.session_stats()
 }
 
 /// Table A.2: cycle counts and dynamic energy for architecture options

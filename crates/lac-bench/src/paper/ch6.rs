@@ -91,12 +91,13 @@ pub fn fig6_6() -> Vec<Table> {
             // Effective efficiency: only the 2K mathematically necessary
             // flops count; scaling passes are pure overhead (paper metric).
             let useful_gflop = 2.0 * n as f64 / 1e9;
-            let seconds = rep.stats.cycles as f64 / 1e9;
-            let watts = em.avg_power_mw(&rep.stats) / 1000.0;
+            let stats = lac.session_stats();
+            let seconds = stats.cycles as f64 / 1e9;
+            let watts = em.avg_power_mw(stats) / 1000.0;
             row.push(format!(
                 "{} ({} cyc)",
                 f(useful_gflop / seconds / watts),
-                rep.stats.cycles
+                stats.cycles
             ));
         }
         rows.push(row);
@@ -135,10 +136,11 @@ pub fn fig6_7() -> Vec<Table> {
                 comparator_extension: comparator,
                 ..EnergyModel::lac_default()
             };
+            let stats = lac.session_stats();
             row.push(format!(
                 "{} ({} cyc)",
-                f(em.gflops_per_w(&rep.stats)),
-                rep.stats.cycles
+                f(em.gflops_per_w(stats)),
+                stats.cycles
             ));
         }
         rows.push(row);

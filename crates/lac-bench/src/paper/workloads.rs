@@ -23,7 +23,7 @@ pub fn workloads() -> Vec<Table> {
             let e = lac.energy_summary(&energy);
             vec![
                 report.kernel.into(),
-                format!("{}", report.stats.cycles),
+                format!("{}", lac.session_stats().cycles),
                 format!("{}", report.useful_flops),
                 pct(report.utilization),
                 f(e.energy_nj / 1000.0),

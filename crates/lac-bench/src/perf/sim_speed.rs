@@ -35,17 +35,17 @@
 //!   minus an immediate warm rerun is archived, ungated, as
 //!   `cold_extra_ms`: the host cost of building and compiling its
 //!   programs.
-//! * `report_heap_bytes`: the bytes the timed graph's outputs hold — each
-//!   report's `size_of` plus its payload matrix's `rows × cols × 8`. Both
-//!   are exact across hosts, so `perf_compare` gates the sum as
-//!   worse-if-higher, like every `*_heap_bytes` field.
+//! * `report_heap_bytes`: the bytes the timed graph's outputs hold, the
+//!   sum of [`lac_kernels::KernelReport::heap_bytes`] (each report's
+//!   `size_of` plus its payload). Exact across hosts, so `perf_compare`
+//!   gates it as worse-if-higher, like every `*_heap_bytes` field.
 //! * `graph_heap_bytes`: the timed graph's own buffers
 //!   ([`lac_sim::JobGraph::heap_bytes`]: its job vector and flat parent
 //!   lists), exact across hosts and gated worse-if-higher.
 
 use lac_bench::json::Json;
 use lac_bench::{f, table};
-use lac_kernels::{Details, KernelReport, SolverLoopParams, SolverLoopWorkload};
+use lac_kernels::{KernelReport, SolverLoopParams, SolverLoopWorkload};
 use lac_sim::{ChipConfig, ExecBackend, JobGraph, LacCluster, LacConfig, LacService, Scheduler};
 use std::time::Instant;
 
@@ -60,21 +60,6 @@ fn backend_name(b: ExecBackend) -> &'static str {
         ExecBackend::Interpreter => "interpreter",
         ExecBackend::Compiled => "compiled",
     }
-}
-
-/// Bytes a solver-loop graph's outputs hold: each report inline plus the
-/// one payload matrix every step emits.
-fn report_heap_bytes(outputs: &[KernelReport]) -> usize {
-    outputs
-        .iter()
-        .map(|r| {
-            let payload = match &r.details {
-                Details::Cholesky { l: m } | Details::Trsm { x: m } | Details::Syrk { c: m } => m,
-                other => panic!("{}: unexpected solver-loop output {other:?}", r.kernel),
-            };
-            std::mem::size_of::<KernelReport>() + payload.rows() * payload.cols() * 8
-        })
-        .sum()
 }
 
 /// Build and run the `fleet_batch`-shaped fleet on `cluster`, check every
@@ -139,7 +124,7 @@ pub fn run() -> Json {
                 .expect("warmup run");
             w.check_graph(&warm.outputs)
                 .expect("outputs match linalg-ref");
-            report_bytes = report_heap_bytes(&warm.outputs);
+            report_bytes = warm.outputs.iter().map(KernelReport::heap_bytes).sum();
 
             let start = Instant::now();
             let mut simulated_cycles = 0u64;

@@ -79,11 +79,13 @@ pub use workload::{
 #[cfg(test)]
 mod tests {
     use crate::{
-        GemmDataLayout, GemmParams, SolverJob, SolverLoopParams, SolverLoopWorkload,
+        registry, registry_chip_config, Details, GemmDataLayout, GemmParams, IpddpFleet,
+        IppmmWorkload, KernelReport, SolverJob, SolverLoopParams, SolverLoopWorkload,
         SyrkDataLayout, SyrkParams,
     };
     use lac_sim::{
-        compile, CacheStats, ChipConfig, ClusterConfig, LacCluster, LacConfig, Program, Scheduler,
+        compile, CacheStats, ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, Lac,
+        LacCluster, LacConfig, Program, Scheduler,
     };
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
@@ -195,6 +197,74 @@ mod tests {
         let held = LIVE.with(Cell::get) - before;
         assert!(cp.heap_bytes() > 100_000, "{} bytes", cp.heap_bytes());
         assert_eq!(held, cp.heap_bytes() as isize);
+    }
+
+    /// The outputs of `graph`'s jobs run standalone, in id order, on one
+    /// fresh core, each with the session delta it metered.
+    fn run_standalone<J: ChipJob<Output = KernelReport>>(
+        graph: JobGraph<J>,
+    ) -> Vec<(KernelReport, ExecStats)> {
+        let mut lac = Lac::new(LacConfig::default());
+        let mut g = JobGraph::new();
+        g.append(graph)
+            .into_iter()
+            .map(|id| {
+                let before = *lac.session_stats();
+                let report = g.job(id).run_on(&mut lac).unwrap();
+                (report, lac.session_stats().since(&before))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn report_heap_bytes_is_what_a_clone_allocates() {
+        let cfg = registry_chip_config(LacConfig::default());
+        let mut reports: Vec<KernelReport> = registry()
+            .iter()
+            .map(|w| w.run(&mut Lac::new(cfg)).unwrap())
+            .collect();
+        let ipm = run_standalone(IppmmWorkload::demo().dynamic().into_parts().0);
+        let ddp = run_standalone(IpddpFleet::demo().dynamic().into_parts().0);
+        reports.extend(ipm.into_iter().chain(ddp).map(|(r, _)| r));
+        assert!(reports
+            .iter()
+            .any(|r| r.kernel == "ippmm-step" && matches!(r.details, Details::Ipm(_))));
+        assert!(reports
+            .iter()
+            .any(|r| r.kernel == "ipddp-sweep" && matches!(r.details, Details::Ddp(_))));
+        for r in &reports {
+            let before = LIVE.with(Cell::get);
+            let copy = r.clone();
+            let held = LIVE.with(Cell::get) - before;
+            drop(copy);
+            let payload = r.heap_bytes() - std::mem::size_of::<KernelReport>();
+            assert_eq!(held, payload as isize, "{}", r.kernel);
+        }
+    }
+
+    /// `graph()` on a one-chip and on a two-chip cluster: the run's
+    /// aggregate counters are the sum of what each job meters standalone.
+    fn assert_metered_once<J: ChipJob<Output = KernelReport>>(graph: impl Fn() -> JobGraph<J>) {
+        let mut standalone = ExecStats::default();
+        for (_, delta) in run_standalone(graph()) {
+            standalone.merge(&delta);
+        }
+        assert!(standalone.cycles > 0);
+        for chips in [1, 2] {
+            let cfg = ClusterConfig::homogeneous(chips, ChipConfig::new(2, LacConfig::default()));
+            let mut cluster: LacCluster<J> = LacCluster::new(cfg);
+            let run = cluster
+                .run_graph(&graph(), Scheduler::CriticalPath)
+                .unwrap();
+            assert_eq!(run.stats.aggregate, standalone, "{chips} chip(s)");
+        }
+    }
+
+    #[test]
+    fn every_job_is_metered_exactly_once() {
+        assert_metered_once(|| SolverLoopWorkload::demo().graph().graph);
+        assert_metered_once(|| IppmmWorkload::demo().dynamic().into_parts().0);
+        assert_metered_once(|| IpddpFleet::demo().dynamic().into_parts().0);
     }
 
     #[test]

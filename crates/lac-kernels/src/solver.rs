@@ -51,7 +51,7 @@ use crate::workload::{
     close, demo_matrix, demo_spd, expect_details, report, Details, KernelReport, SolverDetails,
     Workload,
 };
-use lac_sim::{ChipJob, ExecStats, JobGraph, JobId, Lac, SimError};
+use lac_sim::{ChipJob, JobGraph, JobId, Lac, SimError};
 use linalg_ref::{cholesky, gemm, max_abs_diff, trsm, Matrix, Side, Triangle};
 use std::sync::{Arc, Mutex};
 
@@ -391,26 +391,25 @@ impl Workload for SolverLoopWorkload {
     /// every SYRK update, rounds then panels in order.
     fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError> {
         let sg = self.graph();
-        let mut total = ExecStats::default();
+        let before = *lac.session_stats();
         let mut factors = Vec::with_capacity(self.params.rounds);
         let mut final_a = Matrix::clone(&self.a0);
         for (k, &chol) in sg.chol.iter().enumerate() {
             let rep = sg.graph.job(chol).run_on(lac)?;
-            total.merge(&rep.stats);
             let Details::Cholesky { l } = rep.details else {
                 unreachable!("a solver CHOL reports its factor");
             };
             factors.push(l);
             for (&trsm, &syrk) in sg.trsm[k].iter().zip(&sg.syrk[k]) {
-                total.merge(&sg.graph.job(trsm).run_on(lac)?.stats);
+                sg.graph.job(trsm).run_on(lac)?;
                 let rep = sg.graph.job(syrk).run_on(lac)?;
-                total.merge(&rep.stats);
                 let Details::Syrk { c } = &rep.details else {
                     unreachable!("a solver SYRK reports its update");
                 };
                 add_sym_update(&mut final_a, c);
             }
         }
+        let total = lac.session_stats().since(&before);
         Ok(report(
             lac,
             self.name(),
@@ -707,7 +706,7 @@ mod tests {
         let report = w.run(&mut lac).unwrap();
         w.check(&report).unwrap();
         assert_eq!(report.kernel, "solver-loop");
-        assert!(report.stats.cycles > 0);
+        assert!(lac.session_stats().cycles > 0);
     }
 
     /// Payload bytes the graph's slot store holds right now.

@@ -23,7 +23,7 @@
 //!     let mut lac = Lac::new(w.config(LacConfig::default()));
 //!     let report = w.run(&mut lac).expect("hazard-free schedule");
 //!     w.check(&report).expect("matches linalg-ref");
-//!     println!("{:<14} {:>8} cycles", report.kernel, report.stats.cycles);
+//!     println!("{:<14} {:>8} cycles", report.kernel, lac.session_stats().cycles);
 //! }
 //! ```
 
@@ -44,6 +44,7 @@ use linalg_ref::{
     cholesky, fft_radix4, gemm, lu_partial_pivot, max_abs_diff, nrm2, qr_householder, symm, trmm,
     trsm, Complex, Matrix, Side, Triangle,
 };
+use std::mem::size_of;
 
 /// One workload: a problem instance that runs on a core (through its
 /// kernels' staging functions) and reports uniformly.
@@ -68,7 +69,7 @@ use linalg_ref::{
 /// let Details::Gemm { c } = &report.details else { panic!() };
 /// assert_eq!((c.rows(), c.cols()), (16, 16));
 /// // …and meters the core's session: the counters grew by this run.
-/// assert_eq!(*lac.session_stats(), report.stats);
+/// assert!(lac.session_stats().cycles > 0);
 /// ```
 pub trait Workload: Send + Sync {
     /// Stable kernel name (registry key, display label). A `'static`
@@ -90,7 +91,8 @@ pub trait Workload: Send + Sync {
     }
 
     /// Execute on the core. Its counters (the session) meter every cycle;
-    /// the report carries this run's share.
+    /// this run's share is the session's delta
+    /// ([`lac_sim::ExecStats::since`]), not part of the report.
     fn run(&self, lac: &mut Lac) -> Result<KernelReport, SimError>;
 
     /// Cross-check the report's functional outputs against `linalg-ref`.
@@ -116,16 +118,17 @@ impl ChipJob for Box<dyn Workload> {
 /// Uniform result of one workload run.
 ///
 /// A graph run holds one report per job, so the report is kept lean:
-/// the kernel name is a `'static` label and [`Details`] boxes its
-/// multi-field variants, which keeps the whole report at 216 bytes on
-/// 64-bit targets (a unit test guards the bound).
+/// the kernel name is a `'static` label, [`Details`] boxes its
+/// multi-field variants, and the run's event counters are not copied in
+/// — the core's session already meters them ([`Lac::session_stats`]; a
+/// standalone run's share is a delta via [`lac_sim::ExecStats::since`],
+/// a graph job's is metered into its shard by the coordinator). The
+/// whole report is 80 bytes on 64-bit targets (a unit test guards the
+/// bound); [`KernelReport::heap_bytes`] counts it with its payload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelReport {
     /// Which workload (or graph step) produced this ([`Workload::name`]).
     pub kernel: &'static str,
-    /// Event counters of this run only (the core's session counters
-    /// advanced by them as the programs ran).
-    pub stats: ExecStats,
     /// Mathematically necessary flops (2 per useful MAC); falls back to
     /// the executed-flop count for kernels without a closed-form count.
     pub useful_flops: u64,
@@ -133,6 +136,62 @@ pub struct KernelReport {
     pub utilization: f64,
     /// Per-kernel functional outputs.
     pub details: Details,
+}
+
+impl KernelReport {
+    /// Bytes this report holds: its own `size_of` plus every buffer its
+    /// [`Details`] owns — a boxed variant's box included — each counted
+    /// at its length, which is exactly what a clone of the report
+    /// allocates. Exact across hosts of one pointer width.
+    pub fn heap_bytes(&self) -> usize {
+        size_of::<Self>() + self.details.payload_bytes()
+    }
+}
+
+/// Bytes of a matrix's element buffer.
+fn matrix_bytes(m: &Matrix) -> usize {
+    m.rows() * m.cols() * size_of::<f64>()
+}
+
+impl Details {
+    /// Heap bytes the variant owns (see [`KernelReport::heap_bytes`]).
+    fn payload_bytes(&self) -> usize {
+        match self {
+            Details::Gemm { c: m }
+            | Details::Syrk { c: m }
+            | Details::Trsm { x: m }
+            | Details::Cholesky { l: m } => matrix_bytes(m),
+            Details::Lu(lu) => {
+                size_of::<LuDetails>()
+                    + matrix_bytes(&lu.factors)
+                    + lu.pivots.len() * size_of::<usize>()
+            }
+            Details::Qr(qr) => {
+                size_of::<QrDetails>()
+                    + matrix_bytes(&qr.r)
+                    + qr.reflectors.len() * size_of::<HouseholderReflector>()
+                    + qr.reflectors
+                        .iter()
+                        .map(|h| h.u2.len() * size_of::<f64>())
+                        .sum::<usize>()
+            }
+            Details::Vecnorm { .. } => 0,
+            Details::Fft { spectrum } => spectrum.len() * size_of::<Complex>(),
+            Details::Solver(s) => {
+                size_of::<SolverDetails>()
+                    + s.factors.len() * size_of::<Matrix>()
+                    + s.factors.iter().map(matrix_bytes).sum::<usize>()
+                    + matrix_bytes(&s.final_a)
+            }
+            Details::Ipm(ipm) => {
+                size_of::<IpmDetails>()
+                    + matrix_bytes(&ipm.x)
+                    + matrix_bytes(&ipm.y)
+                    + matrix_bytes(&ipm.z)
+            }
+            Details::Ddp(ddp) => size_of::<DdpDetails>() + matrix_bytes(&ddp.u),
+        }
+    }
 }
 
 /// Per-kernel extras riding on the unified report.
@@ -252,7 +311,8 @@ pub struct DdpDetails {
 }
 
 /// Assemble the uniform report of one run on `lac` (the core's counters
-/// metered its cycles as they ran). Kernels with a closed-form useful-MAC
+/// metered its cycles as they ran; `stats` is this run's share, used for
+/// the two scalars and not stored). Kernels with a closed-form useful-MAC
 /// count rate against it; the rest against their executed flops.
 pub(crate) fn report(
     lac: &Lac,
@@ -268,7 +328,6 @@ pub(crate) fn report(
     };
     KernelReport {
         kernel: name,
-        stats,
         useful_flops,
         utilization,
         details,
@@ -1303,14 +1362,18 @@ mod tests {
         let mut lac = Lac::new(LacConfig::default());
         let g = GemmWorkload::demo();
         let r1 = g.run(&mut lac).unwrap();
-        // The session grew by exactly each report's stats.
-        assert_eq!(*lac.session_stats(), r1.stats);
+        let s1 = *lac.session_stats();
+        assert!(s1.cycles > 0);
         let c = BlockedCholWorkload::demo();
         let r2 = c.run(&mut lac).unwrap();
-        let mut both = r1.stats;
-        both.merge(&r2.stats);
+        // The session grew by exactly each run's own counters: the second
+        // run's delta equals what it meters alone on a fresh core.
+        let mut alone = Lac::new(LacConfig::default());
+        c.run(&mut alone).unwrap();
+        assert_eq!(lac.session_stats().since(&s1), *alone.session_stats());
+        let mut both = s1;
+        both.merge(alone.session_stats());
         assert_eq!(*lac.session_stats(), both);
-        assert!(r2.stats.cycles > 0);
         g.check(&r1).unwrap();
         c.check(&r2).unwrap();
     }
@@ -1327,15 +1390,14 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn reports_stay_lean() {
-        use std::mem::size_of;
         assert!(
             size_of::<Details>() <= 48,
             "Details is {} B (bound 48): box any new multi-field variant",
             size_of::<Details>()
         );
         assert!(
-            size_of::<KernelReport>() <= 216,
-            "KernelReport is {} B (bound 216): box any new multi-field Details variant",
+            size_of::<KernelReport>() <= 80,
+            "KernelReport is {} B (bound 80): box any new multi-field Details variant",
             size_of::<KernelReport>()
         );
     }

@@ -16,7 +16,7 @@ fn sim_gemm_cycles(mc: usize, kc: usize, n: usize) -> (u64, f64) {
     let c = Matrix::random(mc, n, &mut rng);
     let mut lac = Lac::new(LacConfig::default());
     let rep = GemmWorkload::new(a, b, c).run(&mut lac).unwrap();
-    (rep.stats.cycles, rep.utilization)
+    (lac.session_stats().cycles, rep.utilization)
 }
 
 #[test]
@@ -62,8 +62,8 @@ fn trsm_blocked_utilization_model_tracks_sim() {
     let l = Matrix::random_lower_triangular(kk, &mut rng);
     let b0 = Matrix::random(kk, w, &mut rng);
     let mut lac = Lac::new(LacConfig::default());
-    let rep = BlockedTrsmWorkload::new(l, b0).run(&mut lac).unwrap();
-    let stats = &rep.stats;
+    BlockedTrsmWorkload::new(l, b0).run(&mut lac).unwrap();
+    let stats = lac.session_stats();
     let useful: u64 = stats.mac_ops + stats.fma_ops;
     let sim_util = useful as f64 / (stats.cycles as f64 * 16.0);
     let model_util = lac_model::trsm_utilization_bw(4, kk / 4, w, 4.0, 5);

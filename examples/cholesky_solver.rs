@@ -68,7 +68,7 @@ fn main() {
         .fold(0.0f64, f64::max);
     assert!(err < 1e-10, "residual {err}");
 
-    let stats = &report.stats;
+    let stats = lac.session_stats();
     let energy = lac.energy_summary(&EnergyModel::lac_default());
     println!("Cholesky solve of a {n}-node stiffness system on the LAC");
     println!("  factorization cycles : {}", stats.cycles);

@@ -52,10 +52,11 @@ fn main() {
     order.sort_by(|&a, &b| magnitude[b].partial_cmp(&magnitude[a]).unwrap());
 
     println!("64-point radix-4 FFT on the 4x4 hybrid core");
-    println!("  cycles           : {}", report.stats.cycles);
+    let stats = lac.session_stats();
+    println!("  cycles           : {}", stats.cycles);
     println!(
         "  bus transfers    : {} row, {} col",
-        report.stats.row_bus_transfers, report.stats.col_bus_transfers
+        stats.row_bus_transfers, stats.col_bus_transfers
     );
     println!("  top spectral bins:");
     for &k in order.iter().take(3) {

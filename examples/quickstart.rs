@@ -36,7 +36,7 @@ fn main() {
         .expect("simulator result agrees with linalg-ref");
 
     // Performance and energy, exactly as the paper reports them.
-    let stats = &report.stats;
+    let stats = lac.session_stats();
     let energy = lac.energy_summary(&EnergyModel::lac_default());
     println!("GEMM {mc}x{kc}x{n} on a 4x4 LAC @ 1 GHz (double precision)");
     println!("  cycles            : {}", stats.cycles);
@@ -48,15 +48,14 @@ fn main() {
     );
     println!(
         "  avg ext bandwidth : {:.2} words/cycle",
-        lac.session_stats().ext_words_per_cycle()
+        stats.ext_words_per_cycle()
     );
     println!("  energy            : {:.2} uJ", energy.energy_nj / 1000.0);
     println!("  average power     : {:.1} mW", energy.avg_power_mw);
     println!("  efficiency        : {:.1} GFLOPS/W", energy.gflops_per_w);
-    let session = lac.session_stats();
     println!(
         "  session           : {} cycles, {} flops",
-        session.cycles,
-        session.flops()
+        stats.cycles,
+        stats.flops()
     );
 }

@@ -16,7 +16,7 @@
 
 use lap::lac_kernels::{Details, SolverLoopParams, SolverLoopWorkload};
 use lap::lac_power::ChipEnergyModel;
-use lap::lac_sim::{ChipConfig, LacConfig, LacService, Scheduler};
+use lap::lac_sim::{ChipConfig, LacConfig, LacService, Scheduler, TraceEvent};
 
 fn main() {
     let workload = SolverLoopWorkload::new(SolverLoopParams {
@@ -52,10 +52,25 @@ fn main() {
         let Details::Cholesky { l } = &report.details else {
             unreachable!("CHOL jobs report their factor")
         };
+        // The job's cycles are its span in the run's event log.
+        let cycles = run
+            .events
+            .events()
+            .iter()
+            .find_map(|e| match *e {
+                TraceEvent::Job {
+                    job,
+                    start,
+                    end,
+                    discarded: false,
+                    ..
+                } if job == chol.index() => Some(end - start),
+                _ => None,
+            })
+            .expect("every job retires once");
         println!(
-            "  round {k}: factor on core {}, {} cycles, ‖L‖F = {:.3}",
+            "  round {k}: factor on core {}, {cycles} cycles, ‖L‖F = {:.3}",
             run.assignment[chol.index()],
-            report.stats.cycles,
             l.fro_norm()
         );
     }

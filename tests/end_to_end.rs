@@ -35,7 +35,8 @@ fn linear_system_via_lu_on_the_accelerator() {
     let reference = lu_partial_pivot(&a).unwrap();
     assert_eq!(*pivots, reference.pivots);
     assert!(max_abs_diff(factors, &reference.factors) < 1e-9);
-    assert!(report.stats.cycles > 0 && report.stats.sfu_ops == 4);
+    let session = lac.session_stats();
+    assert!(session.cycles > 0 && session.sfu_ops == 4);
 }
 
 #[test]
@@ -50,14 +51,16 @@ fn gemm_chain_matches_reference_composition() {
     let mut lac = fresh_core();
     let mut run = |x: &Matrix, y: &Matrix| {
         let w = GemmWorkload::new(x.clone(), y.clone(), Matrix::zeros(16, 16));
+        let before = *lac.session_stats();
         let report = w.run(&mut lac).unwrap();
         let Details::Gemm { c } = report.details else {
             panic!("gemm reports C")
         };
-        (c, report.stats)
+        (c, lac.session_stats().since(&before))
     };
     let (ab, first) = run(&a, &b);
     let (abc, second) = run(&ab, &c);
+    assert_eq!(first, second, "equal shapes meter equally");
     let mut both = first;
     both.merge(&second);
     assert_eq!(
@@ -106,13 +109,20 @@ fn cholesky_then_trsm_solves_spd_system() {
     trsm(Side::Left, Triangle::Lower, l, &mut expect);
     assert!(max_abs_diff(x, &expect) < 1e-8);
 
-    // Session accounting covers both factor and solve, counter for counter.
+    // Session accounting covers both factor and solve, counter for
+    // counter: each contributes what it meters alone on a fresh core.
+    let alone = |w: &dyn Workload| {
+        let mut core = fresh_core();
+        w.run(&mut core).unwrap();
+        *core.session_stats()
+    };
+    let (chol_alone, trsm_alone) = (alone(&chol_w), alone(&trsm_w));
     assert_eq!(
         lac.session_stats().cycles,
-        chol_rep.stats.cycles + trsm_rep.stats.cycles
+        chol_alone.cycles + trsm_alone.cycles
     );
-    let mut expect_session = chol_rep.stats;
-    expect_session.merge(&trsm_rep.stats);
+    let mut expect_session = chol_alone;
+    expect_session.merge(&trsm_alone);
     assert_eq!(
         *lac.session_stats(),
         expect_session,

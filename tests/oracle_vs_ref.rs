@@ -4,8 +4,8 @@
 //! the per-kernel tolerance) and through independent residual assertions
 //! here — so a tolerance bug in `check` itself cannot hide a wrong result.
 
-use lap::lac_kernels::{registry, registry_sized, Details, ProblemSize, Workload};
-use lap::lac_sim::{Lac, LacConfig};
+use lap::lac_kernels::{registry, registry_sized, Details, KernelReport, ProblemSize, Workload};
+use lap::lac_sim::{ExecStats, Lac, LacConfig};
 use lap::linalg_ref::{gemm, max_abs_diff, trmm, Matrix, Side, Triangle};
 
 /// Per-kernel residual tolerances for the independent checks below. The
@@ -28,14 +28,16 @@ fn residual_tol(kernel: &str, size: ProblemSize) -> f64 {
     }
 }
 
-fn run_one(w: &dyn Workload) -> lap::lac_kernels::KernelReport {
+/// Run `w` on a fresh core and check it; returns the report and the
+/// core's session (what the run metered).
+fn run_one(w: &dyn Workload) -> (KernelReport, ExecStats) {
     let mut lac = Lac::new(w.config(LacConfig::default()));
     let report = w
         .run(&mut lac)
         .unwrap_or_else(|e| panic!("{}: simulation error {e:?}", w.name()));
     w.check(&report)
         .unwrap_or_else(|e| panic!("oracle mismatch: {e}"));
-    report
+    (report, *lac.session_stats())
 }
 
 #[test]
@@ -48,10 +50,10 @@ fn every_workload_matches_linalg_ref_at_all_scales() {
             workloads.len()
         );
         for w in &workloads {
-            let report = run_one(w.as_ref());
+            let (report, session) = run_one(w.as_ref());
             assert_eq!(report.kernel, w.name());
             assert!(
-                report.stats.cycles > 0 && report.useful_flops > 0,
+                session.cycles > 0 && report.useful_flops > 0,
                 "{}@{size:?}: empty run",
                 w.name()
             );
@@ -102,7 +104,7 @@ fn factorizations_reconstruct_their_inputs() {
 
         // Cholesky: ‖L·Lᵀ − A‖ against the SPD input we built.
         let a = Matrix::random_spd(n, &mut rng);
-        let report = run_one(&BlockedCholWorkload::new(a.clone()));
+        let (report, _) = run_one(&BlockedCholWorkload::new(a.clone()));
         let Details::Cholesky { l } = &report.details else {
             panic!("chol reports L")
         };
@@ -122,7 +124,7 @@ fn factorizations_reconstruct_their_inputs() {
             ("lu-panel", Matrix::random(2 * n, 4, &mut rng)),
         ];
         for (kernel, a) in lu_inputs {
-            let report = if kernel == "lu" {
+            let (report, _) = if kernel == "lu" {
                 run_one(&BlockedLuWorkload::new(a.clone(), LuOptions::default()))
             } else {
                 run_one(&LuPanelWorkload::new(a.clone(), LuOptions::default()))
@@ -160,7 +162,7 @@ fn factorizations_reconstruct_their_inputs() {
         // TRSM: multiply the solution back, ‖L·X − B‖ against the input B.
         let l = Matrix::random_lower_triangular(n, &mut rng);
         let b = Matrix::random(n, w_cols, &mut rng);
-        let report = run_one(&BlockedTrsmWorkload::new(l.clone(), b.clone()));
+        let (report, _) = run_one(&BlockedTrsmWorkload::new(l.clone(), b.clone()));
         let Details::Trsm { x } = &report.details else {
             panic!("trsm reports X")
         };
@@ -192,7 +194,7 @@ fn solver_loop_factors_reconstruct_every_round() {
         width: 8,
         salt: 77,
     });
-    let report = run_one(&wl);
+    let (report, _) = run_one(&wl);
     let Details::Solver(solved) = &report.details else {
         panic!("solver reports factors")
     };
@@ -243,7 +245,7 @@ fn trmm_agrees_with_two_references() {
             ((i * 13 + j * 7 + salt as usize) % 23) as f64 / 23.0 - 0.5
         });
         let wl = TrmmWorkload::new(l.clone(), b.clone());
-        let report = run_one(&wl);
+        let (report, _) = run_one(&wl);
         let Details::Gemm { c } = &report.details else {
             panic!("trmm reports a product")
         };
